@@ -10,7 +10,6 @@ import argparse
 from qfidyn import (
     diagonalize,
     gibbs_weights,
-    local_generator,
     qfi_from_dynsym,
     qfi_spectral,
     verified_blocks,

@@ -33,8 +33,8 @@ def main():
     o_eig = spectral.to_eigenbasis(gen.mat)
 
     comb = response_comb(o_eig, ens)
-    blocks = trivial_complete_set(spectral)
-    check = comb_bound_check(comb, blocks, ens, o_eig)
+    part = trivial_complete_set(spectral)
+    check = comb_bound_check(comb, part, ens, o_eig)
 
     margins = [row[3] for row in check.rows]
     print(f"teeth: {len(check.rows)}   equality: {check.equality}")

@@ -4,7 +4,7 @@ diagonalization, decomposed and bounded through dynamical symmetries."""
 from .dynsym import (
     DynamicalSymmetry,
     OperatorBlock,
-    PairBlock,
+    PairPartition,
     block_gram,
     conserved_mazur_bound,
     dynamical_symmetry,
@@ -70,7 +70,6 @@ from .spectral import (
     diagonalize,
     gibbs_weights,
     thermal_expectation,
-    to_eigenbasis,
 )
 
 __version__ = "0.1.0"

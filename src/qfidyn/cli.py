@@ -22,7 +22,6 @@ from .dynsym import (
     TAU_DYN,
     fit_frequency,
     local_cap,
-    mazur_weight,
     projector_mazur_weight,
     trivial_complete_set,
     verified_blocks,
@@ -318,7 +317,7 @@ def cmd_fig2(args):
 
     Writes three tables into --out: the response comb G(omega) with the
     matching Mazur weights (complete eigenprojectors at omega = 0, the
-    trivial frequency blocks elsewhere), the QFI against temperature, and
+    trivial frequency clusters elsewhere), the QFI against temperature, and
     the per-frequency QFI decomposition at --temperature.
     """
     model = resolve_preset(
@@ -333,7 +332,7 @@ def cmd_fig2(args):
     n = model.spec.sites
     spectral = diagonalize(h_op.mat)
     o_eig = spectral.to_eigenbasis(gen.mat)
-    blocks = trivial_complete_set(spectral, args.omega_tol)
+    part = trivial_complete_set(spectral, args.omega_tol)
     temp0 = float(args.temperature)
     if not (temp0 > 0 and math.isfinite(temp0)):
         raise DomainError(f"--temperature must be finite and > 0, got {temp0}")
@@ -343,7 +342,8 @@ def cmd_fig2(args):
     os.makedirs(out_dir, exist_ok=True)
 
     comb = response_comb(o_eig, ens0, args.omega_tol)
-    block_weight = {b.omega: mazur_weight(b, ens0, o_eig) for b in blocks}
+    pair_weights = part.bin(ens0.weights[None, :] * np.abs(o_eig) ** 2)
+    block_weight = dict(zip(part.omegas.tolist(), pair_weights.tolist()))
     msr0 = projector_mazur_weight(ens0, o_eig)
     comb_rows = []
     for omega, weight in zip(comb.omegas, comb.weights):
@@ -360,7 +360,7 @@ def cmd_fig2(args):
     for temp in temps:
         ens = gibbs_weights(spectral, 1.0 / temp)
         fq = qfi_spectral(o_eig, ens)
-        bound = qfi_from_dynsym(blocks, ens, o_eig).value
+        bound = qfi_from_dynsym(part, ens, o_eig).value
         sweep_rows.append((temp, fq, fq / n, bound / n))
     _write_table(
         os.path.join(out_dir, "qfi_vs_t.csv"),
@@ -368,7 +368,7 @@ def cmd_fig2(args):
         sweep_rows,
     )
 
-    report = qfi_from_dynsym(blocks, ens0, o_eig)
+    report = qfi_from_dynsym(part, ens0, o_eig)
     decomp_rows = [(omega, contrib) for omega, contrib in report.per_frequency.items()]
     _write_table(
         os.path.join(out_dir, "decomposition.csv"),

@@ -4,15 +4,20 @@ The sign convention [H, A] = omega A is fixed package-wide: a raising
 eigenoperator (one that adds energy omega when applied to a state) carries
 positive omega.  Conserved quantities are the omega = 0 case.
 
-Two block representations coexist behind one contract:
+A symmetry set is a PairPartition, a list of OperatorBlocks, or a list
+mixing the two:
 
-* OperatorBlock holds explicit member matrices.  For thermal Gram machinery
-  the members must be expressed in the energy eigenbasis (verified_blocks
-  handles verification, transformation and frequency grouping in one step).
-* PairBlock holds eigenlevel index pairs (m, n) standing for the operators
-  |E_m><E_n| at omega = E_m - E_n.  The full collection over all dim^2 pairs
-  (trivial_complete_set) spans operator space, so bounds built on it are
-  saturated; it is never materialized as dense matrices.
+* OperatorBlock holds explicit member matrices sharing one frequency.  For
+  thermal Gram machinery the members must be expressed in the energy
+  eigenbasis (verified_blocks handles verification, transformation and
+  frequency grouping in one step).
+* PairPartition stands for the eigenpair operators |E_m><E_n| at
+  omega = E_m - E_n without materializing them: one frequency-cluster label
+  per pair, laid out like O in the eigenbasis.  Their Gram is diagonal, so
+  every per-cluster sum is one np.bincount (PairPartition.bin).  The
+  partition of all dim^2 pairs (trivial_complete_set) spans operator space,
+  so bounds built on it are saturated; a pair carries one label, so no pair
+  can be counted twice.
 
 Thermal correlators use the inner product <X, Y> = tr(rho X^dag Y).
 """
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .operators import GeneralOperator, operator_support
+from .operators import GeneralOperator, _as_matrix, operator_support
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
 TAU_DYN = 1e-9
@@ -41,13 +46,6 @@ def default_omega_tol(energies):
     energies = np.asarray(energies, dtype=float)
     width = float(energies.max() - energies.min()) if energies.size else 0.0
     return 1e-8 * max(1.0, width)
-
-
-def _as_matrix(op):
-    mat = op.mat if isinstance(op, GeneralOperator) else np.asarray(op, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {mat.shape}")
-    return mat
 
 
 def fit_frequency(hamiltonian, op):
@@ -166,65 +164,92 @@ class OperatorBlock:
 
 
 @dataclass(frozen=True)
-class PairBlock:
-    """Implicit eigenpair operators |E_m><E_n| sharing one frequency cluster.
+class PairPartition:
+    """Eigenpair operators |E_m><E_n| grouped into frequency clusters.
 
-    ms and ns are parallel index arrays; entry j stands for the operator
-    |E_ms[j]><E_ns[j]| with exact frequency energies[ms[j]] - energies[ns[j]].
-    omega is the cluster representative used for reporting.
+    omegas holds the K cluster representatives, strictly ascending and
+    sign-symmetric, so the middle one is exactly 0.0.  labels is an integer
+    (dim, dim) array laid out like O in the eigenbasis: labels[m, n] = k puts
+    the pair (m, n) in cluster k, and -1 leaves it out.
     """
 
-    omega: float
-    ms: np.ndarray
-    ns: np.ndarray
+    omegas: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        ms = np.array(self.ms, dtype=np.intp)
-        ns = np.array(self.ns, dtype=np.intp)
-        if ms.shape != ns.shape or ms.ndim != 1 or ms.size == 0:
-            raise DomainError("ms and ns must be matching nonempty 1-d index arrays")
-        ms.setflags(write=False)
-        ns.setflags(write=False)
-        object.__setattr__(self, "ms", ms)
-        object.__setattr__(self, "ns", ns)
-        object.__setattr__(self, "omega", float(self.omega))
+        om = np.array(self.omegas, dtype=float)
+        if (
+            om.ndim != 1
+            or om.size % 2 == 0
+            or np.any(np.diff(om) <= 0)
+            or not np.array_equal(om, -om[::-1])
+        ):
+            raise DomainError(
+                "omegas must be strictly ascending and sign-symmetric about an exact 0.0"
+            )
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2 or labels.shape[0] != labels.shape[1] or labels.size == 0:
+            raise DomainError(f"labels must be a square matrix, got shape {labels.shape}")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
+        if labels.min() < -1 or labels.max() >= om.size:
+            raise DomainError(f"labels must lie in [-1, {om.size}), one per cluster or -1")
+        labels = np.array(labels, dtype=np.intp)
+        om.setflags(write=False)
+        labels.setflags(write=False)
+        object.__setattr__(self, "omegas", om)
+        object.__setattr__(self, "labels", labels)
 
     @property
-    def size(self):
-        return self.ms.size
+    def dim(self):
+        return self.labels.shape[0]
+
+    @property
+    def complete(self):
+        """True when every pair is in some cluster."""
+        return bool(self.labels.min() >= 0)
+
+    def bin(self, values):
+        """Per-cluster sums of a real (dim, dim) array of per-pair values,
+        left-out pairs dropped: an array of length K aligned with omegas."""
+        values = np.asarray(values)
+        if values.shape != self.labels.shape:
+            raise DomainError(
+                f"pair values shape {values.shape} does not match partition dim {self.dim}"
+            )
+        shifted = self.labels.ravel() + 1
+        return np.bincount(shifted, weights=values.ravel(), minlength=self.omegas.size + 1)[1:]
 
 
 def trivial_complete_set(spectral, omega_tol=None):
-    """All dim^2 eigenpair operators grouped into frequency blocks.
+    """All dim^2 eigenpair operators as one PairPartition.
 
-    One PairBlock per distinct cluster of omega_mn = E_m - E_n; the omega = 0
-    block collects the diagonal projectors and any degenerate pairs.  Since
-    sign-symmetric clustering snaps the middle representative to exactly 0.0,
-    the zero block is identifiable by omega == 0.0.
+    Clusters are the greedy clusters of omega_mn = E_m - E_n within omega_tol;
+    the zero cluster collects the diagonal projectors and any degenerate
+    pairs.  Only spectral.energies is read, so a ThermalEnsemble works too.
     """
     energies = spectral.energies
-    dim = energies.size
     if omega_tol is None:
         omega_tol = default_omega_tol(energies)
-    flat = (energies[:, None] - energies[None, :]).ravel()
-    reps, labels = cluster_values(flat, omega_tol, symmetric=True)
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(labels, minlength=reps.size)
-    blocks = []
-    offset = 0
-    for k in range(reps.size):
-        idx = order[offset : offset + counts[k]]
-        offset += counts[k]
-        blocks.append(PairBlock(reps[k], idx // dim, idx % dim))
-    return blocks
+    gaps = energies[:, None] - energies[None, :]
+    reps, labels = cluster_values(gaps.ravel(), omega_tol, symmetric=True)
+    return PairPartition(reps, labels.reshape(gaps.shape))
 
 
-def is_complete_pair_partition(blocks, dim):
-    """True when blocks are PairBlocks jointly covering all dim^2 pairs."""
-    if not all(isinstance(b, PairBlock) for b in blocks):
-        return False
-    total = sum(b.size for b in blocks)
-    return total == dim * dim
+def _block_list(blocks):
+    """A symmetry set as a list: a lone PairPartition becomes [partition]."""
+    return [blocks] if isinstance(blocks, PairPartition) else list(blocks)
+
+
+def _is_saturating(blocks, dim):
+    """True only for exactly one complete PairPartition of this dim: the
+    set for which every bound is an equality."""
+    return (
+        len(blocks) == 1
+        and isinstance(blocks[0], PairPartition)
+        and blocks[0].dim == dim
+        and blocks[0].complete
+    )
 
 
 def group_into_blocks(symmetries, omega_tol=None):
@@ -273,21 +298,19 @@ def verified_blocks(hamiltonian, spectral, ops, tol=TAU_DYN, omega_tol=None):
 
 
 def block_gram(block, ensemble, op_eig):
-    """Thermal Gram matrix and correlator vector of a block against O.
+    """Thermal Gram matrix and correlator vector of an OperatorBlock against O.
 
-    Returns (V, corr):
-      OperatorBlock: V[i, j] = <A_i^dag A_j>, corr[j] = <A_j^dag O> (dense V).
-      PairBlock: the Gram is diagonal in closed form, so V is returned as the
-      1-d diagonal p[ns] with corr = p[ns] * O[ms, ns].
-    op_eig is the generator in the energy eigenbasis.
+    Returns (V, corr) with V[i, j] = <A_i^dag A_j> and corr[j] = <A_j^dag O>;
+    op_eig is the generator in the energy eigenbasis.  A PairPartition's
+    Gram is diagonal, so its weights come from PairPartition.bin instead.
     """
+    if not isinstance(block, OperatorBlock):
+        raise DomainError(f"block_gram takes an OperatorBlock, got {type(block).__name__}")
     mat = np.asarray(op_eig, dtype=complex)
     dim = ensemble.dim
     if mat.shape != (dim, dim):
         raise DomainError(f"operator shape {mat.shape} does not match dim {dim}")
     p = ensemble.weights
-    if isinstance(block, PairBlock):
-        return p[block.ns], p[block.ns] * mat[block.ms, block.ns]
     arr = np.stack(block.members)
     if arr.shape[1] != dim:
         raise DomainError(f"block dim {arr.shape[1]} does not match ensemble dim {dim}")
@@ -297,14 +320,16 @@ def block_gram(block, ensemble, op_eig):
     return gram, corr
 
 
-def _pinv_quadratic(gram, corr):
-    """corr^dag V^+ corr with an eigendecomposition pseudo-inverse.
+def _pinv_quadratic(gram, rows):
+    """The matrix [c_a^dag V^+ c_b] over correlator rows c_a, with an
+    eigendecomposition pseudo-inverse of the Gram V.
 
     Eigenvalues below TAU_RANK relative to the largest are discarded;
     eigenvalues negative beyond GRAM_NEG_RTOL (relative) mean the Gram lost
     positive semidefiniteness and raise NumericError.
     """
     gram = np.asarray(gram, dtype=complex)
+    rows = np.asarray(rows, dtype=complex)
     herm_dev = np.abs(gram - gram.conj().T).max()
     scale = max(np.abs(gram).max(), 1e-300)
     if herm_dev > 1e-12 * scale:
@@ -313,31 +338,27 @@ def _pinv_quadratic(gram, corr):
     top = float(evals.max())
     if top <= 0.0:
         # zero Gram: every member annihilates the populated states
-        return 0.0
+        return np.zeros((rows.shape[0], rows.shape[0]), dtype=complex)
     if float(evals.min()) < -GRAM_NEG_RTOL * top:
         raise NumericError(
             f"Gram matrix indefinite: eigenvalue {evals.min():.3e} "
             f"against scale {top:.3e}"
         )
     keep = evals > TAU_RANK * top
-    proj = evecs.conj().T @ np.asarray(corr, dtype=complex)
-    return float(np.sum(np.abs(proj[keep]) ** 2 / evals[keep]))
+    proj = rows @ evecs[:, keep].conj()
+    return (proj.conj() / evals[keep]) @ proj.T
 
 
 def mazur_weight(block, ensemble, op_eig):
-    """Mazur weight D_k(O): the thermal projection of O onto the block.
+    """Mazur weight D(O) of an OperatorBlock: the thermal projection of O
+    onto the span of its members.
 
-    PairBlocks use the closed form sum p_n |O_mn|^2 (their Gram is diagonal,
-    so the pseudo-inverse is exact term division); OperatorBlocks go through
-    the pseudo-inverse quadratic form, which makes the weight invariant under
+    The pseudo-inverse quadratic form makes the weight invariant under
     invertible recombination of members and tolerant of dependent members.
+    A PairPartition's weights are partition.bin(p_n |O_mn|^2), one per cluster.
     """
     gram, corr = block_gram(block, ensemble, op_eig)
-    if isinstance(block, PairBlock):
-        mat = np.asarray(op_eig, dtype=complex)
-        terms = ensemble.weights[block.ns] * np.abs(mat[block.ms, block.ns]) ** 2
-        return float(terms.sum())
-    return _pinv_quadratic(gram, corr)
+    return float(_pinv_quadratic(gram, corr[None, :])[0, 0].real)
 
 
 def conserved_mazur_bound(conserved_set, ensemble, op_eig):

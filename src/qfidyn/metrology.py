@@ -5,14 +5,15 @@ a ThermalEnsemble.  Pair sums run over ordered eigenlevel pairs (m, n) with
 the convention omega_mn = E_m - E_n; pairs whose combined weight falls below
 PAIR_WEIGHT_FLOOR are skipped.
 
-Lower bounds decompose over frequency blocks.  For implicit PairBlocks the
-per-pair coefficients are evaluated from the weights themselves, via
-tanh(beta omega_mn / 2) = (p_n - p_m)/(p_n + p_m) and its relatives; this
-keeps the bounds exactly saturated for the complete pair set even when
-frequency clustering merges nearby gaps, and it is well defined at
-beta = inf where beta * omega arithmetic is not.  Explicit OperatorBlocks
-use their block frequency, which is the honest choice for a user-supplied
-symmetry set.
+Lower bounds decompose over frequency blocks, each kind with one coefficient
+function of (t, s, x) = (tanh x, sech x, x) at x = beta omega / 2.  A
+PairPartition evaluates it per pair from the weights themselves,
+t = (p_n - p_m)/(p_n + p_m), s = 2 sqrt(p_n p_m)/(p_n + p_m) and
+x = (ln p_n - ln p_m)/2, and sums each cluster with one bincount; this keeps
+the bounds exactly saturated for the complete partition even when frequency
+clustering merges nearby gaps, and it is well defined at beta = inf where
+beta * omega arithmetic is not.  Explicit OperatorBlocks use their block
+frequency, which is the honest choice for a user-supplied symmetry set.
 """
 
 from __future__ import annotations
@@ -24,32 +25,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynsym import (
-    GRAM_NEG_RTOL,
-    TAU_RANK,
     OperatorBlock,
-    PairBlock,
-    cluster_values,
-    default_omega_tol,
-    is_complete_pair_partition,
+    PairPartition,
+    _block_list,
+    _is_saturating,
+    _pinv_quadratic,
+    block_gram,
     mazur_weight,
+    trivial_complete_set,
 )
 from .errors import DomainError, NumericError
-from .spectral import PAIR_WEIGHT_FLOOR
+from .operators import _hermitian
+from .spectral import PAIR_WEIGHT_FLOOR, default_energy_tol
 
 # Slack for internal inequality certificates (ETH gap assertion).
 INEQ_SLACK = 1e-9
 # Witness tolerance on the strict inequality f_Q > kappa.
 WITNESS_TOL = 1e-9
-
-
-def _hermitian(op_eig, dim, name="operator"):
-    mat = np.asarray(op_eig, dtype=complex)
-    if mat.shape != (dim, dim):
-        raise DomainError(f"{name} shape {mat.shape} does not match dim {dim}")
-    scale = float(np.abs(mat).max()) if mat.size else 0.0
-    if np.abs(mat - mat.conj().T).max() > 1e-10 * max(1.0, scale):
-        raise DomainError(f"{name} must be Hermitian")
-    return mat
 
 
 def _pair_weights(ensemble):
@@ -64,16 +56,21 @@ def _pair_weights(ensemble):
 
 
 def _pair_tanh(ensemble):
-    """tanh(beta omega_mn / 2) over all pairs, with exact zeros at omega = 0.
+    """tanh(beta omega_mn / 2) over all pairs, computed from beta and the gaps.
 
-    Computed from beta and the energy differences; entries at exactly zero
-    gap are forced to 0 so that beta = inf never produces inf * 0.
+    At beta = inf every gap within the degeneracy tolerance is 0, the rule
+    gibbs_weights uses to spread the ground weight, so inf * 0 never occurs
+    and a numerically split level counts as the one level it is.  At finite
+    beta a tiny gap gives a tiny, exact tanh and is left alone.
     """
     e = ensemble.energies
     omega = e[:, None] - e[None, :]
     with np.errstate(invalid="ignore", over="ignore"):
         t = np.tanh(ensemble.beta * omega / 2.0)
-    t[omega == 0.0] = 0.0
+    if math.isinf(ensemble.beta):
+        spectral = ensemble.spectral
+        tol = default_energy_tol(e) if spectral is None else spectral.energy_tol
+        t[np.abs(omega) <= tol] = 0.0
     return t
 
 
@@ -147,114 +144,74 @@ def _qv_coeff_from_x(x):
     return np.where(small, series, exact)
 
 
-def _pair_coeff_qfi(pn, pm, ln, lm, tot):
-    t = (pn - pm) / tot
-    return 4.0 * t**2
-
-
-def _pair_coeff_skew(pn, pm, ln, lm, tot):
-    return 1.0 - 2.0 * np.sqrt(pn * pm) / tot
-
-
-def _pair_coeff_qv(pn, pm, ln, lm, tot):
-    with np.errstate(invalid="ignore"):
-        x = (ln - lm) / 2.0
-    return _qv_coeff_from_x(x)
-
-
-def _pair_coeff_eth_lower(pn, pm, ln, lm, tot):
-    return np.full_like(pn, 4.0)
-
-
-def _pair_coeff_eth_gap(pn, pm, ln, lm, tot):
-    sech = 2.0 * np.sqrt(pn * pm) / tot
-    return 4.0 * sech**2
-
-
-def _block_coeff_qfi(beta, omega):
-    if omega == 0.0:
-        return 0.0
-    with np.errstate(over="ignore"):
-        return 4.0 * float(np.tanh(beta * omega / 2.0)) ** 2
-
-
-def _block_coeff_skew(beta, omega):
-    if omega == 0.0:
-        return 0.0
-    with np.errstate(over="ignore"):
-        return 1.0 - 1.0 / float(np.cosh(beta * omega / 2.0))
-
-
-def _block_coeff_qv(beta, omega):
-    if omega == 0.0:
-        return 0.0
-    return float(_qv_coeff_from_x(beta * omega / 2.0))
-
-
-def _block_coeff_eth_lower(beta, omega):
-    return 0.0 if omega == 0.0 else 4.0
-
-
-def _block_coeff_eth_gap(beta, omega):
-    if omega == 0.0:
-        return 0.0
-    with np.errstate(over="ignore"):
-        return 4.0 / float(np.cosh(beta * omega / 2.0)) ** 2
-
-
+# Coefficient of each bound kind as a function of (t, s, x) = (tanh x, sech x, x).
 _COEFFS = {
-    "qfi": (_pair_coeff_qfi, _block_coeff_qfi),
-    "skew": (_pair_coeff_skew, _block_coeff_skew),
-    "qv": (_pair_coeff_qv, _block_coeff_qv),
-    "eth_lower": (_pair_coeff_eth_lower, _block_coeff_eth_lower),
-    "eth_gap": (_pair_coeff_eth_gap, _block_coeff_eth_gap),
+    "qfi": lambda t, s, x: 4.0 * t**2,
+    "skew": lambda t, s, x: 1.0 - s,
+    "qv": lambda t, s, x: _qv_coeff_from_x(x),
+    "eth_lower": lambda t, s, x: 4.0,
+    "eth_gap": lambda t, s, x: 4.0 * s**2,
 }
 
+# Entries per row chunk of the pair coefficients: bounds the temporaries.
+_PAIR_CHUNK = 1 << 16
 
-def _pair_block_term(block, ensemble, abs2, pair_fn, zero_is_zero):
-    if zero_is_zero and block.omega == 0.0:
+
+def _block_coefficient(coeff, beta, omega):
+    """coeff at x = beta omega / 2; zero frequency contributes 0 for every kind."""
+    if omega == 0.0:
         return 0.0
-    pn = ensemble.weights[block.ns]
-    pm = ensemble.weights[block.ms]
-    tot = pn + pm
-    mask = tot >= PAIR_WEIGHT_FLOOR
-    if not mask.any():
-        return 0.0
-    pn, pm, tot = pn[mask], pm[mask], tot[mask]
-    ln = ensemble.log_weights[block.ns][mask]
-    lm = ensemble.log_weights[block.ms][mask]
-    coeff = pair_fn(pn, pm, ln, lm, tot)
-    vals = abs2[block.ms, block.ns][mask]
-    return float(np.sum(coeff * pn * vals))
+    x = beta * omega / 2.0
+    with np.errstate(over="ignore"):
+        return float(coeff(np.tanh(x), 1.0 / np.cosh(x), x))
+
+
+def _pair_coefficients(coeff, ensemble):
+    """coeff(t, s, x) * p_n over all pairs (m, n), 0 below PAIR_WEIGHT_FLOOR,
+    with t, s and x taken from the weights (module docstring)."""
+    p, lw = ensemble.weights, ensemble.log_weights
+    pn, ln = p[None, :], lw[None, :]
+    out = np.empty((p.size, p.size))
+    step = max(1, _PAIR_CHUNK // p.size)
+    for lo in range(0, p.size, step):
+        pm, lm = p[lo : lo + step, None], lw[lo : lo + step, None]
+        tot = pn + pm
+        mask = tot >= PAIR_WEIGHT_FLOOR
+        tot = np.where(mask, tot, 1.0)
+        with np.errstate(invalid="ignore"):
+            t = (pn - pm) / tot
+            s = 2.0 * np.sqrt(pn * pm) / tot
+            x = (ln - lm) / 2.0
+            out[lo : lo + step] = np.where(mask, coeff(t, s, x) * pn, 0.0)
+    return out
 
 
 def _bound_over_blocks(blocks, ensemble, op_eig, kind):
     """Shared engine: sum coefficient(omega_k) * D_k over blocks.
 
-    The zero block contributes 0 for every kind (its coefficient vanishes).
-    Returns (total, per-frequency dict in ascending omega, saturated flag).
+    The zero cluster or block contributes 0 for every kind (its coefficient
+    vanishes).  Returns (total, per-frequency dict in ascending omega,
+    saturated flag).
     """
     mat = _hermitian(op_eig, ensemble.dim)
-    pair_fn, block_fn = _COEFFS[kind]
-    abs2 = None
+    coeff = _COEFFS[kind]
+    blocks = _block_list(blocks)
     per = {}
     for block in blocks:
-        if isinstance(block, PairBlock):
-            if block.ms.size and int(max(block.ms.max(), block.ns.max())) >= ensemble.dim:
-                raise DomainError("pair block indexes levels beyond this ensemble")
-            if abs2 is None:
-                abs2 = np.abs(mat) ** 2
-            term = _pair_block_term(block, ensemble, abs2, pair_fn, zero_is_zero=True)
+        if isinstance(block, PairPartition):
+            terms = block.bin(_pair_coefficients(coeff, ensemble) * np.abs(mat) ** 2)
+            terms[block.omegas == 0.0] = 0.0
+            items = zip(block.omegas.tolist(), terms.tolist())
         elif isinstance(block, OperatorBlock):
-            coeff = block_fn(ensemble.beta, block.omega)
-            term = coeff * mazur_weight(block, ensemble, mat) if coeff != 0.0 else 0.0
+            c = _block_coefficient(coeff, ensemble.beta, block.omega)
+            items = [(block.omega, c * mazur_weight(block, ensemble, mat) if c != 0.0 else 0.0)]
         else:
             raise DomainError(f"unknown block type {type(block).__name__}")
-        key = float(block.omega)
-        per[key] = per.get(key, 0.0) + term
+        for omega, term in items:
+            per[omega] = per.get(omega, 0.0) + term
     per = dict(sorted(per.items()))
     total = float(sum(per.values()))
-    return total, per, is_complete_pair_partition(blocks, ensemble.dim)
+    return total, per, _is_saturating(blocks, ensemble.dim)
 
 
 @dataclass(frozen=True)
@@ -262,8 +219,8 @@ class QfiReport:
     """A dynamical-symmetry QFI lower bound with its frequency breakdown.
 
     value is the bound; per_frequency maps each block frequency to its
-    contribution 4 tanh^2(beta omega_k / 2) D_k; saturated marks a complete
-    pair partition, for which the bound equals the QFI.
+    contribution 4 tanh^2(beta omega_k / 2) D_k; saturated marks a single
+    complete PairPartition, for which the bound equals the QFI.
     """
 
     value: float
@@ -283,9 +240,10 @@ class QfiReport:
 def qfi_from_dynsym(blocks, ensemble, op_eig):
     """QFI lower bound sum_k 4 tanh^2(beta omega_k / 2) D_k(O).
 
-    Equality holds for the trivial complete set (saturated flag); any
-    verified subset yields a certified lower bound.  Conserved quantities
-    (omega = 0) contribute nothing.
+    blocks is a PairPartition, or a list of OperatorBlocks and
+    PairPartitions.  Equality holds for the trivial complete set alone
+    (saturated flag); any verified subset yields a certified lower bound.
+    Conserved quantities (omega = 0) contribute nothing.
     """
     value, per, saturated = _bound_over_blocks(blocks, ensemble, op_eig, "qfi")
     return QfiReport(value, per, saturated)
@@ -452,48 +410,26 @@ def qfi_matrix_from_dynsym(blocks, ensemble, generators):
         raise DomainError("need at least one generator")
     commuting = _check_commuting(gens)
     d = len(gens)
-    p = ensemble.weights
+    coeff = _COEFFS["qfi"]
     total = np.zeros((d, d))
-    for block in blocks:
-        if isinstance(block, PairBlock):
-            if block.omega == 0.0:
-                continue
-            pn = p[block.ns]
-            pm = p[block.ms]
-            tot = pn + pm
-            mask = tot >= PAIR_WEIGHT_FLOOR
-            if not mask.any():
-                continue
-            coeff = 4.0 * ((pn[mask] - pm[mask]) / tot[mask]) ** 2 * pn[mask]
-            vals = [g[block.ms, block.ns][mask] for g in gens]
+    for block in _block_list(blocks):
+        if isinstance(block, PairPartition):
+            pair_coeff = _pair_coefficients(coeff, ensemble)
+            nonzero = block.omegas != 0.0
             for a in range(d):
                 for b in range(a, d):
-                    val = float(np.sum(coeff * (vals[a] * vals[b].conj()).real))
+                    binned = block.bin(pair_coeff * (gens[a] * gens[b].conj()).real)
+                    val = float(binned[nonzero].sum())
                     total[a, b] += val
                     if b != a:
                         total[b, a] += val
         elif isinstance(block, OperatorBlock):
-            coeff = _block_coeff_qfi(ensemble.beta, block.omega)
-            if coeff == 0.0:
+            c = _block_coefficient(coeff, ensemble.beta, block.omega)
+            if c == 0.0:
                 continue
-            arr = np.stack(block.members)
-            conj = arr.conj()
-            gram = np.einsum("imn,jmn,n->ij", conj, arr, p, optimize=True)
-            rows = np.stack(
-                [np.einsum("jmn,mn,n->j", conj, g, p, optimize=True) for g in gens]
-            )
-            evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-            top = float(evals.max())
-            if top <= 0.0:
-                continue
-            if float(evals.min()) < -GRAM_NEG_RTOL * top:
-                raise NumericError(
-                    f"Gram matrix indefinite: eigenvalue {evals.min():.3e}"
-                )
-            keep = evals > TAU_RANK * top
-            proj = rows @ evecs[:, keep]
-            dk = (proj / evals[keep]) @ proj.conj().T
-            total += coeff * dk.real
+            grams = [block_gram(block, ensemble, g) for g in gens]
+            rows = np.stack([corr for _, corr in grams])
+            total += c * _pinv_quadratic(grams[0][0], rows).real
         else:
             raise DomainError(f"unknown block type {type(block).__name__}")
     return QfiMatrix((total + total.T) / 2.0, commuting)
@@ -522,17 +458,12 @@ def eth_qfi_from_comb(comb):
 def eth_zero_frequency_correction(op_eig, ensemble, omega_tol=None):
     """The omega = 0 correction 4 (D_0^complete - <O>^2) separating eth_qfi
     from the nonzero-frequency sum: eth_qfi = eth_lower_bound(trivial set)
-    + this value.  D_0^complete is the trivial set's zero-block weight,
+    + this value.  D_0^complete is the trivial set's zero-cluster weight,
     degenerate pairs included."""
     mat = _hermitian(op_eig, ensemble.dim)
-    energies = ensemble.energies
-    if omega_tol is None:
-        omega_tol = default_omega_tol(energies)
-    flat = (energies[:, None] - energies[None, :]).ravel()
-    reps, labels = cluster_values(flat, omega_tol, symmetric=True)
-    zero = int(np.flatnonzero(reps == 0.0)[0])
-    vals = (ensemble.weights[None, :] * np.abs(mat) ** 2).ravel()
-    d0 = float(vals[labels == zero].sum())
+    part = trivial_complete_set(ensemble, omega_tol)
+    weights = part.bin(ensemble.weights[None, :] * np.abs(mat) ** 2)
+    d0 = float(weights[part.omegas == 0.0].sum())
     mean = float(np.dot(ensemble.weights, np.real(np.diagonal(mat))))
     return 4.0 * (d0 - mean**2)
 

@@ -65,14 +65,26 @@ def _check_sites(n_sites, max_sites=None):
     return n
 
 
-def _as_matrix(op):
+def _as_matrix(op, what="operator"):
     """Accept a wrapped operator or a bare ndarray and return the ndarray."""
     if isinstance(op, GeneralOperator):
         return op.mat
     arr = np.asarray(op, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {arr.shape}")
+        raise DomainError(f"{what} must be a square matrix, got shape {arr.shape}")
     return arr
+
+
+def _hermitian(op, dim, name="operator"):
+    """The (dim, dim) complex matrix of op, certified Hermitian to 1e-10
+    relative; eigenbasis operators lose a little Hermiticity to rounding."""
+    mat = np.asarray(op, dtype=complex)
+    if mat.shape != (dim, dim):
+        raise DomainError(f"{name} shape {mat.shape} does not match dim {dim}")
+    scale = float(np.abs(mat).max()) if mat.size else 0.0
+    if np.abs(mat - mat.conj().T).max() > 1e-10 * max(1.0, scale):
+        raise DomainError(f"{name} must be Hermitian")
+    return mat
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ are sums of delta peaks.  A FrequencyComb stores the Kronecker-side weights
 from the documented conversion S(omega) = 2 pi sum_k s_k delta(omega - w_k),
 and likewise for the other kinds, so no 2 pi factors live in the data.
 
-Frequency clustering is shared with the dynamical-symmetry machinery
-(cluster_values with the same tolerance), which makes comb frequencies align
-bin-for-bin with the trivial complete set's block frequencies.
+Every comb bins its per-pair weights over trivial_complete_set with the
+same tolerance as the dynamical-symmetry machinery, so comb frequencies
+align bin-for-bin with the trivial complete set's cluster frequencies.
 """
 
 from __future__ import annotations
@@ -18,8 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsym import cluster_values, default_omega_tol, is_complete_pair_partition, mazur_weight
+from .dynsym import (
+    OperatorBlock,
+    PairPartition,
+    _block_list,
+    _is_saturating,
+    default_omega_tol,
+    mazur_weight,
+    trivial_complete_set,
+)
 from .errors import DomainError, NumericError
+from .operators import _hermitian
 
 KINDS = ("response", "structure", "susceptibility", "cross")
 
@@ -113,42 +122,17 @@ class FrequencyComb:
         return "\n".join(lines) + "\n"
 
 
-def _require_eigenbasis_hermitian(op_eig, dim, name="operator"):
-    mat = np.asarray(op_eig, dtype=complex)
-    if mat.shape != (dim, dim):
-        raise DomainError(f"{name} shape {mat.shape} does not match dim {dim}")
-    scale = float(np.abs(mat).max()) if mat.size else 0.0
-    if np.abs(mat - mat.conj().T).max() > 1e-10 * max(1.0, scale):
-        raise DomainError(f"{name} must be Hermitian")
-    return mat
-
-
-def _clustered_pair_weights(ensemble, values_flat, omega_tol):
-    """Cluster all omega_mn = E_m - E_n and bin the given per-pair values.
-
-    Returns (reps, binned) over every cluster, zero-weight bins included, so
-    +-omega bins stay aligned for symmetrization.
-    """
-    energies = ensemble.energies
-    if omega_tol is None:
-        omega_tol = default_omega_tol(energies)
-    flat = (energies[:, None] - energies[None, :]).ravel()
-    reps, labels = cluster_values(flat, omega_tol, symmetric=True)
-    binned = np.bincount(labels, weights=values_flat, minlength=reps.size)
-    return reps, binned
-
-
 def response_comb(op_eig, ensemble, omega_tol=None):
     """Dynamical-response comb: g(omega_k) = sum over the cluster of
     p_n |<E_m|O|E_n>|^2.
 
     Zero-weight entries are dropped; weights are nonnegative by construction.
     """
-    mat = _require_eigenbasis_hermitian(op_eig, ensemble.dim)
-    values = (ensemble.weights[None, :] * np.abs(mat) ** 2).ravel()
-    reps, binned = _clustered_pair_weights(ensemble, values, omega_tol)
+    mat = _hermitian(op_eig, ensemble.dim)
+    part = trivial_complete_set(ensemble, omega_tol)
+    binned = part.bin(ensemble.weights[None, :] * np.abs(mat) ** 2)
     keep = binned != 0.0
-    return FrequencyComb(reps[keep], binned[keep], "response")
+    return FrequencyComb(part.omegas[keep], binned[keep], "response")
 
 
 def structure_factor_comb(op_eig, ensemble, omega_tol=None):
@@ -159,10 +143,11 @@ def structure_factor_comb(op_eig, ensemble, omega_tol=None):
     NEG_WEIGHT_TOL (relative) are clamped to 0 and counted in clamped.
     Dirac-side convention: S(omega) = 2 pi sum_k s_k delta(omega - omega_k).
     """
-    mat = _require_eigenbasis_hermitian(op_eig, ensemble.dim)
+    mat = _hermitian(op_eig, ensemble.dim)
     p = ensemble.weights
-    values = (p[None, :] * np.abs(mat) ** 2).ravel()
-    reps, g = _clustered_pair_weights(ensemble, values, omega_tol)
+    part = trivial_complete_set(ensemble, omega_tol)
+    reps = part.omegas
+    g = part.bin(p[None, :] * np.abs(mat) ** 2)
     s = g + g[::-1]
     mean = float(np.dot(p, np.real(np.diagonal(mat))))
     zero = np.flatnonzero(reps == 0.0)
@@ -201,23 +186,23 @@ def cross_response_comb(opa_eig, opb_eig, ensemble, omega_tol=None):
     operators conjugates every weight.
     """
     dim = ensemble.dim
-    mat_a = _require_eigenbasis_hermitian(opa_eig, dim, "first operator")
-    mat_b = _require_eigenbasis_hermitian(opb_eig, dim, "second operator")
-    values = (ensemble.weights[None, :] * mat_a * mat_b.conj()).ravel()
-    reps, re = _clustered_pair_weights(ensemble, values.real, omega_tol)
-    _, im = _clustered_pair_weights(ensemble, values.imag, omega_tol)
-    w = re + 1j * im
+    mat_a = _hermitian(opa_eig, dim, "first operator")
+    mat_b = _hermitian(opb_eig, dim, "second operator")
+    values = ensemble.weights[None, :] * mat_a * mat_b.conj()
+    part = trivial_complete_set(ensemble, omega_tol)
+    w = part.bin(values.real) + 1j * part.bin(values.imag)
     keep = w != 0.0
-    return FrequencyComb(reps[keep], w[keep], "cross")
+    return FrequencyComb(part.omegas[keep], w[keep], "cross")
 
 
 @dataclass(frozen=True)
 class BoundCheckReport:
     """Outcome of comparing a response comb against Mazur weights.
 
-    rows holds (omega_k, g, D_k, margin) with margin = g - D_k; equality is
-    set when the blocks form the trivial complete pair partition, in which
-    case every margin is zero up to rounding.
+    rows holds (omega_k, g, D_k, margin) with margin = g - D_k, one row per
+    OperatorBlock and per partition cluster; equality is set when the
+    blocks are the trivial complete pair partition alone, in which case
+    every margin is zero up to rounding.
     """
 
     rows: tuple
@@ -231,22 +216,31 @@ class BoundCheckReport:
 def comb_bound_check(comb, blocks, ensemble, op_eig, atol=1e-10):
     """Certify g(omega_k) >= D_k(O) for every block against a response comb.
 
-    Block frequencies are matched to comb entries within the shared
-    clustering tolerance (an absent entry counts as g = 0).  A violation
-    beyond atol raises NumericError listing every offending frequency;
-    otherwise a BoundCheckReport is returned.
+    blocks is a PairPartition, or a list of OperatorBlocks and
+    PairPartitions.  Block frequencies are matched to comb entries within
+    the shared clustering tolerance (an absent entry counts as g = 0).  A
+    violation beyond atol raises NumericError listing every offending
+    frequency; otherwise a BoundCheckReport is returned.
     """
     if comb.kind != "response":
         raise DomainError(f"bound check needs a response comb, got kind {comb.kind!r}")
+    blocks = _block_list(blocks)
     match_tol = default_omega_tol(ensemble.energies)
     rows = []
     for block in blocks:
-        d_k = mazur_weight(block, ensemble, op_eig)
-        g = comb.weight_at(block.omega, tol=match_tol)
-        rows.append((float(block.omega), float(g), float(d_k), float(g - d_k)))
+        if isinstance(block, PairPartition):
+            mat = _hermitian(op_eig, ensemble.dim)
+            weights = block.bin(ensemble.weights[None, :] * np.abs(mat) ** 2)
+            items = zip(block.omegas.tolist(), weights.tolist())
+        elif isinstance(block, OperatorBlock):
+            items = [(block.omega, mazur_weight(block, ensemble, op_eig))]
+        else:
+            raise DomainError(f"unknown block type {type(block).__name__}")
+        for omega, d_k in items:
+            g = comb.weight_at(omega, tol=match_tol)
+            rows.append((float(omega), float(g), float(d_k), float(g - d_k)))
     bad = [r for r in rows if r[3] < -atol]
     if bad:
         listing = "; ".join(f"omega={o:.6g}: g={g:.6e} < D={d:.6e}" for o, g, d, _ in bad)
         raise NumericError(f"response comb violates the Mazur bound at {listing}")
-    equality = is_complete_pair_partition(blocks, ensemble.dim)
-    return BoundCheckReport(tuple(rows), equality)
+    return BoundCheckReport(tuple(rows), _is_saturating(blocks, ensemble.dim))

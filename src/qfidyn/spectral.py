@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .operators import GeneralOperator
+from .operators import _as_matrix
 
 # Level pairs whose combined weight falls below this floor carry no
 # statistical weight and are skipped in all downstream pair sums.
@@ -29,13 +29,6 @@ def default_energy_tol(energies):
     energies = np.asarray(energies, dtype=float)
     scale = float(np.abs(energies).max()) if energies.size else 0.0
     return 1e-9 * max(1.0, scale)
-
-
-def _as_square(op, what="operator"):
-    mat = op.mat if isinstance(op, GeneralOperator) else np.asarray(op, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError(f"{what} must be a square matrix, got shape {mat.shape}")
-    return mat
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ class SpectralDecomposition:
 
     def to_eigenbasis(self, op):
         """Conjugate an operator into the eigenbasis: V^dag O V."""
-        mat = _as_square(op)
+        mat = _as_matrix(op)
         if mat.shape != (self.dim, self.dim):
             raise DomainError(f"operator shape {mat.shape} does not match dim {self.dim}")
         return self.vectors.conj().T @ mat @ self.vectors
@@ -107,7 +100,7 @@ def diagonalize(hamiltonian, energy_tol=None):
     NumericError since it signals lost accuracy, not bad input.  energy_tol
     seeds the decomposition's degeneracy threshold.
     """
-    mat = _as_square(hamiltonian, "hamiltonian")
+    mat = _as_matrix(hamiltonian, "hamiltonian")
     energies, vectors = np.linalg.eigh(mat)
     dim = energies.size
     scale = max(1.0, float(np.abs(energies).max()) if dim else 0.0)
@@ -121,11 +114,6 @@ def diagonalize(hamiltonian, energy_tol=None):
             f"max deviation {rec_dev:.3e} against scale {scale:.3e}"
         )
     return SpectralDecomposition(energies, vectors, energy_tol)
-
-
-def to_eigenbasis(op, spectral):
-    """Free-function form of SpectralDecomposition.to_eigenbasis."""
-    return spectral.to_eigenbasis(op)
 
 
 @dataclass(frozen=True)
@@ -205,7 +193,7 @@ def thermal_expectation(op_eig, ensemble):
     Returns a float when the weighted diagonal is real to rounding (the
     Hermitian case), otherwise the complex value.
     """
-    mat = _as_square(op_eig)
+    mat = _as_matrix(op_eig)
     if mat.shape != (ensemble.dim, ensemble.dim):
         raise DomainError(f"operator shape {mat.shape} does not match dim {ensemble.dim}")
     val = complex(np.dot(ensemble.weights, np.diagonal(mat)))

@@ -28,6 +28,7 @@ from qfidyn.models import build_preset, preset, two_qubit_symmetry_strings
 
 FLOAT_RE = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run(*argv):
@@ -369,14 +370,20 @@ def declared_console_script(name):
         return tomllib.load(handle)["project"]["scripts"][name]
 
 
+def checkout_env():
+    """The environment with PYTHONPATH led by the imported qfidyn's parent
+    directory, so a child process runs the code this suite tests."""
+    package_root = str(Path(qfidyn.__file__).resolve().parent.parent)
+    pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+
+
 def test_console_script_runs(tmp_path):
     # Runs the declared entry point as a separate process, the way an
     # installed script runs it, against the qfidyn this suite imported.
     script = tmp_path / "qfidyn"
     script.write_text(console_script_wrapper(declared_console_script("qfidyn")))
-    package_root = str(Path(qfidyn.__file__).resolve().parent.parent)
-    pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    env = checkout_env()
 
     def launch(*argv):
         return subprocess.run(
@@ -405,3 +412,20 @@ def test_installed_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("temperature,qfi,")
+
+
+def test_analysis_scripts_run(tmp_path):
+    runs = (
+        ("comb_audit.py", "--sites", "4"),
+        ("bound_tightness.py", "--fields", "0.5", "--temps", "1"),
+    )
+    stdout = {}
+    for script, *argv in runs:
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / script), *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=checkout_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        stdout[script] = proc.stdout
+    assert "equality: True" in stdout["comb_audit.py"]

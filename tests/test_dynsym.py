@@ -12,7 +12,7 @@ from qfidyn import (
     GeneralOperator,
     NumericError,
     OperatorBlock,
-    PairBlock,
+    PairPartition,
     SpinChainSpec,
     block_gram,
     build_xx_hamiltonian,
@@ -34,7 +34,6 @@ from qfidyn.dynsym import (
     DynamicalSymmetry,
     cluster_values,
     default_omega_tol,
-    is_complete_pair_partition,
 )
 from qfidyn.models import two_qubit_symmetry_operators
 from oracles import random_hermitian, thermal_state
@@ -118,30 +117,61 @@ def test_default_omega_tol_scales_with_width():
 
 def test_trivial_set_partitions_all_pairs():
     _, _, spectral, _, _ = two_qubit_setup()
-    blocks = trivial_complete_set(spectral)
-    assert is_complete_pair_partition(blocks, 4)
-    omegas = [b.omega for b in blocks]
+    part = trivial_complete_set(spectral)
+    assert part.complete and part.dim == 4
+    assert part.labels.shape == (4, 4)
+    omegas = part.omegas.tolist()
     assert omegas == sorted(omegas)
     assert np.allclose(omegas, [-4, -3, -2, -1, 0, 1, 2, 3, 4])
-    zero = [b for b in blocks if b.omega == 0.0]
-    assert len(zero) == 1 and zero[0].size == 4
-    for block in blocks:
-        gaps = spectral.energies[block.ms] - spectral.energies[block.ns]
-        assert np.abs(gaps - block.omega).max() <= default_omega_tol(spectral.energies)
+    zero = np.flatnonzero(part.omegas == 0.0)
+    assert zero.size == 1 and np.count_nonzero(part.labels == zero[0]) == 4
+    gaps = spectral.energies[:, None] - spectral.energies[None, :]
+    spread = np.abs(gaps - part.omegas[part.labels]).max()
+    assert spread <= default_omega_tol(spectral.energies)
 
 
 @given(dim=st.integers(2, 12), seed=st.integers(0, 10_000))
 def test_trivial_set_complete_for_random_spectra(dim, seed):
     rng = np.random.default_rng(seed)
     spectral = diagonalize(random_hermitian(rng, dim))
-    blocks = trivial_complete_set(spectral)
-    assert is_complete_pair_partition(blocks, dim)
-    assert sum(b.omega == 0.0 for b in blocks) == 1
+    part = trivial_complete_set(spectral)
+    assert part.complete and part.dim == dim
+    assert np.count_nonzero(part.omegas == 0.0) == 1
+    # every pair lands in exactly one cluster, so the cluster sizes add up
+    assert part.bin(np.ones((dim, dim))).sum() == dim * dim
 
 
-def test_is_complete_rejects_operator_blocks():
-    block = OperatorBlock(1.0, (np.eye(2),))
-    assert not is_complete_pair_partition([block], 2)
+def test_trivial_set_accepts_an_ensemble():
+    _, _, spectral, ens, _ = two_qubit_setup()
+    from_ens = trivial_complete_set(ens)
+    from_spec = trivial_complete_set(spectral)
+    assert np.array_equal(from_ens.omegas, from_spec.omegas)
+    assert np.array_equal(from_ens.labels, from_spec.labels)
+
+
+def test_partition_bin_drops_left_out_pairs():
+    part = PairPartition(np.array([-1.0, 0.0, 1.0]), np.array([[1, 2], [-1, 1]]))
+    assert not part.complete
+    values = np.array([[1.0, 10.0], [100.0, 1000.0]])
+    assert part.bin(values).tolist() == [0.0, 1001.0, 10.0]
+    with pytest.raises(DomainError):
+        part.bin(np.ones((3, 3)))
+
+
+def test_partition_validates_its_fields():
+    omegas = np.array([-1.0, 0.0, 1.0])
+    with pytest.raises(DomainError):
+        PairPartition(np.array([-1.0, 0.5, 1.0]), np.zeros((2, 2), dtype=int))
+    with pytest.raises(DomainError):
+        PairPartition(np.array([-1.0, 1.0]), np.zeros((2, 2), dtype=int))
+    with pytest.raises(DomainError):
+        PairPartition(omegas, np.zeros((2, 2)))
+    with pytest.raises(DomainError):
+        PairPartition(omegas, np.zeros((2, 3), dtype=int))
+    with pytest.raises(DomainError):
+        PairPartition(omegas, np.array([[0, 3], [1, 1]]))
+    with pytest.raises(DomainError):
+        PairPartition(omegas, np.array([[0, -2], [1, 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +209,20 @@ def test_verified_blocks_names_failing_operator():
 # ---------------------------------------------------------------------------
 # Gram machinery and Mazur weights
 
-def test_block_gram_pair_block_closed_form():
+def test_block_gram_eigenpair_members_closed_form():
+    # eigenpair operators |E_m><E_n| have a diagonal Gram p_n and
+    # correlators p_n O_mn
     _, _, spectral, ens, o_eig = two_qubit_setup()
-    block = PairBlock(1.0, np.array([2, 3]), np.array([1, 2]))
-    gram, corr = block_gram(block, ens, o_eig)
-    assert np.allclose(gram, ens.weights[[1, 2]])
+    members = []
+    for m, n in ((2, 1), (3, 2)):
+        op = np.zeros((4, 4), dtype=complex)
+        op[m, n] = 1.0
+        members.append(op)
+    gram, corr = block_gram(OperatorBlock(1.0, tuple(members)), ens, o_eig)
+    assert np.allclose(gram, np.diag(ens.weights[[1, 2]]))
     assert np.allclose(corr, ens.weights[[1, 2]] * o_eig[[2, 3], [1, 2]])
+    with pytest.raises(DomainError):
+        block_gram(trivial_complete_set(spectral), ens, o_eig)
 
 
 def test_mazur_weight_matches_dense_trace_oracle():

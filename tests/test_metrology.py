@@ -13,6 +13,7 @@ from qfidyn import (
     DomainError,
     NumericError,
     OperatorBlock,
+    PairPartition,
     PauliString,
     QfiMatrix,
     SpinChainSpec,
@@ -63,6 +64,15 @@ def random_case(rng, dim, beta, scale=1.0):
     ens = gibbs_weights(spectral, beta)
     o_site = random_hermitian(rng, dim, scale)
     return h, spectral, ens, o_site, spectral.to_eigenbasis(o_site)
+
+
+def keep_clusters(part, keep):
+    """The partition with the pairs of every cluster k where not keep[k] left out."""
+    return PairPartition(part.omegas, np.where(keep[part.labels], part.labels, -1))
+
+
+def first_half(part):
+    return keep_clusters(part, np.arange(part.omegas.size) < part.omegas.size // 2)
 
 
 def two_qubit_case(field=0.5, beta=1.0):
@@ -153,6 +163,22 @@ def test_three_routes_agree_at_finite_beta(rng):
             struct_route = qfi_via_structure_factor(o_eig, ens)
             assert abs(susc_route - spectral_route) <= 1e-10, (dim, beta)
             assert abs(struct_route - spectral_route) <= 1e-10, (dim, beta)
+
+
+def test_three_routes_agree_at_beta_inf_on_split_ground_doublet():
+    # the 5-site XX chain at h = 0 has a ground doublet split by ~7e-15, far
+    # below the degeneracy tolerance; gibbs_weights spreads the weight over
+    # both levels, so the tanh route must treat the split as no gap
+    h_op = build_xx_hamiltonian(SpinChainSpec(5, 1.0, 0.0))
+    spectral = diagonalize(h_op.mat)
+    assert 0.0 < spectral.energies[1] - spectral.energies[0] < spectral.energy_tol
+    o_eig = spectral.to_eigenbasis(local_generator("staggered-x", 5).mat)
+    ens = gibbs_weights(spectral, math.inf)
+    bare = gibbs_weights(spectral.energies, math.inf)
+    for e in (ens, bare):
+        spectral_route = qfi_spectral(o_eig, e)
+        assert abs(qfi_via_susceptibility(o_eig, e) - spectral_route) <= 1e-9
+        assert abs(qfi_via_structure_factor(o_eig, e) - spectral_route) <= 1e-9
 
 
 def test_comb_routes_agree_with_pair_routes(rng):
@@ -324,12 +350,53 @@ def test_report_breakdown_is_consistent(rng):
 def test_subset_bound_is_monotone_and_below(rng):
     _, spectral, ens, _, o_eig = random_case(rng, 8, 2.0)
     blocks = trivial_complete_set(spectral)
-    subset = blocks[: len(blocks) // 2]
+    subset = first_half(blocks)
     full = qfi_from_dynsym(blocks, ens, o_eig)
     part = qfi_from_dynsym(subset, ens, o_eig)
     assert not part.saturated
     assert part.value <= full.value + 1e-12
     assert part.value <= qfi_spectral(o_eig, ens) + 1e-9
+
+
+@given(
+    dim=st.integers(2, 12),
+    beta=st.sampled_from([0.0, 1.0, 1e8, math.inf]),
+    seed=st.integers(0, 10_000),
+)
+def test_saturation_certificate_is_honest(dim, beta, seed):
+    rng = np.random.default_rng(seed)
+    _, spectral, ens, _, o_eig = random_case(rng, dim, beta)
+    direct = qfi_spectral(o_eig, ens)
+    part = trivial_complete_set(spectral)
+    keep = rng.random(part.omegas.size) < 0.5
+    keep[rng.integers(part.omegas.size)] = False
+    dropped = keep_clusters(part, keep)
+    for blocks, should_saturate in ((part, True), (dropped, False), ([part, part], False)):
+        report = qfi_from_dynsym(blocks, ens, o_eig)
+        assert report.saturated == should_saturate
+        if report.saturated:
+            assert abs(report.value - direct) <= 1e-9 * max(1.0, direct)
+
+
+def test_duplicated_pair_is_not_certified():
+    # dim 3, beta = 1: the pair (2, 1) swapped for a second copy of (1, 0).
+    # A lone partition cannot hold a pair twice, so the copy has to come as
+    # an explicit block, and the set then claims no saturation even though
+    # its value exceeds the QFI.
+    rng = np.random.default_rng(3)
+    _, spectral, ens, _, o_eig = random_case(rng, 3, 1.0)
+    part = trivial_complete_set(spectral)
+    labels = np.array(part.labels)
+    labels[2, 1] = -1
+    copy = np.zeros((3, 3), dtype=complex)
+    copy[1, 0] = 1.0
+    e = spectral.energies
+    blocks = [PairPartition(part.omegas, labels), OperatorBlock(e[1] - e[0], (copy,))]
+    report = qfi_from_dynsym(blocks, ens, o_eig)
+    direct = qfi_spectral(o_eig, ens)
+    assert math.isclose(direct, 2.0049, abs_tol=1e-4)
+    assert math.isclose(report.value, 2.2347, abs_tol=1e-4)
+    assert not report.saturated
 
 
 def test_conserved_blocks_contribute_nothing(rng):
@@ -454,6 +521,24 @@ def test_qfi_matrix_from_dynsym_analytic_blocks():
     assert evals.min() >= -1e-9 * max(1.0, float(np.abs(direct.matrix).max()))
 
 
+def test_qfi_matrix_from_dynsym_matches_bound_on_complex_gram(rng):
+    # complex member mixtures give a complex Gram, where c^dag V^+ c and
+    # c^T V^+ c^* differ; the diagonal must be the scalar bound
+    _, spectral, ens, _, o_eig = random_case(rng, 4, 1.0)
+    pairs = []
+    for m, n in ((2, 0), (3, 1)):
+        op = np.zeros((4, 4), dtype=complex)
+        op[m, n] = 1.0
+        pairs.append(op)
+    members = (pairs[0] + 1j * pairs[1], pairs[0] + (0.3 - 0.8j) * pairs[1])
+    block = OperatorBlock(spectral.energies[2] - spectral.energies[0], members)
+    gram = np.einsum("imn,jmn,n->ij", np.conj(members), members, ens.weights)
+    assert np.abs(gram.imag).max() > 1e-2
+    bound = qfi_from_dynsym([block], ens, o_eig).value
+    matrix = qfi_matrix_from_dynsym([block], ens, [o_eig]).matrix
+    assert math.isclose(matrix[0, 0], bound, rel_tol=1e-12)
+
+
 def test_qfi_matrix_from_dynsym_subset_is_psd_below(rng):
     _, spectral, ens, _, _ = random_case(rng, 6, 1.5)
     gens = [
@@ -463,7 +548,7 @@ def test_qfi_matrix_from_dynsym_subset_is_psd_below(rng):
     blocks = trivial_complete_set(spectral)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        sub = qfi_matrix_from_dynsym(blocks[: len(blocks) // 2], ens, gens)
+        sub = qfi_matrix_from_dynsym(first_half(blocks), ens, gens)
         full = qfi_matrix(gens, ens)
     gap = full.matrix - sub.matrix
     assert np.linalg.eigvalsh((gap + gap.T) / 2.0).min() >= -1e-9
@@ -544,9 +629,10 @@ def test_eth_equality_for_zero_diagonal_generator(rng):
 def test_eth_gap_certificate_rejects_inflated_blocks(rng):
     _, spectral, ens, _, o_eig = random_case(rng, 6, 1.0)
     o_eig = o_eig - np.diag(np.diagonal(o_eig))
-    nonzero = [b for b in trivial_complete_set(spectral) if b.omega != 0.0]
+    part = trivial_complete_set(spectral)
+    nonzero = keep_clusters(part, part.omegas != 0.0)
     with pytest.raises(NumericError):
-        eth_thermal_gap(nonzero + nonzero, ens, o_eig)
+        eth_thermal_gap([nonzero, nonzero], ens, o_eig)
 
 
 def test_eth_gap_limits(rng):

@@ -10,7 +10,8 @@ from qfidyn import (
     DomainError,
     FrequencyComb,
     NumericError,
-    PairBlock,
+    OperatorBlock,
+    PairPartition,
     SpinChainSpec,
     build_xx_hamiltonian,
     comb_bound_check,
@@ -221,16 +222,39 @@ def test_bound_check_rejects_wrong_comb_kind(rng):
 
 
 def test_bound_check_flags_inflated_block(rng):
-    # duplicating a pair doubles its Mazur weight past the comb entry
+    # one block holding eigenpair operators from two clusters, labelled at
+    # one of them, carries more Mazur weight than that comb entry
     _, spectral, ens, o_eig = random_setup(rng, dim=4)
-    blocks = trivial_complete_set(spectral)
-    target = next(b for b in blocks if b.omega > 0 and b.size >= 1)
-    doubled = PairBlock(
-        target.omega,
-        np.concatenate([target.ms, target.ms]),
-        np.concatenate([target.ns, target.ns]),
-    )
+    part = trivial_complete_set(spectral)
+    gaps = spectral.energies[:, None] - spectral.energies[None, :]
+    (m1, n1), (m2, n2) = np.argwhere(gaps > 0)[:2]
+    assert part.labels[m1, n1] != part.labels[m2, n2]
+    members = []
+    for m, n in ((m1, n1), (m2, n2)):
+        op = np.zeros((4, 4), dtype=complex)
+        op[m, n] = 1.0
+        members.append(op)
+    mixed = OperatorBlock(part.omegas[part.labels[m1, n1]], tuple(members))
     comb = response_comb(o_eig, ens)
     with pytest.raises(NumericError) as err:
-        comb_bound_check(comb, [doubled], ens, o_eig)
+        comb_bound_check(comb, [mixed], ens, o_eig)
     assert "violates" in str(err.value)
+
+
+def test_bound_check_equality_needs_one_complete_partition(rng):
+    _, spectral, ens, o_eig = random_setup(rng, dim=5)
+    part = trivial_complete_set(spectral)
+    comb = response_comb(o_eig, ens)
+    assert comb_bound_check(comb, part, ens, o_eig).equality
+    assert comb_bound_check(comb, [part], ens, o_eig).equality
+    left_out = np.where(part.labels == part.labels.max(), -1, part.labels)
+    partial = PairPartition(part.omegas, left_out)
+    assert not comb_bound_check(comb, partial, ens, o_eig).equality
+    # an explicit block never certifies equality, even one that is exact
+    gaps = spectral.energies[:, None] - spectral.energies[None, :]
+    op = np.zeros((5, 5), dtype=complex)
+    op[4, 0] = 1.0
+    exact = OperatorBlock(gaps[4, 0], (op,))
+    assert not comb_bound_check(comb, [exact], ens, o_eig).equality
+    with pytest.raises(DomainError):
+        comb_bound_check(comb, [42], ens, o_eig)

@@ -15,7 +15,6 @@ from qfidyn import (
     diagonalize,
     gibbs_weights,
     thermal_expectation,
-    to_eigenbasis,
 )
 from oracles import random_hermitian, thermal_state
 
@@ -48,7 +47,7 @@ def test_decomposition_validates_inputs():
 def test_to_eigenbasis_dimension_check(rng):
     spectral = diagonalize(random_hermitian(rng, 4))
     with pytest.raises(DomainError):
-        to_eigenbasis(np.eye(5), spectral)
+        spectral.to_eigenbasis(np.eye(5))
 
 
 # ---------------------------------------------------------------------------
