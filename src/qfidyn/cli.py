@@ -36,7 +36,6 @@ from .models import (
     two_qubit_symmetry_operators,
 )
 from .operators import GENERATOR_KINDS, PauliString, operator_from_strings, operator_support
-from .response import response_comb
 from .spectral import diagonalize, gibbs_weights
 
 FLOAT_FMT = "%.12e"
@@ -341,14 +340,15 @@ def cmd_fig2(args):
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
 
-    comb = response_comb(o_eig, ens0, args.omega_tol)
+    # The response comb's teeth are the partition's nonzero cluster weights,
+    # which are also the trivial set's Mazur weights away from omega = 0.
     pair_weights = part.bin(ens0.weights[None, :] * np.abs(o_eig) ** 2)
-    block_weight = dict(zip(part.omegas.tolist(), pair_weights.tolist()))
     msr0 = projector_mazur_weight(ens0, o_eig)
-    comb_rows = []
-    for omega, weight in zip(comb.omegas, comb.weights):
-        dk = msr0 if omega == 0.0 else block_weight.get(float(omega), 0.0)
-        comb_rows.append((float(omega), float(weight.real), dk))
+    comb_rows = [
+        (omega, weight, msr0 if omega == 0.0 else weight)
+        for omega, weight in zip(part.omegas.tolist(), pair_weights.tolist())
+        if weight != 0.0
+    ]
     _write_table(
         os.path.join(out_dir, "comb.csv"),
         ("omega", "response_weight", "mazur_weight"),

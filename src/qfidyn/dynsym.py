@@ -397,7 +397,7 @@ def projector_mazur_weight(ensemble, op_eig):
     This is the classic zero-frequency Mazur weight with every |E_n><E_n| as
     a conserved quantity; closed form, no Gram inversion.
     """
-    mat = np.asarray(op_eig, dtype=complex)
+    mat = np.asarray(op_eig)
     if mat.shape != (ensemble.dim, ensemble.dim):
         raise DomainError(f"operator shape {mat.shape} does not match dim {ensemble.dim}")
     diag = np.real(np.diagonal(mat))

@@ -6,6 +6,16 @@ index 0, so sigma^z = diag(+1, -1) on every site and sigma^+ raises toward
 index 0.  All operators are dense complex128 matrices; the chain length is
 capped (default 12 sites, overridable via the QFIDYN_MAX_SITES environment
 variable or an explicit max_sites argument).
+
+Every operator is built from bit operations on basis indices, never from
+Kronecker products.  Site s is bit n - 1 - s of the index and spin-up is
+bit value 0.  A PauliString maps input state c to the single output state
+c ^ flip, where flip holds the bits of its x, y, + and - factors, so it has
+at most one nonzero entry per column.  That entry is the coefficient times
+one phase per factor, read off the input bit b: i (-1)^b for y, (-1)^b for
+z, [b = 1] for + and [b = 0] for -.  PauliString.entries returns these
+(rows, cols, values); operator_from_strings scatters a sum of strings into
+one dense matrix, and every builder here goes through it.
 """
 
 from __future__ import annotations
@@ -29,14 +39,10 @@ HERMITICITY_RTOL = 1e-12
 # Absolute elementwise tolerance for support detection by partial trace.
 SUPPORT_ATOL = 1e-10
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "+": np.array([[0, 1], [0, 0]], dtype=complex),
-    "-": np.array([[0, 0], [1, 0]], dtype=complex),
-}
+# Powers of i: a string's y factors contribute i ** (number of y factors).
+_I_POWERS = (1.0, 1j, -1.0, -1j)
+# Entries per row block of the Hermiticity check: bounds its temporaries.
+_ROW_CHUNK = 1 << 16
 
 
 def site_cap(max_sites=None):
@@ -75,14 +81,37 @@ def _as_matrix(op, what="operator"):
     return arr
 
 
+def _real_if_exact(mat):
+    """mat as float64 when it has no imaginary part, else as complex128."""
+    if np.iscomplexobj(mat):
+        if not mat.imag.any():
+            return np.ascontiguousarray(mat.real)
+        return mat.astype(complex, copy=False)
+    return mat.astype(float, copy=False)
+
+
+def _hermitian_deviation(mat):
+    """(max |M - M^dag|, max |M|) of a square matrix, in row blocks of
+    _ROW_CHUNK entries so that no full-size temporary is made."""
+    dim = mat.shape[0]
+    step = max(1, _ROW_CHUNK // max(1, dim))
+    dev = scale = 0.0
+    for lo in range(0, dim, step):
+        rows = mat[lo : lo + step]
+        scale = max(scale, float(np.abs(rows).max()))
+        dev = max(dev, float(np.abs(rows - mat[:, lo : lo + step].conj().T).max()))
+    return dev, scale
+
+
 def _hermitian(op, dim, name="operator"):
-    """The (dim, dim) complex matrix of op, certified Hermitian to 1e-10
-    relative; eigenbasis operators lose a little Hermiticity to rounding."""
-    mat = np.asarray(op, dtype=complex)
+    """The (dim, dim) matrix of op, certified Hermitian to 1e-10 relative;
+    eigenbasis operators lose a little Hermiticity to rounding.  A real
+    matrix with no imaginary part is float64, anything else complex128."""
+    mat = _real_if_exact(np.asarray(op))
     if mat.shape != (dim, dim):
         raise DomainError(f"{name} shape {mat.shape} does not match dim {dim}")
-    scale = float(np.abs(mat).max()) if mat.size else 0.0
-    if np.abs(mat - mat.conj().T).max() > 1e-10 * max(1.0, scale):
+    dev, scale = _hermitian_deviation(mat)
+    if dev > 1e-10 * max(1.0, scale):
         raise DomainError(f"{name} must be Hermitian")
     return mat
 
@@ -121,8 +150,7 @@ class HermitianOperator(GeneralOperator):
 
     def __post_init__(self):
         super().__post_init__()
-        scale = np.abs(self.mat).max() if self.mat.size else 0.0
-        dev = np.abs(self.mat - self.mat.conj().T).max() if self.mat.size else 0.0
+        dev, scale = _hermitian_deviation(self.mat)
         if dev > HERMITICITY_RTOL * max(1.0, scale):
             raise DomainError(
                 f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} "
@@ -157,16 +185,38 @@ class PauliString:
             raise DomainError(f"repeated site index in factors {facs}")
         object.__setattr__(self, "factors", tuple(sorted(facs)))
 
-    def matrix(self, n_sites, max_sites=None):
+    def entries(self, n_sites, max_sites=None):
+        """Nonzero entries (rows, cols, values) of the matrix on n_sites,
+        one per column the ladder factors do not annihilate (module
+        docstring)."""
         n = _check_sites(n_sites, max_sites)
-        for site, _ in self.factors:
+        flip = sign = up = down = n_y = 0
+        for site, axis in self.factors:
             if site >= n:
                 raise DomainError(f"factor site {site} out of range for {n} sites")
-        out = np.array([[self.coefficient]], dtype=complex)
-        by_site = dict(self.factors)
-        for site in range(n):
-            out = np.kron(out, _PAULI[by_site.get(site, "I")])
-        return out
+            bit = 1 << (n - 1 - site)
+            if axis in ("x", "y", "+", "-"):
+                flip |= bit
+            if axis in ("y", "z"):
+                sign |= bit
+            n_y += axis == "y"
+            if axis == "+":
+                up |= bit
+            elif axis == "-":
+                down |= bit
+        cols = np.arange(2**n)
+        if up or down:
+            cols = cols[((cols & up) == up) & ((cols & down) == 0)]
+        parity = np.zeros_like(cols)
+        for k in range(n):
+            if sign >> k & 1:
+                parity ^= cols >> k
+        signs = np.where(parity & 1, -1.0, 1.0)
+        values = (self.coefficient * _I_POWERS[n_y % 4]) * signs
+        return cols ^ flip, cols, values
+
+    def matrix(self, n_sites, max_sites=None):
+        return _scatter((self,), n_sites, max_sites)
 
     def to_record(self):
         c = complex(self.coefficient)
@@ -185,11 +235,19 @@ class PauliString:
         return cls(complex(re, im), factors)
 
 
+def _scatter(strings, n_sites, max_sites=None):
+    """Dense complex sum of PauliStrings, added string by string in order."""
+    n = _check_sites(n_sites, max_sites)
+    total = np.zeros((2**n, 2**n), dtype=complex)
+    for ps in strings:
+        rows, cols, values = ps.entries(n, max_sites)
+        total[rows, cols] += values
+    return total
+
+
 def pauli_matrix(axis):
-    """The 2x2 matrix for a single axis (copy)."""
-    if axis not in AXES:
-        raise DomainError(f"unknown Pauli axis {axis!r}; valid axes are {AXES}")
-    return _PAULI[axis].copy()
+    """The 2x2 matrix for a single axis."""
+    return PauliString(1.0, ((0, axis),)).matrix(1, max_sites=1)
 
 
 def pauli_site(axis, site, n_sites, max_sites=None):
@@ -202,9 +260,7 @@ def pauli_site(axis, site, n_sites, max_sites=None):
     site = int(site)
     if not 0 <= site < n:
         raise DomainError(f"site {site} out of range for {n} sites")
-    if axis not in AXES:
-        raise DomainError(f"unknown Pauli axis {axis!r}; valid axes are {AXES}")
-    m = np.kron(np.kron(np.eye(2**site), _PAULI[axis]), np.eye(2 ** (n - site - 1)))
+    m = PauliString(1.0, ((site, axis),)).matrix(n, max_sites)
     if axis in ("+", "-"):
         return GeneralOperator(m)
     return HermitianOperator(m)
@@ -216,10 +272,7 @@ def operator_from_strings(strings, n_sites, hermitian=False, max_sites=None):
     With hermitian=True the result is validated and wrapped as a
     HermitianOperator (DomainError if the sum fails the certificate).
     """
-    n = _check_sites(n_sites, max_sites)
-    total = np.zeros((2**n, 2**n), dtype=complex)
-    for ps in strings:
-        total += ps.matrix(n, max_sites=max_sites)
+    total = _scatter(strings, n_sites, max_sites)
     return HermitianOperator(total) if hermitian else GeneralOperator(total)
 
 
@@ -269,20 +322,15 @@ def build_xx_hamiltonian(spec, max_sites=None):
     wrap bond would duplicate the single existing bond, so it is omitted.
     """
     n = _check_sites(spec.sites, max_sites)
-    dim = 2**n
-    H = np.zeros((dim, dim), dtype=complex)
     bonds = [(i, i + 1) for i in range(n - 1)]
     if spec.boundary == "periodic" and n > 2:
         bonds.append((n - 1, 0))
-    for i, j in bonds:
-        for axis in ("x", "y"):
-            H += spec.coupling * (
-                pauli_site(axis, i, n, max_sites).mat @ pauli_site(axis, j, n, max_sites).mat
-            )
+    strings = [
+        PauliString(spec.coupling, ((i, axis), (j, axis))) for i, j in bonds for axis in ("x", "y")
+    ]
     if spec.field != 0.0:
-        for i in range(n):
-            H += spec.field * pauli_site("z", i, n, max_sites).mat
-    return HermitianOperator(H)
+        strings += [PauliString(spec.field, ((i, "z"),)) for i in range(n)]
+    return operator_from_strings(strings, n, hermitian=True, max_sites=max_sites)
 
 
 GENERATOR_KINDS = ("antisymmetric-x", "staggered-x", "uniform-x", "uniform-z")
@@ -301,16 +349,17 @@ def local_generator(kind, n_sites, max_sites=None):
     if kind == "antisymmetric-x":
         if n != 2:
             raise DomainError(f"kind 'antisymmetric-x' is defined for 2 sites, got {n}")
-        mat = 0.5 * (pauli_site("x", 0, n, max_sites).mat - pauli_site("x", 1, n, max_sites).mat)
+        terms = [(0.5, 0, "x"), (-0.5, 1, "x")]
     elif kind == "staggered-x":
-        mat = sum((-1) ** i * 0.5 * pauli_site("x", i, n, max_sites).mat for i in range(n))
+        terms = [((-1) ** i * 0.5, i, "x") for i in range(n)]
     elif kind == "uniform-x":
-        mat = sum(0.5 * pauli_site("x", i, n, max_sites).mat for i in range(n))
+        terms = [(0.5, i, "x") for i in range(n)]
     elif kind == "uniform-z":
-        mat = sum(0.5 * pauli_site("z", i, n, max_sites).mat for i in range(n))
+        terms = [(0.5, i, "z") for i in range(n)]
     else:
         raise DomainError(f"unknown generator kind {kind!r}; valid kinds are {GENERATOR_KINDS}")
-    return HermitianOperator(mat)
+    strings = [PauliString(c, ((i, axis),)) for c, i, axis in terms]
+    return operator_from_strings(strings, n, hermitian=True, max_sites=max_sites)
 
 
 def commutator(a, b):

@@ -2,6 +2,9 @@
 
 Everything downstream works in the energy eigenbasis, so the decomposition
 is certified once here (orthonormality and reconstruction) and then trusted.
+A Hamiltonian with no imaginary part, which every preset has, is
+diagonalized in real arithmetic and keeps real eigenvectors, so operators
+without an imaginary part stay real in the eigenbasis too.
 Thermal weights are stored together with their logarithms; the logs keep
 weight ratios exact even when the weights themselves underflow.
 """
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .operators import _as_matrix
+from .operators import _as_matrix, _real_if_exact
 
 # Level pairs whose combined weight falls below this floor carry no
 # statistical weight and are skipped in all downstream pair sums.
@@ -33,7 +36,11 @@ def default_energy_tol(energies):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending), the unitary of eigencolumns, degeneracy tol."""
+    """Eigenvalues (ascending), the unitary of eigencolumns, degeneracy tol.
+
+    vectors is float64 when it is real (the real-symmetric case of
+    diagonalize) and complex128 otherwise.
+    """
 
     energies: np.ndarray
     vectors: np.ndarray
@@ -41,7 +48,7 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         e = np.array(self.energies, dtype=float)
-        u = np.array(self.vectors, dtype=complex)
+        u = _real_if_exact(np.array(self.vectors))
         if e.ndim != 1 or u.shape != (e.size, e.size):
             raise DomainError(
                 f"inconsistent decomposition shapes: energies {e.shape}, vectors {u.shape}"
@@ -78,8 +85,12 @@ class SpectralDecomposition:
         return groups
 
     def to_eigenbasis(self, op):
-        """Conjugate an operator into the eigenbasis: V^dag O V."""
-        mat = _as_matrix(op)
+        """Conjugate an operator into the eigenbasis: V^dag O V.
+
+        Real vectors and an operator with no imaginary part give a float64
+        result, multiplied in real arithmetic; otherwise it is complex.
+        """
+        mat = _real_if_exact(_as_matrix(op))
         if mat.shape != (self.dim, self.dim):
             raise DomainError(f"operator shape {mat.shape} does not match dim {self.dim}")
         return self.vectors.conj().T @ mat @ self.vectors
@@ -95,12 +106,15 @@ class SpectralDecomposition:
 def diagonalize(hamiltonian, energy_tol=None):
     """Exact diagonalization with a posteriori certificates.
 
-    Checks that the eigenvector matrix is unitary and reconstructs the input,
-    both to DECOMP_RTOL relative to the spectral scale; failure raises
-    NumericError since it signals lost accuracy, not bad input.  energy_tol
-    seeds the decomposition's degeneracy threshold.
+    A Hamiltonian with no imaginary part goes to the real-symmetric solver
+    and yields float64 eigenvectors; any other goes to the complex Hermitian
+    one.  Either way the eigenvector matrix is checked to be unitary and to
+    reconstruct the input, both to DECOMP_RTOL relative to the spectral
+    scale, in the arithmetic of the solve; failure raises NumericError since
+    it signals lost accuracy, not bad input.  energy_tol seeds the
+    decomposition's degeneracy threshold.
     """
-    mat = _as_matrix(hamiltonian, "hamiltonian")
+    mat = _real_if_exact(_as_matrix(hamiltonian, "hamiltonian"))
     energies, vectors = np.linalg.eigh(mat)
     dim = energies.size
     scale = max(1.0, float(np.abs(energies).max()) if dim else 0.0)

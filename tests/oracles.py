@@ -1,9 +1,10 @@
 """Independent dense-matrix oracles for the numerical tests.
 
 Everything here recomputes package quantities from their definitions by a
-deliberately different route: matrix exponentials instead of weight vectors,
-density-matrix eigenbases instead of Hamiltonian eigenbases, fractional
-matrix powers, and numerical quadrature instead of closed forms.  No code is
+deliberately different route: Kronecker products instead of bit operations,
+matrix exponentials instead of weight vectors, density-matrix eigenbases
+instead of Hamiltonian eigenbases, fractional matrix powers, and numerical
+quadrature instead of closed forms.  No code is
 shared with the package beyond numpy itself.
 
 The oracles are slow and accuracy-limited by design; callers pick dimensions
@@ -15,6 +16,44 @@ import scipy.linalg
 
 # Same pair floor the library documents for the QFI pair sum.
 PAIR_FLOOR = 1e-15
+
+# Single-site matrices: spin-up is index 0, sigma^+ raises toward it.
+SINGLE_SITE = {
+    "I": np.eye(2, dtype=complex),
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "+": np.array([[0, 1], [0, 0]], dtype=complex),
+    "-": np.array([[0, 0], [1, 0]], dtype=complex),
+}
+
+
+def pauli_string_oracle(coefficient, factors, n_sites):
+    """coefficient times the Kronecker product over sites 0..n-1 (site 0
+    leftmost) of the factor's matrix, the identity where none is given."""
+    by_site = dict(factors)
+    out = np.array([[complex(coefficient)]])
+    for site in range(n_sites):
+        out = np.kron(out, SINGLE_SITE[by_site.get(site, "I")])
+    return out
+
+
+def xx_hamiltonian_oracle(n_sites, coupling, field, boundary):
+    """J sum_bonds (x x + y y) + h sum_i z_i, summed term by term in the
+    order bonds (i, i+1), then the wrap bond for a periodic chain of more
+    than two sites, x before y, then the field."""
+    dim = 2**n_sites
+    h = np.zeros((dim, dim), dtype=complex)
+    bonds = [(i, i + 1) for i in range(n_sites - 1)]
+    if boundary == "periodic" and n_sites > 2:
+        bonds.append((n_sites - 1, 0))
+    for i, j in bonds:
+        for axis in ("x", "y"):
+            h += pauli_string_oracle(coupling, ((i, axis), (j, axis)), n_sites)
+    if field != 0.0:
+        for i in range(n_sites):
+            h += pauli_string_oracle(field, ((i, "z"),), n_sites)
+    return h
 
 
 def random_hermitian(rng, dim, scale=1.0):

@@ -22,6 +22,7 @@ from qfidyn import (
     pauli_strings_to_records,
     projector_mazur_weight,
     qfi_spectral,
+    response_comb,
 )
 from qfidyn.cli import main
 from qfidyn.models import build_preset, preset, two_qubit_symmetry_strings
@@ -263,6 +264,23 @@ def test_fig2_tables(tmp_path):
     assert abs(total - direct) <= 1e-9 * max(1.0, direct)
 
 
+def test_fig2_comb_is_the_response_comb(tmp_path):
+    code, *_ = run("reproduce-fig2", "--sites", "6", "--temp-grid", "1:1:1", "--out", str(tmp_path))
+    assert code == 0
+    h_op, gen = build_preset(preset("chain", sites=6))
+    spectral = diagonalize(h_op.mat)
+    ens = gibbs_weights(spectral, 1.0)  # default --temperature 1
+    o_eig = spectral.to_eigenbasis(gen.mat)
+    comb = response_comb(o_eig, ens)
+    _, rows = read_table((tmp_path / "comb.csv").read_text())
+    assert [row[:2] for row in rows] == [
+        ["%.12e" % omega, "%.12e" % weight.real] for omega, weight in zip(comb.omegas, comb.weights)
+    ]
+    for row in rows:
+        if float(row[0]) != 0.0:
+            assert row[2] == row[1]  # a trivial cluster's Mazur weight is its comb weight
+
+
 def test_fig2_rejects_nonpositive_temperature():
     code, _, stderr = run("reproduce-fig2", "--sites", "3", "--temperature", "0")
     assert code == 2 and "temperature" in stderr
@@ -418,6 +436,7 @@ def test_analysis_scripts_run(tmp_path):
     runs = (
         ("comb_audit.py", "--sites", "4"),
         ("bound_tightness.py", "--fields", "0.5", "--temps", "1"),
+        ("depth_vs_size.py", "--sizes", "2,4", "--temps", "1"),
     )
     stdout = {}
     for script, *argv in runs:
@@ -429,3 +448,5 @@ def test_analysis_scripts_run(tmp_path):
         assert "Traceback" not in proc.stderr
         stdout[script] = proc.stdout
     assert "equality: True" in stdout["comb_audit.py"]
+    depth_rows = [line.split() for line in stdout["depth_vs_size.py"].splitlines()[1:]]
+    assert [row[0] for row in depth_rows] == ["2", "4"]

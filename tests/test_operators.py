@@ -23,12 +23,16 @@ from qfidyn import (
     pauli_strings_from_json,
 )
 from qfidyn.operators import (
+    AXES,
+    BOUNDARIES,
     GENERATOR_KINDS,
     SITE_CAP_ENV,
+    _hermitian,
     pauli_matrix,
     pauli_strings_to_records,
     site_cap,
 )
+from oracles import pauli_string_oracle, xx_hamiltonian_oracle
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -183,6 +187,50 @@ def test_pauli_strings_from_json_rejects_garbage():
         pauli_strings_from_json({"not": "a list"})
 
 
+# Coefficients stay finite so that the oracle's Kronecker products never
+# meet 0 * inf; every entry is then exact on both routes.
+coefficients = st.builds(
+    complex,
+    st.floats(-4.0, 4.0, allow_nan=False),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def pauli_strings(draw, n_sites):
+    sites = draw(st.lists(st.integers(0, n_sites - 1), unique=True, max_size=n_sites))
+    axes = draw(st.lists(st.sampled_from(AXES), min_size=len(sites), max_size=len(sites)))
+    return PauliString(draw(coefficients), tuple(zip(sites, axes)))
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+def test_bitwise_builders_match_kron_oracle(data, n):
+    strings = data.draw(st.lists(pauli_strings(n), max_size=4))
+    expected = np.zeros((2**n, 2**n), dtype=complex)
+    for ps in strings:
+        single = pauli_string_oracle(ps.coefficient, ps.factors, n)
+        assert np.array_equal(ps.matrix(n), single)
+        rows, cols, values = ps.entries(n)
+        assert np.array_equal(single[rows, cols], values)
+        assert np.count_nonzero(single) <= rows.size  # no nonzero entry is missed
+        expected += single
+    assert np.array_equal(operator_from_strings(strings, n).mat, expected)
+    site = data.draw(st.integers(0, n - 1))
+    axis = data.draw(st.sampled_from(AXES))
+    assert np.array_equal(pauli_site(axis, site, n).mat, pauli_string_oracle(1.0, ((site, axis),), n))
+
+
+def test_builders_need_no_numpy_2_bit_count(monkeypatch):
+    # np.bitwise_count first appeared in NumPy 2.0; the package supports 1.24
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    factors = ((0, "y"), (2, "z"), (3, "+"), (4, "y"))
+    assert np.array_equal(
+        PauliString(0.7, factors).matrix(5), pauli_string_oracle(0.7, factors, 5)
+    )
+    h = build_xx_hamiltonian(SpinChainSpec(5, 0.9, 0.3, "periodic")).mat
+    assert np.array_equal(h, xx_hamiltonian_oracle(5, 0.9, 0.3, "periodic"))
+
+
 def test_operator_from_strings_hermitian_certificate():
     sx = (PauliString(1.0, ((0, "x"),)),)
     assert isinstance(operator_from_strings(sx, 1, hermitian=True), HermitianOperator)
@@ -203,6 +251,12 @@ def test_two_site_hamiltonian_matches_hand_assembly():
         + 0.5 * (np.kron(SZ, np.eye(2)) + np.kron(np.eye(2), SZ))
     )
     assert np.allclose(h, manual)
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_hamiltonian_is_the_kron_assembly_bit_for_bit(boundary):
+    h = build_xx_hamiltonian(SpinChainSpec(7, 0.9, 0.3, boundary)).mat
+    assert np.array_equal(h, xx_hamiltonian_oracle(7, 0.9, 0.3, boundary))
 
 
 def test_two_site_spectrum():
@@ -255,6 +309,17 @@ def test_generator_kinds_cover_known_forms():
     assert np.allclose(np.diagonal(uz), [1.0, 0.0, 0.0, -1.0])
 
 
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generators_are_the_kron_assembly_bit_for_bit(kind):
+    n = 2 if kind == "antisymmetric-x" else 5
+    axis = "z" if kind == "uniform-z" else "x"
+    signs = {"antisymmetric-x": (1, -1), "staggered-x": (1, -1, 1, -1, 1)}.get(kind, (1,) * n)
+    expected = np.zeros((2**n, 2**n), dtype=complex)
+    for i, sign in enumerate(signs):
+        expected += pauli_string_oracle(0.5 * sign, ((i, axis),), n)
+    assert np.array_equal(local_generator(kind, n).mat, expected)
+
+
 def test_antisymmetric_generator_needs_two_sites():
     with pytest.raises(DomainError):
         local_generator("antisymmetric-x", 3)
@@ -302,6 +367,26 @@ def test_site_cap_env_override(monkeypatch):
     assert pauli_site("z", 0, 4, max_sites=4).dim == 16
 
 
+def test_site_cap_applies_on_every_builder_path(monkeypatch):
+    monkeypatch.setenv(SITE_CAP_ENV, "3")
+    ps = PauliString(1.0, ((0, "x"),))
+    builds = (
+        lambda **kw: ps.entries(4, **kw),
+        lambda **kw: ps.matrix(4, **kw),
+        lambda **kw: pauli_site("x", 0, 4, **kw),
+        lambda **kw: operator_from_strings([ps], 4, **kw),
+        lambda **kw: operator_from_strings([], 4, **kw),
+        lambda **kw: build_xx_hamiltonian(SpinChainSpec(4), **kw),
+        lambda **kw: local_generator("uniform-x", 4, **kw),
+    )
+    for build in builds:
+        with pytest.raises(DomainError):
+            build()
+        build(max_sites=4)  # the explicit argument wins over the environment
+    # a single 2x2 factor is never capped
+    assert np.array_equal(pauli_matrix("x"), SX)
+
+
 def test_site_cap_env_must_be_integer(monkeypatch):
     monkeypatch.setenv(SITE_CAP_ENV, "many")
     with pytest.raises(DomainError):
@@ -321,6 +406,25 @@ def test_site_cap_error_names_the_overrides():
 def test_hermitian_operator_rejects_nonhermitian():
     with pytest.raises(DomainError):
         HermitianOperator(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_hermitian_check_covers_every_row_block():
+    dim = 300  # more than one row block of the check
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[dim - 1, dim - 2] = mat[dim - 2, dim - 1] = 1j  # symmetric, not Hermitian
+    with pytest.raises(DomainError):
+        _hermitian(mat, dim)
+    with pytest.raises(DomainError):
+        HermitianOperator(mat)
+    mat[dim - 2, dim - 1] = -1j
+    assert _hermitian(mat, dim).dtype == np.complex128
+    real = np.zeros((dim, dim))
+    real[0, dim - 1] = real[dim - 1, 0] = 2.0
+    assert _hermitian(real, dim).dtype == np.float64
+    assert _hermitian(real.astype(complex), dim).dtype == np.float64  # imaginary part all 0
+    real[dim - 1, 0] = 1.0
+    with pytest.raises(DomainError):
+        _hermitian(real, dim)
 
 
 def test_general_operator_dagger_and_norm():

@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 from qfidyn import (
     DomainError,
     NumericError,
+    PauliString,
     SpectralDecomposition,
+    SpinChainSpec,
     ThermalEnsemble,
+    build_xx_hamiltonian,
     diagonalize,
     gibbs_weights,
+    local_generator,
+    operator_from_strings,
     thermal_expectation,
 )
 from oracles import random_hermitian, thermal_state
@@ -42,6 +47,68 @@ def test_decomposition_validates_inputs():
         SpectralDecomposition(np.array([2.0, 1.0]), np.eye(2))
     with pytest.raises(DomainError):
         SpectralDecomposition(np.array([1.0, 2.0]), np.eye(3))
+
+
+def _chain_with_dm_term(n):
+    """The n-site XX chain plus a Dzyaloshinskii-Moriya bond x0 y1 - y0 x1,
+    which is Hermitian and purely imaginary."""
+    h = build_xx_hamiltonian(SpinChainSpec(n, 1.0, 0.3)).mat
+    dm = operator_from_strings(
+        [PauliString(0.4, ((0, "x"), (1, "y"))), PauliString(-0.4, ((0, "y"), (1, "x")))],
+        n,
+        hermitian=True,
+    ).mat
+    return h + dm
+
+
+def test_real_hamiltonian_gives_real_vectors():
+    h = build_xx_hamiltonian(SpinChainSpec(4, 1.0, 0.3)).mat
+    assert h.dtype == np.complex128 and not h.imag.any()
+    spectral = diagonalize(h)
+    assert spectral.vectors.dtype == np.float64
+    o_eig = spectral.to_eigenbasis(local_generator("staggered-x", 4))
+    assert o_eig.dtype == np.float64
+    # an operator with an imaginary part stays complex on real vectors
+    y_eig = spectral.to_eigenbasis(PauliString(1.0, ((2, "y"),)).matrix(4))
+    assert y_eig.dtype == np.complex128 and np.abs(y_eig.imag).max() > 0.1
+    v = spectral.vectors
+    assert np.allclose(v @ np.diag(spectral.energies) @ v.T, h, atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.3, 2.0])
+def test_complex_hamiltonian_stays_complex_and_matches_oracle(beta):
+    h = _chain_with_dm_term(4)
+    assert np.abs(h.imag).max() > 0.1
+    spectral = diagonalize(h)
+    assert spectral.vectors.dtype == np.complex128
+    ens = gibbs_weights(spectral, beta)
+    rho_eig = spectral.to_eigenbasis(thermal_state(h, beta))
+    assert rho_eig.dtype == np.complex128
+    assert np.allclose(rho_eig, np.diag(ens.weights), atol=1e-12)
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize(
+    "perturbation, message", [("noise", "not unitary"), ("reversed columns", "reconstruct")]
+)
+def test_certificates_catch_bad_eigenvectors(monkeypatch, complex_input, perturbation, message):
+    h = _chain_with_dm_term(3) if complex_input else build_xx_hamiltonian(SpinChainSpec(3)).mat
+    exact_eigh = np.linalg.eigh
+    seen = []
+
+    def bad_eigh(mat):
+        seen.append(mat.dtype)
+        energies, vectors = exact_eigh(mat)
+        if perturbation == "noise":
+            vectors = vectors + 1e-6  # no longer unitary
+        else:
+            vectors = vectors[:, ::-1]  # unitary, but pairs vectors with wrong energies
+        return energies, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", bad_eigh)
+    with pytest.raises(NumericError, match=message):
+        diagonalize(h)
+    assert seen == [np.complex128 if complex_input else np.float64]
 
 
 def test_to_eigenbasis_dimension_check(rng):
