@@ -341,13 +341,14 @@ def cmd_fig2(args):
     os.makedirs(out_dir, exist_ok=True)
 
     # The response comb's teeth are the partition's nonzero cluster weights,
-    # which are also the trivial set's Mazur weights away from omega = 0.
+    # which are also the trivial set's Mazur weights away from omega = 0;
+    # the omega = 0 tooth is always kept, to carry the projector Mazur weight.
     pair_weights = part.bin(ens0.weights[None, :] * np.abs(o_eig) ** 2)
     msr0 = projector_mazur_weight(ens0, o_eig)
     comb_rows = [
         (omega, weight, msr0 if omega == 0.0 else weight)
         for omega, weight in zip(part.omegas.tolist(), pair_weights.tolist())
-        if weight != 0.0
+        if weight != 0.0 or omega == 0.0
     ]
     _write_table(
         os.path.join(out_dir, "comb.csv"),

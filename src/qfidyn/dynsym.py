@@ -108,7 +108,9 @@ def cluster_values(values, tol, symmetric=False):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise DomainError(f"values must be a nonempty 1-d array, got shape {values.shape}")
-    order = np.argsort(values, kind="stable")
+    # equal values always share a cluster, so the order among ties cannot
+    # change reps or labels and the sort need not be stable
+    order = np.argsort(values)
     sorted_v = values[order]
     starts = np.flatnonzero(np.diff(sorted_v) > tol) + 1
     starts = np.concatenate(([0], starts))

@@ -126,12 +126,14 @@ def response_comb(op_eig, ensemble, omega_tol=None):
     """Dynamical-response comb: g(omega_k) = sum over the cluster of
     p_n |<E_m|O|E_n>|^2.
 
-    Zero-weight entries are dropped; weights are nonnegative by construction.
+    Zero-weight entries are dropped except at omega = 0, which is always
+    kept (as in structure_factor_comb); weights are nonnegative by
+    construction.
     """
     mat = _hermitian(op_eig, ensemble.dim)
     part = trivial_complete_set(ensemble, omega_tol)
     binned = part.bin(ensemble.weights[None, :] * np.abs(mat) ** 2)
-    keep = binned != 0.0
+    keep = (binned != 0.0) | (part.omegas == 0.0)
     return FrequencyComb(part.omegas[keep], binned[keep], "response")
 
 

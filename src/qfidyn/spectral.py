@@ -5,6 +5,18 @@ is certified once here (orthonormality and reconstruction) and then trusted.
 A Hamiltonian with no imaginary part, which every preset has, is
 diagonalized in real arithmetic and keeps real eigenvectors, so operators
 without an imaginary part stay real in the eigenbasis too.
+
+Block rule: the basis states split into the connected components of H's
+exact nonzero pattern (H_ij != 0 or H_ji != 0 links i and j).  H has no
+entry between two components, so each component is an invariant subspace
+and is diagonalized on its own; for a chain conserving total S^z these are
+the magnetization sectors.  The eigenvector matrix stays the dense unitary,
+with exact zeros outside the blocks, and to_eigenbasis multiplies only the
+block pairs an operator links.  Selection-rule zeros are therefore exact:
+an eigenbasis entry between blocks the operator does not link is 0.0, not
+rounding.  A matrix with a connected pattern is one block and takes the
+same single dense solve as before.
+
 Thermal weights are stored together with their logarithms; the logs keep
 weight ratios exact even when the weights themselves underflow.
 """
@@ -34,17 +46,68 @@ def default_energy_tol(energies):
     return 1e-9 * max(1.0, scale)
 
 
+def _ix(rows, cols, shape):
+    """Index of the rows x cols sub-block of an array of this shape: a plain
+    view (...) when the index sets cover the whole array."""
+    if rows.size == shape[0] and cols.size == shape[1]:
+        return ...
+    return rows[:, None], cols
+
+
+def _index_pair(pair, dim):
+    """One block's (basis, eigen-column) index sets as sorted intp arrays."""
+    try:
+        rows, cols = (np.asarray(idx) for idx in pair)
+    except (TypeError, ValueError):
+        raise DomainError("a block must be a (basis indices, eigen-column indices) pair") from None
+    integer = rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
+    if rows.ndim != 1 or rows.shape != cols.shape or not integer:
+        raise DomainError("a block needs two 1-d integer index arrays of one size")
+    pair = (np.sort(rows).astype(np.intp), np.sort(cols).astype(np.intp))
+    for idx in pair:
+        idx.setflags(write=False)
+    return pair
+
+
+def _pattern_blocks(mat):
+    """Basis index sets of the connected components of mat's nonzero
+    pattern, symmetrized with its transpose: each set ascending, the sets
+    ordered by their smallest index.
+
+    Breadth-first search over rows of the boolean pattern, so no edge list
+    is built: each state is a frontier row once, O(dim^2) work in all.
+    """
+    linked = mat != 0
+    linked = linked | linked.T
+    unseen = np.ones(mat.shape[0], dtype=bool)
+    blocks = []
+    while unseen.any():
+        frontier = np.array([np.argmax(unseen)])
+        member = np.zeros_like(unseen)
+        member[frontier] = True
+        while frontier.size:
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~member)
+            member[frontier] = True
+        unseen &= ~member
+        blocks.append(np.flatnonzero(member))
+    return blocks
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending), the unitary of eigencolumns, degeneracy tol.
 
     vectors is float64 when it is real (the real-symmetric case of
-    diagonalize) and complex128 otherwise.
+    diagonalize) and complex128 otherwise.  blocks records the invariant
+    subspaces as (basis indices, eigen-column indices) pairs: vectors is
+    zero outside the rows x columns of its blocks, and each index kind
+    partitions range(dim).  The default is one block holding everything.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
     energy_tol: float = field(default=None)
+    blocks: tuple = field(default=None)
 
     def __post_init__(self):
         e = np.array(self.energies, dtype=float)
@@ -55,10 +118,22 @@ class SpectralDecomposition:
             )
         if np.any(np.diff(e) < 0):
             raise DomainError("energies must be sorted ascending")
+        whole = np.arange(e.size)
+        blocks = ((whole, whole),) if self.blocks is None else self.blocks
+        blocks = tuple(_index_pair(pair, e.size) for pair in blocks)
+        for kind, sets in (("basis", 0), ("eigen-column", 1)):
+            covered = np.sort(np.concatenate([whole[:0]] + [pair[sets] for pair in blocks]))
+            if not np.array_equal(covered, whole):
+                raise DomainError(f"block {kind} indices must partition range({e.size})")
+        if len(blocks) > 1:
+            inside = sum(np.count_nonzero(u[rows[:, None], cols]) for rows, cols in blocks)
+            if inside != np.count_nonzero(u):
+                raise DomainError("vectors must vanish outside their blocks")
         e.setflags(write=False)
         u.setflags(write=False)
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "vectors", u)
+        object.__setattr__(self, "blocks", blocks)
         tol = self.energy_tol
         object.__setattr__(
             self, "energy_tol", default_energy_tol(e) if tol is None else float(tol)
@@ -93,7 +168,31 @@ class SpectralDecomposition:
         mat = _real_if_exact(_as_matrix(op))
         if mat.shape != (self.dim, self.dim):
             raise DomainError(f"operator shape {mat.shape} does not match dim {self.dim}")
-        return self.vectors.conj().T @ mat @ self.vectors
+        row_block = np.empty(self.dim, dtype=np.intp)
+        col_block = np.empty(self.dim, dtype=np.intp)
+        for k, (rows, cols) in enumerate(self.blocks):
+            row_block[rows] = k
+            col_block[cols] = k
+        # links[a, b]: O has a nonzero entry in block a's rows, block b's columns
+        nonzero = mat != 0
+        links = np.zeros((len(self.blocks),) * 2, dtype=bool)
+        for a, (rows, _) in enumerate(self.blocks):
+            links[a, row_block[nonzero[rows].any(axis=0)]] = True
+        del nonzero
+        # (V^dag O) V, grouped as the dense product: V^dag O is built from
+        # the linked block pairs only, then multiplied by V column block by
+        # column block.
+        vs = [self.vectors[_ix(rows, cols, self.vectors.shape)] for rows, cols in self.blocks]
+        dtype = np.result_type(self.vectors, mat)
+        left = np.zeros((self.dim, self.dim), dtype)
+        for (rows, cols), v, linked in zip(self.blocks, vs, links):
+            near = np.flatnonzero(linked[row_block])
+            left[_ix(cols, near, left.shape)] = v.conj().T @ mat[_ix(rows, near, mat.shape)]
+        out = np.zeros((self.dim, self.dim), dtype)
+        for (rows, cols), v, linked in zip(self.blocks, vs, links.T):
+            near = np.flatnonzero(linked[col_block])
+            out[_ix(near, cols, out.shape)] = left[_ix(near, rows, left.shape)] @ v
+        return out
 
     def summary(self, tol=None):
         return {
@@ -106,28 +205,53 @@ class SpectralDecomposition:
 def diagonalize(hamiltonian, energy_tol=None):
     """Exact diagonalization with a posteriori certificates.
 
-    A Hamiltonian with no imaginary part goes to the real-symmetric solver
-    and yields float64 eigenvectors; any other goes to the complex Hermitian
-    one.  Either way the eigenvector matrix is checked to be unitary and to
-    reconstruct the input, both to DECOMP_RTOL relative to the spectral
-    scale, in the arithmetic of the solve; failure raises NumericError since
-    it signals lost accuracy, not bad input.  energy_tol seeds the
-    decomposition's degeneracy threshold.
+    The Hamiltonian is solved block by block over the connected components
+    of its nonzero pattern (the block rule above), and the eigenvalues are
+    merged in ascending order; ties keep block order.  A Hamiltonian with no
+    imaginary part goes to the real-symmetric solver and yields float64
+    eigenvectors; any other goes to the complex Hermitian one.  Each block's
+    eigenvector matrix is checked to be unitary and to reconstruct its block
+    of the input, both to DECOMP_RTOL relative to the global spectral scale,
+    in the arithmetic of the solve.  Off the blocks both the input and the
+    reconstruction are exactly zero, so these are the full-matrix maxima.
+    Failure raises NumericError since it signals lost accuracy, not bad
+    input.  energy_tol seeds the decomposition's degeneracy threshold.
     """
     mat = _real_if_exact(_as_matrix(hamiltonian, "hamiltonian"))
-    energies, vectors = np.linalg.eigh(mat)
-    dim = energies.size
-    scale = max(1.0, float(np.abs(energies).max()) if dim else 0.0)
-    unit_dev = np.abs(vectors.conj().T @ vectors - np.eye(dim)).max()
+    dim = mat.shape[0]
+    if dim == 0:
+        raise DomainError("hamiltonian must not be empty")
+    basis = _pattern_blocks(mat)
+    subs = [mat[_ix(rows, rows, mat.shape)] for rows in basis]
+    solved = [np.linalg.eigh(sub) for sub in subs]
+    merged = np.concatenate([e for e, _ in solved])
+    order = np.argsort(merged, kind="stable")
+    energies = merged[order]
+    column = np.empty(dim, dtype=np.intp)
+    column[order] = np.arange(dim)
+    scale = max(1.0, float(np.abs(energies).max()))
+    unit_dev = rec_dev = 0.0
+    vectors = np.zeros((dim, dim), dtype=solved[0][1].dtype)
+    blocks = []
+    start = 0
+    for rows, sub, (e, v) in zip(basis, subs, solved):
+        gram = v.conj().T @ v
+        gram.flat[:: e.size + 1] -= 1.0
+        unit_dev = max(unit_dev, float(np.abs(gram).max()))
+        rec = v @ (e[:, None] * v.conj().T) - sub
+        rec_dev = max(rec_dev, float(np.abs(rec).max()))
+        cols = column[start : start + e.size]
+        start += e.size
+        vectors[_ix(rows, cols, vectors.shape)] = v
+        blocks.append((rows, cols))
     if unit_dev > DECOMP_RTOL:
         raise NumericError(f"eigenvector matrix not unitary: max deviation {unit_dev:.3e}")
-    rec_dev = np.abs(vectors @ (energies[:, None] * vectors.conj().T) - mat).max()
     if rec_dev > DECOMP_RTOL * scale:
         raise NumericError(
             f"eigendecomposition does not reconstruct the input: "
             f"max deviation {rec_dev:.3e} against scale {scale:.3e}"
         )
-    return SpectralDecomposition(energies, vectors, energy_tol)
+    return SpectralDecomposition(energies, vectors, energy_tol, tuple(blocks))
 
 
 @dataclass(frozen=True)

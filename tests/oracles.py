@@ -83,6 +83,17 @@ def thermal_state(h_mat, beta):
     return rho / np.trace(rho).real
 
 
+def eigh_thermal_state(h_mat, beta):
+    """rho = exp(-beta H) / Z from one dense eigh of the whole matrix, with
+    the weights formed from logs.  Unlike thermal_state's expm this stays
+    accurate at huge finite beta (1e8), where scaling and squaring loses
+    about nine digits."""
+    evals, vecs = np.linalg.eigh(np.asarray(h_mat, dtype=complex))
+    logw = -beta * (evals - evals.min())
+    weights = np.exp(logw - np.logaddexp.reduce(logw))
+    return (vecs * weights) @ vecs.conj().T
+
+
 def variance_oracle(rho, o_mat):
     rho = np.asarray(rho, dtype=complex)
     o = np.asarray(o_mat, dtype=complex)

@@ -107,6 +107,43 @@ def test_cluster_values_rejects_empty():
         cluster_values(np.array([]), 1e-9)
 
 
+def _stable_cluster_reference(values, tol, symmetric):
+    """cluster_values with a stable sort, step for step."""
+    order = np.argsort(values, kind="stable")
+    sorted_v = values[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_v) > tol) + 1))
+    counts = np.diff(np.concatenate((starts, [values.size])))
+    reps = np.add.reduceat(sorted_v, starts) / counts
+    if symmetric:
+        reps = (reps - reps[::-1]) / 2.0
+    labels = np.empty(values.size, dtype=np.intp)
+    labels[order] = np.repeat(np.arange(reps.size), counts)
+    return reps, labels
+
+
+@given(
+    pool=st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-12, -1e-12, 2.5, 3.0 + 1e-10, 1e300]),
+        min_size=1,
+        max_size=12,
+    ),
+    size=st.integers(1, 3000),
+    symmetric=st.booleans(),
+    tol=st.sampled_from([0.0, 1e-9, 0.6]),
+    seed=st.integers(0, 10_000),
+)
+def test_cluster_values_ignores_the_order_among_ties(pool, size, symmetric, tol, seed):
+    # many exact ties and both signed zeros, long enough for numpy's
+    # unstable sort paths; reps and labels must match a stable sort bit for bit
+    values = np.random.default_rng(seed).choice(np.array(pool), size)
+    if symmetric:
+        values = np.concatenate((values, -values))
+    reps, labels = cluster_values(values, tol, symmetric=symmetric)
+    want_reps, want_labels = _stable_cluster_reference(values, tol, symmetric)
+    assert np.array_equal(reps.view(np.int64), want_reps.view(np.int64))
+    assert np.array_equal(labels, want_labels)
+
+
 def test_default_omega_tol_scales_with_width():
     assert default_omega_tol(np.array([0.0, 200.0])) == 2e-6
     assert default_omega_tol(np.array([0.0, 0.5])) == 1e-8

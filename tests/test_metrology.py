@@ -166,13 +166,18 @@ def test_three_routes_agree_at_finite_beta(rng):
 
 
 def test_three_routes_agree_at_beta_inf_on_split_ground_doublet():
-    # the 5-site XX chain at h = 0 has a ground doublet split by ~7e-15, far
-    # below the degeneracy tolerance; gibbs_weights spreads the weight over
-    # both levels, so the tanh route must treat the split as no gap
-    h_op = build_xx_hamiltonian(SpinChainSpec(5, 1.0, 0.0))
-    spectral = diagonalize(h_op.mat)
+    # the 5-site XX chain at h = 0 has a ground doublet, one level in each of
+    # two S^z sectors.  Conjugating H and the generator with a fixed random
+    # orthogonal matrix connects H's pattern, so the dense solve splits the
+    # doublet by ~5e-15, far below the degeneracy tolerance; gibbs_weights
+    # spreads the weight over both levels, so the tanh route must treat the
+    # split as no gap
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(32, 32)))
+    h = q @ build_xx_hamiltonian(SpinChainSpec(5, 1.0, 0.0)).mat.real @ q.T
+    spectral = diagonalize(h)
+    assert len(spectral.blocks) == 1
     assert 0.0 < spectral.energies[1] - spectral.energies[0] < spectral.energy_tol
-    o_eig = spectral.to_eigenbasis(local_generator("staggered-x", 5).mat)
+    o_eig = spectral.to_eigenbasis(q @ local_generator("staggered-x", 5).mat.real @ q.T)
     ens = gibbs_weights(spectral, math.inf)
     bare = gibbs_weights(spectral.energies, math.inf)
     for e in (ens, bare):

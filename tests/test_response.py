@@ -56,6 +56,19 @@ def test_response_weights_nonnegative(rng):
     assert comb.kind == "response"
 
 
+def test_response_comb_keeps_a_zero_weight_omega_zero_tooth():
+    # a non-degenerate spectrum and an exactly zero diagonal: the omega = 0
+    # cluster holds only the diagonal pairs, so its weight is exactly 0, and
+    # the tooth must stay, as in the structure comb
+    ens = gibbs_weights(np.array([0.0, 1.0, 3.0]), 0.7)
+    o_eig = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 2.0], [0.5, 2.0, 0.0]])
+    comb = response_comb(o_eig, ens)
+    zero = np.flatnonzero(comb.omegas == 0.0)
+    assert zero.size == 1
+    assert comb.weights[zero[0]] == 0.0
+    assert comb.size == 7  # every gap of the three levels, both signs, plus 0
+
+
 def test_detailed_balance(rng):
     _, spectral, ens, o_eig = random_setup(rng, dim=6, beta=0.9)
     comb = response_comb(o_eig, ens)

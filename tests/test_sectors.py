@@ -1,0 +1,235 @@
+"""Differential tests for the sector-blocked diagonalization.
+
+diagonalize splits H along the connected components of its nonzero pattern.
+Every quantity must agree with the dense route: np.linalg.eigvalsh of the
+whole matrix, the dense product V^dag O V, the density-matrix oracles, and,
+for the XX chains, a decomposition built from one dense eigh.
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qfidyn import (
+    DomainError,
+    NumericError,
+    SpectralDecomposition,
+    SpinChainSpec,
+    build_xx_hamiltonian,
+    diagonalize,
+    gibbs_weights,
+    local_generator,
+    qfi_from_dynsym,
+    qfi_spectral,
+    qfi_via_structure_factor,
+    qfi_via_susceptibility,
+    trivial_complete_set,
+)
+from oracles import eigh_thermal_state, qfi_oracle, random_hermitian, thermal_state
+
+BETAS = (0.0, 1e-12, 1.0, 1e8, math.inf)
+
+
+def _block(rng, size, is_complex):
+    m = random_hermitian(rng, size)
+    return m if is_complex else m.real.copy()
+
+
+def block_case(seed, sizes, copies, is_complex, noise):
+    """A Hermitian matrix whose pattern splits into dense blocks of the given
+    sizes, plus a copy of block i for each i in copies (an exact cross-block
+    degeneracy, split by 1e-15 noise when noise is set), in a random basis
+    order.  Returns (h, the basis index set of each block)."""
+    rng = np.random.default_rng(seed)
+    blocks = [_block(rng, size, is_complex) for size in sizes]
+    for i in copies:
+        twin = blocks[i % len(sizes)]
+        if noise:
+            twin = twin + 1e-15 * _block(rng, twin.shape[0], is_complex)
+        blocks.append(twin)
+    dim = sum(b.shape[0] for b in blocks)
+    perm = rng.permutation(dim)
+    h = np.zeros((dim, dim), dtype=complex if is_complex else float)
+    h[np.ix_(perm, perm)] = scipy.linalg.block_diag(*blocks)
+    bounds = np.cumsum([0] + [b.shape[0] for b in blocks])
+    return h, [np.sort(perm[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def block_sparse_operator(rng, sets, is_complex):
+    """A Hermitian operator with the entries between a random symmetric
+    subset of block pairs set to exactly zero."""
+    dim = sum(s.size for s in sets)
+    o = random_hermitian(rng, dim)
+    if not is_complex:
+        o = o.real.copy()
+    for a in range(len(sets)):
+        for b in range(a, len(sets)):
+            if rng.random() < 0.4:
+                o[np.ix_(sets[a], sets[b])] = 0.0
+                o[np.ix_(sets[b], sets[a])] = 0.0
+    return o
+
+
+case = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 10_000),
+        "sizes": st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        "copies": st.lists(st.integers(0, 3), max_size=3),
+        "is_complex": st.booleans(),
+        "noise": st.booleans(),
+    }
+)
+
+
+@given(params=case)
+def test_blocks_energies_and_eigenbasis_match_the_dense_route(params):
+    h, sets = block_case(**params)
+    spectral = diagonalize(h)
+    assert sorted(tuple(rows) for rows, _ in spectral.blocks) == sorted(tuple(s) for s in sets)
+    scale = max(1.0, float(np.abs(spectral.energies).max()))
+    assert np.abs(spectral.energies - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
+    v = spectral.vectors
+    assert np.abs(v.conj().T @ v - np.eye(h.shape[0])).max() <= 1e-12
+    rng = np.random.default_rng(params["seed"] + 1)
+    o = block_sparse_operator(rng, sets, params["is_complex"])
+    # the upper triangle links block a to b without linking b to a
+    for op in (o, np.triu(o)):
+        got = spectral.to_eigenbasis(op)
+        assert np.abs(got - v.conj().T @ op @ v).max() <= 1e-12 * max(1.0, np.abs(op).max())
+
+
+@given(params=case, beta=st.sampled_from(BETAS))
+def test_block_routes_match_the_density_matrix_oracle(params, beta):
+    h, sets = block_case(**params)
+    spectral = diagonalize(h)
+    ens = gibbs_weights(spectral, beta)
+    rng = np.random.default_rng(params["seed"] + 2)
+    o = block_sparse_operator(rng, sets, params["is_complex"])
+    o_eig = spectral.to_eigenbasis(o)
+    # expm is accurate up to moderate beta only; 1e8 takes the eigh oracle
+    rho = eigh_thermal_state(h, beta) if beta == 1e8 else thermal_state(h, beta)
+    want = qfi_oracle(rho, o)
+    # At finite beta an energy error eps moves each weight by up to 2 beta eps
+    # relative, and the QFI by up to 24 beta eps <O^2>.  Across a degenerate
+    # pair the two solvers differ by ~1e-16 (the blocked one keeps exact
+    # copies exact), which at beta = 1e8 is a 1e-8 shift of the weights: an
+    # ill-conditioned input, not a fault of either route.
+    eps = np.abs(spectral.energies - np.linalg.eigvalsh(h)).max()
+    eps += 4 * np.finfo(float).eps * max(1.0, float(np.abs(spectral.energies).max()))
+    second = float(np.sum(ens.weights[None, :] * np.abs(o_eig) ** 2))
+    conditioning = 24.0 * beta * eps * second if math.isfinite(beta) else 0.0
+    direct = qfi_spectral(o_eig, ens)
+    assert abs(direct - want) <= 1e-10 * max(1.0, want) + conditioning
+    # the routes and the bound share one spectrum, so they agree tightly
+    tol = 1e-10 * max(1.0, direct)
+    assert abs(qfi_via_susceptibility(o_eig, ens) - direct) <= tol
+    assert abs(qfi_via_structure_factor(o_eig, ens) - direct) <= tol
+    report = qfi_from_dynsym(trivial_complete_set(spectral), ens, o_eig)
+    assert report.saturated
+    assert abs(report.value - direct) <= tol
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_connected_pattern_is_the_single_dense_solve_bit_for_bit(dim, is_complex):
+    rng = np.random.default_rng(dim)
+    h = _block(rng, dim, is_complex)
+    o = _block(rng, dim, True)
+    spectral = diagonalize(h)
+    energies, vectors = np.linalg.eigh(h)
+    assert len(spectral.blocks) == 1
+    assert np.array_equal(spectral.energies, energies)
+    assert np.array_equal(spectral.vectors, vectors)
+    assert np.array_equal(spectral.to_eigenbasis(o), vectors.conj().T @ o @ vectors)
+
+
+def dense_decomposition(h):
+    """The decomposition from one eigh of the whole matrix: a single block."""
+    energies, vectors = np.linalg.eigh(h)
+    return SpectralDecomposition(energies, vectors)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("field", [0.0, 0.3])
+@pytest.mark.parametrize("sites", range(2, 11))
+def test_xx_chains_match_the_dense_path(sites, field, boundary):
+    h = build_xx_hamiltonian(SpinChainSpec(sites, 1.0, field, boundary)).mat
+    gen = local_generator("staggered-x", sites).mat
+    blocked = diagonalize(h)
+    assert len(blocked.blocks) == sites + 1  # one block per total S^z
+    dense = dense_decomposition(h.real)
+    o_blocked = blocked.to_eigenbasis(gen)
+    o_dense = dense.to_eigenbasis(gen)
+    for beta in (1.0, math.inf):
+        got, want = gibbs_weights(blocked, beta), gibbs_weights(dense, beta)
+        for value in (
+            lambda s, o, e: qfi_spectral(o, e),
+            lambda s, o, e: qfi_from_dynsym(trivial_complete_set(s), e, o).value,
+        ):
+            a, b = value(blocked, o_blocked, got), value(dense, o_dense, want)
+            assert abs(a - b) <= 1e-10 * max(1.0, b), (beta, a, b)
+
+
+def test_staggered_generator_links_only_adjacent_sectors():
+    h = build_xx_hamiltonian(SpinChainSpec(4, 1.0, 0.3)).mat
+    spectral = diagonalize(h)
+    o_eig = spectral.to_eigenbasis(local_generator("staggered-x", 4))
+    magnetization = [int(np.unpackbits(np.uint8(rows[0])).sum()) for rows, _ in spectral.blocks]
+    for (_, cols_a), m_a in zip(spectral.blocks, magnetization):
+        for (_, cols_b), m_b in zip(spectral.blocks, magnetization):
+            sub = o_eig[np.ix_(cols_a, cols_b)]
+            if abs(m_a - m_b) != 1:
+                assert not sub.any()  # exact selection-rule zeros
+
+
+def test_decomposition_rejects_inconsistent_blocks():
+    energies, vectors = np.array([0.0, 1.0, 2.0]), np.eye(3)
+    whole = np.arange(3)
+    good = ((np.array([0]), np.array([0])), (np.array([1, 2]), np.array([1, 2])))
+    assert len(SpectralDecomposition(energies, vectors, blocks=good).blocks) == 2
+    assert len(SpectralDecomposition(energies, vectors).blocks) == 1
+    bad = [
+        # basis indices overlap and miss state 2
+        ((np.array([0, 1]), np.array([0, 1])), (np.array([1]), np.array([2]))),
+        # eigen-columns miss column 2
+        ((whole, np.array([0, 1, 1])),),
+        # a block with more basis states than eigen-columns
+        ((np.array([0, 1]), np.array([0])), (np.array([2]), np.array([1, 2]))),
+        # an index out of range
+        ((np.array([0, 1, 3]), whole),),
+        # float indices
+        ((whole.astype(float), whole),),
+        # not a pair
+        ((whole,),),
+    ]
+    for blocks in bad:
+        with pytest.raises(DomainError):
+            SpectralDecomposition(energies, vectors, blocks=blocks)
+    # vectors nonzero outside the blocks
+    mixed = np.eye(3)
+    mixed[0, 1] = mixed[1, 0] = 1e-3
+    with pytest.raises(DomainError, match="vanish"):
+        SpectralDecomposition(energies, mixed, blocks=good)
+
+
+@pytest.mark.parametrize("row, col", [(0, 1), (1, 0)])
+def test_one_sided_link_is_one_block_and_fails_reconstruction(row, col):
+    # a non-Hermitian entry on one side of the diagonal still joins the two
+    # states, and the block's reconstruction certificate then rejects it
+    h = np.diag([1.0, 2.0, 5.0])
+    h[row, col] = 0.5
+    with pytest.raises(NumericError, match="reconstruct"):
+        diagonalize(h)
+
+
+def test_diagonal_hamiltonian_is_one_block_per_state():
+    spectral = diagonalize(np.diag([3.0, 1.0, 2.0, 1.0]))
+    assert len(spectral.blocks) == 4
+    assert np.array_equal(spectral.energies, [1.0, 1.0, 2.0, 3.0])
+    # ties keep block order: state 1 before state 3
+    assert spectral.vectors[1, 0] == 1.0 and spectral.vectors[3, 1] == 1.0
+    assert np.count_nonzero(spectral.vectors) == 4

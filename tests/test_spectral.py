@@ -36,6 +36,11 @@ def test_diagonalize_rejects_nonsquare():
         diagonalize(np.ones((2, 3)))
 
 
+def test_diagonalize_rejects_empty():
+    with pytest.raises(DomainError):
+        diagonalize(np.zeros((0, 0)))
+
+
 def test_degeneracy_groups():
     spectral = diagonalize(np.diag([1.0, 1.0, 2.0]))
     assert spectral.degeneracy_groups() == [(0, 2), (2, 3)]
@@ -108,7 +113,8 @@ def test_certificates_catch_bad_eigenvectors(monkeypatch, complex_input, perturb
     monkeypatch.setattr(np.linalg, "eigh", bad_eigh)
     with pytest.raises(NumericError, match=message):
         diagonalize(h)
-    assert seen == [np.complex128 if complex_input else np.float64]
+    # both chains conserve total S^z: one solve per sector (sizes 1, 3, 3, 1)
+    assert seen == [np.complex128 if complex_input else np.float64] * 4
 
 
 def test_to_eigenbasis_dimension_check(rng):
