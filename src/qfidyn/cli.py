@@ -36,6 +36,7 @@ from .models import (
     two_qubit_symmetry_operators,
 )
 from .operators import GENERATOR_KINDS, PauliString, operator_from_strings, operator_support
+from .response import response_comb
 from .spectral import diagonalize, gibbs_weights
 
 FLOAT_FMT = "%.12e"
@@ -171,19 +172,29 @@ def _load_symmetry_file(path):
     return ops
 
 
-def _symmetry_blocks(source, model, h_op, spectral, omega_tol):
-    if source == "trivial":
-        return trivial_complete_set(spectral, omega_tol)
+def _verified_symmetry_blocks(source, model, h_mat, spectral, omega_tol):
+    """OperatorBlocks from the analytic two-qubit set or a symmetry file,
+    verified against the site-basis Hamiltonian."""
     if source == "analytic":
         if model.spec.sites != 2:
             raise DomainError("the analytic symmetry set is defined for the two-qubit model")
         ops = [op.mat for op in two_qubit_symmetry_operators().values()]
-        return verified_blocks(h_op.mat, spectral, ops, omega_tol=omega_tol)
+        return verified_blocks(h_mat, spectral, ops, omega_tol=omega_tol)
     strings = _load_symmetry_file(source)
     if not strings:
         raise DomainError(f"symmetry file {source!r} contains no operators")
     ops = [operator_from_strings(strs, model.spec.sites).mat for strs in strings]
-    return verified_blocks(h_op.mat, spectral, ops, omega_tol=omega_tol)
+    return verified_blocks(h_mat, spectral, ops, omega_tol=omega_tol)
+
+
+def _solve(model, keep_hamiltonian=False):
+    """(spectral, generator in the eigenbasis, site-basis H or None).
+
+    The complex site-basis matrices are released on return; H is kept only
+    when asked for, to verify a symmetry set against it."""
+    h_op, gen = build_preset(model)
+    spectral = diagonalize(h_op.mat)
+    return spectral, spectral.to_eigenbasis(gen.mat), h_op.mat if keep_hamiltonian else None
 
 
 def _run_config(args):
@@ -216,16 +227,23 @@ def _run_config(args):
 def cmd_qfi(args):
     """QFI, bound, and entanglement depth over a temperature grid."""
     config, model = _run_config(args)
-    h_op, gen = build_preset(model)
-    spectral = diagonalize(h_op.mat)
-    o_eig = spectral.to_eigenbasis(gen.mat)
-    blocks = _symmetry_blocks(config.symmetries, model, h_op, spectral, config.omega_tol)
+    trivial = config.symmetries == "trivial"
+    spectral, o_eig, h_mat = _solve(model, keep_hamiltonian=not trivial)
+    # one weighted pair set carries the generator through the whole sweep
+    pairs = trivial_complete_set(spectral, config.omega_tol, o_eig)
+    del o_eig
+    if trivial:
+        blocks = pairs
+    else:
+        blocks = _verified_symmetry_blocks(
+            config.symmetries, model, h_mat, spectral, config.omega_tol
+        )
     n = config.sites
     rows = []
     for beta, temp in zip(config.betas, config.temperatures):
         ens = gibbs_weights(spectral, beta)
-        fq = qfi_spectral(o_eig, ens)
-        report = qfi_from_dynsym(blocks, ens, o_eig)
+        fq = qfi_spectral(pairs, ens)
+        report = qfi_from_dynsym(blocks, ens, pairs)
         witness = entanglement_depth(fq, n)
         rows.append((temp, fq, fq / n, report.value, report.value / n, witness.depth))
     header = ("temperature", "qfi", "qfi_density", "bound", "bound_density", "depth")
@@ -252,17 +270,16 @@ def cmd_qfi(args):
 def _fig1_curve(field, coupling, temps, omega_tol):
     """Rows (T, f_Q, bound density) for one field, saturating subset."""
     model = resolve_preset("two-qubit", coupling=coupling, field=field)
-    h_op, gen = build_preset(model)
-    spectral = diagonalize(h_op.mat)
-    o_eig = spectral.to_eigenbasis(gen.mat)
+    spectral, o_eig, h_mat = _solve(model, keep_hamiltonian=True)
+    pairs = trivial_complete_set(spectral, omega_tol, o_eig)
     labels = regime_subset(field, coupling)
     ops = [op.mat for op in two_qubit_symmetry_operators(labels).values()]
-    blocks = verified_blocks(h_op.mat, spectral, ops, omega_tol=omega_tol)
+    blocks = verified_blocks(h_mat, spectral, ops, omega_tol=omega_tol)
     rows = []
     for temp in temps:
         ens = gibbs_weights(spectral, 1.0 / temp)
-        fq = qfi_spectral(o_eig, ens) / 2.0
-        bound = qfi_from_dynsym(blocks, ens, o_eig).value / 2.0
+        fq = qfi_spectral(pairs, ens) / 2.0
+        bound = qfi_from_dynsym(blocks, ens, pairs).value / 2.0
         rows.append((temp, fq, bound))
     return rows
 
@@ -327,11 +344,10 @@ def cmd_fig2(args):
         boundary=args.boundary,
         generator=args.generator,
     )
-    h_op, gen = build_preset(model)
     n = model.spec.sites
-    spectral = diagonalize(h_op.mat)
-    o_eig = spectral.to_eigenbasis(gen.mat)
-    part = trivial_complete_set(spectral, args.omega_tol)
+    spectral, o_eig, _ = _solve(model)
+    pairs = trivial_complete_set(spectral, args.omega_tol, o_eig)
+    del o_eig
     temp0 = float(args.temperature)
     if not (temp0 > 0 and math.isfinite(temp0)):
         raise DomainError(f"--temperature must be finite and > 0, got {temp0}")
@@ -340,15 +356,14 @@ def cmd_fig2(args):
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
 
-    # The response comb's teeth are the partition's nonzero cluster weights,
-    # which are also the trivial set's Mazur weights away from omega = 0;
-    # the omega = 0 tooth is always kept, to carry the projector Mazur weight.
-    pair_weights = part.bin(ens0.weights[None, :] * np.abs(o_eig) ** 2)
-    msr0 = projector_mazur_weight(ens0, o_eig)
+    # The response comb's teeth are the trivial set's Mazur weights away
+    # from omega = 0; its omega = 0 tooth, always kept, carries the
+    # projector Mazur weight.
+    comb = response_comb(pairs, ens0)
+    msr0 = projector_mazur_weight(ens0, pairs)
     comb_rows = [
         (omega, weight, msr0 if omega == 0.0 else weight)
-        for omega, weight in zip(part.omegas.tolist(), pair_weights.tolist())
-        if weight != 0.0 or omega == 0.0
+        for omega, weight in zip(comb.omegas.tolist(), comb.weights.real.tolist())
     ]
     _write_table(
         os.path.join(out_dir, "comb.csv"),
@@ -360,8 +375,8 @@ def cmd_fig2(args):
     sweep_rows = []
     for temp in temps:
         ens = gibbs_weights(spectral, 1.0 / temp)
-        fq = qfi_spectral(o_eig, ens)
-        bound = qfi_from_dynsym(part, ens, o_eig).value
+        fq = qfi_spectral(pairs, ens)
+        bound = qfi_from_dynsym(pairs, ens, pairs).value
         sweep_rows.append((temp, fq, fq / n, bound / n))
     _write_table(
         os.path.join(out_dir, "qfi_vs_t.csv"),
@@ -369,7 +384,7 @@ def cmd_fig2(args):
         sweep_rows,
     )
 
-    report = qfi_from_dynsym(part, ens0, o_eig)
+    report = qfi_from_dynsym(pairs, ens0, pairs)
     decomp_rows = [(omega, contrib) for omega, contrib in report.per_frequency.items()]
     _write_table(
         os.path.join(out_dir, "decomposition.csv"),

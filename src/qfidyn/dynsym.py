@@ -12,12 +12,20 @@ mixing the two:
   eigenbasis (verified_blocks handles verification, transformation and
   frequency grouping in one step).
 * PairPartition stands for the eigenpair operators |E_m><E_n| at
-  omega = E_m - E_n without materializing them: one frequency-cluster label
-  per pair, laid out like O in the eigenbasis.  Their Gram is diagonal, so
-  every per-cluster sum is one np.bincount (PairPartition.bin).  The
-  partition of all dim^2 pairs (trivial_complete_set) spans operator space,
-  so bounds built on it are saturated; a pair carries one label, so no pair
-  can be counted twice.
+  omega = E_m - E_n without materializing them.  It lists level pairs
+  m <= n, each standing for (m, n) and its mirror (n, m), with the
+  frequency-cluster label of (m, n); the mirror lies in the sign-mirrored
+  cluster.  Their Gram is diagonal, so every per-cluster sum is one pass
+  over the pairs and a np.bincount (PairPartition.bin).  A pair is listed
+  once, so no pair can be counted twice.
+
+The weighted pair set is the PairPartition that trivial_complete_set builds
+for a generator O: only the pairs with O_mn != 0, each with its entry O_mn.
+It is built and certified Hermitian once, and every pair sum over O (QFI
+routes, bounds, combs) is then an elementwise pass over it at each
+temperature.  A set is complete for every operator whose nonzero entries it
+covers, so bounds built on it alone are saturated for exactly those
+operators; the set of all pairs is complete for every operator.
 
 Thermal correlators use the inner product <X, Y> = tr(rho X^dag Y).
 """
@@ -25,11 +33,18 @@ Thermal correlators use the inner product <X, Y> = tr(rho X^dag Y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .operators import GeneralOperator, _as_matrix, operator_support
+from .operators import (
+    GeneralOperator,
+    _as_matrix,
+    _hermitian,
+    _real_if_exact,
+    operator_support,
+)
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
 TAU_DYN = 1e-9
@@ -167,16 +182,25 @@ class OperatorBlock:
 
 @dataclass(frozen=True)
 class PairPartition:
-    """Eigenpair operators |E_m><E_n| grouped into frequency clusters.
+    """Eigenpair operators |E_m><E_n| over a set of level pairs, grouped
+    into frequency clusters, optionally weighted by one operator.
 
     omegas holds the K cluster representatives, strictly ascending and
-    sign-symmetric, so the middle one is exactly 0.0.  labels is an integer
-    (dim, dim) array laid out like O in the eigenbasis: labels[m, n] = k puts
-    the pair (m, n) in cluster k, and -1 leaves it out.
+    sign-symmetric, so the middle one is exactly 0.0.  rows and cols list
+    the pairs m <= n, each once, in ascending order of m * dim + n; a pair
+    stands for both |E_m><E_n| and |E_n><E_m|.  labels[i] is the cluster of
+    omega_mn = E_m - E_n, so the mirrored (n, m) lies in cluster
+    K - 1 - labels[i].  keys holds m * dim + n per pair.  values holds
+    O_mn on the pairs when the set was built for an operator O
+    (trivial_complete_set with op_eig), else None.
     """
 
     omegas: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     labels: np.ndarray
+    dim: int
+    values: np.ndarray = None
 
     def __post_init__(self):
         om = np.array(self.omegas, dtype=float)
@@ -189,53 +213,164 @@ class PairPartition:
             raise DomainError(
                 "omegas must be strictly ascending and sign-symmetric about an exact 0.0"
             )
-        labels = np.asarray(self.labels)
-        if labels.ndim != 2 or labels.shape[0] != labels.shape[1] or labels.size == 0:
-            raise DomainError(f"labels must be a square matrix, got shape {labels.shape}")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise DomainError(f"labels must be integers, got dtype {labels.dtype}")
-        if labels.min() < -1 or labels.max() >= om.size:
-            raise DomainError(f"labels must lie in [-1, {om.size}), one per cluster or -1")
-        labels = np.array(labels, dtype=np.intp)
-        om.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "omegas", om)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def dim(self):
-        return self.labels.shape[0]
+        dim = int(self.dim)
+        if dim < 1:
+            raise DomainError(f"dim must be positive, got {self.dim}")
+        fields = [np.asarray(f) for f in (self.rows, self.cols, self.labels)]
+        if any(f.ndim != 1 or f.shape != fields[0].shape for f in fields):
+            raise DomainError("rows, cols and labels must be 1-d arrays of one size")
+        if not all(np.issubdtype(f.dtype, np.integer) for f in fields):
+            raise DomainError("rows, cols and labels must be integers")
+        rows, cols, labels = (np.array(f, dtype=np.intp) for f in fields)
+        if rows.size and (rows.min() < 0 or cols.max() >= dim or np.any(rows > cols)):
+            raise DomainError(f"pairs must satisfy 0 <= m <= n < {dim}")
+        keys = rows.astype(np.int64) * dim + cols
+        if np.any(np.diff(keys) <= 0):
+            raise DomainError("pairs must be distinct and ascending in m * dim + n")
+        if labels.size and (labels.min() < 0 or labels.max() >= om.size):
+            raise DomainError(f"labels must lie in [0, {om.size}), one cluster per pair")
+        values = self.values
+        if values is not None:
+            values = _real_if_exact(np.array(values))
+            if values.shape != rows.shape:
+                raise DomainError("values must hold one entry per pair")
+        for arr in (om, rows, cols, labels, keys, values):
+            if arr is not None:
+                arr.setflags(write=False)
+        for name, arr in (("omegas", om), ("rows", rows), ("cols", cols),
+                          ("labels", labels), ("dim", dim), ("values", values),
+                          ("keys", keys)):
+            object.__setattr__(self, name, arr)
 
     @property
     def complete(self):
-        """True when every pair is in some cluster."""
-        return bool(self.labels.min() >= 0)
+        """True when the set holds every pair, so it spans operator space."""
+        return self.rows.size == self.dim * (self.dim + 1) // 2
 
-    def bin(self, values):
-        """Per-cluster sums of a real (dim, dim) array of per-pair values,
-        left-out pairs dropped: an array of length K aligned with omegas."""
-        values = np.asarray(values)
-        if values.shape != self.labels.shape:
-            raise DomainError(
-                f"pair values shape {values.shape} does not match partition dim {self.dim}"
-            )
-        shifted = self.labels.ravel() + 1
-        return np.bincount(shifted, weights=values.ravel(), minlength=self.omegas.size + 1)[1:]
+    @cached_property
+    def mirror(self):
+        """Cluster of each mirrored pair (n, m); K for a diagonal pair, which
+        has no mirror."""
+        k = self.omegas.size
+        out = np.where(self.rows == self.cols, k, k - 1 - self.labels)
+        out.setflags(write=False)
+        return out
+
+    def bin(self, forward, backward):
+        """Per-cluster sums of real per-pair terms: forward[i] is the term of
+        (m, n) and goes to labels[i], backward[i] is that of (n, m) and goes
+        to the mirrored cluster; a diagonal pair's backward term is dropped.
+        Returns an array of length K aligned with omegas."""
+        k = self.omegas.size
+        forward, backward = np.asarray(forward), np.asarray(backward)
+        if forward.shape != self.rows.shape or backward.shape != self.rows.shape:
+            raise DomainError(f"pair terms must hold {self.rows.size} entries each")
+        out = np.bincount(self.labels, forward, minlength=k)
+        return out + np.bincount(self.mirror, backward, minlength=k + 1)[:k]
+
+    def aligned(self, op, name="operator"):
+        """(values, covered): op's entries O_mn on this set's pairs, 0 where
+        op has none, and whether every pair of op lies in the set, so that
+        op has no nonzero entry outside it.
+
+        op is a dense Hermitian eigenbasis matrix, certified here, or a
+        PairPartition carrying values; for the set itself this is free.
+        """
+        if op is self and self.values is not None:
+            return self.values, True
+        return _align(*_operator_pairs(op, self.dim, name), self.keys, self.dim)
+
+    def cluster_weights(self, ensemble, values):
+        """Mazur weight of every cluster for an operator with these values on
+        the set's pairs: the sum of p_n |O_mn|^2 over the cluster's ordered
+        pairs, the Gram of eigenpair operators being diagonal."""
+        p = ensemble.weights
+        abs2 = np.abs(values) ** 2
+        return self.bin(p[self.cols] * abs2, p[self.rows] * abs2)
 
 
-def trivial_complete_set(spectral, omega_tol=None):
-    """All dim^2 eigenpair operators as one PairPartition.
+def _operator_pairs(op, dim, name="operator"):
+    """(rows, cols, values) of an operator over its pairs m <= n, ascending
+    in m * dim + n: a PairPartition's own values, or a dense matrix
+    certified Hermitian, over the pairs where O_mn or O_nm is nonzero, with
+    the entries O_mn (those below the diagonal are their conjugates)."""
+    if isinstance(op, PairPartition):
+        if op.values is None:
+            raise DomainError(f"{name}: the pair set carries no operator values")
+        if op.dim != dim:
+            raise DomainError(f"{name} dim {op.dim} does not match dim {dim}")
+        return op.rows, op.cols, op.values
+    mat = _hermitian(op, dim, name)
+    nonzero = mat != 0
+    rows, cols = np.nonzero(np.triu(nonzero | nonzero.T))
+    return rows, cols, mat[rows, cols]
 
-    Clusters are the greedy clusters of omega_mn = E_m - E_n within omega_tol;
-    the zero cluster collects the diagonal projectors and any degenerate
-    pairs.  Only spectral.energies is read, so a ThermalEnsemble works too.
+
+def _align(rows, cols, values, onto, dim):
+    """(aligned, covered): values of the pairs (rows, cols) placed on the
+    pairs with ascending keys onto (m * dim + n), 0 where absent, and
+    whether every pair found its place."""
+    keys = rows.astype(np.int64) * dim + cols
+    pos = np.searchsorted(onto, keys)
+    found = pos < onto.size
+    found[found] = onto[pos[found]] == keys[found]
+    out = np.zeros(onto.size, dtype=values.dtype)
+    out[pos[found]] = values[found]
+    return out, bool(found.all())
+
+
+def _dense(rows, cols, values, dim):
+    """The Hermitian matrix with these entries on pairs m <= n."""
+    mat = np.zeros((dim, dim), dtype=values.dtype)
+    mat[cols, rows] = values.conj()
+    mat[rows, cols] = values
+    return mat
+
+
+def _diagonal(rows, cols, values):
+    """(levels n, Re O_nn) over the diagonal pairs of an operator."""
+    diag = rows == cols
+    return rows[diag], values[diag].real
+
+
+def trivial_complete_set(spectral, omega_tol=None, op_eig=None):
+    """The eigenpair operators as one PairPartition.
+
+    Clusters are the greedy clusters of all dim^2 gaps omega_mn = E_m - E_n
+    within omega_tol; the zero cluster collects the diagonal projectors and
+    any degenerate pairs.  Without op_eig the set holds every pair and
+    spans operator space.  With op_eig (an eigenbasis matrix, certified
+    Hermitian here) it holds only the pairs where O_mn != 0, with those
+    entries as values: the weighted pair set that every pair sum over O
+    needs, and complete for O and for any operator whose nonzero entries
+    it covers.  Only spectral.energies is read, so a ThermalEnsemble works
+    too.
     """
     energies = spectral.energies
+    dim = energies.size
     if omega_tol is None:
         omega_tol = default_omega_tol(energies)
+    if op_eig is None:
+        rows, cols = np.triu_indices(dim)
+        values = None
+    else:
+        rows, cols, values = _operator_pairs(op_eig, dim)
     gaps = energies[:, None] - energies[None, :]
     reps, labels = cluster_values(gaps.ravel(), omega_tol, symmetric=True)
-    return PairPartition(reps, labels.reshape(gaps.shape))
+    del gaps
+    return PairPartition(reps, rows, cols, labels[rows * dim + cols], dim, values)
+
+
+def _pair_set(op_eig, spectral, omega_tol=None, name="operator"):
+    """op_eig as a weighted pair set: itself when it is one, else
+    trivial_complete_set over its nonzero pairs.  A pair set's clusters are
+    fixed when it is built, so omega_tol applies to a dense op_eig only."""
+    if not isinstance(op_eig, PairPartition):
+        return trivial_complete_set(spectral, omega_tol, op_eig)
+    if omega_tol is not None:
+        raise DomainError("omega_tol cannot re-cluster a pair set; build the set with it")
+    _operator_pairs(op_eig, spectral.energies.size, name)
+    return op_eig
 
 
 def _block_list(blocks):
@@ -243,15 +378,10 @@ def _block_list(blocks):
     return [blocks] if isinstance(blocks, PairPartition) else list(blocks)
 
 
-def _is_saturating(blocks, dim):
-    """True only for exactly one complete PairPartition of this dim: the
-    set for which every bound is an equality."""
-    return (
-        len(blocks) == 1
-        and isinstance(blocks[0], PairPartition)
-        and blocks[0].dim == dim
-        and blocks[0].complete
-    )
+def _is_saturating(blocks, covered):
+    """True only for exactly one PairPartition that covers every nonzero
+    entry of the operator: the set for which every bound is an equality."""
+    return len(blocks) == 1 and isinstance(blocks[0], PairPartition) and covered
 
 
 def group_into_blocks(symmetries, omega_tol=None):
@@ -303,22 +433,24 @@ def block_gram(block, ensemble, op_eig):
     """Thermal Gram matrix and correlator vector of an OperatorBlock against O.
 
     Returns (V, corr) with V[i, j] = <A_i^dag A_j> and corr[j] = <A_j^dag O>;
-    op_eig is the generator in the energy eigenbasis.  A PairPartition's
-    Gram is diagonal, so its weights come from PairPartition.bin instead.
+    op_eig is the generator in the energy eigenbasis, a dense matrix or a
+    weighted PairPartition, and corr runs over its pairs.  A PairPartition's
+    own Gram is diagonal, so its weights come from cluster_weights instead.
     """
     if not isinstance(block, OperatorBlock):
         raise DomainError(f"block_gram takes an OperatorBlock, got {type(block).__name__}")
-    mat = np.asarray(op_eig, dtype=complex)
     dim = ensemble.dim
-    if mat.shape != (dim, dim):
-        raise DomainError(f"operator shape {mat.shape} does not match dim {dim}")
     p = ensemble.weights
     arr = np.stack(block.members)
     if arr.shape[1] != dim:
         raise DomainError(f"block dim {arr.shape[1]} does not match ensemble dim {dim}")
+    rows, cols, values = _operator_pairs(op_eig, dim)
     conj = arr.conj()
     gram = np.einsum("imn,jmn,n->ij", conj, arr, p, optimize=True)
-    corr = np.einsum("jmn,mn,n->j", conj, mat, p, optimize=True)
+    # (m, n) carries O_mn and, off the diagonal, (n, m) carries conj(O_mn)
+    off = rows != cols
+    corr = conj[:, rows, cols] @ (values * p[cols])
+    corr += conj[:, cols[off], rows[off]] @ (values[off].conj() * p[rows[off]])
     return gram, corr
 
 
@@ -357,7 +489,7 @@ def mazur_weight(block, ensemble, op_eig):
 
     The pseudo-inverse quadratic form makes the weight invariant under
     invertible recombination of members and tolerant of dependent members.
-    A PairPartition's weights are partition.bin(p_n |O_mn|^2), one per cluster.
+    A PairPartition's weights are its cluster_weights, one per cluster.
     """
     gram, corr = block_gram(block, ensemble, op_eig)
     return float(_pinv_quadratic(gram, corr[None, :])[0, 0].real)
@@ -397,13 +529,11 @@ def projector_mazur_weight(ensemble, op_eig):
     """D_0(O) for the complete eigenprojector set: sum_n p_n O_nn^2.
 
     This is the classic zero-frequency Mazur weight with every |E_n><E_n| as
-    a conserved quantity; closed form, no Gram inversion.
+    a conserved quantity; closed form, no Gram inversion.  op_eig is a dense
+    eigenbasis matrix or a weighted PairPartition.
     """
-    mat = np.asarray(op_eig)
-    if mat.shape != (ensemble.dim, ensemble.dim):
-        raise DomainError(f"operator shape {mat.shape} does not match dim {ensemble.dim}")
-    diag = np.real(np.diagonal(mat))
-    return float(np.dot(ensemble.weights, diag**2))
+    levels, diag = _diagonal(*_operator_pairs(op_eig, ensemble.dim))
+    return float(np.dot(ensemble.weights[levels], diag**2))
 
 
 def local_cap(a_loc, op, ensemble):

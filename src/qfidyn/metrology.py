@@ -1,16 +1,21 @@
 """Quantum Fisher information and generalized variances of thermal states.
 
-Every function takes the generator as a matrix in the energy eigenbasis plus
-a ThermalEnsemble.  Pair sums run over ordered eigenlevel pairs (m, n) with
-the convention omega_mn = E_m - E_n; pairs whose combined weight falls below
-PAIR_WEIGHT_FLOOR are skipped.
+Every function takes the generator in the energy eigenbasis plus a
+ThermalEnsemble.  The generator is a dense matrix or a weighted
+PairPartition (trivial_complete_set with op_eig): the pairs m <= n with
+O_mn != 0 and their entries.  A dense matrix is certified Hermitian and
+gathered into the same pairs on each call, so both take one code path; a
+sweep over temperatures builds the set once and passes it every time.
+Each pair (m, n) stands for the ordered pairs (m, n) and, off the
+diagonal, (n, m), with O_nm = conj(O_mn) and omega_mn = E_m - E_n; pairs
+whose combined weight falls below PAIR_WEIGHT_FLOOR are skipped.
 
 Lower bounds decompose over frequency blocks, each kind with one coefficient
 function of (t, s, x) = (tanh x, sech x, x) at x = beta omega / 2.  A
 PairPartition evaluates it per pair from the weights themselves,
 t = (p_n - p_m)/(p_n + p_m), s = 2 sqrt(p_n p_m)/(p_n + p_m) and
 x = (ln p_n - ln p_m)/2, and sums each cluster with one bincount; this keeps
-the bounds exactly saturated for the complete partition even when frequency
+the bounds exactly saturated for a complete set even when frequency
 clustering merges nearby gaps, and it is well defined at beta = inf where
 beta * omega arithmetic is not.  Explicit OperatorBlocks use their block
 frequency, which is the honest choice for a user-supplied symmetry set.
@@ -21,21 +26,26 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from .dynsym import (
     OperatorBlock,
     PairPartition,
+    _align,
     _block_list,
+    _dense,
+    _diagonal,
     _is_saturating,
+    _operator_pairs,
+    _pair_set,
     _pinv_quadratic,
     block_gram,
     mazur_weight,
-    trivial_complete_set,
 )
 from .errors import DomainError, NumericError
-from .operators import _hermitian
 from .spectral import PAIR_WEIGHT_FLOOR, default_energy_tol
 
 # Slack for internal inequality certificates (ETH gap assertion).
@@ -44,19 +54,17 @@ INEQ_SLACK = 1e-9
 WITNESS_TOL = 1e-9
 
 
-def _pair_weights(ensemble):
-    """Masked QFI pair weights w_mn = 2 (p_n - p_m)^2 / (p_n + p_m)."""
-    p = ensemble.weights
-    pn = p[None, :]
-    pm = p[:, None]
-    tot = pn + pm
-    mask = tot >= PAIR_WEIGHT_FLOOR
-    safe = np.where(mask, tot, 1.0)
-    return np.where(mask, 2.0 * (pn - pm) ** 2 / safe, 0.0)
+def _qfi_pair_weights(p, rows, cols):
+    """(p_n - p_m)^2 / (p_n + p_m) over the pairs, 0 below PAIR_WEIGHT_FLOOR."""
+    pm, pn = p[rows], p[cols]
+    tot = pm + pn
+    pn -= pm
+    pn *= pn
+    return np.divide(pn, tot, out=np.zeros_like(tot), where=tot >= PAIR_WEIGHT_FLOOR)
 
 
-def _pair_tanh(ensemble):
-    """tanh(beta omega_mn / 2) over all pairs, computed from beta and the gaps.
+def _half_tanh(ensemble, rows, cols):
+    """tanh(beta omega_mn / 2) over the pairs, computed from beta and the gaps.
 
     At beta = inf every gap within the degeneracy tolerance is 0, the rule
     gibbs_weights uses to spread the ground weight, so inf * 0 never occurs
@@ -64,7 +72,7 @@ def _pair_tanh(ensemble):
     beta a tiny gap gives a tiny, exact tanh and is left alone.
     """
     e = ensemble.energies
-    omega = e[:, None] - e[None, :]
+    omega = e[rows] - e[cols]
     with np.errstate(invalid="ignore", over="ignore"):
         t = np.tanh(ensemble.beta * omega / 2.0)
     if math.isinf(ensemble.beta):
@@ -76,31 +84,35 @@ def _pair_tanh(ensemble):
 
 def qfi_spectral(op_eig, ensemble):
     """QFI of the thermal state under the generator O:
-    sum over pairs of 2 (p_n - p_m)^2 / (p_n + p_m) |<E_m|O|E_n>|^2."""
-    mat = _hermitian(op_eig, ensemble.dim)
-    return float(np.sum(_pair_weights(ensemble) * np.abs(mat) ** 2))
+    sum over ordered pairs of 2 (p_n - p_m)^2 / (p_n + p_m) |<E_m|O|E_n>|^2,
+    that is 4 sum over pairs m <= n of the same (diagonal terms vanish)."""
+    rows, cols, values = _operator_pairs(op_eig, ensemble.dim)
+    w = _qfi_pair_weights(ensemble.weights, rows, cols)
+    w *= np.abs(values) ** 2
+    return float(4.0 * np.sum(w))
 
 
 def qfi_via_susceptibility(op_eig, ensemble):
     """QFI through the dissipative-susceptibility route:
-    sum of 2 tanh(beta omega_mn / 2) (p_n - p_m) |O_mn|^2.
+    sum over ordered pairs of 2 tanh(beta omega_mn / 2) (p_n - p_m) |O_mn|^2.
 
     Distinct floating-point path from qfi_spectral (tanh is evaluated from
     beta and the gaps); equality of the two routes is the
     fluctuation-dissipation consistency check.
     """
-    mat = _hermitian(op_eig, ensemble.dim)
+    rows, cols, values = _operator_pairs(op_eig, ensemble.dim)
     p = ensemble.weights
-    t = _pair_tanh(ensemble)
-    return float(np.sum(2.0 * t * (p[None, :] - p[:, None]) * np.abs(mat) ** 2))
+    t = _half_tanh(ensemble, rows, cols)
+    return float(4.0 * np.sum(t * (p[cols] - p[rows]) * np.abs(values) ** 2))
 
 
 def qfi_via_structure_factor(op_eig, ensemble):
     """QFI through the structure-factor route:
-    sum of 4 tanh^2(beta omega_mn / 2) p_n |O_mn|^2."""
-    mat = _hermitian(op_eig, ensemble.dim)
-    t = _pair_tanh(ensemble)
-    return float(np.sum(4.0 * t**2 * ensemble.weights[None, :] * np.abs(mat) ** 2))
+    sum over ordered pairs of 4 tanh^2(beta omega_mn / 2) p_n |O_mn|^2."""
+    rows, cols, values = _operator_pairs(op_eig, ensemble.dim)
+    p = ensemble.weights
+    t = _half_tanh(ensemble, rows, cols)
+    return float(4.0 * np.sum(t**2 * (p[cols] + p[rows]) * np.abs(values) ** 2))
 
 
 def qfi_from_structure_comb(comb, beta):
@@ -144,17 +156,15 @@ def _qv_coeff_from_x(x):
     return np.where(small, series, exact)
 
 
-# Coefficient of each bound kind as a function of (t, s, x) = (tanh x, sech x, x).
+# Coefficient of each bound kind as a function of r.t, r.s, r.x =
+# tanh x, sech x, x.
 _COEFFS = {
-    "qfi": lambda t, s, x: 4.0 * t**2,
-    "skew": lambda t, s, x: 1.0 - s,
-    "qv": lambda t, s, x: _qv_coeff_from_x(x),
-    "eth_lower": lambda t, s, x: 4.0,
-    "eth_gap": lambda t, s, x: 4.0 * s**2,
+    "qfi": lambda r: 4.0 * r.t**2,
+    "skew": lambda r: 1.0 - r.s,
+    "qv": lambda r: _qv_coeff_from_x(r.x),
+    "eth_lower": lambda r: 4.0,
+    "eth_gap": lambda r: 4.0 * r.s**2,
 }
-
-# Entries per row chunk of the pair coefficients: bounds the temporaries.
-_PAIR_CHUNK = 1 << 16
 
 
 def _block_coefficient(coeff, beta, omega):
@@ -163,27 +173,48 @@ def _block_coefficient(coeff, beta, omega):
         return 0.0
     x = beta * omega / 2.0
     with np.errstate(over="ignore"):
-        return float(coeff(np.tanh(x), 1.0 / np.cosh(x), x))
+        return float(coeff(SimpleNamespace(t=np.tanh(x), s=1.0 / np.cosh(x), x=x)))
 
 
-def _pair_coefficients(coeff, ensemble):
-    """coeff(t, s, x) * p_n over all pairs (m, n), 0 below PAIR_WEIGHT_FLOOR,
-    with t, s and x taken from the weights (module docstring)."""
-    p, lw = ensemble.weights, ensemble.log_weights
-    pn, ln = p[None, :], lw[None, :]
-    out = np.empty((p.size, p.size))
-    step = max(1, _PAIR_CHUNK // p.size)
-    for lo in range(0, p.size, step):
-        pm, lm = p[lo : lo + step, None], lw[lo : lo + step, None]
-        tot = pn + pm
-        mask = tot >= PAIR_WEIGHT_FLOOR
-        tot = np.where(mask, tot, 1.0)
-        with np.errstate(invalid="ignore"):
-            t = (pn - pm) / tot
-            s = 2.0 * np.sqrt(pn * pm) / tot
-            x = (ln - lm) / 2.0
-            out[lo : lo + step] = np.where(mask, coeff(t, s, x) * pn, 0.0)
-    return out
+class _PairRatios:
+    """t, s and x of the module docstring over the pairs (m, n) of a set,
+    each formed on first use: most bound kinds read only one of them."""
+
+    def __init__(self, ensemble, part, pm, pn, tot):
+        self._lw, self._part = ensemble.log_weights, part
+        self._pm, self._pn, self._tot = pm, pn, tot
+
+    @cached_property
+    def t(self):
+        return (self._pn - self._pm) / self._tot
+
+    @cached_property
+    def s(self):
+        return 2.0 * np.sqrt(self._pn * self._pm) / self._tot
+
+    @cached_property
+    def x(self):
+        return (self._lw[self._part.cols] - self._lw[self._part.rows]) / 2.0
+
+
+def _pair_coefficient_terms(coeff, ensemble, part, abs2):
+    """(forward, backward): coeff p_n |O_mn|^2 for each pair (m, n) of part
+    and coeff p_m |O_mn|^2 for its mirror, 0 below PAIR_WEIGHT_FLOOR, with
+    coeff of (t, s, x) taken from the weights (module docstring).  Every
+    coefficient is even in (t, x), and s is symmetric, so the mirror
+    shares the coefficient of its pair."""
+    p = ensemble.weights
+    pm, pn = p[part.rows], p[part.cols]
+    tot = pn + pm
+    mask = tot >= PAIR_WEIGHT_FLOOR
+    np.copyto(tot, 1.0, where=~mask)
+    with np.errstate(invalid="ignore"):
+        c = np.where(mask, coeff(_PairRatios(ensemble, part, pm, pn, tot)), 0.0)
+    pn *= c
+    pn *= abs2
+    pm *= c
+    pm *= abs2
+    return pn, pm
 
 
 def _bound_over_blocks(blocks, ensemble, op_eig, kind):
@@ -193,34 +224,41 @@ def _bound_over_blocks(blocks, ensemble, op_eig, kind):
     vanishes).  Returns (total, per-frequency dict in ascending omega,
     saturated flag).
     """
-    mat = _hermitian(op_eig, ensemble.dim)
     coeff = _COEFFS[kind]
     blocks = _block_list(blocks)
-    per = {}
+    omegas, terms = [np.zeros(0)], [np.zeros(0)]
+    covered = False
     for block in blocks:
         if isinstance(block, PairPartition):
-            terms = block.bin(_pair_coefficients(coeff, ensemble) * np.abs(mat) ** 2)
-            terms[block.omegas == 0.0] = 0.0
-            items = zip(block.omegas.tolist(), terms.tolist())
+            values, covered = block.aligned(op_eig)
+            binned = block.bin(
+                *_pair_coefficient_terms(coeff, ensemble, block, np.abs(values) ** 2)
+            )
+            binned[block.omegas == 0.0] = 0.0
+            omegas.append(block.omegas)
+            terms.append(binned)
         elif isinstance(block, OperatorBlock):
             c = _block_coefficient(coeff, ensemble.beta, block.omega)
-            items = [(block.omega, c * mazur_weight(block, ensemble, mat) if c != 0.0 else 0.0)]
+            omegas.append([block.omega])
+            terms.append([c * mazur_weight(block, ensemble, op_eig) if c != 0.0 else 0.0])
         else:
             raise DomainError(f"unknown block type {type(block).__name__}")
-        for omega, term in items:
-            per[omega] = per.get(omega, 0.0) + term
-    per = dict(sorted(per.items()))
+    # blocks sharing a frequency add up, in block order
+    keys, inverse = np.unique(np.concatenate(omegas), return_inverse=True)
+    summed = np.bincount(inverse, np.concatenate(terms), minlength=keys.size)
+    per = dict(zip(keys.tolist(), summed.tolist()))
     total = float(sum(per.values()))
-    return total, per, _is_saturating(blocks, ensemble.dim)
+    return total, per, _is_saturating(blocks, covered)
 
 
 @dataclass(frozen=True)
 class QfiReport:
     """A dynamical-symmetry QFI lower bound with its frequency breakdown.
 
-    value is the bound; per_frequency maps each block frequency to its
-    contribution 4 tanh^2(beta omega_k / 2) D_k; saturated marks a single
-    complete PairPartition, for which the bound equals the QFI.
+    value is the bound; per_frequency maps each block frequency, ascending,
+    to its contribution 4 tanh^2(beta omega_k / 2) D_k; saturated marks a
+    single PairPartition covering the generator, for which the bound equals
+    the QFI.
     """
 
     value: float
@@ -288,16 +326,42 @@ def eth_thermal_gap(blocks, ensemble, op_eig):
 # ---------------------------------------------------------------------------
 # generalized variances
 
+def _ordered_pair_sum(term, op_eig, ensemble):
+    """sum over ordered pairs (a, b) of term(p_a, p_b, ln p_a, ln p_b) |O_ab|^2,
+    each pair m <= n giving (m, n) and, off the diagonal, (n, m)."""
+    rows, cols, values = _operator_pairs(op_eig, ensemble.dim)
+    p, lw = ensemble.weights, ensemble.log_weights
+    pm, pn, lm, ln = p[rows], p[cols], lw[rows], lw[cols]
+    both = term(pm, pn, lm, ln) + np.where(rows != cols, term(pn, pm, ln, lm), 0.0)
+    return float(np.sum(both * np.abs(values) ** 2))
+
+
 def skew_information(op_eig, ensemble, alpha):
     """Skew information of order alpha:
     sum over pairs of |O_mn|^2 (p_n - p_n^alpha p_m^(1-alpha)), 0 < alpha < 1."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    mat = _hermitian(op_eig, ensemble.dim)
-    p = ensemble.weights
-    cross = (p**alpha)[None, :] * (p ** (1.0 - alpha))[:, None]
-    return float(np.sum(np.abs(mat) ** 2 * (p[None, :] - cross)))
+
+    def term(pm, pn, lm, ln):
+        return pn - pn**alpha * pm ** (1.0 - alpha)
+
+    return _ordered_pair_sum(term, op_eig, ensemble)
+
+
+def _qv_term(pm, pn, lm, ln):
+    """p_n - (p_n - p_m)/ln(p_n/p_m), with a series around p_n = p_m and 0
+    below the weight floor."""
+    mask = pn + pm >= PAIR_WEIGHT_FLOOR
+    with np.errstate(invalid="ignore"):
+        r = ln - lm
+    small = np.abs(r) < 1e-6
+    safe = np.where(small, 1.0, r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        exact = pn - (pn - pm) / safe
+    rs = np.where(small & mask, r, 0.0)
+    series = pm * (rs / 2.0 + rs**2 / 3.0 + rs**3 / 8.0)
+    return np.where(mask, np.where(small, series, exact), 0.0)
 
 
 def quantum_variance(op_eig, ensemble):
@@ -307,23 +371,7 @@ def quantum_variance(op_eig, ensemble):
     The log ratio comes from the stored log weights, with a series around
     p_n = p_m; pairs below the weight floor are skipped.
     """
-    mat = _hermitian(op_eig, ensemble.dim)
-    p = ensemble.weights
-    lw = ensemble.log_weights
-    pn = p[None, :]
-    pm = p[:, None]
-    tot = pn + pm
-    mask = tot >= PAIR_WEIGHT_FLOOR
-    with np.errstate(invalid="ignore"):
-        r = lw[None, :] - lw[:, None]
-    small = np.abs(r) < 1e-6
-    safe = np.where(small, 1.0, r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        exact = pn - (pn - pm) / safe
-    rs = np.where(small & mask, r, 0.0)
-    series = pm * (rs / 2.0 + rs**2 / 3.0 + rs**3 / 8.0)
-    terms = np.where(mask, np.where(small, series, exact), 0.0)
-    return float(np.sum(np.abs(mat) ** 2 * terms))
+    return _ordered_pair_sum(_qv_term, op_eig, ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +428,29 @@ def _check_commuting(gens):
     return True
 
 
-def qfi_matrix(generators, ensemble):
-    """QFI matrix over a list of eigenbasis generators:
-    [F]_ab = sum over pairs of 2 (p_n-p_m)^2/(p_n+p_m) Re[(O_a)_mn (O_b)_nm]."""
-    gens = [_hermitian(g, ensemble.dim, f"generator {i}") for i, g in enumerate(generators)]
+def _generator_pairs(generators, dim):
+    """Each generator's (rows, cols, values) and the commuting flag."""
+    gens = [_operator_pairs(g, dim, f"generator {i}") for i, g in enumerate(generators)]
     if not gens:
         raise DomainError("need at least one generator")
-    commuting = _check_commuting(gens)
-    w = _pair_weights(ensemble)
+    return gens, _check_commuting([_dense(*g, dim) for g in gens])
+
+
+def qfi_matrix(generators, ensemble):
+    """QFI matrix over a list of eigenbasis generators:
+    [F]_ab = sum over pairs of 2 (p_n-p_m)^2/(p_n+p_m) Re[(O_a)_mn (O_b)_nm],
+    summed over the union of the generators' pairs."""
+    dim = ensemble.dim
+    gens, commuting = _generator_pairs(generators, dim)
+    keys = np.unique(np.concatenate([r.astype(np.int64) * dim + c for r, c, _ in gens]))
+    vals = [_align(*g, keys, dim)[0] for g in gens]
+    rows, cols = np.divmod(keys, dim)
+    w = 4.0 * _qfi_pair_weights(ensemble.weights, rows, cols)
     d = len(gens)
     out = np.zeros((d, d))
     for a in range(d):
         for b in range(a, d):
-            val = float(np.sum(w * (gens[a] * gens[b].conj()).real))
-            out[a, b] = out[b, a] = val
+            out[a, b] = out[b, a] = float(np.sum(w * (vals[a] * vals[b].conj()).real))
     return QfiMatrix(out, commuting)
 
 
@@ -403,22 +460,26 @@ def qfi_matrix_from_dynsym(blocks, ensemble, generators):
     [D_k]_ab the block's Gram-orthogonalized cross correlators.
 
     Equals qfi_matrix for the trivial complete set; any verified set gives a
-    matrix M with qfi_matrix - M positive semidefinite.
+    matrix M with qfi_matrix - M positive semidefinite.  A PairPartition
+    block sums over its own pairs, so a generator entry outside it is left
+    out.
     """
-    gens = [_hermitian(g, ensemble.dim, f"generator {i}") for i, g in enumerate(generators)]
-    if not gens:
-        raise DomainError("need at least one generator")
-    commuting = _check_commuting(gens)
+    dim = ensemble.dim
+    generators = list(generators)
+    gens, commuting = _generator_pairs(generators, dim)
     d = len(gens)
     coeff = _COEFFS["qfi"]
     total = np.zeros((d, d))
     for block in _block_list(blocks):
         if isinstance(block, PairPartition):
-            pair_coeff = _pair_coefficients(coeff, ensemble)
+            vals = [_align(*g, block.keys, dim)[0] for g in gens]
+            ones = np.ones(block.rows.size)
+            forward, backward = _pair_coefficient_terms(coeff, ensemble, block, ones)
             nonzero = block.omegas != 0.0
             for a in range(d):
                 for b in range(a, d):
-                    binned = block.bin(pair_coeff * (gens[a] * gens[b].conj()).real)
+                    cross = (vals[a] * vals[b].conj()).real
+                    binned = block.bin(forward * cross, backward * cross)
                     val = float(binned[nonzero].sum())
                     total[a, b] += val
                     if b != a:
@@ -427,7 +488,7 @@ def qfi_matrix_from_dynsym(blocks, ensemble, generators):
             c = _block_coefficient(coeff, ensemble.beta, block.omega)
             if c == 0.0:
                 continue
-            grams = [block_gram(block, ensemble, g) for g in gens]
+            grams = [block_gram(block, ensemble, g) for g in generators]
             rows = np.stack([corr for _, corr in grams])
             total += c * _pinv_quadratic(grams[0][0], rows).real
         else:
@@ -441,10 +502,12 @@ def qfi_matrix_from_dynsym(blocks, ensemble, generators):
 def eth_qfi(op_eig, ensemble):
     """QFI of an ETH pure state at this canonical temperature:
     4 (<O^2> - <O>^2), the t = 0 value of the structure-factor integral."""
-    mat = _hermitian(op_eig, ensemble.dim)
+    rows, cols, values = _operator_pairs(op_eig, ensemble.dim)
     p = ensemble.weights
-    second = float(np.einsum("mn,mn,n->", mat.conj(), mat, p).real)
-    mean = float(np.dot(p, np.real(np.diagonal(mat))))
+    both = p[cols] + np.where(rows != cols, p[rows], 0.0)
+    second = float(np.sum(both * np.abs(values) ** 2))
+    levels, diag = _diagonal(rows, cols, values)
+    mean = float(np.dot(p[levels], diag))
     return 4.0 * (second - mean**2)
 
 
@@ -459,12 +522,13 @@ def eth_zero_frequency_correction(op_eig, ensemble, omega_tol=None):
     """The omega = 0 correction 4 (D_0^complete - <O>^2) separating eth_qfi
     from the nonzero-frequency sum: eth_qfi = eth_lower_bound(trivial set)
     + this value.  D_0^complete is the trivial set's zero-cluster weight,
-    degenerate pairs included."""
-    mat = _hermitian(op_eig, ensemble.dim)
-    part = trivial_complete_set(ensemble, omega_tol)
-    weights = part.bin(ensemble.weights[None, :] * np.abs(mat) ** 2)
+    degenerate pairs included.  A weighted pair set brings its own
+    clusters, so omega_tol applies to a dense op_eig only."""
+    part = _pair_set(op_eig, ensemble, omega_tol)
+    weights = part.cluster_weights(ensemble, part.values)
     d0 = float(weights[part.omegas == 0.0].sum())
-    mean = float(np.dot(ensemble.weights, np.real(np.diagonal(mat))))
+    levels, diag = _diagonal(part.rows, part.cols, part.values)
+    mean = float(np.dot(ensemble.weights[levels], diag))
     return 4.0 * (d0 - mean**2)
 
 

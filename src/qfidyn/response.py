@@ -7,9 +7,12 @@ are sums of delta peaks.  A FrequencyComb stores the Kronecker-side weights
 from the documented conversion S(omega) = 2 pi sum_k s_k delta(omega - w_k),
 and likewise for the other kinds, so no 2 pi factors live in the data.
 
-Every comb bins its per-pair weights over trivial_complete_set with the
-same tolerance as the dynamical-symmetry machinery, so comb frequencies
-align bin-for-bin with the trivial complete set's cluster frequencies.
+Every comb bins its per-pair weights over a weighted pair set: the operator
+itself when it is one, else trivial_complete_set over its nonzero pairs with
+the same tolerance as the dynamical-symmetry machinery.  Comb frequencies
+therefore align bin-for-bin with the trivial complete set's cluster
+frequencies, and pairs where O_mn = 0, which carry no weight, are never
+visited.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ from .dynsym import (
     OperatorBlock,
     PairPartition,
     _block_list,
+    _diagonal,
     _is_saturating,
+    _pair_set,
     default_omega_tol,
     mazur_weight,
-    trivial_complete_set,
 )
 from .errors import DomainError, NumericError
-from .operators import _hermitian
 
 KINDS = ("response", "structure", "susceptibility", "cross")
 
@@ -126,13 +129,13 @@ def response_comb(op_eig, ensemble, omega_tol=None):
     """Dynamical-response comb: g(omega_k) = sum over the cluster of
     p_n |<E_m|O|E_n>|^2.
 
-    Zero-weight entries are dropped except at omega = 0, which is always
-    kept (as in structure_factor_comb); weights are nonnegative by
-    construction.
+    op_eig is a dense eigenbasis matrix or a weighted pair set, which
+    brings its own clusters (omega_tol then stays None).  Zero-weight
+    entries are dropped except at omega = 0, which is always kept (as in
+    structure_factor_comb); weights are nonnegative by construction.
     """
-    mat = _hermitian(op_eig, ensemble.dim)
-    part = trivial_complete_set(ensemble, omega_tol)
-    binned = part.bin(ensemble.weights[None, :] * np.abs(mat) ** 2)
+    part = _pair_set(op_eig, ensemble, omega_tol)
+    binned = part.cluster_weights(ensemble, part.values)
     keep = (binned != 0.0) | (part.omegas == 0.0)
     return FrequencyComb(part.omegas[keep], binned[keep], "response")
 
@@ -141,17 +144,18 @@ def structure_factor_comb(op_eig, ensemble, omega_tol=None):
     """Structure-factor comb: s(omega_k) = g(omega_k) + g(-omega_k) for
     omega_k != 0 and s(0) = 2 g(0) - 2 <O>^2.
 
-    The connected zero peak can round slightly negative; values within
-    NEG_WEIGHT_TOL (relative) are clamped to 0 and counted in clamped.
-    Dirac-side convention: S(omega) = 2 pi sum_k s_k delta(omega - omega_k).
+    op_eig and omega_tol are as for response_comb.  The connected zero peak
+    can round slightly negative; values within NEG_WEIGHT_TOL (relative)
+    are clamped to 0 and counted in clamped.  Dirac-side convention:
+    S(omega) = 2 pi sum_k s_k delta(omega - omega_k).
     """
-    mat = _hermitian(op_eig, ensemble.dim)
+    part = _pair_set(op_eig, ensemble, omega_tol)
     p = ensemble.weights
-    part = trivial_complete_set(ensemble, omega_tol)
     reps = part.omegas
-    g = part.bin(p[None, :] * np.abs(mat) ** 2)
+    g = part.cluster_weights(ensemble, part.values)
     s = g + g[::-1]
-    mean = float(np.dot(p, np.real(np.diagonal(mat))))
+    levels, diag = _diagonal(part.rows, part.cols, part.values)
+    mean = float(np.dot(p[levels], diag))
     zero = np.flatnonzero(reps == 0.0)
     if zero.size != 1:
         raise NumericError("clustering produced no unique zero-frequency bin")
@@ -184,15 +188,19 @@ def cross_response_comb(opa_eig, opb_eig, ensemble, omega_tol=None):
     """Cross-response comb with complex weights
     sum over the cluster of p_n <E_m|O_a|E_n><E_n|O_b|E_m>.
 
-    Reduces to response_comb when both operators coincide; swapping the
-    operators conjugates every weight.
+    The sum runs over the pair set of O_a (O_a itself when it is one; every
+    other term vanishes) with O_b's entries aligned onto it.  Reduces to
+    response_comb when both operators coincide; swapping the operators
+    conjugates every weight.
     """
-    dim = ensemble.dim
-    mat_a = _hermitian(opa_eig, dim, "first operator")
-    mat_b = _hermitian(opb_eig, dim, "second operator")
-    values = ensemble.weights[None, :] * mat_a * mat_b.conj()
-    part = trivial_complete_set(ensemble, omega_tol)
-    w = part.bin(values.real) + 1j * part.bin(values.imag)
+    part = _pair_set(opa_eig, ensemble, omega_tol, "first operator")
+    a = part.values
+    b, _ = part.aligned(opb_eig, "second operator")
+    p = ensemble.weights
+    # (m, n) carries p_n a_mn conj(b_mn) and (n, m) p_m conj(a_mn) b_mn
+    forward = p[part.cols] * a * b.conj()
+    backward = p[part.rows] * (a.conj() * b)
+    w = part.bin(forward.real, backward.real) + 1j * part.bin(forward.imag, backward.imag)
     keep = w != 0.0
     return FrequencyComb(part.omegas[keep], w[keep], "cross")
 
@@ -203,8 +211,8 @@ class BoundCheckReport:
 
     rows holds (omega_k, g, D_k, margin) with margin = g - D_k, one row per
     OperatorBlock and per partition cluster; equality is set when the
-    blocks are the trivial complete pair partition alone, in which case
-    every margin is zero up to rounding.
+    blocks are one pair partition alone that covers every nonzero entry of
+    the operator, in which case every margin is zero up to rounding.
     """
 
     rows: tuple
@@ -229,10 +237,11 @@ def comb_bound_check(comb, blocks, ensemble, op_eig, atol=1e-10):
     blocks = _block_list(blocks)
     match_tol = default_omega_tol(ensemble.energies)
     rows = []
+    covered = False
     for block in blocks:
         if isinstance(block, PairPartition):
-            mat = _hermitian(op_eig, ensemble.dim)
-            weights = block.bin(ensemble.weights[None, :] * np.abs(mat) ** 2)
+            values, covered = block.aligned(op_eig)
+            weights = block.cluster_weights(ensemble, values)
             items = zip(block.omegas.tolist(), weights.tolist())
         elif isinstance(block, OperatorBlock):
             items = [(block.omega, mazur_weight(block, ensemble, op_eig))]
@@ -245,4 +254,4 @@ def comb_bound_check(comb, blocks, ensemble, op_eig, atol=1e-10):
     if bad:
         listing = "; ".join(f"omega={o:.6g}: g={g:.6e} < D={d:.6e}" for o, g, d, _ in bad)
         raise NumericError(f"response comb violates the Mazur bound at {listing}")
-    return BoundCheckReport(tuple(rows), _is_saturating(blocks, ensemble.dim))
+    return BoundCheckReport(tuple(rows), _is_saturating(blocks, covered))

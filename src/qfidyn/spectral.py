@@ -24,7 +24,7 @@ weight ratios exact even when the weights themselves underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -102,16 +102,19 @@ class SpectralDecomposition:
     subspaces as (basis indices, eigen-column indices) pairs: vectors is
     zero outside the rows x columns of its blocks, and each index kind
     partitions range(dim).  The default is one block holding everything.
+    vectors is copied before it is frozen, except when diagonalize hands
+    over a fresh array of its own (_fresh).
     """
 
     energies: np.ndarray
     vectors: np.ndarray
     energy_tol: float = field(default=None)
     blocks: tuple = field(default=None)
+    _fresh: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh):
         e = np.array(self.energies, dtype=float)
-        u = _real_if_exact(np.array(self.vectors))
+        u = _real_if_exact(self.vectors if _fresh else np.array(self.vectors))
         if e.ndim != 1 or u.shape != (e.size, e.size):
             raise DomainError(
                 f"inconsistent decomposition shapes: energies {e.shape}, vectors {u.shape}"
@@ -251,7 +254,7 @@ def diagonalize(hamiltonian, energy_tol=None):
             f"eigendecomposition does not reconstruct the input: "
             f"max deviation {rec_dev:.3e} against scale {scale:.3e}"
         )
-    return SpectralDecomposition(energies, vectors, energy_tol, tuple(blocks))
+    return SpectralDecomposition(energies, vectors, energy_tol, tuple(blocks), _fresh=True)
 
 
 @dataclass(frozen=True)

@@ -156,15 +156,19 @@ def test_trivial_set_partitions_all_pairs():
     _, _, spectral, _, _ = two_qubit_setup()
     part = trivial_complete_set(spectral)
     assert part.complete and part.dim == 4
-    assert part.labels.shape == (4, 4)
+    assert part.labels.shape == (10,)  # the pairs m <= n of 4 levels
     omegas = part.omegas.tolist()
     assert omegas == sorted(omegas)
     assert np.allclose(omegas, [-4, -3, -2, -1, 0, 1, 2, 3, 4])
     zero = np.flatnonzero(part.omegas == 0.0)
     assert zero.size == 1 and np.count_nonzero(part.labels == zero[0]) == 4
     gaps = spectral.energies[:, None] - spectral.energies[None, :]
-    spread = np.abs(gaps - part.omegas[part.labels]).max()
-    assert spread <= default_omega_tol(spectral.energies)
+    tol = default_omega_tol(spectral.energies)
+    assert np.abs(gaps[part.rows, part.cols] - part.omegas[part.labels]).max() <= tol
+    # the mirrored pair (n, m) lies in the mirrored cluster
+    off = part.rows != part.cols
+    mirrored = part.omegas[part.mirror[off]]
+    assert np.abs(gaps[part.cols[off], part.rows[off]] - mirrored).max() <= tol
 
 
 @given(dim=st.integers(2, 12), seed=st.integers(0, 10_000))
@@ -174,8 +178,9 @@ def test_trivial_set_complete_for_random_spectra(dim, seed):
     part = trivial_complete_set(spectral)
     assert part.complete and part.dim == dim
     assert np.count_nonzero(part.omegas == 0.0) == 1
-    # every pair lands in exactly one cluster, so the cluster sizes add up
-    assert part.bin(np.ones((dim, dim))).sum() == dim * dim
+    # every ordered pair lands in exactly one cluster, so the sizes add up
+    ones = np.ones(part.rows.size)
+    assert part.bin(ones, ones).sum() == dim * dim
 
 
 def test_trivial_set_accepts_an_ensemble():
@@ -186,29 +191,53 @@ def test_trivial_set_accepts_an_ensemble():
     assert np.array_equal(from_ens.labels, from_spec.labels)
 
 
-def test_partition_bin_drops_left_out_pairs():
-    part = PairPartition(np.array([-1.0, 0.0, 1.0]), np.array([[1, 2], [-1, 1]]))
-    assert not part.complete
-    values = np.array([[1.0, 10.0], [100.0, 1000.0]])
-    assert part.bin(values).tolist() == [0.0, 1001.0, 10.0]
+def test_trivial_set_for_an_operator_holds_its_nonzero_pairs():
+    _, _, spectral, _, o_eig = two_qubit_setup()
+    full = trivial_complete_set(spectral)
+    pairs = trivial_complete_set(spectral, op_eig=o_eig)
+    upper = np.triu(o_eig != 0)
+    assert np.array_equal(pairs.keys, np.flatnonzero(upper))
+    assert np.array_equal(pairs.values, o_eig[pairs.rows, pairs.cols])
+    assert not pairs.complete and pairs.rows.size < full.rows.size
+    # labels are the full set's labels of the same pairs
+    at = np.searchsorted(full.keys, pairs.keys)
+    assert np.array_equal(pairs.labels, full.labels[at])
     with pytest.raises(DomainError):
-        part.bin(np.ones((3, 3)))
+        trivial_complete_set(spectral, op_eig=o_eig + np.triu(o_eig, 1))
+
+
+def test_partition_bin_drops_left_out_pairs():
+    # pairs (0, 1) and (1, 1) of dim 2; (0, 0) is left out
+    part = PairPartition(np.array([-1.0, 0.0, 1.0]), [0, 1], [1, 1], [2, 1], 2)
+    assert not part.complete
+    # (0, 1) -> cluster 2, its mirror (1, 0) -> cluster 0; (1, 1) has no mirror
+    assert part.bin([10.0, 1000.0], [100.0, 7.0]).tolist() == [100.0, 1000.0, 10.0]
+    with pytest.raises(DomainError):
+        part.bin(np.ones(3), np.ones(3))
 
 
 def test_partition_validates_its_fields():
     omegas = np.array([-1.0, 0.0, 1.0])
+    good = ([0, 0], [0, 1], [1, 0], 2)
+    assert PairPartition(omegas, *good).rows.size == 2
+    bad = [
+        (np.array([-1.0, 0.5, 1.0]), *good),  # not sign-symmetric
+        (np.array([-1.0, 1.0]), *good),  # no zero cluster
+        (omegas, [0, 0], [0, 1], [1.0, 0.0], 2),  # float labels
+        (omegas, [0, 0], [0, 1, 1], [1, 0], 2),  # unequal sizes
+        (omegas, [0, 0], [0, 1], [1, 3], 2),  # label out of range
+        (omegas, [0, 0], [0, 1], [1, -1], 2),  # negative label
+        (omegas, [1, 0], [0, 1], [1, 0], 2),  # m > n
+        (omegas, [0, 0], [1, 0], [0, 1], 2),  # not ascending
+        (omegas, [0, 0], [1, 1], [0, 0], 2),  # a pair twice
+        (omegas, [0, 0], [0, 2], [1, 0], 2),  # n out of range
+        (omegas, [0, 0], [0, 1], [1, 0], 0),  # no levels
+    ]
+    for args in bad:
+        with pytest.raises(DomainError):
+            PairPartition(*args)
     with pytest.raises(DomainError):
-        PairPartition(np.array([-1.0, 0.5, 1.0]), np.zeros((2, 2), dtype=int))
-    with pytest.raises(DomainError):
-        PairPartition(np.array([-1.0, 1.0]), np.zeros((2, 2), dtype=int))
-    with pytest.raises(DomainError):
-        PairPartition(omegas, np.zeros((2, 2)))
-    with pytest.raises(DomainError):
-        PairPartition(omegas, np.zeros((2, 3), dtype=int))
-    with pytest.raises(DomainError):
-        PairPartition(omegas, np.array([[0, 3], [1, 1]]))
-    with pytest.raises(DomainError):
-        PairPartition(omegas, np.array([[0, -2], [1, 1]]))
+        PairPartition(omegas, *good, values=np.ones(3))
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,18 @@ def random_case(rng, dim, beta, scale=1.0):
 
 
 def keep_clusters(part, keep):
-    """The partition with the pairs of every cluster k where not keep[k] left out."""
-    return PairPartition(part.omegas, np.where(keep[part.labels], part.labels, -1))
+    """The partition with every pair (m, n) whose cluster k has not keep[k]
+    left out, its mirror (n, m) with it."""
+    mask = keep[part.labels]
+    return PairPartition(
+        part.omegas, part.rows[mask], part.cols[mask], part.labels[mask], part.dim
+    )
 
 
 def first_half(part):
-    return keep_clusters(part, np.arange(part.omegas.size) < part.omegas.size // 2)
+    """The first half of the clusters a pair m <= n can fall in (omega_mn
+    <= 0 there): the pairs with the widest gaps, and their mirrors."""
+    return keep_clusters(part, np.arange(part.omegas.size) < part.omegas.size // 4)
 
 
 def two_qubit_case(field=0.5, beta=1.0):
@@ -374,7 +380,7 @@ def test_saturation_certificate_is_honest(dim, beta, seed):
     direct = qfi_spectral(o_eig, ens)
     part = trivial_complete_set(spectral)
     keep = rng.random(part.omegas.size) < 0.5
-    keep[rng.integers(part.omegas.size)] = False
+    keep[rng.choice(part.labels)] = False  # a cluster that holds a pair
     dropped = keep_clusters(part, keep)
     for blocks, should_saturate in ((part, True), (dropped, False), ([part, part], False)):
         report = qfi_from_dynsym(blocks, ens, o_eig)
@@ -384,23 +390,28 @@ def test_saturation_certificate_is_honest(dim, beta, seed):
 
 
 def test_duplicated_pair_is_not_certified():
-    # dim 3, beta = 1: the pair (2, 1) swapped for a second copy of (1, 0).
+    # dim 3, beta = 1: the pair (1, 2) swapped for a second copy of (0, 1).
     # A lone partition cannot hold a pair twice, so the copy has to come as
-    # an explicit block, and the set then claims no saturation even though
-    # its value exceeds the QFI.
+    # explicit blocks, one per direction, and the set then claims no
+    # saturation even though its value exceeds the QFI.
     rng = np.random.default_rng(3)
     _, spectral, ens, _, o_eig = random_case(rng, 3, 1.0)
     part = trivial_complete_set(spectral)
-    labels = np.array(part.labels)
-    labels[2, 1] = -1
-    copy = np.zeros((3, 3), dtype=complex)
-    copy[1, 0] = 1.0
+    keep = part.keys != 1 * 3 + 2
+    swapped = PairPartition(
+        part.omegas, part.rows[keep], part.cols[keep], part.labels[keep], part.dim
+    )
     e = spectral.energies
-    blocks = [PairPartition(part.omegas, labels), OperatorBlock(e[1] - e[0], (copy,))]
+    copies = []
+    for m, n in ((1, 0), (0, 1)):
+        copy = np.zeros((3, 3), dtype=complex)
+        copy[m, n] = 1.0
+        copies.append(OperatorBlock(e[m] - e[n], (copy,)))
+    blocks = [swapped, *copies]
     report = qfi_from_dynsym(blocks, ens, o_eig)
     direct = qfi_spectral(o_eig, ens)
     assert math.isclose(direct, 2.0049, abs_tol=1e-4)
-    assert math.isclose(report.value, 2.2347, abs_tol=1e-4)
+    assert math.isclose(report.value, 2.2837, abs_tol=1e-4)
     assert not report.saturated
 
 

@@ -241,13 +241,16 @@ def test_bound_check_flags_inflated_block(rng):
     part = trivial_complete_set(spectral)
     gaps = spectral.energies[:, None] - spectral.energies[None, :]
     (m1, n1), (m2, n2) = np.argwhere(gaps > 0)[:2]
-    assert part.labels[m1, n1] != part.labels[m2, n2]
+    # the cluster of (m, n) is the mirror of its pair (n, m) with n < m
+    cluster = {(m, n): part.mirror[np.searchsorted(part.keys, n * 4 + m)] for m, n in
+               ((m1, n1), (m2, n2))}
+    assert cluster[m1, n1] != cluster[m2, n2]
     members = []
     for m, n in ((m1, n1), (m2, n2)):
         op = np.zeros((4, 4), dtype=complex)
         op[m, n] = 1.0
         members.append(op)
-    mixed = OperatorBlock(part.omegas[part.labels[m1, n1]], tuple(members))
+    mixed = OperatorBlock(part.omegas[cluster[m1, n1]], tuple(members))
     comb = response_comb(o_eig, ens)
     with pytest.raises(NumericError) as err:
         comb_bound_check(comb, [mixed], ens, o_eig)
@@ -260,8 +263,10 @@ def test_bound_check_equality_needs_one_complete_partition(rng):
     comb = response_comb(o_eig, ens)
     assert comb_bound_check(comb, part, ens, o_eig).equality
     assert comb_bound_check(comb, [part], ens, o_eig).equality
-    left_out = np.where(part.labels == part.labels.max(), -1, part.labels)
-    partial = PairPartition(part.omegas, left_out)
+    kept = part.labels != part.labels.min()
+    partial = PairPartition(
+        part.omegas, part.rows[kept], part.cols[kept], part.labels[kept], part.dim
+    )
     assert not comb_bound_check(comb, partial, ens, o_eig).equality
     # an explicit block never certifies equality, even one that is exact
     gaps = spectral.energies[:, None] - spectral.energies[None, :]

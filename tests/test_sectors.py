@@ -1,9 +1,13 @@
-"""Differential tests for the sector-blocked diagonalization.
+"""Differential tests for the sector-blocked diagonalization and the
+weighted pair set.
 
 diagonalize splits H along the connected components of its nonzero pattern.
 Every quantity must agree with the dense route: np.linalg.eigvalsh of the
 whole matrix, the dense product V^dag O V, the density-matrix oracles, and,
-for the XX chains, a decomposition built from one dense eigh.
+for the XX chains, a decomposition built from one dense eigh.  The pair set
+of a block-sparse operator holds only its nonzero pairs; every route, bound
+and comb evaluated on it must match the oracles, the same quantity on the
+dense matrix, and the set of all pairs.
 """
 
 import math
@@ -20,16 +24,40 @@ from qfidyn import (
     SpectralDecomposition,
     SpinChainSpec,
     build_xx_hamiltonian,
+    comb_bound_check,
+    cross_response_comb,
     diagonalize,
+    eth_lower_bound,
+    eth_qfi,
+    eth_qfi_from_comb,
+    eth_thermal_gap,
+    eth_zero_frequency_correction,
     gibbs_weights,
     local_generator,
     qfi_from_dynsym,
+    qfi_from_structure_comb,
+    qfi_from_susceptibility_comb,
     qfi_spectral,
     qfi_via_structure_factor,
     qfi_via_susceptibility,
+    quantum_variance,
+    qv_lower_bound,
+    response_comb,
+    skew_information,
+    skew_lower_bound,
+    structure_factor_comb,
+    susceptibility_comb,
     trivial_complete_set,
 )
-from oracles import eigh_thermal_state, qfi_oracle, random_hermitian, thermal_state
+from oracles import (
+    eigh_thermal_state,
+    qfi_oracle,
+    qv_oracle,
+    random_hermitian,
+    skew_oracle,
+    thermal_state,
+    variance_oracle,
+)
 
 BETAS = (0.0, 1e-12, 1.0, 1e8, math.inf)
 
@@ -131,6 +159,118 @@ def test_block_routes_match_the_density_matrix_oracle(params, beta):
     report = qfi_from_dynsym(trivial_complete_set(spectral), ens, o_eig)
     assert report.saturated
     assert abs(report.value - direct) <= tol
+
+
+def close(a, b, scale, rtol=1e-10):
+    return abs(a - b) <= rtol * max(1.0, abs(scale))
+
+
+@given(params=case, beta=st.sampled_from(BETAS))
+def test_pair_set_matches_the_oracles_the_dense_matrix_and_all_pairs(params, beta):
+    h, sets = block_case(**params)
+    spectral = diagonalize(h)
+    ens = gibbs_weights(spectral, beta)
+    rng = np.random.default_rng(params["seed"] + 2)
+    o = block_sparse_operator(rng, sets, params["is_complex"])
+    o_eig = spectral.to_eigenbasis(o)
+    pairs = trivial_complete_set(spectral, op_eig=o_eig)
+    everything = trivial_complete_set(spectral)
+    rho = eigh_thermal_state(h, beta) if beta == 1e8 else thermal_state(h, beta)
+    # the conditioning term of test_block_routes_match_the_density_matrix_oracle
+    eps = np.abs(spectral.energies - np.linalg.eigvalsh(h)).max()
+    eps += 4 * np.finfo(float).eps * max(1.0, float(np.abs(spectral.energies).max()))
+    second = float(np.sum(ens.weights[None, :] * np.abs(o_eig) ** 2))
+    conditioning = 24.0 * beta * eps * second if math.isfinite(beta) else 0.0
+
+    direct = qfi_spectral(pairs, ens)
+    want = qfi_oracle(rho, o)
+    assert abs(direct - want) <= 1e-10 * max(1.0, want) + conditioning
+    eth = eth_qfi(pairs, ens)
+    assert abs(eth - 4.0 * variance_oracle(rho, o)) <= 1e-10 * max(1.0, eth) + 4 * conditioning
+    skew = skew_information(pairs, ens, 0.5)
+    qv = quantum_variance(pairs, ens)
+    # The fractional-power oracles take rho's eigenvalues to the power alpha,
+    # which turns a rounding-level 1e-17 into 3e-9 once weights underflow,
+    # and the quadrature needs beta * width of a few tens at most.
+    if beta <= 1.0:
+        assert abs(skew - skew_oracle(rho, o, 0.5)) <= 1e-10 * max(1.0, skew)
+        assert abs(qv - qv_oracle(rho, o)) <= 1e-10 * max(1.0, qv)
+
+    # the three routes, on the set and on the dense matrix
+    for op in (pairs, o_eig):
+        for route in (qfi_spectral, qfi_via_susceptibility, qfi_via_structure_factor):
+            assert close(route(op, ens), direct, direct)
+
+    # the five bounds: saturated on the set and on all pairs, dense or not
+    gap = eth - direct
+    for blocks, op in ((pairs, pairs), (pairs, o_eig), (everything, o_eig),
+                       (everything, pairs)):
+        report = qfi_from_dynsym(blocks, ens, op)
+        assert report.saturated
+        assert close(report.value, direct, direct)
+        assert close(skew_lower_bound(blocks, ens, op), skew if beta > 0 else 0.0, skew)
+        assert close(qv_lower_bound(blocks, ens, op), qv, qv)
+        correction = eth_zero_frequency_correction(pairs, ens)
+        assert close(eth_lower_bound(blocks, ens, op) + correction, eth, eth)
+        assert close(eth_thermal_gap(blocks, ens, op) + correction, gap, eth)
+    assert close(eth_zero_frequency_correction(o_eig, ens), correction, eth)
+
+    # the four combs: the set and the dense matrix give the same teeth
+    g, g_dense = response_comb(pairs, ens), response_comb(o_eig, ens)
+    assert np.array_equal(g.omegas, g_dense.omegas)
+    assert np.abs(g.weights - g_dense.weights).max() <= 1e-10 * max(1.0, second)
+    assert close(g.total(), second, second)
+    cross, teeth = cross_response_comb(pairs, o_eig, ens), g.weights != 0
+    assert np.array_equal(cross.omegas, g.omegas[teeth])
+    assert np.abs(cross.weights - g.weights[teeth]).max(initial=0.0) <= 1e-10 * max(1.0, second)
+    s_comb, x_comb = structure_factor_comb(pairs, ens), susceptibility_comb(pairs, ens)
+    assert close(eth_qfi_from_comb(s_comb), eth, eth)
+    # cluster representatives stand in for the gaps: the comb routes' tolerance
+    assert close(qfi_from_structure_comb(s_comb, beta), direct, direct, rtol=1e-6)
+    assert close(qfi_from_susceptibility_comb(x_comb, beta), direct, direct, rtol=1e-6)
+    check = comb_bound_check(g, pairs, ens, pairs)
+    assert check.equality
+    assert max(abs(margin) for *_, margin in check.rows) <= 1e-10 * max(1.0, second)
+
+
+@given(params=case, beta=st.sampled_from(BETAS))
+def test_a_pair_set_certifies_only_operators_it_covers(params, beta):
+    h, sets = block_case(**params)
+    spectral = diagonalize(h)
+    ens = gibbs_weights(spectral, beta)
+    rng = np.random.default_rng(params["seed"] + 3)
+    o1, o2 = (
+        spectral.to_eigenbasis(block_sparse_operator(rng, sets, params["is_complex"]))
+        for _ in range(2)
+    )
+    pairs = trivial_complete_set(spectral, op_eig=o1)
+    nonzero = (o2 != 0) | (o2 != 0).T
+    outside = not np.isin(np.flatnonzero(np.triu(nonzero)), pairs.keys).all()
+    direct = qfi_spectral(o2, ens)
+    comb = response_comb(o2, ens)
+    for op in (o2, trivial_complete_set(spectral, op_eig=o2)):
+        report = qfi_from_dynsym(pairs, ens, op)
+        assert report.saturated == (not outside)
+        assert comb_bound_check(comb, pairs, ens, op).equality == (not outside)
+        assert report.value <= direct + 1e-10 * max(1.0, direct)
+        if report.saturated:
+            assert close(report.value, direct, direct)
+
+
+def test_a_one_sided_entry_counts_for_coverage():
+    # Hermitian to rounding: O_10 = 1e-14 while O_01 is exactly 0, as
+    # to_eigenbasis leaves a few pairs; the pair (0, 1) belongs to O
+    spectral = diagonalize(np.diag([0.0, 1.0, 3.0]))
+    ens = gibbs_weights(spectral, 1.0)
+    o1 = np.diag([1.0, 2.0, 3.0])
+    o1[1, 2] = o1[2, 1] = 0.5
+    o2 = o1.copy()
+    o2[1, 0] = 1e-14
+    pairs = trivial_complete_set(spectral, op_eig=o1)
+    assert 0 * 3 + 1 not in pairs.keys
+    assert 0 * 3 + 1 in trivial_complete_set(spectral, op_eig=o2).keys
+    assert not qfi_from_dynsym(pairs, ens, o2).saturated
+    assert qfi_from_dynsym(pairs, ens, o1).saturated
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
