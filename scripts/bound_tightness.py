@@ -7,14 +7,8 @@ both sides of the level crossing and degrade smoothly as T grows.
 
 import argparse
 
-from qfidyn import (
-    diagonalize,
-    gibbs_weights,
-    qfi_from_dynsym,
-    qfi_spectral,
-    verified_blocks,
-)
-from qfidyn.models import build_preset, preset, regime_subset, two_qubit_symmetry_operators
+from qfidyn import gibbs_weights, qfi_from_dynsym, qfi_spectral, verified_blocks
+from qfidyn.models import preset, regime_subset, solve_preset, two_qubit_symmetry_operators
 
 
 def main():
@@ -26,18 +20,15 @@ def main():
     temps = [float(t) for t in args.temps.split(",")]
     print("field  subset " + "".join(f"  T={t:<7g}" for t in temps))
     for field in (float(f) for f in args.fields.split(",")):
-        model = preset("two-qubit", field=field)
-        h_op, gen = build_preset(model)
-        spectral = diagonalize(h_op.mat)
-        o_eig = spectral.to_eigenbasis(gen.mat)
+        spectral, pairs, h = solve_preset(preset("two-qubit", field=field))
         labels = regime_subset(field)
         ops = two_qubit_symmetry_operators(labels)
-        blocks = verified_blocks(h_op.mat, spectral, [op.mat for op in ops.values()])
+        blocks = verified_blocks(h.dense(), spectral, [op.mat for op in ops.values()])
         ratios = []
         for temp in temps:
             ens = gibbs_weights(spectral, 1.0 / temp)
-            fq = qfi_spectral(o_eig, ens)
-            bound = qfi_from_dynsym(blocks, ens, o_eig).value
+            fq = qfi_spectral(pairs, ens)
+            bound = qfi_from_dynsym(blocks, ens, pairs).value
             ratios.append(bound / fq if fq > 0 else float("nan"))
         cells = "".join(f"  {r:9.4f}" for r in ratios)
         print(f"{field:5.2f}  {'+'.join(labels):6s}{cells}")

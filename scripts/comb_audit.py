@@ -8,14 +8,8 @@ prints the heaviest teeth, which is a quick look at where the weight sits.
 
 import argparse
 
-from qfidyn import (
-    comb_bound_check,
-    diagonalize,
-    gibbs_weights,
-    response_comb,
-    trivial_complete_set,
-)
-from qfidyn.models import build_preset, preset
+from qfidyn import comb_bound_check, gibbs_weights, response_comb
+from qfidyn.models import preset, solve_preset
 
 
 def main():
@@ -26,12 +20,9 @@ def main():
     ap.add_argument("--top", type=int, default=8, help="heaviest teeth to list")
     args = ap.parse_args()
 
-    model = preset("chain", sites=args.sites, field=args.field)
-    h_op, gen = build_preset(model)
-    spectral = diagonalize(h_op.mat)
-    ens = gibbs_weights(spectral, 1.0 / args.temperature)
     # the weighted pair set: the generator's nonzero eigenpairs, clustered once
-    pairs = trivial_complete_set(spectral, op_eig=spectral.to_eigenbasis(gen.mat))
+    spectral, pairs, _ = solve_preset(preset("chain", sites=args.sites, field=args.field))
+    ens = gibbs_weights(spectral, 1.0 / args.temperature)
 
     comb = response_comb(pairs, ens)
     check = comb_bound_check(comb, pairs, ens, pairs)

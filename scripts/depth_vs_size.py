@@ -7,15 +7,8 @@ the certificate starts to say something.
 
 import argparse
 
-from qfidyn import (
-    SpinChainSpec,
-    build_xx_hamiltonian,
-    diagonalize,
-    entanglement_depth,
-    gibbs_weights,
-    local_generator,
-    qfi_spectral,
-)
+from qfidyn import entanglement_depth, gibbs_weights, qfi_spectral
+from qfidyn.models import preset, solve_preset
 
 
 def main():
@@ -29,12 +22,11 @@ def main():
     temps = [float(t) for t in args.temps.split(",")]
     print("sites  temperature      f_q  depth")
     for n in (int(s) for s in args.sizes.split(",")):
-        h_op = build_xx_hamiltonian(SpinChainSpec(n, 1.0, args.field))
-        spectral = diagonalize(h_op.mat)
-        o_eig = spectral.to_eigenbasis(local_generator(args.generator, n).mat)
+        model = preset("chain", sites=n, field=args.field, generator=args.generator)
+        spectral, pairs, _ = solve_preset(model)
         for temp in temps:
             ens = gibbs_weights(spectral, 1.0 / temp)
-            witness = entanglement_depth(qfi_spectral(o_eig, ens), n)
+            witness = entanglement_depth(qfi_spectral(pairs, ens), n)
             print(f"{n:5d} {temp:12.3f} {witness.f_q:8.4f} {witness.depth:6d}")
 
 

@@ -44,6 +44,7 @@ from .operators import (
     GeneralOperator,
     HermitianOperator,
     PauliString,
+    SparseOperator,
     SpinChainSpec,
     anticommutator,
     build_xx_hamiltonian,
@@ -65,6 +66,7 @@ from .response import (
     susceptibility_comb,
 )
 from .spectral import (
+    BlockOperator,
     SpectralDecomposition,
     ThermalEnsemble,
     diagonalize,

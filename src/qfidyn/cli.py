@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsym import (
-    TAU_DYN,
-    fit_frequency,
-    local_cap,
-    projector_mazur_weight,
-    trivial_complete_set,
-    verified_blocks,
-)
+from .dynsym import TAU_DYN, fit_frequency, local_cap, projector_mazur_weight, verified_blocks
 from .errors import DomainError, NumericError
 from .metrology import entanglement_depth, qfi_from_dynsym, qfi_spectral
 from .models import (
@@ -33,6 +26,7 @@ from .models import (
     build_preset,
     preset as resolve_preset,
     regime_subset,
+    solve_preset,
     two_qubit_symmetry_operators,
 )
 from .operators import GENERATOR_KINDS, PauliString, operator_from_strings, operator_support
@@ -187,16 +181,6 @@ def _verified_symmetry_blocks(source, model, h_mat, spectral, omega_tol):
     return verified_blocks(h_mat, spectral, ops, omega_tol=omega_tol)
 
 
-def _solve(model, keep_hamiltonian=False):
-    """(spectral, generator in the eigenbasis, site-basis H or None).
-
-    The complex site-basis matrices are released on return; H is kept only
-    when asked for, to verify a symmetry set against it."""
-    h_op, gen = build_preset(model)
-    spectral = diagonalize(h_op.mat)
-    return spectral, spectral.to_eigenbasis(gen.mat), h_op.mat if keep_hamiltonian else None
-
-
 def _run_config(args):
     model = resolve_preset(
         args.preset,
@@ -227,16 +211,13 @@ def _run_config(args):
 def cmd_qfi(args):
     """QFI, bound, and entanglement depth over a temperature grid."""
     config, model = _run_config(args)
-    trivial = config.symmetries == "trivial"
-    spectral, o_eig, h_mat = _solve(model, keep_hamiltonian=not trivial)
     # one weighted pair set carries the generator through the whole sweep
-    pairs = trivial_complete_set(spectral, config.omega_tol, o_eig)
-    del o_eig
-    if trivial:
+    spectral, pairs, h = solve_preset(model, config.omega_tol)
+    if config.symmetries == "trivial":
         blocks = pairs
     else:
         blocks = _verified_symmetry_blocks(
-            config.symmetries, model, h_mat, spectral, config.omega_tol
+            config.symmetries, model, h.dense(), spectral, config.omega_tol
         )
     n = config.sites
     rows = []
@@ -270,11 +251,10 @@ def cmd_qfi(args):
 def _fig1_curve(field, coupling, temps, omega_tol):
     """Rows (T, f_Q, bound density) for one field, saturating subset."""
     model = resolve_preset("two-qubit", coupling=coupling, field=field)
-    spectral, o_eig, h_mat = _solve(model, keep_hamiltonian=True)
-    pairs = trivial_complete_set(spectral, omega_tol, o_eig)
+    spectral, pairs, h = solve_preset(model, omega_tol)
     labels = regime_subset(field, coupling)
     ops = [op.mat for op in two_qubit_symmetry_operators(labels).values()]
-    blocks = verified_blocks(h_mat, spectral, ops, omega_tol=omega_tol)
+    blocks = verified_blocks(h.dense(), spectral, ops, omega_tol=omega_tol)
     rows = []
     for temp in temps:
         ens = gibbs_weights(spectral, 1.0 / temp)
@@ -345,9 +325,7 @@ def cmd_fig2(args):
         generator=args.generator,
     )
     n = model.spec.sites
-    spectral, o_eig, _ = _solve(model)
-    pairs = trivial_complete_set(spectral, args.omega_tol, o_eig)
-    del o_eig
+    spectral, pairs, _ = solve_preset(model, args.omega_tol)
     temp0 = float(args.temperature)
     if not (temp0 > 0 and math.isfinite(temp0)):
         raise DomainError(f"--temperature must be finite and > 0, got {temp0}")

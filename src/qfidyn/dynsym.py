@@ -20,12 +20,14 @@ mixing the two:
   once, so no pair can be counted twice.
 
 The weighted pair set is the PairPartition that trivial_complete_set builds
-for a generator O: only the pairs with O_mn != 0, each with its entry O_mn.
-It is built and certified Hermitian once, and every pair sum over O (QFI
-routes, bounds, combs) is then an elementwise pass over it at each
-temperature.  A set is complete for every operator whose nonzero entries it
-covers, so bounds built on it alone are saturated for exactly those
-operators; the set of all pairs is complete for every operator.
+for a generator O: only the pairs with O_mn != 0, each with its entry O_mn,
+clustered over their own gaps.  It is built and certified Hermitian once,
+straight from the generator's eigenbasis blocks (to_eigenblocks) with no
+dim x dim array, and every pair sum over O (QFI routes, bounds, combs) is
+then an elementwise pass over it at each temperature.  A set is complete
+for every operator whose nonzero entries it covers, so bounds built on it
+alone are saturated for exactly those operators; the set of all pairs is
+complete for every operator.
 
 Thermal correlators use the inner product <X, Y> = tr(rho X^dag Y).
 """
@@ -41,10 +43,10 @@ from .errors import DomainError, NumericError
 from .operators import (
     GeneralOperator,
     _as_matrix,
-    _hermitian,
     _real_if_exact,
     operator_support,
 )
+from .spectral import BlockOperator
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
 TAU_DYN = 1e-9
@@ -126,10 +128,17 @@ def cluster_values(values, tol, symmetric=False):
     # equal values always share a cluster, so the order among ties cannot
     # change reps or labels and the sort need not be stable
     order = np.argsort(values)
-    sorted_v = values[order]
+    reps, labels_sorted = _sorted_clusters(values[order], tol, symmetric)
+    labels = np.empty(values.size, dtype=np.intp)
+    labels[order] = labels_sorted
+    return reps, labels
+
+
+def _sorted_clusters(sorted_v, tol, symmetric):
+    """cluster_values on ascending values: (reps, label of each value)."""
     starts = np.flatnonzero(np.diff(sorted_v) > tol) + 1
     starts = np.concatenate(([0], starts))
-    counts = np.diff(np.concatenate((starts, [values.size])))
+    counts = np.diff(np.concatenate((starts, [sorted_v.size])))
     reps = np.add.reduceat(sorted_v, starts) / counts
     if symmetric:
         if not np.array_equal(counts, counts[::-1]):
@@ -138,10 +147,7 @@ def cluster_values(values, tol, symmetric=False):
                 "input was expected to be a sign-symmetric multiset"
             )
         reps = (reps - reps[::-1]) / 2.0
-    labels_sorted = np.repeat(np.arange(reps.size), counts)
-    labels = np.empty(values.size, dtype=np.intp)
-    labels[order] = labels_sorted
-    return reps, labels
+    return reps, np.repeat(np.arange(reps.size), counts)
 
 
 @dataclass(frozen=True)
@@ -280,30 +286,45 @@ class PairPartition:
             return self.values, True
         return _align(*_operator_pairs(op, self.dim, name), self.keys, self.dim)
 
+    @cached_property
+    def abs2(self):
+        """|O_mn|^2 over the pairs, for a set that carries values."""
+        out = np.abs(self.values) ** 2
+        out.setflags(write=False)
+        return out
+
+    def squared(self, values):
+        """|values|^2 for values on the set's pairs: abs2 for its own."""
+        return self.abs2 if values is self.values else np.abs(values) ** 2
+
     def cluster_weights(self, ensemble, values):
         """Mazur weight of every cluster for an operator with these values on
         the set's pairs: the sum of p_n |O_mn|^2 over the cluster's ordered
         pairs, the Gram of eigenpair operators being diagonal."""
         p = ensemble.weights
-        abs2 = np.abs(values) ** 2
+        abs2 = self.squared(values)
         return self.bin(p[self.cols] * abs2, p[self.rows] * abs2)
 
 
 def _operator_pairs(op, dim, name="operator"):
     """(rows, cols, values) of an operator over its pairs m <= n, ascending
-    in m * dim + n: a PairPartition's own values, or a dense matrix
-    certified Hermitian, over the pairs where O_mn or O_nm is nonzero, with
-    the entries O_mn (those below the diagonal are their conjugates)."""
+    in m * dim + n: a PairPartition's own values, or a BlockOperator or
+    dense matrix certified Hermitian, over the pairs where O_mn or O_nm is
+    nonzero, with the entries O_mn (those below the diagonal are their
+    conjugates)."""
+    if isinstance(op, (PairPartition, BlockOperator)) and op.dim != dim:
+        raise DomainError(f"{name} dim {op.dim} does not match dim {dim}")
     if isinstance(op, PairPartition):
         if op.values is None:
             raise DomainError(f"{name}: the pair set carries no operator values")
-        if op.dim != dim:
-            raise DomainError(f"{name} dim {op.dim} does not match dim {dim}")
         return op.rows, op.cols, op.values
-    mat = _hermitian(op, dim, name)
-    nonzero = mat != 0
-    rows, cols = np.nonzero(np.triu(nonzero | nonzero.T))
-    return rows, cols, mat[rows, cols]
+    if not isinstance(op, BlockOperator):
+        # a dense matrix is the operator of one block over every level
+        mat = _real_if_exact(np.asarray(op))
+        if mat.shape != (dim, dim):
+            raise DomainError(f"{name} shape {mat.shape} does not match dim {dim}")
+        op = BlockOperator((np.arange(dim),), {(0, 0): mat}, dim, mat.dtype)
+    return op.pairs(name)
 
 
 def _align(rows, cols, values, onto, dim):
@@ -336,15 +357,16 @@ def _diagonal(rows, cols, values):
 def trivial_complete_set(spectral, omega_tol=None, op_eig=None):
     """The eigenpair operators as one PairPartition.
 
-    Clusters are the greedy clusters of all dim^2 gaps omega_mn = E_m - E_n
-    within omega_tol; the zero cluster collects the diagonal projectors and
-    any degenerate pairs.  Without op_eig the set holds every pair and
-    spans operator space.  With op_eig (an eigenbasis matrix, certified
-    Hermitian here) it holds only the pairs where O_mn != 0, with those
-    entries as values: the weighted pair set that every pair sum over O
-    needs, and complete for O and for any operator whose nonzero entries
-    it covers.  Only spectral.energies is read, so a ThermalEnsemble works
-    too.
+    Without op_eig the set holds every pair m <= n and spans operator
+    space.  With op_eig (an eigenbasis BlockOperator or matrix, certified
+    Hermitian here) it holds only the pairs where O_mn or O_nm is nonzero,
+    with the entries O_mn as values: the weighted pair set that every pair
+    sum over O needs, and complete for O and for any operator whose nonzero
+    entries it covers.  Either way the clusters are the greedy clusters
+    within omega_tol of the set's own gaps +-omega_mn, omega_mn = E_m - E_n,
+    and an exact 0.0, which gives the zero cluster even when no pair has a
+    zero gap; it collects the diagonal projectors and any degenerate pairs.
+    Only spectral.energies is read, so a ThermalEnsemble works too.
     """
     energies = spectral.energies
     dim = energies.size
@@ -355,10 +377,19 @@ def trivial_complete_set(spectral, omega_tol=None, op_eig=None):
         values = None
     else:
         rows, cols, values = _operator_pairs(op_eig, dim)
-    gaps = energies[:, None] - energies[None, :]
-    reps, labels = cluster_values(gaps.ravel(), omega_tol, symmetric=True)
-    del gaps
-    return PairPartition(reps, rows, cols, labels[rows * dim + cols], dim, values)
+    gaps = energies[rows] - energies[cols]
+    # cluster_values of the gaps, their mirrors and 0.0, sorting half of
+    # them: -|gaps| ascending, then 0.0, then its mirror is the whole multiset
+    low = -np.abs(gaps)
+    order = np.argsort(low)
+    half = low[order]
+    mirrored = np.concatenate((half, [0.0], -half[::-1]))
+    reps, labels_sorted = _sorted_clusters(mirrored, omega_tol, True)
+    labels = np.empty(rows.size, dtype=np.intp)
+    labels[order] = labels_sorted[: rows.size]
+    # a positive gap is the mirror of -|gap|, in the mirrored cluster
+    np.subtract(reps.size - 1, labels, out=labels, where=gaps > 0)
+    return PairPartition(reps, rows, cols, labels, dim, values)
 
 
 def _pair_set(op_eig, spectral, omega_tol=None, name="operator"):

@@ -88,7 +88,7 @@ def qfi_spectral(op_eig, ensemble):
     that is 4 sum over pairs m <= n of the same (diagonal terms vanish)."""
     rows, cols, values = _operator_pairs(op_eig, ensemble.dim)
     w = _qfi_pair_weights(ensemble.weights, rows, cols)
-    w *= np.abs(values) ** 2
+    w *= op_eig.abs2 if isinstance(op_eig, PairPartition) else np.abs(values) ** 2
     return float(4.0 * np.sum(w))
 
 
@@ -221,8 +221,8 @@ def _bound_over_blocks(blocks, ensemble, op_eig, kind):
     """Shared engine: sum coefficient(omega_k) * D_k over blocks.
 
     The zero cluster or block contributes 0 for every kind (its coefficient
-    vanishes).  Returns (total, per-frequency dict in ascending omega,
-    saturated flag).
+    vanishes).  Returns (total, the block frequencies ascending, the
+    contribution at each, saturated flag).
     """
     coeff = _COEFFS[kind]
     blocks = _block_list(blocks)
@@ -232,7 +232,7 @@ def _bound_over_blocks(blocks, ensemble, op_eig, kind):
         if isinstance(block, PairPartition):
             values, covered = block.aligned(op_eig)
             binned = block.bin(
-                *_pair_coefficient_terms(coeff, ensemble, block, np.abs(values) ** 2)
+                *_pair_coefficient_terms(coeff, ensemble, block, block.squared(values))
             )
             binned[block.omegas == 0.0] = 0.0
             omegas.append(block.omegas)
@@ -246,24 +246,29 @@ def _bound_over_blocks(blocks, ensemble, op_eig, kind):
     # blocks sharing a frequency add up, in block order
     keys, inverse = np.unique(np.concatenate(omegas), return_inverse=True)
     summed = np.bincount(inverse, np.concatenate(terms), minlength=keys.size)
-    per = dict(zip(keys.tolist(), summed.tolist()))
-    total = float(sum(per.values()))
-    return total, per, _is_saturating(blocks, covered)
+    total = float(sum(summed.tolist()))
+    return total, keys, summed, _is_saturating(blocks, covered)
 
 
 @dataclass(frozen=True)
 class QfiReport:
     """A dynamical-symmetry QFI lower bound with its frequency breakdown.
 
-    value is the bound; per_frequency maps each block frequency, ascending,
-    to its contribution 4 tanh^2(beta omega_k / 2) D_k; saturated marks a
-    single PairPartition covering the generator, for which the bound equals
-    the QFI.
+    value is the bound; omegas holds the block frequencies, ascending, and
+    contributions the term 4 tanh^2(beta omega_k / 2) D_k at each;
+    per_frequency maps one to the other, built on first read.  saturated
+    marks a single PairPartition covering the generator, for which the
+    bound equals the QFI.
     """
 
     value: float
-    per_frequency: dict
+    omegas: np.ndarray
+    contributions: np.ndarray
     saturated: bool
+
+    @cached_property
+    def per_frequency(self):
+        return dict(zip(self.omegas.tolist(), self.contributions.tolist()))
 
     def to_jsonable(self):
         return {
@@ -283,27 +288,23 @@ def qfi_from_dynsym(blocks, ensemble, op_eig):
     (saturated flag); any verified subset yields a certified lower bound.
     Conserved quantities (omega = 0) contribute nothing.
     """
-    value, per, saturated = _bound_over_blocks(blocks, ensemble, op_eig, "qfi")
-    return QfiReport(value, per, saturated)
+    return QfiReport(*_bound_over_blocks(blocks, ensemble, op_eig, "qfi"))
 
 
 def skew_lower_bound(blocks, ensemble, op_eig):
     """Lower bound on I_1/2: sum_k [1 - sech(beta omega_k / 2)] D_k(O)."""
-    value, _, _ = _bound_over_blocks(blocks, ensemble, op_eig, "skew")
-    return value
+    return _bound_over_blocks(blocks, ensemble, op_eig, "skew")[0]
 
 
 def qv_lower_bound(blocks, ensemble, op_eig):
     """Lower bound on the quantum variance:
     sum_k [1 - tanh(x_k)/x_k] D_k(O) with x_k = beta omega_k / 2."""
-    value, _, _ = _bound_over_blocks(blocks, ensemble, op_eig, "qv")
-    return value
+    return _bound_over_blocks(blocks, ensemble, op_eig, "qv")[0]
 
 
 def eth_lower_bound(blocks, ensemble, op_eig):
     """Lower bound on the ETH QFI from nonzero frequencies: sum 4 D_k."""
-    value, _, _ = _bound_over_blocks(blocks, ensemble, op_eig, "eth_lower")
-    return value
+    return _bound_over_blocks(blocks, ensemble, op_eig, "eth_lower")[0]
 
 
 def eth_thermal_gap(blocks, ensemble, op_eig):
@@ -314,7 +315,7 @@ def eth_thermal_gap(blocks, ensemble, op_eig):
     raises NumericError when it fails beyond slack, since for verified
     blocks that would signal a numerics problem, not physics.
     """
-    value, _, _ = _bound_over_blocks(blocks, ensemble, op_eig, "eth_gap")
+    value = _bound_over_blocks(blocks, ensemble, op_eig, "eth_gap")[0]
     gap = eth_qfi(op_eig, ensemble) - qfi_spectral(op_eig, ensemble)
     if gap < value - INEQ_SLACK:
         raise NumericError(

@@ -1,18 +1,26 @@
 """Worked models: the two-qubit XX pair with its analytic symmetry set, and
-the seven-site chain preset behind the frequency-comb studies."""
+the seven-site chain preset behind the frequency-comb studies.
+
+solve_preset is the exact pipeline every preset command runs: Pauli strings
+to SparseOperators, a per-block diagonalization, and the generator's
+weighted pair set from its eigenbasis blocks, with no dim x dim array."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .dynsym import trivial_complete_set
 from .errors import DomainError
 from .operators import (
+    HermitianOperator,
     PauliString,
+    SparseOperator,
     SpinChainSpec,
-    build_xx_hamiltonian,
-    local_generator,
+    local_generator_strings,
     operator_from_strings,
+    xx_hamiltonian_strings,
 )
+from .spectral import diagonalize
 
 
 def two_qubit_symmetry_strings():
@@ -138,8 +146,30 @@ def preset(name, sites=None, coupling=None, field=None, boundary=None, generator
     return ModelPreset(base.name, spec, gen)
 
 
+def preset_operators(model, max_sites=None):
+    """Hamiltonian and generator of a ModelPreset as SparseOperators in the
+    site basis, each certified Hermitian on its entries."""
+    n = model.spec.sites
+    strings = (
+        xx_hamiltonian_strings(model.spec, max_sites),
+        local_generator_strings(model.generator, n, max_sites),
+    )
+    return tuple(
+        SparseOperator.from_strings(terms, n, hermitian=True, max_sites=max_sites)
+        for terms in strings
+    )
+
+
 def build_preset(model, max_sites=None):
-    """Hamiltonian and generator for a ModelPreset (site basis)."""
-    h_op = build_xx_hamiltonian(model.spec, max_sites=max_sites)
-    gen = local_generator(model.generator, model.spec.sites, max_sites=max_sites)
-    return h_op, gen
+    """Hamiltonian and generator for a ModelPreset (site basis), dense: the
+    entries of preset_operators scattered into HermitianOperators."""
+    return tuple(HermitianOperator(op.dense()) for op in preset_operators(model, max_sites))
+
+
+def solve_preset(model, omega_tol=None):
+    """(spectral, pairs, h): the diagonalized Hamiltonian, the generator's
+    weighted pair set (trivial_complete_set over its eigenbasis blocks) and
+    the site-basis Hamiltonian as a SparseOperator."""
+    h, gen = preset_operators(model)
+    spectral = diagonalize(h)
+    return spectral, trivial_complete_set(spectral, omega_tol, spectral.to_eigenblocks(gen)), h

@@ -1,11 +1,10 @@
-"""Dense operator construction and algebra for small spin-1/2 chains.
+"""Operator construction and algebra for small spin-1/2 chains.
 
 Basis convention, fixed once for the whole package: site 0 is the most
 significant qubit (the leftmost Kronecker factor) and spin-up is basis
 index 0, so sigma^z = diag(+1, -1) on every site and sigma^+ raises toward
-index 0.  All operators are dense complex128 matrices; the chain length is
-capped (default 12 sites, overridable via the QFIDYN_MAX_SITES environment
-variable or an explicit max_sites argument).
+index 0.  The chain length is capped (default 12 sites, overridable via the
+QFIDYN_MAX_SITES environment variable or an explicit max_sites argument).
 
 Every operator is built from bit operations on basis indices, never from
 Kronecker products.  Site s is bit n - 1 - s of the index and spin-up is
@@ -14,8 +13,10 @@ c ^ flip, where flip holds the bits of its x, y, + and - factors, so it has
 at most one nonzero entry per column.  That entry is the coefficient times
 one phase per factor, read off the input bit b: i (-1)^b for y, (-1)^b for
 z, [b = 1] for + and [b = 0] for -.  PauliString.entries returns these
-(rows, cols, values); operator_from_strings scatters a sum of strings into
-one dense matrix, and every builder here goes through it.
+(rows, cols, values).  SparseOperator.from_strings adds a sum of strings
+entry by entry into one SparseOperator, the form the exact pipeline works
+on; operator_from_strings and every dense builder here scatter those same
+entries into a dense complex128 matrix.
 """
 
 from __future__ import annotations
@@ -90,30 +91,28 @@ def _real_if_exact(mat):
     return mat.astype(float, copy=False)
 
 
-def _hermitian_deviation(mat):
-    """(max |M - M^dag|, max |M|) of a square matrix, in row blocks of
-    _ROW_CHUNK entries so that no full-size temporary is made."""
-    dim = mat.shape[0]
-    step = max(1, _ROW_CHUNK // max(1, dim))
+def _hermitian_deviation(mat, partner=None):
+    """(max |M - P^dag|, max |M|) for M = mat and P = partner (default: M
+    itself, which must then be square), in row blocks of _ROW_CHUNK entries
+    so that no full-size temporary is made."""
+    partner = mat if partner is None else partner
+    step = max(1, _ROW_CHUNK // max(1, mat.shape[1]))
     dev = scale = 0.0
-    for lo in range(0, dim, step):
+    for lo in range(0, mat.shape[0], step):
         rows = mat[lo : lo + step]
         scale = max(scale, float(np.abs(rows).max()))
-        dev = max(dev, float(np.abs(rows - mat[:, lo : lo + step].conj().T).max()))
+        dev = max(dev, float(np.abs(rows - partner[:, lo : lo + step].conj().T).max()))
     return dev, scale
 
 
-def _hermitian(op, dim, name="operator"):
-    """The (dim, dim) matrix of op, certified Hermitian to 1e-10 relative;
-    eigenbasis operators lose a little Hermiticity to rounding.  A real
-    matrix with no imaginary part is float64, anything else complex128."""
-    mat = _real_if_exact(np.asarray(op))
-    if mat.shape != (dim, dim):
-        raise DomainError(f"{name} shape {mat.shape} does not match dim {dim}")
-    dev, scale = _hermitian_deviation(mat)
-    if dev > 1e-10 * max(1.0, scale):
-        raise DomainError(f"{name} must be Hermitian")
-    return mat
+def _require_hermitian(dev, scale, name, rtol=1e-10):
+    """DomainError unless max |M - M^dag| = dev lies within rtol of
+    max(1, scale), scale = max |M|.  The default rtol is the eigenbasis
+    rule: rounding costs an eigenbasis operator a little Hermiticity."""
+    if dev > rtol * max(1.0, scale):
+        raise DomainError(
+            f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} against scale {scale:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -150,12 +149,7 @@ class HermitianOperator(GeneralOperator):
 
     def __post_init__(self):
         super().__post_init__()
-        dev, scale = _hermitian_deviation(self.mat)
-        if dev > HERMITICITY_RTOL * max(1.0, scale):
-            raise DomainError(
-                f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} "
-                f"against scale {scale:.3e}"
-            )
+        _require_hermitian(*_hermitian_deviation(self.mat), "matrix", HERMITICITY_RTOL)
 
     def dagger(self):
         return self
@@ -216,7 +210,8 @@ class PauliString:
         return cols ^ flip, cols, values
 
     def matrix(self, n_sites, max_sites=None):
-        return _scatter((self,), n_sites, max_sites)
+        dense = SparseOperator.from_strings((self,), n_sites, max_sites=max_sites).dense()
+        return dense.astype(complex)
 
     def to_record(self):
         c = complex(self.coefficient)
@@ -235,14 +230,88 @@ class PauliString:
         return cls(complex(re, im), factors)
 
 
-def _scatter(strings, n_sites, max_sites=None):
-    """Dense complex sum of PauliStrings, added string by string in order."""
-    n = _check_sites(n_sites, max_sites)
-    total = np.zeros((2**n, 2**n), dtype=complex)
-    for ps in strings:
-        rows, cols, values = ps.entries(n, max_sites)
-        total[rows, cols] += values
-    return total
+@dataclass(frozen=True)
+class SparseOperator:
+    """The nonzero entries of a dim x dim matrix: rows, cols and values,
+    ascending in row * dim + col with each position once.  values is
+    float64 when no entry has an imaginary part, else complex128."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    dim: int
+
+    def __post_init__(self):
+        rows, cols = (np.asarray(idx, dtype=np.intp) for idx in (self.rows, self.cols))
+        values, dim = np.asarray(self.values), int(self.dim)
+        if not rows.ndim == 1 or not rows.shape == cols.shape == values.shape:
+            raise DomainError("rows, cols and values must be 1-d arrays of one size")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
+            raise DomainError(f"entry index out of range for dim {dim}")
+        if np.any(rows[1:] * dim + cols[1:] <= rows[:-1] * dim + cols[:-1]):
+            raise DomainError("entries must be distinct and ascending in row * dim + col")
+        self._set(rows, cols, values, dim)
+
+    def _set(self, rows, cols, values, dim):
+        for name, arr in (("rows", rows), ("cols", cols), ("values", _real_if_exact(values))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "dim", dim)
+
+    @classmethod
+    def _trusted(cls, rows, cols, values, dim):
+        """An instance from entries that meet the invariants by construction."""
+        op = object.__new__(cls)
+        op._set(rows, cols, values, dim)
+        return op
+
+    @classmethod
+    def from_dense(cls, mat):
+        """The nonzero entries of a square matrix."""
+        mat = _real_if_exact(_as_matrix(mat))
+        rows, cols = np.nonzero(mat)
+        return cls._trusted(rows, cols, mat[rows, cols], mat.shape[0])
+
+    @classmethod
+    def from_strings(cls, strings, n_sites, hermitian=False, max_sites=None):
+        """Sum of PauliStrings.  Strings with one flip mask share their
+        positions (c ^ flip, c), so each mask's strings are added column by
+        column, in string order as a dense scatter would add them, and
+        exact zeros (such as the cancelling x x + y y flips) are dropped.
+        With hermitian=True the sum is certified Hermitian to
+        HERMITICITY_RTOL (DomainError otherwise): the transpose of a mask's
+        entry at column c sits at column c ^ flip of the same mask."""
+        n = _check_sites(n_sites, max_sites)
+        dim = 2**n
+        entries = [ps.entries(n, max_sites) for ps in strings]
+        flips = [int(rows[0] ^ cols[0]) for rows, cols, _ in entries]
+        masks = sorted(set(flips))
+        sums = np.zeros((len(masks), dim), dtype=complex)
+        for flip, (_, cols, values) in zip(flips, entries):
+            sums[masks.index(flip), cols] += values
+        masks = np.array(masks, dtype=np.intp)[:, None]
+        if hermitian:
+            partner = sums[np.arange(masks.size)[:, None], np.arange(dim) ^ masks]
+            dev = float(np.abs(sums - partner.conj()).max(initial=0.0))
+            scale = float(np.abs(sums).max(initial=0.0))
+            _require_hermitian(dev, scale, "operator", HERMITICITY_RTOL)
+        which, cols = np.nonzero(sums)
+        rows = cols ^ masks[which, 0]
+        order = np.argsort(rows * dim + cols)
+        return cls._trusted(rows[order], cols[order], sums[which, cols][order], dim)
+
+    @property
+    def shape(self):
+        return (self.dim, self.dim)
+
+    @property
+    def dtype(self):
+        return self.values.dtype
+
+    def dense(self):
+        out = np.zeros(self.shape, dtype=self.dtype)
+        out[self.rows, self.cols] = self.values
+        return out
 
 
 def pauli_matrix(axis):
@@ -272,7 +341,7 @@ def operator_from_strings(strings, n_sites, hermitian=False, max_sites=None):
     With hermitian=True the result is validated and wrapped as a
     HermitianOperator (DomainError if the sum fails the certificate).
     """
-    total = _scatter(strings, n_sites, max_sites)
+    total = SparseOperator.from_strings(strings, n_sites, max_sites=max_sites).dense()
     return HermitianOperator(total) if hermitian else GeneralOperator(total)
 
 
@@ -315,8 +384,8 @@ class SpinChainSpec:
         object.__setattr__(self, "field", float(self.field))
 
 
-def build_xx_hamiltonian(spec, max_sites=None):
-    """H = J sum_i (x_i x_{i+1} + y_i y_{i+1}) + h sum_i z_i.
+def xx_hamiltonian_strings(spec, max_sites=None):
+    """The terms of H = J sum_i (x_i x_{i+1} + y_i y_{i+1}) + h sum_i z_i.
 
     Periodic boundary adds the wrap bond (N-1, 0) for N > 2; at N = 2 the
     wrap bond would duplicate the single existing bond, so it is omitted.
@@ -330,14 +399,21 @@ def build_xx_hamiltonian(spec, max_sites=None):
     ]
     if spec.field != 0.0:
         strings += [PauliString(spec.field, ((i, "z"),)) for i in range(n)]
-    return operator_from_strings(strings, n, hermitian=True, max_sites=max_sites)
+    return strings
+
+
+def build_xx_hamiltonian(spec, max_sites=None):
+    """The XX chain Hamiltonian of xx_hamiltonian_strings, dense."""
+    strings = xx_hamiltonian_strings(spec, max_sites)
+    return operator_from_strings(strings, spec.sites, hermitian=True, max_sites=max_sites)
 
 
 GENERATOR_KINDS = ("antisymmetric-x", "staggered-x", "uniform-x", "uniform-z")
 
 
-def local_generator(kind, n_sites, max_sites=None):
-    """Sum of unit-width single-site terms (each term has eigenvalues +-1/2).
+def local_generator_strings(kind, n_sites, max_sites=None):
+    """The terms of a sum of unit-width single-site terms (each term has
+    eigenvalues +-1/2).
 
     antisymmetric-x : (x_0 - x_1)/2, two sites only
     staggered-x     : sum_i (-1)^i x_i / 2
@@ -358,8 +434,13 @@ def local_generator(kind, n_sites, max_sites=None):
         terms = [(0.5, i, "z") for i in range(n)]
     else:
         raise DomainError(f"unknown generator kind {kind!r}; valid kinds are {GENERATOR_KINDS}")
-    strings = [PauliString(c, ((i, axis),)) for c, i, axis in terms]
-    return operator_from_strings(strings, n, hermitian=True, max_sites=max_sites)
+    return [PauliString(c, ((i, axis),)) for c, i, axis in terms]
+
+
+def local_generator(kind, n_sites, max_sites=None):
+    """The generator of local_generator_strings, dense."""
+    strings = local_generator_strings(kind, n_sites, max_sites)
+    return operator_from_strings(strings, n_sites, hermitian=True, max_sites=max_sites)
 
 
 def commutator(a, b):

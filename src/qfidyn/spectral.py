@@ -7,15 +7,20 @@ diagonalized in real arithmetic and keeps real eigenvectors, so operators
 without an imaginary part stay real in the eigenbasis too.
 
 Block rule: the basis states split into the connected components of H's
-exact nonzero pattern (H_ij != 0 or H_ji != 0 links i and j).  H has no
-entry between two components, so each component is an invariant subspace
-and is diagonalized on its own; for a chain conserving total S^z these are
-the magnetization sectors.  The eigenvector matrix stays the dense unitary,
-with exact zeros outside the blocks, and to_eigenbasis multiplies only the
-block pairs an operator links.  Selection-rule zeros are therefore exact:
-an eigenbasis entry between blocks the operator does not link is 0.0, not
-rounding.  A matrix with a connected pattern is one block and takes the
-same single dense solve as before.
+exact nonzero pattern (H_ij != 0 or H_ji != 0 links i and j), found from
+H's entries: a SparseOperator's own, or np.nonzero of a dense matrix a
+row block at a time.  H has no entry between two components, so each
+component is an invariant subspace and is diagonalized on its own; for a
+chain conserving total S^z these are the magnetization sectors.  A dense
+matrix's blocks are slices of it; a matrix with a connected pattern is one
+block and goes to the solver as it is.  The decomposition keeps
+one eigenvector matrix V_a per block, over the block's basis states and
+its eigen-columns; the dense unitary is assembled only when vectors is
+read.  An operator goes to the eigenbasis one linked block pair at a time,
+V_a^dag O_ab V_b, over the ordered pairs (a, b) between which it has an
+entry (to_eigenblocks); to_eigenbasis scatters those products into a dense
+matrix.  Selection-rule zeros are therefore exact: an eigenbasis entry
+between blocks the operator does not link is 0.0, not rounding.
 
 Thermal weights are stored together with their logarithms; the logs keep
 weight ratios exact even when the weights themselves underflow.
@@ -24,12 +29,20 @@ weight ratios exact even when the weights themselves underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .operators import _as_matrix, _real_if_exact
+from .operators import (
+    _ROW_CHUNK,
+    SparseOperator,
+    _as_matrix,
+    _hermitian_deviation,
+    _real_if_exact,
+    _require_hermitian,
+)
 
 # Level pairs whose combined weight falls below this floor carry no
 # statistical weight and are skipped in all downstream pair sums.
@@ -46,15 +59,101 @@ def default_energy_tol(energies):
     return 1e-9 * max(1.0, scale)
 
 
-def _ix(rows, cols, shape):
-    """Index of the rows x cols sub-block of an array of this shape: a plain
-    view (...) when the index sets cover the whole array."""
-    if rows.size == shape[0] and cols.size == shape[1]:
-        return ...
-    return rows[:, None], cols
+def _operand(op, what="operator"):
+    """op as a SparseOperator, or as a square matrix that is float64 when it
+    has no imaginary part."""
+    if isinstance(op, SparseOperator):
+        return op
+    return _real_if_exact(_as_matrix(op, what))
 
 
-def _index_pair(pair, dim):
+def _edge_chunks(op):
+    """The positions of op's entries as (rows, cols) chunks: a
+    SparseOperator's own, or np.nonzero of a matrix over row blocks of
+    _ROW_CHUNK entries, so that no dim^2 index list is made."""
+    if isinstance(op, SparseOperator):
+        yield op.rows, op.cols
+        return
+    step = max(1, _ROW_CHUNK // op.shape[1])
+    for lo in range(0, op.shape[0], step):
+        rows, cols = np.nonzero(op[lo : lo + step])
+        yield rows + lo, cols
+
+
+def _components(op):
+    """Basis index sets of the connected components of op's pattern, an
+    entry at (i, j) joining i and j: each set ascending, the sets ordered by
+    their smallest index.
+
+    Union-find on arrays: every edge hooks the larger of its two roots
+    under the smaller, then pointer jumping flattens the forest, until a
+    pass over all edge chunks finds each edge joining one root.  A root is
+    then its component's smallest index.
+    """
+    root = np.arange(op.shape[0])
+    joined = False
+    while not joined:
+        joined = True
+        for rows, cols in _edge_chunks(op):
+            ra, rb = root[rows], root[cols]
+            if np.array_equal(ra, rb):
+                continue
+            joined = False
+            low = np.minimum(ra, rb)
+            np.minimum.at(root, ra, low)
+            np.minimum.at(root, rb, low)
+            while not np.array_equal(root[root], root):
+                root = root[root]
+    order = np.argsort(root, kind="stable")
+    return _runs(order, root[order])
+
+
+def _runs(order, sorted_keys):
+    """order cut into its runs of equal sorted_keys."""
+    cuts = [0, *(np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist(), order.size]
+    return [order[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+
+
+def _block_index(sets, dim):
+    """(block of each basis state, its position within the block)."""
+    order = np.concatenate(sets)
+    sizes = np.array([idx.size for idx in sets])
+    block_of = np.empty(dim, dtype=np.intp)
+    local = np.empty(dim, dtype=np.intp)
+    block_of[order] = np.repeat(np.arange(len(sets)), sizes)
+    local[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return block_of, local
+
+
+def _linked_blocks(op, sets, block_of, local):
+    """{(a, b): the dense sub-matrix of op between basis blocks a and b}
+    over every ordered block pair holding an entry of op.  A matrix is
+    sliced with the blocks' index sets (itself when there is one block); a
+    SparseOperator's entries are scattered into zeroed sub-matrices."""
+    if isinstance(op, np.ndarray):
+        if len(sets) == 1:
+            return {(0, 0): op} if op.any() else {}
+        # links[a, b]: op has a nonzero entry in block a's rows, block b's
+        # columns; the pattern is permuted into block order and or-reduced
+        order = np.concatenate(sets)
+        starts = np.flatnonzero(np.diff(block_of[order], prepend=-1))
+        links = (op != 0)[order[:, None], order]
+        links = np.logical_or.reduceat(np.logical_or.reduceat(links, starts, 0), starts, 1)
+        linked = zip(*map(list, np.nonzero(links)))
+        return {(a, b): op[sets[a][:, None], sets[b]] for a, b in linked}
+    a, b = block_of[op.rows], block_of[op.cols]
+    link = a * len(sets) + b
+    order = np.argsort(link, kind="stable")
+    subs = {}
+    for idx in _runs(order, link[order]):
+        pair = int(a[idx[0]]), int(b[idx[0]])
+        sub = np.zeros((sets[pair[0]].size, sets[pair[1]].size), dtype=op.dtype)
+        sub[local[op.rows[idx]], local[op.cols[idx]]] = op.values[idx]
+        subs[pair] = sub
+    return subs
+
+
+def _index_pair(pair):
     """One block's (basis, eigen-column) index sets as sorted intp arrays."""
     try:
         rows, cols = (np.asarray(idx) for idx in pair)
@@ -63,88 +162,137 @@ def _index_pair(pair, dim):
     integer = rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
     if rows.ndim != 1 or rows.shape != cols.shape or not integer:
         raise DomainError("a block needs two 1-d integer index arrays of one size")
-    pair = (np.sort(rows).astype(np.intp), np.sort(cols).astype(np.intp))
-    for idx in pair:
-        idx.setflags(write=False)
-    return pair
-
-
-def _pattern_blocks(mat):
-    """Basis index sets of the connected components of mat's nonzero
-    pattern, symmetrized with its transpose: each set ascending, the sets
-    ordered by their smallest index.
-
-    Breadth-first search over rows of the boolean pattern, so no edge list
-    is built: each state is a frontier row once, O(dim^2) work in all.
-    """
-    linked = mat != 0
-    linked = linked | linked.T
-    unseen = np.ones(mat.shape[0], dtype=bool)
-    blocks = []
-    while unseen.any():
-        frontier = np.array([np.argmax(unseen)])
-        member = np.zeros_like(unseen)
-        member[frontier] = True
-        while frontier.size:
-            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~member)
-            member[frontier] = True
-        unseen &= ~member
-        blocks.append(np.flatnonzero(member))
-    return blocks
+    return np.sort(rows).astype(np.intp), np.sort(cols).astype(np.intp)
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending), the unitary of eigencolumns, degeneracy tol.
+class BlockOperator:
+    """An eigenbasis operator as dense blocks: products[(a, b)] is its
+    sub-matrix between the eigen-columns of blocks a and b (columns[a] and
+    columns[b], each ascending), and every entry outside these blocks is
+    exactly 0."""
 
-    vectors is float64 when it is real (the real-symmetric case of
-    diagonalize) and complex128 otherwise.  blocks records the invariant
-    subspaces as (basis indices, eigen-column indices) pairs: vectors is
-    zero outside the rows x columns of its blocks, and each index kind
-    partitions range(dim).  The default is one block holding everything.
-    vectors is copied before it is frozen, except when diagonalize hands
-    over a fresh array of its own (_fresh).
+    columns: tuple
+    products: dict
+    dim: int
+    dtype: np.dtype
+
+    def dense(self):
+        out = np.zeros((self.dim, self.dim), dtype=self.dtype)
+        for (a, b), block in self.products.items():
+            out[self.columns[a][:, None], self.columns[b]] = block
+        return out
+
+    def pairs(self, name="operator"):
+        """(rows, cols, values) over the pairs m <= n where O_mn or O_nm is
+        nonzero, with the entries O_mn, ascending in m * dim + n, one block
+        pair {a, b} at a time.  The operator is certified Hermitian by the
+        eigenbasis rule of _require_hermitian on the way."""
+        dev = scale = 0.0
+        found = []
+        for lo, hi in {(min(a, b), max(a, b)) for a, b in self.products}:
+            fwd, bwd = self.products.get((lo, hi)), self.products.get((hi, lo))
+            if fwd is None:
+                fwd = np.zeros_like(bwd.T)
+            if bwd is None:
+                bwd = np.zeros_like(fwd.T)
+            dev_pair, scale_pair = _hermitian_deviation(fwd, bwd)
+            if lo != hi:
+                scale_pair = max(scale_pair, float(np.abs(bwd).max()))
+            dev, scale = max(dev, dev_pair), max(scale, scale_pair)
+            linked = (fwd != 0) | (bwd.T != 0)
+            # eigen-columns ascend within a block, so i <= j is m <= n there
+            i, j = np.nonzero(np.triu(linked) if lo == hi else linked)
+            m, n = self.columns[lo][i], self.columns[hi][j]
+            values = fwd[i, j]
+            below = m > n
+            values[below] = bwd[j[below], i[below]]
+            found.append((np.minimum(m, n), np.maximum(m, n), values))
+        _require_hermitian(dev, scale, name)
+        rows, cols, values = (
+            np.concatenate([np.zeros(0, dtype)] + [f[k] for f in found])
+            for k, dtype in enumerate((np.intp, np.intp, self.dtype))
+        )
+        order = np.argsort(rows.astype(np.int64) * self.dim + cols)
+        return rows[order], cols[order], _real_if_exact(values[order])
+
+
+class SpectralDecomposition:
+    """Eigenvalues (ascending), eigenvectors per invariant block, degeneracy
+    tol.
+
+    blocks records the invariant subspaces as (basis indices, eigen-column
+    indices) pairs, each ascending; each index kind partitions range(dim).
+    block_vectors[k] is block k's eigenvector matrix, rows over its basis
+    states and columns over its eigen-columns: float64 when real (the
+    real-symmetric case of diagonalize), complex128 otherwise.  vectors is
+    the dense unitary, zero outside the blocks, assembled on first read.
+
+    Built from dense vectors, with blocks defaulting to one block holding
+    everything, the vectors are copied and must vanish outside their
+    blocks; diagonalize hands over the blocks it solved instead.
+    Instances are immutable.
     """
 
-    energies: np.ndarray
-    vectors: np.ndarray
-    energy_tol: float = field(default=None)
-    blocks: tuple = field(default=None)
-    _fresh: InitVar[bool] = False
-
-    def __post_init__(self, _fresh):
-        e = np.array(self.energies, dtype=float)
-        u = _real_if_exact(self.vectors if _fresh else np.array(self.vectors))
+    def __init__(self, energies, vectors, energy_tol=None, blocks=None):
+        e = np.array(energies, dtype=float)
+        u = _real_if_exact(np.array(vectors))
         if e.ndim != 1 or u.shape != (e.size, e.size):
             raise DomainError(
                 f"inconsistent decomposition shapes: energies {e.shape}, vectors {u.shape}"
             )
-        if np.any(np.diff(e) < 0):
-            raise DomainError("energies must be sorted ascending")
         whole = np.arange(e.size)
-        blocks = ((whole, whole),) if self.blocks is None else self.blocks
-        blocks = tuple(_index_pair(pair, e.size) for pair in blocks)
+        pairs = ((whole, whole),) if blocks is None else tuple(map(_index_pair, blocks))
         for kind, sets in (("basis", 0), ("eigen-column", 1)):
-            covered = np.sort(np.concatenate([whole[:0]] + [pair[sets] for pair in blocks]))
+            covered = np.sort(np.concatenate([whole[:0]] + [pair[sets] for pair in pairs]))
             if not np.array_equal(covered, whole):
                 raise DomainError(f"block {kind} indices must partition range({e.size})")
-        if len(blocks) > 1:
-            inside = sum(np.count_nonzero(u[rows[:, None], cols]) for rows, cols in blocks)
-            if inside != np.count_nonzero(u):
+        if len(pairs) == 1:
+            parts = [u]
+        else:
+            parts = [u[rows[:, None], cols] for rows, cols in pairs]
+            if sum(np.count_nonzero(v) for v in parts) != np.count_nonzero(u):
                 raise DomainError("vectors must vanish outside their blocks")
-        e.setflags(write=False)
-        u.setflags(write=False)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "vectors", u)
-        object.__setattr__(self, "blocks", blocks)
-        tol = self.energy_tol
-        object.__setattr__(
-            self, "energy_tol", default_energy_tol(e) if tol is None else float(tol)
-        )
+        self._freeze(e, energy_tol, pairs, parts)
+
+    @classmethod
+    def _from_blocks(cls, energies, energy_tol, blocks, block_vectors):
+        """A decomposition from solved blocks, trusted as given."""
+        self = cls.__new__(cls)
+        self._freeze(energies, energy_tol, blocks, block_vectors)
+        return self
+
+    def _freeze(self, energies, energy_tol, blocks, block_vectors):
+        if np.any(np.diff(energies) < 0):
+            raise DomainError("energies must be sorted ascending")
+        for arr in (energies, *block_vectors, *(idx for pair in blocks for idx in pair)):
+            arr.setflags(write=False)
+        tol = default_energy_tol(energies) if energy_tol is None else float(energy_tol)
+        for name, value in (("energies", energies), ("energy_tol", tol),
+                            ("blocks", tuple(blocks)), ("block_vectors", tuple(block_vectors))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def dim(self):
         return self.energies.size
+
+    @cached_property
+    def vectors(self):
+        if len(self.blocks) == 1:
+            return self.block_vectors[0]
+        out = np.zeros((self.dim, self.dim), dtype=self.block_vectors[0].dtype)
+        for (rows, cols), v in zip(self.blocks, self.block_vectors):
+            out[rows[:, None], cols] = v
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _basis_index(self):
+        sets = [rows for rows, _ in self.blocks]
+        return (sets, *_block_index(sets, self.dim))
 
     def degeneracy_groups(self, tol=None):
         """Partition level indices into degenerate groups.
@@ -162,40 +310,27 @@ class SpectralDecomposition:
         groups.append((start, self.dim))
         return groups
 
-    def to_eigenbasis(self, op):
-        """Conjugate an operator into the eigenbasis: V^dag O V.
+    def to_eigenblocks(self, op):
+        """op (a matrix or a SparseOperator) in the eigenbasis as a
+        BlockOperator: (V_a^dag O_ab) V_b for every ordered block pair
+        (a, b) between whose basis states op has an entry.  Real vectors
+        and an operator with no imaginary part multiply in real arithmetic
+        and give float64 blocks; otherwise they are complex."""
+        op = _operand(op)
+        if op.shape[0] != self.dim:
+            raise DomainError(f"operator dim {op.shape[0]} does not match dim {self.dim}")
+        vs = self.block_vectors
+        products = {
+            (a, b): (vs[a].conj().T @ sub) @ vs[b]
+            for (a, b), sub in _linked_blocks(op, *self._basis_index).items()
+        }
+        columns = tuple(cols for _, cols in self.blocks)
+        return BlockOperator(columns, products, self.dim, np.result_type(vs[0], op.dtype))
 
-        Real vectors and an operator with no imaginary part give a float64
-        result, multiplied in real arithmetic; otherwise it is complex.
-        """
-        mat = _real_if_exact(_as_matrix(op))
-        if mat.shape != (self.dim, self.dim):
-            raise DomainError(f"operator shape {mat.shape} does not match dim {self.dim}")
-        row_block = np.empty(self.dim, dtype=np.intp)
-        col_block = np.empty(self.dim, dtype=np.intp)
-        for k, (rows, cols) in enumerate(self.blocks):
-            row_block[rows] = k
-            col_block[cols] = k
-        # links[a, b]: O has a nonzero entry in block a's rows, block b's columns
-        nonzero = mat != 0
-        links = np.zeros((len(self.blocks),) * 2, dtype=bool)
-        for a, (rows, _) in enumerate(self.blocks):
-            links[a, row_block[nonzero[rows].any(axis=0)]] = True
-        del nonzero
-        # (V^dag O) V, grouped as the dense product: V^dag O is built from
-        # the linked block pairs only, then multiplied by V column block by
-        # column block.
-        vs = [self.vectors[_ix(rows, cols, self.vectors.shape)] for rows, cols in self.blocks]
-        dtype = np.result_type(self.vectors, mat)
-        left = np.zeros((self.dim, self.dim), dtype)
-        for (rows, cols), v, linked in zip(self.blocks, vs, links):
-            near = np.flatnonzero(linked[row_block])
-            left[_ix(cols, near, left.shape)] = v.conj().T @ mat[_ix(rows, near, mat.shape)]
-        out = np.zeros((self.dim, self.dim), dtype)
-        for (rows, cols), v, linked in zip(self.blocks, vs, links.T):
-            near = np.flatnonzero(linked[col_block])
-            out[_ix(near, cols, out.shape)] = left[_ix(near, rows, left.shape)] @ v
-        return out
+    def to_eigenbasis(self, op):
+        """Conjugate an operator into the eigenbasis, V^dag O V, as a dense
+        matrix: to_eigenblocks scattered into place."""
+        return self.to_eigenblocks(op).dense()
 
     def summary(self, tol=None):
         return {
@@ -208,24 +343,29 @@ class SpectralDecomposition:
 def diagonalize(hamiltonian, energy_tol=None):
     """Exact diagonalization with a posteriori certificates.
 
-    The Hamiltonian is solved block by block over the connected components
-    of its nonzero pattern (the block rule above), and the eigenvalues are
-    merged in ascending order; ties keep block order.  A Hamiltonian with no
-    imaginary part goes to the real-symmetric solver and yields float64
-    eigenvectors; any other goes to the complex Hermitian one.  Each block's
-    eigenvector matrix is checked to be unitary and to reconstruct its block
-    of the input, both to DECOMP_RTOL relative to the global spectral scale,
-    in the arithmetic of the solve.  Off the blocks both the input and the
-    reconstruction are exactly zero, so these are the full-matrix maxima.
-    Failure raises NumericError since it signals lost accuracy, not bad
-    input.  energy_tol seeds the decomposition's degeneracy threshold.
+    hamiltonian is a matrix or a SparseOperator.  It is solved block by
+    block over the connected components of its nonzero pattern (the block
+    rule above), and the eigenvalues are merged in ascending order; ties
+    keep block order.  A Hamiltonian with no imaginary part goes to the
+    real-symmetric solver and yields float64 eigenvectors; any other goes to
+    the complex Hermitian one.  Each block's eigenvector matrix is checked
+    to be unitary and to reconstruct its block of the input, both to
+    DECOMP_RTOL relative to the global spectral scale, in the arithmetic of
+    the solve.  Off the blocks both the input and the reconstruction are
+    exactly zero, so these are the full-matrix maxima.  Failure raises
+    NumericError since it signals lost accuracy, not bad input.  energy_tol
+    seeds the decomposition's degeneracy threshold.
     """
-    mat = _real_if_exact(_as_matrix(hamiltonian, "hamiltonian"))
-    dim = mat.shape[0]
+    h = _operand(hamiltonian, "hamiltonian")
+    dim = h.shape[0]
     if dim == 0:
         raise DomainError("hamiltonian must not be empty")
-    basis = _pattern_blocks(mat)
-    subs = [mat[_ix(rows, rows, mat.shape)] for rows in basis]
+    basis = _components(h)
+    linked = _linked_blocks(h, basis, *_block_index(basis, dim))
+    subs = [
+        linked.get((k, k), np.zeros((rows.size,) * 2, dtype=h.dtype))
+        for k, rows in enumerate(basis)
+    ]
     solved = [np.linalg.eigh(sub) for sub in subs]
     merged = np.concatenate([e for e, _ in solved])
     order = np.argsort(merged, kind="stable")
@@ -234,7 +374,6 @@ def diagonalize(hamiltonian, energy_tol=None):
     column[order] = np.arange(dim)
     scale = max(1.0, float(np.abs(energies).max()))
     unit_dev = rec_dev = 0.0
-    vectors = np.zeros((dim, dim), dtype=solved[0][1].dtype)
     blocks = []
     start = 0
     for rows, sub, (e, v) in zip(basis, subs, solved):
@@ -243,10 +382,8 @@ def diagonalize(hamiltonian, energy_tol=None):
         unit_dev = max(unit_dev, float(np.abs(gram).max()))
         rec = v @ (e[:, None] * v.conj().T) - sub
         rec_dev = max(rec_dev, float(np.abs(rec).max()))
-        cols = column[start : start + e.size]
+        blocks.append((rows, column[start : start + e.size]))
         start += e.size
-        vectors[_ix(rows, cols, vectors.shape)] = v
-        blocks.append((rows, cols))
     if unit_dev > DECOMP_RTOL:
         raise NumericError(f"eigenvector matrix not unitary: max deviation {unit_dev:.3e}")
     if rec_dev > DECOMP_RTOL * scale:
@@ -254,7 +391,8 @@ def diagonalize(hamiltonian, energy_tol=None):
             f"eigendecomposition does not reconstruct the input: "
             f"max deviation {rec_dev:.3e} against scale {scale:.3e}"
         )
-    return SpectralDecomposition(energies, vectors, energy_tol, tuple(blocks), _fresh=True)
+    vectors = [v for _, v in solved]
+    return SpectralDecomposition._from_blocks(energies, energy_tol, blocks, vectors)
 
 
 @dataclass(frozen=True)

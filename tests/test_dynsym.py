@@ -199,9 +199,11 @@ def test_trivial_set_for_an_operator_holds_its_nonzero_pairs():
     assert np.array_equal(pairs.keys, np.flatnonzero(upper))
     assert np.array_equal(pairs.values, o_eig[pairs.rows, pairs.cols])
     assert not pairs.complete and pairs.rows.size < full.rows.size
-    # labels are the full set's labels of the same pairs
+    # the set clusters its own gaps: each pair's cluster frequency is the
+    # full set's frequency of the same pair, and there are fewer clusters
     at = np.searchsorted(full.keys, pairs.keys)
-    assert np.array_equal(pairs.labels, full.labels[at])
+    assert np.array_equal(pairs.omegas[pairs.labels], full.omegas[full.labels[at]])
+    assert pairs.omegas.size < full.omegas.size
     with pytest.raises(DomainError):
         trivial_complete_set(spectral, op_eig=o_eig + np.triu(o_eig, 1))
 

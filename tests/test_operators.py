@@ -27,11 +27,11 @@ from qfidyn.operators import (
     BOUNDARIES,
     GENERATOR_KINDS,
     SITE_CAP_ENV,
-    _hermitian,
     pauli_matrix,
     pauli_strings_to_records,
     site_cap,
 )
+from qfidyn.dynsym import _operator_pairs
 from oracles import pauli_string_oracle, xx_hamiltonian_oracle
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -413,18 +413,19 @@ def test_hermitian_check_covers_every_row_block():
     mat = np.zeros((dim, dim), dtype=complex)
     mat[dim - 1, dim - 2] = mat[dim - 2, dim - 1] = 1j  # symmetric, not Hermitian
     with pytest.raises(DomainError):
-        _hermitian(mat, dim)
+        _operator_pairs(mat, dim)
     with pytest.raises(DomainError):
         HermitianOperator(mat)
     mat[dim - 2, dim - 1] = -1j
-    assert _hermitian(mat, dim).dtype == np.complex128
+    assert _operator_pairs(mat, dim)[2].dtype == np.complex128
     real = np.zeros((dim, dim))
     real[0, dim - 1] = real[dim - 1, 0] = 2.0
-    assert _hermitian(real, dim).dtype == np.float64
-    assert _hermitian(real.astype(complex), dim).dtype == np.float64  # imaginary part all 0
+    assert _operator_pairs(real, dim)[2].dtype == np.float64
+    # imaginary part all 0
+    assert _operator_pairs(real.astype(complex), dim)[2].dtype == np.float64
     real[dim - 1, 0] = 1.0
     with pytest.raises(DomainError):
-        _hermitian(real, dim)
+        _operator_pairs(real, dim)
 
 
 def test_general_operator_dagger_and_norm():

@@ -7,10 +7,13 @@ whole matrix, the dense product V^dag O V, the density-matrix oracles, and,
 for the XX chains, a decomposition built from one dense eigh.  The pair set
 of a block-sparse operator holds only its nonzero pairs; every route, bound
 and comb evaluated on it must match the oracles, the same quantity on the
-dense matrix, and the set of all pairs.
+dense matrix, and the set of all pairs.  The preset pipeline, which builds
+the pair set from Pauli-string entries and eigenbasis blocks with no dense
+matrix, must give the pair set of the dense route.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +22,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfidyn import (
+    BlockOperator,
     DomainError,
     NumericError,
+    SparseOperator,
     SpectralDecomposition,
     SpinChainSpec,
     build_xx_hamiltonian,
@@ -49,6 +54,10 @@ from qfidyn import (
     susceptibility_comb,
     trivial_complete_set,
 )
+from qfidyn.dynsym import cluster_values
+from qfidyn.models import preset, solve_preset
+from qfidyn.operators import GENERATOR_KINDS
+from qfidyn.spectral import _components
 from oracles import (
     eigh_thermal_state,
     qfi_oracle,
@@ -128,6 +137,19 @@ def test_blocks_energies_and_eigenbasis_match_the_dense_route(params):
     for op in (o, np.triu(o)):
         got = spectral.to_eigenbasis(op)
         assert np.abs(got - v.conj().T @ op @ v).max() <= 1e-12 * max(1.0, np.abs(op).max())
+
+
+@given(params=case)
+def test_entry_block_finder_recovers_the_planted_blocks(params):
+    h, sets = block_case(**params)
+    planted = sorted(tuple(s) for s in sets)
+    for op in (h, SparseOperator.from_dense(h)):
+        assert sorted(tuple(c) for c in _components(op)) == planted
+    dense, sparse = diagonalize(h), diagonalize(SparseOperator.from_dense(h))
+    for spectral in (dense, sparse):
+        assert sorted(tuple(rows) for rows, _ in spectral.blocks) == planted
+    assert np.array_equal(dense.energies, sparse.energies)
+    assert np.array_equal(dense.vectors, sparse.vectors)
 
 
 @given(params=case, beta=st.sampled_from(BETAS))
@@ -312,6 +334,104 @@ def test_xx_chains_match_the_dense_path(sites, field, boundary):
         ):
             a, b = value(blocked, o_blocked, got), value(dense, o_dense, want)
             assert abs(a - b) <= 1e-10 * max(1.0, b), (beta, a, b)
+
+
+CHAINS = [
+    (sites, field, boundary, kind)
+    for sites in range(2, 11)
+    for field in (0.0, 0.3)
+    for boundary in ("open", "periodic")
+    for kind in GENERATOR_KINDS
+    if (kind == "antisymmetric-x") == (sites == 2)
+]
+
+
+def dense_route(model):
+    """The pair set through dense matrices: diagonalize(H) -> dense
+    to_eigenbasis -> trivial_complete_set."""
+    h = build_xx_hamiltonian(model.spec).mat
+    spectral = diagonalize(h)
+    o_eig = spectral.to_eigenbasis(local_generator(model.generator, model.spec.sites))
+    return spectral, trivial_complete_set(spectral, op_eig=o_eig), h
+
+
+@pytest.mark.parametrize("sites, field, boundary, kind", CHAINS)
+def test_sector_native_pair_set_is_the_dense_route(sites, field, boundary, kind):
+    model = preset("chain", sites=sites, field=field, boundary=boundary, generator=kind)
+    spectral, pairs, _ = solve_preset(model)
+    dense_spectral, want, _ = dense_route(model)
+    assert np.array_equal(spectral.energies, dense_spectral.energies)
+    assert np.array_equal(pairs.rows, want.rows) and np.array_equal(pairs.cols, want.cols)
+    scale = max(1.0, float(np.abs(want.values).max(initial=0.0)))
+    assert np.abs(pairs.values - want.values).max(initial=0.0) <= 1e-12 * scale
+    assert np.array_equal(pairs.omegas, want.omegas)
+
+
+@pytest.mark.parametrize(
+    "sites, field, boundary, kind", [c for c in CHAINS if c[0] <= 6]
+)
+def test_sector_native_routes_match_the_oracle(sites, field, boundary, kind):
+    # the oracle is a double loop over dim^2 level pairs: six sites at most
+    model = preset("chain", sites=sites, field=field, boundary=boundary, generator=kind)
+    spectral, pairs, h = solve_preset(model)
+    h, o = h.dense(), local_generator(kind, sites).mat
+    for beta in BETAS:
+        ens = gibbs_weights(spectral, beta)
+        rho = eigh_thermal_state(h, beta) if beta == 1e8 else thermal_state(h, beta)
+        want = qfi_oracle(rho, o)
+        direct = qfi_spectral(pairs, ens)
+        # the conditioning term of test_block_routes_match_the_density_matrix_oracle
+        eps = 4 * np.finfo(float).eps * max(1.0, float(np.abs(spectral.energies).max()))
+        second = float(np.dot(ens.weights[pairs.cols], pairs.abs2))
+        second += float(np.dot(ens.weights[pairs.rows], pairs.abs2))
+        conditioning = 24.0 * beta * eps * second if math.isfinite(beta) else 0.0
+        assert abs(direct - want) <= 1e-10 * max(1.0, want) + conditioning
+        tol = 1e-10 * max(1.0, direct)
+        assert abs(qfi_via_susceptibility(pairs, ens) - direct) <= tol
+        assert abs(qfi_via_structure_factor(pairs, ens) - direct) <= tol
+        report = qfi_from_dynsym(pairs, ens, pairs)
+        assert report.saturated
+        assert abs(report.value - direct) <= tol
+
+
+def test_a_one_sided_eigenbasis_entry_enters_the_set():
+    # O_01 is exactly 0 while O_10 is 1e-14: the pair (0, 1) is O's, with value 0.0
+    within = BlockOperator(
+        (np.array([0, 1]),), {(0, 0): np.array([[1.0, 0.0], [1e-14, 2.0]])}, 2, np.float64
+    )
+    # across blocks: the site-basis entry (1, 0) has no partner (0, 1)
+    spectral = diagonalize(np.diag([0.0, 1.0, 3.0]))
+    one_sided = SparseOperator([1, 1, 2, 2], [0, 2, 1, 2], [1e-14, 0.5, 0.5, 3.0], 3)
+    across = spectral.to_eigenblocks(one_sided)
+    for op, energies in ((within, [0.0, 1.0]), (across, spectral.energies)):
+        levels = SimpleNamespace(energies=np.array(energies))
+        pairs = trivial_complete_set(levels, op_eig=op)
+        dense = trivial_complete_set(levels, op_eig=op.dense())
+        assert 0 * op.dim + 1 in pairs.keys
+        assert pairs.values[np.searchsorted(pairs.keys, 1)] == 0.0
+        assert np.array_equal(pairs.keys, dense.keys)
+        assert np.array_equal(pairs.values, dense.values)
+
+
+def test_weighted_clusters_are_the_gaps_of_the_set():
+    spectral, pairs, _ = solve_preset(preset("chain", sites=6))
+    k = pairs.omegas.size
+    assert np.array_equal(pairs.omegas, -pairs.omegas[::-1]) and pairs.omegas[k // 2] == 0.0
+    used = np.union1d(pairs.labels, k - 1 - pairs.labels)
+    assert np.array_equal(np.union1d(used, [k // 2]), np.arange(k))
+    gaps = spectral.energies[pairs.rows] - spectral.energies[pairs.cols]
+    tol = 1e-8 * max(1.0, float(np.ptp(spectral.energies)))
+    assert np.abs(pairs.omegas[pairs.labels] - gaps).max() <= tol
+    # the set of all pairs clusters exactly the clusters of every gap, also
+    # on a spectrum with exact and near degeneracies
+    rounded = np.sort(np.round(np.random.default_rng(3).normal(size=40), 1))
+    for levels, omega_tol in ((spectral, tol), (SimpleNamespace(energies=rounded), 0.15)):
+        everything = trivial_complete_set(levels, omega_tol)
+        all_gaps = (levels.energies[:, None] - levels.energies[None, :]).ravel()
+        reps, labels = cluster_values(all_gaps, omega_tol, symmetric=True)
+        assert np.array_equal(everything.omegas, reps)
+        assert np.array_equal(everything.labels, labels[everything.keys])
+    assert trivial_complete_set(spectral, tol).omegas.size > k
 
 
 def test_staggered_generator_links_only_adjacent_sectors():
