@@ -77,6 +77,8 @@ def parse_grid(text, name, default_scale):
         raise DomainError(f"{name} scale must be lin or log, got {scale!r}")
     if count < 1:
         raise DomainError(f"{name} count must be >= 1, got {count}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"{name} needs finite min and max, got {text!r}")
     if not lo <= hi:
         raise DomainError(f"{name} needs min <= max, got {lo} > {hi}")
     if scale == "log" and lo <= 0:

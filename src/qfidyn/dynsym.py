@@ -16,24 +16,36 @@ mixing the two:
   m <= n, each standing for (m, n) and its mirror (n, m), with the
   frequency-cluster label of (m, n); the mirror lies in the sign-mirrored
   cluster.  Their Gram is diagonal, so every per-cluster sum is one pass
-  over the pairs and a np.bincount (PairPartition.bin).  A pair is listed
-  once, so no pair can be counted twice.
+  over the pairs (PairPartition.bin).  A pair is listed once, so no pair
+  can be counted twice.
 
 The weighted pair set is the PairPartition that trivial_complete_set builds
 for a generator O: only the pairs with O_mn != 0, each with its entry O_mn,
 clustered over their own gaps.  It is built and certified Hermitian once,
 straight from the generator's eigenbasis blocks (to_eigenblocks) with no
 dim x dim array, and every pair sum over O (QFI routes, bounds, combs) is
-then an elementwise pass over it at each temperature.  A set is complete
-for every operator whose nonzero entries it covers, so bounds built on it
-alone are saturated for exactly those operators; the set of all pairs is
-complete for every operator.
+then an elementwise pass over it at each temperature.
+
+Memory rule: the finished set holds five arrays of one entry per pair
+(rows, cols, labels, keys and values: 40 B a pair for real values), and
+building it holds no more than those five and a boolean mask at any time
+beside its inputs.  The eigenbasis blocks hand over one key m * dim + n
+and one value per pair (BlockOperator.pairs); the gaps are clustered from
+one array of -|omega_mn|, sorted in place, and its argsort order, never
+from a mirrored copy; PairPartition keeps the arrays trivial_complete_set
+hands it instead of copying them.  Passes that bin per-pair terms by
+cluster form them a chunk of pairs at a time (PairPartition.bin_chunks).
+
+A set is complete for every operator whose nonzero entries it covers, so
+bounds built on it alone are saturated for exactly those operators; the
+set of all pairs is complete for every operator.
 
 Thermal correlators use the inner product <X, Y> = tr(rho X^dag Y).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +55,7 @@ from .errors import DomainError, NumericError
 from .operators import (
     GeneralOperator,
     _as_matrix,
+    _chunks,
     _real_if_exact,
     operator_support,
 )
@@ -63,6 +76,18 @@ def default_omega_tol(energies):
     energies = np.asarray(energies, dtype=float)
     width = float(energies.max() - energies.min()) if energies.size else 0.0
     return 1e-8 * max(1.0, width)
+
+
+def _checked_omega_tol(omega_tol, exact_ties=False):
+    """omega_tol as a float, or DomainError unless it is finite and > 0
+    (>= 0 with exact_ties, where 0 clusters equal values only).  A NaN or
+    infinite tolerance would merge every gap into one cluster, and a
+    negative one would split equal gaps."""
+    tol = float(omega_tol)
+    if not (math.isfinite(tol) and (tol > 0.0 or exact_ties and tol == 0.0)):
+        bound = ">= 0" if exact_ties else "> 0"
+        raise DomainError(f"omega_tol must be finite and {bound}, got {omega_tol!r}")
+    return tol
 
 
 def fit_frequency(hamiltonian, op):
@@ -113,8 +138,8 @@ def dynamical_symmetry(hamiltonian, op, tol=TAU_DYN):
 
 
 def cluster_values(values, tol, symmetric=False):
-    """Greedy 1-d clustering: a gap above tol in the sorted values opens a
-    new cluster.
+    """Greedy 1-d clustering: a gap above tol (finite, >= 0) in the sorted
+    values opens a new cluster.
 
     Returns (reps, labels): cluster representatives (member means, ascending)
     and a label array mapping each input value to its cluster.  With
@@ -122,22 +147,15 @@ def cluster_values(values, tol, symmetric=False):
     energy differences E_m - E_n are); representatives are then canonicalized
     to an exactly sign-symmetric set, and the middle one to exactly 0.0.
     """
+    tol = _checked_omega_tol(tol, exact_ties=True)
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise DomainError(f"values must be a nonempty 1-d array, got shape {values.shape}")
     # equal values always share a cluster, so the order among ties cannot
     # change reps or labels and the sort need not be stable
     order = np.argsort(values)
-    reps, labels_sorted = _sorted_clusters(values[order], tol, symmetric)
-    labels = np.empty(values.size, dtype=np.intp)
-    labels[order] = labels_sorted
-    return reps, labels
-
-
-def _sorted_clusters(sorted_v, tol, symmetric):
-    """cluster_values on ascending values: (reps, label of each value)."""
-    starts = np.flatnonzero(np.diff(sorted_v) > tol) + 1
-    starts = np.concatenate(([0], starts))
+    sorted_v = values[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_v) > tol) + 1))
     counts = np.diff(np.concatenate((starts, [sorted_v.size])))
     reps = np.add.reduceat(sorted_v, starts) / counts
     if symmetric:
@@ -147,7 +165,9 @@ def _sorted_clusters(sorted_v, tol, symmetric):
                 "input was expected to be a sign-symmetric multiset"
             )
         reps = (reps - reps[::-1]) / 2.0
-    return reps, np.repeat(np.arange(reps.size), counts)
+    labels = np.empty(values.size, dtype=np.intp)
+    labels[order] = np.repeat(np.arange(reps.size), counts)
+    return reps, labels
 
 
 @dataclass(frozen=True)
@@ -209,7 +229,25 @@ class PairPartition:
     values: np.ndarray = None
 
     def __post_init__(self):
-        om = np.array(self.omegas, dtype=float)
+        self._freeze(copy=True)
+
+    @classmethod
+    def _adopt(cls, omegas, rows, cols, labels, dim, values=None):
+        """A partition over arrays that no caller can still write (made for
+        it, or another partition's): checked like any other, then frozen in
+        place instead of copied."""
+        self = cls.__new__(cls)
+        for name, arr in (("omegas", omegas), ("rows", rows), ("cols", cols),
+                          ("labels", labels), ("dim", dim), ("values", values)):
+            object.__setattr__(self, name, arr)
+        self._freeze(copy=False)
+        return self
+
+    def _freeze(self, copy):
+        """Validate the fields, then store them read-only: copies of the
+        caller's arrays when copy is set, else the arrays themselves."""
+        copy = True if copy else None
+        om = np.array(self.omegas, dtype=float, copy=copy)
         if (
             om.ndim != 1
             or om.size % 2 == 0
@@ -227,17 +265,19 @@ class PairPartition:
             raise DomainError("rows, cols and labels must be 1-d arrays of one size")
         if not all(np.issubdtype(f.dtype, np.integer) for f in fields):
             raise DomainError("rows, cols and labels must be integers")
-        rows, cols, labels = (np.array(f, dtype=np.intp) for f in fields)
+        rows, cols, labels = (np.array(f, dtype=np.intp, copy=copy) for f in fields)
         if rows.size and (rows.min() < 0 or cols.max() >= dim or np.any(rows > cols)):
             raise DomainError(f"pairs must satisfy 0 <= m <= n < {dim}")
-        keys = rows.astype(np.int64) * dim + cols
-        if np.any(np.diff(keys) <= 0):
+        keys = rows.astype(np.int64)
+        keys *= dim
+        keys += cols
+        if np.any(keys[1:] <= keys[:-1]):
             raise DomainError("pairs must be distinct and ascending in m * dim + n")
         if labels.size and (labels.min() < 0 or labels.max() >= om.size):
             raise DomainError(f"labels must lie in [0, {om.size}), one cluster per pair")
         values = self.values
         if values is not None:
-            values = _real_if_exact(np.array(values))
+            values = _real_if_exact(np.array(values, copy=copy))
             if values.shape != rows.shape:
                 raise DomainError("values must hold one entry per pair")
         for arr in (om, rows, cols, labels, keys, values):
@@ -253,13 +293,17 @@ class PairPartition:
         """True when the set holds every pair, so it spans operator space."""
         return self.rows.size == self.dim * (self.dim + 1) // 2
 
-    @cached_property
+    @property
     def mirror(self):
         """Cluster of each mirrored pair (n, m); K for a diagonal pair, which
         has no mirror."""
+        return self._mirror(slice(None))
+
+    def _mirror(self, s):
+        """mirror on the pairs s."""
         k = self.omegas.size
-        out = np.where(self.rows == self.cols, k, k - 1 - self.labels)
-        out.setflags(write=False)
+        out = k - 1 - self.labels[s]
+        out[self.rows[s] == self.cols[s]] = k
         return out
 
     def bin(self, forward, backward):
@@ -267,12 +311,23 @@ class PairPartition:
         (m, n) and goes to labels[i], backward[i] is that of (n, m) and goes
         to the mirrored cluster; a diagonal pair's backward term is dropped.
         Returns an array of length K aligned with omegas."""
-        k = self.omegas.size
         forward, backward = np.asarray(forward), np.asarray(backward)
         if forward.shape != self.rows.shape or backward.shape != self.rows.shape:
             raise DomainError(f"pair terms must hold {self.rows.size} entries each")
-        out = np.bincount(self.labels, forward, minlength=k)
-        return out + np.bincount(self.mirror, backward, minlength=k + 1)[:k]
+        return self.bin_chunks((s, forward[s], backward[s]) for s in _chunks(self.rows.size))
+
+    def bin_chunks(self, terms):
+        """bin over terms that come a chunk of pairs at a time, as
+        (s, forward[s], backward[s]) for consecutive slices s covering the
+        pairs, so that no per-pair array outlives its chunk.  Each cluster
+        adds its terms in pair order from 0.0, as np.bincount does, so the
+        sums do not depend on the chunks."""
+        k = self.omegas.size
+        out, back = np.zeros(k), np.zeros(k + 1)
+        for s, forward, backward in terms:
+            np.add.at(out, self.labels[s], forward)
+            np.add.at(back, self._mirror(s), backward)
+        return out + back[:k]
 
     def aligned(self, op, name="operator"):
         """(values, covered): op's entries O_mn on this set's pairs, 0 where
@@ -303,7 +358,10 @@ class PairPartition:
         pairs, the Gram of eigenpair operators being diagonal."""
         p = ensemble.weights
         abs2 = self.squared(values)
-        return self.bin(p[self.cols] * abs2, p[self.rows] * abs2)
+        return self.bin_chunks(
+            (s, p[self.cols[s]] * abs2[s], p[self.rows[s]] * abs2[s])
+            for s in _chunks(self.rows.size)
+        )
 
 
 def _operator_pairs(op, dim, name="operator"):
@@ -372,24 +430,59 @@ def trivial_complete_set(spectral, omega_tol=None, op_eig=None):
     dim = energies.size
     if omega_tol is None:
         omega_tol = default_omega_tol(energies)
+    omega_tol = _checked_omega_tol(omega_tol)
     if op_eig is None:
         rows, cols = np.triu_indices(dim)
         values = None
     else:
         rows, cols, values = _operator_pairs(op_eig, dim)
-    gaps = energies[rows] - energies[cols]
-    # cluster_values of the gaps, their mirrors and 0.0, sorting half of
-    # them: -|gaps| ascending, then 0.0, then its mirror is the whole multiset
-    low = -np.abs(gaps)
-    order = np.argsort(low)
-    half = low[order]
-    mirrored = np.concatenate((half, [0.0], -half[::-1]))
-    reps, labels_sorted = _sorted_clusters(mirrored, omega_tol, True)
-    labels = np.empty(rows.size, dtype=np.intp)
-    labels[order] = labels_sorted[: rows.size]
+    n = rows.size
+    # -|omega_mn| per pair, and which omega_mn are positive, a chunk at a time
+    half = np.empty(n)
+    positive = np.empty(n, dtype=bool)
+    for s in _chunks(n):
+        gaps = energies[rows[s]] - energies[cols[s]]
+        np.greater(gaps, 0.0, out=positive[s])
+        np.negative(np.abs(gaps, out=gaps), out=half[s])
+    order = np.argsort(half)
+    # half[order] in place: no second array of gaps
+    half.sort()
+    reps, bounds = _mirrored_clusters(half, omega_tol)
+    del half
+    # sorted position j lies in the cluster k with bounds[k] <= j < bounds[k + 1];
+    # scattered a chunk of positions at a time, so no sorted label array is made
+    labels = np.empty(n, dtype=np.intp)
+    for s in _chunks(n):
+        first = np.searchsorted(bounds, s.start, "right") - 1
+        last = np.searchsorted(bounds, s.stop, "left")
+        counts = np.diff(np.clip(bounds[first : last + 1], s.start, s.stop))
+        labels[order[s]] = np.repeat(np.arange(first, last), counts)
+    del order
     # a positive gap is the mirror of -|gap|, in the mirrored cluster
-    np.subtract(reps.size - 1, labels, out=labels, where=gaps > 0)
-    return PairPartition(reps, rows, cols, labels, dim, values)
+    np.subtract(reps.size - 1, labels, out=labels, where=positive)
+    return PairPartition._adopt(reps, rows, cols, labels, dim, values)
+
+
+def _mirrored_clusters(half, tol):
+    """cluster_values(concat(half, [0.0], -half[::-1]), tol, symmetric=True)
+    for ascending half <= 0, bit for bit, without forming that multiset:
+    (reps, bounds), where half's clusters span bounds[k] <= j < bounds[k + 1]
+    and carry labels k, the last one being the zero cluster when its values
+    lie within tol of 0.0.  The multiset sums a cluster of -half in the
+    mirrored order, so that sum is np.add.reduceat over half's reversed
+    view."""
+    n = half.size
+    cuts = [np.flatnonzero(np.diff(half[s.start : s.stop + 1]) > tol) + s.start + 1
+            for s in _chunks(n - 1)]
+    bounds = np.concatenate([[0] if n else [], *cuts, [n]]).astype(np.intp)
+    # the clusters below the zero cluster: all of half's unless its last
+    # one reaches 0.0
+    below = bounds.size - 1 - (n > 0 and not 0.0 - half[-1] > tol)
+    counts = np.diff(bounds)[:below]
+    sums = np.add.reduceat(half, bounds[:-1])[:below]
+    back_sums = np.add.reduceat(half[::-1], n - bounds[below:0:-1])[::-1]
+    raw = np.concatenate((sums / counts, [0.0], (-back_sums / counts)[::-1]))
+    return (raw - raw[::-1]) / 2.0, bounds
 
 
 def _pair_set(op_eig, spectral, omega_tol=None, name="operator"):
@@ -423,6 +516,8 @@ def group_into_blocks(symmetries, omega_tol=None):
     carry rounding noise).  Default omega_tol is 1e-8 * max(1, |omega|_max).
     """
     symmetries = list(symmetries)
+    if omega_tol is not None:
+        omega_tol = _checked_omega_tol(omega_tol)
     if not symmetries:
         return []
     omegas = np.array([s.omega for s in symmetries], dtype=float)

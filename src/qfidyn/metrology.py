@@ -14,11 +14,12 @@ Lower bounds decompose over frequency blocks, each kind with one coefficient
 function of (t, s, x) = (tanh x, sech x, x) at x = beta omega / 2.  A
 PairPartition evaluates it per pair from the weights themselves,
 t = (p_n - p_m)/(p_n + p_m), s = 2 sqrt(p_n p_m)/(p_n + p_m) and
-x = (ln p_n - ln p_m)/2, and sums each cluster with one bincount; this keeps
-the bounds exactly saturated for a complete set even when frequency
-clustering merges nearby gaps, and it is well defined at beta = inf where
-beta * omega arithmetic is not.  Explicit OperatorBlocks use their block
-frequency, which is the honest choice for a user-supplied symmetry set.
+x = (ln p_n - ln p_m)/2, a chunk of pairs at a time, and sums each cluster
+in pair order (PairPartition.bin_chunks); this keeps the bounds exactly
+saturated for a complete set even when frequency clustering merges nearby
+gaps, and it is well defined at beta = inf where beta * omega arithmetic
+is not.  Explicit OperatorBlocks use their block frequency, which is the
+honest choice for a user-supplied symmetry set.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .dynsym import (
     mazur_weight,
 )
 from .errors import DomainError, NumericError
+from .operators import _chunks
 from .spectral import PAIR_WEIGHT_FLOOR, default_energy_tol
 
 # Slack for internal inequality certificates (ETH gap assertion).
@@ -54,13 +56,15 @@ INEQ_SLACK = 1e-9
 WITNESS_TOL = 1e-9
 
 
-def _qfi_pair_weights(p, rows, cols):
-    """(p_n - p_m)^2 / (p_n + p_m) over the pairs, 0 below PAIR_WEIGHT_FLOOR."""
+def _qfi_pair_weights(p, rows, cols, out=None):
+    """(p_n - p_m)^2 / (p_n + p_m) over the pairs, 0 below PAIR_WEIGHT_FLOOR,
+    written into out when it is given (it must hold zeros)."""
     pm, pn = p[rows], p[cols]
     tot = pm + pn
     pn -= pm
     pn *= pn
-    return np.divide(pn, tot, out=np.zeros_like(tot), where=tot >= PAIR_WEIGHT_FLOOR)
+    out = np.zeros_like(tot) if out is None else out
+    return np.divide(pn, tot, out=out, where=tot >= PAIR_WEIGHT_FLOOR)
 
 
 def _half_tanh(ensemble, rows, cols):
@@ -87,8 +91,12 @@ def qfi_spectral(op_eig, ensemble):
     sum over ordered pairs of 2 (p_n - p_m)^2 / (p_n + p_m) |<E_m|O|E_n>|^2,
     that is 4 sum over pairs m <= n of the same (diagonal terms vanish)."""
     rows, cols, values = _operator_pairs(op_eig, ensemble.dim)
-    w = _qfi_pair_weights(ensemble.weights, rows, cols)
-    w *= op_eig.abs2 if isinstance(op_eig, PairPartition) else np.abs(values) ** 2
+    abs2 = op_eig.abs2 if isinstance(op_eig, PairPartition) else np.abs(values) ** 2
+    # the terms are formed a chunk at a time into one array, summed as a whole
+    w = np.zeros(rows.size)
+    for s in _chunks(rows.size):
+        _qfi_pair_weights(ensemble.weights, rows[s], cols[s], out=w[s])
+        w[s] *= abs2[s]
     return float(4.0 * np.sum(w))
 
 
@@ -156,14 +164,23 @@ def _qv_coeff_from_x(x):
     return np.where(small, series, exact)
 
 
+def _four_squared(a):
+    """4 a^2, formed in a's own memory."""
+    np.square(a, out=a)
+    a *= 4.0
+    return a
+
+
 # Coefficient of each bound kind as a function of r.t, r.s, r.x =
-# tanh x, sech x, x.
+# tanh x, sech x, x, as an array.  r forms each of them for one coefficient
+# alone, so a coefficient may overwrite the one it reads, and a temperature's
+# pass makes fewer temporaries.
 _COEFFS = {
-    "qfi": lambda r: 4.0 * r.t**2,
-    "skew": lambda r: 1.0 - r.s,
+    "qfi": lambda r: _four_squared(r.t),
+    "skew": lambda r: np.subtract(1.0, r.s, out=r.s),
     "qv": lambda r: _qv_coeff_from_x(r.x),
-    "eth_lower": lambda r: 4.0,
-    "eth_gap": lambda r: 4.0 * r.s**2,
+    "eth_lower": lambda r: np.full_like(r.t, 4.0),
+    "eth_gap": lambda r: _four_squared(r.s),
 }
 
 
@@ -173,48 +190,67 @@ def _block_coefficient(coeff, beta, omega):
         return 0.0
     x = beta * omega / 2.0
     with np.errstate(over="ignore"):
-        return float(coeff(SimpleNamespace(t=np.tanh(x), s=1.0 / np.cosh(x), x=x)))
+        t, s = np.array(np.tanh(x)), np.array(1.0 / np.cosh(x))
+        return float(coeff(SimpleNamespace(t=t, s=s, x=x)))
 
 
 class _PairRatios:
-    """t, s and x of the module docstring over the pairs (m, n) of a set,
-    each formed on first use: most bound kinds read only one of them."""
+    """t, s and x of the module docstring over a chunk of pairs (m, n),
+    each formed on first use, in as few arrays as it takes: most bound
+    kinds read only one of them."""
 
-    def __init__(self, ensemble, part, pm, pn, tot):
-        self._lw, self._part = ensemble.log_weights, part
+    def __init__(self, log_weights, rows, cols, pm, pn, tot):
+        self._lw, self._rows, self._cols = log_weights, rows, cols
         self._pm, self._pn, self._tot = pm, pn, tot
 
     @cached_property
     def t(self):
-        return (self._pn - self._pm) / self._tot
+        t = self._pn - self._pm
+        t /= self._tot
+        return t
 
     @cached_property
     def s(self):
-        return 2.0 * np.sqrt(self._pn * self._pm) / self._tot
+        s = self._pn * self._pm
+        np.sqrt(s, out=s)
+        s *= 2.0
+        s /= self._tot
+        return s
 
     @cached_property
     def x(self):
-        return (self._lw[self._part.cols] - self._lw[self._part.rows]) / 2.0
+        x = self._lw[self._cols]
+        x -= self._lw[self._rows]
+        x /= 2.0
+        return x
 
 
-def _pair_coefficient_terms(coeff, ensemble, part, abs2):
-    """(forward, backward): coeff p_n |O_mn|^2 for each pair (m, n) of part
-    and coeff p_m |O_mn|^2 for its mirror, 0 below PAIR_WEIGHT_FLOOR, with
-    coeff of (t, s, x) taken from the weights (module docstring).  Every
-    coefficient is even in (t, x), and s is symmetric, so the mirror
-    shares the coefficient of its pair."""
-    p = ensemble.weights
-    pm, pn = p[part.rows], p[part.cols]
-    tot = pn + pm
-    mask = tot >= PAIR_WEIGHT_FLOOR
-    np.copyto(tot, 1.0, where=~mask)
-    with np.errstate(invalid="ignore"):
-        c = np.where(mask, coeff(_PairRatios(ensemble, part, pm, pn, tot)), 0.0)
-    pn *= c
-    pn *= abs2
-    pm *= c
-    pm *= abs2
-    return pn, pm
+def _binned_coefficient_terms(coeff, ensemble, part, abs2):
+    """part.bin of (forward, backward): coeff p_n abs2 for each pair (m, n)
+    of part and coeff p_m abs2 for its mirror, 0 below PAIR_WEIGHT_FLOOR,
+    with coeff of (t, s, x) taken from the weights (module docstring), one
+    chunk of pairs at a time.  abs2 is |O_mn|^2, or any real per-pair
+    factor.  Every coefficient is even in (t, x), and s is symmetric, so
+    the mirror shares the coefficient of its pair."""
+    p, lw = ensemble.weights, ensemble.log_weights
+
+    def terms(s):
+        rows, cols = part.rows[s], part.cols[s]
+        pm, pn = p[rows], p[cols]
+        tot = pn + pm
+        light = tot < PAIR_WEIGHT_FLOOR
+        np.copyto(tot, 1.0, where=light)
+        with np.errstate(invalid="ignore"):
+            c = coeff(_PairRatios(lw, rows, cols, pm, pn, tot))
+        # every coefficient is a fresh array, zeroed in place where light
+        np.copyto(c, 0.0, where=light)
+        pn *= c
+        pn *= abs2[s]
+        pm *= c
+        pm *= abs2[s]
+        return s, pn, pm
+
+    return part.bin_chunks(terms(s) for s in _chunks(part.rows.size))
 
 
 def _bound_over_blocks(blocks, ensemble, op_eig, kind):
@@ -231,9 +267,7 @@ def _bound_over_blocks(blocks, ensemble, op_eig, kind):
     for block in blocks:
         if isinstance(block, PairPartition):
             values, covered = block.aligned(op_eig)
-            binned = block.bin(
-                *_pair_coefficient_terms(coeff, ensemble, block, block.squared(values))
-            )
+            binned = _binned_coefficient_terms(coeff, ensemble, block, block.squared(values))
             binned[block.omegas == 0.0] = 0.0
             omegas.append(block.omegas)
             terms.append(binned)
@@ -474,13 +508,11 @@ def qfi_matrix_from_dynsym(blocks, ensemble, generators):
     for block in _block_list(blocks):
         if isinstance(block, PairPartition):
             vals = [_align(*g, block.keys, dim)[0] for g in gens]
-            ones = np.ones(block.rows.size)
-            forward, backward = _pair_coefficient_terms(coeff, ensemble, block, ones)
             nonzero = block.omegas != 0.0
             for a in range(d):
                 for b in range(a, d):
                     cross = (vals[a] * vals[b].conj()).real
-                    binned = block.bin(forward * cross, backward * cross)
+                    binned = _binned_coefficient_terms(coeff, ensemble, block, cross)
                     val = float(binned[nonzero].sum())
                     total[a, b] += val
                     if b != a:

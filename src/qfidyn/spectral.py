@@ -185,12 +185,15 @@ class BlockOperator:
 
     def pairs(self, name="operator"):
         """(rows, cols, values) over the pairs m <= n where O_mn or O_nm is
-        nonzero, with the entries O_mn, ascending in m * dim + n, one block
-        pair {a, b} at a time.  The operator is certified Hermitian by the
-        eigenbasis rule of _require_hermitian on the way."""
+        nonzero, with the entries O_mn, ascending in m * dim + n.  Each block
+        pair {a, b} adds only a key m * dim + n and a value per pair
+        (_linked_entries), so its index arrays die with it; one argsort of
+        the keys orders them and np.divmod splits them into rows and cols.
+        The operator is certified Hermitian by the eigenbasis rule of
+        _require_hermitian on the way."""
         dev = scale = 0.0
-        found = []
-        for lo, hi in {(min(a, b), max(a, b)) for a, b in self.products}:
+        keys, values = [np.zeros(0, np.int64)], [np.zeros(0, self.dtype)]
+        for lo, hi in sorted({(min(a, b), max(a, b)) for a, b in self.products}):
             fwd, bwd = self.products.get((lo, hi)), self.products.get((hi, lo))
             if fwd is None:
                 fwd = np.zeros_like(bwd.T)
@@ -200,21 +203,40 @@ class BlockOperator:
             if lo != hi:
                 scale_pair = max(scale_pair, float(np.abs(bwd).max()))
             dev, scale = max(dev, dev_pair), max(scale, scale_pair)
-            linked = (fwd != 0) | (bwd.T != 0)
-            # eigen-columns ascend within a block, so i <= j is m <= n there
-            i, j = np.nonzero(np.triu(linked) if lo == hi else linked)
-            m, n = self.columns[lo][i], self.columns[hi][j]
-            values = fwd[i, j]
-            below = m > n
-            values[below] = bwd[j[below], i[below]]
-            found.append((np.minimum(m, n), np.maximum(m, n), values))
+            key, value = _linked_entries(fwd, bwd, self.columns[lo], self.columns[hi], self.dim)
+            keys.append(key)
+            values.append(value)
         _require_hermitian(dev, scale, name)
-        rows, cols, values = (
-            np.concatenate([np.zeros(0, dtype)] + [f[k] for f in found])
-            for k, dtype in enumerate((np.intp, np.intp, self.dtype))
-        )
-        order = np.argsort(rows.astype(np.int64) * self.dim + cols)
-        return rows[order], cols[order], _real_if_exact(values[order])
+        # each list is freed as its concatenation replaces it
+        keys = np.concatenate(keys)
+        values = np.concatenate(values)
+        order = np.argsort(keys)
+        values = _real_if_exact(values[order])
+        keys = keys[order]
+        del order
+        rows, cols = np.divmod(keys, self.dim)
+        return rows, cols, values
+
+
+def _linked_entries(fwd, bwd, rows_of, cols_of, dim):
+    """(keys m * dim + n, values O_mn) of the pairs m <= n that one block
+    pair links: fwd holds O between the eigen-columns rows_of and cols_of,
+    bwd the block between cols_of and rows_of (for a diagonal block both
+    are the one block and rows_of is cols_of), and a pair is linked when
+    O_mn or O_nm is nonzero."""
+    linked = (fwd != 0) | (bwd.T != 0)
+    # eigen-columns ascend within a block, so i <= j is m <= n there
+    i, j = np.nonzero(np.triu(linked) if rows_of is cols_of else linked)
+    del linked
+    m = rows_of[i].astype(np.int64, copy=False)
+    n = cols_of[j].astype(np.int64, copy=False)
+    value = fwd[i, j]
+    below = np.flatnonzero(m > n)
+    value[below] = bwd[j[below], i[below]]
+    m[below], n[below] = n[below], m[below]
+    m *= dim
+    m += n
+    return m, value
 
 
 class SpectralDecomposition:

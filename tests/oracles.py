@@ -147,3 +147,40 @@ def correlation_oracle(h_mat, rho, o_mat, t):
     o = np.asarray(o_mat, dtype=complex)
     u = scipy.linalg.expm(1j * h_mat * t)
     return complex(np.trace(np.asarray(rho, dtype=complex) @ u @ o @ u.conj().T @ o))
+
+
+def weighted_pair_set_oracle(energies, o_eig, omega_tol):
+    """A weighted pair set the long way, from a dense eigenbasis matrix.
+
+    The pairs are the upper triangle of the symmetrized pattern
+    (O != 0) | (O != 0)^T, or every pair m <= n when o_eig is None, with the
+    entries O_mn (real when no entry has an imaginary part).  Their
+    frequency clusters come from greedy clustering of the whole multiset of
+    gaps omega_mn, their mirrors -omega_mn and one 0.0: sort, open a
+    cluster at every step above omega_tol, take member means, then make
+    them sign-symmetric as (r - r[::-1]) / 2.  Returns (rows, cols, labels,
+    omegas, values), labels being the clusters of the gaps omega_mn
+    themselves; values is None without an operator.
+    """
+    energies = np.asarray(energies, dtype=float)
+    dim = energies.size
+    if o_eig is None:
+        pattern, values = np.ones((dim, dim), dtype=bool), None
+    else:
+        o = np.asarray(o_eig)
+        pattern = (o != 0) | (o != 0).T
+    rows, cols = np.nonzero(np.triu(pattern))
+    if o_eig is not None:
+        values = o[rows, cols]
+        if np.iscomplexobj(values) and not values.imag.any():
+            values = np.ascontiguousarray(values.real)
+    gaps = energies[rows] - energies[cols]
+    multiset = np.concatenate((gaps, -gaps, [0.0]))
+    order = np.argsort(multiset, kind="stable")
+    ordered = multiset[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered) > omega_tol) + 1))
+    counts = np.diff(np.append(starts, ordered.size))
+    means = np.add.reduceat(ordered, starts) / counts
+    labels = np.empty(multiset.size, dtype=np.intp)
+    labels[order] = np.repeat(np.arange(means.size), counts)
+    return rows, cols, labels[: rows.size], (means - means[::-1]) / 2.0, values

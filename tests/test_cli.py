@@ -154,6 +154,31 @@ def test_bad_temperature_grids(grid):
     assert stderr.startswith("qfidyn:")
 
 
+@pytest.mark.parametrize("grid", ["1:inf:3", "1:nan:3", "nan:1:3", "0:inf:3:lin"])
+def test_infinite_grid_ends_are_a_clean_usage_error(grid):
+    # a child process, so that a numpy RuntimeWarning would reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfidyn.cli", "qfi", "--preset", "chain", "--sites", "4",
+         "--temp-grid", grid],
+        capture_output=True, text=True, env=checkout_env(), timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"qfidyn: temperature grid needs finite min and max, got {grid!r}"
+    ]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+def test_omega_tol_must_be_finite_and_positive(tol):
+    # a NaN or infinite tolerance once merged every gap into the zero
+    # cluster and certified a bound of 0 as saturated
+    for argv in (("qfi", "--preset", "chain", "--sites", "6", "--beta", "1"),
+                 ("reproduce-fig2", "--sites", "4", "--temp-grid", "1:1:1")):
+        code, out, stderr = run(*argv, f"--omega-tol={tol}")
+        assert code == 2 and out == ""
+        assert stderr.startswith("qfidyn: omega_tol must be finite and > 0")
+
+
 def test_negative_beta_rejected():
     code, _, stderr = run("qfi", "--beta", "-2")
     assert code == 2 and "beta" in stderr

@@ -218,28 +218,90 @@ def test_partition_bin_drops_left_out_pairs():
         part.bin(np.ones(3), np.ones(3))
 
 
+OMEGAS = np.array([-1.0, 0.0, 1.0])
+GOOD_PAIRS = ([0, 0], [0, 1], [1, 0], 2)
+BAD_PARTITIONS = [
+    (np.array([-1.0, 0.5, 1.0]), *GOOD_PAIRS),  # not sign-symmetric
+    (np.array([-1.0, 1.0]), *GOOD_PAIRS),  # no zero cluster
+    (OMEGAS, [0, 0], [0, 1], [1.0, 0.0], 2),  # float labels
+    (OMEGAS, [0, 0], [0, 1, 1], [1, 0], 2),  # unequal sizes
+    (OMEGAS, [0, 0], [0, 1], [1, 3], 2),  # label out of range
+    (OMEGAS, [0, 0], [0, 1], [1, -1], 2),  # negative label
+    (OMEGAS, [1, 0], [0, 1], [1, 0], 2),  # m > n
+    (OMEGAS, [0, 0], [1, 0], [0, 1], 2),  # not ascending
+    (OMEGAS, [0, 0], [1, 1], [0, 0], 2),  # a pair twice
+    (OMEGAS, [0, 0], [0, 2], [1, 0], 2),  # n out of range
+    (OMEGAS, [0, 0], [0, 1], [1, 0], 0),  # no levels
+]
+
+
 def test_partition_validates_its_fields():
-    omegas = np.array([-1.0, 0.0, 1.0])
-    good = ([0, 0], [0, 1], [1, 0], 2)
-    assert PairPartition(omegas, *good).rows.size == 2
-    bad = [
-        (np.array([-1.0, 0.5, 1.0]), *good),  # not sign-symmetric
-        (np.array([-1.0, 1.0]), *good),  # no zero cluster
-        (omegas, [0, 0], [0, 1], [1.0, 0.0], 2),  # float labels
-        (omegas, [0, 0], [0, 1, 1], [1, 0], 2),  # unequal sizes
-        (omegas, [0, 0], [0, 1], [1, 3], 2),  # label out of range
-        (omegas, [0, 0], [0, 1], [1, -1], 2),  # negative label
-        (omegas, [1, 0], [0, 1], [1, 0], 2),  # m > n
-        (omegas, [0, 0], [1, 0], [0, 1], 2),  # not ascending
-        (omegas, [0, 0], [1, 1], [0, 0], 2),  # a pair twice
-        (omegas, [0, 0], [0, 2], [1, 0], 2),  # n out of range
-        (omegas, [0, 0], [0, 1], [1, 0], 0),  # no levels
-    ]
-    for args in bad:
+    assert PairPartition(OMEGAS, *GOOD_PAIRS).rows.size == 2
+    for args in BAD_PARTITIONS:
         with pytest.raises(DomainError):
             PairPartition(*args)
     with pytest.raises(DomainError):
-        PairPartition(omegas, *good, values=np.ones(3))
+        PairPartition(OMEGAS, *GOOD_PAIRS, values=np.ones(3))
+
+
+def test_adopted_arrays_pass_the_same_checks():
+    # trivial_complete_set hands its own arrays over without copies; they
+    # are checked as a caller's are, then frozen in place
+    for args in BAD_PARTITIONS:
+        arrays = [np.array(a) if isinstance(a, list) else a for a in args]
+        with pytest.raises(DomainError):
+            PairPartition._adopt(*arrays)
+    with pytest.raises(DomainError):
+        PairPartition._adopt(OMEGAS.copy(), *map(np.array, GOOD_PAIRS[:3]), 2, np.ones(3))
+    rows, cols, labels = (np.array(a, dtype=np.intp) for a in GOOD_PAIRS[:3])
+    part = PairPartition._adopt(OMEGAS.copy(), rows, cols, labels, 2, np.array([1.0, 2.0]))
+    assert part.rows is rows and part.labels is labels
+    assert not rows.flags.writeable and not part.values.flags.writeable
+    copied = PairPartition(OMEGAS, *GOOD_PAIRS, values=[1.0, 2.0])
+    for name in ("omegas", "rows", "cols", "labels", "values", "keys"):
+        assert np.array_equal(getattr(part, name), getattr(copied, name))
+
+
+def test_a_partition_keeps_copies_of_the_caller_arrays():
+    omegas = OMEGAS.copy()
+    rows, cols, labels = (np.array(a) for a in GOOD_PAIRS[:3])
+    values = np.array([1.0, 2.0])
+    part = PairPartition(omegas, rows, cols, labels, 2, values)
+    given = (omegas, rows, cols, labels, values)
+    assert all(arr.flags.writeable for arr in given)
+    kept = [getattr(part, name).copy() for name in ("omegas", "rows", "cols", "labels", "values")]
+    omegas[:] = [-2.0, 0.0, 2.0]
+    rows[:] = [1, 1]
+    cols[:] = [1, 1]
+    labels[:] = [2, 2]
+    values[:] = [-7.0, -8.0]
+    for name, want in zip(("omegas", "rows", "cols", "labels", "values"), kept):
+        got = getattr(part, name)
+        assert np.array_equal(got, want) and not got.flags.writeable
+    assert part.keys.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_omega_tol_must_be_finite_and_positive(tol):
+    # a NaN or infinite tolerance once put every gap into the zero cluster,
+    # whose coefficient is 0, and certified a bound of 0 as saturated
+    _, _, spectral, _, o_eig = two_qubit_setup()
+    syms = [dynamical_symmetry(SZ, SMINUS)]
+    for call in (
+        lambda: trivial_complete_set(spectral, tol),
+        lambda: trivial_complete_set(spectral, tol, o_eig),
+        lambda: group_into_blocks(syms, tol),
+        lambda: group_into_blocks([], tol),
+    ):
+        with pytest.raises(DomainError, match="omega_tol must be finite and > 0"):
+            call()
+    # a zero tolerance clusters exact ties only, which plain clustering allows
+    values = np.array([-1.0, 0.0, 1.0, 1.0])
+    if tol == 0.0:
+        assert cluster_values(values, tol)[1].tolist() == [0, 1, 2, 2]
+    else:
+        with pytest.raises(DomainError, match="omega_tol must be finite and >= 0"):
+            cluster_values(values, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Worked-model checks: analytic two-qubit symmetry set and chain presets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qfidyn.models import (
     build_preset,
     preset,
     regime_subset,
+    solve_preset,
     two_qubit_frequencies,
     two_qubit_symmetry_operators,
 )
@@ -136,3 +138,21 @@ def test_build_preset_respects_site_cap():
         build_preset(preset("chain", sites=13))
     h_op, _ = build_preset(preset("chain", sites=4), max_sites=4)
     assert h_op.mat.shape == (16, 16)
+
+
+def test_preset_set_up_peaks_near_the_size_of_its_pair_set():
+    # The finished weighted pair set keeps 40 B a pair (rows, cols, labels,
+    # keys and values, 8 B each).  Above its inputs, solve_preset's traced
+    # peak on the 10-site chain is about 70 B a pair with the eigenbasis
+    # blocks and eigenvectors it holds on the way; a set-up that built the
+    # set through a mirrored copy of every gap and copies of its own arrays
+    # peaked at about 165.
+    model = preset("chain", sites=10)
+    tracemalloc.start()
+    try:
+        _, pairs, _ = solve_preset(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.rows.size == 167_960
+    assert peak / pairs.rows.size <= 90.0

@@ -54,8 +54,8 @@ from qfidyn import (
     susceptibility_comb,
     trivial_complete_set,
 )
-from qfidyn.dynsym import cluster_values
-from qfidyn.models import preset, solve_preset
+from qfidyn.dynsym import cluster_values, default_omega_tol
+from qfidyn.models import preset, preset_operators, solve_preset
 from qfidyn.operators import GENERATOR_KINDS
 from qfidyn.spectral import _components
 from oracles import (
@@ -66,6 +66,7 @@ from oracles import (
     skew_oracle,
     thermal_state,
     variance_oracle,
+    weighted_pair_set_oracle,
 )
 
 BETAS = (0.0, 1e-12, 1.0, 1e8, math.inf)
@@ -432,6 +433,73 @@ def test_weighted_clusters_are_the_gaps_of_the_set():
         assert np.array_equal(everything.omegas, reps)
         assert np.array_equal(everything.labels, labels[everything.keys])
     assert trivial_complete_set(spectral, tol).omegas.size > k
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_is_the_reference(part, energies, o_eig, omega_tol=None):
+    """part holds the rows, cols, labels, omegas and values of
+    weighted_pair_set_oracle for the dense eigenbasis matrix o_eig (every
+    pair when it is None), bit for bit."""
+    tol = default_omega_tol(energies) if omega_tol is None else omega_tol
+    want = weighted_pair_set_oracle(energies, o_eig, tol)
+    for name, arr in zip(("rows", "cols", "labels", "omegas", "values"), want):
+        got = getattr(part, name)
+        assert got is None if arr is None else same_bits(got, arr), name
+
+
+@given(params=case, omega_tol=st.sampled_from([None, 1e-3, 0.3]))
+def test_pair_sets_are_the_reference_bit_for_bit(params, omega_tol):
+    h, sets = block_case(**params)
+    spectral = diagonalize(h)
+    rng = np.random.default_rng(params["seed"] + 4)
+    blocks = spectral.to_eigenblocks(block_sparse_operator(rng, sets, params["is_complex"]))
+    o_eig = blocks.dense()
+    for op in (blocks, o_eig):
+        part = trivial_complete_set(spectral, omega_tol, op)
+        assert_is_the_reference(part, spectral.energies, o_eig, omega_tol)
+    everything = trivial_complete_set(spectral, omega_tol)
+    assert_is_the_reference(everything, spectral.energies, None, omega_tol)
+
+
+@pytest.mark.parametrize("sites, field, boundary, kind", CHAINS)
+def test_preset_pair_sets_are_the_reference_bit_for_bit(sites, field, boundary, kind):
+    model = preset("chain", sites=sites, field=field, boundary=boundary, generator=kind)
+    spectral, pairs, _ = solve_preset(model)
+    o_eig = spectral.to_eigenbasis(preset_operators(model)[1])
+    assert_is_the_reference(pairs, spectral.energies, o_eig)
+    if sites <= 8:
+        assert_is_the_reference(trivial_complete_set(spectral), spectral.energies, None)
+
+
+def test_edge_pair_sets_are_the_reference_bit_for_bit():
+    spectral = diagonalize(np.diag([0.0, 1.0, 3.0]))
+    columns = tuple(cols for _, cols in spectral.blocks)
+    empty = BlockOperator(columns, {}, 3, np.dtype(float))
+    # O_01 is exactly 0 while O_10 is 1e-14, across blocks and within one
+    across = spectral.to_eigenblocks(
+        SparseOperator([1, 1, 2, 2], [0, 2, 1, 2], [1e-14, 0.5, 0.5, 3.0], 3)
+    )
+    within = BlockOperator(
+        (np.array([0, 1]),), {(0, 0): np.array([[1.0, 0.0], [1e-14, 2.0]])}, 2, np.dtype(float)
+    )
+    two = SimpleNamespace(energies=np.array([0.0, 1.0]))
+    for levels, op in ((spectral, empty), (spectral, across), (two, within)):
+        for given_op in (op, op.dense()):
+            part = trivial_complete_set(levels, None, given_op)
+            assert_is_the_reference(part, levels.energies, op.dense())
+    assert trivial_complete_set(spectral, None, empty).rows.size == 0
+    # gaps exactly omega_tol apart, and from 0.0, share a cluster
+    steps = SimpleNamespace(energies=np.array([0.0, 0.5, 1.25, 1.5]))
+    hop = np.eye(4, k=1) + np.eye(4, k=-1)
+    for omega_tol in (0.25, 0.5, 0.75):
+        everything = trivial_complete_set(steps, omega_tol)
+        assert_is_the_reference(everything, steps.energies, None, omega_tol)
+        # no diagonal pair: the smallest gap alone decides the zero cluster
+        part = trivial_complete_set(steps, omega_tol, hop)
+        assert_is_the_reference(part, steps.energies, hop, omega_tol)
 
 
 def test_staggered_generator_links_only_adjacent_sectors():
