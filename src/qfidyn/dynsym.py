@@ -246,8 +246,10 @@ class PairPartition:
     def _freeze(self, copy):
         """Validate the fields, then store them read-only: copies of the
         caller's arrays when copy is set, else the arrays themselves."""
-        copy = True if copy else None
-        om = np.array(self.omegas, dtype=float, copy=copy)
+        # np.asarray copies only to change a dtype; np.array(copy=None)
+        # would say the same, but NumPy before 2.0 rejects copy=None
+        conv = np.array if copy else np.asarray
+        om = conv(self.omegas, dtype=float)
         if (
             om.ndim != 1
             or om.size % 2 == 0
@@ -265,7 +267,7 @@ class PairPartition:
             raise DomainError("rows, cols and labels must be 1-d arrays of one size")
         if not all(np.issubdtype(f.dtype, np.integer) for f in fields):
             raise DomainError("rows, cols and labels must be integers")
-        rows, cols, labels = (np.array(f, dtype=np.intp, copy=copy) for f in fields)
+        rows, cols, labels = (conv(f, dtype=np.intp) for f in fields)
         if rows.size and (rows.min() < 0 or cols.max() >= dim or np.any(rows > cols)):
             raise DomainError(f"pairs must satisfy 0 <= m <= n < {dim}")
         keys = rows.astype(np.int64)
@@ -277,7 +279,7 @@ class PairPartition:
             raise DomainError(f"labels must lie in [0, {om.size}), one cluster per pair")
         values = self.values
         if values is not None:
-            values = _real_if_exact(np.array(values, copy=copy))
+            values = _real_if_exact(conv(values))
             if values.shape != rows.shape:
                 raise DomainError("values must hold one entry per pair")
         for arr in (om, rows, cols, labels, keys, values):
@@ -316,18 +318,25 @@ class PairPartition:
             raise DomainError(f"pair terms must hold {self.rows.size} entries each")
         return self.bin_chunks((s, forward[s], backward[s]) for s in _chunks(self.rows.size))
 
-    def bin_chunks(self, terms):
+    def bin_chunks(self, terms, count=None):
         """bin over terms that come a chunk of pairs at a time, as
         (s, forward[s], backward[s]) for consecutive slices s covering the
-        pairs, so that no per-pair array outlives its chunk.  Each cluster
-        adds its terms in pair order from 0.0, as np.bincount does, so the
-        sums do not depend on the chunks."""
+        pairs, so that no per-pair array outlives its chunk.  With count
+        set, forward and backward hold count rows of terms, binned side by
+        side into a (count, K) result.  Each cluster adds its terms in pair
+        order from 0.0, as np.bincount does, so the sums do not depend on
+        the chunks.  (np.add.at takes this fast from NumPy 1.25 on; 1.24
+        runs it through a much slower generic loop.)"""
         k = self.omegas.size
-        out, back = np.zeros(k), np.zeros(k + 1)
+        n = 1 if count is None else count
+        out, back = np.zeros((n, k)), np.zeros((n, k + 1))
         for s, forward, backward in terms:
-            np.add.at(out, self.labels[s], forward)
-            np.add.at(back, self._mirror(s), backward)
-        return out + back[:k]
+            labels, mirror = self.labels[s], self._mirror(s)
+            for o, bk, f, b in zip(out, back, forward.reshape(n, -1), backward.reshape(n, -1)):
+                np.add.at(o, labels, f)
+                np.add.at(bk, mirror, b)
+        out += back[:, :k]
+        return out[0] if count is None else out
 
     def aligned(self, op, name="operator"):
         """(values, covered): op's entries O_mn on this set's pairs, 0 where

@@ -225,15 +225,16 @@ class _PairRatios:
         return x
 
 
-def _binned_coefficient_terms(coeff, ensemble, part, abs2):
-    """part.bin of (forward, backward): coeff p_n abs2 for each pair (m, n)
-    of part and coeff p_m abs2 for its mirror, 0 below PAIR_WEIGHT_FLOOR,
-    with coeff of (t, s, x) taken from the weights (module docstring), one
-    chunk of pairs at a time.  abs2 is |O_mn|^2, or any real per-pair
-    factor.  Every coefficient is even in (t, x), and s is symmetric, so
-    the mirror shares the coefficient of its pair."""
+def _coefficient_chunks(coeff, ensemble, part):
+    """(s, forward, backward) for each chunk s of part's pairs: coeff p_n
+    for each pair (m, n) and coeff p_m for its mirror, 0 below
+    PAIR_WEIGHT_FLOOR, with coeff of (t, s, x) taken from the weights
+    (module docstring).  Every coefficient is even in (t, x), and s is
+    symmetric, so the mirror shares the coefficient of its pair."""
     p, lw = ensemble.weights, ensemble.log_weights
 
+    # one call per chunk, so that its temporaries are freed before the
+    # terms are used
     def terms(s):
         rows, cols = part.rows[s], part.cols[s]
         pm, pn = p[rows], p[cols]
@@ -245,12 +246,23 @@ def _binned_coefficient_terms(coeff, ensemble, part, abs2):
         # every coefficient is a fresh array, zeroed in place where light
         np.copyto(c, 0.0, where=light)
         pn *= c
-        pn *= abs2[s]
         pm *= c
-        pm *= abs2[s]
         return s, pn, pm
 
-    return part.bin_chunks(terms(s) for s in _chunks(part.rows.size))
+    return (terms(s) for s in _chunks(part.rows.size))
+
+
+def _binned_coefficient_terms(coeff, ensemble, part, abs2):
+    """part.bin of the coefficient terms (_coefficient_chunks) times abs2,
+    which is |O_mn|^2 or any real per-pair factor."""
+
+    def terms():
+        for s, forward, backward in _coefficient_chunks(coeff, ensemble, part):
+            forward *= abs2[s]
+            backward *= abs2[s]
+            yield s, forward, backward
+
+    return part.bin_chunks(terms())
 
 
 def _bound_over_blocks(blocks, ensemble, op_eig, kind):
@@ -489,6 +501,14 @@ def qfi_matrix(generators, ensemble):
     return QfiMatrix(out, commuting)
 
 
+def _cross_terms(chunks, vals, ab):
+    """(s, forward, backward) of each coefficient chunk times
+    Re[(O_a)_mn (O_b)_mn^*], one row per generator pair (a, b) in ab."""
+    for s, forward, backward in chunks:
+        cross = np.array([(vals[a][s] * vals[b][s].conj()).real for a, b in ab])
+        yield s, forward * cross, backward * cross
+
+
 def qfi_matrix_from_dynsym(blocks, ensemble, generators):
     """Frequency-decomposed QFI matrix:
     sum_k 4 tanh^2(beta omega_k / 2) Re[D_k] with
@@ -503,20 +523,20 @@ def qfi_matrix_from_dynsym(blocks, ensemble, generators):
     generators = list(generators)
     gens, commuting = _generator_pairs(generators, dim)
     d = len(gens)
+    ab = [(a, b) for a in range(d) for b in range(a, d)]
     coeff = _COEFFS["qfi"]
     total = np.zeros((d, d))
     for block in _block_list(blocks):
         if isinstance(block, PairPartition):
             vals = [_align(*g, block.keys, dim)[0] for g in gens]
+            chunks = _coefficient_chunks(coeff, ensemble, block)
+            binned = block.bin_chunks(_cross_terms(chunks, vals, ab), len(ab))
             nonzero = block.omegas != 0.0
-            for a in range(d):
-                for b in range(a, d):
-                    cross = (vals[a] * vals[b].conj()).real
-                    binned = _binned_coefficient_terms(coeff, ensemble, block, cross)
-                    val = float(binned[nonzero].sum())
-                    total[a, b] += val
-                    if b != a:
-                        total[b, a] += val
+            for (a, b), row in zip(ab, binned):
+                val = float(row[nonzero].sum())
+                total[a, b] += val
+                if b != a:
+                    total[b, a] += val
         elif isinstance(block, OperatorBlock):
             c = _block_coefficient(coeff, ensemble.beta, block.omega)
             if c == 0.0:

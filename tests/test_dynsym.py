@@ -1,6 +1,7 @@
 """Dynamical-symmetry verification, frequency blocks, and Mazur weights."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from qfidyn.dynsym import (
     cluster_values,
     default_omega_tol,
 )
-from qfidyn.models import two_qubit_symmetry_operators
+from qfidyn.models import preset, solve_preset, two_qubit_symmetry_operators
 from oracles import random_hermitian, thermal_state
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -216,6 +217,12 @@ def test_partition_bin_drops_left_out_pairs():
     assert part.bin([10.0, 1000.0], [100.0, 7.0]).tolist() == [100.0, 1000.0, 10.0]
     with pytest.raises(DomainError):
         part.bin(np.ones(3), np.ones(3))
+    # rows of terms are binned side by side, each as bin would, chunk by chunk
+    forward, backward = np.array([[10.0, 1000.0], [1.0, 2.0]]), np.array([[100.0, 7.0], [3.0, 4.0]])
+    chunks = [(slice(i, i + 1), forward[:, i], backward[:, i]) for i in range(2)]
+    binned = part.bin_chunks(chunks, 2)
+    assert binned.tolist() == [part.bin(f, b).tolist() for f, b in zip(forward, backward)]
+    assert part.bin_chunks([], 2).shape == (2, 3)
 
 
 OMEGAS = np.array([-1.0, 0.0, 1.0])
@@ -260,6 +267,41 @@ def test_adopted_arrays_pass_the_same_checks():
     copied = PairPartition(OMEGAS, *GOOD_PAIRS, values=[1.0, 2.0])
     for name in ("omegas", "rows", "cols", "labels", "values", "keys"):
         assert np.array_equal(getattr(part, name), getattr(copied, name))
+
+
+def test_partitions_need_no_numpy_2_copy_modes(monkeypatch):
+    # np.array(copy=None) and np.asarray(copy=...) first appeared in NumPy
+    # 2.0; the package supports 1.24, where np.array rejects copy=None with
+    # a ValueError and np.asarray takes no copy argument.  Only the
+    # package's own calls are held to that: NumPy 2 uses both internally.
+    array, asarray = np.array, np.asarray
+
+    def from_package():
+        return sys._getframe(2).f_globals.get("__name__", "").startswith("qfidyn")
+
+    def array_1x(*args, **kwargs):
+        if "copy" in kwargs and kwargs["copy"] is None and from_package():
+            raise ValueError("NoneType copy mode not allowed.")
+        return array(*args, **kwargs)
+
+    def asarray_1x(*args, **kwargs):
+        if "copy" in kwargs and from_package():
+            raise TypeError("asarray() got an unexpected keyword argument 'copy'")
+        return asarray(*args, **kwargs)
+
+    _, _, spectral, _, o_eig = two_qubit_setup()
+    monkeypatch.setattr(np, "array", array_1x)
+    monkeypatch.setattr(np, "asarray", asarray_1x)
+    for part in (trivial_complete_set(spectral), trivial_complete_set(spectral, None, o_eig)):
+        assert not part.rows.flags.writeable
+    _, pairs, _ = solve_preset(preset("chain", sites=4))
+    assert pairs.rows.size and not pairs.values.flags.writeable
+    rows, cols, labels = (array(a, dtype=np.intp) for a in GOOD_PAIRS[:3])
+    values = array([1.0, 2.0])
+    adopted = PairPartition._adopt(OMEGAS.copy(), rows, cols, labels, 2, values)
+    assert adopted.rows is rows and adopted.labels is labels and adopted.values is values
+    copied = PairPartition(OMEGAS, rows.copy(), cols, labels, 2, values)
+    assert copied.rows is not rows and np.array_equal(copied.rows, rows)
 
 
 def test_a_partition_keeps_copies_of_the_caller_arrays():
