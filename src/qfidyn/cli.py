@@ -10,14 +10,13 @@ byte-identical files.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import FrozenRecord
 from .dynsym import TAU_DYN, fit_frequency, local_cap, projector_mazur_weight, verified_blocks
 from .errors import DomainError, NumericError
 from .metrology import entanglement_depth, qfi_from_dynsym, qfi_spectral
@@ -38,29 +37,24 @@ DEFAULT_TEMP_GRID = "0.05:5:100:log"
 DEFAULT_FIELD_GRID = "0.05:1.95:39:lin"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(FrozenRecord):
     """Resolved parameters of one qfi sweep."""
 
-    preset: str
-    sites: int
-    coupling: float
-    field: float
-    boundary: str
-    generator: str
-    betas: tuple
-    temperatures: tuple
-    symmetries: str
-    omega_tol: float | None
-    out: str | None
-    fmt: str
+    _fields = ("preset", "sites", "coupling", "field", "boundary", "generator", "betas",
+               "temperatures", "symmetries", "omega_tol", "out", "fmt")
 
-    def __post_init__(self):
-        if not self.betas or len(self.betas) != len(self.temperatures):
+    def __init__(self, preset, sites, coupling, field, boundary, generator, betas,
+                 temperatures, symmetries, omega_tol, out, fmt):
+        if not betas or len(betas) != len(temperatures):
             raise DomainError("grid needs at least one point")
-        for beta in self.betas:
+        for beta in betas:
             if not beta >= 0.0:
                 raise DomainError(f"beta must be >= 0, got {beta}")
+        self.__dict__.update(
+            preset=preset, sites=sites, coupling=coupling, field=field, boundary=boundary,
+            generator=generator, betas=betas, temperatures=temperatures,
+            symmetries=symmetries, omega_tol=omega_tol, out=out, fmt=fmt,
+        )
 
 
 def parse_grid(text, name, default_scale):
@@ -131,6 +125,8 @@ def _write_table(path, header, rows):
 
 
 def _write_json(path, payload):
+    import json
+
     text = json.dumps(payload, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -142,6 +138,8 @@ def _write_json(path, payload):
 def _load_symmetry_file(path):
     """Load Pauli-sum operators from JSON: a flat list of term records is a
     single operator, a list of lists is several."""
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

@@ -46,11 +46,11 @@ Thermal correlators use the inner product <X, Y> = tr(rho X^dag Y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DomainError, NumericError
 from .operators import (
     GeneralOperator,
@@ -111,13 +111,13 @@ def fit_frequency(hamiltonian, op):
     return omega, residual
 
 
-@dataclass(frozen=True)
-class DynamicalSymmetry:
+class DynamicalSymmetry(Frozen):
     """A verified eigenoperator with its fitted frequency and residual."""
 
-    op: GeneralOperator
-    omega: float
-    residual: float
+    _fields = ("op", "omega", "residual")
+
+    def __init__(self, op, omega, residual):
+        self.__dict__.update(op=op, omega=omega, residual=residual)
 
 
 def dynamical_symmetry(hamiltonian, op, tol=TAU_DYN):
@@ -170,23 +170,21 @@ def cluster_values(values, tol, symmetric=False):
     return reps, labels
 
 
-@dataclass(frozen=True)
-class OperatorBlock:
+class OperatorBlock(Frozen):
     """Explicit dynamical symmetries sharing one frequency.
 
     Member matrices must be in the energy eigenbasis for the thermal Gram
     machinery (block_gram, mazur_weight) to be meaningful.
     """
 
-    omega: float
-    members: tuple
+    _fields = ("omega", "members")
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, omega, members):
+        if not members:
             raise DomainError("a symmetry block needs at least one member")
         mats = []
         dim = None
-        for member in self.members:
+        for member in members:
             mat = np.array(_as_matrix(member), dtype=complex)
             mat.setflags(write=False)
             if dim is None:
@@ -194,8 +192,7 @@ class OperatorBlock:
             elif mat.shape[0] != dim:
                 raise DomainError("block members must share one dimension")
             mats.append(mat)
-        object.__setattr__(self, "members", tuple(mats))
-        object.__setattr__(self, "omega", float(self.omega))
+        self.__dict__.update(omega=float(omega), members=tuple(mats))
 
     @property
     def size(self):
@@ -206,8 +203,7 @@ class OperatorBlock:
         return self.members[0].shape[0]
 
 
-@dataclass(frozen=True)
-class PairPartition:
+class PairPartition(Frozen):
     """Eigenpair operators |E_m><E_n| over a set of level pairs, grouped
     into frequency clusters, optionally weighted by one operator.
 
@@ -221,15 +217,10 @@ class PairPartition:
     (trivial_complete_set with op_eig), else None.
     """
 
-    omegas: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    labels: np.ndarray
-    dim: int
-    values: np.ndarray = None
+    _fields = ("omegas", "rows", "cols", "labels", "dim", "values")
 
-    def __post_init__(self):
-        self._freeze(copy=True)
+    def __init__(self, omegas, rows, cols, labels, dim, values=None):
+        self._freeze(omegas, rows, cols, labels, dim, values, copy=True)
 
     @classmethod
     def _adopt(cls, omegas, rows, cols, labels, dim, values=None):
@@ -237,19 +228,16 @@ class PairPartition:
         it, or another partition's): checked like any other, then frozen in
         place instead of copied."""
         self = cls.__new__(cls)
-        for name, arr in (("omegas", omegas), ("rows", rows), ("cols", cols),
-                          ("labels", labels), ("dim", dim), ("values", values)):
-            object.__setattr__(self, name, arr)
-        self._freeze(copy=False)
+        self._freeze(omegas, rows, cols, labels, dim, values, copy=False)
         return self
 
-    def _freeze(self, copy):
+    def _freeze(self, omegas, rows, cols, labels, dim, values, copy):
         """Validate the fields, then store them read-only: copies of the
         caller's arrays when copy is set, else the arrays themselves."""
         # np.asarray copies only to change a dtype; np.array(copy=None)
         # would say the same, but NumPy before 2.0 rejects copy=None
         conv = np.array if copy else np.asarray
-        om = conv(self.omegas, dtype=float)
+        om = conv(omegas, dtype=float)
         if (
             om.ndim != 1
             or om.size % 2 == 0
@@ -259,10 +247,10 @@ class PairPartition:
             raise DomainError(
                 "omegas must be strictly ascending and sign-symmetric about an exact 0.0"
             )
-        dim = int(self.dim)
-        if dim < 1:
-            raise DomainError(f"dim must be positive, got {self.dim}")
-        fields = [np.asarray(f) for f in (self.rows, self.cols, self.labels)]
+        if int(dim) < 1:
+            raise DomainError(f"dim must be positive, got {dim}")
+        dim = int(dim)
+        fields = [np.asarray(f) for f in (rows, cols, labels)]
         if any(f.ndim != 1 or f.shape != fields[0].shape for f in fields):
             raise DomainError("rows, cols and labels must be 1-d arrays of one size")
         if not all(np.issubdtype(f.dtype, np.integer) for f in fields):
@@ -277,7 +265,6 @@ class PairPartition:
             raise DomainError("pairs must be distinct and ascending in m * dim + n")
         if labels.size and (labels.min() < 0 or labels.max() >= om.size):
             raise DomainError(f"labels must lie in [0, {om.size}), one cluster per pair")
-        values = self.values
         if values is not None:
             values = _real_if_exact(conv(values))
             if values.shape != rows.shape:
@@ -285,10 +272,8 @@ class PairPartition:
         for arr in (om, rows, cols, labels, keys, values):
             if arr is not None:
                 arr.setflags(write=False)
-        for name, arr in (("omegas", om), ("rows", rows), ("cols", cols),
-                          ("labels", labels), ("dim", dim), ("values", values),
-                          ("keys", keys)):
-            object.__setattr__(self, name, arr)
+        self.__dict__.update(omegas=om, rows=rows, cols=cols, labels=labels, dim=dim,
+                             values=values, keys=keys)
 
     @property
     def complete(self):

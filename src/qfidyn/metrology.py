@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
+from ._frozen import Frozen, FrozenRecord
 from .dynsym import (
     OperatorBlock,
     PairPartition,
@@ -296,8 +296,7 @@ def _bound_over_blocks(blocks, ensemble, op_eig, kind):
     return total, keys, summed, _is_saturating(blocks, covered)
 
 
-@dataclass(frozen=True)
-class QfiReport:
+class QfiReport(Frozen):
     """A dynamical-symmetry QFI lower bound with its frequency breakdown.
 
     value is the bound; omegas holds the block frequencies, ascending, and
@@ -307,10 +306,12 @@ class QfiReport:
     bound equals the QFI.
     """
 
-    value: float
-    omegas: np.ndarray
-    contributions: np.ndarray
-    saturated: bool
+    _fields = ("value", "omegas", "contributions", "saturated")
+
+    def __init__(self, value, omegas, contributions, saturated):
+        self.__dict__.update(
+            value=value, omegas=omegas, contributions=contributions, saturated=saturated
+        )
 
     @cached_property
     def per_frequency(self):
@@ -424,19 +425,17 @@ def quantum_variance(op_eig, ensemble):
 # ---------------------------------------------------------------------------
 # QFI matrix
 
-@dataclass(frozen=True)
-class QfiMatrix:
+class QfiMatrix(Frozen):
     """Real symmetric PSD matrix of QFI elements over a generator list.
 
     commuting records whether all generator pairs commuted within tolerance;
     a False value means the multi-parameter interpretation is not certified.
     """
 
-    matrix: np.ndarray
-    commuting: bool = True
+    _fields = ("matrix", "commuting")
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+    def __init__(self, matrix, commuting=True):
+        m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"QFI matrix must be square, got shape {m.shape}")
         if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
@@ -448,7 +447,7 @@ class QfiMatrix:
                 f"QFI matrix indefinite: eigenvalue {evals.min():.3e} against {scale:.3e}"
             )
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self.__dict__.update(matrix=m, commuting=commuting)
 
     @property
     def dim(self):
@@ -588,13 +587,13 @@ def eth_zero_frequency_correction(op_eig, ensemble, omega_tol=None):
 # ---------------------------------------------------------------------------
 # entanglement witness
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(FrozenRecord):
     """Entanglement-depth certificate from the QFI density."""
 
-    n_particles: int
-    f_q: float
-    depth: int
+    _fields = ("n_particles", "f_q", "depth")
+
+    def __init__(self, n_particles, f_q, depth):
+        self.__dict__.update(n_particles=n_particles, f_q=f_q, depth=depth)
 
 
 def entanglement_depth(qfi_value, n_particles, witness_tol=WITNESS_TOL):

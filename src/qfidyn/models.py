@@ -7,8 +7,7 @@ weighted pair set from its eigenbasis blocks, with no dim x dim array."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
+from ._frozen import FrozenRecord
 from .dynsym import trivial_complete_set
 from .errors import DomainError
 from .operators import (
@@ -107,13 +106,13 @@ def regime_subset(field, coupling=1.0):
     return LOW_FIELD_SUBSET if abs(field) < abs(coupling) else HIGH_FIELD_SUBSET
 
 
-@dataclass(frozen=True)
-class ModelPreset:
+class ModelPreset(FrozenRecord):
     """A named starting point: chain spec plus the generator used with it."""
 
-    name: str
-    spec: SpinChainSpec
-    generator: str
+    _fields = ("name", "spec", "generator")
+
+    def __init__(self, name, spec, generator):
+        self.__dict__.update(name=name, spec=spec, generator=generator)
 
 
 # The chain field 0.3 lifts all degeneracies between levels the staggered
@@ -130,18 +129,12 @@ def preset(name, sites=None, coupling=None, field=None, boundary=None, generator
     if name not in PRESETS:
         raise DomainError(f"unknown preset {name!r}; valid presets are {tuple(PRESETS)}")
     base = PRESETS[name]
-    spec = base.spec
-    updates = {}
-    if sites is not None:
-        updates["sites"] = int(sites)
-    if coupling is not None:
-        updates["coupling"] = float(coupling)
-    if field is not None:
-        updates["field"] = float(field)
-    if boundary is not None:
-        updates["boundary"] = str(boundary)
-    if updates:
-        spec = replace(spec, **updates)
+    spec = SpinChainSpec(
+        base.spec.sites if sites is None else int(sites),
+        base.spec.coupling if coupling is None else float(coupling),
+        base.spec.field if field is None else float(field),
+        base.spec.boundary if boundary is None else str(boundary),
+    )
     gen = base.generator if generator is None else str(generator)
     return ModelPreset(base.name, spec, gen)
 

@@ -21,12 +21,11 @@ entries into a dense complex128 matrix.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen, FrozenRecord
 from .errors import DomainError
 
 AXES = ("I", "x", "y", "z", "+", "-")
@@ -124,18 +123,17 @@ def _require_hermitian(dev, scale, name, rtol=1e-10):
         )
 
 
-@dataclass(frozen=True)
-class GeneralOperator:
+class GeneralOperator(Frozen):
     """A square complex matrix, immutable after construction."""
 
-    mat: np.ndarray
+    _fields = ("mat",)
 
-    def __post_init__(self):
-        arr = np.array(self.mat, dtype=complex)
+    def __init__(self, mat):
+        arr = np.array(mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"operator must be a square matrix, got shape {arr.shape}")
         arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
+        self.__dict__.update(mat=arr)
 
     @property
     def dim(self):
@@ -152,32 +150,29 @@ class GeneralOperator:
         return np.asarray(self.mat, dtype=dtype)
 
 
-@dataclass(frozen=True)
 class HermitianOperator(GeneralOperator):
     """A GeneralOperator certified Hermitian at construction time."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, mat):
+        super().__init__(mat)
         _require_hermitian(*_hermitian_deviation(self.mat), "matrix", HERMITICITY_RTOL)
 
     def dagger(self):
         return self
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(FrozenRecord):
     """A scalar coefficient times a product of single-site Pauli factors.
 
     factors is a tuple of (site, axis) pairs; sites must be distinct, which
     makes the factor order irrelevant.
     """
 
-    coefficient: complex
-    factors: tuple
+    _fields = ("coefficient", "factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficient", complex(self.coefficient))
-        facs = tuple((int(s), str(a)) for s, a in self.factors)
+    def __init__(self, coefficient, factors):
+        coefficient = complex(coefficient)
+        facs = tuple((int(s), str(a)) for s, a in factors)
         for site, axis in facs:
             if axis not in AXES:
                 raise DomainError(f"unknown Pauli axis {axis!r}; valid axes are {AXES}")
@@ -186,7 +181,7 @@ class PauliString:
         sites = [s for s, _ in facs]
         if len(sites) != len(set(sites)):
             raise DomainError(f"repeated site index in factors {facs}")
-        object.__setattr__(self, "factors", tuple(sorted(facs)))
+        self.__dict__.update(coefficient=coefficient, factors=tuple(sorted(facs)))
 
     def entries(self, n_sites, max_sites=None):
         """Nonzero entries (rows, cols, values) of the matrix on n_sites,
@@ -239,20 +234,16 @@ class PauliString:
         return cls(complex(re, im), factors)
 
 
-@dataclass(frozen=True)
-class SparseOperator:
+class SparseOperator(Frozen):
     """The nonzero entries of a dim x dim matrix: rows, cols and values,
     ascending in row * dim + col with each position once.  values is
     float64 when no entry has an imaginary part, else complex128."""
 
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    dim: int
+    _fields = ("rows", "cols", "values", "dim")
 
-    def __post_init__(self):
-        rows, cols = (np.asarray(idx, dtype=np.intp) for idx in (self.rows, self.cols))
-        values, dim = np.asarray(self.values), int(self.dim)
+    def __init__(self, rows, cols, values, dim):
+        rows, cols = (np.asarray(idx, dtype=np.intp) for idx in (rows, cols))
+        values, dim = np.asarray(values), int(dim)
         if not rows.ndim == 1 or not rows.shape == cols.shape == values.shape:
             raise DomainError("rows, cols and values must be 1-d arrays of one size")
         if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
@@ -262,10 +253,10 @@ class SparseOperator:
         self._set(rows, cols, values, dim)
 
     def _set(self, rows, cols, values, dim):
-        for name, arr in (("rows", rows), ("cols", cols), ("values", _real_if_exact(values))):
+        values = _real_if_exact(values)
+        for arr in (rows, cols, values):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "dim", dim)
+        self.__dict__.update(rows=rows, cols=cols, values=values, dim=dim)
 
     @classmethod
     def _trusted(cls, rows, cols, values, dim):
@@ -360,6 +351,8 @@ def pauli_strings_from_json(data):
     Accepts a JSON string, a parsed list, or a file path ending in .json.
     """
     if isinstance(data, str):
+        import json
+
         if data.lstrip().startswith("["):
             data = json.loads(data)
         else:
@@ -374,23 +367,19 @@ def pauli_strings_to_records(strings):
     return [ps.to_record() for ps in strings]
 
 
-@dataclass(frozen=True)
-class SpinChainSpec:
+class SpinChainSpec(FrozenRecord):
     """Parameters of the XX chain builder."""
 
-    sites: int
-    coupling: float = 1.0
-    field: float = 0.0
-    boundary: str = "open"
+    _fields = ("sites", "coupling", "field", "boundary")
 
-    def __post_init__(self):
-        if int(self.sites) < 2:
-            raise DomainError(f"chain needs at least 2 sites, got {self.sites}")
-        if self.boundary not in BOUNDARIES:
-            raise DomainError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        object.__setattr__(self, "sites", int(self.sites))
-        object.__setattr__(self, "coupling", float(self.coupling))
-        object.__setattr__(self, "field", float(self.field))
+    def __init__(self, sites, coupling=1.0, field=0.0, boundary="open"):
+        if int(sites) < 2:
+            raise DomainError(f"chain needs at least 2 sites, got {sites}")
+        if boundary not in BOUNDARIES:
+            raise DomainError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+        self.__dict__.update(
+            sites=int(sites), coupling=float(coupling), field=float(field), boundary=boundary
+        )
 
 
 def xx_hamiltonian_strings(spec, max_sites=None):

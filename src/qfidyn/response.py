@@ -17,10 +17,9 @@ visited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._frozen import Frozen, FrozenRecord
 from .dynsym import (
     OperatorBlock,
     PairPartition,
@@ -43,43 +42,38 @@ NEG_WEIGHT_TOL = 1e-12
 MIRROR_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FrequencyComb:
+class FrequencyComb(Frozen):
     """Sorted frequencies with one weight per frequency.
 
     Weights are stored complex; for every kind except cross they are real
     (validated).  clamped counts tiny negative weights zeroed at build time.
     """
 
-    omegas: np.ndarray
-    weights: np.ndarray
-    kind: str
-    clamped: int = 0
+    _fields = ("omegas", "weights", "kind", "clamped")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown comb kind {self.kind!r}; valid kinds are {KINDS}")
-        om = np.array(self.omegas, dtype=float)
-        w = np.array(self.weights, dtype=complex)
+    def __init__(self, omegas, weights, kind, clamped=0):
+        if kind not in KINDS:
+            raise DomainError(f"unknown comb kind {kind!r}; valid kinds are {KINDS}")
+        om = np.array(omegas, dtype=float)
+        w = np.array(weights, dtype=complex)
         if om.ndim != 1 or om.shape != w.shape:
             raise DomainError("omegas and weights must be matching 1-d arrays")
         if om.size > 1 and np.any(np.diff(om) <= 0):
             raise DomainError("omegas must be strictly increasing")
         scale = float(np.abs(w).max()) if w.size else 0.0
-        if self.kind != "cross" and w.size:
+        if kind != "cross" and w.size:
             if np.abs(w.imag).max() > 1e-12 * max(1.0, scale):
-                raise NumericError(f"{self.kind} comb has complex weights")
-        if self.kind == "response" and w.size:
+                raise NumericError(f"{kind} comb has complex weights")
+        if kind == "response" and w.size:
             if w.real.min() < -NEG_WEIGHT_TOL * max(1.0, scale):
                 raise NumericError(
                     f"response weights must be nonnegative, found {w.real.min():.3e}"
                 )
-        if self.kind == "structure":
+        if kind == "structure":
             self._check_mirror(om, w, scale)
         om.setflags(write=False)
         w.setflags(write=False)
-        object.__setattr__(self, "omegas", om)
-        object.__setattr__(self, "weights", w)
+        self.__dict__.update(omegas=om, weights=w, kind=kind, clamped=clamped)
 
     @staticmethod
     def _check_mirror(om, w, scale):
@@ -205,8 +199,7 @@ def cross_response_comb(opa_eig, opb_eig, ensemble, omega_tol=None):
     return FrequencyComb(part.omegas[keep], w[keep], "cross")
 
 
-@dataclass(frozen=True)
-class BoundCheckReport:
+class BoundCheckReport(FrozenRecord):
     """Outcome of comparing a response comb against Mazur weights.
 
     rows holds (omega_k, g, D_k, margin) with margin = g - D_k, one row per
@@ -215,8 +208,10 @@ class BoundCheckReport:
     the operator, in which case every margin is zero up to rounding.
     """
 
-    rows: tuple
-    equality: bool
+    _fields = ("rows", "equality")
+
+    def __init__(self, rows, equality):
+        self.__dict__.update(rows=rows, equality=equality)
 
     @property
     def max_violation(self):

@@ -29,11 +29,11 @@ weight ratios exact even when the weights themselves underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._frozen import Frozen
 from .errors import DomainError, NumericError
 from .operators import (
     _ROW_CHUNK,
@@ -165,17 +165,16 @@ def _index_pair(pair):
     return np.sort(rows).astype(np.intp), np.sort(cols).astype(np.intp)
 
 
-@dataclass(frozen=True)
-class BlockOperator:
+class BlockOperator(Frozen):
     """An eigenbasis operator as dense blocks: products[(a, b)] is its
     sub-matrix between the eigen-columns of blocks a and b (columns[a] and
     columns[b], each ascending), and every entry outside these blocks is
     exactly 0."""
 
-    columns: tuple
-    products: dict
-    dim: int
-    dtype: np.dtype
+    _fields = ("columns", "products", "dim", "dtype")
+
+    def __init__(self, columns, products, dim, dtype):
+        self.__dict__.update(columns=columns, products=products, dim=dim, dtype=dtype)
 
     def dense(self):
         out = np.zeros((self.dim, self.dim), dtype=self.dtype)
@@ -210,7 +209,9 @@ class BlockOperator:
         # each list is freed as its concatenation replaces it
         keys = np.concatenate(keys)
         values = np.concatenate(values)
-        order = np.argsort(keys)
+        # each block pair adds ascending runs of keys, which a stable sort
+        # merges; the keys are distinct, so the order is the same either way
+        order = np.argsort(keys, kind="stable")
         values = _real_if_exact(values[order])
         keys = keys[order]
         del order
@@ -239,7 +240,7 @@ def _linked_entries(fwd, bwd, rows_of, cols_of, dim):
     return m, value
 
 
-class SpectralDecomposition:
+class SpectralDecomposition(Frozen):
     """Eigenvalues (ascending), eigenvectors per invariant block, degeneracy
     tol.
 
@@ -255,6 +256,8 @@ class SpectralDecomposition:
     blocks; diagonalize hands over the blocks it solved instead.
     Instances are immutable.
     """
+
+    _fields = ("energies", "energy_tol", "blocks", "block_vectors")
 
     def __init__(self, energies, vectors, energy_tol=None, blocks=None):
         e = np.array(energies, dtype=float)
@@ -290,12 +293,8 @@ class SpectralDecomposition:
         for arr in (energies, *block_vectors, *(idx for pair in blocks for idx in pair)):
             arr.setflags(write=False)
         tol = default_energy_tol(energies) if energy_tol is None else float(energy_tol)
-        for name, value in (("energies", energies), ("energy_tol", tol),
-                            ("blocks", tuple(blocks)), ("block_vectors", tuple(block_vectors))):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        self.__dict__.update(energies=energies, energy_tol=tol, blocks=tuple(blocks),
+                             block_vectors=tuple(block_vectors))
 
     @property
     def dim(self):
@@ -417,35 +416,33 @@ def diagonalize(hamiltonian, energy_tol=None):
     return SpectralDecomposition._from_blocks(energies, energy_tol, blocks, vectors)
 
 
-@dataclass(frozen=True)
-class ThermalEnsemble:
+class ThermalEnsemble(Frozen):
     """Gibbs weights p_n over a spectrum at fixed inverse temperature.
 
     log_weights holds ln p_n with -inf for exact zeros; spectral keeps the
     originating decomposition when the ensemble was built from one.
+    Energies and weights must be finite, the weights nonnegative with sum 1.
     """
 
-    beta: float
-    energies: np.ndarray
-    weights: np.ndarray
-    log_weights: np.ndarray
-    spectral: SpectralDecomposition = None
+    _fields = ("beta", "energies", "weights", "log_weights", "spectral")
 
-    def __post_init__(self):
-        e = np.array(self.energies, dtype=float)
-        w = np.array(self.weights, dtype=float)
-        lw = np.array(self.log_weights, dtype=float)
+    def __init__(self, beta, energies, weights, log_weights, spectral=None):
+        e = np.array(energies, dtype=float)
+        w = np.array(weights, dtype=float)
+        lw = np.array(log_weights, dtype=float)
         if not (e.shape == w.shape == lw.shape) or e.ndim != 1 or e.size == 0:
             raise DomainError("energies, weights and log_weights must share one 1-d shape")
+        if not np.isfinite(e).all():
+            raise DomainError("energies must be finite")
         total = float(w.sum())
-        if abs(total - 1.0) > 1e-12 * e.size or w.min() < 0:
+        # negated, so that a NaN or infinite weight, which makes the sum NaN
+        # or infinite, fails it too
+        if not (abs(total - 1.0) <= 1e-12 * e.size and w.min() >= 0):
             raise NumericError(f"thermal weights invalid: sum {total!r}, min {w.min()!r}")
         for arr in (e, w, lw):
             arr.setflags(write=False)
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "log_weights", lw)
+        self.__dict__.update(beta=float(beta), energies=e, weights=w, log_weights=lw,
+                             spectral=spectral)
 
     @property
     def dim(self):
@@ -464,7 +461,7 @@ def gibbs_weights(spectral, beta):
 
     Accepts a SpectralDecomposition or a bare energy vector.  beta = math.inf
     puts uniform weight on the ground degeneracy group (within the
-    decomposition's energy tolerance); negative beta is rejected.
+    decomposition's energy tolerance); a negative or NaN beta is rejected.
     """
     if isinstance(spectral, SpectralDecomposition):
         energies, tol, ref = spectral.energies, spectral.energy_tol, spectral
@@ -474,8 +471,8 @@ def gibbs_weights(spectral, beta):
     if energies.ndim != 1 or energies.size == 0:
         raise DomainError(f"energies must be a nonempty 1-d array, got shape {energies.shape}")
     beta = float(beta)
-    if beta < 0:
-        raise DomainError(f"inverse temperature must be nonnegative, got {beta}")
+    if not beta >= 0:
+        raise DomainError(f"inverse temperature beta must be nonnegative, got {beta}")
     if math.isinf(beta):
         ground = energies <= energies.min() + tol
         g = int(np.count_nonzero(ground))

@@ -475,3 +475,34 @@ def test_analysis_scripts_run(tmp_path):
     assert "equality: True" in stdout["comb_audit.py"]
     depth_rows = [line.split() for line in stdout["depth_vs_size.py"].splitlines()[1:]]
     assert [row[0] for row in depth_rows] == ["2", "4"]
+
+
+STARTUP_PROBE = """
+import sys
+import argparse, numpy
+
+generated = []
+
+
+def hook(event, args):
+    if event == "compile" and args[1] == "<string>":
+        generated.append(args[0])
+
+
+sys.addaudithook(hook)
+import qfidyn.cli
+
+print(len(generated), "json" in sys.modules)
+"""
+
+
+def test_import_generates_no_code_and_defers_json():
+    # Code made at import (exec of generated source, as dataclass does for
+    # every method it writes) is compiled from "<string>" on each launch;
+    # json is needed only to read or write JSON, so a CSV run never loads it.
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE],
+        capture_output=True, text=True, env=checkout_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

@@ -160,6 +160,14 @@ def test_negative_beta_rejected():
         gibbs_weights(np.array([0.0, 1.0]), -0.5)
 
 
+def test_nan_beta_rejected():
+    # a NaN beta once passed the sign check and gave NaN weights, so the
+    # 6-site chain reported QFI 0.0 and a NaN bound marked saturated
+    spectral = diagonalize(build_xx_hamiltonian(SpinChainSpec(6, 1.0, 0.3)).mat)
+    with pytest.raises(DomainError, match="beta"):
+        gibbs_weights(spectral, math.nan)
+
+
 def test_extreme_spectra_stay_finite():
     ens = gibbs_weights(np.array([0.0, 2000.0]), 10.0)
     assert ens.weights[0] == 1.0 and ens.weights[1] == 0.0
@@ -173,6 +181,18 @@ def test_thermal_ensemble_validates_weights():
         ThermalEnsemble(1.0, e, np.array([0.9, 0.3]), np.log([0.9, 0.3]))
     with pytest.raises(DomainError):
         ThermalEnsemble(1.0, e, np.array([1.0]), np.array([0.0]))
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.0]])
+def test_thermal_ensemble_rejects_nonfinite_weights(weights):
+    with pytest.raises(NumericError):
+        ThermalEnsemble(1.0, np.array([0.0, 1.0]), np.array(weights), np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_thermal_ensemble_rejects_nonfinite_energies(bad):
+    with pytest.raises(DomainError, match="finite"):
+        ThermalEnsemble(1.0, np.array([0.0, bad]), np.array([1.0, 0.0]), np.array([0.0, -math.inf]))
 
 
 @given(
