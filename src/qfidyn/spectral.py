@@ -422,14 +422,24 @@ class ThermalEnsemble(Frozen):
     log_weights holds ln p_n with -inf for exact zeros; spectral keeps the
     originating decomposition when the ensemble was built from one.
     Energies and weights must be finite, the weights nonnegative with sum 1.
+    The constructor copies its arrays; gibbs_weights hands over arrays it
+    owns instead, checked the same way and frozen in place.
     """
 
     _fields = ("beta", "energies", "weights", "log_weights", "spectral")
 
     def __init__(self, beta, energies, weights, log_weights, spectral=None):
-        e = np.array(energies, dtype=float)
-        w = np.array(weights, dtype=float)
-        lw = np.array(log_weights, dtype=float)
+        self._freeze(beta, np.array(energies, dtype=float), np.array(weights, dtype=float),
+                     np.array(log_weights, dtype=float), spectral)
+
+    @classmethod
+    def _from_arrays(cls, beta, energies, weights, log_weights, spectral):
+        """An ensemble over float64 arrays no one else writes, not copied."""
+        self = cls.__new__(cls)
+        self._freeze(beta, energies, weights, log_weights, spectral)
+        return self
+
+    def _freeze(self, beta, e, w, lw, spectral):
         if not (e.shape == w.shape == lw.shape) or e.ndim != 1 or e.size == 0:
             raise DomainError("energies, weights and log_weights must share one 1-d shape")
         if not np.isfinite(e).all():
@@ -466,7 +476,8 @@ def gibbs_weights(spectral, beta):
     if isinstance(spectral, SpectralDecomposition):
         energies, tol, ref = spectral.energies, spectral.energy_tol, spectral
     else:
-        energies = np.asarray(spectral, dtype=float)
+        # a copy, since the ensemble freezes what it is given
+        energies = np.array(spectral, dtype=float)
         tol, ref = default_energy_tol(energies), None
     if energies.ndim != 1 or energies.size == 0:
         raise DomainError(f"energies must be a nonempty 1-d array, got shape {energies.shape}")
@@ -482,7 +493,7 @@ def gibbs_weights(spectral, beta):
         shifted = -beta * (energies - energies.min())
         logw = shifted - float(np.logaddexp.reduce(shifted))
         weights = np.exp(logw)
-    return ThermalEnsemble(beta, energies, weights, logw, spectral=ref)
+    return ThermalEnsemble._from_arrays(beta, energies, weights, logw, ref)
 
 
 def thermal_expectation(op_eig, ensemble):

@@ -1,5 +1,6 @@
 """Command-line contract: argument handling, file formats, exit codes."""
 
+import gc
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from qfidyn import (
     qfi_spectral,
     response_comb,
 )
+from qfidyn import cli
 from qfidyn.cli import main
 from qfidyn.models import build_preset, preset, two_qubit_symmetry_strings
 
@@ -311,6 +313,20 @@ def test_fig2_rejects_nonpositive_temperature():
     assert code == 2 and "temperature" in stderr
 
 
+@pytest.mark.parametrize(
+    "bad", [("--temp-grid", "1:0:5"), ("--temp-grid", "0:1:5:log"), ("--temperature", "0")]
+)
+def test_fig2_checks_its_arguments_before_any_work(tmp_path, monkeypatch, bad):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr(cli, "solve_preset", no_solve)
+    out = tmp_path / "d"
+    code, _, stderr = run("reproduce-fig2", "--sites", "8", "--out", str(out), *bad)
+    assert code == 2 and stderr.startswith("qfidyn:")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 
@@ -455,6 +471,45 @@ def test_installed_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("temperature,qfi,")
+
+
+# Counts gc.freeze calls, noting whether the last layer module was imported
+# by then, and reports them with the frozen object count at exit.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+
+calls = []
+freeze = gc.freeze
+gc.freeze = lambda: (calls.append("qfidyn.response" in sys.modules), freeze())[1]
+atexit.register(lambda: print(calls, gc.get_freeze_count(), file=sys.stderr))
+sys.argv = ["qfidyn", "qfi", "--beta", "1"]
+"""
+ENTRY_POINTS = {
+    # the console script calls main() with no argument
+    "script": "from qfidyn.cli import main\nsys.exit(main())\n",
+    # python -m qfidyn.cli runs the module's __main__ block
+    "module": "runpy.run_module('qfidyn.cli', run_name='__main__', alter_sys=True)\n",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_program_run_freezes_the_import_heap_once(entry):
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE + ENTRY_POINTS[entry]],
+        capture_output=True, text=True, env=checkout_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("temperature,qfi,")
+    calls, frozen = proc.stderr.strip().splitlines()[-1].rsplit(" ", 1)
+    assert calls == "[True]"
+    assert int(frozen) > 1000
+
+
+def test_in_process_main_leaves_the_heap_unfrozen():
+    before = gc.get_freeze_count()
+    code, stdout, _ = run("qfi", "--beta", "1")
+    assert code == 0 and stdout.startswith("temperature,qfi,")
+    assert gc.get_freeze_count() == before
 
 
 def test_analysis_scripts_run(tmp_path):

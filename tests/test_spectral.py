@@ -195,6 +195,28 @@ def test_thermal_ensemble_rejects_nonfinite_energies(bad):
         ThermalEnsemble(1.0, np.array([0.0, bad]), np.array([1.0, 0.0]), np.array([0.0, -math.inf]))
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
+def test_gibbs_weights_freezes_its_own_arrays_in_place(beta):
+    spectral = diagonalize(np.diag([0.0, 2.0, 2.0, 5.0]))
+    ens = gibbs_weights(spectral, beta)
+    assert ens.energies is spectral.energies
+    assert not (ens.weights.flags.writeable or ens.log_weights.flags.writeable)
+    # a bare energy vector is the caller's, so it is copied, not frozen
+    energies = np.array([0.0, 1.0, 5.0])
+    ens = gibbs_weights(energies, beta)
+    assert energies.flags.writeable and not np.shares_memory(ens.energies, energies)
+    assert not ens.energies.flags.writeable
+
+
+def test_thermal_ensemble_copies_caller_arrays():
+    arrays = np.array([0.0, 1.0]), np.array([0.75, 0.25]), np.log([0.75, 0.25])
+    ens = ThermalEnsemble(1.0, *arrays)
+    for given_arr, kept in zip(arrays, (ens.energies, ens.weights, ens.log_weights)):
+        assert given_arr.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given_arr, kept)
+        np.testing.assert_array_equal(given_arr, kept)
+
+
 @given(
     dim=st.integers(2, 8),
     beta=st.floats(0.0, 5.0),
