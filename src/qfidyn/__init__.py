@@ -41,18 +41,10 @@ from .metrology import (
     skew_lower_bound,
 )
 from .operators import (
-    GeneralOperator,
-    HermitianOperator,
     PauliString,
     SparseOperator,
     SpinChainSpec,
-    anticommutator,
-    build_xx_hamiltonian,
-    commutator,
-    local_generator,
-    operator_from_strings,
     operator_support,
-    pauli_site,
     pauli_strings_from_json,
     pauli_strings_to_records,
 )

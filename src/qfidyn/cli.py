@@ -23,13 +23,13 @@ from .errors import DomainError, NumericError
 from .metrology import entanglement_depth, qfi_from_dynsym, qfi_spectral
 from .models import (
     PRESETS,
-    build_preset,
     preset as resolve_preset,
+    preset_operators,
     regime_subset,
     solve_preset,
     two_qubit_symmetry_operators,
 )
-from .operators import GENERATOR_KINDS, PauliString, operator_from_strings, operator_support
+from .operators import GENERATOR_KINDS, PauliString, SparseOperator, operator_support
 from .response import response_comb
 from .spectral import diagonalize, gibbs_weights
 
@@ -167,19 +167,24 @@ def _load_symmetry_file(path):
     return ops
 
 
-def _verified_symmetry_blocks(source, model, h_mat, spectral, omega_tol):
-    """OperatorBlocks from the analytic two-qubit set or a symmetry file,
-    verified against the site-basis Hamiltonian."""
+def _symmetry_operators(source, model):
+    """The site-basis SparseOperators of a symmetry source, the analytic
+    two-qubit set or a symmetry file, read and checked before any solve."""
     if source == "analytic":
         if model.spec.sites != 2:
             raise DomainError("the analytic symmetry set is defined for the two-qubit model")
-        ops = [op.mat for op in two_qubit_symmetry_operators().values()]
-        return verified_blocks(h_mat, spectral, ops, omega_tol=omega_tol)
+        return list(two_qubit_symmetry_operators().values())
     strings = _load_symmetry_file(source)
     if not strings:
         raise DomainError(f"symmetry file {source!r} contains no operators")
-    ops = [operator_from_strings(strs, model.spec.sites).mat for strs in strings]
-    return verified_blocks(h_mat, spectral, ops, omega_tol=omega_tol)
+    return [SparseOperator.from_strings(strs, model.spec.sites) for strs in strings]
+
+
+def _verified_symmetry_blocks(h, spectral, ops, omega_tol):
+    """OperatorBlocks from site-basis SparseOperators, verified against the
+    site-basis Hamiltonian h; h and each operator are made dense once."""
+    mats = [op.dense() for op in ops]
+    return verified_blocks(h.dense(), spectral, mats, omega_tol=omega_tol)
 
 
 def _run_config(args):
@@ -212,14 +217,11 @@ def _run_config(args):
 def cmd_qfi(args):
     """QFI, bound, and entanglement depth over a temperature grid."""
     config, model = _run_config(args)
+    trivial = config.symmetries == "trivial"
+    ops = None if trivial else _symmetry_operators(config.symmetries, model)
     # one weighted pair set carries the generator through the whole sweep
     spectral, pairs, h = solve_preset(model, config.omega_tol)
-    if config.symmetries == "trivial":
-        blocks = pairs
-    else:
-        blocks = _verified_symmetry_blocks(
-            config.symmetries, model, h.dense(), spectral, config.omega_tol
-        )
+    blocks = pairs if trivial else _verified_symmetry_blocks(h, spectral, ops, config.omega_tol)
     n = config.sites
     rows = []
     for beta, temp in zip(config.betas, config.temperatures):
@@ -253,9 +255,8 @@ def _fig1_curve(field, coupling, temps, omega_tol):
     """Rows (T, f_Q, bound density) for one field, saturating subset."""
     model = resolve_preset("two-qubit", coupling=coupling, field=field)
     spectral, pairs, h = solve_preset(model, omega_tol)
-    labels = regime_subset(field, coupling)
-    ops = [op.mat for op in two_qubit_symmetry_operators(labels).values()]
-    blocks = verified_blocks(h.dense(), spectral, ops, omega_tol=omega_tol)
+    ops = two_qubit_symmetry_operators(regime_subset(field, coupling)).values()
+    blocks = _verified_symmetry_blocks(h, spectral, ops, omega_tol)
     rows = []
     for temp in temps:
         ens = gibbs_weights(spectral, 1.0 / temp)
@@ -386,22 +387,26 @@ def cmd_verify(args):
         boundary=args.boundary,
         generator=args.generator,
     )
-    h_op, gen = build_preset(model)
-    n = model.spec.sites
-    spectral = diagonalize(h_op.mat)
     beta = float(args.beta) if args.beta is not None else 1.0
     if not beta >= 0.0:
         raise DomainError(f"beta must be >= 0, got {beta}")
+    n = model.spec.sites
+    ops = [SparseOperator.from_strings(strs, n) for strs in strings]
+    h, gen = preset_operators(model)
+    spectral = diagonalize(h)
     ens = gibbs_weights(spectral, beta)
+    # complex, the type fit_frequency and local_cap compute in, so that no
+    # operator is converted again inside the loop
+    h_mat, gen_mat = h.dense().astype(complex), gen.dense().astype(complex)
     rows = []
     all_ok = True
-    for i, strs in enumerate(strings):
-        op = operator_from_strings(strs, n)
-        omega, residual = fit_frequency(h_op.mat, op.mat)
-        support = operator_support(op.mat, n)
+    for i, op in enumerate(ops):
+        mat = op.dense().astype(complex)
+        omega, residual = fit_frequency(h_mat, mat)
+        support = operator_support(mat, n)
         support_text = " ".join(str(s) for s in sorted(support)) if support else "-"
         try:
-            cap, holds = local_cap(op.mat, gen.mat, ens)
+            cap, holds = local_cap(mat, gen_mat, ens)
             cap_text, holds_text = _format_cell(cap), _format_cell(holds)
         except DomainError:
             cap_text, holds_text = "-", "-"

@@ -52,13 +52,7 @@ import numpy as np
 
 from ._frozen import Frozen
 from .errors import DomainError, NumericError
-from .operators import (
-    GeneralOperator,
-    _as_matrix,
-    _chunks,
-    _real_if_exact,
-    operator_support,
-)
+from .operators import _as_matrix, _chunks, _real_if_exact, operator_support
 from .spectral import BlockOperator
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
@@ -112,7 +106,8 @@ def fit_frequency(hamiltonian, op):
 
 
 class DynamicalSymmetry(Frozen):
-    """A verified eigenoperator with its fitted frequency and residual."""
+    """A verified eigenoperator, held as given (a SparseOperator or a
+    matrix), with its fitted frequency and residual."""
 
     _fields = ("op", "omega", "residual")
 
@@ -132,8 +127,6 @@ def dynamical_symmetry(hamiltonian, op, tol=TAU_DYN):
             f"operator is not a dynamical symmetry: residual {residual:.3e} "
             f"exceeds tolerance {tol:.1e} (best-fit omega {omega:.6g})"
         )
-    if not isinstance(op, GeneralOperator):
-        op = GeneralOperator(np.asarray(op, dtype=complex))
     return DynamicalSymmetry(op, omega, residual)
 
 
@@ -310,8 +303,7 @@ class PairPartition(Frozen):
         set, forward and backward hold count rows of terms, binned side by
         side into a (count, K) result.  Each cluster adds its terms in pair
         order from 0.0, as np.bincount does, so the sums do not depend on
-        the chunks.  (np.add.at takes this fast from NumPy 1.25 on; 1.24
-        runs it through a much slower generic loop.)"""
+        the chunks."""
         k = self.omegas.size
         n = 1 if count is None else count
         out, back = np.zeros((n, k)), np.zeros((n, k + 1))
@@ -539,11 +531,9 @@ def verified_blocks(hamiltonian, spectral, ops, tol=TAU_DYN, omega_tol=None):
             sym = dynamical_symmetry(hamiltonian, op, tol)
         except DomainError as exc:
             raise DomainError(f"operator {i}: {exc}") from None
-        symmetries.append(
-            DynamicalSymmetry(
-                GeneralOperator(spectral.to_eigenbasis(sym.op)), sym.omega, sym.residual
-            )
-        )
+        op_eig = spectral.to_eigenbasis(sym.op)
+        op_eig.setflags(write=False)
+        symmetries.append(DynamicalSymmetry(op_eig, sym.omega, sym.residual))
     if omega_tol is None:
         omega_tol = default_omega_tol(spectral.energies)
     return group_into_blocks(symmetries, omega_tol)

@@ -1,9 +1,10 @@
 """Worked models: the two-qubit XX pair with its analytic symmetry set, and
 the seven-site chain preset behind the frequency-comb studies.
 
-solve_preset is the exact pipeline every preset command runs: Pauli strings
-to SparseOperators, a per-block diagonalization, and the generator's
-weighted pair set from its eigenbasis blocks, with no dim x dim array."""
+Every operator here is a SparseOperator built from Pauli strings.
+solve_preset is the exact pipeline every preset command runs: a per-block
+diagonalization of the preset's Hamiltonian, and the generator's weighted
+pair set from its eigenbasis blocks, with no dim x dim array."""
 
 from __future__ import annotations
 
@@ -11,12 +12,10 @@ from ._frozen import FrozenRecord
 from .dynsym import trivial_complete_set
 from .errors import DomainError
 from .operators import (
-    HermitianOperator,
     PauliString,
     SparseOperator,
     SpinChainSpec,
     local_generator_strings,
-    operator_from_strings,
     xx_hamiltonian_strings,
 )
 from .spectral import diagonalize
@@ -74,7 +73,8 @@ def two_qubit_frequencies(coupling=1.0, field=0.5):
 
 
 def two_qubit_symmetry_operators(labels=None):
-    """Dense 4x4 operators for the requested labels (default: all eight)."""
+    """SparseOperators on two sites for the requested labels (default: all
+    eight)."""
     strings = two_qubit_symmetry_strings()
     if labels is None:
         labels = tuple(strings)
@@ -84,7 +84,7 @@ def two_qubit_symmetry_operators(labels=None):
             raise DomainError(
                 f"unknown symmetry label {label!r}; valid labels are {tuple(strings)}"
             )
-        ops[label] = operator_from_strings(strings[label], 2)
+        ops[label] = SparseOperator.from_strings(strings[label], 2)
     return ops
 
 
@@ -151,12 +151,6 @@ def preset_operators(model, max_sites=None):
         SparseOperator.from_strings(terms, n, hermitian=True, max_sites=max_sites)
         for terms in strings
     )
-
-
-def build_preset(model, max_sites=None):
-    """Hamiltonian and generator for a ModelPreset (site basis), dense: the
-    entries of preset_operators scattered into HermitianOperators."""
-    return tuple(HermitianOperator(op.dense()) for op in preset_operators(model, max_sites))
 
 
 def solve_preset(model, omega_tol=None):

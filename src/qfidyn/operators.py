@@ -14,9 +14,9 @@ at most one nonzero entry per column.  That entry is the coefficient times
 one phase per factor, read off the input bit b: i (-1)^b for y, (-1)^b for
 z, [b = 1] for + and [b = 0] for -.  PauliString.entries returns these
 (rows, cols, values).  SparseOperator.from_strings adds a sum of strings
-entry by entry into one SparseOperator, the form the exact pipeline works
-on; operator_from_strings and every dense builder here scatter those same
-entries into a dense complex128 matrix.
+entry by entry into one SparseOperator, the one site-basis operator type:
+the exact pipeline works on its entries, and SparseOperator.dense scatters
+them into a matrix where a dense one is needed.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ def _check_sites(n_sites, max_sites=None):
 
 
 def _as_matrix(op, what="operator"):
-    """Accept a wrapped operator or a bare ndarray and return the ndarray."""
-    if isinstance(op, GeneralOperator):
-        return op.mat
+    """A SparseOperator or a bare square array as a complex ndarray."""
+    if isinstance(op, SparseOperator):
+        op = op.dense()
     arr = np.asarray(op, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DomainError(f"{what} must be a square matrix, got shape {arr.shape}")
@@ -99,11 +99,9 @@ def _real_if_exact(mat):
     return mat.astype(float, copy=False)
 
 
-def _hermitian_deviation(mat, partner=None):
-    """(max |M - P^dag|, max |M|) for M = mat and P = partner (default: M
-    itself, which must then be square), in row blocks of _ROW_CHUNK entries
-    so that no full-size temporary is made."""
-    partner = mat if partner is None else partner
+def _hermitian_deviation(mat, partner):
+    """(max |M - P^dag|, max |M|) for M = mat and P = partner, in row blocks
+    of _ROW_CHUNK entries so that no full-size temporary is made."""
     step = max(1, _ROW_CHUNK // max(1, mat.shape[1]))
     dev = scale = 0.0
     for lo in range(0, mat.shape[0], step):
@@ -121,44 +119,6 @@ def _require_hermitian(dev, scale, name, rtol=1e-10):
         raise DomainError(
             f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} against scale {scale:.3e}"
         )
-
-
-class GeneralOperator(Frozen):
-    """A square complex matrix, immutable after construction."""
-
-    _fields = ("mat",)
-
-    def __init__(self, mat):
-        arr = np.array(mat, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DomainError(f"operator must be a square matrix, got shape {arr.shape}")
-        arr.setflags(write=False)
-        self.__dict__.update(mat=arr)
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-    def dagger(self):
-        return GeneralOperator(self.mat.conj().T)
-
-    def hs_norm(self):
-        """Frobenius (Hilbert-Schmidt) norm."""
-        return float(np.linalg.norm(self.mat))
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.mat, dtype=dtype)
-
-
-class HermitianOperator(GeneralOperator):
-    """A GeneralOperator certified Hermitian at construction time."""
-
-    def __init__(self, mat):
-        super().__init__(mat)
-        _require_hermitian(*_hermitian_deviation(self.mat), "matrix", HERMITICITY_RTOL)
-
-    def dagger(self):
-        return self
 
 
 class PauliString(FrozenRecord):
@@ -212,10 +172,6 @@ class PauliString(FrozenRecord):
         signs = np.where(parity & 1, -1.0, 1.0)
         values = (self.coefficient * _I_POWERS[n_y % 4]) * signs
         return cols ^ flip, cols, values
-
-    def matrix(self, n_sites, max_sites=None):
-        dense = SparseOperator.from_strings((self,), n_sites, max_sites=max_sites).dense()
-        return dense.astype(complex)
 
     def to_record(self):
         c = complex(self.coefficient)
@@ -314,37 +270,6 @@ class SparseOperator(Frozen):
         return out
 
 
-def pauli_matrix(axis):
-    """The 2x2 matrix for a single axis."""
-    return PauliString(1.0, ((0, axis),)).matrix(1, max_sites=1)
-
-
-def pauli_site(axis, site, n_sites, max_sites=None):
-    """Single-site Pauli operator embedded in an n_sites chain.
-
-    Returns a HermitianOperator for axes I, x, y, z and a GeneralOperator for
-    the ladder axes +, -.
-    """
-    n = _check_sites(n_sites, max_sites)
-    site = int(site)
-    if not 0 <= site < n:
-        raise DomainError(f"site {site} out of range for {n} sites")
-    m = PauliString(1.0, ((site, axis),)).matrix(n, max_sites)
-    if axis in ("+", "-"):
-        return GeneralOperator(m)
-    return HermitianOperator(m)
-
-
-def operator_from_strings(strings, n_sites, hermitian=False, max_sites=None):
-    """Sum of PauliStrings as a dense operator.
-
-    With hermitian=True the result is validated and wrapped as a
-    HermitianOperator (DomainError if the sum fails the certificate).
-    """
-    total = SparseOperator.from_strings(strings, n_sites, max_sites=max_sites).dense()
-    return HermitianOperator(total) if hermitian else GeneralOperator(total)
-
-
 def pauli_strings_from_json(data):
     """Parse the operator interchange format: a list of term records.
 
@@ -400,12 +325,6 @@ def xx_hamiltonian_strings(spec, max_sites=None):
     return strings
 
 
-def build_xx_hamiltonian(spec, max_sites=None):
-    """The XX chain Hamiltonian of xx_hamiltonian_strings, dense."""
-    strings = xx_hamiltonian_strings(spec, max_sites)
-    return operator_from_strings(strings, spec.sites, hermitian=True, max_sites=max_sites)
-
-
 GENERATOR_KINDS = ("antisymmetric-x", "staggered-x", "uniform-x", "uniform-z")
 
 
@@ -417,7 +336,7 @@ def local_generator_strings(kind, n_sites, max_sites=None):
     staggered-x     : sum_i (-1)^i x_i / 2
     uniform-x       : sum_i x_i / 2
     uniform-z       : sum_i z_i / 2
-    Custom sums go through operator_from_strings / pauli_strings_from_json.
+    Custom sums go through SparseOperator.from_strings / pauli_strings_from_json.
     """
     n = _check_sites(n_sites, max_sites)
     if kind == "antisymmetric-x":
@@ -433,28 +352,6 @@ def local_generator_strings(kind, n_sites, max_sites=None):
     else:
         raise DomainError(f"unknown generator kind {kind!r}; valid kinds are {GENERATOR_KINDS}")
     return [PauliString(c, ((i, axis),)) for c, i, axis in terms]
-
-
-def local_generator(kind, n_sites, max_sites=None):
-    """The generator of local_generator_strings, dense."""
-    strings = local_generator_strings(kind, n_sites, max_sites)
-    return operator_from_strings(strings, n_sites, hermitian=True, max_sites=max_sites)
-
-
-def commutator(a, b):
-    """[A, B] = AB - BA as a GeneralOperator."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DomainError(f"dimension mismatch {ma.shape} vs {mb.shape}")
-    return GeneralOperator(ma @ mb - mb @ ma)
-
-
-def anticommutator(a, b):
-    """{A, B} = AB + BA as a GeneralOperator."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape != mb.shape:
-        raise DomainError(f"dimension mismatch {ma.shape} vs {mb.shape}")
-    return GeneralOperator(ma @ mb + mb @ ma)
 
 
 def operator_support(op, n_sites, atol=SUPPORT_ATOL):

@@ -13,14 +13,14 @@ row block at a time.  H has no entry between two components, so each
 component is an invariant subspace and is diagonalized on its own; for a
 chain conserving total S^z these are the magnetization sectors.  A dense
 matrix's blocks are slices of it; a matrix with a connected pattern is one
-block and goes to the solver as it is.  The decomposition keeps
-one eigenvector matrix V_a per block, over the block's basis states and
-its eigen-columns; the dense unitary is assembled only when vectors is
-read.  An operator goes to the eigenbasis one linked block pair at a time,
-V_a^dag O_ab V_b, over the ordered pairs (a, b) between which it has an
-entry (to_eigenblocks); to_eigenbasis scatters those products into a dense
-matrix.  Selection-rule zeros are therefore exact: an eigenbasis entry
-between blocks the operator does not link is 0.0, not rounding.
+block and goes to the solver as it is.  The decomposition keeps one
+eigenvector matrix V_a per block, over the block's basis states and its
+eigen-columns, and never assembles the dense unitary.  An operator goes to
+the eigenbasis one linked block pair at a time, V_a^dag O_ab V_b, over the
+ordered pairs (a, b) between which it has an entry (to_eigenblocks);
+to_eigenbasis scatters those products into a dense matrix.  Selection-rule
+zeros are therefore exact: an eigenbasis entry between blocks the operator
+does not link is 0.0, not rounding.
 
 Thermal weights are stored together with their logarithms; the logs keep
 weight ratios exact even when the weights themselves underflow.
@@ -248,8 +248,7 @@ class SpectralDecomposition(Frozen):
     indices) pairs, each ascending; each index kind partitions range(dim).
     block_vectors[k] is block k's eigenvector matrix, rows over its basis
     states and columns over its eigen-columns: float64 when real (the
-    real-symmetric case of diagonalize), complex128 otherwise.  vectors is
-    the dense unitary, zero outside the blocks, assembled on first read.
+    real-symmetric case of diagonalize), complex128 otherwise.
 
     Built from dense vectors, with blocks defaulting to one block holding
     everything, the vectors are copied and must vanish outside their
@@ -299,16 +298,6 @@ class SpectralDecomposition(Frozen):
     @property
     def dim(self):
         return self.energies.size
-
-    @cached_property
-    def vectors(self):
-        if len(self.blocks) == 1:
-            return self.block_vectors[0]
-        out = np.zeros((self.dim, self.dim), dtype=self.block_vectors[0].dtype)
-        for (rows, cols), v in zip(self.blocks, self.block_vectors):
-            out[rows[:, None], cols] = v
-        out.setflags(write=False)
-        return out
 
     @cached_property
     def _basis_index(self):

@@ -56,6 +56,16 @@ def xx_hamiltonian_oracle(n_sites, coupling, field, boundary):
     return h
 
 
+def eigenvector_matrix(spectral):
+    """The dense unitary V of a decomposition, H = V diag(E) V^dag: each
+    block's eigenvectors placed at its basis rows and eigen-columns, exact
+    zeros elsewhere."""
+    out = np.zeros((spectral.dim, spectral.dim), dtype=spectral.block_vectors[0].dtype)
+    for (rows, cols), v in zip(spectral.blocks, spectral.block_vectors):
+        out[rows[:, None], cols] = v
+    return out
+
+
 def random_hermitian(rng, dim, scale=1.0):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (m + m.conj().T) / 2.0

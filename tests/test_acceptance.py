@@ -16,8 +16,7 @@ import numpy as np
 
 from qfidyn import (
     PauliString,
-    SpinChainSpec,
-    build_xx_hamiltonian,
+    SparseOperator,
     diagonalize,
     eth_lower_bound,
     eth_qfi,
@@ -26,8 +25,6 @@ from qfidyn import (
     fit_frequency,
     gibbs_weights,
     local_cap,
-    local_generator,
-    operator_from_strings,
     operator_support,
     projector_mazur_weight,
     qfi_from_dynsym,
@@ -47,15 +44,21 @@ from qfidyn import (
 )
 from qfidyn.cli import main
 from qfidyn.models import (
-    build_preset,
     preset,
+    preset_operators,
     regime_subset,
     two_qubit_frequencies,
     two_qubit_symmetry_operators,
 )
+from qfidyn.operators import local_generator_strings
 from oracles import qfi_oracle, random_hermitian, thermal_state
 
 SEED = 20240811
+
+
+def dense_preset(name, **overrides):
+    """Hamiltonian and generator of a preset as dense matrices."""
+    return tuple(op.dense() for op in preset_operators(preset(name, **overrides)))
 
 
 def report(index, name, start, failures):
@@ -108,14 +111,14 @@ def test_02_two_qubit_analytic_set():
     failures = []
     temps = np.geomspace(0.05, 5.0, 50)
     for field in (0.3, 0.5, 1.5, 2.0):
-        h_op = build_xx_hamiltonian(SpinChainSpec(2, 1.0, field))
+        h_op, gen = dense_preset("two-qubit", field=field)
         expected = two_qubit_frequencies(1.0, field)
         want = sorted({+2.0 * (1 + field), -2.0 * (1 + field),
                        +2.0 * (1 - field), -2.0 * (1 - field)})
         fitted = []
         for label in ("A1", "A2", "A3", "A4"):
             op = two_qubit_symmetry_operators((label,))[label]
-            omega, residual = fit_frequency(h_op.mat, op.mat)
+            omega, residual = fit_frequency(h_op, op.dense())
             fitted.append(omega)
             if residual >= 1e-12:
                 failures.append(f"h={field} {label}: residual {residual:.3e}")
@@ -126,10 +129,10 @@ def test_02_two_qubit_analytic_set():
 
         # bound saturation needs the full two-dimensional eigenspaces,
         # i.e. the mirrored partners as well
-        spectral = diagonalize(h_op.mat)
-        o_eig = spectral.to_eigenbasis(local_generator("antisymmetric-x", 2).mat)
-        ops = [op.mat for op in two_qubit_symmetry_operators().values()]
-        blocks = verified_blocks(h_op.mat, spectral, ops)
+        spectral = diagonalize(h_op)
+        o_eig = spectral.to_eigenbasis(gen)
+        ops = [op.dense() for op in two_qubit_symmetry_operators().values()]
+        blocks = verified_blocks(h_op, spectral, ops)
         for temp in temps:
             ens = gibbs_weights(spectral, 1.0 / temp)
             fq = qfi_spectral(o_eig, ens)
@@ -148,16 +151,15 @@ def test_03_low_temperature_bound_curves(tmp_path):
 
     # oracle pass: density-matrix QFI and the dense-trace subset bound
     for field, want_ratio in ((0.5, 0.99), (1.5, 0.99)):
-        h_op = build_xx_hamiltonian(SpinChainSpec(2, 1.0, field))
-        gen = local_generator("antisymmetric-x", 2)
-        rho = thermal_state(h_op.mat, 1.0 / t_min)
-        fq = qfi_oracle(rho, gen.mat)
+        h_op, gen = dense_preset("two-qubit", field=field)
+        rho = thermal_state(h_op, 1.0 / t_min)
+        fq = qfi_oracle(rho, gen)
         freqs = two_qubit_frequencies(1.0, field)
         bound = 0.0
         for label in regime_subset(field):
-            a = two_qubit_symmetry_operators((label,))[label].mat
+            a = two_qubit_symmetry_operators((label,))[label].dense()
             norm = float(np.trace(rho @ a.conj().T @ a).real)
-            overlap = complex(np.trace(rho @ a.conj().T @ gen.mat))
+            overlap = complex(np.trace(rho @ a.conj().T @ gen))
             bound += (
                 4.0 * math.tanh(freqs[label] / (2.0 * t_min)) ** 2
                 * abs(overlap) ** 2 / norm
@@ -216,10 +218,9 @@ def test_04_chain_comb_and_decomposition(tmp_path):
         report(4, "chain comb and decomposition (reproduce-fig2)", start, failures)
         return
 
-    model = preset("chain")
-    h_op, gen = build_preset(model)
-    rho = thermal_state(h_op.mat, 1.0)  # the default comb temperature
-    second_moment = float(np.trace(rho @ gen.mat @ gen.mat).real)
+    h_op, gen = dense_preset("chain")
+    rho = thermal_state(h_op, 1.0)  # the default comb temperature
+    second_moment = float(np.trace(rho @ gen @ gen).real)
 
     _, comb_rows = read_table(tmp_path / "comb.csv")
     total = sum(float(row[1]) for row in comb_rows)
@@ -232,9 +233,9 @@ def test_04_chain_comb_and_decomposition(tmp_path):
     if len(zero_rows) != 1:
         failures.append(f"{len(zero_rows)} zero-frequency rows")
     else:
-        spectral = diagonalize(h_op.mat)
+        spectral = diagonalize(h_op)
         ens = gibbs_weights(spectral, 1.0)
-        o_eig = spectral.to_eigenbasis(gen.mat)
+        o_eig = spectral.to_eigenbasis(gen)
         msr = projector_mazur_weight(ens, o_eig)
         if abs(float(zero_rows[0][2]) - msr) > 1e-10:
             failures.append(f"omega=0 Mazur weight {zero_rows[0][2]} != MSR {msr!r}")
@@ -246,7 +247,7 @@ def test_04_chain_comb_and_decomposition(tmp_path):
 
     _, decomp_rows = read_table(tmp_path / "decomposition.csv")
     decomposed = sum(float(row[1]) for row in decomp_rows)
-    fq = qfi_oracle(rho, gen.mat)
+    fq = qfi_oracle(rho, gen)
     if abs(decomposed - fq) > 1e-9 * max(1.0, fq):
         failures.append(f"decomposition sum {decomposed!r} != QFI {fq!r}")
 
@@ -295,11 +296,11 @@ def test_06_qfi_matrix_decomposition():
     per-generator diagonal, and the complete-set decomposition."""
     start = time.perf_counter()
     failures = []
-    h_op = build_xx_hamiltonian(SpinChainSpec(2, 1.0, 0.5))
-    spectral = diagonalize(h_op.mat)
+    h_op, gen = dense_preset("two-qubit")
+    spectral = diagonalize(h_op)
     gens = [
-        spectral.to_eigenbasis(local_generator("uniform-z", 2).mat),
-        spectral.to_eigenbasis(local_generator("antisymmetric-x", 2).mat),
+        spectral.to_eigenbasis(dense_preset("two-qubit", generator="uniform-z")[1]),
+        spectral.to_eigenbasis(gen),
     ]
     blocks = trivial_complete_set(spectral)
     for beta in (0.5, 1.0, 5.0):
@@ -397,9 +398,10 @@ def test_08_route_equivalence():
 
     # ground state of the 5-site chain at h = 0: its doublet is split by
     # rounding (~7e-15), well inside the degeneracy tolerance
-    spectral = diagonalize(build_xx_hamiltonian(SpinChainSpec(5, 1.0, 0.0)).mat)
+    h_chain, gen = dense_preset("chain", sites=5, field=0.0)
+    spectral = diagonalize(h_chain)
     ens = gibbs_weights(spectral, math.inf)
-    o_eig = spectral.to_eigenbasis(local_generator("staggered-x", 5).mat)
+    o_eig = spectral.to_eigenbasis(gen)
     spectral_route = qfi_spectral(o_eig, ens)
     for name, value in (
         ("susceptibility", qfi_via_susceptibility(o_eig, ens)),
@@ -432,17 +434,17 @@ def test_09_strict_locality_cap():
         width = int(rng.integers(1, min(3, n) + 1))
         offset = int(rng.integers(0, n - width + 1))
         local_fields = rng.uniform(0.1, 1.0, n) * rng.choice((-1.0, 1.0), n)
-        h_mat = operator_from_strings(
+        h_mat = SparseOperator.from_strings(
             [PauliString(float(f), ((j, "z"),)) for j, f in enumerate(local_fields)],
             n, hermitian=True,
-        ).mat
+        ).dense()
         a_small = random_hermitian(rng, 2**width)
         if k % 2:
             a_small = a_small + 1j * random_hermitian(rng, 2**width)
         a_mat = np.kron(
             np.kron(np.eye(2**offset), a_small), np.eye(2 ** (n - offset - width))
         )
-        o_mat = local_generator(kinds[k % 2], n).mat
+        o_mat = SparseOperator.from_strings(local_generator_strings(kinds[k % 2], n), n).dense()
         beta = betas[k % 3]
         ens = gibbs_weights(diagonalize(h_mat), beta)
         try:
@@ -463,18 +465,17 @@ def test_09_strict_locality_cap():
     # two-qubit analytic operators span the full pair, so the cap is just
     # the generator norm and holds on the correlated state as well
     for field in (0.5, 1.5):
-        h_op = build_xx_hamiltonian(SpinChainSpec(2, 1.0, field))
-        gen = local_generator("antisymmetric-x", 2)
-        spectral = diagonalize(h_op.mat)
+        h_op, gen = dense_preset("two-qubit", field=field)
+        spectral = diagonalize(h_op)
         for beta in (0.5, 2.0, 10.0):
             ens = gibbs_weights(spectral, beta)
             for label, op in two_qubit_symmetry_operators().items():
-                cap, holds = local_cap(op.mat, gen.mat, ens)
+                cap, holds = local_cap(op.dense(), gen, ens)
                 if cap != 1.0:
                     failures.append(f"{label} h={field}: cap {cap} != 1")
                 if not holds:
                     failures.append(f"{label} h={field} beta={beta}: cap flagged violated")
-                d = direct_weight(h_op.mat, beta, op.mat, gen.mat)
+                d = direct_weight(h_op, beta, op.dense(), gen)
                 if d > cap + 1e-9:
                     failures.append(f"{label} h={field} beta={beta}: D {d!r} above 1")
     report(9, "strict-locality cap", start, failures)

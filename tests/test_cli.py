@@ -27,10 +27,11 @@ from qfidyn import (
 )
 from qfidyn import cli
 from qfidyn.cli import main
-from qfidyn.models import build_preset, preset, two_qubit_symmetry_strings
+from qfidyn.models import preset, preset_operators, two_qubit_symmetry_strings
 
 FLOAT_RE = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -49,15 +50,32 @@ def read_table(text):
 
 def two_qubit_reference(beta, field=0.5):
     model = preset("two-qubit", field=field)
-    h_op, gen = build_preset(model)
-    spectral = diagonalize(h_op.mat)
+    h_op, gen = (op.dense() for op in preset_operators(model))
+    spectral = diagonalize(h_op)
     ens = gibbs_weights(spectral, beta)
-    return qfi_spectral(spectral.to_eigenbasis(gen.mat), ens)
+    return qfi_spectral(spectral.to_eigenbasis(gen), ens)
 
 
 def write_symmetry_file(path, operators):
     path.write_text(json.dumps([pauli_strings_to_records(op) for op in operators]))
     return str(path)
+
+
+def fermion_modes(n):
+    """The n Jordan-Wigner modes of the open XX chain on n sites,
+    eta_k = sum_j sqrt(2/(n+1)) sin(k pi (j+1)/(n+1)) (prod_{i<j} z_i) s-_j,
+    each an exact eigenoperator at omega_k = 4 J cos(k pi/(n+1)) - 2 h."""
+    norm = math.sqrt(2.0 / (n + 1))
+    return [
+        [
+            PauliString(
+                norm * math.sin(k * math.pi * (j + 1) / (n + 1)),
+                tuple((i, "z") for i in range(j)) + ((j, "-"),),
+            )
+            for j in range(n)
+        ]
+        for k in range(1, n + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +225,31 @@ def test_qfi_with_symmetry_file(tmp_path):
     assert bound >= fq - 1e-9 * max(1.0, fq)
 
 
+def test_qfi_and_verify_take_the_chain_fermion_modes(tmp_path):
+    # a sector-blocked spectrum: the explicit-symmetry path off two qubits
+    path = write_symmetry_file(tmp_path / "modes.json", fermion_modes(6))
+    code, stdout, stderr = run(
+        "verify", "--preset", "chain", "--sites", "6", "--symmetries", path
+    )
+    assert code == 0, stderr
+    _, rows = read_table(stdout)
+    assert [row[0] for row in rows] == [str(i) for i in range(6)]
+    for k, row in enumerate(rows, start=1):
+        # J = 1 and h = 0.3, the chain preset's
+        assert abs(float(row[1]) - (4.0 * math.cos(k * math.pi / 7) - 0.6)) <= 1e-12
+        assert float(row[2]) <= 1e-12
+        assert row[3] == "0 1 2 3 4 5"
+        assert row[4] == "9.000000000000e+00"
+        assert row[6] == "true"
+    assert rows[0][1] == "3.003875471610e+00"
+    code, stdout, stderr = run(
+        "qfi", "--preset", "chain", "--sites", "6", "--beta", "1", "--symmetries", path
+    )
+    assert code == 0, stderr
+    _, (row,) = read_table(stdout)
+    assert float(row[3]) <= float(row[1])
+
+
 def test_analytic_source_requires_the_two_qubit_model():
     code, _, stderr = run(
         "qfi", "--preset", "chain", "--sites", "3", "--symmetries", "analytic"
@@ -265,10 +308,10 @@ def test_fig2_tables(tmp_path):
     assert code == 0
 
     model = preset("chain", sites=5)
-    h_op, gen = build_preset(model)
-    spectral = diagonalize(h_op.mat)
+    h_op, gen = (op.dense() for op in preset_operators(model))
+    spectral = diagonalize(h_op)
     ens = gibbs_weights(spectral, 1.0)  # default --temperature 1
-    o_eig = spectral.to_eigenbasis(gen.mat)
+    o_eig = spectral.to_eigenbasis(gen)
 
     header, rows = read_table((tmp_path / "comb.csv").read_text())
     assert header == ["omega", "response_weight", "mazur_weight"]
@@ -294,10 +337,10 @@ def test_fig2_tables(tmp_path):
 def test_fig2_comb_is_the_response_comb(tmp_path):
     code, *_ = run("reproduce-fig2", "--sites", "6", "--temp-grid", "1:1:1", "--out", str(tmp_path))
     assert code == 0
-    h_op, gen = build_preset(preset("chain", sites=6))
-    spectral = diagonalize(h_op.mat)
+    h_op, gen = (op.dense() for op in preset_operators(preset("chain", sites=6)))
+    spectral = diagonalize(h_op)
     ens = gibbs_weights(spectral, 1.0)  # default --temperature 1
-    o_eig = spectral.to_eigenbasis(gen.mat)
+    o_eig = spectral.to_eigenbasis(gen)
     comb = response_comb(o_eig, ens)
     _, rows = read_table((tmp_path / "comb.csv").read_text())
     assert [row[:2] for row in rows] == [
@@ -325,6 +368,44 @@ def test_fig2_checks_its_arguments_before_any_work(tmp_path, monkeypatch, bad):
     code, _, stderr = run("reproduce-fig2", "--sites", "8", "--out", str(out), *bad)
     assert code == 2 and stderr.startswith("qfidyn:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("qfi", "--preset", "chain", "--sites", "8", "--symmetries", "analytic"), "two-qubit"),
+        (("qfi", "--symmetries", "/no/such/file.json"), "cannot read"),
+        (("qfi", "--symmetries", "{empty}"), "contains no operators"),
+        (("qfi", "--symmetries", "{wide}"), "out of range"),
+        (("verify", "--beta", "-1", "--symmetries", "{pair}"), "beta must be >= 0"),
+        (("verify", "--symmetries", "{wide}"), "out of range"),
+    ],
+    ids=[
+        "qfi-analytic-off-two-qubit",
+        "qfi-missing-file",
+        "qfi-empty-file",
+        "qfi-site-out-of-range",
+        "verify-negative-beta",
+        "verify-site-out-of-range",
+    ],
+)
+def test_qfi_and_verify_check_their_arguments_before_any_solve(
+    tmp_path, monkeypatch, argv, message
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    for name in ("solve_preset", "preset_operators", "diagonalize"):
+        monkeypatch.setattr(cli, name, no_solve)
+    (tmp_path / "empty.json").write_text("[]")
+    files = {
+        "empty": str(tmp_path / "empty.json"),
+        "wide": write_symmetry_file(tmp_path / "wide.json", [[PauliString(1.0, ((5, "x"),))]]),
+        "pair": write_symmetry_file(tmp_path / "pair.json", two_qubit_symmetry_strings().values()),
+    }
+    code, out, stderr = run(*(arg.format(**files) for arg in argv))
+    assert code == 2 and out == ""
+    assert stderr.startswith("qfidyn:") and message in stderr
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +591,11 @@ def test_in_process_main_leaves_the_heap_unfrozen():
     code, stdout, _ = run("qfi", "--beta", "1")
     assert code == 0 and stdout.startswith("temperature,qfi,")
     assert gc.get_freeze_count() == before
+
+
+def test_readme_library_example_runs():
+    (example,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(example, str(README), "exec"), {})
 
 
 def test_analysis_scripts_run(tmp_path):

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from qfidyn import (
     DomainError,
-    GeneralOperator,
     NumericError,
     OperatorBlock,
     PairPartition,
-    SpinChainSpec,
+    PauliString,
+    SparseOperator,
     block_gram,
-    build_xx_hamiltonian,
     conserved_mazur_bound,
     diagonalize,
     dynamical_symmetry,
@@ -24,9 +23,7 @@ from qfidyn import (
     gibbs_weights,
     group_into_blocks,
     local_cap,
-    local_generator,
     mazur_weight,
-    pauli_site,
     projector_mazur_weight,
     trivial_complete_set,
     verified_blocks,
@@ -36,19 +33,23 @@ from qfidyn.dynsym import (
     cluster_values,
     default_omega_tol,
 )
-from qfidyn.models import preset, solve_preset, two_qubit_symmetry_operators
+from qfidyn.models import preset, preset_operators, solve_preset, two_qubit_symmetry_operators
 from oracles import random_hermitian, thermal_state
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SMINUS = np.array([[0, 0], [1, 0]], dtype=complex)
 
 
+def dense_preset(name, **overrides):
+    """Hamiltonian and generator of a preset as dense matrices."""
+    return tuple(op.dense() for op in preset_operators(preset(name, **overrides)))
+
+
 def two_qubit_setup(field=0.5, beta=1.0):
-    h_op = build_xx_hamiltonian(SpinChainSpec(2, 1.0, field))
-    gen = local_generator("antisymmetric-x", 2)
-    spectral = diagonalize(h_op.mat)
+    h_op, gen = dense_preset("two-qubit", field=field)
+    spectral = diagonalize(h_op)
     ens = gibbs_weights(spectral, beta)
-    o_eig = spectral.to_eigenbasis(gen.mat)
+    o_eig = spectral.to_eigenbasis(gen)
     return h_op, gen, spectral, ens, o_eig
 
 
@@ -271,7 +272,7 @@ def test_adopted_arrays_pass_the_same_checks():
 
 def test_partitions_need_no_numpy_2_copy_modes(monkeypatch):
     # np.array(copy=None) and np.asarray(copy=...) first appeared in NumPy
-    # 2.0; the package supports 1.24, where np.array rejects copy=None with
+    # 2.0; the package supports 1.25, where np.array rejects copy=None with
     # a ValueError and np.asarray takes no copy argument.  Only the
     # package's own calls are held to that: NumPy 2 uses both internally.
     array, asarray = np.array, np.asarray
@@ -351,7 +352,7 @@ def test_omega_tol_must_be_finite_and_positive(tol):
 
 def test_group_into_blocks_snaps_near_zero_frequencies():
     syms = [
-        DynamicalSymmetry(GeneralOperator(np.eye(2)), 1e-12, 0.0),
+        DynamicalSymmetry(np.eye(2), 1e-12, 0.0),
         dynamical_symmetry(SZ, SMINUS),
     ]
     blocks = group_into_blocks(syms)
@@ -362,8 +363,8 @@ def test_group_into_blocks_snaps_near_zero_frequencies():
 
 def test_verified_blocks_two_qubit_analytic_set():
     h_op, _, spectral, _, _ = two_qubit_setup()
-    ops = [op.mat for op in two_qubit_symmetry_operators().values()]
-    blocks = verified_blocks(h_op.mat, spectral, ops)
+    ops = [op.dense() for op in two_qubit_symmetry_operators().values()]
+    blocks = verified_blocks(h_op, spectral, ops)
     assert len(blocks) == 4
     assert [b.size for b in blocks] == [2, 2, 2, 2]
     assert np.allclose(sorted(b.omega for b in blocks), [-3.0, -1.0, 1.0, 3.0])
@@ -371,10 +372,10 @@ def test_verified_blocks_two_qubit_analytic_set():
 
 def test_verified_blocks_names_failing_operator():
     h_op, _, spectral, _, _ = two_qubit_setup()
-    a1 = two_qubit_symmetry_operators(("A1",))["A1"].mat
+    a1 = two_qubit_symmetry_operators(("A1",))["A1"].dense()
     bad = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)).astype(complex)
     with pytest.raises(DomainError) as err:
-        verified_blocks(h_op.mat, spectral, [a1, bad])
+        verified_blocks(h_op, spectral, [a1, bad])
     assert str(err.value).startswith("operator 1:")
 
 
@@ -399,13 +400,13 @@ def test_block_gram_eigenpair_members_closed_form():
 
 def test_mazur_weight_matches_dense_trace_oracle():
     h_op, gen, spectral, ens, o_eig = two_qubit_setup(beta=1.0)
-    a1 = two_qubit_symmetry_operators(("A1",))["A1"].mat
+    a1 = two_qubit_symmetry_operators(("A1",))["A1"].dense()
     a1_eig = spectral.to_eigenbasis(a1)
     block = OperatorBlock(-3.0, (a1_eig,))
     got = mazur_weight(block, ens, o_eig)
 
-    rho = thermal_state(h_op.mat, 1.0)
-    overlap = np.trace(rho @ a1.conj().T @ gen.mat)
+    rho = thermal_state(h_op, 1.0)
+    overlap = np.trace(rho @ a1.conj().T @ gen)
     norm = np.trace(rho @ a1.conj().T @ a1).real
     assert math.isclose(got, abs(overlap) ** 2 / norm, rel_tol=1e-12)
 
@@ -413,8 +414,8 @@ def test_mazur_weight_matches_dense_trace_oracle():
 def test_mazur_weight_invariant_under_recombination():
     h_op, _, spectral, ens, o_eig = two_qubit_setup()
     ops = two_qubit_symmetry_operators(("A2", "B2"))
-    a = spectral.to_eigenbasis(ops["A2"].mat)
-    b = spectral.to_eigenbasis(ops["B2"].mat)
+    a = spectral.to_eigenbasis(ops["A2"].dense())
+    b = spectral.to_eigenbasis(ops["B2"].dense())
     direct = mazur_weight(OperatorBlock(3.0, (a, b)), ens, o_eig)
     mixed = mazur_weight(OperatorBlock(3.0, (a + b, a - b)), ens, o_eig)
     assert math.isclose(direct, mixed, rel_tol=1e-10, abs_tol=1e-12)
@@ -422,7 +423,7 @@ def test_mazur_weight_invariant_under_recombination():
 
 def test_mazur_weight_tolerates_dependent_members():
     h_op, _, spectral, ens, o_eig = two_qubit_setup()
-    a = spectral.to_eigenbasis(two_qubit_symmetry_operators(("A2",))["A2"].mat)
+    a = spectral.to_eigenbasis(two_qubit_symmetry_operators(("A2",))["A2"].dense())
     single = mazur_weight(OperatorBlock(3.0, (a,)), ens, o_eig)
     doubled = mazur_weight(OperatorBlock(3.0, (a, 2.0 * a)), ens, o_eig)
     assert math.isclose(single, doubled, rel_tol=1e-10, abs_tol=1e-12)
@@ -432,8 +433,8 @@ def test_mazur_weight_grows_with_members():
     # adding a member can only grow the projection
     h_op, _, spectral, ens, o_eig = two_qubit_setup()
     ops = two_qubit_symmetry_operators(("A2", "B2"))
-    a = spectral.to_eigenbasis(ops["A2"].mat)
-    b = spectral.to_eigenbasis(ops["B2"].mat)
+    a = spectral.to_eigenbasis(ops["A2"].dense())
+    b = spectral.to_eigenbasis(ops["B2"].dense())
     one = mazur_weight(OperatorBlock(3.0, (a,)), ens, o_eig)
     two = mazur_weight(OperatorBlock(3.0, (a, b)), ens, o_eig)
     assert two >= one - 1e-12
@@ -481,8 +482,8 @@ def test_conserved_rejects_zero_member():
 
 def test_local_cap_two_site_symmetry_holds():
     h_op, gen, spectral, ens, _ = two_qubit_setup()
-    a1 = two_qubit_symmetry_operators(("A1",))["A1"].mat
-    cap, holds = local_cap(a1, gen.mat, ens)
+    a1 = two_qubit_symmetry_operators(("A1",))["A1"].dense()
+    cap, holds = local_cap(a1, gen, ens)
     assert cap == 1.0 and holds
 
 
@@ -491,29 +492,28 @@ def test_local_cap_single_site_violation():
     # beyond the single-site cap: locality alone does not bound the weight
     h_op, gen, spectral, ens, _ = two_qubit_setup(beta=1.0)
     sx0 = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)).astype(complex)
-    cap, holds = local_cap(sx0, gen.mat, ens)
+    cap, holds = local_cap(sx0, gen, ens)
     assert cap == 0.25
     assert not holds
 
 
 def test_local_cap_rejects_noncontiguous_support():
-    h_op = build_xx_hamiltonian(SpinChainSpec(3, 1.0, 0.3))
-    spectral = diagonalize(h_op.mat)
+    h_op, gen = dense_preset("chain", sites=3)
+    spectral = diagonalize(h_op)
     ens = gibbs_weights(spectral, 1.0)
-    gen = local_generator("staggered-x", 3)
-    gap = pauli_site("z", 0, 3).mat @ pauli_site("z", 2, 3).mat
+    gap = SparseOperator.from_strings([PauliString(1.0, ((0, "z"), (2, "z")))], 3).dense()
     with pytest.raises(DomainError) as err:
-        local_cap(gap, gen.mat, ens)
+        local_cap(gap, gen, ens)
     assert "not contiguous" in str(err.value)
 
 
 def test_local_cap_rejects_scalars_and_bare_ensembles():
     h_op, gen, spectral, ens, _ = two_qubit_setup()
     with pytest.raises(DomainError):
-        local_cap(np.eye(4), gen.mat, ens)
+        local_cap(np.eye(4), gen, ens)
     bare = gibbs_weights(spectral.energies, 1.0)
     with pytest.raises(DomainError):
-        local_cap(np.kron(SZ, np.eye(2)), gen.mat, bare)
+        local_cap(np.kron(SZ, np.eye(2)), gen, bare)
 
 
 def test_local_cap_rejects_non_power_of_two(rng):
@@ -524,12 +524,11 @@ def test_local_cap_rejects_non_power_of_two(rng):
 
 
 def test_local_cap_vanishing_norm():
-    h_op = build_xx_hamiltonian(SpinChainSpec(2, 1.0, 1.5))
-    spectral = diagonalize(h_op.mat)
+    h_op, gen = dense_preset("two-qubit", field=1.5)
+    spectral = diagonalize(h_op)
     ens = gibbs_weights(spectral, math.inf)
     minus = np.array([[0, 0], [1, 0]], dtype=complex)
     both_down = np.kron(minus, minus)  # annihilates the polarized ground state
-    gen = local_generator("antisymmetric-x", 2)
     with pytest.raises(DomainError) as err:
-        local_cap(both_down, gen.mat, ens)
+        local_cap(both_down, gen, ens)
     assert "vanishes" in str(err.value)

@@ -9,11 +9,17 @@ import pytest
 
 import qfidyn
 from qfidyn.cli import RunConfig
-from qfidyn.models import ModelPreset, preset, solve_preset, two_qubit_symmetry_operators
+from qfidyn.models import (
+    ModelPreset,
+    preset,
+    preset_operators,
+    solve_preset,
+    two_qubit_symmetry_operators,
+)
 
 SPECTRAL, PAIRS, H = solve_preset(preset("two-qubit"))
 ENSEMBLE = qfidyn.gibbs_weights(SPECTRAL, 1.0)
-GENERATOR = qfidyn.local_generator("antisymmetric-x", 2)
+_, GENERATOR = preset_operators(preset("two-qubit"))
 
 # type name -> a function that builds a fresh instance of it
 VALUE_RECORDS = {
@@ -29,8 +35,6 @@ VALUE_RECORDS = {
     ),
 }
 ARRAY_HOLDERS = {
-    "GeneralOperator": lambda: qfidyn.GeneralOperator(np.eye(2)),
-    "HermitianOperator": lambda: qfidyn.HermitianOperator(np.eye(2)),
     "SparseOperator": lambda: qfidyn.SparseOperator.from_dense(np.eye(2)),
     "SpectralDecomposition": lambda: qfidyn.diagonalize(H),
     "ThermalEnsemble": lambda: qfidyn.gibbs_weights(SPECTRAL, 1.0),

@@ -16,8 +16,7 @@ from qfidyn import (
     PairPartition,
     PauliString,
     QfiMatrix,
-    SpinChainSpec,
-    build_xx_hamiltonian,
+    SparseOperator,
     diagonalize,
     entanglement_depth,
     eth_lower_bound,
@@ -26,8 +25,6 @@ from qfidyn import (
     eth_thermal_gap,
     eth_zero_frequency_correction,
     gibbs_weights,
-    local_generator,
-    operator_from_strings,
     qfi_from_dynsym,
     qfi_from_structure_comb,
     qfi_from_susceptibility_comb,
@@ -46,7 +43,7 @@ from qfidyn import (
     trivial_complete_set,
     verified_blocks,
 )
-from qfidyn.models import two_qubit_symmetry_operators
+from qfidyn.models import preset, preset_operators, two_qubit_symmetry_operators
 from oracles import (
     qfi_oracle,
     qv_oracle,
@@ -81,12 +78,16 @@ def first_half(part):
     return keep_clusters(part, np.arange(part.omegas.size) < part.omegas.size // 4)
 
 
+def dense_preset(name, **overrides):
+    """Hamiltonian and generator of a preset as dense matrices."""
+    return tuple(op.dense() for op in preset_operators(preset(name, **overrides)))
+
+
 def two_qubit_case(field=0.5, beta=1.0):
-    h_op = build_xx_hamiltonian(SpinChainSpec(2, 1.0, field))
-    gen = local_generator("antisymmetric-x", 2)
-    spectral = diagonalize(h_op.mat)
+    h_op, gen = dense_preset("two-qubit", field=field)
+    spectral = diagonalize(h_op)
     ens = gibbs_weights(spectral, beta)
-    return h_op, gen, spectral, ens, spectral.to_eigenbasis(gen.mat)
+    return h_op, gen, spectral, ens, spectral.to_eigenbasis(gen)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +127,8 @@ def test_two_qubit_ground_state_limits():
     assert entanglement_depth(f_high, 2).depth == 1
 
     # both limits equal four times the ground-state variance
-    rho = thermal_state(h_op.mat, math.inf)
-    assert math.isclose(f_high, 4.0 * variance_oracle(rho, gen.mat), abs_tol=1e-9)
+    rho = thermal_state(h_op, math.inf)
+    assert math.isclose(f_high, 4.0 * variance_oracle(rho, gen), abs_tol=1e-9)
 
 
 def test_qfi_unitary_invariance(rng):
@@ -179,11 +180,12 @@ def test_three_routes_agree_at_beta_inf_on_split_ground_doublet():
     # spreads the weight over both levels, so the tanh route must treat the
     # split as no gap
     q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(32, 32)))
-    h = q @ build_xx_hamiltonian(SpinChainSpec(5, 1.0, 0.0)).mat.real @ q.T
+    h_chain, gen = dense_preset("chain", sites=5, field=0.0)
+    h = q @ h_chain @ q.T
     spectral = diagonalize(h)
     assert len(spectral.blocks) == 1
     assert 0.0 < spectral.energies[1] - spectral.energies[0] < spectral.energy_tol
-    o_eig = spectral.to_eigenbasis(q @ local_generator("staggered-x", 5).mat.real @ q.T)
+    o_eig = spectral.to_eigenbasis(q @ gen @ q.T)
     ens = gibbs_weights(spectral, math.inf)
     bare = gibbs_weights(spectral.energies, math.inf)
     for e in (ens, bare):
@@ -245,8 +247,8 @@ def test_skew_half_equals_sqrt_commutator_formula(rng):
 
 def test_skew_pure_state_is_alpha_independent_variance():
     h_op, gen, _, ens, o_eig = two_qubit_case(field=1.5, beta=math.inf)
-    rho = thermal_state(h_op.mat, math.inf)
-    var = variance_oracle(rho, gen.mat)
+    rho = thermal_state(h_op, math.inf)
+    var = variance_oracle(rho, gen)
     for alpha in (0.3, 0.5, 0.9):
         assert math.isclose(skew_information(o_eig, ens, alpha), var, abs_tol=1e-12)
 
@@ -269,9 +271,9 @@ def test_quantum_variance_matches_quadrature(rng):
 
 def test_quantum_variance_pure_state_is_variance():
     h_op, gen, _, ens, o_eig = two_qubit_case(field=0.5, beta=math.inf)
-    rho = thermal_state(h_op.mat, math.inf)
+    rho = thermal_state(h_op, math.inf)
     assert math.isclose(
-        quantum_variance(o_eig, ens), variance_oracle(rho, gen.mat), abs_tol=1e-12
+        quantum_variance(o_eig, ens), variance_oracle(rho, gen), abs_tol=1e-12
     )
 
 
@@ -428,8 +430,8 @@ def test_conserved_blocks_contribute_nothing(rng):
 
 def test_analytic_operator_blocks_saturate_two_qubit():
     h_op, gen, spectral, ens, o_eig = two_qubit_case(field=0.5, beta=1.7)
-    ops = [op.mat for op in two_qubit_symmetry_operators().values()]
-    blocks = verified_blocks(h_op.mat, spectral, ops)
+    ops = [op.dense() for op in two_qubit_symmetry_operators().values()]
+    blocks = verified_blocks(h_op, spectral, ops)
     report = qfi_from_dynsym(blocks, ens, o_eig)
     direct = qfi_spectral(o_eig, ens)
     assert not report.saturated  # operator blocks, not the pair partition
@@ -484,8 +486,8 @@ def qfi_matrix_reference(gens, ens):
 
 def test_qfi_matrix_matches_elementwise_reference():
     h_op, gen, spectral, ens, o_eig = two_qubit_case(field=0.5, beta=1.0)
-    z_total = local_generator("uniform-z", 2)
-    gens = [spectral.to_eigenbasis(z_total.mat), o_eig]
+    z_total = dense_preset("two-qubit", generator="uniform-z")[1]
+    gens = [spectral.to_eigenbasis(z_total), o_eig]
     with pytest.warns(RuntimeWarning):
         m = qfi_matrix(gens, ens)
     assert not m.commuting
@@ -497,11 +499,11 @@ def test_qfi_matrix_matches_elementwise_reference():
 
 def test_qfi_matrix_commuting_pair_has_clean_flag():
     h_op, gen, spectral, ens, _ = two_qubit_case()
-    z_total = spectral.to_eigenbasis(local_generator("uniform-z", 2).mat)
+    z_total = spectral.to_eigenbasis(dense_preset("two-qubit", generator="uniform-z")[1])
     z_stag = spectral.to_eigenbasis(
-        operator_from_strings(
+        SparseOperator.from_strings(
             (PauliString(0.5, ((0, "z"),)), PauliString(-0.5, ((1, "z"),))), 2
-        ).mat
+        ).dense()
     )
     m = qfi_matrix([z_total, z_stag], ens)
     assert m.commuting
@@ -524,10 +526,10 @@ def test_qfi_matrix_from_dynsym_complete_set(rng):
 
 def test_qfi_matrix_from_dynsym_analytic_blocks():
     h_op, gen, spectral, ens, o_eig = two_qubit_case(field=0.5, beta=1.0)
-    z_total = spectral.to_eigenbasis(local_generator("uniform-z", 2).mat)
+    z_total = spectral.to_eigenbasis(dense_preset("two-qubit", generator="uniform-z")[1])
     gens = [z_total, o_eig]
-    ops = [op.mat for op in two_qubit_symmetry_operators().values()]
-    blocks = verified_blocks(h_op.mat, spectral, ops)
+    ops = [op.dense() for op in two_qubit_symmetry_operators().values()]
+    blocks = verified_blocks(h_op, spectral, ops)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         direct = qfi_matrix(gens, ens)

@@ -8,12 +8,11 @@ import pytest
 
 from qfidyn import (
     DomainError,
+    SparseOperator,
     SpinChainSpec,
-    build_xx_hamiltonian,
     diagonalize,
     fit_frequency,
     gibbs_weights,
-    local_generator,
     qfi_from_dynsym,
     qfi_spectral,
     verified_blocks,
@@ -22,23 +21,25 @@ from qfidyn.models import (
     HIGH_FIELD_SUBSET,
     LOW_FIELD_SUBSET,
     PRESETS,
-    build_preset,
     preset,
+    preset_operators,
     regime_subset,
     solve_preset,
     two_qubit_frequencies,
     two_qubit_symmetry_operators,
 )
+from qfidyn.operators import local_generator_strings
+from oracles import xx_hamiltonian_oracle
 
 LABELS = ("A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4")
 
 
 @pytest.mark.parametrize("coupling,field", [(1.0, 0.5), (1.0, 1.5), (0.7, 0.2)])
 def test_analytic_set_solves_the_eigenoperator_equation(coupling, field):
-    h_op = build_xx_hamiltonian(SpinChainSpec(2, coupling, field))
+    h_op, _ = preset_operators(preset("two-qubit", coupling=coupling, field=field))
     expected = two_qubit_frequencies(coupling, field)
     for label, op in two_qubit_symmetry_operators().items():
-        omega, residual = fit_frequency(h_op.mat, op.mat)
+        omega, residual = fit_frequency(h_op.dense(), op.dense())
         assert residual < 1e-12, label
         assert abs(omega - expected[label]) < 1e-10, label
 
@@ -55,16 +56,16 @@ def test_labels_and_dagger_pairs():
     ops = two_qubit_symmetry_operators()
     assert tuple(ops) == LABELS
     for lowering, raising in (("A1", "A2"), ("A3", "A4"), ("B1", "B2"), ("B3", "B4")):
-        assert ops[lowering].mat.shape == (4, 4)
+        assert ops[lowering].dense().shape == (4, 4)
         np.testing.assert_allclose(
-            ops[raising].mat, ops[lowering].mat.conj().T, atol=1e-15
+            ops[raising].dense(), ops[lowering].dense().conj().T, atol=1e-15
         )
 
 
 def test_mirror_partners_are_distinct_operators():
     ops = two_qubit_symmetry_operators()
     for k in "1234":
-        assert np.abs(ops[f"A{k}"].mat - ops[f"B{k}"].mat).max() > 0.5
+        assert np.abs(ops[f"A{k}"].dense() - ops[f"B{k}"].dense()).max() > 0.5
 
 
 def test_operator_lookup_rejects_unknown_label():
@@ -88,12 +89,12 @@ def test_subset_bound_saturates_at_low_temperature():
     # of the crossing; 0.99 of the QFI at T = 0.05 is the working criterion
     beta = 1.0 / 0.05
     for field in (0.5, 1.5):
-        h_op = build_xx_hamiltonian(SpinChainSpec(2, 1.0, field))
-        spectral = diagonalize(h_op.mat)
+        h_op, gen = (op.dense() for op in preset_operators(preset("two-qubit", field=field)))
+        spectral = diagonalize(h_op)
         ens = gibbs_weights(spectral, beta)
-        o_eig = spectral.to_eigenbasis(local_generator("antisymmetric-x", 2).mat)
+        o_eig = spectral.to_eigenbasis(gen)
         ops = two_qubit_symmetry_operators(regime_subset(field))
-        blocks = verified_blocks(h_op.mat, spectral, [op.mat for op in ops.values()])
+        blocks = verified_blocks(h_op, spectral, [op.dense() for op in ops.values()])
         bound = qfi_from_dynsym(blocks, ens, o_eig).value
         direct = qfi_spectral(o_eig, ens)
         assert bound <= direct + 1e-9, field
@@ -128,16 +129,19 @@ def test_preset_overrides():
 
 def test_build_preset_matches_direct_builders():
     m = preset("two-qubit")
-    h_op, gen = build_preset(m)
-    np.testing.assert_array_equal(h_op.mat, build_xx_hamiltonian(m.spec).mat)
-    np.testing.assert_array_equal(gen.mat, local_generator("antisymmetric-x", 2).mat)
+    h_op, gen = preset_operators(m)
+    spec = m.spec
+    want = xx_hamiltonian_oracle(spec.sites, spec.coupling, spec.field, spec.boundary)
+    np.testing.assert_array_equal(h_op.dense(), want)
+    direct = SparseOperator.from_strings(local_generator_strings("antisymmetric-x", 2), 2)
+    np.testing.assert_array_equal(gen.dense(), direct.dense())
 
 
 def test_build_preset_respects_site_cap():
     with pytest.raises(DomainError):
-        build_preset(preset("chain", sites=13))
-    h_op, _ = build_preset(preset("chain", sites=4), max_sites=4)
-    assert h_op.mat.shape == (16, 16)
+        preset_operators(preset("chain", sites=13))
+    h_op, _ = preset_operators(preset("chain", sites=4), max_sites=4)
+    assert h_op.dense().shape == (16, 16)
 
 
 def test_preset_set_up_peaks_near_the_size_of_its_pair_set():

@@ -9,17 +9,10 @@ from hypothesis import strategies as st
 
 from qfidyn import (
     DomainError,
-    GeneralOperator,
-    HermitianOperator,
     PauliString,
+    SparseOperator,
     SpinChainSpec,
-    anticommutator,
-    build_xx_hamiltonian,
-    commutator,
-    local_generator,
-    operator_from_strings,
     operator_support,
-    pauli_site,
     pauli_strings_from_json,
 )
 from qfidyn.operators import (
@@ -27,9 +20,11 @@ from qfidyn.operators import (
     BOUNDARIES,
     GENERATOR_KINDS,
     SITE_CAP_ENV,
-    pauli_matrix,
+    _as_matrix,
+    local_generator_strings,
     pauli_strings_to_records,
     site_cap,
+    xx_hamiltonian_strings,
 )
 from qfidyn.dynsym import _operator_pairs
 from oracles import pauli_string_oracle, xx_hamiltonian_oracle
@@ -39,48 +34,67 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def dense(strings, n_sites, **kwargs):
+    """A sum of PauliStrings as a dense matrix, through SparseOperator."""
+    return SparseOperator.from_strings(strings, n_sites, **kwargs).dense()
+
+
+def pauli_on(axis, site, n_sites, **kwargs):
+    """One Pauli factor at site of an n_sites chain, dense."""
+    return dense([PauliString(1.0, ((site, axis),))], n_sites, **kwargs)
+
+
+def hamiltonian(spec):
+    return dense(xx_hamiltonian_strings(spec), spec.sites, hermitian=True)
+
+
+def generator(kind, n_sites):
+    return dense(local_generator_strings(kind, n_sites), n_sites, hermitian=True)
+
+
 # ---------------------------------------------------------------------------
 # single-site embeddings
 
 def test_pauli_site_single_site_z():
-    assert np.array_equal(pauli_site("z", 0, 1).mat, SZ)
+    assert np.array_equal(pauli_on("z", 0, 1), SZ)
 
 
 def test_pauli_site_second_of_two():
-    assert np.array_equal(pauli_site("x", 1, 2).mat, np.kron(np.eye(2), SX))
+    assert np.array_equal(pauli_on("x", 1, 2), np.kron(np.eye(2), SX))
 
 
 def test_pauli_site_first_of_two():
-    assert np.array_equal(pauli_site("x", 0, 2).mat, np.kron(SX, np.eye(2)))
+    assert np.array_equal(pauli_on("x", 0, 2), np.kron(SX, np.eye(2)))
 
 
 def test_pauli_site_ladder_is_general_operator():
-    op = pauli_site("+", 0, 1)
-    assert isinstance(op, GeneralOperator)
-    assert not isinstance(op, HermitianOperator)
-    assert np.array_equal(op.mat, np.array([[0, 1], [0, 0]], dtype=complex))
+    # a ladder factor is not Hermitian: it fails the certificate
+    with pytest.raises(DomainError):
+        pauli_on("+", 0, 1, hermitian=True)
+    assert np.array_equal(pauli_on("+", 0, 1), np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_pauli_site_hermitian_axes_wrapped():
     for axis in ("I", "x", "y", "z"):
-        assert isinstance(pauli_site(axis, 0, 2), HermitianOperator)
+        mat = pauli_on(axis, 0, 2, hermitian=True)
+        assert np.array_equal(mat, mat.conj().T)
 
 
 def test_pauli_site_rejects_bad_input():
     with pytest.raises(DomainError):
-        pauli_site("w", 0, 2)
+        pauli_on("w", 0, 2)
     with pytest.raises(DomainError):
-        pauli_site("x", 2, 2)
+        pauli_on("x", 2, 2)
     with pytest.raises(DomainError):
-        pauli_site("x", -1, 2)
+        pauli_on("x", -1, 2)
 
 
 def test_spin_up_is_index_zero():
     # convention check: sigma^+ raises toward basis index 0
     up = np.array([1, 0], dtype=complex)
     down = np.array([0, 1], dtype=complex)
-    assert np.array_equal(pauli_site("+", 0, 1).mat @ down, up)
-    assert np.array_equal(pauli_site("z", 0, 1).mat @ up, up)
+    assert np.array_equal(pauli_on("+", 0, 1) @ down, up)
+    assert np.array_equal(pauli_on("z", 0, 1) @ up, up)
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +106,13 @@ AXIS_IDX = {"x": 0, "y": 1, "z": 2}
 @given(a=st.sampled_from("xyz"), b=st.sampled_from("xyz"))
 def test_pauli_product_algebra(a, b):
     # sigma_a sigma_b = delta_ab I + i eps_abc sigma_c
-    prod = pauli_matrix(a) @ pauli_matrix(b)
+    prod = pauli_on(a, 0, 1) @ pauli_on(b, 0, 1)
     if a == b:
         expected = np.eye(2)
     else:
         c = ({"x", "y", "z"} - {a, b}).pop()
         eps = 1.0 if (a, b) in (("x", "y"), ("y", "z"), ("z", "x")) else -1.0
-        expected = 1j * eps * pauli_matrix(c)
+        expected = 1j * eps * pauli_on(c, 0, 1)
     assert np.allclose(prod, expected)
 
 
@@ -111,19 +125,15 @@ def test_pauli_product_algebra(a, b):
 def test_distinct_sites_commute(a, b, i, j):
     if i == j:
         return
-    pa = pauli_site(a, i, 3)
-    pb = pauli_site(b, j, 3)
-    assert np.abs(commutator(pa, pb).mat).max() == 0.0
+    pa = pauli_on(a, i, 3)
+    pb = pauli_on(b, j, 3)
+    assert np.abs(pa @ pb - pb @ pa).max() == 0.0
 
 
 def test_commutator_example():
-    assert np.allclose(commutator(SX, SY).mat, 2j * SZ)
-    assert np.abs(anticommutator(SX, SY).mat).max() == 0.0
-
-
-def test_commutator_shape_mismatch():
-    with pytest.raises(DomainError):
-        commutator(SX, np.eye(4))
+    sx, sy, sz = (pauli_on(axis, 0, 1) for axis in "xyz")
+    assert np.allclose(sx @ sy - sy @ sx, 2j * sz)
+    assert np.abs(sx @ sy + sy @ sx).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +141,7 @@ def test_commutator_shape_mismatch():
 
 def test_pauli_string_matrix():
     ps = PauliString(2.0, ((1, "x"), (0, "z")))
-    assert np.array_equal(ps.matrix(2), 2.0 * np.kron(SZ, SX))
+    assert np.array_equal(dense([ps], 2), 2.0 * np.kron(SZ, SX))
 
 
 def test_pauli_string_factor_order_is_irrelevant():
@@ -154,7 +164,7 @@ def test_pauli_string_rejects_bad_axis_and_site():
 
 def test_pauli_string_site_out_of_range():
     with pytest.raises(DomainError):
-        PauliString(1.0, ((3, "x"),)).matrix(2)
+        dense([PauliString(1.0, ((3, "x"),))], 2)
 
 
 def test_pauli_string_record_roundtrip():
@@ -209,34 +219,34 @@ def test_bitwise_builders_match_kron_oracle(data, n):
     expected = np.zeros((2**n, 2**n), dtype=complex)
     for ps in strings:
         single = pauli_string_oracle(ps.coefficient, ps.factors, n)
-        assert np.array_equal(ps.matrix(n), single)
+        assert np.array_equal(dense([ps], n), single)
         rows, cols, values = ps.entries(n)
         assert np.array_equal(single[rows, cols], values)
         assert np.count_nonzero(single) <= rows.size  # no nonzero entry is missed
         expected += single
-    assert np.array_equal(operator_from_strings(strings, n).mat, expected)
+    assert np.array_equal(dense(strings, n), expected)
     site = data.draw(st.integers(0, n - 1))
     axis = data.draw(st.sampled_from(AXES))
-    assert np.array_equal(pauli_site(axis, site, n).mat, pauli_string_oracle(1.0, ((site, axis),), n))
+    assert np.array_equal(pauli_on(axis, site, n), pauli_string_oracle(1.0, ((site, axis),), n))
 
 
 def test_builders_need_no_numpy_2_bit_count(monkeypatch):
-    # np.bitwise_count first appeared in NumPy 2.0; the package supports 1.24
+    # np.bitwise_count first appeared in NumPy 2.0; the package supports 1.25
     monkeypatch.delattr(np, "bitwise_count", raising=False)
     factors = ((0, "y"), (2, "z"), (3, "+"), (4, "y"))
     assert np.array_equal(
-        PauliString(0.7, factors).matrix(5), pauli_string_oracle(0.7, factors, 5)
+        dense([PauliString(0.7, factors)], 5), pauli_string_oracle(0.7, factors, 5)
     )
-    h = build_xx_hamiltonian(SpinChainSpec(5, 0.9, 0.3, "periodic")).mat
+    h = hamiltonian(SpinChainSpec(5, 0.9, 0.3, "periodic"))
     assert np.array_equal(h, xx_hamiltonian_oracle(5, 0.9, 0.3, "periodic"))
 
 
 def test_operator_from_strings_hermitian_certificate():
     sx = (PauliString(1.0, ((0, "x"),)),)
-    assert isinstance(operator_from_strings(sx, 1, hermitian=True), HermitianOperator)
+    assert isinstance(SparseOperator.from_strings(sx, 1, hermitian=True), SparseOperator)
     ladder = (PauliString(1.0, ((0, "+"),)),)
     with pytest.raises(DomainError):
-        operator_from_strings(ladder, 1, hermitian=True)
+        SparseOperator.from_strings(ladder, 1, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +254,7 @@ def test_operator_from_strings_hermitian_certificate():
 
 def test_two_site_hamiltonian_matches_hand_assembly():
     spec = SpinChainSpec(2, coupling=1.0, field=0.5)
-    h = build_xx_hamiltonian(spec).mat
+    h = hamiltonian(spec)
     manual = (
         np.kron(SX, SX)
         + np.kron(SY, SY)
@@ -255,36 +265,36 @@ def test_two_site_hamiltonian_matches_hand_assembly():
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_hamiltonian_is_the_kron_assembly_bit_for_bit(boundary):
-    h = build_xx_hamiltonian(SpinChainSpec(7, 0.9, 0.3, boundary)).mat
+    h = hamiltonian(SpinChainSpec(7, 0.9, 0.3, boundary))
     assert np.array_equal(h, xx_hamiltonian_oracle(7, 0.9, 0.3, boundary))
 
 
 def test_two_site_spectrum():
     # J = 1, h = 0.5: outer states at +-1, the xx + yy doublet at +-2
-    h = build_xx_hamiltonian(SpinChainSpec(2, 1.0, 0.5)).mat
+    h = hamiltonian(SpinChainSpec(2, 1.0, 0.5))
     assert np.allclose(np.linalg.eigvalsh(h), [-2.0, -1.0, 1.0, 2.0])
 
 
 def test_periodic_two_sites_omits_duplicate_bond():
-    open_h = build_xx_hamiltonian(SpinChainSpec(2, 1.0, 0.3, "open")).mat
-    per_h = build_xx_hamiltonian(SpinChainSpec(2, 1.0, 0.3, "periodic")).mat
+    open_h = hamiltonian(SpinChainSpec(2, 1.0, 0.3, "open"))
+    per_h = hamiltonian(SpinChainSpec(2, 1.0, 0.3, "periodic"))
     assert np.array_equal(open_h, per_h)
 
 
 def test_periodic_three_sites_adds_wrap_bond():
-    open_h = build_xx_hamiltonian(SpinChainSpec(3, 1.0, 0.0, "open")).mat
-    per_h = build_xx_hamiltonian(SpinChainSpec(3, 1.0, 0.0, "periodic")).mat
+    open_h = hamiltonian(SpinChainSpec(3, 1.0, 0.0, "open"))
+    per_h = hamiltonian(SpinChainSpec(3, 1.0, 0.0, "periodic"))
     wrap = (
-        pauli_site("x", 2, 3).mat @ pauli_site("x", 0, 3).mat
-        + pauli_site("y", 2, 3).mat @ pauli_site("y", 0, 3).mat
+        pauli_on("x", 2, 3) @ pauli_on("x", 0, 3)
+        + pauli_on("y", 2, 3) @ pauli_on("y", 0, 3)
     )
     assert np.allclose(per_h - open_h, wrap)
 
 
 def test_total_z_is_conserved():
-    h = build_xx_hamiltonian(SpinChainSpec(7, 1.0, 0.3))
-    sz_total = local_generator("uniform-z", 7)
-    assert np.abs(commutator(h, sz_total).mat).max() < 1e-12
+    h = hamiltonian(SpinChainSpec(7, 1.0, 0.3))
+    sz_total = generator("uniform-z", 7)
+    assert np.abs(h @ sz_total - sz_total @ h).max() < 1e-12
 
 
 def test_chain_spec_validation():
@@ -298,14 +308,12 @@ def test_chain_spec_validation():
 # generators
 
 def test_generator_kinds_cover_known_forms():
-    anti = local_generator("antisymmetric-x", 2).mat
+    anti = generator("antisymmetric-x", 2)
     assert np.allclose(anti, 0.5 * (np.kron(SX, np.eye(2)) - np.kron(np.eye(2), SX)))
-    stag = local_generator("staggered-x", 3).mat
-    expected = 0.5 * (
-        pauli_site("x", 0, 3).mat - pauli_site("x", 1, 3).mat + pauli_site("x", 2, 3).mat
-    )
+    stag = generator("staggered-x", 3)
+    expected = 0.5 * (pauli_on("x", 0, 3) - pauli_on("x", 1, 3) + pauli_on("x", 2, 3))
     assert np.allclose(stag, expected)
-    uz = local_generator("uniform-z", 2).mat
+    uz = generator("uniform-z", 2)
     assert np.allclose(np.diagonal(uz), [1.0, 0.0, 0.0, -1.0])
 
 
@@ -317,17 +325,17 @@ def test_generators_are_the_kron_assembly_bit_for_bit(kind):
     expected = np.zeros((2**n, 2**n), dtype=complex)
     for i, sign in enumerate(signs):
         expected += pauli_string_oracle(0.5 * sign, ((i, axis),), n)
-    assert np.array_equal(local_generator(kind, n).mat, expected)
+    assert np.array_equal(generator(kind, n), expected)
 
 
 def test_antisymmetric_generator_needs_two_sites():
     with pytest.raises(DomainError):
-        local_generator("antisymmetric-x", 3)
+        local_generator_strings("antisymmetric-x", 3)
 
 
 def test_unknown_generator_kind():
     with pytest.raises(DomainError) as err:
-        local_generator("bogus", 2)
+        local_generator_strings("bogus", 2)
     for kind in GENERATOR_KINDS:
         assert kind in str(err.value)
 
@@ -337,7 +345,8 @@ def test_unknown_generator_kind():
 
 def test_support_of_single_site_operator():
     for i in range(4):
-        assert operator_support(pauli_site("x", i, 4), 4) == frozenset({i})
+        op = SparseOperator.from_strings([PauliString(1.0, ((i, "x"),))], 4)
+        assert operator_support(op, 4) == frozenset({i})
 
 
 def test_support_of_identity_and_zero():
@@ -346,7 +355,7 @@ def test_support_of_identity_and_zero():
 
 
 def test_support_skips_identity_factors():
-    op = pauli_site("z", 0, 3).mat @ pauli_site("z", 2, 3).mat
+    op = pauli_on("z", 0, 3) @ pauli_on("z", 2, 3)
     assert operator_support(op, 3) == frozenset({0, 2})
 
 
@@ -361,10 +370,11 @@ def test_support_dimension_mismatch():
 def test_site_cap_env_override(monkeypatch):
     monkeypatch.setenv(SITE_CAP_ENV, "3")
     assert site_cap() == 3
+    z0 = [PauliString(1.0, ((0, "z"),))]
     with pytest.raises(DomainError):
-        pauli_site("z", 0, 4)
+        SparseOperator.from_strings(z0, 4)
     # the explicit argument wins over the environment
-    assert pauli_site("z", 0, 4, max_sites=4).dim == 16
+    assert SparseOperator.from_strings(z0, 4, max_sites=4).dim == 16
 
 
 def test_site_cap_applies_on_every_builder_path(monkeypatch):
@@ -372,19 +382,17 @@ def test_site_cap_applies_on_every_builder_path(monkeypatch):
     ps = PauliString(1.0, ((0, "x"),))
     builds = (
         lambda **kw: ps.entries(4, **kw),
-        lambda **kw: ps.matrix(4, **kw),
-        lambda **kw: pauli_site("x", 0, 4, **kw),
-        lambda **kw: operator_from_strings([ps], 4, **kw),
-        lambda **kw: operator_from_strings([], 4, **kw),
-        lambda **kw: build_xx_hamiltonian(SpinChainSpec(4), **kw),
-        lambda **kw: local_generator("uniform-x", 4, **kw),
+        lambda **kw: SparseOperator.from_strings([ps], 4, **kw),
+        lambda **kw: SparseOperator.from_strings([], 4, **kw),
+        lambda **kw: xx_hamiltonian_strings(SpinChainSpec(4), **kw),
+        lambda **kw: local_generator_strings("uniform-x", 4, **kw),
     )
     for build in builds:
         with pytest.raises(DomainError):
             build()
         build(max_sites=4)  # the explicit argument wins over the environment
-    # a single 2x2 factor is never capped
-    assert np.array_equal(pauli_matrix("x"), SX)
+    # a single 2x2 factor lies within any cap
+    assert np.array_equal(pauli_on("x", 0, 1), SX)
 
 
 def test_site_cap_env_must_be_integer(monkeypatch):
@@ -395,17 +403,17 @@ def test_site_cap_env_must_be_integer(monkeypatch):
 
 def test_site_cap_error_names_the_overrides():
     with pytest.raises(DomainError) as err:
-        build_xx_hamiltonian(SpinChainSpec(13))
+        xx_hamiltonian_strings(SpinChainSpec(13))
     msg = str(err.value)
     assert SITE_CAP_ENV in msg and "max_sites" in msg
 
 
 # ---------------------------------------------------------------------------
-# wrappers
+# coercion and the Hermitian certificate
 
 def test_hermitian_operator_rejects_nonhermitian():
     with pytest.raises(DomainError):
-        HermitianOperator(np.array([[0, 1], [0, 0]], dtype=complex))
+        _operator_pairs(np.array([[0, 1], [0, 0]], dtype=complex), 2)
 
 
 def test_hermitian_check_covers_every_row_block():
@@ -414,8 +422,6 @@ def test_hermitian_check_covers_every_row_block():
     mat[dim - 1, dim - 2] = mat[dim - 2, dim - 1] = 1j  # symmetric, not Hermitian
     with pytest.raises(DomainError):
         _operator_pairs(mat, dim)
-    with pytest.raises(DomainError):
-        HermitianOperator(mat)
     mat[dim - 2, dim - 1] = -1j
     assert _operator_pairs(mat, dim)[2].dtype == np.complex128
     real = np.zeros((dim, dim))
@@ -428,14 +434,8 @@ def test_hermitian_check_covers_every_row_block():
         _operator_pairs(real, dim)
 
 
-def test_general_operator_dagger_and_norm():
-    op = GeneralOperator(np.array([[0, 2], [0, 0]], dtype=complex))
-    assert np.array_equal(op.dagger().mat, np.array([[0, 0], [2, 0]]))
-    assert op.hs_norm() == 2.0
-    herm = HermitianOperator(SX)
-    assert herm.dagger() is herm
-
-
 def test_operators_coerce_via_asarray():
-    op = GeneralOperator(SY)
-    assert np.array_equal(np.asarray(op), SY)
+    # every site-basis operand is a SparseOperator or a bare array
+    op = SparseOperator.from_dense(SY)
+    assert np.array_equal(_as_matrix(op), SY)
+    assert _as_matrix(op).dtype == _as_matrix(SY.real).dtype == np.complex128

@@ -12,13 +12,10 @@ from qfidyn import (
     NumericError,
     OperatorBlock,
     PairPartition,
-    SpinChainSpec,
-    build_xx_hamiltonian,
     comb_bound_check,
     cross_response_comb,
     diagonalize,
     gibbs_weights,
-    local_generator,
     response_comb,
     structure_factor_comb,
     susceptibility_comb,
@@ -27,8 +24,8 @@ from qfidyn import (
     verified_blocks,
 )
 from qfidyn.dynsym import default_omega_tol
-from qfidyn.models import two_qubit_symmetry_operators
-from oracles import correlation_oracle, random_hermitian, thermal_state
+from qfidyn.models import preset, preset_operators, two_qubit_symmetry_operators
+from oracles import correlation_oracle, eigenvector_matrix, random_hermitian, thermal_state
 
 
 def random_setup(rng, dim=8, beta=1.0):
@@ -84,7 +81,8 @@ def test_comb_fourier_transform_matches_time_oracle(rng):
     h, spectral, ens, o_eig = random_setup(rng, dim=8, beta=1.0)
     comb = response_comb(o_eig, ens)
     rho = thermal_state(h, 1.0)
-    o_site = spectral.vectors @ o_eig @ spectral.vectors.conj().T
+    v = eigenvector_matrix(spectral)
+    o_site = v @ o_eig @ v.conj().T
     for t in (0.0, 0.1, 0.7, 1.3):
         model = complex(np.sum(comb.weights * np.exp(-1j * comb.omegas * t)))
         direct = correlation_oracle(h, rho, o_site, t)
@@ -214,13 +212,12 @@ def test_bound_check_equality_on_complete_set(rng):
 
 
 def test_bound_check_strict_subset_margins():
-    h_op = build_xx_hamiltonian(SpinChainSpec(2, 1.0, 0.5))
-    spectral = diagonalize(h_op.mat)
+    h_op, gen = (op.dense() for op in preset_operators(preset("two-qubit")))
+    spectral = diagonalize(h_op)
     ens = gibbs_weights(spectral, 1.0)
-    gen = local_generator("antisymmetric-x", 2)
-    o_eig = spectral.to_eigenbasis(gen.mat)
-    ops = [op.mat for op in two_qubit_symmetry_operators(("A2", "A3")).values()]
-    blocks = verified_blocks(h_op.mat, spectral, ops)
+    o_eig = spectral.to_eigenbasis(gen)
+    ops = [op.dense() for op in two_qubit_symmetry_operators(("A2", "A3")).values()]
+    blocks = verified_blocks(h_op, spectral, ops)
     comb = response_comb(o_eig, ens)
     report = comb_bound_check(comb, blocks, ens, o_eig)
     assert not report.equality

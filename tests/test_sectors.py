@@ -27,8 +27,6 @@ from qfidyn import (
     NumericError,
     SparseOperator,
     SpectralDecomposition,
-    SpinChainSpec,
-    build_xx_hamiltonian,
     comb_bound_check,
     cross_response_comb,
     diagonalize,
@@ -38,7 +36,6 @@ from qfidyn import (
     eth_thermal_gap,
     eth_zero_frequency_correction,
     gibbs_weights,
-    local_generator,
     qfi_from_dynsym,
     qfi_from_structure_comb,
     qfi_from_susceptibility_comb,
@@ -59,6 +56,7 @@ from qfidyn.models import preset, preset_operators, solve_preset
 from qfidyn.operators import GENERATOR_KINDS
 from qfidyn.spectral import _components
 from oracles import (
+    eigenvector_matrix,
     eigh_thermal_state,
     qfi_oracle,
     qv_oracle,
@@ -130,7 +128,7 @@ def test_blocks_energies_and_eigenbasis_match_the_dense_route(params):
     assert sorted(tuple(rows) for rows, _ in spectral.blocks) == sorted(tuple(s) for s in sets)
     scale = max(1.0, float(np.abs(spectral.energies).max()))
     assert np.abs(spectral.energies - np.linalg.eigvalsh(h)).max() <= 1e-12 * scale
-    v = spectral.vectors
+    v = eigenvector_matrix(spectral)
     assert np.abs(v.conj().T @ v - np.eye(h.shape[0])).max() <= 1e-12
     rng = np.random.default_rng(params["seed"] + 1)
     o = block_sparse_operator(rng, sets, params["is_complex"])
@@ -150,7 +148,7 @@ def test_entry_block_finder_recovers_the_planted_blocks(params):
     for spectral in (dense, sparse):
         assert sorted(tuple(rows) for rows, _ in spectral.blocks) == planted
     assert np.array_equal(dense.energies, sparse.energies)
-    assert np.array_equal(dense.vectors, sparse.vectors)
+    assert np.array_equal(eigenvector_matrix(dense), eigenvector_matrix(sparse))
 
 
 @given(params=case, beta=st.sampled_from(BETAS))
@@ -306,7 +304,7 @@ def test_connected_pattern_is_the_single_dense_solve_bit_for_bit(dim, is_complex
     energies, vectors = np.linalg.eigh(h)
     assert len(spectral.blocks) == 1
     assert np.array_equal(spectral.energies, energies)
-    assert np.array_equal(spectral.vectors, vectors)
+    assert np.array_equal(eigenvector_matrix(spectral), vectors)
     assert np.array_equal(spectral.to_eigenbasis(o), vectors.conj().T @ o @ vectors)
 
 
@@ -320,8 +318,8 @@ def dense_decomposition(h):
 @pytest.mark.parametrize("field", [0.0, 0.3])
 @pytest.mark.parametrize("sites", range(2, 11))
 def test_xx_chains_match_the_dense_path(sites, field, boundary):
-    h = build_xx_hamiltonian(SpinChainSpec(sites, 1.0, field, boundary)).mat
-    gen = local_generator("staggered-x", sites).mat
+    model = preset("chain", sites=sites, field=field, boundary=boundary)
+    h, gen = (op.dense() for op in preset_operators(model))
     blocked = diagonalize(h)
     assert len(blocked.blocks) == sites + 1  # one block per total S^z
     dense = dense_decomposition(h.real)
@@ -350,9 +348,9 @@ CHAINS = [
 def dense_route(model):
     """The pair set through dense matrices: diagonalize(H) -> dense
     to_eigenbasis -> trivial_complete_set."""
-    h = build_xx_hamiltonian(model.spec).mat
+    h, o = (op.dense() for op in preset_operators(model))
     spectral = diagonalize(h)
-    o_eig = spectral.to_eigenbasis(local_generator(model.generator, model.spec.sites))
+    o_eig = spectral.to_eigenbasis(o)
     return spectral, trivial_complete_set(spectral, op_eig=o_eig), h
 
 
@@ -375,7 +373,7 @@ def test_sector_native_routes_match_the_oracle(sites, field, boundary, kind):
     # the oracle is a double loop over dim^2 level pairs: six sites at most
     model = preset("chain", sites=sites, field=field, boundary=boundary, generator=kind)
     spectral, pairs, h = solve_preset(model)
-    h, o = h.dense(), local_generator(kind, sites).mat
+    h, o = h.dense(), preset_operators(model)[1].dense()
     for beta in BETAS:
         ens = gibbs_weights(spectral, beta)
         rho = eigh_thermal_state(h, beta) if beta == 1e8 else thermal_state(h, beta)
@@ -503,9 +501,9 @@ def test_edge_pair_sets_are_the_reference_bit_for_bit():
 
 
 def test_staggered_generator_links_only_adjacent_sectors():
-    h = build_xx_hamiltonian(SpinChainSpec(4, 1.0, 0.3)).mat
+    h, o = (op.dense() for op in preset_operators(preset("chain", sites=4)))
     spectral = diagonalize(h)
-    o_eig = spectral.to_eigenbasis(local_generator("staggered-x", 4))
+    o_eig = spectral.to_eigenbasis(o)
     magnetization = [int(np.unpackbits(np.uint8(rows[0])).sum()) for rows, _ in spectral.blocks]
     for (_, cols_a), m_a in zip(spectral.blocks, magnetization):
         for (_, cols_b), m_b in zip(spectral.blocks, magnetization):
@@ -559,5 +557,6 @@ def test_diagonal_hamiltonian_is_one_block_per_state():
     assert len(spectral.blocks) == 4
     assert np.array_equal(spectral.energies, [1.0, 1.0, 2.0, 3.0])
     # ties keep block order: state 1 before state 3
-    assert spectral.vectors[1, 0] == 1.0 and spectral.vectors[3, 1] == 1.0
-    assert np.count_nonzero(spectral.vectors) == 4
+    v = eigenvector_matrix(spectral)
+    assert v[1, 0] == 1.0 and v[3, 1] == 1.0
+    assert np.count_nonzero(v) == 4

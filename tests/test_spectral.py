@@ -11,17 +11,15 @@ from qfidyn import (
     DomainError,
     NumericError,
     PauliString,
+    SparseOperator,
     SpectralDecomposition,
-    SpinChainSpec,
     ThermalEnsemble,
-    build_xx_hamiltonian,
     diagonalize,
     gibbs_weights,
-    local_generator,
-    operator_from_strings,
     thermal_expectation,
 )
-from oracles import random_hermitian, thermal_state
+from qfidyn.models import preset, preset_operators
+from oracles import eigenvector_matrix, random_hermitian, thermal_state, xx_hamiltonian_oracle
 
 
 def test_diagonalize_sorts_and_reconstructs():
@@ -57,26 +55,28 @@ def test_decomposition_validates_inputs():
 def _chain_with_dm_term(n):
     """The n-site XX chain plus a Dzyaloshinskii-Moriya bond x0 y1 - y0 x1,
     which is Hermitian and purely imaginary."""
-    h = build_xx_hamiltonian(SpinChainSpec(n, 1.0, 0.3)).mat
-    dm = operator_from_strings(
+    h = xx_hamiltonian_oracle(n, 1.0, 0.3, "open")
+    dm = SparseOperator.from_strings(
         [PauliString(0.4, ((0, "x"), (1, "y"))), PauliString(-0.4, ((0, "y"), (1, "x")))],
         n,
         hermitian=True,
-    ).mat
+    ).dense()
     return h + dm
 
 
 def test_real_hamiltonian_gives_real_vectors():
-    h = build_xx_hamiltonian(SpinChainSpec(4, 1.0, 0.3)).mat
+    h = xx_hamiltonian_oracle(4, 1.0, 0.3, "open")
     assert h.dtype == np.complex128 and not h.imag.any()
     spectral = diagonalize(h)
-    assert spectral.vectors.dtype == np.float64
-    o_eig = spectral.to_eigenbasis(local_generator("staggered-x", 4))
+    assert eigenvector_matrix(spectral).dtype == np.float64
+    o_eig = spectral.to_eigenbasis(preset_operators(preset("chain", sites=4))[1])
     assert o_eig.dtype == np.float64
     # an operator with an imaginary part stays complex on real vectors
-    y_eig = spectral.to_eigenbasis(PauliString(1.0, ((2, "y"),)).matrix(4))
+    y_eig = spectral.to_eigenbasis(
+        SparseOperator.from_strings([PauliString(1.0, ((2, "y"),))], 4).dense()
+    )
     assert y_eig.dtype == np.complex128 and np.abs(y_eig.imag).max() > 0.1
-    v = spectral.vectors
+    v = eigenvector_matrix(spectral)
     assert np.allclose(v @ np.diag(spectral.energies) @ v.T, h, atol=1e-12)
 
 
@@ -85,7 +85,7 @@ def test_complex_hamiltonian_stays_complex_and_matches_oracle(beta):
     h = _chain_with_dm_term(4)
     assert np.abs(h.imag).max() > 0.1
     spectral = diagonalize(h)
-    assert spectral.vectors.dtype == np.complex128
+    assert eigenvector_matrix(spectral).dtype == np.complex128
     ens = gibbs_weights(spectral, beta)
     rho_eig = spectral.to_eigenbasis(thermal_state(h, beta))
     assert rho_eig.dtype == np.complex128
@@ -97,7 +97,7 @@ def test_complex_hamiltonian_stays_complex_and_matches_oracle(beta):
     "perturbation, message", [("noise", "not unitary"), ("reversed columns", "reconstruct")]
 )
 def test_certificates_catch_bad_eigenvectors(monkeypatch, complex_input, perturbation, message):
-    h = _chain_with_dm_term(3) if complex_input else build_xx_hamiltonian(SpinChainSpec(3)).mat
+    h = _chain_with_dm_term(3) if complex_input else xx_hamiltonian_oracle(3, 1.0, 0.0, "open")
     exact_eigh = np.linalg.eigh
     seen = []
 
@@ -163,7 +163,7 @@ def test_negative_beta_rejected():
 def test_nan_beta_rejected():
     # a NaN beta once passed the sign check and gave NaN weights, so the
     # 6-site chain reported QFI 0.0 and a NaN bound marked saturated
-    spectral = diagonalize(build_xx_hamiltonian(SpinChainSpec(6, 1.0, 0.3)).mat)
+    spectral = diagonalize(preset_operators(preset("chain", sites=6))[0])
     with pytest.raises(DomainError, match="beta"):
         gibbs_weights(spectral, math.nan)
 
