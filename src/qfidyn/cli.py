@@ -17,8 +17,14 @@ import sys
 
 import numpy as np
 
-from ._frozen import FrozenRecord
-from .dynsym import TAU_DYN, fit_frequency, local_cap, projector_mazur_weight, verified_blocks
+from .dynsym import (
+    TAU_DYN,
+    _checked_omega_tol,
+    fit_frequency,
+    local_cap,
+    projector_mazur_weight,
+    verified_blocks,
+)
 from .errors import DomainError, NumericError
 from .metrology import entanglement_depth, qfi_from_dynsym, qfi_spectral
 from .models import (
@@ -36,26 +42,6 @@ from .spectral import diagonalize, gibbs_weights
 FLOAT_FMT = "%.12e"
 DEFAULT_TEMP_GRID = "0.05:5:100:log"
 DEFAULT_FIELD_GRID = "0.05:1.95:39:lin"
-
-
-class RunConfig(FrozenRecord):
-    """Resolved parameters of one qfi sweep."""
-
-    _fields = ("preset", "sites", "coupling", "field", "boundary", "generator", "betas",
-               "temperatures", "symmetries", "omega_tol", "out", "fmt")
-
-    def __init__(self, preset, sites, coupling, field, boundary, generator, betas,
-                 temperatures, symmetries, omega_tol, out, fmt):
-        if not betas or len(betas) != len(temperatures):
-            raise DomainError("grid needs at least one point")
-        for beta in betas:
-            if not beta >= 0.0:
-                raise DomainError(f"beta must be >= 0, got {beta}")
-        self.__dict__.update(
-            preset=preset, sites=sites, coupling=coupling, field=field, boundary=boundary,
-            generator=generator, betas=betas, temperatures=temperatures,
-            symmetries=symmetries, omega_tol=omega_tol, out=out, fmt=fmt,
-        )
 
 
 def parse_grid(text, name, default_scale):
@@ -82,14 +68,6 @@ def parse_grid(text, name, default_scale):
     return tuple(float(v) for v in vals)
 
 
-def _temperature_grid(text, name="temperature grid"):
-    temps = parse_grid(text, name, default_scale="log")
-    for t in temps:
-        if not (t > 0 and math.isfinite(t)):
-            raise DomainError(f"{name} entries must be finite and > 0, got {t}")
-    return temps
-
-
 def _grid_from_args(args):
     """(betas, temperatures) from --beta or --temp-grid (default grid)."""
     if getattr(args, "beta", None) is not None:
@@ -99,8 +77,28 @@ def _grid_from_args(args):
         if beta == 0.0:
             return (0.0,), (math.inf,)
         return (beta,), (0.0 if math.isinf(beta) else 1.0 / beta,)
-    temps = _temperature_grid(args.temp_grid or DEFAULT_TEMP_GRID)
+    temps = parse_grid(args.temp_grid or DEFAULT_TEMP_GRID, "temperature grid", "log")
+    for t in temps:
+        if not (t > 0 and math.isfinite(t)):
+            raise DomainError(f"temperature grid entries must be finite and > 0, got {t}")
     return tuple(1.0 / t for t in temps), temps
+
+
+def _omega_tol(args):
+    """--omega-tol, checked before any solve; None keeps the default."""
+    return None if args.omega_tol is None else _checked_omega_tol(args.omega_tol)
+
+
+def _model(args):
+    """The --preset model with the parameters given on the command line."""
+    return resolve_preset(
+        args.preset,
+        sites=args.sites,
+        coupling=args.coupling,
+        field=args.field,
+        boundary=args.boundary,
+        generator=args.generator,
+    )
 
 
 def _format_cell(value):
@@ -113,27 +111,20 @@ def _format_cell(value):
     return str(value)
 
 
+def _emit(path, text):
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
 def _write_table(path, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_format_cell(c) for c in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _write_json(path, payload):
-    import json
-
-    text = json.dumps(payload, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _load_symmetry_file(path):
@@ -153,7 +144,7 @@ def _load_symmetry_file(path):
     if not isinstance(data, list):
         raise DomainError(f"{path!r} must hold a list of operators or of term records")
     if not data:
-        return []
+        raise DomainError(f"symmetry file {path!r} contains no operators")
     if isinstance(data[0], dict):
         data = [data]
     ops = []
@@ -174,96 +165,76 @@ def _symmetry_operators(source, model):
         if model.spec.sites != 2:
             raise DomainError("the analytic symmetry set is defined for the two-qubit model")
         return list(two_qubit_symmetry_operators().values())
-    strings = _load_symmetry_file(source)
-    if not strings:
-        raise DomainError(f"symmetry file {source!r} contains no operators")
-    return [SparseOperator.from_strings(strs, model.spec.sites) for strs in strings]
+    return [SparseOperator.from_strings(strs, model.spec.sites)
+            for strs in _load_symmetry_file(source)]
 
 
-def _verified_symmetry_blocks(h, spectral, ops, omega_tol):
-    """OperatorBlocks from site-basis SparseOperators, verified against the
-    site-basis Hamiltonian h; h and each operator are made dense once."""
+def _verified_symmetry_blocks(h, spectral, pairs, ops, omega_tol):
+    """The bound's symmetry set: the generator's weighted pair set when ops
+    is None (the trivial complete set), else the OperatorBlocks of the
+    site-basis SparseOperators ops, verified against the site-basis
+    Hamiltonian h; h and each operator are made dense once."""
+    if ops is None:
+        return pairs
     mats = [op.dense() for op in ops]
     return verified_blocks(h.dense(), spectral, mats, omega_tol=omega_tol)
 
 
-def _run_config(args):
-    model = resolve_preset(
-        args.preset,
-        sites=args.sites,
-        coupling=args.coupling,
-        field=args.field,
-        boundary=args.boundary,
-        generator=args.generator,
-    )
-    betas, temps = _grid_from_args(args)
-    config = RunConfig(
-        preset=model.name,
-        sites=model.spec.sites,
-        coupling=model.spec.coupling,
-        field=model.spec.field,
-        boundary=model.spec.boundary,
-        generator=model.generator,
-        betas=betas,
-        temperatures=temps,
-        symmetries=args.symmetries,
-        omega_tol=args.omega_tol,
-        out=args.out,
-        fmt=args.format,
-    )
-    return config, model
+def _sweep(spectral, pairs, blocks, grid):
+    """(T, QFI, bound) at each point of a (betas, temperatures) grid: the
+    generator's QFI from its weighted pair set and the lower bound from the
+    symmetry blocks."""
+    for beta, temp in zip(*grid):
+        ens = gibbs_weights(spectral, beta)
+        yield temp, qfi_spectral(pairs, ens), qfi_from_dynsym(blocks, ens, pairs).value
 
 
 def cmd_qfi(args):
     """QFI, bound, and entanglement depth over a temperature grid."""
-    config, model = _run_config(args)
-    trivial = config.symmetries == "trivial"
-    ops = None if trivial else _symmetry_operators(config.symmetries, model)
+    model = _model(args)
+    grid = _grid_from_args(args)
+    omega_tol = _omega_tol(args)
+    ops = None if args.symmetries == "trivial" else _symmetry_operators(args.symmetries, model)
     # one weighted pair set carries the generator through the whole sweep
-    spectral, pairs, h = solve_preset(model, config.omega_tol)
-    blocks = pairs if trivial else _verified_symmetry_blocks(h, spectral, ops, config.omega_tol)
-    n = config.sites
-    rows = []
-    for beta, temp in zip(config.betas, config.temperatures):
-        ens = gibbs_weights(spectral, beta)
-        fq = qfi_spectral(pairs, ens)
-        report = qfi_from_dynsym(blocks, ens, pairs)
-        witness = entanglement_depth(fq, n)
-        rows.append((temp, fq, fq / n, report.value, report.value / n, witness.depth))
+    spectral, pairs, h = solve_preset(model, omega_tol)
+    blocks = _verified_symmetry_blocks(h, spectral, pairs, ops, omega_tol)
+    n = model.spec.sites
+    rows = [
+        (temp, fq, fq / n, bound, bound / n, entanglement_depth(fq, n).depth)
+        for temp, fq, bound in _sweep(spectral, pairs, blocks, grid)
+    ]
     header = ("temperature", "qfi", "qfi_density", "bound", "bound_density", "depth")
-    if config.fmt == "json":
-        payload = {
-            "config": {
-                "preset": config.preset,
-                "sites": config.sites,
-                "coupling": config.coupling,
-                "field": config.field,
-                "boundary": config.boundary,
-                "generator": config.generator,
-                "symmetries": config.symmetries,
-                "omega_tol": config.omega_tol,
-            },
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _write_json(config.out, payload)
-    else:
-        _write_table(config.out, header, rows)
+    if args.format == "csv":
+        _write_table(args.out, header, rows)
+        return 0
+    import json
+
+    spec = model.spec
+    config = {
+        "preset": model.name,
+        "sites": spec.sites,
+        "coupling": spec.coupling,
+        "field": spec.field,
+        "boundary": spec.boundary,
+        "generator": model.generator,
+        "symmetries": args.symmetries,
+        "omega_tol": args.omega_tol,
+    }
+    payload = {"config": config, "rows": [dict(zip(header, row)) for row in rows]}
+    _emit(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def _fig1_curve(field, coupling, temps, omega_tol):
-    """Rows (T, f_Q, bound density) for one field, saturating subset."""
+def _fig1_curve(field, coupling, grid, omega_tol):
+    """Rows (T, f_Q, bound density) over the (betas, temperatures) grid for
+    one field, with the saturating subset."""
     model = resolve_preset("two-qubit", coupling=coupling, field=field)
     spectral, pairs, h = solve_preset(model, omega_tol)
     ops = two_qubit_symmetry_operators(regime_subset(field, coupling)).values()
-    blocks = _verified_symmetry_blocks(h, spectral, ops, omega_tol)
-    rows = []
-    for temp in temps:
-        ens = gibbs_weights(spectral, 1.0 / temp)
-        fq = qfi_spectral(pairs, ens) / 2.0
-        bound = qfi_from_dynsym(blocks, ens, pairs).value / 2.0
-        rows.append((temp, fq, bound))
-    return rows
+    blocks = _verified_symmetry_blocks(h, spectral, pairs, ops, omega_tol)
+    return [
+        (temp, fq / 2.0, bound / 2.0) for temp, fq, bound in _sweep(spectral, pairs, blocks, grid)
+    ]
 
 
 def cmd_fig1(args):
@@ -274,15 +245,16 @@ def cmd_fig1(args):
     at the crossing |h| = J are skipped with a warning (the two symmetry
     frequencies collide at 0 there).
     """
-    temps = _temperature_grid(args.temp_grid or DEFAULT_TEMP_GRID)
+    grid = _grid_from_args(args)
     fields = parse_grid(args.field_grid or DEFAULT_FIELD_GRID, "field grid", "lin")
     coupling = 1.0 if args.coupling is None else float(args.coupling)
+    omega_tol = _omega_tol(args)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
 
     curve_header = ("temperature", "qfi_density", "bound_density")
     for name, field in (("curve_low.csv", args.field_low), ("curve_high.csv", args.field_high)):
-        rows = _fig1_curve(float(field), coupling, temps, args.omega_tol)
+        rows = _fig1_curve(float(field), coupling, grid, omega_tol)
         _write_table(os.path.join(out_dir, name), curve_header, rows)
 
     heat_fq, heat_bound = [], []
@@ -294,7 +266,7 @@ def cmd_fig1(args):
                 file=sys.stderr,
             )
             continue
-        for row in _fig1_curve(field, coupling, temps, args.omega_tol):
+        for row in _fig1_curve(field, coupling, grid, omega_tol):
             heat_fq.append((field, row[0], row[1]))
             heat_bound.append((field, row[0], row[2]))
     _write_table(
@@ -311,27 +283,21 @@ def cmd_fig1(args):
 
 
 def cmd_fig2(args):
-    """Chain frequency comb and QFI decomposition.
+    """Frequency comb and QFI decomposition of the --preset model.
 
     Writes three tables into --out: the response comb G(omega) with the
     matching Mazur weights (complete eigenprojectors at omega = 0, the
     trivial frequency clusters elsewhere), the QFI against temperature, and
     the per-frequency QFI decomposition at --temperature.
     """
-    model = resolve_preset(
-        "chain",
-        sites=args.sites,
-        coupling=args.coupling,
-        field=args.field,
-        boundary=args.boundary,
-        generator=args.generator,
-    )
+    model = _model(args)
     n = model.spec.sites
     temp0 = float(args.temperature)
     if not (temp0 > 0 and math.isfinite(temp0)):
         raise DomainError(f"--temperature must be finite and > 0, got {temp0}")
-    temps = _temperature_grid(args.temp_grid or DEFAULT_TEMP_GRID)
-    spectral, pairs, _ = solve_preset(model, args.omega_tol)
+    grid = _grid_from_args(args)
+    omega_tol = _omega_tol(args)
+    spectral, pairs, _ = solve_preset(model, omega_tol)
     ens0 = gibbs_weights(spectral, 1.0 / temp0)
 
     out_dir = args.out or "."
@@ -352,12 +318,9 @@ def cmd_fig2(args):
         comb_rows,
     )
 
-    sweep_rows = []
-    for temp in temps:
-        ens = gibbs_weights(spectral, 1.0 / temp)
-        fq = qfi_spectral(pairs, ens)
-        bound = qfi_from_dynsym(pairs, ens, pairs).value
-        sweep_rows.append((temp, fq, fq / n, bound / n))
+    sweep_rows = [
+        (temp, fq, fq / n, bound / n) for temp, fq, bound in _sweep(spectral, pairs, pairs, grid)
+    ]
     _write_table(
         os.path.join(out_dir, "qfi_vs_t.csv"),
         ("temperature", "qfi", "qfi_density", "bound_density"),
@@ -378,20 +341,10 @@ def cmd_verify(args):
     """Check a symmetry file against a model: frequency, residual, support,
     and the strict-locality cap.  Exit 1 when any residual exceeds the
     dynamical-symmetry tolerance."""
-    strings = _load_symmetry_file(args.symmetries)
-    model = resolve_preset(
-        args.preset,
-        sites=args.sites,
-        coupling=args.coupling,
-        field=args.field,
-        boundary=args.boundary,
-        generator=args.generator,
-    )
-    beta = float(args.beta) if args.beta is not None else 1.0
-    if not beta >= 0.0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
+    model = _model(args)
+    (beta,), _ = _grid_from_args(args)
+    ops = _symmetry_operators(args.symmetries, model)
     n = model.spec.sites
-    ops = [SparseOperator.from_strings(strs, n) for strs in strings]
     h, gen = preset_operators(model)
     spectral = diagonalize(h)
     ens = gibbs_weights(spectral, beta)
@@ -487,7 +440,7 @@ def build_parser():
     verify = sub.add_parser("verify", help="verify a symmetry file against a model")
     _add_model_args(verify, "two-qubit")
     verify.add_argument("--symmetries", required=True, help="JSON Pauli-string file")
-    verify.add_argument("--beta", type=float, default=None,
+    verify.add_argument("--beta", type=float, default=1.0,
                         help="inverse temperature for the cap check (default 1)")
     verify.add_argument("--out", default=None, help="output path (default stdout)")
     verify.set_defaults(func=cmd_verify)

@@ -398,6 +398,12 @@ def _diagonal(rows, cols, values):
     return rows[diag], values[diag].real
 
 
+def _thermal_mean(p, rows, cols, values):
+    """<O> = sum_n p_n O_nn over the diagonal pairs of an operator."""
+    levels, diag = _diagonal(rows, cols, values)
+    return float(np.dot(p[levels], diag))
+
+
 def trivial_complete_set(spectral, omega_tol=None, op_eig=None):
     """The eigenpair operators as one PairPartition.
 
@@ -471,14 +477,11 @@ def _mirrored_clusters(half, tol):
     return (raw - raw[::-1]) / 2.0, bounds
 
 
-def _pair_set(op_eig, spectral, omega_tol=None, name="operator"):
+def _pair_set(op_eig, spectral, name="operator"):
     """op_eig as a weighted pair set: itself when it is one, else
-    trivial_complete_set over its nonzero pairs.  A pair set's clusters are
-    fixed when it is built, so omega_tol applies to a dense op_eig only."""
+    trivial_complete_set over its nonzero pairs at the default tolerance."""
     if not isinstance(op_eig, PairPartition):
-        return trivial_complete_set(spectral, omega_tol, op_eig)
-    if omega_tol is not None:
-        raise DomainError("omega_tol cannot re-cluster a pair set; build the set with it")
+        return trivial_complete_set(spectral, op_eig=op_eig)
     _operator_pairs(op_eig, spectral.energies.size, name)
     return op_eig
 

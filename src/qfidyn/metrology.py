@@ -38,16 +38,17 @@ from .dynsym import (
     _align,
     _block_list,
     _dense,
-    _diagonal,
     _is_saturating,
     _operator_pairs,
     _pair_set,
     _pinv_quadratic,
+    _thermal_mean,
     block_gram,
     mazur_weight,
 )
 from .errors import DomainError, NumericError
 from .operators import _chunks
+from .response import _comb_tanh
 from .spectral import PAIR_WEIGHT_FLOOR, default_energy_tol
 
 # Slack for internal inequality certificates (ETH gap assertion).
@@ -131,9 +132,7 @@ def qfi_from_structure_comb(comb, beta):
     """
     if comb.kind != "structure":
         raise DomainError(f"expected a structure comb, got kind {comb.kind!r}")
-    nz = comb.omegas != 0.0
-    with np.errstate(over="ignore"):
-        t = np.tanh(beta * comb.omegas[nz] / 2.0)
+    nz, t = _comb_tanh(comb, beta)
     return float(np.sum(2.0 * t**2 * comb.weights[nz].real))
 
 
@@ -141,9 +140,7 @@ def qfi_from_susceptibility_comb(comb, beta):
     """QFI from a susceptibility comb: 2 sum_k tanh(beta w_k / 2) x_k."""
     if comb.kind != "susceptibility":
         raise DomainError(f"expected a susceptibility comb, got kind {comb.kind!r}")
-    nz = comb.omegas != 0.0
-    with np.errstate(over="ignore"):
-        t = np.tanh(beta * comb.omegas[nz] / 2.0)
+    nz, t = _comb_tanh(comb, beta)
     return float(np.sum(2.0 * t * comb.weights[nz].real))
 
 
@@ -558,8 +555,7 @@ def eth_qfi(op_eig, ensemble):
     p = ensemble.weights
     both = p[cols] + np.where(rows != cols, p[rows], 0.0)
     second = float(np.sum(both * np.abs(values) ** 2))
-    levels, diag = _diagonal(rows, cols, values)
-    mean = float(np.dot(p[levels], diag))
+    mean = _thermal_mean(p, rows, cols, values)
     return 4.0 * (second - mean**2)
 
 
@@ -570,17 +566,15 @@ def eth_qfi_from_comb(comb):
     return 2.0 * float(comb.total())
 
 
-def eth_zero_frequency_correction(op_eig, ensemble, omega_tol=None):
+def eth_zero_frequency_correction(op_eig, ensemble):
     """The omega = 0 correction 4 (D_0^complete - <O>^2) separating eth_qfi
     from the nonzero-frequency sum: eth_qfi = eth_lower_bound(trivial set)
     + this value.  D_0^complete is the trivial set's zero-cluster weight,
-    degenerate pairs included.  A weighted pair set brings its own
-    clusters, so omega_tol applies to a dense op_eig only."""
-    part = _pair_set(op_eig, ensemble, omega_tol)
+    degenerate pairs included."""
+    part = _pair_set(op_eig, ensemble)
     weights = part.cluster_weights(ensemble, part.values)
     d0 = float(weights[part.omegas == 0.0].sum())
-    levels, diag = _diagonal(part.rows, part.cols, part.values)
-    mean = float(np.dot(ensemble.weights[levels], diag))
+    mean = _thermal_mean(ensemble.weights, part.rows, part.cols, part.values)
     return 4.0 * (d0 - mean**2)
 
 

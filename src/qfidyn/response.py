@@ -24,9 +24,9 @@ from .dynsym import (
     OperatorBlock,
     PairPartition,
     _block_list,
-    _diagonal,
     _is_saturating,
     _pair_set,
+    _thermal_mean,
     default_omega_tol,
     mazur_weight,
 )
@@ -119,37 +119,44 @@ class FrequencyComb(Frozen):
         return "\n".join(lines) + "\n"
 
 
-def response_comb(op_eig, ensemble, omega_tol=None):
+def _comb_tanh(comb, beta):
+    """(nz, t): the comb's nonzero frequencies nz and tanh(beta omega_k / 2)
+    over them."""
+    nz = comb.omegas != 0.0
+    with np.errstate(over="ignore"):
+        return nz, np.tanh(beta * comb.omegas[nz] / 2.0)
+
+
+def response_comb(op_eig, ensemble):
     """Dynamical-response comb: g(omega_k) = sum over the cluster of
     p_n |<E_m|O|E_n>|^2.
 
-    op_eig is a dense eigenbasis matrix or a weighted pair set, which
-    brings its own clusters (omega_tol then stays None).  Zero-weight
-    entries are dropped except at omega = 0, which is always kept (as in
-    structure_factor_comb); weights are nonnegative by construction.
+    op_eig is a dense eigenbasis matrix, clustered at the default
+    tolerance, or a weighted pair set, which brings its own clusters.
+    Zero-weight entries are dropped except at omega = 0, which is always
+    kept (as in structure_factor_comb); weights are nonnegative by
+    construction.
     """
-    part = _pair_set(op_eig, ensemble, omega_tol)
+    part = _pair_set(op_eig, ensemble)
     binned = part.cluster_weights(ensemble, part.values)
     keep = (binned != 0.0) | (part.omegas == 0.0)
     return FrequencyComb(part.omegas[keep], binned[keep], "response")
 
 
-def structure_factor_comb(op_eig, ensemble, omega_tol=None):
+def structure_factor_comb(op_eig, ensemble):
     """Structure-factor comb: s(omega_k) = g(omega_k) + g(-omega_k) for
     omega_k != 0 and s(0) = 2 g(0) - 2 <O>^2.
 
-    op_eig and omega_tol are as for response_comb.  The connected zero peak
-    can round slightly negative; values within NEG_WEIGHT_TOL (relative)
-    are clamped to 0 and counted in clamped.  Dirac-side convention:
+    op_eig is as for response_comb.  The connected zero peak can round
+    slightly negative; values within NEG_WEIGHT_TOL (relative) are clamped
+    to 0 and counted in clamped.  Dirac-side convention:
     S(omega) = 2 pi sum_k s_k delta(omega - omega_k).
     """
-    part = _pair_set(op_eig, ensemble, omega_tol)
-    p = ensemble.weights
+    part = _pair_set(op_eig, ensemble)
     reps = part.omegas
     g = part.cluster_weights(ensemble, part.values)
     s = g + g[::-1]
-    levels, diag = _diagonal(part.rows, part.cols, part.values)
-    mean = float(np.dot(p[levels], diag))
+    mean = _thermal_mean(ensemble.weights, part.rows, part.cols, part.values)
     zero = np.flatnonzero(reps == 0.0)
     if zero.size != 1:
         raise NumericError("clustering produced no unique zero-frequency bin")
@@ -163,22 +170,21 @@ def structure_factor_comb(op_eig, ensemble, omega_tol=None):
     return FrequencyComb(reps[keep], s[keep], "structure", clamped)
 
 
-def susceptibility_comb(op_eig, ensemble, omega_tol=None):
+def susceptibility_comb(op_eig, ensemble):
     """Dissipative-susceptibility comb via the fluctuation-dissipation
     relation: x(omega_k) = tanh(beta omega_k / 2) s(omega_k).
 
     Entries mirror the structure comb's frequencies (so zeros are kept);
     the omega = 0 entry is exactly 0.
     """
-    s = structure_factor_comb(op_eig, ensemble, omega_tol)
+    s = structure_factor_comb(op_eig, ensemble)
+    nz, t = _comb_tanh(s, ensemble.beta)
     factor = np.zeros_like(s.omegas)
-    nz = s.omegas != 0.0
-    with np.errstate(over="ignore"):
-        factor[nz] = np.tanh(ensemble.beta * s.omegas[nz] / 2.0)
+    factor[nz] = t
     return FrequencyComb(s.omegas, factor * s.weights, "susceptibility", s.clamped)
 
 
-def cross_response_comb(opa_eig, opb_eig, ensemble, omega_tol=None):
+def cross_response_comb(opa_eig, opb_eig, ensemble):
     """Cross-response comb with complex weights
     sum over the cluster of p_n <E_m|O_a|E_n><E_n|O_b|E_m>.
 
@@ -187,7 +193,7 @@ def cross_response_comb(opa_eig, opb_eig, ensemble, omega_tol=None):
     response_comb when both operators coincide; swapping the operators
     conjugates every weight.
     """
-    part = _pair_set(opa_eig, ensemble, omega_tol, "first operator")
+    part = _pair_set(opa_eig, ensemble, "first operator")
     a = part.values
     b, _ = part.aligned(opb_eig, "second operator")
     p = ensemble.weights

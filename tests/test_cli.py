@@ -139,6 +139,15 @@ def test_qfi_json_payload(tmp_path):
     assert math.isclose(rows[0]["qfi"], two_qubit_reference(1.0), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_qfi_writes_the_same_bytes_to_stdout_and_to_out(tmp_path, fmt):
+    argv = ("qfi", "--temp-grid", "0.5:2:3", "--format", fmt)
+    out = tmp_path / f"q.{fmt}"
+    code, stdout, _ = run(*argv)
+    assert code == 0 and run(*argv, "--out", str(out))[0] == 0
+    assert out.read_bytes() == stdout.encode()
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     args = ("qfi", "--temp-grid", "0.1:2:7", "--generator", "uniform-x")
     paths = [tmp_path / name for name in ("a.csv", "b.csv")]
@@ -351,13 +360,31 @@ def test_fig2_comb_is_the_response_comb(tmp_path):
             assert row[2] == row[1]  # a trivial cluster's Mazur weight is its comb weight
 
 
+def test_fig2_runs_the_preset_it_is_given(tmp_path):
+    code, *_ = run(
+        "reproduce-fig2", "--preset", "two-qubit", "--temp-grid", "1:1:1", "--out", str(tmp_path)
+    )
+    assert code == 0
+    _, (row,) = read_table((tmp_path / "qfi_vs_t.csv").read_text())
+    code, stdout, _ = run("qfi", "--beta", "1")
+    assert code == 0
+    _, (want,) = read_table(stdout)
+    assert row[:2] == want[:2]  # temperature and qfi, byte for byte
+
+
 def test_fig2_rejects_nonpositive_temperature():
     code, _, stderr = run("reproduce-fig2", "--sites", "3", "--temperature", "0")
     assert code == 2 and "temperature" in stderr
 
 
 @pytest.mark.parametrize(
-    "bad", [("--temp-grid", "1:0:5"), ("--temp-grid", "0:1:5:log"), ("--temperature", "0")]
+    "bad",
+    [
+        ("--temp-grid", "1:0:5"),
+        ("--temp-grid", "0:1:5:log"),
+        ("--temperature", "0"),
+        ("--omega-tol", "nan"),
+    ],
 )
 def test_fig2_checks_its_arguments_before_any_work(tmp_path, monkeypatch, bad):
     def no_solve(*args, **kwargs):
@@ -370,6 +397,17 @@ def test_fig2_checks_its_arguments_before_any_work(tmp_path, monkeypatch, bad):
     assert not out.exists()
 
 
+def test_fig1_checks_omega_tol_before_any_work(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr(cli, "solve_preset", no_solve)
+    out = tmp_path / "d"
+    code, _, stderr = run("reproduce-fig1", "--omega-tol", "nan", "--out", str(out))
+    assert code == 2 and stderr.startswith("qfidyn: omega_tol must be finite and > 0")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -377,16 +415,23 @@ def test_fig2_checks_its_arguments_before_any_work(tmp_path, monkeypatch, bad):
         (("qfi", "--symmetries", "/no/such/file.json"), "cannot read"),
         (("qfi", "--symmetries", "{empty}"), "contains no operators"),
         (("qfi", "--symmetries", "{wide}"), "out of range"),
+        (
+            ("qfi", "--preset", "chain", "--sites", "12", "--beta", "1", "--omega-tol", "nan"),
+            "omega_tol must be finite and > 0",
+        ),
         (("verify", "--beta", "-1", "--symmetries", "{pair}"), "beta must be >= 0"),
         (("verify", "--symmetries", "{wide}"), "out of range"),
+        (("verify", "--symmetries", "{empty}"), "contains no operators"),
     ],
     ids=[
         "qfi-analytic-off-two-qubit",
         "qfi-missing-file",
         "qfi-empty-file",
         "qfi-site-out-of-range",
+        "qfi-omega-tol-nan",
         "verify-negative-beta",
         "verify-site-out-of-range",
+        "verify-empty-file",
     ],
 )
 def test_qfi_and_verify_check_their_arguments_before_any_solve(
@@ -429,6 +474,15 @@ def test_verify_accepts_the_analytic_set(tmp_path):
         assert row[6] == "true"
 
 
+def test_verify_takes_the_analytic_set_by_name(tmp_path):
+    path = write_symmetry_file(
+        tmp_path / "ops.json", two_qubit_symmetry_strings().values()
+    )
+    code, by_name, _ = run("verify", "--symmetries", "analytic")
+    assert code == 0
+    assert by_name == run("verify", "--symmetries", path)[1]
+
+
 def test_verify_flat_list_is_one_operator(tmp_path):
     op = two_qubit_symmetry_strings()["A4"]
     path = tmp_path / "one.json"
@@ -452,14 +506,6 @@ def test_verify_flags_a_non_symmetry(tmp_path):
     # correlated thermal state; the cap column records that honestly
     assert row[5] == "false"
     assert row[6] == "false"
-
-
-def test_verify_empty_list(tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text("[]")
-    code, stdout, _ = run("verify", "--symmetries", str(path))
-    assert code == 0
-    assert stdout.strip() == "index,omega,residual,support,cap,cap_holds,is_symmetry"
 
 
 def test_verify_malformed_json(tmp_path):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import qfidyn
-from qfidyn.cli import RunConfig
 from qfidyn.models import (
     ModelPreset,
     preset,
@@ -26,9 +25,6 @@ VALUE_RECORDS = {
     "SpinChainSpec": lambda: qfidyn.SpinChainSpec(4, 1.0, 0.3),
     "ModelPreset": lambda: preset("chain", sites=4),
     "PauliString": lambda: qfidyn.PauliString(0.5, ((1, "z"), (0, "x"))),
-    "RunConfig": lambda: RunConfig(
-        "chain", 4, 1.0, 0.3, "open", "staggered-x", (1.0,), (1.0,), "trivial", None, None, "csv"
-    ),
     "WitnessReport": lambda: qfidyn.entanglement_depth(3.0, 2),
     "BoundCheckReport": lambda: qfidyn.comb_bound_check(
         qfidyn.response_comb(PAIRS, ENSEMBLE), PAIRS, ENSEMBLE, PAIRS
@@ -57,7 +53,7 @@ def test_every_public_immutable_type_is_covered():
         if inspect.isclass(getattr(qfidyn, name))
         and not issubclass(getattr(qfidyn, name), Exception)
     }
-    assert public | {"ModelPreset", "RunConfig"} == set(ALL_TYPES)
+    assert public | {"ModelPreset"} == set(ALL_TYPES)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_TYPES))

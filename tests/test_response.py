@@ -15,6 +15,7 @@ from qfidyn import (
     comb_bound_check,
     cross_response_comb,
     diagonalize,
+    eth_zero_frequency_correction,
     gibbs_weights,
     response_comb,
     structure_factor_comb,
@@ -140,6 +141,27 @@ def test_cross_comb_reduces_to_response(rng):
         got = cross.weight_at(float(omega), tol=tol)
         assert math.isclose(got.real, weight.real, rel_tol=1e-10)
         assert abs(got.imag) < 1e-12
+
+
+def test_combs_cluster_a_dense_operator_as_its_pair_set(rng):
+    # no comb takes a tolerance of its own: a dense operator gets the
+    # default clusters, the ones its weighted pair set is built with
+    _, spectral, ens, o_eig = random_setup(rng)
+    pairs = trivial_complete_set(spectral, op_eig=o_eig)
+    for comb in (response_comb, structure_factor_comb, susceptibility_comb):
+        dense, paired = comb(o_eig, ens), comb(pairs, ens)
+        assert np.array_equal(dense.omegas, paired.omegas)
+        assert np.array_equal(dense.weights, paired.weights)
+    calls = (
+        (response_comb, (o_eig, ens)),
+        (structure_factor_comb, (o_eig, ens)),
+        (susceptibility_comb, (o_eig, ens)),
+        (cross_response_comb, (o_eig, o_eig, ens)),
+        (eth_zero_frequency_correction, (o_eig, ens)),
+    )
+    for fn, args in calls:
+        with pytest.raises(TypeError):
+            fn(*args, omega_tol=1e-3)
 
 
 def test_cross_comb_swap_conjugates(rng):
