@@ -243,18 +243,23 @@ def cmd_fig1(args):
     Writes four tables into --out: bound-vs-f_Q curves below and above the
     level crossing, plus (field, T) heatmaps of f_Q and of the bound.  Fields
     at the crossing |h| = J are skipped with a warning (the two symmetry
-    frequencies collide at 0 there).
+    frequencies collide at 0 there); a curve field there is an error,
+    raised before anything is written.
     """
     grid = _grid_from_args(args)
     fields = parse_grid(args.field_grid or DEFAULT_FIELD_GRID, "field grid", "lin")
     coupling = 1.0 if args.coupling is None else float(args.coupling)
     omega_tol = _omega_tol(args)
+    # a field at the level crossing fails here, before --out is made
+    curves = (("curve_low.csv", args.field_low), ("curve_high.csv", args.field_high))
+    for _, field in curves:
+        regime_subset(field, coupling)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
 
     curve_header = ("temperature", "qfi_density", "bound_density")
-    for name, field in (("curve_low.csv", args.field_low), ("curve_high.csv", args.field_high)):
-        rows = _fig1_curve(float(field), coupling, grid, omega_tol)
+    for name, field in curves:
+        rows = _fig1_curve(field, coupling, grid, omega_tol)
         _write_table(os.path.join(out_dir, name), curve_header, rows)
 
     heat_fq, heat_bound = [], []

@@ -26,15 +26,16 @@ straight from the generator's eigenbasis blocks (to_eigenblocks) with no
 dim x dim array, and every pair sum over O (QFI routes, bounds, combs) is
 then an elementwise pass over it at each temperature.
 
-Memory rule: the finished set holds five arrays of one entry per pair
-(rows, cols, labels, keys and values: 40 B a pair for real values), and
-building it holds no more than those five and a boolean mask at any time
-beside its inputs.  The eigenbasis blocks hand over one key m * dim + n
-and one value per pair (BlockOperator.pairs); the gaps are clustered from
-one array of -|omega_mn|, sorted in place, and its argsort order, never
-from a mirrored copy; PairPartition keeps the arrays trivial_complete_set
-hands it instead of copying them.  Passes that bin per-pair terms by
-cluster form them a chunk of pairs at a time (PairPartition.bin_chunks).
+Memory rule: the finished set holds rows, cols and labels as int32 and
+values, 20 B a pair for real values.  BlockOperator.pairs makes the
+eigenbasis blocks one block pair at a time and hands over one key
+m * dim + n and one value per pair.  The gaps are clustered from one array
+of -|omega_mn|, sorted in place; each pair is then labelled by searching
+its -|omega_mn| among the clusters' first values.  PairPartition keeps the
+arrays trivial_complete_set hands it instead of copying them.  Every pass
+over the pairs forms its terms, |O_mn|^2 included, a chunk of pairs at a
+time (PairPartition.bin_chunks): it gathers with np.take, as fast with
+int32 indices as a fancy index is with intp ones, and bins with intp.
 
 A set is complete for every operator whose nonzero entries it covers, so
 bounds built on it alone are saturated for exactly those operators; the
@@ -46,7 +47,6 @@ Thermal correlators use the inner product <X, Y> = tr(rho X^dag Y).
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +63,8 @@ TAU_RANK = 1e-12
 GRAM_NEG_RTOL = 1e-10
 # Slack on the strict-locality cap certificate.
 LOCAL_CAP_SLACK = 1e-9
+# PairPartition stores level indices as int32, so dim must lie below this.
+_INDEX_LIMIT = 2**31
 
 
 def default_omega_tol(energies):
@@ -205,7 +207,8 @@ class PairPartition(Frozen):
     the pairs m <= n, each once, in ascending order of m * dim + n; a pair
     stands for both |E_m><E_n| and |E_n><E_m|.  labels[i] is the cluster of
     omega_mn = E_m - E_n, so the mirrored (n, m) lies in cluster
-    K - 1 - labels[i].  keys holds m * dim + n per pair.  values holds
+    K - 1 - labels[i].  rows, cols and labels are stored as int32, so dim
+    must be below 2**31; keys computes m * dim + n per pair.  values holds
     O_mn on the pairs when the set was built for an operator O
     (trivial_complete_set with op_eig), else None.
     """
@@ -219,7 +222,7 @@ class PairPartition(Frozen):
     def _adopt(cls, omegas, rows, cols, labels, dim, values=None):
         """A partition over arrays that no caller can still write (made for
         it, or another partition's): checked like any other, then frozen in
-        place instead of copied."""
+        place instead of copied (index arrays only when they are int32)."""
         self = cls.__new__(cls)
         self._freeze(omegas, rows, cols, labels, dim, values, copy=False)
         return self
@@ -243,30 +246,42 @@ class PairPartition(Frozen):
         if int(dim) < 1:
             raise DomainError(f"dim must be positive, got {dim}")
         dim = int(dim)
+        if dim >= _INDEX_LIMIT:
+            raise DomainError(f"dim must be below 2**31 for int32 pair indices, got {dim}")
         fields = [np.asarray(f) for f in (rows, cols, labels)]
         if any(f.ndim != 1 or f.shape != fields[0].shape for f in fields):
             raise DomainError("rows, cols and labels must be 1-d arrays of one size")
         if not all(np.issubdtype(f.dtype, np.integer) for f in fields):
             raise DomainError("rows, cols and labels must be integers")
-        rows, cols, labels = (conv(f, dtype=np.intp) for f in fields)
-        if rows.size and (rows.min() < 0 or cols.max() >= dim or np.any(rows > cols)):
+        rows, cols, labels = fields
+        if rows.size and (rows.min() < 0 or cols.max() >= dim):
             raise DomainError(f"pairs must satisfy 0 <= m <= n < {dim}")
-        keys = rows.astype(np.int64)
-        keys *= dim
-        keys += cols
-        if np.any(keys[1:] <= keys[:-1]):
-            raise DomainError("pairs must be distinct and ascending in m * dim + n")
         if labels.size and (labels.min() < 0 or labels.max() >= om.size):
             raise DomainError(f"labels must lie in [0, {om.size}), one cluster per pair")
+        # in range, every index fits in int32
+        rows, cols, labels = (conv(f, dtype=np.int32) for f in fields)
+        del fields
+        for s in _chunks(rows.size):
+            lo = max(s.start - 1, 0)
+            if np.any(rows[s] > cols[s]):
+                raise DomainError(f"pairs must satisfy 0 <= m <= n < {dim}")
+            keys = _keys(rows[lo : s.stop], cols[lo : s.stop], dim)
+            if np.any(keys[1:] <= keys[:-1]):
+                raise DomainError("pairs must be distinct and ascending in m * dim + n")
         if values is not None:
             values = _real_if_exact(conv(values))
             if values.shape != rows.shape:
                 raise DomainError("values must hold one entry per pair")
-        for arr in (om, rows, cols, labels, keys, values):
+        for arr in (om, rows, cols, labels, values):
             if arr is not None:
                 arr.setflags(write=False)
         self.__dict__.update(omegas=om, rows=rows, cols=cols, labels=labels, dim=dim,
-                             values=values, keys=keys)
+                             values=values)
+
+    @property
+    def keys(self):
+        """m * dim + n over the pairs, as int64."""
+        return _keys(self.rows, self.cols, self.dim)
 
     @property
     def complete(self):
@@ -277,14 +292,14 @@ class PairPartition(Frozen):
     def mirror(self):
         """Cluster of each mirrored pair (n, m); K for a diagonal pair, which
         has no mirror."""
-        return self._mirror(slice(None))
+        return self._mirror(slice(None), self.labels.astype(np.intp))
 
-    def _mirror(self, s):
-        """mirror on the pairs s."""
+    def _mirror(self, s, labels):
+        """mirror on the pairs s, written over labels, their own clusters."""
         k = self.omegas.size
-        out = k - 1 - self.labels[s]
-        out[self.rows[s] == self.cols[s]] = k
-        return out
+        np.subtract(k - 1, labels, out=labels)
+        labels[self.rows[s] == self.cols[s]] = k
+        return labels
 
     def bin(self, forward, backward):
         """Per-cluster sums of real per-pair terms: forward[i] is the term of
@@ -308,10 +323,13 @@ class PairPartition(Frozen):
         n = 1 if count is None else count
         out, back = np.zeros((n, k)), np.zeros((n, k + 1))
         for s, forward, backward in terms:
-            labels, mirror = self.labels[s], self._mirror(s)
-            for o, bk, f, b in zip(out, back, forward.reshape(n, -1), backward.reshape(n, -1)):
-                np.add.at(o, labels, f)
-                np.add.at(bk, mirror, b)
+            # the labels, then their mirrors, in one intp array
+            index = self.labels[s].astype(np.intp)
+            for o, f in zip(out, forward.reshape(n, -1)):
+                np.add.at(o, index, f)
+            self._mirror(s, index)
+            for bk, b in zip(back, backward.reshape(n, -1)):
+                np.add.at(bk, index, b)
         out += back[:, :k]
         return out[0] if count is None else out
 
@@ -327,27 +345,37 @@ class PairPartition(Frozen):
             return self.values, True
         return _align(*_operator_pairs(op, self.dim, name), self.keys, self.dim)
 
-    @cached_property
+    @property
     def abs2(self):
-        """|O_mn|^2 over the pairs, for a set that carries values."""
-        out = np.abs(self.values) ** 2
-        out.setflags(write=False)
-        return out
-
-    def squared(self, values):
-        """|values|^2 for values on the set's pairs: abs2 for its own."""
-        return self.abs2 if values is self.values else np.abs(values) ** 2
+        """|O_mn|^2 over the pairs, for a set that carries values, computed
+        on each access."""
+        return _abs2(self.values)
 
     def cluster_weights(self, ensemble, values):
         """Mazur weight of every cluster for an operator with these values on
         the set's pairs: the sum of p_n |O_mn|^2 over the cluster's ordered
         pairs, the Gram of eigenpair operators being diagonal."""
         p = ensemble.weights
-        abs2 = self.squared(values)
-        return self.bin_chunks(
-            (s, p[self.cols[s]] * abs2[s], p[self.rows[s]] * abs2[s])
-            for s in _chunks(self.rows.size)
-        )
+
+        def terms(s):
+            abs2 = _abs2(values[s])
+            return s, p.take(self.cols[s]) * abs2, p.take(self.rows[s]) * abs2
+
+        return self.bin_chunks(terms(s) for s in _chunks(self.rows.size))
+
+
+def _abs2(values):
+    """|values|^2, as np.abs(values) ** 2 gives it; for real values that is
+    their square, bit for bit, without the pass through np.abs."""
+    return np.square(values) if values.dtype.kind == "f" else np.abs(values) ** 2
+
+
+def _keys(rows, cols, dim):
+    """m * dim + n over pairs (rows, cols), as int64."""
+    keys = rows.astype(np.int64)
+    keys *= dim
+    keys += cols
+    return keys
 
 
 def _operator_pairs(op, dim, name="operator"):
@@ -375,7 +403,7 @@ def _align(rows, cols, values, onto, dim):
     """(aligned, covered): values of the pairs (rows, cols) placed on the
     pairs with ascending keys onto (m * dim + n), 0 where absent, and
     whether every pair found its place."""
-    keys = rows.astype(np.int64) * dim + cols
+    keys = _keys(rows, cols, dim)
     pos = np.searchsorted(onto, keys)
     found = pos < onto.size
     found[found] = onto[pos[found]] == keys[found]
@@ -424,35 +452,40 @@ def trivial_complete_set(spectral, omega_tol=None, op_eig=None):
         omega_tol = default_omega_tol(energies)
     omega_tol = _checked_omega_tol(omega_tol)
     if op_eig is None:
-        rows, cols = np.triu_indices(dim)
+        rows, cols = (idx.astype(np.int32) for idx in np.triu_indices(dim))
         values = None
     else:
         rows, cols, values = _operator_pairs(op_eig, dim)
     n = rows.size
-    # -|omega_mn| per pair, and which omega_mn are positive, a chunk at a time
+    # -|omega_mn| per pair, a chunk at a time, then sorted in place
     half = np.empty(n)
-    positive = np.empty(n, dtype=bool)
     for s in _chunks(n):
-        gaps = energies[rows[s]] - energies[cols[s]]
-        np.greater(gaps, 0.0, out=positive[s])
-        np.negative(np.abs(gaps, out=gaps), out=half[s])
-    order = np.argsort(half)
-    # half[order] in place: no second array of gaps
+        _negative_abs(_gaps(energies, rows[s], cols[s]), half[s])
     half.sort()
     reps, bounds = _mirrored_clusters(half, omega_tol)
+    # the clusters are runs of half cut where a step exceeds omega_tol > 0,
+    # so a value lies in the last cluster whose first value is <= it
+    firsts = half[bounds[:-1]]
     del half
-    # sorted position j lies in the cluster k with bounds[k] <= j < bounds[k + 1];
-    # scattered a chunk of positions at a time, so no sorted label array is made
-    labels = np.empty(n, dtype=np.intp)
+    labels = np.empty(n, dtype=np.int32)
     for s in _chunks(n):
-        first = np.searchsorted(bounds, s.start, "right") - 1
-        last = np.searchsorted(bounds, s.stop, "left")
-        counts = np.diff(np.clip(bounds[first : last + 1], s.start, s.stop))
-        labels[order[s]] = np.repeat(np.arange(first, last), counts)
-    del order
-    # a positive gap is the mirror of -|gap|, in the mirrored cluster
-    np.subtract(reps.size - 1, labels, out=labels, where=positive)
+        gaps = _gaps(energies, rows[s], cols[s])
+        positive = gaps > 0.0
+        label = np.searchsorted(firsts, _negative_abs(gaps, gaps), "right") - 1
+        # a positive gap is the mirror of -|gap|, in the mirrored cluster
+        np.subtract(reps.size - 1, label, out=label, where=positive)
+        labels[s] = label
     return PairPartition._adopt(reps, rows, cols, labels, dim, values)
+
+
+def _gaps(energies, rows, cols):
+    """omega_mn = E_m - E_n over a chunk of pairs."""
+    return energies.take(rows) - energies.take(cols)
+
+
+def _negative_abs(gaps, out):
+    """-|gaps| written into out."""
+    return np.negative(np.abs(gaps, out=gaps), out=out)
 
 
 def _mirrored_clusters(half, tol):

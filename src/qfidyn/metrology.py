@@ -35,6 +35,7 @@ from ._frozen import Frozen, FrozenRecord
 from .dynsym import (
     OperatorBlock,
     PairPartition,
+    _abs2,
     _align,
     _block_list,
     _dense,
@@ -60,7 +61,7 @@ WITNESS_TOL = 1e-9
 def _qfi_pair_weights(p, rows, cols, out=None):
     """(p_n - p_m)^2 / (p_n + p_m) over the pairs, 0 below PAIR_WEIGHT_FLOOR,
     written into out when it is given (it must hold zeros)."""
-    pm, pn = p[rows], p[cols]
+    pm, pn = p.take(rows), p.take(cols)
     tot = pm + pn
     pn -= pm
     pn *= pn
@@ -92,12 +93,11 @@ def qfi_spectral(op_eig, ensemble):
     sum over ordered pairs of 2 (p_n - p_m)^2 / (p_n + p_m) |<E_m|O|E_n>|^2,
     that is 4 sum over pairs m <= n of the same (diagonal terms vanish)."""
     rows, cols, values = _operator_pairs(op_eig, ensemble.dim)
-    abs2 = op_eig.abs2 if isinstance(op_eig, PairPartition) else np.abs(values) ** 2
     # the terms are formed a chunk at a time into one array, summed as a whole
     w = np.zeros(rows.size)
     for s in _chunks(rows.size):
         _qfi_pair_weights(ensemble.weights, rows[s], cols[s], out=w[s])
-        w[s] *= abs2[s]
+        w[s] *= _abs2(values[s])
     return float(4.0 * np.sum(w))
 
 
@@ -216,8 +216,8 @@ class _PairRatios:
 
     @cached_property
     def x(self):
-        x = self._lw[self._cols]
-        x -= self._lw[self._rows]
+        x = self._lw.take(self._cols)
+        x -= self._lw.take(self._rows)
         x /= 2.0
         return x
 
@@ -234,7 +234,7 @@ def _coefficient_chunks(coeff, ensemble, part):
     # terms are used
     def terms(s):
         rows, cols = part.rows[s], part.cols[s]
-        pm, pn = p[rows], p[cols]
+        pm, pn = p.take(rows), p.take(cols)
         tot = pn + pm
         light = tot < PAIR_WEIGHT_FLOOR
         np.copyto(tot, 1.0, where=light)
@@ -249,14 +249,15 @@ def _coefficient_chunks(coeff, ensemble, part):
     return (terms(s) for s in _chunks(part.rows.size))
 
 
-def _binned_coefficient_terms(coeff, ensemble, part, abs2):
-    """part.bin of the coefficient terms (_coefficient_chunks) times abs2,
-    which is |O_mn|^2 or any real per-pair factor."""
+def _binned_coefficient_terms(coeff, ensemble, part, values):
+    """part.bin of the coefficient terms (_coefficient_chunks) times
+    |O_mn|^2, for the entries O_mn = values on part's pairs."""
 
     def terms():
         for s, forward, backward in _coefficient_chunks(coeff, ensemble, part):
-            forward *= abs2[s]
-            backward *= abs2[s]
+            abs2 = _abs2(values[s])
+            forward *= abs2
+            backward *= abs2
             yield s, forward, backward
 
     return part.bin_chunks(terms())
@@ -276,7 +277,7 @@ def _bound_over_blocks(blocks, ensemble, op_eig, kind):
     for block in blocks:
         if isinstance(block, PairPartition):
             values, covered = block.aligned(op_eig)
-            binned = _binned_coefficient_terms(coeff, ensemble, block, block.squared(values))
+            binned = _binned_coefficient_terms(coeff, ensemble, block, values)
             binned[block.omegas == 0.0] = 0.0
             omegas.append(block.omegas)
             terms.append(binned)

@@ -17,10 +17,11 @@ block and goes to the solver as it is.  The decomposition keeps one
 eigenvector matrix V_a per block, over the block's basis states and its
 eigen-columns, and never assembles the dense unitary.  An operator goes to
 the eigenbasis one linked block pair at a time, V_a^dag O_ab V_b, over the
-ordered pairs (a, b) between which it has an entry (to_eigenblocks);
-to_eigenbasis scatters those products into a dense matrix.  Selection-rule
-zeros are therefore exact: an eigenbasis entry between blocks the operator
-does not link is 0.0, not rounding.
+ordered pairs (a, b) between which it has an entry (to_eigenblocks), each
+product made when it is read and never stored; to_eigenbasis scatters
+them into a dense matrix.  Selection-rule zeros are therefore exact: an
+eigenbasis entry between blocks the operator does not link is 0.0, not
+rounding.
 
 Thermal weights are stored together with their logarithms; the logs keep
 weight ratios exact even when the weights themselves underflow.
@@ -29,6 +30,7 @@ weight ratios exact even when the weights themselves underflow.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +41,7 @@ from .operators import (
     _ROW_CHUNK,
     SparseOperator,
     _as_matrix,
+    _chunks,
     _hermitian_deviation,
     _real_if_exact,
     _require_hermitian,
@@ -125,11 +128,35 @@ def _block_index(sets, dim):
     return block_of, local
 
 
+class _Lazy(Mapping):
+    """A read-only mapping over fixed keys whose value at a key is
+    make(key), made on every read and never stored."""
+
+    def __init__(self, keys, make):
+        # a dict keeps the keys' order and finds one in constant time
+        self._keys, self._make = dict.fromkeys(keys), make
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        return self._make(key)
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
 def _linked_blocks(op, sets, block_of, local):
     """{(a, b): the dense sub-matrix of op between basis blocks a and b}
-    over every ordered block pair holding an entry of op.  A matrix is
-    sliced with the blocks' index sets (itself when there is one block); a
-    SparseOperator's entries are scattered into zeroed sub-matrices."""
+    over every ordered block pair holding an entry of op, each sub-matrix
+    made when it is read (_Lazy).  A matrix is sliced with the blocks'
+    index sets (itself when there is one block); a SparseOperator's entries
+    are grouped by block pair and scattered into a zeroed sub-matrix."""
     if isinstance(op, np.ndarray):
         if len(sets) == 1:
             return {(0, 0): op} if op.any() else {}
@@ -140,17 +167,19 @@ def _linked_blocks(op, sets, block_of, local):
         links = (op != 0)[order[:, None], order]
         links = np.logical_or.reduceat(np.logical_or.reduceat(links, starts, 0), starts, 1)
         linked = zip(*map(list, np.nonzero(links)))
-        return {(a, b): op[sets[a][:, None], sets[b]] for a, b in linked}
+        return _Lazy(linked, lambda pair: op[sets[pair[0]][:, None], sets[pair[1]]])
     a, b = block_of[op.rows], block_of[op.cols]
     link = a * len(sets) + b
     order = np.argsort(link, kind="stable")
-    subs = {}
-    for idx in _runs(order, link[order]):
-        pair = int(a[idx[0]]), int(b[idx[0]])
-        sub = np.zeros((sets[pair[0]].size, sets[pair[1]].size), dtype=op.dtype)
-        sub[local[op.rows[idx]], local[op.cols[idx]]] = op.values[idx]
-        subs[pair] = sub
-    return subs
+    entries = {(int(a[idx[0]]), int(b[idx[0]])): idx for idx in _runs(order, link[order])}
+
+    def sub(pair):
+        idx = entries[pair]
+        out = np.zeros((sets[pair[0]].size, sets[pair[1]].size), dtype=op.dtype)
+        out[local[op.rows[idx]], local[op.cols[idx]]] = op.values[idx]
+        return out
+
+    return _Lazy(entries, sub)
 
 
 def _index_pair(pair):
@@ -169,7 +198,8 @@ class BlockOperator(Frozen):
     """An eigenbasis operator as dense blocks: products[(a, b)] is its
     sub-matrix between the eigen-columns of blocks a and b (columns[a] and
     columns[b], each ascending), and every entry outside these blocks is
-    exactly 0."""
+    exactly 0.  products is any mapping; to_eigenblocks gives one that makes
+    each block when it is read."""
 
     _fields = ("columns", "products", "dim", "dtype")
 
@@ -184,16 +214,19 @@ class BlockOperator(Frozen):
 
     def pairs(self, name="operator"):
         """(rows, cols, values) over the pairs m <= n where O_mn or O_nm is
-        nonzero, with the entries O_mn, ascending in m * dim + n.  Each block
-        pair {a, b} adds only a key m * dim + n and a value per pair
-        (_linked_entries), so its index arrays die with it; one argsort of
-        the keys orders them and np.divmod splits them into rows and cols.
-        The operator is certified Hermitian by the eigenbasis rule of
-        _require_hermitian on the way."""
+        nonzero, with the entries O_mn, ascending in m * dim + n; rows and
+        cols are int32, so dim must be below 2**31.  Each block pair {a, b}
+        reads its two blocks (a diagonal one once), adds only a key
+        m * dim + n and a value per pair (_linked_entries) and drops them;
+        one argsort of the keys orders the pairs, and np.divmod splits the
+        ordered keys into rows and cols a chunk at a time.  The operator is
+        certified Hermitian by the eigenbasis rule of _require_hermitian on
+        the way."""
         dev = scale = 0.0
         keys, values = [np.zeros(0, np.int64)], [np.zeros(0, self.dtype)]
         for lo, hi in sorted({(min(a, b), max(a, b)) for a, b in self.products}):
-            fwd, bwd = self.products.get((lo, hi)), self.products.get((hi, lo))
+            fwd = self.products.get((lo, hi))
+            bwd = fwd if lo == hi else self.products.get((hi, lo))
             if fwd is None:
                 fwd = np.zeros_like(bwd.T)
             if bwd is None:
@@ -203,6 +236,7 @@ class BlockOperator(Frozen):
                 scale_pair = max(scale_pair, float(np.abs(bwd).max()))
             dev, scale = max(dev, dev_pair), max(scale, scale_pair)
             key, value = _linked_entries(fwd, bwd, self.columns[lo], self.columns[hi], self.dim)
+            del fwd, bwd
             keys.append(key)
             values.append(value)
         _require_hermitian(dev, scale, name)
@@ -210,13 +244,15 @@ class BlockOperator(Frozen):
         keys = np.concatenate(keys)
         values = np.concatenate(values)
         # each block pair adds ascending runs of keys, which a stable sort
-        # merges; the keys are distinct, so the order is the same either way
-        order = np.argsort(keys, kind="stable")
-        values = _real_if_exact(values[order])
-        keys = keys[order]
-        del order
-        rows, cols = np.divmod(keys, self.dim)
-        return rows, cols, values
+        # merges; the keys are distinct, so the order is the same either way.
+        # An int32 order, and the keys dropped before the values are
+        # reordered, hold this stage to 28 B a pair.
+        order = np.argsort(keys, kind="stable").astype(np.int32)
+        rows, cols = np.empty(keys.size, np.int32), np.empty(keys.size, np.int32)
+        for s in _chunks(keys.size):
+            rows[s], cols[s] = np.divmod(keys.take(order[s]), self.dim)
+        del keys
+        return rows, cols, _real_if_exact(values[order])
 
 
 def _linked_entries(fwd, bwd, rows_of, cols_of, dim):
@@ -323,19 +359,23 @@ class SpectralDecomposition(Frozen):
     def to_eigenblocks(self, op):
         """op (a matrix or a SparseOperator) in the eigenbasis as a
         BlockOperator: (V_a^dag O_ab) V_b for every ordered block pair
-        (a, b) between whose basis states op has an entry.  Real vectors
+        (a, b) between whose basis states op has an entry, made on each
+        read and never stored.  Real vectors
         and an operator with no imaginary part multiply in real arithmetic
         and give float64 blocks; otherwise they are complex."""
         op = _operand(op)
         if op.shape[0] != self.dim:
             raise DomainError(f"operator dim {op.shape[0]} does not match dim {self.dim}")
         vs = self.block_vectors
-        products = {
-            (a, b): (vs[a].conj().T @ sub) @ vs[b]
-            for (a, b), sub in _linked_blocks(op, *self._basis_index).items()
-        }
+        linked = _linked_blocks(op, *self._basis_index)
+
+        def product(pair):
+            a, b = pair
+            return (vs[a].conj().T @ linked[pair]) @ vs[b]
+
         columns = tuple(cols for _, cols in self.blocks)
-        return BlockOperator(columns, products, self.dim, np.result_type(vs[0], op.dtype))
+        dtype = np.result_type(vs[0], op.dtype)
+        return BlockOperator(columns, _Lazy(linked, product), self.dim, dtype)
 
     def to_eigenbasis(self, op):
         """Conjugate an operator into the eigenbasis, V^dag O V, as a dense

@@ -170,7 +170,8 @@ def weighted_pair_set_oracle(energies, o_eig, omega_tol):
     cluster at every step above omega_tol, take member means, then make
     them sign-symmetric as (r - r[::-1]) / 2.  Returns (rows, cols, labels,
     omegas, values), labels being the clusters of the gaps omega_mn
-    themselves; values is None without an operator.
+    themselves, with rows, cols and labels int32; values is None without
+    an operator.
     """
     energies = np.asarray(energies, dtype=float)
     dim = energies.size
@@ -193,4 +194,6 @@ def weighted_pair_set_oracle(energies, o_eig, omega_tol):
     means = np.add.reduceat(ordered, starts) / counts
     labels = np.empty(multiset.size, dtype=np.intp)
     labels[order] = np.repeat(np.arange(means.size), counts)
-    return rows, cols, labels[: rows.size], (means - means[::-1]) / 2.0, values
+    # the set stores its level indices and labels as int32
+    index = (rows.astype(np.int32), cols.astype(np.int32), labels[: rows.size].astype(np.int32))
+    return (*index, (means - means[::-1]) / 2.0, values)

@@ -406,6 +406,11 @@ def test_fig1_checks_omega_tol_before_any_work(tmp_path, monkeypatch):
     code, _, stderr = run("reproduce-fig1", "--omega-tol", "nan", "--out", str(out))
     assert code == 2 and stderr.startswith("qfidyn: omega_tol must be finite and > 0")
     assert not out.exists()
+    # a curve field at the level crossing has no saturating subset
+    for flag in ("--field-low", "--field-high"):
+        code, _, stderr = run("reproduce-fig1", flag, "1.0", "--out", str(out))
+        assert code == 2 and stderr.startswith("qfidyn: no saturating subset"), flag
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

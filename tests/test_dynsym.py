@@ -252,6 +252,29 @@ def test_partition_validates_its_fields():
         PairPartition(OMEGAS, *GOOD_PAIRS, values=np.ones(3))
 
 
+def test_partition_stores_int32_copies_of_its_indices():
+    # intp and int64 indices are stored as int32 copies, 4 B each
+    for dtype in (np.intp, np.int64):
+        given = [np.array(a, dtype=dtype) for a in GOOD_PAIRS[:3]]
+        for make in (PairPartition, PairPartition._adopt):
+            part = make(OMEGAS.copy(), *given, 2)
+            for name, arr in zip(("rows", "cols", "labels"), given):
+                got = getattr(part, name)
+                assert got.dtype == np.int32 and got is not arr and np.array_equal(got, arr)
+            assert part.keys.dtype == np.int64 and part.keys.tolist() == [0, 1]
+    # an index is range-checked before it is narrowed: 2**32 + 1 would
+    # wrap to the valid int32 index 1
+    with pytest.raises(DomainError, match="0 <= m <= n < 3"):
+        PairPartition(OMEGAS, [0, 0], np.array([0, 2**32 + 1]), [1, 0], 3)
+    # int32 indices need dim below 2**31; the arrays stay tiny
+    for dim in (2**31, 2**40):
+        with pytest.raises(DomainError, match=r"below 2\*\*31"):
+            PairPartition(OMEGAS, *GOOD_PAIRS[:3], dim)
+    top = 2**31 - 2
+    part = PairPartition(OMEGAS, [0, top], [top, top], [1, 1], top + 1)
+    assert part.keys.tolist() == [top, top * (top + 1) + top]
+
+
 def test_adopted_arrays_pass_the_same_checks():
     # trivial_complete_set hands its own arrays over without copies; they
     # are checked as a caller's are, then frozen in place
@@ -261,7 +284,7 @@ def test_adopted_arrays_pass_the_same_checks():
             PairPartition._adopt(*arrays)
     with pytest.raises(DomainError):
         PairPartition._adopt(OMEGAS.copy(), *map(np.array, GOOD_PAIRS[:3]), 2, np.ones(3))
-    rows, cols, labels = (np.array(a, dtype=np.intp) for a in GOOD_PAIRS[:3])
+    rows, cols, labels = (np.array(a, dtype=np.int32) for a in GOOD_PAIRS[:3])
     part = PairPartition._adopt(OMEGAS.copy(), rows, cols, labels, 2, np.array([1.0, 2.0]))
     assert part.rows is rows and part.labels is labels
     assert not rows.flags.writeable and not part.values.flags.writeable
@@ -297,7 +320,7 @@ def test_partitions_need_no_numpy_2_copy_modes(monkeypatch):
         assert not part.rows.flags.writeable
     _, pairs, _ = solve_preset(preset("chain", sites=4))
     assert pairs.rows.size and not pairs.values.flags.writeable
-    rows, cols, labels = (array(a, dtype=np.intp) for a in GOOD_PAIRS[:3])
+    rows, cols, labels = (array(a, dtype=np.int32) for a in GOOD_PAIRS[:3])
     values = array([1.0, 2.0])
     adopted = PairPartition._adopt(OMEGAS.copy(), rows, cols, labels, 2, values)
     assert adopted.rows is rows and adopted.labels is labels and adopted.values is values

@@ -13,6 +13,7 @@ matrix, must give the pair set of the dense route.
 """
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -498,6 +499,31 @@ def test_edge_pair_sets_are_the_reference_bit_for_bit():
         # no diagonal pair: the smallest gap alone decides the zero cluster
         part = trivial_complete_set(steps, omega_tol, hop)
         assert_is_the_reference(part, steps.energies, hop, omega_tol)
+
+
+def test_the_pair_set_is_built_and_swept_within_its_memory_budget():
+    # the 10-site chain from Pauli strings to its pair set, then one pass of
+    # each QFI route over it: the traced peak stays within 48 B a pair
+    # (about 70 when the set kept int64 indices and its keys, and every
+    # eigenbasis block product lived until the set was built)
+    tracemalloc.start()
+    try:
+        spectral, pairs, _ = solve_preset(preset("chain", sites=10))
+        ens = gibbs_weights(spectral, 1.0)
+        qfi_spectral(pairs, ens)
+        qfi_from_dynsym(pairs, ens, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = pairs.rows.size
+    assert n == math.comb(20, 9)
+    assert peak / n <= 48.0
+    # stored: int32 rows, cols and labels and float64 values, nothing else
+    per_pair = [a for a in vars(pairs).values() if isinstance(a, np.ndarray) and a.size == n]
+    assert sum(a.nbytes for a in per_pair) == 20 * n
+    keys = pairs.keys
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, pairs.rows.astype(np.int64) * pairs.dim + pairs.cols)
 
 
 def test_staggered_generator_links_only_adjacent_sectors():
