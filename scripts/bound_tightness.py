@@ -23,7 +23,7 @@ def main():
         spectral, pairs, h = solve_preset(preset("two-qubit", field=field))
         labels = regime_subset(field)
         ops = two_qubit_symmetry_operators(labels)
-        blocks = verified_blocks(h.dense(), spectral, [op.dense() for op in ops.values()])
+        blocks = verified_blocks(h, spectral, ops.values())
         ratios = []
         for temp in temps:
             ens = gibbs_weights(spectral, 1.0 / temp)

@@ -29,6 +29,7 @@ from .errors import DomainError, NumericError
 from .metrology import entanglement_depth, qfi_from_dynsym, qfi_spectral
 from .models import (
     PRESETS,
+    at_level_crossing,
     preset as resolve_preset,
     preset_operators,
     regime_subset,
@@ -173,11 +174,10 @@ def _verified_symmetry_blocks(h, spectral, pairs, ops, omega_tol):
     """The bound's symmetry set: the generator's weighted pair set when ops
     is None (the trivial complete set), else the OperatorBlocks of the
     site-basis SparseOperators ops, verified against the site-basis
-    Hamiltonian h; h and each operator are made dense once."""
+    Hamiltonian h and taken to the eigenbasis from their entries."""
     if ops is None:
         return pairs
-    mats = [op.dense() for op in ops]
-    return verified_blocks(h.dense(), spectral, mats, omega_tol=omega_tol)
+    return verified_blocks(h, spectral, ops, omega_tol=omega_tol)
 
 
 def _sweep(spectral, pairs, blocks, grid):
@@ -230,7 +230,7 @@ def _fig1_curve(field, coupling, grid, omega_tol):
     one field, with the saturating subset."""
     model = resolve_preset("two-qubit", coupling=coupling, field=field)
     spectral, pairs, h = solve_preset(model, omega_tol)
-    ops = two_qubit_symmetry_operators(regime_subset(field, coupling)).values()
+    ops = two_qubit_symmetry_operators(regime_subset(field, coupling, omega_tol)).values()
     blocks = _verified_symmetry_blocks(h, spectral, pairs, ops, omega_tol)
     return [
         (temp, fq / 2.0, bound / 2.0) for temp, fq, bound in _sweep(spectral, pairs, blocks, grid)
@@ -242,9 +242,8 @@ def cmd_fig1(args):
 
     Writes four tables into --out: bound-vs-f_Q curves below and above the
     level crossing, plus (field, T) heatmaps of f_Q and of the bound.  Fields
-    at the crossing |h| = J are skipped with a warning (the two symmetry
-    frequencies collide at 0 there); a curve field there is an error,
-    raised before anything is written.
+    at the crossing (at_level_crossing, at the run's omega tolerance) are
+    skipped with a warning; a curve field there is an error, raised first.
     """
     grid = _grid_from_args(args)
     fields = parse_grid(args.field_grid or DEFAULT_FIELD_GRID, "field grid", "lin")
@@ -253,7 +252,7 @@ def cmd_fig1(args):
     # a field at the level crossing fails here, before --out is made
     curves = (("curve_low.csv", args.field_low), ("curve_high.csv", args.field_high))
     for _, field in curves:
-        regime_subset(field, coupling)
+        regime_subset(field, coupling, omega_tol)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
 
@@ -264,12 +263,10 @@ def cmd_fig1(args):
 
     heat_fq, heat_bound = [], []
     for field in fields:
-        if abs(abs(field) - abs(coupling)) < 1e-9:
-            print(
-                f"qfidyn: skipping field {field:g}: symmetry frequencies "
-                "collide at the level crossing",
-                file=sys.stderr,
-            )
+        if at_level_crossing(field, coupling, omega_tol):
+            text = np.format_float_positional(field, trim="-")
+            print(f"qfidyn: skipping field {text}: symmetry frequencies collide at the "
+                  "level crossing", file=sys.stderr)
             continue
         for row in _fig1_curve(field, coupling, grid, omega_tol):
             heat_fq.append((field, row[0], row[1]))

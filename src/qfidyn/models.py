@@ -9,7 +9,7 @@ pair set from its eigenbasis blocks, with no dim x dim array."""
 from __future__ import annotations
 
 from ._frozen import FrozenRecord
-from .dynsym import trivial_complete_set
+from .dynsym import default_omega_tol, trivial_complete_set
 from .errors import DomainError
 from .operators import (
     PauliString,
@@ -92,16 +92,25 @@ LOW_FIELD_SUBSET = ("A2", "A3")
 HIGH_FIELD_SUBSET = ("A4",)
 
 
-def regime_subset(field, coupling=1.0):
+def at_level_crossing(field, coupling=1.0, omega_tol=None):
+    """Whether the subset frequency +-2(|J| - |h|) lies within omega_tol
+    (default: verified_blocks' default for the spectrum +-2J, +-2h) of 0,
+    where group_into_blocks snaps it to 0.0 and the subset bound vanishes."""
+    if omega_tol is None:
+        omega_tol = default_omega_tol([2.0 * coupling, -2.0 * coupling, 2.0 * field, -2.0 * field])
+    return abs(2.0 * (abs(coupling) - abs(field))) <= omega_tol
+
+
+def regime_subset(field, coupling=1.0, omega_tol=None):
     """Labels of the symmetry subset whose bound saturates the QFI at low T.
 
     Below the level crossing |h| = |J| the ground state is the singlet and
     the two operators with nonzero thermal norm on it sit at the two gap
     frequencies; above the crossing the polarized ground state leaves a
-    single such operator.  At the crossing itself the frequencies collide
-    and no proper subset is distinguished.
+    single such operator.  At the crossing (at_level_crossing) the
+    frequencies collide and no proper subset is distinguished.
     """
-    if abs(field) == abs(coupling):
+    if at_level_crossing(field, coupling, omega_tol):
         raise DomainError("no saturating subset at the level crossing |field| = |coupling|")
     return LOW_FIELD_SUBSET if abs(field) < abs(coupling) else HIGH_FIELD_SUBSET
 

@@ -80,14 +80,19 @@ def _check_sites(n_sites, max_sites=None):
     return n
 
 
+def _square(op, what="operator"):
+    """A bare square array as float64, or as complex128 when it is complex."""
+    arr = np.asarray(op, dtype=complex if np.iscomplexobj(op) else float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DomainError(f"{what} must be a square matrix, got shape {arr.shape}")
+    return arr
+
+
 def _as_matrix(op, what="operator"):
     """A SparseOperator or a bare square array as a complex ndarray."""
     if isinstance(op, SparseOperator):
         op = op.dense()
-    arr = np.asarray(op, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DomainError(f"{what} must be a square matrix, got shape {arr.shape}")
-    return arr
+    return _square(op, what).astype(complex, copy=False)
 
 
 def _real_if_exact(mat):
@@ -223,8 +228,8 @@ class SparseOperator(Frozen):
 
     @classmethod
     def from_dense(cls, mat):
-        """The nonzero entries of a square matrix."""
-        mat = _real_if_exact(_as_matrix(mat))
+        """The nonzero entries of a square matrix, read in its own type."""
+        mat = _square(mat)
         rows, cols = np.nonzero(mat)
         return cls._trusted(rows, cols, mat[rows, cols], mat.shape[0])
 

@@ -6,22 +6,20 @@ A Hamiltonian with no imaginary part, which every preset has, is
 diagonalized in real arithmetic and keeps real eigenvectors, so operators
 without an imaginary part stay real in the eigenbasis too.
 
-Block rule: the basis states split into the connected components of H's
-exact nonzero pattern (H_ij != 0 or H_ji != 0 links i and j), found from
-H's entries: a SparseOperator's own, or np.nonzero of a dense matrix a
-row block at a time.  H has no entry between two components, so each
-component is an invariant subspace and is diagonalized on its own; for a
-chain conserving total S^z these are the magnetization sectors.  A dense
-matrix's blocks are slices of it; a matrix with a connected pattern is one
-block and goes to the solver as it is.  The decomposition keeps one
-eigenvector matrix V_a per block, over the block's basis states and its
-eigen-columns, and never assembles the dense unitary.  An operator goes to
-the eigenbasis one linked block pair at a time, V_a^dag O_ab V_b, over the
-ordered pairs (a, b) between which it has an entry (to_eigenblocks), each
-product made when it is read and never stored; to_eigenbasis scatters
-them into a dense matrix.  Selection-rule zeros are therefore exact: an
-eigenbasis entry between blocks the operator does not link is 0.0, not
-rounding.
+Every site-basis input is a SparseOperator: a dense matrix is read once as
+its nonzero entries (SparseOperator.from_dense).  Block rule: the basis
+states split into the connected components of H's exact nonzero pattern
+(H_ij != 0 or H_ji != 0 links i and j).  H has no entry between two
+components, so each component is an invariant subspace, diagonalized on its
+own; for a chain conserving total S^z these are the magnetization sectors.
+The decomposition keeps one eigenvector matrix V_a per block, over its
+basis states and eigen-columns, and never assembles the dense unitary.  An
+operator goes to the eigenbasis one linked block pair at a time, V_a^dag
+O_ab V_b, over the ordered pairs (a, b) between which it has an entry
+(to_eigenblocks), each product made when it is read and never stored;
+to_eigenbasis scatters them into a dense matrix.  Selection-rule zeros are
+therefore exact: an eigenbasis entry between blocks the operator does not
+link is 0.0, not rounding.
 
 Thermal weights are stored together with their logarithms; the logs keep
 weight ratios exact even when the weights themselves underflow.
@@ -38,13 +36,13 @@ import numpy as np
 from ._frozen import Frozen
 from .errors import DomainError, NumericError
 from .operators import (
-    _ROW_CHUNK,
     SparseOperator,
     _as_matrix,
     _chunks,
     _hermitian_deviation,
     _real_if_exact,
     _require_hermitian,
+    _square,
 )
 
 # Level pairs whose combined weight falls below this floor carry no
@@ -63,50 +61,30 @@ def default_energy_tol(energies):
 
 
 def _operand(op, what="operator"):
-    """op as a SparseOperator, or as a square matrix that is float64 when it
-    has no imaginary part."""
+    """op as a SparseOperator: itself, or a square matrix's nonzero entries."""
     if isinstance(op, SparseOperator):
         return op
-    return _real_if_exact(_as_matrix(op, what))
-
-
-def _edge_chunks(op):
-    """The positions of op's entries as (rows, cols) chunks: a
-    SparseOperator's own, or np.nonzero of a matrix over row blocks of
-    _ROW_CHUNK entries, so that no dim^2 index list is made."""
-    if isinstance(op, SparseOperator):
-        yield op.rows, op.cols
-        return
-    step = max(1, _ROW_CHUNK // op.shape[1])
-    for lo in range(0, op.shape[0], step):
-        rows, cols = np.nonzero(op[lo : lo + step])
-        yield rows + lo, cols
+    return SparseOperator.from_dense(_square(op, what))
 
 
 def _components(op):
-    """Basis index sets of the connected components of op's pattern, an
-    entry at (i, j) joining i and j: each set ascending, the sets ordered by
-    their smallest index.
+    """Basis index sets of the connected components of op's entries, one at
+    (i, j) joining i and j: each set ascending, ordered by smallest index.
 
-    Union-find on arrays: every edge hooks the larger of its two roots
-    under the smaller, then pointer jumping flattens the forest, until a
-    pass over all edge chunks finds each edge joining one root.  A root is
-    then its component's smallest index.
+    Union-find on arrays: every entry hooks the larger of its two roots
+    under the smaller, then pointer jumping flattens the forest, until each
+    entry joins one root; a root is then its component's smallest index.
     """
     root = np.arange(op.shape[0])
-    joined = False
-    while not joined:
-        joined = True
-        for rows, cols in _edge_chunks(op):
-            ra, rb = root[rows], root[cols]
-            if np.array_equal(ra, rb):
-                continue
-            joined = False
-            low = np.minimum(ra, rb)
-            np.minimum.at(root, ra, low)
-            np.minimum.at(root, rb, low)
-            while not np.array_equal(root[root], root):
-                root = root[root]
+    while True:
+        ra, rb = root[op.rows], root[op.cols]
+        if np.array_equal(ra, rb):
+            break
+        low = np.minimum(ra, rb)
+        np.minimum.at(root, ra, low)
+        np.minimum.at(root, rb, low)
+        while not np.array_equal(root[root], root):
+            root = root[root]
     order = np.argsort(root, kind="stable")
     return _runs(order, root[order])
 
@@ -130,15 +108,14 @@ def _block_index(sets, dim):
 
 class _Lazy(Mapping):
     """A read-only mapping over fixed keys whose value at a key is
-    make(key), made on every read and never stored."""
+    make(key), made on every read and never stored; make raises KeyError
+    off the keys."""
 
     def __init__(self, keys, make):
         # a dict keeps the keys' order and finds one in constant time
         self._keys, self._make = dict.fromkeys(keys), make
 
     def __getitem__(self, key):
-        if key not in self:
-            raise KeyError(key)
         return self._make(key)
 
     def __contains__(self, key):
@@ -153,21 +130,8 @@ class _Lazy(Mapping):
 
 def _linked_blocks(op, sets, block_of, local):
     """{(a, b): the dense sub-matrix of op between basis blocks a and b}
-    over every ordered block pair holding an entry of op, each sub-matrix
-    made when it is read (_Lazy).  A matrix is sliced with the blocks'
-    index sets (itself when there is one block); a SparseOperator's entries
-    are grouped by block pair and scattered into a zeroed sub-matrix."""
-    if isinstance(op, np.ndarray):
-        if len(sets) == 1:
-            return {(0, 0): op} if op.any() else {}
-        # links[a, b]: op has a nonzero entry in block a's rows, block b's
-        # columns; the pattern is permuted into block order and or-reduced
-        order = np.concatenate(sets)
-        starts = np.flatnonzero(np.diff(block_of[order], prepend=-1))
-        links = (op != 0)[order[:, None], order]
-        links = np.logical_or.reduceat(np.logical_or.reduceat(links, starts, 0), starts, 1)
-        linked = zip(*map(list, np.nonzero(links)))
-        return _Lazy(linked, lambda pair: op[sets[pair[0]][:, None], sets[pair[1]]])
+    over every ordered block pair holding an entry of op: op's entries are
+    grouped by block pair and scattered into a zeroed sub-matrix on read."""
     a, b = block_of[op.rows], block_of[op.cols]
     link = a * len(sets) + b
     order = np.argsort(link, kind="stable")
@@ -370,8 +334,8 @@ class SpectralDecomposition(Frozen):
         linked = _linked_blocks(op, *self._basis_index)
 
         def product(pair):
-            a, b = pair
-            return (vs[a].conj().T @ linked[pair]) @ vs[b]
+            block = linked[pair]
+            return (vs[pair[0]].conj().T @ block) @ vs[pair[1]]
 
         columns = tuple(cols for _, cols in self.blocks)
         dtype = np.result_type(vs[0], op.dtype)

@@ -406,11 +406,45 @@ def test_fig1_checks_omega_tol_before_any_work(tmp_path, monkeypatch):
     code, _, stderr = run("reproduce-fig1", "--omega-tol", "nan", "--out", str(out))
     assert code == 2 and stderr.startswith("qfidyn: omega_tol must be finite and > 0")
     assert not out.exists()
-    # a curve field at the level crossing has no saturating subset
-    for flag in ("--field-low", "--field-high"):
-        code, _, stderr = run("reproduce-fig1", flag, "1.0", "--out", str(out))
-        assert code == 2 and stderr.startswith("qfidyn: no saturating subset"), flag
+    # a curve field at the level crossing has no saturating subset; the
+    # crossing is the window where the subset frequency 2(|J| - |h|) lies
+    # within the run's omega tolerance (4e-8 here) of 0, not |h| = |J| alone
+    crossing = (
+        ("--field-low", "1.0"),
+        ("--field-high", "1.0"),
+        ("--field-high", "1.00000001"),
+        ("--field-low", "0.99999999"),
+        ("--field-high", "1.04", "--omega-tol", "0.1"),
+    )
+    for flag, field, *rest in crossing:
+        code, _, stderr = run("reproduce-fig1", flag, field, *rest, "--out", str(out))
+        assert code == 2 and stderr.startswith("qfidyn: no saturating subset"), (flag, field)
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, tol, kept, skipped",
+    [
+        ("0.5:1.00000001:2:lin", [], ["0.5"], ["1.00000001"]),
+        ("0.9999999995:1.5:2:lin", [], ["1.5"], ["0.9999999995"]),
+        # --omega-tol 0.1 widens the window to |J - h| <= 0.05
+        ("0.94:1.06:4:lin", ["--omega-tol", "0.1"], ["0.94", "1.06"], ["0.98", "1.02"]),
+        ("0.96:1.04:2:lin", ["--omega-tol", "0.1"], [], ["0.96", "1.04"]),
+    ],
+    ids=["above-1", "below-1", "omega-tol-0.1", "omega-tol-0.1-all-skipped"],
+)
+def test_fig1_skips_the_heatmap_fields_in_the_crossing_window(tmp_path, fields, tol, kept, skipped):
+    code, _, stderr = run(
+        "reproduce-fig1", "--temp-grid", "0.05:5:3", "--field-grid", fields, *tol,
+        "--out", str(tmp_path),
+    )
+    assert code == 0, stderr
+    # each skipped field is printed at full precision
+    assert re.findall(r"skipping field (\S+): ", stderr) == skipped
+    _, bound_rows = read_table((tmp_path / "heatmap_bound.csv").read_text())
+    assert sorted({float(row[0]) for row in bound_rows}) == [float(f) for f in kept]
+    # outside the window the subset bound is never snapped to exactly 0
+    assert all(float(row[2]) > 0.0 for row in bound_rows)
 
 
 @pytest.mark.parametrize(

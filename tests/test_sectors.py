@@ -139,17 +139,37 @@ def test_blocks_energies_and_eigenbasis_match_the_dense_route(params):
         assert np.abs(got - v.conj().T @ op @ v).max() <= 1e-12 * max(1.0, np.abs(op).max())
 
 
-@given(params=case)
-def test_entry_block_finder_recovers_the_planted_blocks(params):
+# layouts a dense site-basis input may come in, each holding the same values
+LAYOUTS = {
+    "C order": lambda m: m,
+    "Fortran order": np.asfortranarray,
+    "transposed view": lambda m: np.ascontiguousarray(m.T).T,
+    "complex, zero imaginary part": lambda m: m + 0j,
+}
+
+
+@given(params=case, layout=st.sampled_from(sorted(LAYOUTS)))
+def test_entry_block_finder_recovers_the_planted_blocks(params, layout):
     h, sets = block_case(**params)
     planted = sorted(tuple(s) for s in sets)
-    for op in (h, SparseOperator.from_dense(h)):
-        assert sorted(tuple(c) for c in _components(op)) == planted
-    dense, sparse = diagonalize(h), diagonalize(SparseOperator.from_dense(h))
+    assert sorted(tuple(c) for c in _components(SparseOperator.from_dense(h))) == planted
+    # a dense input, in any layout, is read as the entries of its
+    # SparseOperator, so every result is the same bit for bit
+    dense = diagonalize(LAYOUTS[layout](h))
+    sparse = diagonalize(SparseOperator.from_dense(h))
     for spectral in (dense, sparse):
         assert sorted(tuple(rows) for rows, _ in spectral.blocks) == planted
     assert np.array_equal(dense.energies, sparse.energies)
+    for got, want in zip(dense.block_vectors, sparse.block_vectors):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(eigenvector_matrix(dense), eigenvector_matrix(sparse))
+    rng = np.random.default_rng(params["seed"] + 1)
+    o = block_sparse_operator(rng, sets, params["is_complex"])
+    got = dense.to_eigenblocks(LAYOUTS[layout](o)).products
+    want = sparse.to_eigenblocks(SparseOperator.from_dense(o)).products
+    assert list(got) == list(want)
+    for pair, block in want.items():
+        assert got[pair].dtype == block.dtype and np.array_equal(got[pair], block)
 
 
 @given(params=case, beta=st.sampled_from(BETAS))
