@@ -350,9 +350,9 @@ def cmd_verify(args):
     h, gen = preset_operators(model)
     spectral = diagonalize(h)
     ens = gibbs_weights(spectral, beta)
-    # complex, the type fit_frequency and local_cap compute in, so that no
-    # operator is converted again inside the loop
-    h_mat, gen_mat = h.dense().astype(complex), gen.dense().astype(complex)
+    # complex, the type fit_frequency computes in, so that H is not
+    # converted again inside the loop
+    h_mat = h.dense().astype(complex)
     rows = []
     all_ok = True
     for i, op in enumerate(ops):
@@ -361,7 +361,7 @@ def cmd_verify(args):
         support = operator_support(mat, n)
         support_text = " ".join(str(s) for s in sorted(support)) if support else "-"
         try:
-            cap, holds = local_cap(mat, gen_mat, ens)
+            cap, holds = local_cap(op, gen, ens)
             cap_text, holds_text = _format_cell(cap), _format_cell(holds)
         except DomainError:
             cap_text, holds_text = "-", "-"

@@ -53,7 +53,7 @@ import numpy as np
 from ._frozen import Frozen
 from .errors import DomainError, NumericError
 from .operators import _as_matrix, _chunks, _real_if_exact, operator_support
-from .spectral import BlockOperator
+from .spectral import BlockOperator, _operand
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
 TAU_DYN = 1e-9
@@ -68,7 +68,9 @@ _INDEX_LIMIT = 2**31
 
 
 def default_omega_tol(energies):
-    """Frequency clustering tolerance: 1e-8 * max(1, spectral width)."""
+    """Frequency clustering tolerance: 1e-8 * max(1, spectral width).  Also
+    models.at_level_crossing's default, on the two-qubit spectrum +-2J, +-2h,
+    so that its window is the one where group_into_blocks snaps to 0."""
     energies = np.asarray(energies, dtype=float)
     width = float(energies.max() - energies.min()) if energies.size else 0.0
     return 1e-8 * max(1.0, width)
@@ -685,7 +687,8 @@ def projector_mazur_weight(ensemble, op_eig):
 def local_cap(a_loc, op, ensemble):
     """Certificate for the strict-locality cap on a Mazur projection.
 
-    a_loc and op are site-basis operators on a chain of n spins (dim = 2^n).
+    a_loc and op are site-basis SparseOperators or matrices on a chain of n
+    spins (dim = 2^n).
     With r + 1 the width of a_loc's contiguous support, returns
     ((r+1)^2 / 4, holds) where holds certifies
 
@@ -699,15 +702,14 @@ def local_cap(a_loc, op, ensemble):
     """
     if ensemble.spectral is None:
         raise DomainError("ensemble must carry its spectral decomposition")
-    a_mat = _as_matrix(a_loc)
-    o_mat = _as_matrix(op)
+    a_op, o_op = _operand(a_loc), _operand(op)
     dim = ensemble.dim
-    if a_mat.shape != (dim, dim) or o_mat.shape != (dim, dim):
+    if a_op.shape != (dim, dim) or o_op.shape != (dim, dim):
         raise DomainError("operator dimensions do not match the ensemble")
     n_sites = dim.bit_length() - 1
     if 2**n_sites != dim:
         raise DomainError(f"dimension {dim} is not a power of 2")
-    support = operator_support(a_mat, n_sites)
+    support = operator_support(a_loc, n_sites)
     if not support:
         raise DomainError("operator acts as a scalar; the cap is undefined")
     lo, hi = min(support), max(support)
@@ -716,8 +718,8 @@ def local_cap(a_loc, op, ensemble):
     r = hi - lo
     cap = (r + 1) ** 2 / 4.0
     spectral = ensemble.spectral
-    a_eig = spectral.to_eigenbasis(a_mat)
-    o_eig = spectral.to_eigenbasis(o_mat)
+    a_eig = spectral.to_eigenbasis(a_op)
+    o_eig = spectral.to_eigenbasis(o_op)
     p = ensemble.weights
     norm = float(np.einsum("mn,mn,n->", a_eig.conj(), a_eig, p).real)
     if norm <= 0.0:

@@ -227,9 +227,9 @@ class SparseOperator(Frozen):
         return op
 
     @classmethod
-    def from_dense(cls, mat):
-        """The nonzero entries of a square matrix, read in its own type."""
-        mat = _square(mat)
+    def from_dense(cls, mat, what="operator"):
+        """The nonzero entries of a square matrix (what, in errors), in its own type."""
+        mat = _square(mat, what)
         rows, cols = np.nonzero(mat)
         return cls._trusted(rows, cols, mat[rows, cols], mat.shape[0])
 

@@ -42,7 +42,6 @@ from .operators import (
     _hermitian_deviation,
     _real_if_exact,
     _require_hermitian,
-    _square,
 )
 
 # Level pairs whose combined weight falls below this floor carry no
@@ -62,9 +61,7 @@ def default_energy_tol(energies):
 
 def _operand(op, what="operator"):
     """op as a SparseOperator: itself, or a square matrix's nonzero entries."""
-    if isinstance(op, SparseOperator):
-        return op
-    return SparseOperator.from_dense(_square(op, what))
+    return op if isinstance(op, SparseOperator) else SparseOperator.from_dense(op, what)
 
 
 def _components(op):
