@@ -20,8 +20,8 @@ import numpy as np
 from .dynsym import (
     TAU_DYN,
     _checked_omega_tol,
+    _local_cap,
     fit_frequency,
-    local_cap,
     projector_mazur_weight,
     verified_blocks,
 )
@@ -43,6 +43,8 @@ from .spectral import diagonalize, gibbs_weights
 FLOAT_FMT = "%.12e"
 DEFAULT_TEMP_GRID = "0.05:5:100:log"
 DEFAULT_FIELD_GRID = "0.05:1.95:39:lin"
+# Largest excess of a printed bound over its QFI, relative to max(1, QFI).
+BOUND_RTOL = 1e-9
 
 
 def parse_grid(text, name, default_scale):
@@ -183,10 +185,14 @@ def _verified_symmetry_blocks(h, spectral, pairs, ops, omega_tol):
 def _sweep(spectral, pairs, blocks, grid):
     """(T, QFI, bound) at each point of a (betas, temperatures) grid: the
     generator's QFI from its weighted pair set and the lower bound from the
-    symmetry blocks."""
+    symmetry blocks.  A bound above the QFI by more than BOUND_RTOL of
+    max(1, QFI) is no lower bound, and raises NumericError."""
     for beta, temp in zip(*grid):
         ens = gibbs_weights(spectral, beta)
-        yield temp, qfi_spectral(pairs, ens), qfi_from_dynsym(blocks, ens, pairs).value
+        fq, bound = qfi_spectral(pairs, ens), qfi_from_dynsym(blocks, ens, pairs).value
+        if bound - fq > BOUND_RTOL * max(1.0, fq):
+            raise NumericError(f"bound {bound!r} exceeds the QFI {fq!r} at beta {beta!r}")
+        yield temp, fq, bound
 
 
 def cmd_qfi(args):
@@ -353,6 +359,9 @@ def cmd_verify(args):
     # complex, the type fit_frequency computes in, so that H is not
     # converted again inside the loop
     h_mat = h.dense().astype(complex)
+    # the generator goes to the eigenbasis once, and each operator's support
+    # is found once, for its column and its cap
+    gen_eig = spectral.to_eigenbasis(gen)
     rows = []
     all_ok = True
     for i, op in enumerate(ops):
@@ -361,7 +370,7 @@ def cmd_verify(args):
         support = operator_support(mat, n)
         support_text = " ".join(str(s) for s in sorted(support)) if support else "-"
         try:
-            cap, holds = local_cap(op, gen, ens)
+            cap, holds = _local_cap(support, op, gen_eig, ens)
             cap_text, holds_text = _format_cell(cap), _format_cell(holds)
         except DomainError:
             cap_text, holds_text = "-", "-"

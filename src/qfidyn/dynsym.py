@@ -602,13 +602,30 @@ def block_gram(block, ensemble, op_eig):
     return gram, corr
 
 
-def _pinv_quadratic(gram, rows):
+def _gram_floor(block):
+    """tau * s for an OperatorBlock in the eigenbasis: s is the largest
+    column norm^2 sum_m |(A_i)_mn|^2 among its members and tau = (dim eps)^2
+    (see _pinv_quadratic)."""
+    s = max(float(np.einsum("mn,mn->n", m.conj(), m).real.max()) for m in block.members)
+    return (block.dim * np.finfo(float).eps) ** 2 * s
+
+
+def _pinv_quadratic(gram, rows, floor=0.0):
     """The matrix [c_a^dag V^+ c_b] over correlator rows c_a, with an
     eigendecomposition pseudo-inverse of the Gram V.
 
-    Eigenvalues below TAU_RANK relative to the largest are discarded;
-    eigenvalues negative beyond GRAM_NEG_RTOL (relative) mean the Gram lost
-    positive semidefiniteness and raise NumericError.
+    Eigenvalues at or below max(TAU_RANK * top, floor) are discarded, top
+    being the largest; eigenvalues negative beyond GRAM_NEG_RTOL (relative)
+    mean the Gram lost positive semidefiniteness and raise NumericError.
+    For a block's Gram the floor is _gram_floor, tau * s with tau =
+    (dim eps)^2: a member's eigenbasis entries are made by products over
+    dim states, so a column of them, of norm at most sqrt(s), carries a
+    rounding error of norm up to about dim eps sqrt(s), and a Gram
+    eigenvalue at or below (dim eps)^2 s, a p-weighted mean of such norms^2,
+    can be made of rounding alone.  Its correlators are then rounding too,
+    and their ratio, of the order of <O^2>, is no bound: on the 8-site
+    chain with its Jordan-Wigner modes at beta = inf such directions (Gram
+    eigenvalues near 1e-30 s) once lifted the bound above the QFI.
     """
     gram = np.asarray(gram, dtype=complex)
     rows = np.asarray(rows, dtype=complex)
@@ -618,15 +635,16 @@ def _pinv_quadratic(gram, rows):
         raise NumericError(f"Gram matrix not Hermitian: deviation {herm_dev:.3e}")
     evals, evecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     top = float(evals.max())
-    if top <= 0.0:
-        # zero Gram: every member annihilates the populated states
+    if top <= max(floor, 0.0):
+        # zero Gram, or rounding only: every member annihilates the
+        # populated states
         return np.zeros((rows.shape[0], rows.shape[0]), dtype=complex)
     if float(evals.min()) < -GRAM_NEG_RTOL * top:
         raise NumericError(
             f"Gram matrix indefinite: eigenvalue {evals.min():.3e} "
             f"against scale {top:.3e}"
         )
-    keep = evals > TAU_RANK * top
+    keep = evals > max(TAU_RANK * top, floor)
     proj = rows @ evecs[:, keep].conj()
     return (proj.conj() / evals[keep]) @ proj.T
 
@@ -636,11 +654,12 @@ def mazur_weight(block, ensemble, op_eig):
     onto the span of its members.
 
     The pseudo-inverse quadratic form makes the weight invariant under
-    invertible recombination of members and tolerant of dependent members.
+    invertible recombination of members and tolerant of dependent members;
+    Gram directions at the rounding floor are dropped (_pinv_quadratic).
     A PairPartition's weights are its cluster_weights, one per cluster.
     """
     gram, corr = block_gram(block, ensemble, op_eig)
-    return float(_pinv_quadratic(gram, corr[None, :])[0, 0].real)
+    return float(_pinv_quadratic(gram, corr[None, :], _gram_floor(block))[0, 0].real)
 
 
 def conserved_mazur_bound(conserved_set, ensemble, op_eig):
@@ -710,16 +729,20 @@ def local_cap(a_loc, op, ensemble):
     if 2**n_sites != dim:
         raise DomainError(f"dimension {dim} is not a power of 2")
     support = operator_support(a_loc, n_sites)
+    return _local_cap(support, a_op, ensemble.spectral.to_eigenbasis(o_op), ensemble)
+
+
+def _local_cap(support, a_op, o_eig, ensemble):
+    """local_cap of a site-basis A_loc with the given support, against O
+    already in the eigenbasis, so that a caller capping many operators
+    against one O finds each support once and transforms O once."""
     if not support:
         raise DomainError("operator acts as a scalar; the cap is undefined")
     lo, hi = min(support), max(support)
     if len(support) != hi - lo + 1:
         raise DomainError(f"support {sorted(support)} is not contiguous")
-    r = hi - lo
-    cap = (r + 1) ** 2 / 4.0
-    spectral = ensemble.spectral
-    a_eig = spectral.to_eigenbasis(a_op)
-    o_eig = spectral.to_eigenbasis(o_op)
+    cap = (hi - lo + 1) ** 2 / 4.0
+    a_eig = ensemble.spectral.to_eigenbasis(a_op)
     p = ensemble.weights
     norm = float(np.einsum("mn,mn,n->", a_eig.conj(), a_eig, p).real)
     if norm <= 0.0:

@@ -7,19 +7,33 @@ diagonalized in real arithmetic and keeps real eigenvectors, so operators
 without an imaginary part stay real in the eigenbasis too.
 
 Every site-basis input is a SparseOperator: a dense matrix is read once as
-its nonzero entries (SparseOperator.from_dense).  Block rule: the basis
-states split into the connected components of H's exact nonzero pattern
-(H_ij != 0 or H_ji != 0 links i and j).  H has no entry between two
-components, so each component is an invariant subspace, diagonalized on its
-own; for a chain conserving total S^z these are the magnetization sectors.
-The decomposition keeps one eigenvector matrix V_a per block, over its
-basis states and eigen-columns, and never assembles the dense unitary.  An
-operator goes to the eigenbasis one linked block pair at a time, V_a^dag
-O_ab V_b, over the ordered pairs (a, b) between which it has an entry
-(to_eigenblocks), each product made when it is read and never stored;
-to_eigenbasis scatters them into a dense matrix.  Selection-rule zeros are
-therefore exact: an eigenbasis entry between blocks the operator does not
-link is 0.0, not rounding.
+its nonzero entries (SparseOperator.from_dense).  Block rule, in two steps.
+First the basis states split into the connected components of H's exact
+nonzero pattern (H_ij != 0 or H_ji != 0 links i and j).  H has no entry
+between two components, so each is an invariant subspace; for a chain
+conserving total S^z these are the magnetization sectors.  Second, on a
+chain of n sites (dim 2^n), when H commutes with the site reflection
+P: j -> n-1-j to within REFLECTION_RTOL, each component that P maps onto
+itself splits into a P-even and a P-odd block over the orthonormal basis
+(|s> + |Ps>)/sqrt(2) and (|s> - |Ps>)/sqrt(2), s < Ps, with |s> alone,
+P-even, for a state P fixes.  Every block is diagonalized on its own, its
+matrix summed straight from H's entries.  The two parity blocks of a
+component share its basis states: SpectralDecomposition keys the basis sets
+by component and the eigen-columns by block, and keeps one eigenvector
+matrix per block over the block's own basis, never the dense unitary.
+
+An operator goes to the eigenbasis one linked block pair at a time,
+W_a^dag (B_a^T O B_b) W_b, over the ordered pairs (a, b) between whose
+components it has an entry (to_eigenblocks): B_a is block a's basis, so the
+middle factor is again summed from O's entries, and each product is made
+when it is read and never stored; to_eigenbasis scatters them into a dense
+matrix.  An operator with P O P = sigma O (sigma = +-1, to within
+REFLECTION_RTOL) has no entry between parities whose product is -sigma, so
+those block pairs are never linked.  Selection-rule zeros, of S^z and of
+the reflection, are therefore exact: an eigenbasis entry between blocks the
+operator does not link is 0.0, not rounding, and degenerate levels are
+parity eigenstates, so which pairs are linked does not depend on how eigh
+mixes a degenerate subspace.
 
 Thermal weights are stored together with their logarithms; the logs keep
 weight ratios exact even when the weights themselves underflow.
@@ -50,6 +64,17 @@ PAIR_WEIGHT_FLOOR = 1e-15
 
 # Relative tolerance for the eigendecomposition certificate.
 DECOMP_RTOL = 1e-10
+
+# Relative tolerance of the reflection test, max |O_{Ps,Pt} - sigma O_st|
+# against max(1, max |O|), as HERMITICITY_RTOL is for the Hermitian one: a
+# sum of Pauli strings adds its terms in string order, so the field sum of a
+# state and that of its mirror image can differ in the last bit (by at most
+# 1e-16 of max |H| on the chain presets up to 12 sites).
+REFLECTION_RTOL = 1e-12
+
+# |coefficient| of an entry O_xy in a block pair's matrix B_a^T O B_b, by
+# how many of x and y lie in a reflection pair: 1, 1/sqrt(2) or exactly 1/2.
+_SCALES = np.array([1.0, math.sqrt(0.5), 0.5])
 
 
 def default_energy_tol(energies):
@@ -93,7 +118,8 @@ def _runs(order, sorted_keys):
 
 
 def _block_index(sets, dim):
-    """(block of each basis state, its position within the block)."""
+    """(set of each basis state, its position within the set) for disjoint
+    basis sets covering range(dim)."""
     order = np.concatenate(sets)
     sizes = np.array([idx.size for idx in sets])
     block_of = np.empty(dim, dtype=np.intp)
@@ -101,6 +127,18 @@ def _block_index(sets, dim):
     block_of[order] = np.repeat(np.arange(len(sets)), sizes)
     local[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return block_of, local
+
+
+def _basis_sets(blocks):
+    """(sets, group): the distinct basis sets of (basis, eigen-column)
+    blocks in order of first use, and the set of each block."""
+    first, group = {}, []
+    for rows, _ in blocks:
+        group.append(first.setdefault(rows.tobytes(), len(first)))
+    sets = [None] * len(first)
+    for (rows, _), g in zip(blocks, group):
+        sets[g] = rows
+    return sets, group
 
 
 class _Lazy(Mapping):
@@ -125,22 +163,116 @@ class _Lazy(Mapping):
         return len(self._keys)
 
 
-def _linked_blocks(op, sets, block_of, local):
-    """{(a, b): the dense sub-matrix of op between basis blocks a and b}
-    over every ordered block pair holding an entry of op: op's entries are
-    grouped by block pair and scattered into a zeroed sub-matrix on read."""
-    a, b = block_of[op.rows], block_of[op.cols]
-    link = a * len(sets) + b
+def _links(op, set_of, count):
+    """{(g, h): the indices of op's entries from basis set g to set h} over
+    every ordered pair of the count sets that holds an entry."""
+    a, b = set_of[op.rows], set_of[op.cols]
+    link = a * count + b
     order = np.argsort(link, kind="stable")
-    entries = {(int(a[idx[0]]), int(b[idx[0]])): idx for idx in _runs(order, link[order])}
+    return {(int(a[idx[0]]), int(b[idx[0]])): idx for idx in _runs(order, link[order])}
 
-    def sub(pair):
-        idx = entries[pair]
-        out = np.zeros((sets[pair[0]].size, sets[pair[1]].size), dtype=op.dtype)
-        out[local[op.rows[idx]], local[op.cols[idx]]] = op.values[idx]
-        return out
 
-    return _Lazy(entries, sub)
+def _reflection(states, n_sites):
+    """P s for each basis state s: its n_sites bits in reverse order."""
+    out = np.zeros_like(states)
+    for k in range(n_sites):
+        out |= (states >> k & 1) << (n_sites - 1 - k)
+    return out
+
+
+def _n_sites(dim):
+    """n for dim = 2^n, else None: only a chain has a site reflection."""
+    n = dim.bit_length() - 1
+    return n if dim == 1 << n else None
+
+
+def _reflection_sign(op):
+    """(sigma, deviation): sigma = +1 or -1 when P O P = sigma O to within
+    REFLECTION_RTOL (+1 tried first), else None, as it is when dim is not a
+    power of 2; deviation is max |O_{Ps,Pt} - sigma O_st| for the sigma
+    returned.  Every entry is compared with the entry at its mirror
+    position, or with 0 where op has none."""
+    n = _n_sites(op.dim)
+    if n is None:
+        return None, math.inf
+    keys = op.rows.astype(np.int64) * op.dim + op.cols
+    mirror = _reflection(op.rows, n).astype(np.int64) * op.dim + _reflection(op.cols, n)
+    at = np.minimum(np.searchsorted(keys, mirror), max(keys.size - 1, 0))
+    partner = np.where(keys[at] == mirror, op.values[at], 0.0) if keys.size else op.values
+    bound = REFLECTION_RTOL * max(1.0, float(np.abs(op.values).max(initial=0.0)))
+    for sign in (1, -1):
+        dev = float(np.abs(partner - sign * op.values).max(initial=0.0))
+        if dev <= bound:
+            return sign, dev
+    return None, math.inf
+
+
+def _parity_bases(states, n_sites):
+    """[(parity, basis)] of the blocks of the component over states: one
+    block [(0, None)] over the states themselves when n_sites is None or P
+    does not map the states onto themselves; else the P-even block (+1,
+    basis) and, unless P fixes every state, the P-odd one (-1, basis).
+
+    A basis is (index, level, sign) over the states: the basis vector each
+    state enters (-1 for none: a fixed state in the odd basis), level 1 for
+    a state of a reflection pair (weight 1/sqrt(2)) and 0 for a fixed one
+    (weight 1), and sign -1 for the larger state of a pair in the odd basis.
+    The vectors are numbered in the order of their smallest state."""
+    if n_sites is None:
+        return [(0, None)]
+    partner = _reflection(states, n_sites)
+    if not np.array_equal(np.sort(partner), states):
+        return [(0, None)]
+    at = np.searchsorted(states, partner)
+    fixed = partner == states
+    lead = states <= partner
+    level = (~fixed).astype(np.intp)
+    bases = []
+    for parity, member in ((1, lead), (-1, lead & ~fixed)):
+        if not member.any():
+            break
+        rank = np.cumsum(member) - 1
+        index = np.where(lead, rank, rank[at])
+        index[~member & lead] = -1
+        sign = np.where(lead, 1.0, -1.0) if parity < 0 else np.ones(states.size)
+        bases.append((parity, (index, level, sign)))
+    return bases
+
+
+def _expand(basis, size):
+    """basis, or for None the identity basis over size states."""
+    if basis is not None:
+        return basis
+    return np.arange(size), np.zeros(size, dtype=np.intp), np.ones(size)
+
+
+def _block_matrix(op, idx, local, bases, shape):
+    """B_a^T O B_b as a dense matrix of the given shape: op's entries idx,
+    between the basis sets of blocks a and b, each added at the basis
+    vectors its states enter with the product of their weights, into a
+    zeroed matrix.  bases is (basis of a, basis of b); None stands for a
+    set's own states.  Over two such sets each entry lands on its own
+    place, exactly as given."""
+    x, y = local[op.rows[idx]], local[op.cols[idx]]
+    (ia, la, sa), (ib, lb, sb) = (_expand(basis, n) for basis, n in zip(bases, shape))
+    i, j = ia[x], ib[y]
+    weight = _SCALES[la[x] + lb[y]] * (sa[x] * sb[y])
+    keep = (i >= 0) & (j >= 0)
+    out = np.zeros(shape, dtype=op.dtype)
+    np.add.at(out, (i[keep], j[keep]), (weight * op.values[idx])[keep])
+    return out
+
+
+def _on_states(vectors, basis):
+    """A block's eigenvectors over its basis states, B W, from W over its
+    own basis."""
+    if basis is None:
+        return vectors
+    index, level, sign = basis
+    out = np.zeros((index.size, vectors.shape[1]), dtype=vectors.dtype)
+    on = index >= 0
+    out[on] = vectors[index[on]] * (_SCALES[level[on]] * sign[on])[:, None]
+    return out
 
 
 def _index_pair(pair):
@@ -150,8 +282,8 @@ def _index_pair(pair):
     except (TypeError, ValueError):
         raise DomainError("a block must be a (basis indices, eigen-column indices) pair") from None
     integer = rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
-    if rows.ndim != 1 or rows.shape != cols.shape or not integer:
-        raise DomainError("a block needs two 1-d integer index arrays of one size")
+    if rows.ndim != 1 or cols.ndim != 1 or not integer:
+        raise DomainError("a block needs two 1-d integer index arrays")
     return np.sort(rows).astype(np.intp), np.sort(cols).astype(np.intp)
 
 
@@ -211,7 +343,9 @@ class BlockOperator(Frozen):
         order = np.argsort(keys, kind="stable").astype(np.int32)
         rows, cols = np.empty(keys.size, np.int32), np.empty(keys.size, np.int32)
         for s in _chunks(keys.size):
-            rows[s], cols[s] = np.divmod(keys.take(order[s]), self.dim)
+            # written straight into the int32 arrays: no int64 quotient
+            # and remainder per chunk
+            np.divmod(keys.take(order[s]), self.dim, out=(rows[s], cols[s]), casting="unsafe")
         del keys
         return rows, cols, _real_if_exact(values[order])
 
@@ -242,10 +376,15 @@ class SpectralDecomposition(Frozen):
     tol.
 
     blocks records the invariant subspaces as (basis indices, eigen-column
-    indices) pairs, each ascending; each index kind partitions range(dim).
-    block_vectors[k] is block k's eigenvector matrix, rows over its basis
-    states and columns over its eigen-columns: float64 when real (the
-    real-symmetric case of diagonalize), complex128 otherwise.
+    indices) pairs, each ascending.  The eigen-columns partition range(dim).
+    Blocks may share one basis set, as the two parity blocks of a component
+    do; the blocks over a set have as many eigen-columns as it has states,
+    and the distinct sets partition range(dim).  block_vectors[k] is block
+    k's eigenvector matrix, rows over its basis states and columns over its
+    eigen-columns: float64 when real (the real-symmetric case of
+    diagonalize), complex128 otherwise.  A parity block keeps its
+    eigenvectors over its own basis (half as many rows), so block_vectors
+    makes its matrix on each read.
 
     Built from dense vectors, with blocks defaulting to one block holding
     everything, the vectors are copied and must vanish outside their
@@ -264,106 +403,121 @@ class SpectralDecomposition(Frozen):
             )
         whole = np.arange(e.size)
         pairs = ((whole, whole),) if blocks is None else tuple(map(_index_pair, blocks))
-        for kind, sets in (("basis", 0), ("eigen-column", 1)):
-            covered = np.sort(np.concatenate([whole[:0]] + [pair[sets] for pair in pairs]))
+        sets, group = _basis_sets(pairs)
+        for kind, parts in (("basis", sets), ("eigen-column", [cols for _, cols in pairs])):
+            covered = np.sort(np.concatenate([whole[:0], *parts]))
             if not np.array_equal(covered, whole):
                 raise DomainError(f"block {kind} indices must partition range({e.size})")
+        filled = np.zeros(len(sets), dtype=np.intp)
+        np.add.at(filled, group, [cols.size for _, cols in pairs])
+        if not np.array_equal(filled, [rows.size for rows in sets]):
+            raise DomainError("the blocks over a basis set must have as many eigen-columns as it has states")
         if len(pairs) == 1:
             parts = [u]
         else:
             parts = [u[rows[:, None], cols] for rows, cols in pairs]
             if sum(np.count_nonzero(v) for v in parts) != np.count_nonzero(u):
                 raise DomainError("vectors must vanish outside their blocks")
-        self._freeze(e, energy_tol, pairs, parts)
+        self._freeze(e, energy_tol, pairs, parts, [(0, None)] * len(pairs))
 
     @classmethod
-    def _from_blocks(cls, energies, energy_tol, blocks, block_vectors):
+    def _from_blocks(cls, energies, energy_tol, blocks, vectors, bases):
         """A decomposition from solved blocks, trusted as given."""
         self = cls.__new__(cls)
-        self._freeze(energies, energy_tol, blocks, block_vectors)
+        self._freeze(energies, energy_tol, blocks, vectors, bases)
         return self
 
-    def _freeze(self, energies, energy_tol, blocks, block_vectors):
+    def _freeze(self, energies, energy_tol, blocks, vectors, bases):
+        """Store the fields read-only; vectors[k] is block k's eigenvector
+        matrix over its own basis and bases[k] its (parity, basis) as
+        _parity_bases gives it."""
         if np.any(np.diff(energies) < 0):
             raise DomainError("energies must be sorted ascending")
-        for arr in (energies, *block_vectors, *(idx for pair in blocks for idx in pair)):
+        arrays = [idx for pair in blocks for idx in pair]
+        arrays += [arr for _, basis in bases if basis is not None for arr in basis]
+        for arr in (energies, *vectors, *arrays):
             arr.setflags(write=False)
         tol = default_energy_tol(energies) if energy_tol is None else float(energy_tol)
         self.__dict__.update(energies=energies, energy_tol=tol, blocks=tuple(blocks),
-                             block_vectors=tuple(block_vectors))
+                             _vectors=tuple(vectors), _bases=tuple(bases))
 
     @property
     def dim(self):
         return self.energies.size
 
+    @property
+    def block_vectors(self):
+        return tuple(_on_states(v, basis) for v, (_, basis) in zip(self._vectors, self._bases))
+
     @cached_property
     def _basis_index(self):
-        sets = [rows for rows, _ in self.blocks]
-        return (sets, *_block_index(sets, self.dim))
-
-    def degeneracy_groups(self, tol=None):
-        """Partition level indices into degenerate groups.
-
-        Greedy split of the sorted spectrum: a gap above tol opens a new
-        group.  Returns (start, stop) index ranges.
-        """
-        tol = self.energy_tol if tol is None else float(tol)
-        groups = []
-        start = 0
-        for i in range(1, self.dim):
-            if self.energies[i] - self.energies[i - 1] > tol:
-                groups.append((start, i))
-                start = i
-        groups.append((start, self.dim))
-        return groups
+        """(sets, set of each basis state, its position in the set, blocks
+        of each set)."""
+        sets, group = _basis_sets(self.blocks)
+        members = [[] for _ in sets]
+        for k, g in enumerate(group):
+            members[g].append(k)
+        return (sets, *_block_index(sets, self.dim), members)
 
     def to_eigenblocks(self, op):
         """op (a matrix or a SparseOperator) in the eigenbasis as a
-        BlockOperator: (V_a^dag O_ab) V_b for every ordered block pair
-        (a, b) between whose basis states op has an entry, made on each
-        read and never stored.  Real vectors
-        and an operator with no imaginary part multiply in real arithmetic
-        and give float64 blocks; otherwise they are complex."""
+        BlockOperator: W_a^dag (B_a^T O B_b) W_b for every ordered block
+        pair (a, b) between whose basis sets op has an entry, made on each
+        read and never stored.  When P O P = sigma O (_reflection_sign),
+        parity blocks a and b of parities with product -sigma are not
+        linked: their block is exactly 0.  Real vectors and an operator with
+        no imaginary part multiply in real arithmetic and give float64
+        blocks; otherwise they are complex."""
         op = _operand(op)
         if op.shape[0] != self.dim:
             raise DomainError(f"operator dim {op.shape[0]} does not match dim {self.dim}")
-        vs = self.block_vectors
-        linked = _linked_blocks(op, *self._basis_index)
+        sets, set_of, local, members = self._basis_index
+        parity = [p for p, _ in self._bases]
+        sign = _reflection_sign(op)[0] if any(parity) else None
+        links = {}
+        for (g, h), idx in _links(op, set_of, len(sets)).items():
+            for a in members[g]:
+                for b in members[h]:
+                    if sign is None or parity[a] * parity[b] != -sign:
+                        links[(a, b)] = idx
+        ws = self._vectors
+        bases = [basis for _, basis in self._bases]
 
         def product(pair):
-            block = linked[pair]
-            return (vs[pair[0]].conj().T @ block) @ vs[pair[1]]
+            a, b = pair
+            shape = (ws[a].shape[0], ws[b].shape[0])
+            block = _block_matrix(op, links[pair], local, (bases[a], bases[b]), shape)
+            return (ws[a].conj().T @ block) @ ws[b]
 
         columns = tuple(cols for _, cols in self.blocks)
-        dtype = np.result_type(vs[0], op.dtype)
-        return BlockOperator(columns, _Lazy(linked, product), self.dim, dtype)
+        dtype = np.result_type(ws[0], op.dtype)
+        return BlockOperator(columns, _Lazy(links, product), self.dim, dtype)
 
     def to_eigenbasis(self, op):
         """Conjugate an operator into the eigenbasis, V^dag O V, as a dense
         matrix: to_eigenblocks scattered into place."""
         return self.to_eigenblocks(op).dense()
 
-    def summary(self, tol=None):
-        return {
-            "dim": int(self.dim),
-            "energies": [float(e) for e in self.energies],
-            "degeneracies": [int(b - a) for a, b in self.degeneracy_groups(tol)],
-        }
-
 
 def diagonalize(hamiltonian, energy_tol=None):
     """Exact diagonalization with a posteriori certificates.
 
     hamiltonian is a matrix or a SparseOperator.  It is solved block by
-    block over the connected components of its nonzero pattern (the block
-    rule above), and the eigenvalues are merged in ascending order; ties
-    keep block order.  A Hamiltonian with no imaginary part goes to the
-    real-symmetric solver and yields float64 eigenvectors; any other goes to
-    the complex Hermitian one.  Each block's eigenvector matrix is checked
-    to be unitary and to reconstruct its block of the input, both to
-    DECOMP_RTOL relative to the global spectral scale, in the arithmetic of
-    the solve.  Off the blocks both the input and the reconstruction are
-    exactly zero, so these are the full-matrix maxima.  Failure raises
+    block (the block rule above): over the connected components of its
+    nonzero pattern, each split by reflection parity when H commutes with
+    the site reflection; the eigenvalues are merged in ascending order, and
+    ties keep block order (a component's even block before its odd one).  A
+    Hamiltonian with no imaginary part goes to the real-symmetric solver
+    and yields float64 eigenvectors; any other goes to the complex Hermitian
+    one.  Each block's eigenvector matrix is checked, right after its solve
+    and in the arithmetic of the solve, to be unitary and to reconstruct
+    its block of the input, both to DECOMP_RTOL relative to the global
+    spectral scale; then the block's matrix is dropped.  Off the blocks both
+    the input and the reconstruction are exactly zero, so for unsplit
+    blocks these are the full-matrix maxima.  A parity block is checked in
+    its own basis; a site-basis entry sums at most four of its entries with
+    weight 1/2, so its reconstruction deviation counts twice, plus the
+    deviation of H from P H P that the split drops.  Failure raises
     NumericError since it signals lost accuracy, not bad input.  energy_tol
     seeds the decomposition's degeneracy threshold.
     """
@@ -372,29 +526,33 @@ def diagonalize(hamiltonian, energy_tol=None):
     if dim == 0:
         raise DomainError("hamiltonian must not be empty")
     basis = _components(h)
-    linked = _linked_blocks(h, basis, *_block_index(basis, dim))
-    subs = [
-        linked.get((k, k), np.zeros((rows.size,) * 2, dtype=h.dtype))
-        for k, rows in enumerate(basis)
-    ]
-    solved = [np.linalg.eigh(sub) for sub in subs]
+    set_of, local = _block_index(basis, dim)
+    links = _links(h, set_of, len(basis))
+    sign, asymmetry = _reflection_sign(h)
+    n_sites = _n_sites(dim) if sign == 1 else None
+    none = np.zeros(0, dtype=np.intp)
+    solved, blocks, bases = [], [], []
+    unit_dev = rec_dev = 0.0
+    for k, rows in enumerate(basis):
+        for parity, own in _parity_bases(rows, n_sites):
+            size = rows.size if own is None else int(own[0].max()) + 1
+            sub = _block_matrix(h, links.get((k, k), none), local, (own,) * 2, (size,) * 2)
+            e, v = np.linalg.eigh(sub)
+            gram = v.conj().T @ v
+            gram.flat[:: e.size + 1] -= 1.0
+            unit_dev = max(unit_dev, float(np.abs(gram).max()))
+            rec = float(np.abs(v @ (e[:, None] * v.conj().T) - sub).max())
+            rec_dev = max(rec_dev, rec if own is None else 2.0 * rec + asymmetry)
+            del sub, gram
+            solved.append((e, v))
+            blocks.append(rows)
+            bases.append((parity, own))
     merged = np.concatenate([e for e, _ in solved])
     order = np.argsort(merged, kind="stable")
     energies = merged[order]
     column = np.empty(dim, dtype=np.intp)
     column[order] = np.arange(dim)
     scale = max(1.0, float(np.abs(energies).max()))
-    unit_dev = rec_dev = 0.0
-    blocks = []
-    start = 0
-    for rows, sub, (e, v) in zip(basis, subs, solved):
-        gram = v.conj().T @ v
-        gram.flat[:: e.size + 1] -= 1.0
-        unit_dev = max(unit_dev, float(np.abs(gram).max()))
-        rec = v @ (e[:, None] * v.conj().T) - sub
-        rec_dev = max(rec_dev, float(np.abs(rec).max()))
-        blocks.append((rows, column[start : start + e.size]))
-        start += e.size
     if unit_dev > DECOMP_RTOL:
         raise NumericError(f"eigenvector matrix not unitary: max deviation {unit_dev:.3e}")
     if rec_dev > DECOMP_RTOL * scale:
@@ -402,8 +560,10 @@ def diagonalize(hamiltonian, energy_tol=None):
             f"eigendecomposition does not reconstruct the input: "
             f"max deviation {rec_dev:.3e} against scale {scale:.3e}"
         )
+    starts = np.cumsum([0] + [e.size for e, _ in solved])
+    blocks = [(rows, column[lo:hi]) for rows, lo, hi in zip(blocks, starts[:-1], starts[1:])]
     vectors = [v for _, v in solved]
-    return SpectralDecomposition._from_blocks(energies, energy_tol, blocks, vectors)
+    return SpectralDecomposition._from_blocks(energies, energy_tol, blocks, vectors, bases)
 
 
 class ThermalEnsemble(Frozen):
@@ -447,13 +607,6 @@ class ThermalEnsemble(Frozen):
     @property
     def dim(self):
         return self.energies.size
-
-    def summary(self):
-        return {
-            "beta": self.beta if math.isfinite(self.beta) else "inf",
-            "energies": [float(e) for e in self.energies],
-            "weights": [float(w) for w in self.weights],
-        }
 
 
 def gibbs_weights(spectral, beta):

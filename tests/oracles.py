@@ -56,6 +56,15 @@ def xx_hamiltonian_oracle(n_sites, coupling, field, boundary):
     return h
 
 
+def reflection_permutation(n_sites):
+    """perm with (P v)[s] = v[perm[s]] for the site reflection P: j -> n-1-j,
+    read off each index's binary string (site 0 its leftmost digit)
+    reversed."""
+    if n_sites == 0:
+        return np.zeros(1, dtype=int)
+    return np.array([int(format(s, f"0{n_sites}b")[::-1], 2) for s in range(2**n_sites)])
+
+
 def eigenvector_matrix(spectral):
     """The dense unitary V of a decomposition, H = V diag(E) V^dag: each
     block's eigenvectors placed at its basis rows and eigen-columns, exact
@@ -64,6 +73,17 @@ def eigenvector_matrix(spectral):
     for (rows, cols), v in zip(spectral.blocks, spectral.block_vectors):
         out[rows[:, None], cols] = v
     return out
+
+
+def degeneracy_groups(energies, tol):
+    """(start, stop) index ranges of the degenerate groups of an ascending
+    spectrum: a step above tol between neighbours opens a new group."""
+    groups, start = [], 0
+    for i in range(1, len(energies)):
+        if energies[i] - energies[i - 1] > tol:
+            groups.append((start, i))
+            start = i
+    return groups + [(start, len(energies))]
 
 
 def random_hermitian(rng, dim, scale=1.0):

@@ -1,5 +1,6 @@
 """Command-line contract: argument handling, file formats, exit codes."""
 
+import functools
 import gc
 import io
 import json
@@ -11,23 +12,29 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qfidyn
 from qfidyn import (
     PauliString,
+    SparseOperator,
     diagonalize,
     entanglement_depth,
     gibbs_weights,
     pauli_strings_to_records,
     projector_mazur_weight,
+    qfi_from_dynsym,
     qfi_spectral,
     response_comb,
+    verified_blocks,
 )
 from qfidyn import cli
 from qfidyn.cli import main
-from qfidyn.models import preset, preset_operators, two_qubit_symmetry_strings
+from qfidyn.models import preset, preset_operators, solve_preset, two_qubit_symmetry_strings
 
 FLOAT_RE = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -257,6 +264,57 @@ def test_qfi_and_verify_take_the_chain_fermion_modes(tmp_path):
     assert code == 0, stderr
     _, (row,) = read_table(stdout)
     assert float(row[3]) <= float(row[1])
+
+
+MODE_BETAS = (0.0, 1e-12, 1.0, 10.0, 50.0, 1e8, math.inf)
+
+
+@functools.lru_cache(maxsize=None)
+def solved_modes(n):
+    """The n-site chain preset solved, with its Jordan-Wigner modes as
+    site-basis SparseOperators."""
+    spectral, pairs, h = solve_preset(preset("chain", sites=n))
+    modes = [SparseOperator.from_strings(mode, n) for mode in fermion_modes(n)]
+    return spectral, pairs, h, modes
+
+
+def mode_bounds(n, subset):
+    """(beta, QFI, bound) over MODE_BETAS for a subset of the n modes."""
+    spectral, pairs, h, modes = solved_modes(n)
+    blocks = verified_blocks(h, spectral, [modes[k] for k in sorted(subset)])
+    for beta in MODE_BETAS:
+        ens = gibbs_weights(spectral, beta)
+        yield beta, qfi_spectral(pairs, ens), qfi_from_dynsym(blocks, ens, pairs).value
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_the_mode_bound_never_exceeds_the_qfi(n):
+    # at low temperature most Gram directions of the modes are rounding
+    # (eigenvalues near 1e-30); kept, they lifted the 8-site bound at
+    # beta = inf to 30.56 against a QFI of 30.74
+    for beta, fq, bound in mode_bounds(n, range(n)):
+        assert bound <= fq * (1.0 + 1e-12), (beta, bound, fq)
+    if n == 8:
+        assert abs(bound - 13.9119334) <= 1e-6
+
+
+@given(n=st.integers(4, 8), data=st.data())
+def test_mode_subsets_never_bound_above_the_qfi(n, data):
+    subset = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    for beta, fq, bound in mode_bounds(n, subset):
+        assert bound <= fq * (1.0 + 1e-12), (beta, bound, fq)
+
+
+def test_a_bound_above_the_qfi_is_a_numeric_failure(monkeypatch, tmp_path):
+    # the two-qubit QFI is below 4, the square of the generator's width
+    monkeypatch.setattr(cli, "qfi_from_dynsym", lambda *_: SimpleNamespace(value=4.0))
+    code, stdout, stderr = run("qfi", "--beta", "1")
+    assert code == 3 and stdout == "" and "exceeds the QFI" in stderr
+    code, _, stderr = run(
+        "reproduce-fig1", "--temp-grid", "1:1:1", "--field-grid", "0.5:0.5:1",
+        "--out", str(tmp_path),
+    )
+    assert code == 3 and "exceeds the QFI" in stderr
 
 
 def test_analytic_source_requires_the_two_qubit_model():

@@ -26,6 +26,7 @@ from qfidyn import (
     BlockOperator,
     DomainError,
     NumericError,
+    PauliString,
     SparseOperator,
     SpectralDecomposition,
     comb_bound_check,
@@ -54,7 +55,7 @@ from qfidyn import (
 )
 from qfidyn.dynsym import cluster_values, default_omega_tol
 from qfidyn.models import preset, preset_operators, solve_preset
-from qfidyn.operators import GENERATOR_KINDS
+from qfidyn.operators import GENERATOR_KINDS, SpinChainSpec, xx_hamiltonian_strings
 from qfidyn.spectral import _components
 from oracles import (
     eigenvector_matrix,
@@ -62,6 +63,7 @@ from oracles import (
     qfi_oracle,
     qv_oracle,
     random_hermitian,
+    reflection_permutation,
     skew_oracle,
     thermal_state,
     variance_oracle,
@@ -344,7 +346,10 @@ def test_xx_chains_match_the_dense_path(sites, field, boundary):
     model = preset("chain", sites=sites, field=field, boundary=boundary)
     h, gen = (op.dense() for op in preset_operators(model))
     blocked = diagonalize(h)
-    assert len(blocked.blocks) == sites + 1  # one block per total S^z
+    # one basis set per total S^z, each split into a P-even and a P-odd
+    # block except the two fully polarized sectors, whose one state P fixes
+    assert len({rows.tobytes() for rows, _ in blocked.blocks}) == sites + 1
+    assert len(blocked.blocks) == 2 * sites
     dense = dense_decomposition(h.real)
     o_blocked = blocked.to_eigenbasis(gen)
     o_dense = dense.to_eigenbasis(gen)
@@ -538,7 +543,8 @@ def test_the_pair_set_is_built_and_swept_within_its_memory_budget():
     finally:
         tracemalloc.stop()
     n = pairs.rows.size
-    assert n == math.comb(20, 9)
+    # the S^z blocks link comb(20, 9) pairs, and reflection parity halves them
+    assert n == math.comb(20, 9) // 2
     assert peak / n <= 48.0
     # stored: int32 rows, cols and labels and float64 values, nothing else
     per_pair = [a for a in vars(pairs).values() if isinstance(a, np.ndarray) and a.size == n]
@@ -566,6 +572,10 @@ def test_decomposition_rejects_inconsistent_blocks():
     good = ((np.array([0]), np.array([0])), (np.array([1, 2]), np.array([1, 2])))
     assert len(SpectralDecomposition(energies, vectors, blocks=good).blocks) == 2
     assert len(SpectralDecomposition(energies, vectors).blocks) == 1
+    # two blocks sharing the basis set {1, 2} fill it between them
+    shared = ((np.array([0]), np.array([0])), (np.array([1, 2]), np.array([1])),
+              (np.array([1, 2]), np.array([2])))
+    assert len(SpectralDecomposition(energies, vectors, blocks=shared).blocks) == 3
     bad = [
         # basis indices overlap and miss state 2
         ((np.array([0, 1]), np.array([0, 1])), (np.array([1]), np.array([2]))),
@@ -573,6 +583,12 @@ def test_decomposition_rejects_inconsistent_blocks():
         ((whole, np.array([0, 1, 1])),),
         # a block with more basis states than eigen-columns
         ((np.array([0, 1]), np.array([0])), (np.array([2]), np.array([1, 2]))),
+        # blocks sharing {1, 2} with one eigen-column between them, and {0}
+        # with two
+        ((np.array([0]), np.array([0, 2])), (np.array([1, 2]), np.array([1])),
+         (np.array([1, 2]), np.zeros(0, dtype=int))),
+        # two basis sets that overlap without being one set
+        ((np.array([0, 1]), np.array([0])), (np.array([1, 2]), np.array([1, 2]))),
         # an index out of range
         ((np.array([0, 1, 3]), whole),),
         # float indices
@@ -583,11 +599,31 @@ def test_decomposition_rejects_inconsistent_blocks():
     for blocks in bad:
         with pytest.raises(DomainError):
             SpectralDecomposition(energies, vectors, blocks=blocks)
+    with pytest.raises(DomainError, match="as many eigen-columns"):
+        SpectralDecomposition(energies, vectors, blocks=bad[3])
     # vectors nonzero outside the blocks
     mixed = np.eye(3)
     mixed[0, 1] = mixed[1, 0] = 1e-3
     with pytest.raises(DomainError, match="vanish"):
         SpectralDecomposition(energies, mixed, blocks=good)
+
+
+def test_blocks_sharing_a_basis_set_give_the_dense_eigenbasis(rng):
+    # two sites, the states 01 and 10 shared by the P-even and P-odd blocks
+    h = np.diag([1.0, 0.5, 0.5, -1.0])
+    h[1, 2] = h[2, 1] = 2.0
+    energies, v = np.linalg.eigh(h)
+    blocks = [(np.array([0]), np.flatnonzero(np.abs(v[0]) > 0.5)),
+              (np.array([3]), np.flatnonzero(np.abs(v[3]) > 0.5))]
+    for column in np.flatnonzero(np.abs(v[1]) > 0.5):
+        blocks.append((np.array([1, 2]), np.array([column])))
+    spectral = SpectralDecomposition(energies, v, blocks=blocks)
+    assert len(spectral.blocks) == 4
+    o = random_hermitian(rng, 4)
+    assert np.abs(spectral.to_eigenbasis(o) - v.T @ o @ v).max() <= 1e-12
+    # the two shared blocks meet every block the operator links
+    assert len(spectral.to_eigenblocks(o).products) == 16
+    assert np.array_equal(eigenvector_matrix(spectral), v)
 
 
 @pytest.mark.parametrize("row, col", [(0, 1), (1, 0)])
@@ -608,3 +644,98 @@ def test_diagonal_hamiltonian_is_one_block_per_state():
     v = eigenvector_matrix(spectral)
     assert v[1, 0] == 1.0 and v[3, 1] == 1.0
     assert np.count_nonzero(v) == 4
+
+
+# ---------------------------------------------------------------------------
+# reflection parity blocks
+
+chain_case = st.fixed_dictionaries(
+    {
+        "sites": st.integers(2, 10),
+        "field": st.sampled_from([0.0, 0.3]) | st.floats(-2.0, 2.0),
+        "boundary": st.sampled_from(["open", "periodic"]),
+        "seed": st.integers(0, 10_000),
+    }
+)
+
+
+def chain(case, generator=None):
+    return preset("chain", sites=case["sites"], field=case["field"],
+                  boundary=case["boundary"], generator=generator)
+
+
+@given(case=chain_case)
+def test_chain_eigenbasis_matches_the_dense_product(case):
+    h, _ = preset_operators(chain(case))
+    spectral = diagonalize(h)
+    dense = h.dense().real
+    # the energies of the unsplit S^z blocks
+    unsplit = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(dense[np.ix_(c, c)]) for c in _components(h)]
+    ))
+    scale = max(1.0, float(np.abs(unsplit).max()))
+    assert np.abs(spectral.energies - unsplit).max() <= 1e-12 * scale
+    # a random operator, with no reflection parity: the two entries of row 0
+    # in columns 1 and P 1 = 2^(n-1) differ
+    rng = np.random.default_rng(case["seed"])
+    dim = dense.shape[0]
+    o = np.zeros((dim, dim), dtype=complex)
+    picks = rng.integers(dim, size=(2, 3 * dim))
+    o[picks[0], picks[1]] = rng.normal(size=3 * dim) + 1j * rng.normal(size=3 * dim)
+    o[0, 1], o[0, dim // 2] = 1.0, 0.5j
+    o = o + o.conj().T
+    perm = reflection_permutation(case["sites"])
+    assert not np.array_equal(np.abs(o[np.ix_(perm, perm)]), np.abs(o))
+    v = eigenvector_matrix(spectral)
+    got = spectral.to_eigenbasis(o)
+    assert np.abs(got - v.conj().T @ o @ v).max() <= 1e-12 * np.abs(o).max()
+
+
+@given(case=chain_case, kind=st.sampled_from(["staggered-x", "uniform-x", "uniform-z"]))
+def test_every_pair_joins_the_parities_its_generator_allows(case, kind):
+    model = chain(case, kind)
+    spectral, pairs, _ = solve_preset(model)
+    perm = reflection_permutation(case["sites"])
+    v = eigenvector_matrix(spectral)
+    # every eigenvector is a reflection eigenstate, degenerate levels too
+    parity = np.einsum("sm,sm->m", v.conj(), v[perm]).real
+    assert np.abs(np.abs(parity) - 1.0).max() <= 1e-12
+    gen = preset_operators(model)[1].dense()
+    mirrored = gen[np.ix_(perm, perm)]
+    sign = 1 if np.array_equal(mirrored, gen) else -1
+    assert np.array_equal(mirrored, sign * gen)
+    assert np.all(np.sign(parity[pairs.rows]) * np.sign(parity[pairs.cols]) == sign)
+
+
+@given(
+    case=chain_case.filter(lambda c: c["sites"] <= 7),
+    beta=st.sampled_from([0.0, 1e-12, 1.0, math.inf]),
+)
+def test_parity_blocked_routes_match_the_density_matrix_oracle(case, beta):
+    model = chain(case)
+    spectral, pairs, h = solve_preset(model)
+    ens = gibbs_weights(spectral, beta)
+    gen = preset_operators(model)[1].dense()
+    want = qfi_oracle(thermal_state(h.dense(), beta), gen)
+    report = qfi_from_dynsym(pairs, ens, pairs)
+    assert report.saturated
+    for route in (qfi_spectral, qfi_via_susceptibility, qfi_via_structure_factor):
+        assert abs(route(pairs, ens) - want) <= 1e-12 * max(1.0, want), route
+    assert abs(report.value - want) <= 1e-12 * max(1.0, want)
+
+
+@pytest.mark.parametrize("sites", [3, 6, 9])
+def test_a_hamiltonian_without_reflection_keeps_its_blocks_bit_for_bit(sites):
+    # a field on site 0 alone breaks the reflection: diagonalize solves each
+    # S^z block whole, as eigh of its sub-matrix
+    strings = xx_hamiltonian_strings(SpinChainSpec(sites, 1.0, 0.3))
+    h = SparseOperator.from_strings(strings + [PauliString(0.2, ((0, "z"),))], sites)
+    spectral = diagonalize(h)
+    components = _components(h)
+    assert [tuple(rows) for rows, _ in spectral.blocks] == [tuple(c) for c in components]
+    dense = h.dense()
+    solved = [np.linalg.eigh(dense[np.ix_(c, c)]) for c in components]
+    for (_, want), got in zip(solved, spectral.block_vectors):
+        assert np.array_equal(got, want)
+    merged = np.concatenate([e for e, _ in solved])
+    assert np.array_equal(spectral.energies, merged[np.argsort(merged, kind="stable")])
