@@ -172,31 +172,29 @@ def _links(op, set_of, count):
     return {(int(a[idx[0]]), int(b[idx[0]])): idx for idx in _runs(order, link[order])}
 
 
-def _reflection(states, n_sites):
-    """P s for each basis state s: its n_sites bits in reverse order."""
+def _reflection(dim):
+    """P s for every basis state s of a chain, its n bits in reverse order,
+    or None when dim is not 2^n: only a chain has a site reflection."""
+    n = dim.bit_length() - 1
+    if dim != 1 << n:
+        return None
+    states = np.arange(dim)
     out = np.zeros_like(states)
-    for k in range(n_sites):
-        out |= (states >> k & 1) << (n_sites - 1 - k)
+    for k in range(n):
+        out |= (states >> k & 1) << (n - 1 - k)
     return out
 
 
-def _n_sites(dim):
-    """n for dim = 2^n, else None: only a chain has a site reflection."""
-    n = dim.bit_length() - 1
-    return n if dim == 1 << n else None
-
-
-def _reflection_sign(op):
+def _reflection_sign(op, mirror):
     """(sigma, deviation): sigma = +1 or -1 when P O P = sigma O to within
-    REFLECTION_RTOL (+1 tried first), else None, as it is when dim is not a
-    power of 2; deviation is max |O_{Ps,Pt} - sigma O_st| for the sigma
-    returned.  Every entry is compared with the entry at its mirror
-    position, or with 0 where op has none."""
-    n = _n_sites(op.dim)
-    if n is None:
+    REFLECTION_RTOL (+1 tried first), else None, as it is when mirror, the
+    reflection of _reflection, is None; deviation is max |O_{Ps,Pt} -
+    sigma O_st| for the sigma returned.  Every entry is compared with the
+    entry at its mirror position, or with 0 where op has none."""
+    if mirror is None:
         return None, math.inf
     keys = op.rows.astype(np.int64) * op.dim + op.cols
-    mirror = _reflection(op.rows, n).astype(np.int64) * op.dim + _reflection(op.cols, n)
+    mirror = mirror[op.rows].astype(np.int64) * op.dim + mirror[op.cols]
     at = np.minimum(np.searchsorted(keys, mirror), max(keys.size - 1, 0))
     partner = np.where(keys[at] == mirror, op.values[at], 0.0) if keys.size else op.values
     bound = REFLECTION_RTOL * max(1.0, float(np.abs(op.values).max(initial=0.0)))
@@ -207,10 +205,11 @@ def _reflection_sign(op):
     return None, math.inf
 
 
-def _parity_bases(states, n_sites):
+def _parity_bases(states, mirror):
     """[(parity, basis)] of the blocks of the component over states: one
-    block [(0, None)] over the states themselves when n_sites is None or P
-    does not map the states onto themselves; else the P-even block (+1,
+    block [(0, None)] over the states themselves when mirror (P s for every
+    state s) is None or P does not map the states onto themselves; else the
+    P-even block (+1,
     basis) and, unless P fixes every state, the P-odd one (-1, basis).
 
     A basis is (index, level, sign) over the states: the basis vector each
@@ -218,9 +217,9 @@ def _parity_bases(states, n_sites):
     a state of a reflection pair (weight 1/sqrt(2)) and 0 for a fixed one
     (weight 1), and sign -1 for the larger state of a pair in the odd basis.
     The vectors are numbered in the order of their smallest state."""
-    if n_sites is None:
+    if mirror is None:
         return [(0, None)]
-    partner = _reflection(states, n_sites)
+    partner = mirror[states]
     if not np.array_equal(np.sort(partner), states):
         return [(0, None)]
     at = np.searchsorted(states, partner)
@@ -473,7 +472,7 @@ class SpectralDecomposition(Frozen):
             raise DomainError(f"operator dim {op.shape[0]} does not match dim {self.dim}")
         sets, set_of, local, members = self._basis_index
         parity = [p for p, _ in self._bases]
-        sign = _reflection_sign(op)[0] if any(parity) else None
+        sign = _reflection_sign(op, _reflection(self.dim))[0] if any(parity) else None
         links = {}
         for (g, h), idx in _links(op, set_of, len(sets)).items():
             for a in members[g]:
@@ -528,13 +527,15 @@ def diagonalize(hamiltonian, energy_tol=None):
     basis = _components(h)
     set_of, local = _block_index(basis, dim)
     links = _links(h, set_of, len(basis))
-    sign, asymmetry = _reflection_sign(h)
-    n_sites = _n_sites(dim) if sign == 1 else None
+    mirror = _reflection(dim)
+    sign, asymmetry = _reflection_sign(h, mirror)
+    if sign != 1:
+        mirror = None
     none = np.zeros(0, dtype=np.intp)
     solved, blocks, bases = [], [], []
     unit_dev = rec_dev = 0.0
     for k, rows in enumerate(basis):
-        for parity, own in _parity_bases(rows, n_sites):
+        for parity, own in _parity_bases(rows, mirror):
             size = rows.size if own is None else int(own[0].max()) + 1
             sub = _block_matrix(h, links.get((k, k), none), local, (own,) * 2, (size,) * 2)
             e, v = np.linalg.eigh(sub)
