@@ -47,6 +47,7 @@ Thermal correlators use the inner product <X, Y> = tr(rho X^dag Y).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -198,6 +199,14 @@ class OperatorBlock(Frozen):
     @property
     def dim(self):
         return self.members[0].shape[0]
+
+    @cached_property
+    def _gram_floor(self):
+        """tau * s for members in the eigenbasis, found once per block: s is
+        the largest column norm^2 sum_m |(A_i)_mn|^2 among the members and
+        tau = (dim eps)^2 (see _pinv_quadratic)."""
+        s = max(float(np.einsum("mn,mn->n", m.conj(), m).real.max()) for m in self.members)
+        return (self.dim * np.finfo(float).eps) ** 2 * s
 
 
 class PairPartition(Frozen):
@@ -602,14 +611,6 @@ def block_gram(block, ensemble, op_eig):
     return gram, corr
 
 
-def _gram_floor(block):
-    """tau * s for an OperatorBlock in the eigenbasis: s is the largest
-    column norm^2 sum_m |(A_i)_mn|^2 among its members and tau = (dim eps)^2
-    (see _pinv_quadratic)."""
-    s = max(float(np.einsum("mn,mn->n", m.conj(), m).real.max()) for m in block.members)
-    return (block.dim * np.finfo(float).eps) ** 2 * s
-
-
 def _pinv_quadratic(gram, rows, floor=0.0):
     """The matrix [c_a^dag V^+ c_b] over correlator rows c_a, with an
     eigendecomposition pseudo-inverse of the Gram V.
@@ -617,15 +618,16 @@ def _pinv_quadratic(gram, rows, floor=0.0):
     Eigenvalues at or below max(TAU_RANK * top, floor) are discarded, top
     being the largest; eigenvalues negative beyond GRAM_NEG_RTOL (relative)
     mean the Gram lost positive semidefiniteness and raise NumericError.
-    For a block's Gram the floor is _gram_floor, tau * s with tau =
-    (dim eps)^2: a member's eigenbasis entries are made by products over
-    dim states, so a column of them, of norm at most sqrt(s), carries a
-    rounding error of norm up to about dim eps sqrt(s), and a Gram
-    eigenvalue at or below (dim eps)^2 s, a p-weighted mean of such norms^2,
-    can be made of rounding alone.  Its correlators are then rounding too,
-    and their ratio, of the order of <O^2>, is no bound: on the 8-site
-    chain with its Jordan-Wigner modes at beta = inf such directions (Gram
-    eigenvalues near 1e-30 s) once lifted the bound above the QFI.
+    For a block's Gram the floor is OperatorBlock._gram_floor, tau * s
+    with tau = (dim eps)^2: a member's eigenbasis entries are made by
+    products over dim states, so a column of them, of norm at most sqrt(s),
+    carries a rounding error of norm up to about dim eps sqrt(s), and a
+    Gram eigenvalue at or below (dim eps)^2 s, a p-weighted mean of such
+    norms^2, can be made of rounding alone.  Its correlators are then
+    rounding too, and their ratio, of the order of <O^2>, is no bound: on
+    the 6-site chain with its Jordan-Wigner modes at low temperature such
+    directions (Gram eigenvalues near 1e-31 s) lifted the bound above the
+    QFI.
     """
     gram = np.asarray(gram, dtype=complex)
     rows = np.asarray(rows, dtype=complex)
@@ -659,7 +661,7 @@ def mazur_weight(block, ensemble, op_eig):
     A PairPartition's weights are its cluster_weights, one per cluster.
     """
     gram, corr = block_gram(block, ensemble, op_eig)
-    return float(_pinv_quadratic(gram, corr[None, :], _gram_floor(block))[0, 0].real)
+    return float(_pinv_quadratic(gram, corr[None, :], block._gram_floor)[0, 0].real)
 
 
 def conserved_mazur_bound(conserved_set, ensemble, op_eig):

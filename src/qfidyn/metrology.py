@@ -39,7 +39,6 @@ from .dynsym import (
     _align,
     _block_list,
     _dense,
-    _gram_floor,
     _is_saturating,
     _operator_pairs,
     _pair_set,
@@ -541,7 +540,7 @@ def qfi_matrix_from_dynsym(blocks, ensemble, generators):
                 continue
             grams = [block_gram(block, ensemble, g) for g in generators]
             rows = np.stack([corr for _, corr in grams])
-            total += c * _pinv_quadratic(grams[0][0], rows, _gram_floor(block)).real
+            total += c * _pinv_quadratic(grams[0][0], rows, block._gram_floor).real
         else:
             raise DomainError(f"unknown block type {type(block).__name__}")
     return QfiMatrix((total + total.T) / 2.0, commuting)

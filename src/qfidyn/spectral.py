@@ -410,7 +410,9 @@ class SpectralDecomposition(Frozen):
         filled = np.zeros(len(sets), dtype=np.intp)
         np.add.at(filled, group, [cols.size for _, cols in pairs])
         if not np.array_equal(filled, [rows.size for rows in sets]):
-            raise DomainError("the blocks over a basis set must have as many eigen-columns as it has states")
+            raise DomainError(
+                "the blocks over a basis set must have as many eigen-columns as it has states"
+            )
         if len(pairs) == 1:
             parts = [u]
         else:

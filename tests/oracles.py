@@ -60,8 +60,6 @@ def reflection_permutation(n_sites):
     """perm with (P v)[s] = v[perm[s]] for the site reflection P: j -> n-1-j,
     read off each index's binary string (site 0 its leftmost digit)
     reversed."""
-    if n_sites == 0:
-        return np.zeros(1, dtype=int)
     return np.array([int(format(s, f"0{n_sites}b")[::-1], 2) for s in range(2**n_sites)])
 
 
