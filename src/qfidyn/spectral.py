@@ -516,9 +516,11 @@ def diagonalize(hamiltonian, energy_tol=None):
     spectral scale; then the block's matrix is dropped.  Off the blocks both
     the input and the reconstruction are exactly zero, so for unsplit
     blocks these are the full-matrix maxima.  A parity block is checked in
-    its own basis; a site-basis entry sums at most four of its entries with
-    weight 1/2, so its reconstruction deviation counts twice, plus the
-    deviation of H from P H P that the split drops.  Failure raises
+    its own basis: a site-basis entry of its component is one entry of each
+    parity block weighted 1/2, or one of the even block weighted at most
+    1/sqrt(2), so the blocks' largest deviation bounds the site-basis one,
+    and the deviation of H from P H P, which the split drops, is added to
+    the reconstruction deviation.  Failure raises
     NumericError since it signals lost accuracy, not bad input.  energy_tol
     seeds the decomposition's degeneracy threshold.
     """
@@ -545,7 +547,7 @@ def diagonalize(hamiltonian, energy_tol=None):
             gram.flat[:: e.size + 1] -= 1.0
             unit_dev = max(unit_dev, float(np.abs(gram).max()))
             rec = float(np.abs(v @ (e[:, None] * v.conj().T) - sub).max())
-            rec_dev = max(rec_dev, rec if own is None else 2.0 * rec + asymmetry)
+            rec_dev = max(rec_dev, rec if own is None else rec + asymmetry)
             del sub, gram
             solved.append((e, v))
             blocks.append(rows)
