@@ -45,8 +45,8 @@ from .operators import (
     SparseOperator,
     SpinChainSpec,
     operator_support,
-    pauli_strings_from_json,
     pauli_strings_to_records,
+    read_symmetry_file,
 )
 from .response import (
     BoundCheckReport,

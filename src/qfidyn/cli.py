@@ -36,7 +36,7 @@ from .models import (
     solve_preset,
     two_qubit_symmetry_operators,
 )
-from .operators import GENERATOR_KINDS, PauliString, SparseOperator, operator_support
+from .operators import GENERATOR_KINDS, SparseOperator, operator_support, read_symmetry_file
 from .response import response_comb
 from .spectral import diagonalize, gibbs_weights
 
@@ -130,37 +130,6 @@ def _write_table(path, header, rows):
     _emit(path, "\n".join(lines) + "\n")
 
 
-def _load_symmetry_file(path):
-    """Load Pauli-sum operators from JSON: a flat list of term records is a
-    single operator, a list of lists is several."""
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DomainError(f"cannot read symmetry file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DomainError(
-            f"malformed JSON in {path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(data, list):
-        raise DomainError(f"{path!r} must hold a list of operators or of term records")
-    if not data:
-        raise DomainError(f"symmetry file {path!r} contains no operators")
-    if isinstance(data[0], dict):
-        data = [data]
-    ops = []
-    for i, records in enumerate(data):
-        if not isinstance(records, list) or not records:
-            raise DomainError(f"{path!r}: operator {i} must be a nonempty list of term records")
-        try:
-            ops.append(tuple(PauliString.from_record(rec) for rec in records))
-        except DomainError as exc:
-            raise DomainError(f"{path!r}: operator {i}: {exc}") from None
-    return ops
-
-
 def _symmetry_operators(source, model):
     """The site-basis SparseOperators of a symmetry source, the analytic
     two-qubit set or a symmetry file, read and checked before any solve."""
@@ -169,7 +138,7 @@ def _symmetry_operators(source, model):
             raise DomainError("the analytic symmetry set is defined for the two-qubit model")
         return list(two_qubit_symmetry_operators().values())
     return [SparseOperator.from_strings(strs, model.spec.sites)
-            for strs in _load_symmetry_file(source)]
+            for strs in read_symmetry_file(source)]
 
 
 def _verified_symmetry_blocks(h, spectral, pairs, ops, omega_tol):
@@ -186,11 +155,11 @@ def _sweep(spectral, pairs, blocks, grid):
     """(T, QFI, bound) at each point of a (betas, temperatures) grid: the
     generator's QFI from its weighted pair set and the lower bound from the
     symmetry blocks.  A bound above the QFI by more than BOUND_RTOL of
-    max(1, QFI) is no lower bound, and raises NumericError."""
+    max(1, QFI), or a NaN one, is no lower bound, and raises NumericError."""
     for beta, temp in zip(*grid):
         ens = gibbs_weights(spectral, beta)
         fq, bound = qfi_spectral(pairs, ens), qfi_from_dynsym(blocks, ens, pairs).value
-        if bound - fq > BOUND_RTOL * max(1.0, fq):
+        if not bound - fq <= BOUND_RTOL * max(1.0, fq):
             raise NumericError(f"bound {bound!r} exceeds the QFI {fq!r} at beta {beta!r}")
         yield temp, fq, bound
 

@@ -315,15 +315,6 @@ class QfiReport(Frozen):
     def per_frequency(self):
         return dict(zip(self.omegas.tolist(), self.contributions.tolist()))
 
-    def to_jsonable(self):
-        return {
-            "value": self.value,
-            "saturated": self.saturated,
-            "per_frequency": [
-                {"omega": o, "contribution": c} for o, c in self.per_frequency.items()
-            ],
-        }
-
 
 def qfi_from_dynsym(blocks, ensemble, op_eig):
     """QFI lower bound sum_k 4 tanh^2(beta omega_k / 2) D_k(O).
@@ -450,9 +441,6 @@ class QfiMatrix(Frozen):
     @property
     def dim(self):
         return self.matrix.shape[0]
-
-    def to_jsonable(self):
-        return {"matrix": self.matrix.tolist(), "commuting": self.commuting}
 
 
 def _check_commuting(gens):

@@ -110,6 +110,8 @@ def regime_subset(field, coupling=1.0, omega_tol=None):
     single such operator.  At the crossing (at_level_crossing) the
     frequencies collide and no proper subset is distinguished.
     """
+    if not all(abs(x) < float("inf") for x in (field, coupling)):
+        raise DomainError(f"field and coupling must be finite, got {field} and {coupling}")
     if at_level_crossing(field, coupling, omega_tol):
         raise DomainError("no saturating subset at the level crossing |field| = |coupling|")
     return LOW_FIELD_SUBSET if abs(field) < abs(coupling) else HIGH_FIELD_SUBSET

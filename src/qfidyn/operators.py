@@ -127,18 +127,23 @@ def _require_hermitian(dev, scale, name, rtol=1e-10):
 
 
 class PauliString(FrozenRecord):
-    """A scalar coefficient times a product of single-site Pauli factors.
+    """A finite scalar coefficient times a product of single-site Pauli factors.
 
-    factors is a tuple of (site, axis) pairs; sites must be distinct, which
-    makes the factor order irrelevant.
+    factors is a tuple of (site, axis) pairs; sites must be distinct whole
+    numbers, which makes the factor order irrelevant.
     """
 
     _fields = ("coefficient", "factors")
 
     def __init__(self, coefficient, factors):
         coefficient = complex(coefficient)
+        if not np.isfinite(coefficient):
+            raise DomainError(f"coefficient must be finite, got {coefficient!r}")
+        factors = tuple(factors)
         facs = tuple((int(s), str(a)) for s, a in factors)
-        for site, axis in facs:
+        for (site, axis), (given, _) in zip(facs, factors):
+            if site != given:
+                raise DomainError(f"site index must be a whole number, got {given!r}")
             if axis not in AXES:
                 raise DomainError(f"unknown Pauli axis {axis!r}; valid axes are {AXES}")
             if site < 0:
@@ -190,9 +195,11 @@ class PauliString(FrozenRecord):
         try:
             re, im = record["coefficient"]
             factors = tuple((f["site"], f["axis"]) for f in record["factors"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(complex(re, im), factors)
+        except DomainError:
+            raise  # a DomainError is a ValueError: keep its own message
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed Pauli-string record: {record!r}") from exc
-        return cls(complex(re, im), factors)
 
 
 class SparseOperator(Frozen):
@@ -275,22 +282,36 @@ class SparseOperator(Frozen):
         return out
 
 
-def pauli_strings_from_json(data):
-    """Parse the operator interchange format: a list of term records.
+def read_symmetry_file(path):
+    """The operators of a symmetry file as tuples of PauliStrings: a flat list
+    of term records is one operator, a list of lists is several.  Errors are
+    DomainErrors naming the file, and the operator index where there is one."""
+    import json
 
-    Accepts a JSON string, a parsed list, or a file path ending in .json.
-    """
-    if isinstance(data, str):
-        import json
-
-        if data.lstrip().startswith("["):
-            data = json.loads(data)
-        else:
-            with open(data, encoding="utf-8") as fh:
-                data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read symmetry file {path!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise DomainError(
+            f"malformed JSON in {path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
     if not isinstance(data, list):
-        raise DomainError("operator JSON must be a list of term records")
-    return tuple(PauliString.from_record(rec) for rec in data)
+        raise DomainError(f"{path!r} must hold a list of operators or of term records")
+    if not data:
+        raise DomainError(f"symmetry file {path!r} contains no operators")
+    if isinstance(data[0], dict):
+        data = [data]
+    ops = []
+    for i, records in enumerate(data):
+        if not isinstance(records, list) or not records:
+            raise DomainError(f"{path!r}: operator {i} must be a nonempty list of term records")
+        try:
+            ops.append(tuple(PauliString.from_record(rec) for rec in records))
+        except DomainError as exc:
+            raise DomainError(f"{path!r}: operator {i}: {exc}") from None
+    return ops
 
 
 def pauli_strings_to_records(strings):
@@ -307,9 +328,10 @@ class SpinChainSpec(FrozenRecord):
             raise DomainError(f"chain needs at least 2 sites, got {sites}")
         if boundary not in BOUNDARIES:
             raise DomainError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-        self.__dict__.update(
-            sites=int(sites), coupling=float(coupling), field=float(field), boundary=boundary
-        )
+        coupling, field = float(coupling), float(field)
+        if not (np.isfinite(coupling) and np.isfinite(field)):
+            raise DomainError(f"coupling and field must be finite, got {coupling} and {field}")
+        self.__dict__.update(sites=int(sites), coupling=coupling, field=field, boundary=boundary)
 
 
 def xx_hamiltonian_strings(spec, max_sites=None):
@@ -341,7 +363,7 @@ def local_generator_strings(kind, n_sites, max_sites=None):
     staggered-x     : sum_i (-1)^i x_i / 2
     uniform-x       : sum_i x_i / 2
     uniform-z       : sum_i z_i / 2
-    Custom sums go through SparseOperator.from_strings / pauli_strings_from_json.
+    Custom sums go through SparseOperator.from_strings (read_symmetry_file).
     """
     n = _check_sites(n_sites, max_sites)
     if kind == "antisymmetric-x":

@@ -104,20 +104,6 @@ class FrequencyComb(Frozen):
             return complex(w) if self.kind == "cross" else float(w.real)
         return 0.0 if self.kind != "cross" else 0j
 
-    def prune(self, atol):
-        """Drop entries with |weight| <= atol; structure keeps its 0 entry."""
-        keep = np.abs(self.weights) > atol
-        if self.kind == "structure":
-            keep |= self.omegas == 0.0
-        return FrequencyComb(self.omegas[keep], self.weights[keep], self.kind, self.clamped)
-
-    def to_csv(self):
-        """Comb as CSV text with columns omega, weight_re, weight_im, kind."""
-        lines = ["omega,weight_re,weight_im,kind"]
-        for om, w in zip(self.omegas, self.weights):
-            lines.append(f"{om:.12e},{w.real:.12e},{w.imag:.12e},{self.kind}")
-        return "\n".join(lines) + "\n"
-
 
 def _comb_tanh(comb, beta):
     """(nz, t): the comb's nonzero frequencies nz and tanh(beta omega_k / 2)

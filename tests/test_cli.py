@@ -10,10 +10,12 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +30,8 @@ from qfidyn import (
     pauli_strings_to_records,
     projector_mazur_weight,
     qfi_from_dynsym,
+    qfi_matrix,
+    qfi_matrix_from_dynsym,
     qfi_spectral,
     response_comb,
     verified_blocks,
@@ -305,6 +309,40 @@ def test_mode_subsets_never_bound_above_the_qfi(n, data):
         assert bound <= fq * (1.0 + 1e-12), (beta, bound, fq)
 
 
+def bilinears(n):
+    """The n bilinears eta_k^dag eta_{n+1-k} of the Jordan-Wigner modes,
+    exact dynamical symmetries that span the staggered-z generator."""
+    modes = [SparseOperator.from_strings(mode, n).dense() for mode in fermion_modes(n)]
+    return [modes[k].conj().T @ modes[n - 1 - k] for k in range(n)]
+
+
+@pytest.mark.parametrize(
+    "n, kind", [(n, "modes") for n in range(4, 9)] + [(5, "bilinears")]
+)
+def test_the_ground_state_qfi_matrix_bounds_from_above(n, kind):
+    # without the Gram floor the 5-site bilinear bound on the staggered-z
+    # generator reads 11.01 against a QFI of 8, and the 6-site mode matrix
+    # has a gap eigenvalue of -0.63
+    spectral, _, h, modes = solved_modes(n)
+    ops = modes if kind == "modes" else bilinears(n)
+    staggered_z = [PauliString((-1) ** j * 0.5, ((j, "z"),)) for j in range(n)]
+    gens = [
+        spectral.to_eigenbasis(op)
+        for op in (preset_operators(preset("chain", sites=n))[1],
+                   SparseOperator.from_strings(staggered_z, n))
+    ]
+    ens = gibbs_weights(spectral, math.inf)
+    with warnings.catch_warnings():
+        # the staggered x and z generators do not commute
+        warnings.simplefilter("ignore", RuntimeWarning)
+        full = qfi_matrix(gens, ens).matrix
+        bound = qfi_matrix_from_dynsym(verified_blocks(h, spectral, ops), ens, gens).matrix
+    gap = full - bound
+    assert np.linalg.eigvalsh((gap + gap.T) / 2.0).min() >= -1e-9 * max(1.0, np.abs(full).max())
+    if kind == "bilinears":
+        assert abs(bound[1, 1] - full[1, 1]) <= 1e-9 * full[1, 1]
+
+
 def test_a_bound_above_the_qfi_is_a_numeric_failure(monkeypatch, tmp_path):
     # the two-qubit QFI is below 4, the square of the generator's width
     monkeypatch.setattr(cli, "qfi_from_dynsym", lambda *_: SimpleNamespace(value=4.0))
@@ -315,6 +353,10 @@ def test_a_bound_above_the_qfi_is_a_numeric_failure(monkeypatch, tmp_path):
         "--out", str(tmp_path),
     )
     assert code == 3 and "exceeds the QFI" in stderr
+    # a NaN bound is no lower bound either
+    monkeypatch.setattr(cli, "qfi_from_dynsym", lambda *_: SimpleNamespace(value=math.nan))
+    code, stdout, stderr = run("qfi", "--beta", "1")
+    assert code == 3 and stdout == "" and stderr.count("qfidyn:") == 1
 
 
 def test_analytic_source_requires_the_two_qubit_model():
@@ -442,6 +484,8 @@ def test_fig2_rejects_nonpositive_temperature():
         ("--temp-grid", "0:1:5:log"),
         ("--temperature", "0"),
         ("--omega-tol", "nan"),
+        ("--field", "nan"),
+        ("--coupling", "inf"),
     ],
 )
 def test_fig2_checks_its_arguments_before_any_work(tmp_path, monkeypatch, bad):
@@ -477,6 +521,10 @@ def test_fig1_checks_omega_tol_before_any_work(tmp_path, monkeypatch):
     for flag, field, *rest in crossing:
         code, _, stderr = run("reproduce-fig1", flag, field, *rest, "--out", str(out))
         assert code == 2 and stderr.startswith("qfidyn: no saturating subset"), (flag, field)
+        assert not out.exists()
+    for flag, value in (("--field-low", "nan"), ("--field-high", "inf"), ("--coupling", "nan")):
+        code, _, stderr = run("reproduce-fig1", flag, value, "--out", str(out))
+        assert code == 2 and stderr.startswith("qfidyn: field and coupling must be finite")
         assert not out.exists()
 
 
@@ -519,6 +567,10 @@ def test_fig1_skips_the_heatmap_fields_in_the_crossing_window(tmp_path, fields, 
         (("verify", "--beta", "-1", "--symmetries", "{pair}"), "beta must be >= 0"),
         (("verify", "--symmetries", "{wide}"), "out of range"),
         (("verify", "--symmetries", "{empty}"), "contains no operators"),
+        (("qfi", "--preset", "chain", "--sites", "4", "--beta", "1", "--field", "nan"),
+         "must be finite"),
+        (("qfi", "--preset", "chain", "--sites", "4", "--beta", "1", "--coupling", "inf"),
+         "must be finite"),
     ],
     ids=[
         "qfi-analytic-off-two-qubit",
@@ -529,6 +581,8 @@ def test_fig1_skips_the_heatmap_fields_in_the_crossing_window(tmp_path, fields, 
         "verify-negative-beta",
         "verify-site-out-of-range",
         "verify-empty-file",
+        "qfi-field-nan",
+        "qfi-coupling-inf",
     ],
 )
 def test_qfi_and_verify_check_their_arguments_before_any_solve(
@@ -627,6 +681,55 @@ def test_verify_bad_operator_entries(tmp_path):
     path.write_text("[[]]")
     code, _, stderr = run("verify", "--symmetries", str(path))
     assert code == 2 and "operator 0" in stderr
+
+
+def assert_one_error_line(code, stdout, stderr, exit_code=2):
+    assert code == exit_code and stdout == "", stderr
+    assert stderr.startswith("qfidyn:") and stderr.count("\n") == 1, stderr
+
+
+@pytest.mark.parametrize(
+    "coefficient, site",
+    [([1, "a"], 0), ([None, 0], 0), ([1, 0], "a"), ([1, 0], 0.5), ([math.nan, 0], 0),
+     ([math.inf, 0], 0)],
+    ids=["coefficient-string", "coefficient-null", "site-string", "site-fraction",
+         "coefficient-nan", "coefficient-inf"],
+)
+def test_malformed_record_values_are_usage_errors(tmp_path, coefficient, site):
+    # the analytic A4 with its first record, s+ on site 0, spoilt
+    records = pauli_strings_to_records(two_qubit_symmetry_strings()["A4"])
+    records[0] = {"coefficient": coefficient, "factors": [{"site": site, "axis": "+"}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(records))
+    code, stdout, stderr = run("qfi", "--beta", "1", "--symmetries", str(path))
+    assert_one_error_line(code, stdout, stderr)
+    assert "operator 0" in stderr
+
+
+def scaled(operators, scale):
+    return [[PauliString(scale * ps.coefficient, ps.factors) for ps in op] for op in operators]
+
+
+@pytest.mark.parametrize(
+    "command", [("qfi", "--beta", "1"), ("verify",)], ids=["qfi", "verify"]
+)
+@pytest.mark.parametrize(
+    "operators",
+    [
+        scaled([[PauliString(1.0, ((0, "+"), (1, "-")))]], 1e160),
+        scaled([[PauliString(1.0, ((0, "+"), (1, "-")))]], 1e308),
+        scaled(two_qubit_symmetry_strings().values(), 1e300),
+        scaled(two_qubit_symmetry_strings().values(), 1e-300),
+    ],
+    ids=["hop-1e160", "hop-1e308", "analytic-1e300", "analytic-1e-300"],
+)
+def test_an_overflowed_symmetry_norm_fails_closed(tmp_path, command, operators):
+    # <A, A> overflows or underflows, so the residual of the fit is NaN or
+    # meaningless; S+_0 S-_1 itself is refused with residual 2.83
+    path = write_symmetry_file(tmp_path / "ops.json", operators)
+    code, stdout, stderr = run(*command, "--symmetries", path)
+    assert_one_error_line(code, stdout, stderr)
+    assert "out of range" in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,10 @@ def test_fit_frequency_non_eigenoperator():
 def test_fit_frequency_rejects_zero_operator():
     with pytest.raises(DomainError):
         fit_frequency(SZ, np.zeros((2, 2)))
+    # <A, A> overflowed, subnormal or NaN leaves no meaningful residual
+    for scale in (1e160, 1e-160, np.nan):
+        with pytest.raises(DomainError, match="out of range"):
+            fit_frequency(SZ, scale * SMINUS)
 
 
 def test_dynamical_symmetry_verifies_and_rejects():
@@ -79,6 +83,9 @@ def test_dynamical_symmetry_verifies_and_rejects():
     with pytest.raises(DomainError) as err:
         dynamical_symmetry(SZ, np.array([[0, 1], [1, 0]], dtype=complex))
     assert "not a dynamical symmetry" in str(err.value)
+    # a NaN residual is no pass
+    with pytest.raises(DomainError, match="not a dynamical symmetry"):
+        dynamical_symmetry(np.diag([1.0, np.nan]), SMINUS)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +505,9 @@ def test_conserved_rejects_zero_member():
     _, _, spectral, ens, o_eig = two_qubit_setup()
     with pytest.raises(DomainError):
         conserved_mazur_bound([np.zeros((4, 4))], ens, o_eig)
+    for member in (np.full((4, 4), np.nan), np.full((4, 4), np.inf)):
+        with pytest.raises(DomainError, match="out of range"):
+            conserved_mazur_bound([member], ens, o_eig)
 
 
 # ---------------------------------------------------------------------------

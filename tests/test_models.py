@@ -82,6 +82,10 @@ def test_regime_subset():
     for field, coupling in ((1.0, 1.0), (-1.0, 1.0), (0.5, 0.5)):
         with pytest.raises(DomainError, match="crossing"):
             regime_subset(field, coupling)
+    # inf is no crossing, and a NaN field falls to neither side of it
+    for field, coupling in ((math.inf, 1.0), (math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(DomainError, match="must be finite"):
+            regime_subset(field, coupling)
 
 
 def test_subset_bound_saturates_at_low_temperature():

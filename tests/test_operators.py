@@ -1,6 +1,7 @@
 """Operator construction, Pauli algebra, support detection, and the site cap."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qfidyn import (
     SparseOperator,
     SpinChainSpec,
     operator_support,
-    pauli_strings_from_json,
+    read_symmetry_file,
 )
 from qfidyn.operators import (
     AXES,
@@ -172,29 +173,70 @@ def test_pauli_string_record_roundtrip():
     assert PauliString.from_record(ps.to_record()) == ps
 
 
-def test_pauli_string_record_is_json_serializable():
+def test_pauli_string_record_is_json_serializable(tmp_path):
     ps = PauliString(1.5, ((1, "y"),))
-    text = json.dumps(pauli_strings_to_records([ps]))
-    (back,) = pauli_strings_from_json(text)
-    assert back == ps
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(pauli_strings_to_records([ps])), encoding="utf-8")
+    assert read_symmetry_file(str(path)) == [(ps,)]
 
 
-def test_pauli_strings_from_json_file(tmp_path):
+def test_read_symmetry_file_flat_list_is_one_operator(tmp_path):
     path = tmp_path / "op.json"
     records = pauli_strings_to_records(
         [PauliString(1.0, ((0, "x"),)), PauliString(-1.0, ((1, "x"),))]
     )
     path.write_text(json.dumps(records), encoding="utf-8")
-    strings = pauli_strings_from_json(str(path))
+    (strings,) = read_symmetry_file(str(path))
     assert len(strings) == 2
     assert strings[1].coefficient == -1.0
 
 
-def test_pauli_strings_from_json_rejects_garbage():
-    with pytest.raises(DomainError):
-        pauli_strings_from_json('[{"nope": 1}]')
-    with pytest.raises(DomainError):
-        pauli_strings_from_json({"not": "a list"})
+def test_read_symmetry_file_list_of_lists_is_several_operators(tmp_path):
+    ops = [
+        (PauliString(1.0, ((0, "-"),)), PauliString(-1.0, ((0, "z"), (1, "-")))),
+        (PauliString(0.5j, ((1, "+"),)),),
+    ]
+    path = tmp_path / "ops.json"
+    path.write_text(json.dumps([pauli_strings_to_records(op) for op in ops]), encoding="utf-8")
+    assert read_symmetry_file(str(path)) == ops
+
+
+def test_read_symmetry_file_rejects_garbage(tmp_path):
+    path = tmp_path / "bad.json"
+    garbage = (
+        ('{"not": "a list"}', "must hold a list"),
+        ("[]", "contains no operators"),
+        ('[{"nope": 1}]', "operator 0: malformed Pauli-string record"),
+        ('[[{"coefficient": [1, 0], "factors": []}], 3]', "operator 1 must be a nonempty list"),
+        ('[{"coefficient": [1, 0], "factors": [{"site": 0, "axis": "w"}]}]',
+         "operator 0: unknown Pauli axis"),
+        ('[{"coefficient": [1', "malformed JSON"),
+    )
+    for text, message in garbage:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DomainError, match=message) as info:
+            read_symmetry_file(str(path))
+        assert repr(str(path)) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "coefficient, factors, message",
+    [
+        (complex("nan"), ((0, "x"),), "coefficient must be finite"),
+        (complex(0.0, float("inf")), ((0, "x"),), "coefficient must be finite"),
+        (1.0, ((1.5, "x"),), "whole number"),
+        (1.0, (("1", "x"),), "whole number"),
+    ],
+)
+def test_pauli_string_rejects_non_finite_coefficients_and_fractional_sites(
+    coefficient, factors, message
+):
+    with pytest.raises(DomainError, match=message):
+        PauliString(coefficient, factors)
+
+
+def test_pauli_string_accepts_a_whole_float_site():
+    assert PauliString(1.0, ((1.0, "x"),)) == PauliString(1.0, ((1, "x"),))
 
 
 # Coefficients stay finite so that the oracle's Kronecker products never
@@ -302,6 +344,9 @@ def test_chain_spec_validation():
         SpinChainSpec(1)
     with pytest.raises(DomainError):
         SpinChainSpec(3, boundary="twisted")
+    for coupling, field in ((math.nan, 0.3), (math.inf, 0.3), (1.0, math.nan), (1.0, -math.inf)):
+        with pytest.raises(DomainError, match="must be finite"):
+            SpinChainSpec(3, coupling, field)
 
 
 # ---------------------------------------------------------------------------

@@ -199,24 +199,6 @@ def test_comb_weight_at_and_prune():
     assert comb.weight_at(1.0) == 2.0
     assert comb.weight_at(0.9) == 0.0
     assert comb.weight_at(0.9, tol=0.2) == 2.0
-    pruned = comb.prune(1.0)
-    assert pruned.size == 1 and pruned.omegas[0] == 1.0
-
-
-def test_structure_prune_keeps_zero_entry(rng):
-    _, _, ens, o_eig = random_setup(rng)
-    s = structure_factor_comb(o_eig, ens)
-    pruned = s.prune(np.abs(s.weights).max() + 1.0)
-    assert pruned.size == 1 and pruned.omegas[0] == 0.0
-
-
-def test_comb_to_csv_layout():
-    comb = FrequencyComb(np.array([0.5]), np.array([1.25]), "response")
-    text = comb.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "omega,weight_re,weight_im,kind"
-    assert lines[1].endswith(",response")
-    assert "1.250000000000e+00" in lines[1]
 
 
 # ---------------------------------------------------------------------------
