@@ -31,14 +31,13 @@ from .models import (
     PRESETS,
     at_level_crossing,
     preset as resolve_preset,
-    preset_operators,
     regime_subset,
     solve_preset,
     two_qubit_symmetry_operators,
 )
 from .operators import GENERATOR_KINDS, SparseOperator, operator_support, read_symmetry_file
 from .response import response_comb
-from .spectral import diagonalize, gibbs_weights
+from .spectral import gibbs_weights
 
 FLOAT_FMT = "%.12e"
 DEFAULT_TEMP_GRID = "0.05:5:100:log"
@@ -141,16 +140,6 @@ def _symmetry_operators(source, model):
             for strs in read_symmetry_file(source)]
 
 
-def _verified_symmetry_blocks(h, spectral, pairs, ops, omega_tol):
-    """The bound's symmetry set: the generator's weighted pair set when ops
-    is None (the trivial complete set), else the OperatorBlocks of the
-    site-basis SparseOperators ops, verified against the site-basis
-    Hamiltonian h and taken to the eigenbasis from their entries."""
-    if ops is None:
-        return pairs
-    return verified_blocks(h, spectral, ops, omega_tol=omega_tol)
-
-
 def _sweep(spectral, pairs, blocks, grid):
     """(T, QFI, bound) at each point of a (betas, temperatures) grid: the
     generator's QFI from its weighted pair set and the lower bound from the
@@ -172,7 +161,8 @@ def cmd_qfi(args):
     ops = None if args.symmetries == "trivial" else _symmetry_operators(args.symmetries, model)
     # one weighted pair set carries the generator through the whole sweep
     spectral, pairs, h = solve_preset(model, omega_tol)
-    blocks = _verified_symmetry_blocks(h, spectral, pairs, ops, omega_tol)
+    # the trivial complete set is the generator's own weighted pair set
+    blocks = pairs if ops is None else verified_blocks(h, spectral, ops, omega_tol)
     n = model.spec.sites
     rows = [
         (temp, fq, fq / n, bound, bound / n, entanglement_depth(fq, n).depth)
@@ -206,7 +196,7 @@ def _fig1_curve(field, coupling, grid, omega_tol):
     model = resolve_preset("two-qubit", coupling=coupling, field=field)
     spectral, pairs, h = solve_preset(model, omega_tol)
     ops = two_qubit_symmetry_operators(regime_subset(field, coupling, omega_tol)).values()
-    blocks = _verified_symmetry_blocks(h, spectral, pairs, ops, omega_tol)
+    blocks = verified_blocks(h, spectral, ops, omega_tol)
     return [
         (temp, fq / 2.0, bound / 2.0) for temp, fq, bound in _sweep(spectral, pairs, blocks, grid)
     ]
@@ -322,24 +312,17 @@ def cmd_verify(args):
     (beta,), _ = _grid_from_args(args)
     ops = _symmetry_operators(args.symmetries, model)
     n = model.spec.sites
-    h, gen = preset_operators(model)
-    spectral = diagonalize(h)
+    # one solve, as for qfi; the generator's pair set serves every cap
+    spectral, pairs, h = solve_preset(model)
     ens = gibbs_weights(spectral, beta)
-    # complex, the type fit_frequency computes in, so that H is not
-    # converted again inside the loop
-    h_mat = h.dense().astype(complex)
-    # the generator goes to the eigenbasis once, and each operator's support
-    # is found once, for its column and its cap
-    gen_eig = spectral.to_eigenbasis(gen)
     rows = []
     all_ok = True
     for i, op in enumerate(ops):
-        mat = op.dense().astype(complex)
-        omega, residual = fit_frequency(h_mat, mat)
-        support = operator_support(mat, n)
+        omega, residual = fit_frequency(h, op)
+        support = operator_support(op, n)
         support_text = " ".join(str(s) for s in sorted(support)) if support else "-"
         try:
-            cap, holds = _local_cap(support, op, gen_eig, ens)
+            cap, holds = _local_cap(support, op, pairs, ens)
             cap_text, holds_text = _format_cell(cap), _format_cell(holds)
         except DomainError:
             cap_text, holds_text = "-", "-"

@@ -53,8 +53,9 @@ import numpy as np
 
 from ._frozen import Frozen
 from .errors import DomainError, NumericError
-from .operators import _as_matrix, _chunks, _real_if_exact, operator_support
-from .spectral import BlockOperator, _operand
+from .operators import SparseOperator, _as_matrix, _chunks, _keys, _operand, _real_if_exact
+from .operators import operator_support
+from .spectral import BlockOperator
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
 TAU_DYN = 1e-9
@@ -94,20 +95,44 @@ def fit_frequency(hamiltonian, op):
 
     Returns (omega, residual) with omega = Re<A, [H,A]> / <A, A> in the
     Hilbert-Schmidt inner product and residual = |[H,A] - omega A| / |A|
-    (Frobenius norms).  Both operators must share one basis; the result is
+    (Frobenius norms), both summed over the entries of [H, A].  Both
+    operators, SparseOperators or matrices, share one basis; the result is
     basis independent.  <A, A> must be a finite normal float (DomainError).
     """
-    h = _as_matrix(hamiltonian)
-    a = _as_matrix(op)
+    h, a = _operand(hamiltonian, "hamiltonian"), _operand(op)
     if h.shape != a.shape:
         raise DomainError(f"dimension mismatch {h.shape} vs {a.shape}")
-    norm_sq = float(np.vdot(a, a).real)
+    norm_sq = float(np.vdot(a.values, a.values).real)
     if not np.finfo(float).tiny <= norm_sq < math.inf:
         raise DomainError(f"operator norm^2 {norm_sq:.3e} is out of range (0, subnormal or inf)")
-    comm = h @ a - a @ h
-    omega = float(np.vdot(a, comm).real) / norm_sq
-    residual = float(np.linalg.norm(comm - omega * a)) / np.sqrt(norm_sq)
+    comm, at_a = _commutator(h, a)
+    omega = float(np.vdot(a.values, comm[at_a]).real) / norm_sq
+    comm[at_a] -= omega * a.values
+    residual = float(np.linalg.norm(comm)) / math.sqrt(norm_sq)
     return omega, residual
+
+
+def _commutator(h, a):
+    """(comm, at_a): the entries of [H, A], one per position, A's own
+    positions among them (0 where the commutator vanishes), and the index
+    of each of A's entries in comm.  H's entries with one flip mask
+    f = row ^ col, H_f, hold at most one per column: h_f[c] = H_{c^f, c}.
+    So H_f A has A_rc h_f[r] at (r ^ f, c) and A H_f has A_rc h_f[c ^ f] at
+    (r, c ^ f); the terms at one position are summed."""
+    flips = h.rows ^ h.cols
+    keys, terms = [_keys(a.rows, a.cols, a.dim)], [np.zeros(a.values.size, a.dtype)]
+    for f in np.unique(flips).tolist():
+        h_f = np.zeros(a.dim, h.dtype)
+        on = flips == f
+        h_f[h.cols[on]] = h.values[on]
+        for rows, cols, value in ((a.rows ^ f, a.cols, h_f[a.rows] * a.values),
+                                  (a.rows, a.cols ^ f, -a.values * h_f[a.cols ^ f])):
+            keys.append(_keys(rows, cols, a.dim)[value != 0])
+            terms.append(value[value != 0])
+    positions, index = np.unique(np.concatenate(keys), return_inverse=True)
+    comm = np.zeros(positions.size, np.result_type(h.dtype, a.dtype))
+    np.add.at(comm, index, np.concatenate(terms))
+    return comm, index[: a.values.size]
 
 
 class DynamicalSymmetry(Frozen):
@@ -120,17 +145,17 @@ class DynamicalSymmetry(Frozen):
         self.__dict__.update(op=op, omega=omega, residual=residual)
 
 
-def dynamical_symmetry(hamiltonian, op, tol=TAU_DYN):
-    """Verify [H, op] = omega op within tol and package the result.
+def dynamical_symmetry(hamiltonian, op):
+    """Verify [H, op] = omega op within TAU_DYN and package the result.
 
-    Raises DomainError unless the best-fit residual is at most tol (NaN is
-    not): the operator is not an eigenoperator of this Hamiltonian.
+    Raises DomainError unless the best-fit residual is at most TAU_DYN (NaN
+    is not): the operator is not an eigenoperator of this Hamiltonian.
     """
     omega, residual = fit_frequency(hamiltonian, op)
-    if not residual <= tol:
+    if not residual <= TAU_DYN:
         raise DomainError(
             f"operator is not a dynamical symmetry: residual {residual:.3e} "
-            f"exceeds tolerance {tol:.1e} (best-fit omega {omega:.6g})"
+            f"exceeds tolerance {TAU_DYN:.1e} (best-fit omega {omega:.6g})"
         )
     return DynamicalSymmetry(op, omega, residual)
 
@@ -178,19 +203,14 @@ class OperatorBlock(Frozen):
     _fields = ("omega", "members")
 
     def __init__(self, omega, members):
-        if not members:
+        mats = tuple(np.array(_as_matrix(member), dtype=complex) for member in members)
+        if not mats:
             raise DomainError("a symmetry block needs at least one member")
-        mats = []
-        dim = None
-        for member in members:
-            mat = np.array(_as_matrix(member), dtype=complex)
+        if len({mat.shape for mat in mats}) != 1:
+            raise DomainError("block members must share one dimension")
+        for mat in mats:
             mat.setflags(write=False)
-            if dim is None:
-                dim = mat.shape[0]
-            elif mat.shape[0] != dim:
-                raise DomainError("block members must share one dimension")
-            mats.append(mat)
-        self.__dict__.update(omega=float(omega), members=tuple(mats))
+        self.__dict__.update(omega=float(omega), members=mats)
 
     @property
     def size(self):
@@ -299,14 +319,10 @@ class PairPartition(Frozen):
         """True when the set holds every pair, so it spans operator space."""
         return self.rows.size == self.dim * (self.dim + 1) // 2
 
-    @property
-    def mirror(self):
-        """Cluster of each mirrored pair (n, m); K for a diagonal pair, which
-        has no mirror."""
-        return self._mirror(slice(None), self.labels.astype(np.intp))
-
     def _mirror(self, s, labels):
-        """mirror on the pairs s, written over labels, their own clusters."""
+        """The cluster of each mirrored pair (n, m) of the pairs s, K for a
+        diagonal pair, which has no mirror, written over labels, their own
+        clusters."""
         k = self.omegas.size
         np.subtract(k - 1, labels, out=labels)
         labels[self.rows[s] == self.cols[s]] = k
@@ -354,13 +370,7 @@ class PairPartition(Frozen):
         """
         if op is self and self.values is not None:
             return self.values, True
-        return _align(*_operator_pairs(op, self.dim, name), self.keys, self.dim)
-
-    @property
-    def abs2(self):
-        """|O_mn|^2 over the pairs, for a set that carries values, computed
-        on each access."""
-        return _abs2(self.values)
+        return _align(*_operator_pairs(op, self.dim, name), self.rows, self.cols, self.dim)
 
     def cluster_weights(self, ensemble, values):
         """Mazur weight of every cluster for an operator with these values on
@@ -379,14 +389,6 @@ def _abs2(values):
     """|values|^2, as np.abs(values) ** 2 gives it; for real values that is
     their square, bit for bit, without the pass through np.abs."""
     return np.square(values) if values.dtype.kind == "f" else np.abs(values) ** 2
-
-
-def _keys(rows, cols, dim):
-    """m * dim + n over pairs (rows, cols), as int64."""
-    keys = rows.astype(np.int64)
-    keys *= dim
-    keys += cols
-    return keys
 
 
 def _operator_pairs(op, dim, name="operator"):
@@ -410,17 +412,13 @@ def _operator_pairs(op, dim, name="operator"):
     return op.pairs(name)
 
 
-def _align(rows, cols, values, onto, dim):
-    """(aligned, covered): values of the pairs (rows, cols) placed on the
-    pairs with ascending keys onto (m * dim + n), 0 where absent, and
-    whether every pair found its place."""
-    keys = _keys(rows, cols, dim)
-    pos = np.searchsorted(onto, keys)
-    found = pos < onto.size
-    found[found] = onto[pos[found]] == keys[found]
-    out = np.zeros(onto.size, dtype=values.dtype)
-    out[pos[found]] = values[found]
-    return out, bool(found.all())
+def _align(rows, cols, values, onto_rows, onto_cols, dim):
+    """(aligned, covered): the values of the pairs (rows, cols) read at the
+    pairs (onto_rows, onto_cols), 0 where absent, and whether every pair
+    found its place; both pair lists ascend in m * dim + n."""
+    aligned = SparseOperator._trusted(rows, cols, values, dim).at(onto_rows, onto_cols)
+    onto = SparseOperator._trusted(onto_rows, onto_cols, np.ones(onto_rows.size), dim)
+    return aligned, bool(onto.at(rows, cols).all())
 
 
 def _dense(rows, cols, values, dim):
@@ -565,7 +563,7 @@ def group_into_blocks(symmetries, omega_tol=None):
     return blocks
 
 
-def verified_blocks(hamiltonian, spectral, ops, tol=TAU_DYN, omega_tol=None):
+def verified_blocks(hamiltonian, spectral, ops, omega_tol=None):
     """Verify candidate operators against H, transform them into the energy
     eigenbasis and group them into frequency blocks.
 
@@ -575,12 +573,10 @@ def verified_blocks(hamiltonian, spectral, ops, tol=TAU_DYN, omega_tol=None):
     symmetries = []
     for i, op in enumerate(ops):
         try:
-            sym = dynamical_symmetry(hamiltonian, op, tol)
+            sym = dynamical_symmetry(hamiltonian, op)
         except DomainError as exc:
             raise DomainError(f"operator {i}: {exc}") from None
-        op_eig = spectral.to_eigenbasis(sym.op)
-        op_eig.setflags(write=False)
-        symmetries.append(DynamicalSymmetry(op_eig, sym.omega, sym.residual))
+        symmetries.append(DynamicalSymmetry(spectral.to_eigenbasis(op), sym.omega, sym.residual))
     if omega_tol is None:
         omega_tol = default_omega_tol(spectral.energies)
     return group_into_blocks(symmetries, omega_tol)
@@ -725,21 +721,19 @@ def local_cap(a_loc, op, ensemble):
     """
     if ensemble.spectral is None:
         raise DomainError("ensemble must carry its spectral decomposition")
-    a_op, o_op = _operand(a_loc), _operand(op)
-    dim = ensemble.dim
+    a_op, o_op, dim = _operand(a_loc), _operand(op), ensemble.dim
     if a_op.shape != (dim, dim) or o_op.shape != (dim, dim):
         raise DomainError("operator dimensions do not match the ensemble")
-    n_sites = dim.bit_length() - 1
-    if 2**n_sites != dim:
-        raise DomainError(f"dimension {dim} is not a power of 2")
-    support = operator_support(a_loc, n_sites)
-    return _local_cap(support, a_op, ensemble.spectral.to_eigenbasis(o_op), ensemble)
+    # a dim that is not a power of 2 matches no chain: operator_support refuses it
+    support = operator_support(a_op, dim.bit_length() - 1)
+    return _local_cap(support, a_op, ensemble.spectral.to_eigenblocks(o_op), ensemble)
 
 
 def _local_cap(support, a_op, o_eig, ensemble):
-    """local_cap of a site-basis A_loc with the given support, against O
-    already in the eigenbasis, so that a caller capping many operators
-    against one O finds each support once and transforms O once."""
+    """local_cap of a site-basis A_loc with the given support, against O in
+    the eigenbasis as _operator_pairs reads it (such as the weighted pair set
+    of solve_preset), so that a caller capping many operators against one O
+    finds each support once and takes O to the eigenbasis once."""
     if not support:
         raise DomainError("operator acts as a scalar; the cap is undefined")
     lo, hi = min(support), max(support)
@@ -751,6 +745,11 @@ def _local_cap(support, a_op, o_eig, ensemble):
     norm = float(np.einsum("mn,mn,n->", a_eig.conj(), a_eig, p).real)
     if norm <= 0.0:
         raise DomainError("thermal norm <A^dag A> vanishes on this ensemble")
-    overlap = complex(np.einsum("mn,mn,n->", a_eig.conj(), o_eig, p))
+    rows, cols, values = _operator_pairs(o_eig, ensemble.dim)
+    # (m, n) carries O_mn and, off the diagonal, (n, m) carries conj(O_mn)
+    off = rows != cols
+    overlap = complex(np.dot(a_eig[rows, cols].conj(), values * p[cols]))
+    rows, cols, values = rows[off], cols[off], values[off]
+    overlap += complex(np.dot(a_eig[cols, rows].conj(), values.conj() * p[rows]))
     holds = bool(abs(overlap) ** 2 / norm <= cap + LOCAL_CAP_SLACK)
     return cap, holds

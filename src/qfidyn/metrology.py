@@ -475,8 +475,8 @@ def qfi_matrix(generators, ensemble):
     dim = ensemble.dim
     gens, commuting = _generator_pairs(generators, dim)
     keys = np.unique(np.concatenate([r.astype(np.int64) * dim + c for r, c, _ in gens]))
-    vals = [_align(*g, keys, dim)[0] for g in gens]
     rows, cols = np.divmod(keys, dim)
+    vals = [_align(*g, rows, cols, dim)[0] for g in gens]
     w = 4.0 * _qfi_pair_weights(ensemble.weights, rows, cols)
     d = len(gens)
     out = np.zeros((d, d))
@@ -513,7 +513,7 @@ def qfi_matrix_from_dynsym(blocks, ensemble, generators):
     total = np.zeros((d, d))
     for block in _block_list(blocks):
         if isinstance(block, PairPartition):
-            vals = [_align(*g, block.keys, dim)[0] for g in gens]
+            vals = [_align(*g, block.rows, block.cols, dim)[0] for g in gens]
             chunks = _coefficient_chunks(coeff, ensemble, block)
             binned = block.bin_chunks(_cross_terms(chunks, vals, ab), len(ab))
             nonzero = block.omegas != 0.0
@@ -579,10 +579,10 @@ class WitnessReport(FrozenRecord):
         self.__dict__.update(n_particles=n_particles, f_q=f_q, depth=depth)
 
 
-def entanglement_depth(qfi_value, n_particles, witness_tol=WITNESS_TOL):
+def entanglement_depth(qfi_value, n_particles):
     """Certified entanglement depth from F_Q on n particles.
 
-    depth = 1 + max{integer kappa >= 0 with f_Q > kappa + witness_tol},
+    depth = 1 + max{integer kappa >= 0 with f_Q > kappa + WITNESS_TOL},
     floored at 1: a density at or below 1 certifies nothing.
     """
     n = int(n_particles)
@@ -592,5 +592,5 @@ def entanglement_depth(qfi_value, n_particles, witness_tol=WITNESS_TOL):
     if f < -1e-12:
         raise DomainError(f"QFI must be nonnegative, got {qfi_value}")
     f = max(f, 0.0)
-    kappa = max(0, math.ceil(f - witness_tol) - 1)
+    kappa = max(0, math.ceil(f - WITNESS_TOL) - 1)
     return WitnessReport(n, f, kappa + 1)

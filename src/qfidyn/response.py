@@ -41,6 +41,10 @@ NEG_WEIGHT_TOL = 1e-12
 # Tolerance for the structure comb's omega -> -omega symmetry certificate.
 MIRROR_RTOL = 1e-9
 
+# Largest shortfall g - D_k of a comb weight below its Mazur weight that
+# comb_bound_check reads as rounding rather than a violation.
+BOUND_CHECK_ATOL = 1e-10
+
 
 class FrequencyComb(Frozen):
     """Sorted frequencies with one weight per frequency.
@@ -205,18 +209,14 @@ class BoundCheckReport(FrozenRecord):
     def __init__(self, rows, equality):
         self.__dict__.update(rows=rows, equality=equality)
 
-    @property
-    def max_violation(self):
-        return max((-(m) for *_, m in self.rows), default=0.0)
 
-
-def comb_bound_check(comb, blocks, ensemble, op_eig, atol=1e-10):
+def comb_bound_check(comb, blocks, ensemble, op_eig):
     """Certify g(omega_k) >= D_k(O) for every block against a response comb.
 
     blocks is a PairPartition, or a list of OperatorBlocks and
     PairPartitions.  Block frequencies are matched to comb entries within
     the shared clustering tolerance (an absent entry counts as g = 0).  A
-    violation beyond atol raises NumericError listing every offending
+    violation beyond BOUND_CHECK_ATOL raises NumericError listing every offending
     frequency; otherwise a BoundCheckReport is returned.
     """
     if comb.kind != "response":
@@ -237,7 +237,7 @@ def comb_bound_check(comb, blocks, ensemble, op_eig, atol=1e-10):
         for omega, d_k in items:
             g = comb.weight_at(omega, tol=match_tol)
             rows.append((float(omega), float(g), float(d_k), float(g - d_k)))
-    bad = [r for r in rows if r[3] < -atol]
+    bad = [r for r in rows if r[3] < -BOUND_CHECK_ATOL]
     if bad:
         listing = "; ".join(f"omega={o:.6g}: g={g:.6e} < D={d:.6e}" for o, g, d, _ in bad)
         raise NumericError(f"response comb violates the Mazur bound at {listing}")

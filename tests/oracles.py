@@ -215,3 +215,35 @@ def weighted_pair_set_oracle(energies, o_eig, omega_tol):
     # the set stores its level indices and labels as int32
     index = (rows.astype(np.int32), cols.astype(np.int32), labels[: rows.size].astype(np.int32))
     return (*index, (means - means[::-1]) / 2.0, values)
+
+
+def fit_frequency_oracle(h_mat, a_mat):
+    """(omega, residual) of the least-squares fit [H, A] = omega A from two
+    dense matrix products: omega = Re<A, [H, A]> / <A, A> and residual =
+    |[H, A] - omega A| / |A| in the Frobenius norm."""
+    h = np.asarray(h_mat, dtype=complex)
+    a = np.asarray(a_mat, dtype=complex)
+    norm_sq = float(np.vdot(a, a).real)
+    comm = h @ a - a @ h
+    omega = float(np.vdot(a, comm).real) / norm_sq
+    return omega, float(np.linalg.norm(comm - omega * a)) / np.sqrt(norm_sq)
+
+
+def operator_support_oracle(o_mat, n_sites, rtol=1e-10):
+    """The sites an operator acts on, by partial trace: site s lies outside
+    the support when tracing it out and tensoring the identity back in
+    reproduces O elementwise within rtol * max |O|."""
+    mat = np.asarray(o_mat, dtype=complex)
+    tol = rtol * float(np.abs(mat).max())
+    tensor = mat.reshape((2,) * (2 * n_sites))
+    support = set()
+    for s in range(n_sites):
+        reduced = np.trace(tensor, axis1=s, axis2=n_sites + s) / 2.0
+        rebuilt = np.zeros_like(tensor)
+        index = [slice(None)] * (2 * n_sites)
+        for b in range(2):
+            index[s] = index[n_sites + s] = b
+            rebuilt[tuple(index)] = reduced
+        if np.abs(rebuilt - tensor).max() > tol:
+            support.add(s)
+    return frozenset(support)

@@ -591,8 +591,7 @@ def test_qfi_and_verify_check_their_arguments_before_any_solve(
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the arguments were checked")
 
-    for name in ("solve_preset", "preset_operators", "diagonalize"):
-        monkeypatch.setattr(cli, name, no_solve)
+    monkeypatch.setattr(cli, "solve_preset", no_solve)
     (tmp_path / "empty.json").write_text("[]")
     files = {
         "empty": str(tmp_path / "empty.json"),
@@ -623,6 +622,26 @@ def test_verify_accepts_the_analytic_set(tmp_path):
         assert float(row[2]) < 1e-12
         assert row[3] == "0 1"
         assert row[6] == "true"
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-150])
+def test_a_scaled_analytic_set_keeps_its_bound_support_and_cap(tmp_path, scale):
+    # every tolerance of the reflection and support tests is relative to the
+    # operator's largest entry, so scaling the set changes none of them
+    ops = [[PauliString(scale * ps.coefficient, ps.factors) for ps in op]
+           for op in two_qubit_symmetry_strings().values()]
+    path = write_symmetry_file(tmp_path / "scaled.json", ops)
+    code, stdout, stderr = run("qfi", "--beta", "1", "--symmetries", path)
+    assert code == 0, stderr
+    _, rows = read_table(stdout)
+    assert rows[0][3] == "1.604751608661e+00"
+    assert stdout == run("qfi", "--beta", "1", "--symmetries", "analytic")[1]
+    code, stdout, stderr = run("verify", "--symmetries", path)
+    assert code == 0, stderr
+    _, rows = read_table(stdout)
+    assert len(rows) == 8
+    for row in rows:
+        assert row[3:] == ["0 1", "1.000000000000e+00", "true", "true"]
 
 
 def test_verify_takes_the_analytic_set_by_name(tmp_path):

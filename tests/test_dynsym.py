@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qfidyn import (
@@ -34,7 +34,13 @@ from qfidyn.dynsym import (
     default_omega_tol,
 )
 from qfidyn.models import preset, preset_operators, solve_preset, two_qubit_symmetry_operators
-from oracles import random_hermitian, thermal_state
+from qfidyn.operators import AXES, SpinChainSpec, operator_support, xx_hamiltonian_strings
+from oracles import (
+    fit_frequency_oracle,
+    operator_support_oracle,
+    random_hermitian,
+    thermal_state,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SMINUS = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -75,6 +81,60 @@ def test_fit_frequency_rejects_zero_operator():
     for scale in (1e160, 1e-160, np.nan):
         with pytest.raises(DomainError, match="out of range"):
             fit_frequency(SZ, scale * SMINUS)
+
+
+@st.composite
+def pauli_sums_and_hamiltonians(draw):
+    """(H, A, n): A a sum of 1-6 random Pauli strings over all six axes with
+    complex coefficients on 2-6 sites, H an open or periodic XX chain with
+    random coupling and field, or a random dense Hermitian matrix on 2-4
+    sites."""
+    kind = draw(st.sampled_from(("open", "periodic", "dense")))
+    n = draw(st.integers(2, 4 if kind == "dense" else 6))
+    part = st.floats(-2.0, 2.0, allow_nan=False)
+    coefficient = st.builds(complex, part, part)
+    factors = st.lists(
+        st.tuples(st.integers(0, n - 1), st.sampled_from(AXES)),
+        max_size=n,
+        unique_by=lambda factor: factor[0],
+    )
+    strings = draw(st.lists(st.builds(PauliString, coefficient, factors), min_size=1, max_size=6))
+    if kind == "dense":
+        h = random_hermitian(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 2**n)
+    else:
+        spec = SpinChainSpec(n, draw(part), draw(part), kind)
+        h = SparseOperator.from_strings(xx_hamiltonian_strings(spec), n)
+    return h, SparseOperator.from_strings(strings, n), n
+
+
+@given(pauli_sums_and_hamiltonians())
+def test_entry_fit_and_support_match_the_dense_oracles(case):
+    h, a, n = case
+    h_mat = h.dense() if isinstance(h, SparseOperator) else h
+    assume(a.values.size and np.finfo(float).tiny <= np.vdot(a.values, a.values).real)
+    omega, residual = fit_frequency(h, a)
+    want_omega, want_residual = fit_frequency_oracle(h_mat, a.dense())
+    # both are bounded by 2 |H| in the operator norm
+    scale = max(1.0, float(np.linalg.norm(h_mat, 2)))
+    assert abs(omega - want_omega) <= 1e-12 * scale
+    assert abs(residual - want_residual) <= 1e-12 * scale
+    assert operator_support(a, n) == operator_support_oracle(a.dense(), n)
+
+
+def test_fit_counts_omega_a_where_the_commutator_vanishes():
+    # [H, s-_0] = -2h s-_0 and [H, z_1] = 0 under the field H = h (z_0 + z_1),
+    # so the fit's residual holds omega z_1 on positions where [H, A] is 0
+    h = SparseOperator.from_strings(xx_hamiltonian_strings(SpinChainSpec(2, 0.0, 0.7)), 2)
+    a = SparseOperator.from_strings(
+        [PauliString(1.0, ((0, "-"),)), PauliString(1.0, ((1, "z"),))], 2
+    )
+    omega, residual = fit_frequency(h, a)
+    # <A, A> = 2 + 4: omega = -2h 2 / 6, residual^2 = (2 (4h/3)^2 + 4 (2h/3)^2) / 6
+    assert math.isclose(omega, -2.0 * 0.7 / 3.0, rel_tol=1e-15)
+    assert math.isclose(residual, 2.0 * math.sqrt(2.0) * 0.7 / 3.0, rel_tol=1e-15)
+    want = fit_frequency_oracle(h.dense(), a.dense())
+    assert math.isclose(omega, want[0], rel_tol=1e-15)
+    assert math.isclose(residual, want[1], rel_tol=1e-15)
 
 
 def test_dynamical_symmetry_verifies_and_rejects():
@@ -176,7 +236,7 @@ def test_trivial_set_partitions_all_pairs():
     assert np.abs(gaps[part.rows, part.cols] - part.omegas[part.labels]).max() <= tol
     # the mirrored pair (n, m) lies in the mirrored cluster
     off = part.rows != part.cols
-    mirrored = part.omegas[part.mirror[off]]
+    mirrored = part.omegas[part.omegas.size - 1 - part.labels[off]]
     assert np.abs(gaps[part.cols[off], part.rows[off]] - mirrored).max() <= tol
 
 

@@ -28,7 +28,7 @@ from qfidyn.operators import (
     xx_hamiltonian_strings,
 )
 from qfidyn.dynsym import _operator_pairs
-from oracles import pauli_string_oracle, xx_hamiltonian_oracle
+from oracles import operator_support_oracle, pauli_string_oracle, xx_hamiltonian_oracle
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -386,6 +386,28 @@ def test_unknown_generator_kind():
 
 
 # ---------------------------------------------------------------------------
+# entry lookup
+
+@given(dim=st.integers(1, 9), seed=st.integers(0, 10_000), complex_values=st.booleans())
+def test_at_reads_each_entry_and_zero_off_them(dim, seed, complex_values):
+    rng = np.random.default_rng(seed)
+    mat = rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.4)
+    if complex_values:
+        mat = mat + 1j * mat[::-1]
+    op = SparseOperator.from_dense(mat)
+    rows, cols = (idx.ravel() for idx in np.indices((dim, dim)))
+    order = rng.permutation(rows.size)
+    got = op.at(rows[order], cols[order])
+    assert got.dtype == op.dtype
+    assert np.array_equal(got, mat[rows[order], cols[order]])
+
+
+def test_at_on_an_operator_without_entries():
+    got = SparseOperator.from_dense(np.zeros((4, 4))).at([0, 3], [1, 3])
+    assert got.tolist() == [0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
 # support detection
 
 def test_support_of_single_site_operator():
@@ -402,6 +424,15 @@ def test_support_of_identity_and_zero():
 def test_support_skips_identity_factors():
     op = pauli_on("z", 0, 3) @ pauli_on("z", 2, 3)
     assert operator_support(op, 3) == frozenset({0, 2})
+
+
+def test_support_does_not_depend_on_the_scale():
+    # the tolerance is relative to max |O| alone, so tiny operators keep
+    # their sites; the partial-trace oracle agrees
+    op = dense([PauliString(1.0, ((0, "x"), (2, "z"))), PauliString(0.5, ((1, "+"),))], 3)
+    for scale in (1.0, 1e-100, 1e-150, 1e100):
+        assert operator_support(scale * op, 3) == frozenset({0, 1, 2})
+        assert operator_support_oracle(scale * op, 3) == frozenset({0, 1, 2})
 
 
 def test_support_dimension_mismatch():

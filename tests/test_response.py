@@ -210,7 +210,7 @@ def test_bound_check_equality_on_complete_set(rng):
     report = comb_bound_check(comb, trivial_complete_set(spectral), ens, o_eig)
     assert isinstance(report, BoundCheckReport)
     assert report.equality
-    assert report.max_violation <= 1e-12
+    assert max((-margin for *_, margin in report.rows), default=0.0) <= 1e-12
     worst = max(abs(m) for *_, m in report.rows)
     assert worst <= 1e-10 * max(1.0, comb.total())
 
@@ -242,8 +242,9 @@ def test_bound_check_flags_inflated_block(rng):
     part = trivial_complete_set(spectral)
     gaps = spectral.energies[:, None] - spectral.energies[None, :]
     (m1, n1), (m2, n2) = np.argwhere(gaps > 0)[:2]
-    # the cluster of (m, n) is the mirror of its pair (n, m) with n < m
-    cluster = {(m, n): part.mirror[np.searchsorted(part.keys, n * 4 + m)] for m, n in
+    # the cluster of (m, n) mirrors that of its pair (n, m) with n < m
+    k = part.omegas.size
+    cluster = {(m, n): k - 1 - part.labels[np.searchsorted(part.keys, n * 4 + m)] for m, n in
                ((m1, n1), (m2, n2))}
     assert cluster[m1, n1] != cluster[m2, n2]
     members = []

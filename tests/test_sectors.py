@@ -409,8 +409,9 @@ def test_sector_native_routes_match_the_oracle(sites, field, boundary, kind):
         direct = qfi_spectral(pairs, ens)
         # the conditioning term of test_block_routes_match_the_density_matrix_oracle
         eps = 4 * np.finfo(float).eps * max(1.0, float(np.abs(spectral.energies).max()))
-        second = float(np.dot(ens.weights[pairs.cols], pairs.abs2))
-        second += float(np.dot(ens.weights[pairs.rows], pairs.abs2))
+        abs2 = np.abs(pairs.values) ** 2
+        second = float(np.dot(ens.weights[pairs.cols], abs2))
+        second += float(np.dot(ens.weights[pairs.rows], abs2))
         conditioning = 24.0 * beta * eps * second if math.isfinite(beta) else 0.0
         assert abs(direct - want) <= 1e-10 * max(1.0, want) + conditioning
         tol = 1e-10 * max(1.0, direct)
