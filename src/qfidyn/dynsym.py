@@ -7,10 +7,10 @@ positive omega.  Conserved quantities are the omega = 0 case.
 A symmetry set is a PairPartition, a list of OperatorBlocks, or a list
 mixing the two:
 
-* OperatorBlock holds explicit member matrices sharing one frequency.  For
-  thermal Gram machinery the members must be expressed in the energy
-  eigenbasis (verified_blocks handles verification, transformation and
-  frequency grouping in one step).
+* OperatorBlock holds explicit members sharing one frequency, as eigenbasis
+  BlockOperators (verified_blocks verifies, calls to_eigenblocks and groups
+  by frequency).  block_gram sums the Gram over the block pairs members
+  link and reads each member at the generator's pairs (BlockOperator.at).
 * PairPartition stands for the eigenpair operators |E_m><E_n| at
   omega = E_m - E_n without materializing them.  It lists level pairs
   m <= n, each standing for (m, n) and its mirror (n, m), with the
@@ -53,9 +53,9 @@ import numpy as np
 
 from ._frozen import Frozen
 from .errors import DomainError, NumericError
-from .operators import SparseOperator, _as_matrix, _chunks, _keys, _operand, _real_if_exact
+from .operators import SparseOperator, _chunks, _keys, _operand, _real_if_exact
 from .operators import operator_support
-from .spectral import BlockOperator
+from .spectral import _eigen_operand
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
 TAU_DYN = 1e-9
@@ -136,8 +136,8 @@ def _commutator(h, a):
 
 
 class DynamicalSymmetry(Frozen):
-    """A verified eigenoperator, held as given (a SparseOperator or a
-    matrix), with its fitted frequency and residual."""
+    """A verified eigenoperator, held as given (a SparseOperator, a matrix or
+    an eigenbasis BlockOperator), with its fitted frequency and residual."""
 
     _fields = ("op", "omega", "residual")
 
@@ -196,21 +196,21 @@ def cluster_values(values, tol, symmetric=False):
 class OperatorBlock(Frozen):
     """Explicit dynamical symmetries sharing one frequency.
 
-    Member matrices must be in the energy eigenbasis for the thermal Gram
-    machinery (block_gram, mazur_weight) to be meaningful.
+    Members are eigenbasis BlockOperators of one block structure, as
+    to_eigenblocks gives them (_eigen_operand reads a matrix or a
+    SparseOperator); block_gram reads them block by block for the Gram and
+    at the generator's pairs for the correlators.
     """
 
     _fields = ("omega", "members")
 
     def __init__(self, omega, members):
-        mats = tuple(np.array(_as_matrix(member), dtype=complex) for member in members)
-        if not mats:
+        members = tuple(_eigen_operand(m, name=f"member {i}") for i, m in enumerate(members))
+        if not members:
             raise DomainError("a symmetry block needs at least one member")
-        if len({mat.shape for mat in mats}) != 1:
-            raise DomainError("block members must share one dimension")
-        for mat in mats:
-            mat.setflags(write=False)
-        self.__dict__.update(omega=float(omega), members=mats)
+        if len({tuple(cols.tobytes() for cols in m.columns) for m in members}) != 1:
+            raise DomainError("block members must share one dimension and block structure")
+        self.__dict__.update(omega=float(omega), members=members)
 
     @property
     def size(self):
@@ -218,14 +218,26 @@ class OperatorBlock(Frozen):
 
     @property
     def dim(self):
-        return self.members[0].shape[0]
+        return self.members[0].dim
 
     @cached_property
+    def _column_sums(self):
+        """[i, j, n] = sum_m conj(A_i)_mn (A_j)_mn, summed once per block over
+        each block pair (a, b) that members link; the Gram is this times p."""
+        out = np.zeros((self.size, self.size, self.dim), dtype=complex)
+        stored = [member._layout[0] for member in self.members]
+        for a, b in dict.fromkeys(pair for blocks in stored for pair in blocks):
+            linked = [i for i, blocks in enumerate(stored) if (a, b) in blocks]
+            arr = np.stack([stored[i][a, b] for i in linked])
+            at = np.ix_(linked, linked, self.members[0].columns[b])
+            out[at] += np.einsum("imn,jmn->ijn", arr.conj(), arr)
+        return out
+
+    @property
     def _gram_floor(self):
-        """tau * s for members in the eigenbasis, found once per block: s is
-        the largest column norm^2 sum_m |(A_i)_mn|^2 among the members and
-        tau = (dim eps)^2 (see _pinv_quadratic)."""
-        s = max(float(np.einsum("mn,mn->n", m.conj(), m).real.max()) for m in self.members)
+        """tau * s: s is the largest column norm^2 sum_m |(A_i)_mn|^2 among
+        the members and tau = (dim eps)^2 (see _pinv_quadratic)."""
+        s = float(np.diagonal(self._column_sums).real.max())
         return (self.dim * np.finfo(float).eps) ** 2 * s
 
 
@@ -393,23 +405,17 @@ def _abs2(values):
 
 def _operator_pairs(op, dim, name="operator"):
     """(rows, cols, values) of an operator over its pairs m <= n, ascending
-    in m * dim + n: a PairPartition's own values, or a BlockOperator or
-    dense matrix certified Hermitian, over the pairs where O_mn or O_nm is
-    nonzero, with the entries O_mn (those below the diagonal are their
-    conjugates)."""
-    if isinstance(op, (PairPartition, BlockOperator)) and op.dim != dim:
+    in m * dim + n: a PairPartition's own values, or a BlockOperator,
+    matrix or SparseOperator (_eigen_operand) certified Hermitian, over the
+    pairs where O_mn or O_nm is nonzero, with the entries O_mn (those below
+    the diagonal are their conjugates)."""
+    if not isinstance(op, PairPartition):
+        return _eigen_operand(op, dim, name).pairs(name)
+    if op.dim != dim:
         raise DomainError(f"{name} dim {op.dim} does not match dim {dim}")
-    if isinstance(op, PairPartition):
-        if op.values is None:
-            raise DomainError(f"{name}: the pair set carries no operator values")
-        return op.rows, op.cols, op.values
-    if not isinstance(op, BlockOperator):
-        # a dense matrix is the operator of one block over every level
-        mat = _real_if_exact(np.asarray(op))
-        if mat.shape != (dim, dim):
-            raise DomainError(f"{name} shape {mat.shape} does not match dim {dim}")
-        op = BlockOperator((np.arange(dim),), {(0, 0): mat}, dim, mat.dtype)
-    return op.pairs(name)
+    if op.values is None:
+        raise DomainError(f"{name}: the pair set carries no operator values")
+    return op.rows, op.cols, op.values
 
 
 def _align(rows, cols, values, onto_rows, onto_cols, dim):
@@ -564,8 +570,8 @@ def group_into_blocks(symmetries, omega_tol=None):
 
 
 def verified_blocks(hamiltonian, spectral, ops, omega_tol=None):
-    """Verify candidate operators against H, transform them into the energy
-    eigenbasis and group them into frequency blocks.
+    """Verify candidate operators against H, take them to the energy
+    eigenbasis (to_eigenblocks) and group them into frequency blocks.
 
     hamiltonian and ops are given in the site basis; a DomainError from
     verification names the failing operator by position.
@@ -576,7 +582,7 @@ def verified_blocks(hamiltonian, spectral, ops, omega_tol=None):
             sym = dynamical_symmetry(hamiltonian, op)
         except DomainError as exc:
             raise DomainError(f"operator {i}: {exc}") from None
-        symmetries.append(DynamicalSymmetry(spectral.to_eigenbasis(op), sym.omega, sym.residual))
+        symmetries.append(DynamicalSymmetry(spectral.to_eigenblocks(op), sym.omega, sym.residual))
     if omega_tol is None:
         omega_tol = default_omega_tol(spectral.energies)
     return group_into_blocks(symmetries, omega_tol)
@@ -585,25 +591,29 @@ def verified_blocks(hamiltonian, spectral, ops, omega_tol=None):
 def block_gram(block, ensemble, op_eig):
     """Thermal Gram matrix and correlator vector of an OperatorBlock against O.
 
-    Returns (V, corr) with V[i, j] = <A_i^dag A_j> and corr[j] = <A_j^dag O>;
-    op_eig is the generator in the energy eigenbasis, a dense matrix or a
-    weighted PairPartition, and corr runs over its pairs.  A PairPartition's
-    own Gram is diagonal, so its weights come from cluster_weights instead.
+    Returns (V, corr) with V[i, j] = <A_i^dag A_j> and corr[j] = <A_j^dag O>.
+    The members are eigenbasis BlockOperators: V weighs their column sums
+    (OperatorBlock._column_sums, made block pair by block pair) by p_n, and
+    corr reads each member (at) at the pairs of op_eig, the generator in
+    the eigenbasis as _operator_pairs reads it.  A PairPartition's own Gram
+    is diagonal, so its weights come from cluster_weights instead.
     """
     if not isinstance(block, OperatorBlock):
         raise DomainError(f"block_gram takes an OperatorBlock, got {type(block).__name__}")
     dim = ensemble.dim
     p = ensemble.weights
-    arr = np.stack(block.members)
-    if arr.shape[1] != dim:
-        raise DomainError(f"block dim {arr.shape[1]} does not match ensemble dim {dim}")
+    if block.dim != dim:
+        raise DomainError(f"block dim {block.dim} does not match ensemble dim {dim}")
+    gram = block._column_sums @ p
     rows, cols, values = _operator_pairs(op_eig, dim)
-    conj = arr.conj()
-    gram = np.einsum("imn,jmn,n->ij", conj, arr, p, optimize=True)
+
+    def conj_at(rows, cols):
+        return np.stack([member.at(rows, cols) for member in block.members]).conj()
+
     # (m, n) carries O_mn and, off the diagonal, (n, m) carries conj(O_mn)
     off = rows != cols
-    corr = conj[:, rows, cols] @ (values * p[cols])
-    corr += conj[:, cols[off], rows[off]] @ (values[off].conj() * p[rows[off]])
+    corr = conj_at(rows, cols) @ (values * p[cols])
+    corr = corr + conj_at(cols[off], rows[off]) @ (values[off].conj() * p[rows[off]])
     return gram, corr
 
 
@@ -665,29 +675,29 @@ def mazur_weight(block, ensemble, op_eig):
 def conserved_mazur_bound(conserved_set, ensemble, op_eig):
     """Zero-frequency Mazur weight D_0(O) from explicit conserved quantities.
 
-    Members are matrices in the energy eigenbasis; each must commute with H
-    within TAU_DYN (checked against diag(energies)), a violator is named by
-    position.  The weight is Gram-orthogonalized, so dependent or overlapping
-    conserved sets are handled.
+    Members are eigenbasis operators, as OperatorBlock takes them; each
+    must commute with H within TAU_DYN, checked block by block against
+    diag(energies), and a violator is named by position.  The weight is
+    Gram-orthogonalized, so dependent or overlapping conserved sets are
+    handled.
     """
     members = []
     energies = ensemble.energies
     for i, member in enumerate(conserved_set):
-        mat = _as_matrix(member)
-        if mat.shape != (ensemble.dim, ensemble.dim):
-            raise DomainError(f"conserved quantity {i}: dimension mismatch")
-        norm = float(np.linalg.norm(mat))
+        op = _eigen_operand(member, ensemble.dim, f"conserved quantity {i}")
+        blocks = [(block, energies[op.columns[a]][:, None] - energies[op.columns[b]])
+                  for (a, b), block in op._layout[0].items()]
+        norm = math.hypot(*(np.linalg.norm(block) for block, _ in blocks))
         if not 0.0 < norm < math.inf:
             raise DomainError(f"conserved quantity {i}: norm {norm:.3e} is out of range")
         # [diag(E), A]_mn = (E_m - E_n) A_mn, so no matmul is needed
-        comm = (energies[:, None] - energies[None, :]) * mat
-        residual = float(np.linalg.norm(comm)) / norm
+        residual = math.hypot(*(np.linalg.norm(gaps * block) for block, gaps in blocks)) / norm
         if not residual <= TAU_DYN:
             raise DomainError(
                 f"conserved quantity {i} does not commute with H: "
                 f"residual {residual:.3e} exceeds {TAU_DYN:.1e}"
             )
-        members.append(mat)
+        members.append(op)
     block = OperatorBlock(0.0, tuple(members))
     return mazur_weight(block, ensemble, op_eig)
 
@@ -717,7 +727,8 @@ def local_cap(a_loc, op, ensemble):
     unit spectral width and the thermal state carries no correlations across
     the support boundary (or A is itself a dynamical symmetry); the caller
     owns those preconditions, this function only certifies the inequality.
-    The ensemble must carry its spectral decomposition.
+    The ensemble must carry its spectral decomposition; A_loc is the one
+    member of a block_gram, which gives the norm and the overlap.
     """
     if ensemble.spectral is None:
         raise DomainError("ensemble must carry its spectral decomposition")
@@ -740,16 +751,10 @@ def _local_cap(support, a_op, o_eig, ensemble):
     if len(support) != hi - lo + 1:
         raise DomainError(f"support {sorted(support)} is not contiguous")
     cap = (hi - lo + 1) ** 2 / 4.0
-    a_eig = ensemble.spectral.to_eigenbasis(a_op)
-    p = ensemble.weights
-    norm = float(np.einsum("mn,mn,n->", a_eig.conj(), a_eig, p).real)
+    a_eig = ensemble.spectral.to_eigenblocks(a_op)
+    gram, corr = block_gram(OperatorBlock(0.0, (a_eig,)), ensemble, o_eig)
+    norm = float(gram[0, 0].real)
     if norm <= 0.0:
         raise DomainError("thermal norm <A^dag A> vanishes on this ensemble")
-    rows, cols, values = _operator_pairs(o_eig, ensemble.dim)
-    # (m, n) carries O_mn and, off the diagonal, (n, m) carries conj(O_mn)
-    off = rows != cols
-    overlap = complex(np.dot(a_eig[rows, cols].conj(), values * p[cols]))
-    rows, cols, values = rows[off], cols[off], values[off]
-    overlap += complex(np.dot(a_eig[cols, rows].conj(), values.conj() * p[rows]))
-    holds = bool(abs(overlap) ** 2 / norm <= cap + LOCAL_CAP_SLACK)
+    holds = bool(abs(corr[0]) ** 2 / norm <= cap + LOCAL_CAP_SLACK)
     return cap, holds

@@ -90,8 +90,12 @@ def _check_sites(n_sites, max_sites=None):
 
 
 def _square(op, what="operator"):
-    """A bare square array as float64, or as complex128 when it is complex."""
-    arr = np.asarray(op, dtype=complex if np.iscomplexobj(op) else float)
+    """A bare square array as float64, or as complex128 when it is complex;
+    DomainError for anything else."""
+    try:
+        arr = np.asarray(op, dtype=complex if np.iscomplexobj(op) else float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a matrix, got {type(op).__name__}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DomainError(f"{what} must be a square matrix, got shape {arr.shape}")
     return arr
@@ -100,13 +104,6 @@ def _square(op, what="operator"):
 def _operand(op, what="operator"):
     """op as a SparseOperator: itself, or a square matrix's nonzero entries."""
     return op if isinstance(op, SparseOperator) else SparseOperator.from_dense(op, what)
-
-
-def _as_matrix(op, what="operator"):
-    """A SparseOperator or a bare square array as a complex ndarray."""
-    if isinstance(op, SparseOperator):
-        op = op.dense()
-    return _square(op, what).astype(complex, copy=False)
 
 
 def _real_if_exact(mat):

@@ -50,12 +50,13 @@ import numpy as np
 from ._frozen import Frozen
 from .errors import DomainError, NumericError
 from .operators import (
-    _as_matrix,
+    SparseOperator,
     _chunks,
     _hermitian_deviation,
     _operand,
     _real_if_exact,
     _require_hermitian,
+    _square,
 )
 
 # Level pairs whose combined weight falls below this floor carry no
@@ -282,14 +283,41 @@ def _index_pair(pair):
 class BlockOperator(Frozen):
     """An eigenbasis operator as dense blocks: products[(a, b)] is its
     sub-matrix between the eigen-columns of blocks a and b (columns[a] and
-    columns[b], each ascending), and every entry outside these blocks is
-    exactly 0.  products is any mapping; to_eigenblocks gives one that makes
-    each block when it is read."""
+    columns[b], each ascending, together covering range(dim)), and every
+    entry outside these blocks is exactly 0.  products is any mapping;
+    to_eigenblocks gives one that makes each block when it is read."""
 
     _fields = ("columns", "products", "dim", "dtype")
 
     def __init__(self, columns, products, dim, dtype):
         self.__dict__.update(columns=columns, products=products, dim=dim, dtype=dtype)
+
+    @cached_property
+    def _layout(self):
+        """(blocks, flat, offsets, sizes, block, position): each product made
+        once into flat, end to end (then one 0.0), with blocks[(a, b)] its
+        read-only view and offsets[a, b] its start (-1 where unlinked); the
+        block sizes; and each eigen-column's block and position in it."""
+        sizes = np.array([cols.size for cols in self.columns], dtype=np.intp)
+        offsets = np.full((sizes.size,) * 2, -1, dtype=np.intp)
+        ends = np.cumsum([0] + [sizes[a] * sizes[b] for a, b in self.products])
+        flat = np.zeros(ends[-1] + 1, dtype=self.dtype)
+        for ((a, b), product), lo, hi in zip(self.products.items(), ends[:-1], ends[1:]):
+            offsets[a, b] = lo
+            flat[lo:hi] = product.ravel()
+        flat.setflags(write=False)
+        blocks = {(a, b): flat[lo:hi].reshape(sizes[a], sizes[b])
+                  for (a, b), lo, hi in zip(self.products, ends[:-1], ends[1:])}
+        return (blocks, flat, offsets, sizes, *_block_index(self.columns, self.dim))
+
+    def at(self, rows, cols):
+        """The entries at eigenbasis positions (rows, cols), 0 off the
+        linked block pairs: one gather from the layout."""
+        _, flat, offsets, sizes, block, position = self._layout
+        b = block.take(cols)
+        start = offsets.take(block.take(rows) * sizes.size + b)
+        index = start + position.take(rows) * sizes.take(b) + position.take(cols)
+        return flat.take(np.where(start < 0, -1, index))
 
     def dense(self):
         out = np.zeros((self.dim, self.dim), dtype=self.dtype)
@@ -340,6 +368,20 @@ class BlockOperator(Frozen):
             np.divmod(keys.take(order[s]), self.dim, out=(rows[s], cols[s]), casting="unsafe")
         del keys
         return rows, cols, _real_if_exact(values[order])
+
+
+def _eigen_operand(op, dim=None, name="operator"):
+    """op as a BlockOperator: itself, or a matrix or SparseOperator of
+    eigenbasis entries as the operator of one block over every level (a
+    read-only copy), of dimension dim when that is given."""
+    if not isinstance(op, BlockOperator):
+        mat = op.dense() if isinstance(op, SparseOperator) else op
+        mat = _real_if_exact(np.array(_square(mat, name)))
+        mat.setflags(write=False)
+        op = BlockOperator((np.arange(len(mat)),), {(0, 0): mat}, len(mat), mat.dtype)
+    if dim is not None and op.dim != dim:
+        raise DomainError(f"{name} dim {op.dim} does not match dim {dim}")
+    return op
 
 
 def _linked_entries(fwd, bwd, rows_of, cols_of, dim):
@@ -638,15 +680,14 @@ def gibbs_weights(spectral, beta):
 
 
 def thermal_expectation(op_eig, ensemble):
-    """<O> = sum_n p_n O_nn for an operator expressed in the eigenbasis.
+    """<O> = sum_n p_n O_nn for an eigenbasis operator (_eigen_operand).
 
     Returns a float when the weighted diagonal is real to rounding (the
     Hermitian case), otherwise the complex value.
     """
-    mat = _as_matrix(op_eig)
-    if mat.shape != (ensemble.dim, ensemble.dim):
-        raise DomainError(f"operator shape {mat.shape} does not match dim {ensemble.dim}")
-    val = complex(np.dot(ensemble.weights, np.diagonal(mat)))
+    levels = np.arange(ensemble.dim)
+    diagonal = _eigen_operand(op_eig, ensemble.dim).at(levels, levels)
+    val = complex(np.dot(ensemble.weights, diagonal))
     if abs(val.imag) <= 1e-12 * max(1.0, abs(val)):
         return val.real
     return val

@@ -247,3 +247,49 @@ def operator_support_oracle(o_mat, n_sites, rtol=1e-10):
         if np.abs(rebuilt - tensor).max() > tol:
             support.add(s)
     return frozenset(support)
+
+
+def block_gram_oracle(members, weights, o_eig):
+    """(gram, corr, floor) of explicit eigenbasis members from dense
+    matrices, as one stacked einsum: gram[i, j] = sum_mn p_n conj(A_i)_mn
+    (A_j)_mn, corr[j] = sum_mn p_n conj(A_j)_mn O_mn = <A_j^dag O>, and the
+    Gram floor (dim eps)^2 s, s the largest column norm^2 among the members.
+    """
+    arr = np.stack([np.asarray(m, dtype=complex) for m in members])
+    p = np.asarray(weights, dtype=float)
+    conj = arr.conj()
+    gram = np.einsum("imn,jmn,n->ij", conj, arr, p, optimize=True)
+    corr = np.einsum("imn,mn,n->i", conj, np.asarray(o_eig, dtype=complex), p, optimize=True)
+    s = float(np.einsum("imn,imn->in", conj, arr).real.max())
+    return gram, corr, (arr.shape[1] * np.finfo(float).eps) ** 2 * s
+
+
+def local_cap_oracle(width, a_eig, o_eig, weights, slack=1e-9):
+    """(cap, holds) of the strict-locality cap from dense eigenbasis
+    matrices: cap = width^2 / 4 for a support of width contiguous sites,
+    holds when |<A^dag O>|^2 / <A^dag A> <= cap + slack."""
+    gram, corr, _ = block_gram_oracle([a_eig], weights, o_eig)
+    cap = width**2 / 4.0
+    return cap, bool(abs(corr[0]) ** 2 / gram[0, 0].real <= cap + slack)
+
+
+def staggered_z_qfi_oracle(n_sites, coupling, field, beta):
+    """Closed-form QFI of the staggered-z generator sum_j (-1)^j z_j / 2 on
+    the open XX chain, through its Jordan-Wigner modes: with the mode
+    energies eps_k = 4 J cos(k pi / (n + 1)) - 2 h, their Fermi occupations
+    f_k and q = n + 1 - k, F = 2 sum_{k != q} (f_k - f_q)^2 /
+    (f_k + f_q - 2 f_k f_q).  The denominator is written as f_k g_q + g_k
+    f_q with g = 1 - f computed on its own, and f_k - f_q through tanh, so
+    cold occupations keep their precision; at beta = inf a term with
+    f_k = f_q is 0."""
+    k = np.arange(1, n_sites + 1)
+    eps = 4.0 * coupling * np.cos(k * np.pi / (n_sites + 1)) - 2.0 * field
+    with np.errstate(invalid="ignore", over="ignore"):
+        x = beta * eps
+        f, g = 1.0 / (np.exp(x) + 1.0), 1.0 / (np.exp(-x) + 1.0)
+        t = np.tanh(x / 2.0)
+    q = n_sites - k  # index of mode n + 1 - k
+    num = ((t[q] - t) / 2.0) ** 2
+    den = f * g[q] + g * f[q]
+    terms = np.divide(num, den, out=np.zeros(n_sites), where=(k != q + 1) & (num != 0.0))
+    return 2.0 * float(terms.sum())

@@ -17,13 +17,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
 import qfidyn
 from qfidyn import (
+    BlockOperator,
     PauliString,
     SparseOperator,
+    SpectralDecomposition,
     diagonalize,
     entanglement_depth,
     gibbs_weights,
@@ -34,11 +37,13 @@ from qfidyn import (
     qfi_matrix_from_dynsym,
     qfi_spectral,
     response_comb,
+    trivial_complete_set,
     verified_blocks,
 )
 from qfidyn import cli
 from qfidyn.cli import main
 from qfidyn.models import preset, preset_operators, solve_preset, two_qubit_symmetry_strings
+from oracles import staggered_z_qfi_oracle
 
 FLOAT_RE = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -311,9 +316,24 @@ def test_mode_subsets_never_bound_above_the_qfi(n, data):
 
 def bilinears(n):
     """The n bilinears eta_k^dag eta_{n+1-k} of the Jordan-Wigner modes,
-    exact dynamical symmetries that span the staggered-z generator."""
-    modes = [SparseOperator.from_strings(mode, n).dense() for mode in fermion_modes(n)]
-    return [modes[k].conj().T @ modes[n - 1 - k] for k in range(n)]
+    exact dynamical symmetries that span the staggered-z generator, as
+    SparseOperators made by sparse products of the modes."""
+    modes = [SparseOperator.from_strings(mode, n) for mode in fermion_modes(n)]
+    mats = [scipy.sparse.csr_matrix((m.values, (m.rows, m.cols)), shape=m.shape) for m in modes]
+    out = []
+    for k in range(n):
+        prod = (mats[k].conj().T @ mats[n - 1 - k]).tocoo()
+        keep = prod.data != 0
+        rows, cols, values = prod.row[keep], prod.col[keep], prod.data[keep]
+        order = np.lexsort((cols, rows))
+        out.append(SparseOperator(rows[order], cols[order], values[order], 2**n))
+    return out
+
+
+def staggered_z(n):
+    """sum_j (-1)^j z_j / 2 on n sites."""
+    terms = [PauliString((-1) ** j * 0.5, ((j, "z"),)) for j in range(n)]
+    return SparseOperator.from_strings(terms, n)
 
 
 @pytest.mark.parametrize(
@@ -325,11 +345,9 @@ def test_the_ground_state_qfi_matrix_bounds_from_above(n, kind):
     # has a gap eigenvalue of -0.63
     spectral, _, h, modes = solved_modes(n)
     ops = modes if kind == "modes" else bilinears(n)
-    staggered_z = [PauliString((-1) ** j * 0.5, ((j, "z"),)) for j in range(n)]
     gens = [
         spectral.to_eigenbasis(op)
-        for op in (preset_operators(preset("chain", sites=n))[1],
-                   SparseOperator.from_strings(staggered_z, n))
+        for op in (preset_operators(preset("chain", sites=n))[1], staggered_z(n))
     ]
     ens = gibbs_weights(spectral, math.inf)
     with warnings.catch_warnings():
@@ -341,6 +359,44 @@ def test_the_ground_state_qfi_matrix_bounds_from_above(n, kind):
     assert np.linalg.eigvalsh((gap + gap.T) / 2.0).min() >= -1e-9 * max(1.0, np.abs(full).max())
     if kind == "bilinears":
         assert abs(bound[1, 1] - full[1, 1]) <= 1e-9 * full[1, 1]
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_the_bilinears_saturate_the_staggered_z_closed_form(n):
+    # the n bilinears span the staggered-z generator, a free-fermion quadratic,
+    # so their bound through verified_blocks is its QFI, in closed form
+    model = preset("chain", sites=n)
+    spectral, _, h = solve_preset(model)
+    pairs = trivial_complete_set(spectral, op_eig=spectral.to_eigenblocks(staggered_z(n)))
+    blocks = verified_blocks(h, spectral, bilinears(n))
+    for beta in (0.0, 1.0, 5.0, math.inf):
+        ens = gibbs_weights(spectral, beta)
+        want = staggered_z_qfi_oracle(n, model.spec.coupling, model.spec.field, beta)
+        fq, bound = qfi_spectral(pairs, ens), qfi_from_dynsym(blocks, ens, pairs).value
+        assert math.isclose(fq, want, rel_tol=1e-12), (beta, fq, want)
+        assert math.isclose(bound, want, rel_tol=1e-12), (beta, bound, want)
+    assert want > 0.0
+
+
+def test_explicit_symmetries_make_no_dense_eigenbasis_matrix(monkeypatch, tmp_path):
+    # every explicit-symmetry command reads its members block by block
+    def dense(*_):
+        raise AssertionError("a dim x dim eigenbasis matrix was made")
+
+    monkeypatch.setattr(SpectralDecomposition, "to_eigenbasis", dense)
+    monkeypatch.setattr(BlockOperator, "dense", dense)
+    modes = write_symmetry_file(tmp_path / "modes.json", fermion_modes(6))
+    commands = [
+        ("qfi", "--preset", "chain", "--sites", "6", "--symmetries", modes),
+        ("qfi", "--symmetries", "analytic"),
+        ("verify", "--preset", "chain", "--sites", "6", "--symmetries", modes),
+        ("verify", "--symmetries", "analytic"),
+        ("reproduce-fig1", "--temp-grid", "1:1:1", "--field-grid", "0.5:0.5:1",
+         "--out", str(tmp_path / "fig1")),
+    ]
+    for argv in commands:
+        code, _, stderr = run(*argv)
+        assert code == 0 and stderr == "", (argv, stderr)
 
 
 def test_a_bound_above_the_qfi_is_a_numeric_failure(monkeypatch, tmp_path):

@@ -25,22 +25,27 @@ from qfidyn import (
     local_cap,
     mazur_weight,
     projector_mazur_weight,
+    thermal_expectation,
     trivial_complete_set,
     verified_blocks,
 )
 from qfidyn.dynsym import (
     DynamicalSymmetry,
+    _local_cap,
     cluster_values,
     default_omega_tol,
 )
 from qfidyn.models import preset, preset_operators, solve_preset, two_qubit_symmetry_operators
 from qfidyn.operators import AXES, SpinChainSpec, operator_support, xx_hamiltonian_strings
 from oracles import (
+    block_gram_oracle,
     fit_frequency_oracle,
+    local_cap_oracle,
     operator_support_oracle,
     random_hermitian,
     thermal_state,
 )
+from test_sectors import BETAS, block_case, block_sparse_operator, case, chain, chain_case
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SMINUS = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -568,6 +573,103 @@ def test_conserved_rejects_zero_member():
     for member in (np.full((4, 4), np.nan), np.full((4, 4), np.inf)):
         with pytest.raises(DomainError, match="out of range"):
             conserved_mazur_bound([member], ens, o_eig)
+
+
+def test_eigenbasis_block_operators_read_as_their_dense_matrices():
+    model = preset("chain", sites=6)
+    spectral, pairs, h = solve_preset(model)
+    ens = gibbs_weights(spectral, 1.0)
+    flip = SparseOperator.from_strings([PauliString(1.0 - 0.5j, ((1, "+"), (2, "-")))], 6)
+    ops = [preset_operators(model)[1], flip, h]
+    blocks = [spectral.to_eigenblocks(op) for op in ops]
+    dense = [spectral.to_eigenbasis(op) for op in ops]
+    got, want = (mazur_weight(OperatorBlock(0.0, tuple(m)), ens, pairs) for m in (blocks, dense))
+    assert math.isclose(got, want, rel_tol=1e-12)
+    total_z = spectral.to_eigenblocks(preset_operators(preset("chain", sites=6,
+                                                              generator="uniform-z"))[1])
+    got, want = (conserved_mazur_bound([z, hh], ens, pairs)
+                 for z, hh in ((total_z, blocks[2]), (total_z.dense(), dense[2])))
+    assert math.isclose(got, want, rel_tol=1e-12)
+    with pytest.raises(DomainError, match="conserved quantity 0 does not commute"):
+        conserved_mazur_bound([blocks[0]], ens, pairs)
+    for block, mat in zip(blocks, dense):
+        assert abs(thermal_expectation(block, ens) - thermal_expectation(mat, ens)) <= 1e-12
+    # one block over every level has another block structure
+    with pytest.raises(DomainError, match="block structure"):
+        OperatorBlock(0.0, (blocks[0], dense[0]))
+
+
+@pytest.mark.parametrize("bad", ["x", None, object(), np.zeros(3)])
+def test_a_non_operator_is_a_domain_error(bad):
+    _, _, spectral, ens, o_eig = two_qubit_setup()
+    with pytest.raises(DomainError):
+        OperatorBlock(0.0, (bad,))
+    with pytest.raises(DomainError):
+        conserved_mazur_bound([bad], ens, o_eig)
+    with pytest.raises(DomainError):
+        thermal_expectation(bad, ens)
+
+
+def assert_block_gram_is_the_oracle(spectral, site_members, o_site, beta):
+    """block_gram, _gram_floor and _local_cap of eigenbasis members against
+    the dense oracles on the same eigenbasis matrices."""
+    ens = gibbs_weights(spectral, beta)
+    p = ens.weights
+    o_dense = spectral.to_eigenbasis(o_site)
+    pairs = trivial_complete_set(spectral, op_eig=spectral.to_eigenblocks(o_site))
+    block = OperatorBlock(1.0, tuple(spectral.to_eigenblocks(m) for m in site_members))
+    dense = [spectral.to_eigenbasis(m) for m in site_members]
+    gram, corr = block_gram(block, ens, pairs)
+    want_gram, want_corr, want_floor = block_gram_oracle(dense, p, o_dense)
+    assert np.abs(gram - want_gram).max() <= 1e-12 * np.abs(want_gram).max()
+    # |<A_j^dag O>|^2 <= <A_j^dag A_j> <O^2>, the scale of corr's rounding
+    o_sq = float(np.einsum("mn,mn,n->", o_dense.conj(), o_dense, p).real)
+    scale = math.sqrt(float(np.abs(np.diag(want_gram)).max()) * o_sq)
+    assert np.abs(corr - want_corr).max() <= 1e-12 * scale
+    assert math.isclose(block._gram_floor, want_floor, rel_tol=1e-12)
+    if want_gram[0, 0].real > 0.0:
+        want_cap = local_cap_oracle(2, dense[0], o_dense, p)
+        assert _local_cap({0, 1}, site_members[0], pairs, ens) == want_cap
+    else:
+        with pytest.raises(DomainError, match="vanishes"):
+            _local_cap({0, 1}, site_members[0], pairs, ens)
+
+
+@given(params=case, beta=st.sampled_from(BETAS), count=st.integers(1, 3))
+def test_block_gram_on_planted_blocks_is_the_dense_oracle(params, beta, count):
+    h, sets = block_case(**params)
+    spectral = diagonalize(h)
+    rng = np.random.default_rng(params["seed"])
+    dim = h.shape[0]
+    members = []
+    for _ in range(count):
+        # complex and non-Hermitian, each member with its own zero set pairs
+        member = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for a in sets:
+            for b in sets:
+                if rng.random() < 0.5:
+                    member[np.ix_(a, b)] = 0.0
+        members.append(member)
+    o = block_sparse_operator(rng, sets, params["is_complex"])
+    assert_block_gram_is_the_oracle(spectral, members, o, beta)
+
+
+@given(case=chain_case.filter(lambda c: c["sites"] <= 6), beta=st.sampled_from(BETAS))
+def test_block_gram_on_parity_blocks_is_the_dense_oracle(case, beta):
+    model = chain(case)
+    spectral, _, _ = solve_preset(model)
+    n, gen = case["sites"], preset_operators(model)[1]
+    dim = 2**n
+    rng = np.random.default_rng(case["seed"])
+    scattered = np.zeros((dim, dim), dtype=complex)
+    picks = rng.integers(dim, size=(2, 2 * dim))
+    scattered[picks[0], picks[1]] = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+    # the scaled generator keeps its reflection parity and links half the
+    # parity pairs, the lowering operator links every parity pair of
+    # neighbouring sectors, the scattered entries link random pairs
+    lower = SparseOperator.from_strings([PauliString(1.0 + 2.0j, ((0, "-"),))], n)
+    members = [(0.3 - 1.0j) * gen.dense(), lower, scattered]
+    assert_block_gram_is_the_oracle(spectral, members, gen, beta)
 
 
 # ---------------------------------------------------------------------------

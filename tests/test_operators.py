@@ -21,7 +21,6 @@ from qfidyn.operators import (
     BOUNDARIES,
     GENERATOR_KINDS,
     SITE_CAP_ENV,
-    _as_matrix,
     local_generator_strings,
     pauli_strings_to_records,
     site_cap,
@@ -509,9 +508,3 @@ def test_hermitian_check_covers_every_row_block():
     with pytest.raises(DomainError):
         _operator_pairs(real, dim)
 
-
-def test_operators_coerce_via_asarray():
-    # every site-basis operand is a SparseOperator or a bare array
-    op = SparseOperator.from_dense(SY)
-    assert np.array_equal(_as_matrix(op), SY)
-    assert _as_matrix(op).dtype == _as_matrix(SY.real).dtype == np.complex128

@@ -137,6 +137,23 @@ def test_to_eigenbasis_dimension_check(rng):
 # ---------------------------------------------------------------------------
 # Gibbs weights
 
+@pytest.mark.parametrize("sites", [2, 5])
+def test_block_operator_at_reads_the_dense_eigenbasis_entries(rng, sites):
+    # the generator links half the parity pairs of neighbouring sectors, the
+    # lowering operator every parity pair of them, the zero operator none
+    h, gen = preset_operators(preset("chain", sites=sites))
+    spectral = diagonalize(h)
+    lower = SparseOperator.from_strings([PauliString(1.0 + 2.0j, ((0, "-"),))], sites)
+    dim = 2**sites
+    rows, cols = rng.integers(dim, size=(2, 4 * dim))
+    for op in (gen, lower, SparseOperator.from_dense(np.zeros((dim, dim)))):
+        blocks = spectral.to_eigenblocks(op)
+        dense = spectral.to_eigenbasis(op)
+        assert np.array_equal(blocks.at(rows, cols), dense[rows, cols])
+        levels = np.arange(dim)
+        assert np.array_equal(blocks.at(levels[:, None], levels), dense)
+
+
 def test_weight_ratio_matches_boltzmann(rng):
     energies = np.sort(rng.normal(size=6))
     ens = gibbs_weights(energies, 0.7)
