@@ -6,7 +6,6 @@ from .dynsym import (
     OperatorBlock,
     PairPartition,
     block_gram,
-    conserved_mazur_bound,
     dynamical_symmetry,
     fit_frequency,
     group_into_blocks,
@@ -28,8 +27,6 @@ from .metrology import (
     eth_thermal_gap,
     eth_zero_frequency_correction,
     qfi_from_dynsym,
-    qfi_from_structure_comb,
-    qfi_from_susceptibility_comb,
     qfi_matrix,
     qfi_matrix_from_dynsym,
     qfi_spectral,
@@ -52,7 +49,6 @@ from .response import (
     BoundCheckReport,
     FrequencyComb,
     comb_bound_check,
-    cross_response_comb,
     response_comb,
     structure_factor_comb,
     susceptibility_comb,

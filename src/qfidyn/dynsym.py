@@ -7,10 +7,13 @@ positive omega.  Conserved quantities are the omega = 0 case.
 A symmetry set is a PairPartition, a list of OperatorBlocks, or a list
 mixing the two:
 
-* OperatorBlock holds explicit members sharing one frequency, as eigenbasis
-  BlockOperators (verified_blocks verifies, calls to_eigenblocks and groups
-  by frequency).  block_gram sums the Gram over the block pairs members
-  link and reads each member at the generator's pairs (BlockOperator.at).
+* OperatorBlock holds explicit members sharing one frequency, each as a
+  SparseOperator of its eigenbasis entries.  verified_blocks verifies each
+  operator, keeps only its entries on its omega-shell
+  |E_m - E_n - omega| <= omega_tol, where an exact eigenoperator has all
+  of them, certifies the cut, and groups by frequency.  block_gram is a
+  p_n-weighted sum over the positions the members hold, with the generator
+  joined there once per pair set.
 * PairPartition stands for the eigenpair operators |E_m><E_n| at
   omega = E_m - E_n without materializing them.  It lists level pairs
   m <= n, each standing for (m, n) and its mirror (n, m), with the
@@ -35,7 +38,10 @@ its -|omega_mn| among the clusters' first values.  PairPartition keeps the
 arrays trivial_complete_set hands it instead of copying them.  Every pass
 over the pairs forms its terms, |O_mn|^2 included, a chunk of pairs at a
 time (PairPartition.bin_chunks): it gathers with np.take, as fast with
-int32 indices as a fancy index is with intp ones, and bins with intp.
+int32 indices as a fancy index is with intp ones, and bins with intp.  An
+explicit member holds only its shell: at 12 sites a Jordan-Wigner mode
+keeps 8,388 of the 2.5M entries its linked blocks have, the rest being
+rounding, and a block keeps O at those positions per pair set.
 
 A set is complete for every operator whose nonzero entries it covers, so
 bounds built on it alone are saturated for exactly those operators; the
@@ -55,7 +61,7 @@ from ._frozen import Frozen
 from .errors import DomainError, NumericError
 from .operators import SparseOperator, _chunks, _keys, _operand, _real_if_exact
 from .operators import operator_support
-from .spectral import _eigen_operand
+from .spectral import BlockOperator, _eigen_operand
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
 TAU_DYN = 1e-9
@@ -65,6 +71,11 @@ TAU_RANK = 1e-12
 GRAM_NEG_RTOL = 1e-10
 # Slack on the strict-locality cap certificate.
 LOCAL_CAP_SLACK = 1e-9
+# Largest residual / omega_tol that verified_blocks accepts as the bound on
+# the relative Frobenius norm of a member's part off its omega-shell.  On
+# the open chain at the default omega_tol, the Jordan-Wigner modes reach
+# 3.5e-8 at 12 sites and 2.5e-7 at 14, their bilinears 2.1e-7 and 1.04e-6.
+SHELL_CUT_RTOL = 1e-5
 # PairPartition stores level indices as int32, so dim must lie below this.
 _INDEX_LIMIT = 2**31
 
@@ -196,21 +207,24 @@ def cluster_values(values, tol, symmetric=False):
 class OperatorBlock(Frozen):
     """Explicit dynamical symmetries sharing one frequency.
 
-    Members are eigenbasis BlockOperators of one block structure, as
-    to_eigenblocks gives them (_eigen_operand reads a matrix or a
-    SparseOperator); block_gram reads them block by block for the Gram and
-    at the generator's pairs for the correlators.
+    Each member is held as its eigenbasis entries, a SparseOperator: a
+    SparseOperator is taken as such, a matrix as its nonzero entries and a
+    BlockOperator as every nonzero entry of its products (verified_blocks
+    hands over entries already cut to their omega-shell).  block_gram reads
+    every member at the positions any member holds (_entries) and the
+    generator there (_joined).
     """
 
     _fields = ("omega", "members")
 
     def __init__(self, omega, members):
-        members = tuple(_eigen_operand(m, name=f"member {i}") for i, m in enumerate(members))
+        members = tuple(m.entries() if isinstance(m, BlockOperator) else _operand(m, f"member {i}")
+                        for i, m in enumerate(members))
         if not members:
             raise DomainError("a symmetry block needs at least one member")
-        if len({tuple(cols.tobytes() for cols in m.columns) for m in members}) != 1:
-            raise DomainError("block members must share one dimension and block structure")
-        self.__dict__.update(omega=float(omega), members=members)
+        if len({m.dim for m in members}) != 1:
+            raise DomainError("block members must share one dimension")
+        self.__dict__.update(omega=float(omega), members=members, _joins={})
 
     @property
     def size(self):
@@ -221,23 +235,40 @@ class OperatorBlock(Frozen):
         return self.members[0].dim
 
     @cached_property
-    def _column_sums(self):
-        """[i, j, n] = sum_m conj(A_i)_mn (A_j)_mn, summed once per block over
-        each block pair (a, b) that members link; the Gram is this times p."""
-        out = np.zeros((self.size, self.size, self.dim), dtype=complex)
-        stored = [member._layout[0] for member in self.members]
-        for a, b in dict.fromkeys(pair for blocks in stored for pair in blocks):
-            linked = [i for i, blocks in enumerate(stored) if (a, b) in blocks]
-            arr = np.stack([stored[i][a, b] for i in linked])
-            at = np.ix_(linked, linked, self.members[0].columns[b])
-            out[at] += np.einsum("imn,jmn->ijn", arr.conj(), arr)
-        return out
+    def _entries(self):
+        """(rows, cols, values): the positions any member holds, ascending in
+        row * dim + col, and each member's entries there, one row per
+        member (0 where it has none)."""
+        if self.size == 1:
+            (m,) = self.members
+            return m.rows, m.cols, m.values[None, :]
+        keys = np.unique(np.concatenate([_keys(m.rows, m.cols, self.dim) for m in self.members]))
+        rows, cols = np.divmod(keys, self.dim)
+        return rows, cols, np.stack([m.at(rows, cols) for m in self.members])
 
-    @property
+    def _joined(self, op_eig):
+        """O_mn at the positions of _entries, for O as _operator_pairs reads
+        it; kept per PairPartition, whose arrays are read-only, so that a
+        temperature sweep joins each pair set once."""
+        cached = self._joins.get(id(op_eig))
+        if cached is not None and cached[0] is op_eig:
+            return cached[1]
+        pairs = SparseOperator._trusted(*_operator_pairs(op_eig, self.dim), self.dim)
+        rows, cols, _ = self._entries
+        joined = pairs.at(np.minimum(rows, cols), np.maximum(rows, cols))
+        # a position below the diagonal reads the conjugate of its mirror
+        below = rows > cols
+        joined[below] = joined[below].conj()
+        if isinstance(op_eig, PairPartition):
+            self._joins[id(op_eig)] = (op_eig, joined)
+        return joined
+
+    @cached_property
     def _gram_floor(self):
         """tau * s: s is the largest column norm^2 sum_m |(A_i)_mn|^2 among
         the members and tau = (dim eps)^2 (see _pinv_quadratic)."""
-        s = float(np.diagonal(self._column_sums).real.max())
+        s = max(float(np.bincount(m.cols, _abs2(m.values), self.dim).max(initial=0.0))
+                for m in self.members)
         return (self.dim * np.finfo(float).eps) ** 2 * s
 
 
@@ -571,50 +602,61 @@ def group_into_blocks(symmetries, omega_tol=None):
 
 def verified_blocks(hamiltonian, spectral, ops, omega_tol=None):
     """Verify candidate operators against H, take them to the energy
-    eigenbasis (to_eigenblocks) and group them into frequency blocks.
+    eigenbasis on their omega-shell (_on_shell) and group them into
+    frequency blocks.
 
     hamiltonian and ops are given in the site basis; a DomainError from
-    verification names the failing operator by position.
+    verification, or a NumericError from the shell cut, names the failing
+    operator by position.
     """
+    omega_tol = default_omega_tol(spectral.energies) if omega_tol is None else omega_tol
+    omega_tol = _checked_omega_tol(omega_tol)
     symmetries = []
     for i, op in enumerate(ops):
         try:
             sym = dynamical_symmetry(hamiltonian, op)
-        except DomainError as exc:
-            raise DomainError(f"operator {i}: {exc}") from None
-        symmetries.append(DynamicalSymmetry(spectral.to_eigenblocks(op), sym.omega, sym.residual))
-    if omega_tol is None:
-        omega_tol = default_omega_tol(spectral.energies)
+            member = _on_shell(spectral, op, sym.omega, sym.residual, omega_tol)
+        except (DomainError, NumericError) as exc:
+            raise type(exc)(f"operator {i}: {exc}") from None
+        symmetries.append(DynamicalSymmetry(member, sym.omega, sym.residual))
     return group_into_blocks(symmetries, omega_tol)
+
+
+def _on_shell(spectral, op, omega, residual, omega_tol):
+    """The eigenbasis entries of a site-basis eigenoperator A on its shell
+    |E_m - E_n - omega| <= omega_tol (BlockOperator.entries), omega and
+    residual being its fit_frequency.  Off the shell
+    (E_m - E_n - omega) A_mn is the entry R_mn of R = [H, A] - omega A, so
+    the part cut off has a relative Frobenius norm of at most
+    residual / omega_tol; above SHELL_CUT_RTOL that is no certificate, and
+    NumericError is raised."""
+    cut = residual / omega_tol
+    if not cut <= SHELL_CUT_RTOL:
+        raise NumericError(
+            f"the part off its omega-shell is bounded only by residual / omega_tol = "
+            f"{cut:.3e}, above {SHELL_CUT_RTOL:.1e}"
+        )
+    return spectral.to_eigenblocks(op).entries((spectral.energies, omega, omega_tol))
 
 
 def block_gram(block, ensemble, op_eig):
     """Thermal Gram matrix and correlator vector of an OperatorBlock against O.
 
-    Returns (V, corr) with V[i, j] = <A_i^dag A_j> and corr[j] = <A_j^dag O>.
-    The members are eigenbasis BlockOperators: V weighs their column sums
-    (OperatorBlock._column_sums, made block pair by block pair) by p_n, and
-    corr reads each member (at) at the pairs of op_eig, the generator in
-    the eigenbasis as _operator_pairs reads it.  A PairPartition's own Gram
-    is diagonal, so its weights come from cluster_weights instead.
+    Returns (V, corr) with V[i, j] = <A_i^dag A_j> and corr[j] = <A_j^dag O>,
+    both sums over the positions (m, n) the members hold, weighted by p_n:
+    V = sum conj(A_i)_mn p_n (A_j)_mn and corr = sum conj(A_j)_mn p_n O_mn,
+    with O_mn joined from op_eig, the generator in the eigenbasis as
+    _operator_pairs reads it, once per pair set (OperatorBlock._joined).
+    A PairPartition's own Gram is diagonal, so its weights come from
+    cluster_weights instead.
     """
     if not isinstance(block, OperatorBlock):
         raise DomainError(f"block_gram takes an OperatorBlock, got {type(block).__name__}")
-    dim = ensemble.dim
-    p = ensemble.weights
-    if block.dim != dim:
-        raise DomainError(f"block dim {block.dim} does not match ensemble dim {dim}")
-    gram = block._column_sums @ p
-    rows, cols, values = _operator_pairs(op_eig, dim)
-
-    def conj_at(rows, cols):
-        return np.stack([member.at(rows, cols) for member in block.members]).conj()
-
-    # (m, n) carries O_mn and, off the diagonal, (n, m) carries conj(O_mn)
-    off = rows != cols
-    corr = conj_at(rows, cols) @ (values * p[cols])
-    corr = corr + conj_at(cols[off], rows[off]) @ (values[off].conj() * p[rows[off]])
-    return gram, corr
+    if block.dim != ensemble.dim:
+        raise DomainError(f"block dim {block.dim} does not match ensemble dim {ensemble.dim}")
+    _, cols, values = block._entries
+    weighted = values.conj() * ensemble.weights[cols]
+    return weighted @ values.T, weighted @ block._joined(op_eig)
 
 
 def _pinv_quadratic(gram, rows, floor=0.0):
@@ -633,9 +675,11 @@ def _pinv_quadratic(gram, rows, floor=0.0):
     rounding too, and their ratio, of the order of <O^2>, is no bound: on
     the 6-site chain with its Jordan-Wigner modes at low temperature such
     directions (Gram eigenvalues near 1e-31 s) lifted the bound above the
-    QFI.  A kept direction just above the floor still carries that rounding,
-    so cold explicit-symmetry bounds are good to about 1e-7 relative, not to
-    round-off (2.4e-7 on the 8-site Jordan-Wigner modes at T = 0.07).
+    QFI.  With members cut to their omega-shell no such rounding is left to
+    keep: over the Jordan-Wigner mode sets at 4 to 10 sites and T from 0.05
+    to 5 and beta = inf, the bound on the parity split and on a rotated
+    dense eigh differ by at most 1.5e-13 of the bound where it is above
+    1e-3 of the QFI, and by 1.8e-14 of the QFI anywhere.
     """
     gram = np.asarray(gram, dtype=complex)
     rows = np.asarray(rows, dtype=complex)
@@ -670,36 +714,6 @@ def mazur_weight(block, ensemble, op_eig):
     """
     gram, corr = block_gram(block, ensemble, op_eig)
     return float(_pinv_quadratic(gram, corr[None, :], block._gram_floor)[0, 0].real)
-
-
-def conserved_mazur_bound(conserved_set, ensemble, op_eig):
-    """Zero-frequency Mazur weight D_0(O) from explicit conserved quantities.
-
-    Members are eigenbasis operators, as OperatorBlock takes them; each
-    must commute with H within TAU_DYN, checked block by block against
-    diag(energies), and a violator is named by position.  The weight is
-    Gram-orthogonalized, so dependent or overlapping conserved sets are
-    handled.
-    """
-    members = []
-    energies = ensemble.energies
-    for i, member in enumerate(conserved_set):
-        op = _eigen_operand(member, ensemble.dim, f"conserved quantity {i}")
-        blocks = [(block, energies[op.columns[a]][:, None] - energies[op.columns[b]])
-                  for (a, b), block in op._layout[0].items()]
-        norm = math.hypot(*(np.linalg.norm(block) for block, _ in blocks))
-        if not 0.0 < norm < math.inf:
-            raise DomainError(f"conserved quantity {i}: norm {norm:.3e} is out of range")
-        # [diag(E), A]_mn = (E_m - E_n) A_mn, so no matmul is needed
-        residual = math.hypot(*(np.linalg.norm(gaps * block) for block, gaps in blocks)) / norm
-        if not residual <= TAU_DYN:
-            raise DomainError(
-                f"conserved quantity {i} does not commute with H: "
-                f"residual {residual:.3e} exceeds {TAU_DYN:.1e}"
-            )
-        members.append(op)
-    block = OperatorBlock(0.0, tuple(members))
-    return mazur_weight(block, ensemble, op_eig)
 
 
 def projector_mazur_weight(ensemble, op_eig):
@@ -737,21 +751,22 @@ def local_cap(a_loc, op, ensemble):
         raise DomainError("operator dimensions do not match the ensemble")
     # a dim that is not a power of 2 matches no chain: operator_support refuses it
     support = operator_support(a_op, dim.bit_length() - 1)
-    return _local_cap(support, a_op, ensemble.spectral.to_eigenblocks(o_op), ensemble)
+    to_eigenblocks = ensemble.spectral.to_eigenblocks
+    return _local_cap(support, to_eigenblocks(a_op), to_eigenblocks(o_op), ensemble)
 
 
-def _local_cap(support, a_op, o_eig, ensemble):
-    """local_cap of a site-basis A_loc with the given support, against O in
-    the eigenbasis as _operator_pairs reads it (such as the weighted pair set
-    of solve_preset), so that a caller capping many operators against one O
-    finds each support once and takes O to the eigenbasis once."""
+def _local_cap(support, a_eig, o_eig, ensemble):
+    """local_cap of A_loc with the given support, held in the eigenbasis as
+    an OperatorBlock member, against O in the eigenbasis as _operator_pairs
+    reads it (such as the weighted pair set of solve_preset), so that a
+    caller capping many operators against one O finds each support once and
+    takes O to the eigenbasis once."""
     if not support:
         raise DomainError("operator acts as a scalar; the cap is undefined")
     lo, hi = min(support), max(support)
     if len(support) != hi - lo + 1:
         raise DomainError(f"support {sorted(support)} is not contiguous")
     cap = (hi - lo + 1) ** 2 / 4.0
-    a_eig = ensemble.spectral.to_eigenblocks(a_op)
     gram, corr = block_gram(OperatorBlock(0.0, (a_eig,)), ensemble, o_eig)
     norm = float(gram[0, 0].real)
     if norm <= 0.0:

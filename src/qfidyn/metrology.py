@@ -49,7 +49,6 @@ from .dynsym import (
 )
 from .errors import DomainError, NumericError
 from .operators import _chunks
-from .response import _comb_tanh
 from .spectral import PAIR_WEIGHT_FLOOR, default_energy_tol
 
 # Slack for internal inequality certificates (ETH gap assertion).
@@ -122,26 +121,6 @@ def qfi_via_structure_factor(op_eig, ensemble):
     p = ensemble.weights
     t = _half_tanh(ensemble, rows, cols)
     return float(4.0 * np.sum(t**2 * (p[cols] + p[rows]) * np.abs(values) ** 2))
-
-
-def qfi_from_structure_comb(comb, beta):
-    """QFI from a structure-factor comb: 2 sum_k tanh^2(beta w_k / 2) s_k.
-
-    Cluster representatives stand in for the exact gaps, so this agrees with
-    the pair routes up to the clustering tolerance.
-    """
-    if comb.kind != "structure":
-        raise DomainError(f"expected a structure comb, got kind {comb.kind!r}")
-    nz, t = _comb_tanh(comb, beta)
-    return float(np.sum(2.0 * t**2 * comb.weights[nz].real))
-
-
-def qfi_from_susceptibility_comb(comb, beta):
-    """QFI from a susceptibility comb: 2 sum_k tanh(beta w_k / 2) x_k."""
-    if comb.kind != "susceptibility":
-        raise DomainError(f"expected a susceptibility comb, got kind {comb.kind!r}")
-    nz, t = _comb_tanh(comb, beta)
-    return float(np.sum(2.0 * t * comb.weights[nz].real))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .dynsym import (
 )
 from .errors import DomainError, NumericError
 
-KINDS = ("response", "structure", "susceptibility", "cross")
+KINDS = ("response", "structure", "susceptibility")
 
 # Rounding can push mathematically nonnegative weights slightly below zero;
 # values in [-NEG_WEIGHT_TOL, 0) are clamped to 0 and counted.
@@ -49,8 +49,7 @@ BOUND_CHECK_ATOL = 1e-10
 class FrequencyComb(Frozen):
     """Sorted frequencies with one weight per frequency.
 
-    Weights are stored complex; for every kind except cross they are real
-    (validated).  clamped counts tiny negative weights zeroed at build time.
+    Weights are stored complex and validated real.  clamped counts tiny negative weights zeroed at build time.
     """
 
     _fields = ("omegas", "weights", "kind", "clamped")
@@ -65,9 +64,8 @@ class FrequencyComb(Frozen):
         if om.size > 1 and np.any(np.diff(om) <= 0):
             raise DomainError("omegas must be strictly increasing")
         scale = float(np.abs(w).max()) if w.size else 0.0
-        if kind != "cross" and w.size:
-            if np.abs(w.imag).max() > 1e-12 * max(1.0, scale):
-                raise NumericError(f"{kind} comb has complex weights")
+        if w.size and np.abs(w.imag).max() > 1e-12 * max(1.0, scale):
+            raise NumericError(f"{kind} comb has complex weights")
         if kind == "response" and w.size:
             if w.real.min() < -NEG_WEIGHT_TOL * max(1.0, scale):
                 raise NumericError(
@@ -92,21 +90,17 @@ class FrequencyComb(Frozen):
         return self.omegas.size
 
     def total(self):
-        """Sum of all weights (real for real-weight kinds)."""
-        val = complex(self.weights.sum())
-        if self.kind != "cross":
-            return val.real
-        return val
+        """Sum of all weights."""
+        return complex(self.weights.sum()).real
 
     def weight_at(self, omega, tol=0.0):
         """Weight at a frequency, 0 when absent; nearest match within tol."""
         if self.size == 0:
-            return 0.0 if self.kind != "cross" else 0j
+            return 0.0
         i = int(np.argmin(np.abs(self.omegas - omega)))
         if abs(self.omegas[i] - omega) <= tol:
-            w = self.weights[i]
-            return complex(w) if self.kind == "cross" else float(w.real)
-        return 0.0 if self.kind != "cross" else 0j
+            return float(self.weights[i].real)
+        return 0.0
 
 
 def _comb_tanh(comb, beta):
@@ -172,27 +166,6 @@ def susceptibility_comb(op_eig, ensemble):
     factor = np.zeros_like(s.omegas)
     factor[nz] = t
     return FrequencyComb(s.omegas, factor * s.weights, "susceptibility", s.clamped)
-
-
-def cross_response_comb(opa_eig, opb_eig, ensemble):
-    """Cross-response comb with complex weights
-    sum over the cluster of p_n <E_m|O_a|E_n><E_n|O_b|E_m>.
-
-    The sum runs over the pair set of O_a (O_a itself when it is one; every
-    other term vanishes) with O_b's entries aligned onto it.  Reduces to
-    response_comb when both operators coincide; swapping the operators
-    conjugates every weight.
-    """
-    part = _pair_set(opa_eig, ensemble, "first operator")
-    a = part.values
-    b, _ = part.aligned(opb_eig, "second operator")
-    p = ensemble.weights
-    # (m, n) carries p_n a_mn conj(b_mn) and (n, m) p_m conj(a_mn) b_mn
-    forward = p[part.cols] * a * b.conj()
-    backward = p[part.rows] * (a.conj() * b)
-    w = part.bin(forward.real, backward.real) + 1j * part.bin(forward.imag, backward.imag)
-    keep = w != 0.0
-    return FrequencyComb(part.omegas[keep], w[keep], "cross")
 
 
 class BoundCheckReport(FrozenRecord):

@@ -292,32 +292,37 @@ class BlockOperator(Frozen):
     def __init__(self, columns, products, dim, dtype):
         self.__dict__.update(columns=columns, products=products, dim=dim, dtype=dtype)
 
-    @cached_property
-    def _layout(self):
-        """(blocks, flat, offsets, sizes, block, position): each product made
-        once into flat, end to end (then one 0.0), with blocks[(a, b)] its
-        read-only view and offsets[a, b] its start (-1 where unlinked); the
-        block sizes; and each eigen-column's block and position in it."""
-        sizes = np.array([cols.size for cols in self.columns], dtype=np.intp)
-        offsets = np.full((sizes.size,) * 2, -1, dtype=np.intp)
-        ends = np.cumsum([0] + [sizes[a] * sizes[b] for a, b in self.products])
-        flat = np.zeros(ends[-1] + 1, dtype=self.dtype)
-        for ((a, b), product), lo, hi in zip(self.products.items(), ends[:-1], ends[1:]):
-            offsets[a, b] = lo
-            flat[lo:hi] = product.ravel()
-        flat.setflags(write=False)
-        blocks = {(a, b): flat[lo:hi].reshape(sizes[a], sizes[b])
-                  for (a, b), lo, hi in zip(self.products, ends[:-1], ends[1:])}
-        return (blocks, flat, offsets, sizes, *_block_index(self.columns, self.dim))
-
-    def at(self, rows, cols):
-        """The entries at eigenbasis positions (rows, cols), 0 off the
-        linked block pairs: one gather from the layout."""
-        _, flat, offsets, sizes, block, position = self._layout
-        b = block.take(cols)
-        start = offsets.take(block.take(rows) * sizes.size + b)
-        index = start + position.take(rows) * sizes.take(b) + position.take(cols)
-        return flat.take(np.where(start < 0, -1, index))
+    def entries(self, shell=None):
+        """The nonzero entries as a SparseOperator with int32 indices, so dim
+        must be below 2**31: every one, or with shell = (energies, omega,
+        tol) only those with E_n within tol of E_m - omega.  Each product is
+        read once.  A block's energies ascend, so a shell's window in each
+        row is one searchsorted, and no mask of a whole product is made."""
+        keys, values = [np.zeros(0, np.int64)], [np.zeros(0, self.dtype)]
+        for (a, b), product in self.products.items():
+            rows_of, cols_of = self.columns[a], self.columns[b]
+            if shell is None:
+                i, j = np.nonzero(product)
+            else:
+                energies, omega, tol = shell
+                target, levels = energies[rows_of] - omega, energies[cols_of]
+                lo = np.searchsorted(levels, target - tol, "left")
+                count = np.searchsorted(levels, target + tol, "right") - lo
+                i = np.repeat(np.arange(rows_of.size), count)
+                j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+                nonzero = product[i, j] != 0
+                i, j = i[nonzero], j[nonzero]
+            keys.append(rows_of[i].astype(np.int64) * self.dim + cols_of[j])
+            values.append(product[i, j])
+            del product, i, j
+        keys = np.concatenate(keys)
+        # each product adds one ascending run of keys, which a stable sort merges
+        order = np.argsort(keys, kind="stable")
+        rows, cols = np.empty(keys.size, np.int32), np.empty(keys.size, np.int32)
+        for s in _chunks(keys.size):
+            np.divmod(keys.take(order[s]), self.dim, out=(rows[s], cols[s]), casting="unsafe")
+        del keys
+        return SparseOperator._trusted(rows, cols, np.concatenate(values)[order], self.dim)
 
     def dense(self):
         out = np.zeros((self.dim, self.dim), dtype=self.dtype)
@@ -680,13 +685,17 @@ def gibbs_weights(spectral, beta):
 
 
 def thermal_expectation(op_eig, ensemble):
-    """<O> = sum_n p_n O_nn for an eigenbasis operator (_eigen_operand).
+    """<O> = sum_n p_n O_nn for an eigenbasis operator (_eigen_operand),
+    with O_nn read from the diagonal blocks.
 
     Returns a float when the weighted diagonal is real to rounding (the
     Hermitian case), otherwise the complex value.
     """
-    levels = np.arange(ensemble.dim)
-    diagonal = _eigen_operand(op_eig, ensemble.dim).at(levels, levels)
+    op = _eigen_operand(op_eig, ensemble.dim)
+    diagonal = np.zeros(ensemble.dim, dtype=op.dtype)
+    for a, cols in enumerate(op.columns):
+        if (a, a) in op.products:
+            diagonal[cols] = np.diagonal(op.products[a, a])
     val = complex(np.dot(ensemble.weights, diagonal))
     if abs(val.imag) <= 1e-12 * max(1.0, abs(val)):
         return val.real

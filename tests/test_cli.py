@@ -18,17 +18,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qfidyn
 from qfidyn import (
     BlockOperator,
+    DomainError,
+    NumericError,
     PauliString,
     SparseOperator,
     SpectralDecomposition,
+    block_gram,
     diagonalize,
     entanglement_depth,
+    fit_frequency,
     gibbs_weights,
     pauli_strings_to_records,
     projector_mazur_weight,
@@ -42,8 +46,9 @@ from qfidyn import (
 )
 from qfidyn import cli
 from qfidyn.cli import main
+from qfidyn.dynsym import TAU_DYN, default_omega_tol
 from qfidyn.models import preset, preset_operators, solve_preset, two_qubit_symmetry_strings
-from oracles import staggered_z_qfi_oracle
+from oracles import block_gram_oracle, staggered_z_qfi_oracle
 
 FLOAT_RE = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}")
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -312,6 +317,107 @@ def test_mode_subsets_never_bound_above_the_qfi(n, data):
     subset = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     for beta, fq, bound in mode_bounds(n, subset):
         assert bound <= fq * (1.0 + 1e-12), (beta, bound, fq)
+
+
+DECOMPOSITION_BETAS = (0.0, 1e-12, 1.0, 5.0, 10.0, 20.0, 50.0, 1e8, math.inf)
+
+
+@functools.lru_cache(maxsize=None)
+def rotated_dense_decomposition(n):
+    """The n-site chain preset diagonalized by one dense eigh, with a random
+    unitary rotation inside each degenerate group of levels, and its
+    generator's weighted pair set."""
+    spectral, _, h, _ = solved_modes(n)
+    energies, vectors = np.linalg.eigh(h.dense())
+    rng = np.random.default_rng(n)
+    cuts = np.flatnonzero(np.diff(energies) > spectral.energy_tol) + 1
+    vectors = vectors.astype(complex)
+    for group in np.split(np.arange(energies.size), cuts):
+        z = rng.normal(size=(group.size,) * 2) + 1j * rng.normal(size=(group.size,) * 2)
+        vectors[:, group] = vectors[:, group] @ np.linalg.qr(z)[0]
+    dense = SpectralDecomposition(energies, vectors)
+    gen = preset_operators(preset("chain", sites=n))[1]
+    return dense, trivial_complete_set(dense, op_eig=dense.to_eigenblocks(gen))
+
+
+@given(case=st.integers(4, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1), min_size=1))))
+@example(case=(6, frozenset(range(6))))
+def test_mode_bounds_do_not_depend_on_the_decomposition(case):
+    # the parity split and a rotated dense eigh differ in every off-shell
+    # rounding entry of a member; cut to their shell both give one bound
+    # (2.1e-4 apart at 6 sites and beta = 20 with every entry kept).  A
+    # correlator's rounding scales with sqrt(<A^dag A> <O^2>), not with the
+    # correlator, so a bound far below the QFI agrees relative to the QFI
+    n, subset = case
+    spectral, pairs, h, modes = solved_modes(n)
+    dense, dense_pairs = rotated_dense_decomposition(n)
+    ops = [modes[k] for k in sorted(subset)]
+    split_blocks = verified_blocks(h, spectral, ops)
+    dense_blocks = verified_blocks(h, dense, ops)
+    for beta in DECOMPOSITION_BETAS:
+        ens = gibbs_weights(spectral, beta)
+        split = qfi_from_dynsym(split_blocks, ens, pairs).value
+        other = qfi_from_dynsym(dense_blocks, gibbs_weights(dense, beta), dense_pairs).value
+        scale = max(split, qfi_spectral(pairs, ens))
+        assert abs(split - other) <= 1e-12 * scale, (beta, split, other)
+
+
+def test_the_cut_off_part_of_an_approximate_symmetry_is_certified():
+    # a mode plus 1e-6 of another: off its shell it has entries of order
+    # 1e-6, which residual / omega_tol bounds, measured on the dense oracle
+    n = 6
+    spectral, _, h, modes = solved_modes(n)
+    e = spectral.energies
+    gaps = e[:, None] - e[None, :]
+    local = SparseOperator.from_strings([PauliString(1.0, ((2, "x"),))], n)
+    approx = SparseOperator.from_dense(modes[1].dense() + 1e-6 * local.dense())
+    omega, residual = fit_frequency(h, approx)
+    dense = spectral.to_eigenbasis(approx)
+    for tol in (1e-3, 1e-1):
+        shell = np.abs(gaps - omega) <= tol
+        cut = spectral.to_eigenblocks(approx).entries((e, omega, tol))
+        assert np.array_equal(cut.dense(), np.where(shell, dense, 0.0))
+        dropped = np.linalg.norm(np.where(shell, 0.0, dense)) / np.linalg.norm(dense)
+        assert 1e-8 < dropped <= residual / tol < 1.0
+    # through verified_blocks the residual is no symmetry's, and a smaller
+    # admixture passes as one but its cut is beyond SHELL_CUT_RTOL
+    with pytest.raises(DomainError, match="operator 1: operator is not a dynamical symmetry"):
+        verified_blocks(h, spectral, [modes[0], approx])
+    slight = SparseOperator.from_dense(modes[1].dense() + 1e-11 * local.dense())
+    assert fit_frequency(h, slight)[1] <= TAU_DYN
+    with pytest.raises(NumericError, match="operator 0: the part off its omega-shell"):
+        verified_blocks(h, spectral, [slight])
+    # a wide enough shell certifies it
+    (block,) = verified_blocks(h, spectral, [slight], omega_tol=1e-3)
+    assert block.size == 1
+
+
+@given(case=st.integers(4, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1), min_size=1))),
+    beta=st.sampled_from(DECOMPOSITION_BETAS))
+def test_the_shell_gram_is_the_dense_oracle_on_shell_masked_members(case, beta):
+    n, subset = case
+    spectral, pairs, h, modes = solved_modes(n)
+    ens = gibbs_weights(spectral, beta)
+    e, p = spectral.energies, ens.weights
+    gaps = e[:, None] - e[None, :]
+    tol = default_omega_tol(e)
+    o_dense = spectral.to_eigenbasis(preset_operators(preset("chain", sites=n))[1])
+    ops = [modes[k] for k in sorted(subset)]
+    # group_into_blocks keeps the members of a block in the order given
+    omegas = [fit_frequency(h, op)[0] for op in ops]
+    for block in verified_blocks(h, spectral, ops):
+        members = [i for i, w in enumerate(omegas) if abs(w - block.omega) <= tol]
+        masked = [np.where(np.abs(gaps - omegas[i]) <= tol, spectral.to_eigenbasis(ops[i]), 0.0)
+                  for i in members]
+        gram, corr = block_gram(block, ens, pairs)
+        want_gram, want_corr, want_floor = block_gram_oracle(masked, p, o_dense)
+        scale = max(np.abs(want_gram).max(), np.finfo(float).tiny)
+        assert np.abs(gram - want_gram).max() <= 1e-12 * scale
+        o_sq = float(np.einsum("mn,mn,n->", o_dense.conj(), o_dense, p).real)
+        assert np.abs(corr - want_corr).max() <= 1e-12 * math.sqrt(scale * o_sq)
+        assert math.isclose(block._gram_floor, want_floor, rel_tol=1e-12)
 
 
 def bilinears(n):

@@ -16,7 +16,6 @@ from qfidyn import (
     PauliString,
     SparseOperator,
     block_gram,
-    conserved_mazur_bound,
     diagonalize,
     dynamical_symmetry,
     fit_frequency,
@@ -545,7 +544,7 @@ def test_mazur_weight_zero_thermal_norm():
 
 def test_conserved_identity_gives_mean_squared():
     _, _, spectral, ens, o_eig = two_qubit_setup()
-    d0 = conserved_mazur_bound([np.eye(4)], ens, o_eig)
+    d0 = mazur_weight(OperatorBlock(0.0, (np.eye(4),)), ens, o_eig)
     mean = float(np.dot(ens.weights, np.real(np.diagonal(o_eig))))
     assert math.isclose(d0, mean**2, rel_tol=1e-12, abs_tol=1e-15)
 
@@ -555,24 +554,8 @@ def test_conserved_projector_set_matches_closed_form(rng):
     ens = gibbs_weights(spectral, 0.8)
     o_eig = spectral.to_eigenbasis(random_hermitian(rng, 5))
     projectors = [np.diag(row).astype(complex) for row in np.eye(5)]
-    d0 = conserved_mazur_bound(projectors, ens, o_eig)
+    d0 = mazur_weight(OperatorBlock(0.0, tuple(projectors)), ens, o_eig)
     assert math.isclose(d0, projector_mazur_weight(ens, o_eig), rel_tol=1e-12)
-
-
-def test_conserved_rejects_noncommuting_member():
-    _, _, spectral, ens, o_eig = two_qubit_setup()
-    with pytest.raises(DomainError) as err:
-        conserved_mazur_bound([np.eye(4), np.ones((4, 4))], ens, o_eig)
-    assert "conserved quantity 1" in str(err.value)
-
-
-def test_conserved_rejects_zero_member():
-    _, _, spectral, ens, o_eig = two_qubit_setup()
-    with pytest.raises(DomainError):
-        conserved_mazur_bound([np.zeros((4, 4))], ens, o_eig)
-    for member in (np.full((4, 4), np.nan), np.full((4, 4), np.inf)):
-        with pytest.raises(DomainError, match="out of range"):
-            conserved_mazur_bound([member], ens, o_eig)
 
 
 def test_eigenbasis_block_operators_read_as_their_dense_matrices():
@@ -587,16 +570,17 @@ def test_eigenbasis_block_operators_read_as_their_dense_matrices():
     assert math.isclose(got, want, rel_tol=1e-12)
     total_z = spectral.to_eigenblocks(preset_operators(preset("chain", sites=6,
                                                               generator="uniform-z"))[1])
-    got, want = (conserved_mazur_bound([z, hh], ens, pairs)
+    got, want = (mazur_weight(OperatorBlock(0.0, (z, hh)), ens, pairs)
                  for z, hh in ((total_z, blocks[2]), (total_z.dense(), dense[2])))
     assert math.isclose(got, want, rel_tol=1e-12)
-    with pytest.raises(DomainError, match="conserved quantity 0 does not commute"):
-        conserved_mazur_bound([blocks[0]], ens, pairs)
     for block, mat in zip(blocks, dense):
         assert abs(thermal_expectation(block, ens) - thermal_expectation(mat, ens)) <= 1e-12
-    # one block over every level has another block structure
-    with pytest.raises(DomainError, match="block structure"):
-        OperatorBlock(0.0, (blocks[0], dense[0]))
+    # block and dense members mix; members of two dimensions do not
+    mixed = mazur_weight(OperatorBlock(0.0, (blocks[0], dense[1])), ens, pairs)
+    assert math.isclose(mixed, mazur_weight(OperatorBlock(0.0, dense[:2]), ens, pairs),
+                        rel_tol=1e-12)
+    with pytest.raises(DomainError, match="one dimension"):
+        OperatorBlock(0.0, (blocks[0], np.eye(4)))
 
 
 @pytest.mark.parametrize("bad", ["x", None, object(), np.zeros(3)])
@@ -604,8 +588,6 @@ def test_a_non_operator_is_a_domain_error(bad):
     _, _, spectral, ens, o_eig = two_qubit_setup()
     with pytest.raises(DomainError):
         OperatorBlock(0.0, (bad,))
-    with pytest.raises(DomainError):
-        conserved_mazur_bound([bad], ens, o_eig)
     with pytest.raises(DomainError):
         thermal_expectation(bad, ens)
 
@@ -629,10 +611,10 @@ def assert_block_gram_is_the_oracle(spectral, site_members, o_site, beta):
     assert math.isclose(block._gram_floor, want_floor, rel_tol=1e-12)
     if want_gram[0, 0].real > 0.0:
         want_cap = local_cap_oracle(2, dense[0], o_dense, p)
-        assert _local_cap({0, 1}, site_members[0], pairs, ens) == want_cap
+        assert _local_cap({0, 1}, block.members[0], pairs, ens) == want_cap
     else:
         with pytest.raises(DomainError, match="vanishes"):
-            _local_cap({0, 1}, site_members[0], pairs, ens)
+            _local_cap({0, 1}, block.members[0], pairs, ens)
 
 
 @given(params=case, beta=st.sampled_from(BETAS), count=st.integers(1, 3))

@@ -13,7 +13,6 @@ from qfidyn import (
     OperatorBlock,
     PairPartition,
     comb_bound_check,
-    cross_response_comb,
     diagonalize,
     eth_zero_frequency_correction,
     gibbs_weights,
@@ -132,17 +131,6 @@ def test_susceptibility_vanishes_at_beta_zero(rng):
     assert np.abs(x.weights).max() == 0.0
 
 
-def test_cross_comb_reduces_to_response(rng):
-    _, spectral, ens, o_eig = random_setup(rng)
-    cross = cross_response_comb(o_eig, o_eig, ens)
-    plain = response_comb(o_eig, ens)
-    tol = default_omega_tol(spectral.energies)
-    for omega, weight in zip(plain.omegas, plain.weights):
-        got = cross.weight_at(float(omega), tol=tol)
-        assert math.isclose(got.real, weight.real, rel_tol=1e-10)
-        assert abs(got.imag) < 1e-12
-
-
 def test_combs_cluster_a_dense_operator_as_its_pair_set(rng):
     # no comb takes a tolerance of its own: a dense operator gets the
     # default clusters, the ones its weighted pair set is built with
@@ -156,7 +144,6 @@ def test_combs_cluster_a_dense_operator_as_its_pair_set(rng):
         (response_comb, (o_eig, ens)),
         (structure_factor_comb, (o_eig, ens)),
         (susceptibility_comb, (o_eig, ens)),
-        (cross_response_comb, (o_eig, o_eig, ens)),
         (eth_zero_frequency_correction, (o_eig, ens)),
     )
     for fn, args in calls:
@@ -164,22 +151,12 @@ def test_combs_cluster_a_dense_operator_as_its_pair_set(rng):
             fn(*args, omega_tol=1e-3)
 
 
-def test_cross_comb_swap_conjugates(rng):
-    _, spectral, ens, _ = random_setup(rng)
-    a = spectral.to_eigenbasis(random_hermitian(rng, 8))
-    b = spectral.to_eigenbasis(random_hermitian(rng, 8))
-    ab = cross_response_comb(a, b, ens)
-    ba = cross_response_comb(b, a, ens)
-    assert np.array_equal(ab.omegas, ba.omegas)
-    assert np.allclose(ab.weights, ba.weights.conj())
-
-
-# ---------------------------------------------------------------------------
-# comb container
-
 def test_comb_rejects_unknown_kind():
     with pytest.raises(DomainError):
         FrequencyComb(np.array([0.0]), np.array([1.0]), "spectral")
+    # no comb has complex weights, so there is no cross kind
+    with pytest.raises(DomainError):
+        FrequencyComb(np.array([0.0]), np.array([1.0j]), "cross")
 
 
 def test_comb_rejects_unsorted_frequencies():

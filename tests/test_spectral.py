@@ -138,20 +138,29 @@ def test_to_eigenbasis_dimension_check(rng):
 # Gibbs weights
 
 @pytest.mark.parametrize("sites", [2, 5])
-def test_block_operator_at_reads_the_dense_eigenbasis_entries(rng, sites):
+def test_block_operator_entries_are_the_dense_eigenbasis_entries(sites):
     # the generator links half the parity pairs of neighbouring sectors, the
     # lowering operator every parity pair of them, the zero operator none
     h, gen = preset_operators(preset("chain", sites=sites))
     spectral = diagonalize(h)
     lower = SparseOperator.from_strings([PauliString(1.0 + 2.0j, ((0, "-"),))], sites)
     dim = 2**sites
-    rows, cols = rng.integers(dim, size=(2, 4 * dim))
+    e = spectral.energies
+    gaps = e[:, None] - e[None, :]
     for op in (gen, lower, SparseOperator.from_dense(np.zeros((dim, dim)))):
         blocks = spectral.to_eigenblocks(op)
         dense = spectral.to_eigenbasis(op)
-        assert np.array_equal(blocks.at(rows, cols), dense[rows, cols])
-        levels = np.arange(dim)
-        assert np.array_equal(blocks.at(levels[:, None], levels), dense)
+        entries = blocks.entries()
+        assert entries.rows.dtype == entries.cols.dtype == np.int32
+        want = SparseOperator.from_dense(dense)
+        for got, ref in zip((entries.rows, entries.cols, entries.values),
+                            (want.rows, want.cols, want.values)):
+            assert np.array_equal(got, ref)
+        # a shell keeps the entries whose gap lies within tol of omega
+        for omega, tol in ((gaps.max() / 3.0, 0.5), (0.0, 1e-9), (-1.0, np.inf)):
+            shell = blocks.entries((e, omega, tol))
+            assert np.array_equal(shell.dense(),
+                                  np.where(np.abs(gaps - omega) <= tol, dense, 0.0))
 
 
 def test_weight_ratio_matches_boltzmann(rng):
