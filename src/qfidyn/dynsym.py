@@ -19,8 +19,8 @@ mixing the two:
   m <= n, each standing for (m, n) and its mirror (n, m), with the
   frequency-cluster label of (m, n); the mirror lies in the sign-mirrored
   cluster.  Their Gram is diagonal, so every per-cluster sum is one pass
-  over the pairs (PairPartition.bin).  A pair is listed once, so no pair
-  can be counted twice.
+  over the pairs (PairPartition.bin_chunks).  A pair is listed once, so no
+  pair can be counted twice.
 
 The weighted pair set is the PairPartition that trivial_complete_set builds
 for a generator O: only the pairs with O_mn != 0, each with its entry O_mn,
@@ -371,24 +371,17 @@ class PairPartition(Frozen):
         labels[self.rows[s] == self.cols[s]] = k
         return labels
 
-    def bin(self, forward, backward):
-        """Per-cluster sums of real per-pair terms: forward[i] is the term of
-        (m, n) and goes to labels[i], backward[i] is that of (n, m) and goes
-        to the mirrored cluster; a diagonal pair's backward term is dropped.
-        Returns an array of length K aligned with omegas."""
-        forward, backward = np.asarray(forward), np.asarray(backward)
-        if forward.shape != self.rows.shape or backward.shape != self.rows.shape:
-            raise DomainError(f"pair terms must hold {self.rows.size} entries each")
-        return self.bin_chunks((s, forward[s], backward[s]) for s in _chunks(self.rows.size))
-
     def bin_chunks(self, terms, count=None):
-        """bin over terms that come a chunk of pairs at a time, as
-        (s, forward[s], backward[s]) for consecutive slices s covering the
-        pairs, so that no per-pair array outlives its chunk.  With count
-        set, forward and backward hold count rows of terms, binned side by
-        side into a (count, K) result.  Each cluster adds its terms in pair
-        order from 0.0, as np.bincount does, so the sums do not depend on
-        the chunks."""
+        """Per-cluster sums of real per-pair terms that come a chunk of pairs
+        at a time, as (s, forward[s], backward[s]) for consecutive slices s
+        covering the pairs, so that no per-pair array outlives its chunk.
+        forward[i] is the term of (m, n) and goes to labels[i], backward[i]
+        is that of (n, m) and goes to the mirrored cluster; a diagonal
+        pair's backward term is dropped.  Returns an array of length K
+        aligned with omegas; with count set, forward and backward hold
+        count rows of terms, binned side by side into a (count, K) result.
+        Each cluster adds its terms in pair order from 0.0, as np.bincount
+        does, so the sums do not depend on the chunks."""
         k = self.omegas.size
         n = 1 if count is None else count
         out, back = np.zeros((n, k)), np.zeros((n, k + 1))

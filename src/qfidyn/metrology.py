@@ -11,15 +11,18 @@ diagonal, (n, m), with O_nm = conj(O_mn) and omega_mn = E_m - E_n; pairs
 whose combined weight falls below PAIR_WEIGHT_FLOOR are skipped.
 
 Lower bounds decompose over frequency blocks, each kind with one coefficient
-function of (t, s, x) = (tanh x, sech x, x) at x = beta omega / 2.  A
-PairPartition evaluates it per pair from the weights themselves,
-t = (p_n - p_m)/(p_n + p_m), s = 2 sqrt(p_n p_m)/(p_n + p_m) and
-x = (ln p_n - ln p_m)/2, a chunk of pairs at a time, and sums each cluster
-in pair order (PairPartition.bin_chunks); this keeps the bounds exactly
-saturated for a complete set even when frequency clustering merges nearby
-gaps, and it is well defined at beta = inf where beta * omega arithmetic
-is not.  Explicit OperatorBlocks use their block frequency, which is the
-honest choice for a user-supplied symmetry set.
+function of (t, s, x) = (tanh x, sech x, x) at x = beta omega / 2.  One
+engine forms them for a list of generators (_bound_over_blocks); the
+scalar bounds are its 1 x 1 case, so each is bit for bit the diagonal
+entry of the QFI-matrix bound.  A PairPartition evaluates the coefficient
+per pair from the weights themselves, t = (p_n - p_m)/(p_n + p_m),
+s = 2 sqrt(p_n p_m)/(p_n + p_m) and x = (ln p_n - ln p_m)/2, a chunk of
+pairs at a time, and sums each cluster in pair order
+(PairPartition.bin_chunks); this keeps the bounds exactly saturated for a
+complete set even when frequency clustering merges nearby gaps, and it is
+well defined at beta = inf where beta * omega arithmetic is not.  Explicit
+OperatorBlocks use their block frequency, which is the honest choice for a
+user-supplied symmetry set.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .dynsym import (
     _pinv_quadratic,
     _thermal_mean,
     block_gram,
-    mazur_weight,
 )
 from .errors import DomainError, NumericError
 from .operators import _chunks
@@ -228,49 +230,66 @@ def _coefficient_chunks(coeff, ensemble, part):
     return (terms(s) for s in _chunks(part.rows.size))
 
 
-def _binned_coefficient_terms(coeff, ensemble, part, values):
-    """part.bin of the coefficient terms (_coefficient_chunks) times
-    |O_mn|^2, for the entries O_mn = values on part's pairs."""
+def _cross_terms(chunks, vals, ab):
+    """(s, forward, backward) of each coefficient chunk times
+    Re[(O_a)_mn (O_b)_mn^*], one row per generator pair (a, b) in ab, the
+    backward terms written over the cross terms; a = b takes _abs2, so that
+    one generator's terms are its |O_mn|^2 terms bit for bit."""
+    for s, forward, backward in chunks:
+        cross = np.empty((len(ab), forward.size))
+        for row, (a, b) in zip(cross, ab):
+            va = vals[a][s]
+            row[:] = _abs2(va) if a == b else (va * vals[b][s].conj()).real
+        # rebound, so that the chunk's own terms are freed before binning
+        forward, backward = cross * forward, np.multiply(cross, backward, out=cross)
+        yield s, forward, backward
 
-    def terms():
-        for s, forward, backward in _coefficient_chunks(coeff, ensemble, part):
-            abs2 = _abs2(values[s])
-            forward *= abs2
-            backward *= abs2
-            yield s, forward, backward
 
-    return part.bin_chunks(terms())
-
-
-def _bound_over_blocks(blocks, ensemble, op_eig, kind):
-    """Shared engine: sum coefficient(omega_k) * D_k over blocks.
+def _bound_over_blocks(blocks, ensemble, generators, kind):
+    """The frequency-block engine: sum_k coefficient(omega_k) [D_k]_ab over
+    blocks for each generator pair (a, b), a <= b, row by row as
+    np.triu_indices lists them; [D_k]_ab is the block's Gram-orthogonalized
+    cross correlator, the Mazur weight D_k when a = b.  The QFI-matrix
+    bound reads every pair; a scalar bound is the 1 x 1 case, one generator
+    and row 0.
 
     The zero cluster or block contributes 0 for every kind (its coefficient
-    vanishes).  Returns (total, the block frequencies ascending, the
-    contribution at each, saturated flag).
+    vanishes).  Blocks sharing a frequency add up in block order, and each
+    total is the Python sum of its row, so every pair is summed alike.
+    Returns (totals, the block frequencies ascending, the contributions at
+    each, one row per pair, saturated flag).
     """
     coeff = _COEFFS[kind]
     blocks = _block_list(blocks)
-    omegas, terms = [np.zeros(0)], [np.zeros(0)]
+    d = len(generators)
+    ab = [(a, b) for a in range(d) for b in range(a, d)]
+    omegas, terms = [np.zeros(0)], [np.zeros((len(ab), 0))]
     covered = False
     for block in blocks:
         if isinstance(block, PairPartition):
-            values, covered = block.aligned(op_eig)
-            binned = _binned_coefficient_terms(coeff, ensemble, block, values)
-            binned[block.omegas == 0.0] = 0.0
+            vals, covers = zip(*(block.aligned(g) for g in generators))
+            covered = all(covers)
+            chunks = _coefficient_chunks(coeff, ensemble, block)
+            binned = block.bin_chunks(_cross_terms(chunks, vals, ab), len(ab))
+            binned[:, block.omegas == 0.0] = 0.0
             omegas.append(block.omegas)
-            terms.append(binned)
         elif isinstance(block, OperatorBlock):
             c = _block_coefficient(coeff, ensemble.beta, block.omega)
+            binned = np.zeros((len(ab), 1))
+            if c != 0.0:
+                grams = [block_gram(block, ensemble, g) for g in generators]
+                corr = np.stack([row for _, row in grams])
+                quad = _pinv_quadratic(grams[0][0], corr, block._gram_floor).real
+                binned[:, 0] = [c * quad[a, b] for a, b in ab]
             omegas.append([block.omega])
-            terms.append([c * mazur_weight(block, ensemble, op_eig) if c != 0.0 else 0.0])
         else:
             raise DomainError(f"unknown block type {type(block).__name__}")
-    # blocks sharing a frequency add up, in block order
+        terms.append(binned)
     keys, inverse = np.unique(np.concatenate(omegas), return_inverse=True)
-    summed = np.bincount(inverse, np.concatenate(terms), minlength=keys.size)
-    total = float(sum(summed.tolist()))
-    return total, keys, summed, _is_saturating(blocks, covered)
+    summed = np.array([np.bincount(inverse, t, minlength=keys.size)
+                       for t in np.concatenate(terms, axis=1)])
+    totals = [float(sum(row.tolist())) for row in summed]
+    return totals, keys, summed, _is_saturating(blocks, covered)
 
 
 class QfiReport(Frozen):
@@ -303,23 +322,24 @@ def qfi_from_dynsym(blocks, ensemble, op_eig):
     (saturated flag); any verified subset yields a certified lower bound.
     Conserved quantities (omega = 0) contribute nothing.
     """
-    return QfiReport(*_bound_over_blocks(blocks, ensemble, op_eig, "qfi"))
+    totals, omegas, summed, saturated = _bound_over_blocks(blocks, ensemble, [op_eig], "qfi")
+    return QfiReport(totals[0], omegas, summed[0], saturated)
 
 
 def skew_lower_bound(blocks, ensemble, op_eig):
     """Lower bound on I_1/2: sum_k [1 - sech(beta omega_k / 2)] D_k(O)."""
-    return _bound_over_blocks(blocks, ensemble, op_eig, "skew")[0]
+    return _bound_over_blocks(blocks, ensemble, [op_eig], "skew")[0][0]
 
 
 def qv_lower_bound(blocks, ensemble, op_eig):
     """Lower bound on the quantum variance:
     sum_k [1 - tanh(x_k)/x_k] D_k(O) with x_k = beta omega_k / 2."""
-    return _bound_over_blocks(blocks, ensemble, op_eig, "qv")[0]
+    return _bound_over_blocks(blocks, ensemble, [op_eig], "qv")[0][0]
 
 
 def eth_lower_bound(blocks, ensemble, op_eig):
     """Lower bound on the ETH QFI from nonzero frequencies: sum 4 D_k."""
-    return _bound_over_blocks(blocks, ensemble, op_eig, "eth_lower")[0]
+    return _bound_over_blocks(blocks, ensemble, [op_eig], "eth_lower")[0][0]
 
 
 def eth_thermal_gap(blocks, ensemble, op_eig):
@@ -330,7 +350,7 @@ def eth_thermal_gap(blocks, ensemble, op_eig):
     raises NumericError when it fails beyond slack, since for verified
     blocks that would signal a numerics problem, not physics.
     """
-    value = _bound_over_blocks(blocks, ensemble, op_eig, "eth_gap")[0]
+    value = _bound_over_blocks(blocks, ensemble, [op_eig], "eth_gap")[0][0]
     gap = eth_qfi(op_eig, ensemble) - qfi_spectral(op_eig, ensemble)
     if gap < value - INEQ_SLACK:
         raise NumericError(
@@ -444,7 +464,8 @@ def _generator_pairs(generators, dim):
     gens = [_operator_pairs(g, dim, f"generator {i}") for i, g in enumerate(generators)]
     if not gens:
         raise DomainError("need at least one generator")
-    return gens, _check_commuting([_dense(*g, dim) for g in gens])
+    # one generator has no pair to check, so it is never made dense
+    return gens, len(gens) < 2 or _check_commuting([_dense(*g, dim) for g in gens])
 
 
 def qfi_matrix(generators, ensemble):
@@ -465,14 +486,6 @@ def qfi_matrix(generators, ensemble):
     return QfiMatrix(out, commuting)
 
 
-def _cross_terms(chunks, vals, ab):
-    """(s, forward, backward) of each coefficient chunk times
-    Re[(O_a)_mn (O_b)_mn^*], one row per generator pair (a, b) in ab."""
-    for s, forward, backward in chunks:
-        cross = np.array([(vals[a][s] * vals[b][s].conj()).real for a, b in ab])
-        yield s, forward * cross, backward * cross
-
-
 def qfi_matrix_from_dynsym(blocks, ensemble, generators):
     """Frequency-decomposed QFI matrix:
     sum_k 4 tanh^2(beta omega_k / 2) Re[D_k] with
@@ -481,36 +494,16 @@ def qfi_matrix_from_dynsym(blocks, ensemble, generators):
     Equals qfi_matrix for the trivial complete set; any verified set gives a
     matrix M with qfi_matrix - M positive semidefinite.  A PairPartition
     block sums over its own pairs, so a generator entry outside it is left
-    out.
+    out.  qfi_from_dynsym is the 1 x 1 case of the same engine
+    (_bound_over_blocks), so each diagonal entry is that bound bit for bit.
     """
-    dim = ensemble.dim
     generators = list(generators)
-    gens, commuting = _generator_pairs(generators, dim)
-    d = len(gens)
-    ab = [(a, b) for a in range(d) for b in range(a, d)]
-    coeff = _COEFFS["qfi"]
-    total = np.zeros((d, d))
-    for block in _block_list(blocks):
-        if isinstance(block, PairPartition):
-            vals = [_align(*g, block.rows, block.cols, dim)[0] for g in gens]
-            chunks = _coefficient_chunks(coeff, ensemble, block)
-            binned = block.bin_chunks(_cross_terms(chunks, vals, ab), len(ab))
-            nonzero = block.omegas != 0.0
-            for (a, b), row in zip(ab, binned):
-                val = float(row[nonzero].sum())
-                total[a, b] += val
-                if b != a:
-                    total[b, a] += val
-        elif isinstance(block, OperatorBlock):
-            c = _block_coefficient(coeff, ensemble.beta, block.omega)
-            if c == 0.0:
-                continue
-            grams = [block_gram(block, ensemble, g) for g in generators]
-            rows = np.stack([corr for _, corr in grams])
-            total += c * _pinv_quadratic(grams[0][0], rows, block._gram_floor).real
-        else:
-            raise DomainError(f"unknown block type {type(block).__name__}")
-    return QfiMatrix((total + total.T) / 2.0, commuting)
+    commuting = _generator_pairs(generators, ensemble.dim)[1]
+    totals = _bound_over_blocks(blocks, ensemble, generators, "qfi")[0]
+    out = np.zeros((len(generators),) * 2)
+    upper = np.triu_indices(len(generators))
+    out[upper] = out.T[upper] = totals
+    return QfiMatrix(out, commuting)
 
 
 # ---------------------------------------------------------------------------

@@ -411,8 +411,8 @@ def _linked_entries(fwd, bwd, rows_of, cols_of, dim):
 
 
 class SpectralDecomposition(Frozen):
-    """Eigenvalues (ascending), eigenvectors per invariant block, degeneracy
-    tol.
+    """Eigenvalues (ascending), eigenvectors per invariant block, and the
+    degeneracy threshold energy_tol, default_energy_tol of the energies.
 
     blocks records the invariant subspaces as (basis indices, eigen-column
     indices) pairs, each ascending.  The eigen-columns partition range(dim).
@@ -433,7 +433,7 @@ class SpectralDecomposition(Frozen):
 
     _fields = ("energies", "energy_tol", "blocks", "block_vectors")
 
-    def __init__(self, energies, vectors, energy_tol=None, blocks=None):
+    def __init__(self, energies, vectors, blocks=None):
         e = np.array(energies, dtype=float)
         u = _real_if_exact(np.array(vectors))
         if e.ndim != 1 or u.shape != (e.size, e.size):
@@ -459,16 +459,16 @@ class SpectralDecomposition(Frozen):
             parts = [u[rows[:, None], cols] for rows, cols in pairs]
             if sum(np.count_nonzero(v) for v in parts) != np.count_nonzero(u):
                 raise DomainError("vectors must vanish outside their blocks")
-        self._freeze(e, energy_tol, pairs, parts, [(0, None)] * len(pairs))
+        self._freeze(e, pairs, parts, [(0, None)] * len(pairs))
 
     @classmethod
-    def _from_blocks(cls, energies, energy_tol, blocks, vectors, bases):
+    def _from_blocks(cls, energies, blocks, vectors, bases):
         """A decomposition from solved blocks, trusted as given."""
         self = cls.__new__(cls)
-        self._freeze(energies, energy_tol, blocks, vectors, bases)
+        self._freeze(energies, blocks, vectors, bases)
         return self
 
-    def _freeze(self, energies, energy_tol, blocks, vectors, bases):
+    def _freeze(self, energies, blocks, vectors, bases):
         """Store the fields read-only; vectors[k] is block k's eigenvector
         matrix over its own basis and bases[k] its (parity, basis) as
         _parity_bases gives it."""
@@ -478,9 +478,8 @@ class SpectralDecomposition(Frozen):
         arrays += [arr for _, basis in bases if basis is not None for arr in basis]
         for arr in (energies, *vectors, *arrays):
             arr.setflags(write=False)
-        tol = default_energy_tol(energies) if energy_tol is None else float(energy_tol)
-        self.__dict__.update(energies=energies, energy_tol=tol, blocks=tuple(blocks),
-                             _vectors=tuple(vectors), _bases=tuple(bases))
+        self.__dict__.update(energies=energies, energy_tol=default_energy_tol(energies),
+                             blocks=tuple(blocks), _vectors=tuple(vectors), _bases=tuple(bases))
 
     @property
     def dim(self):
@@ -540,7 +539,7 @@ class SpectralDecomposition(Frozen):
         return self.to_eigenblocks(op).dense()
 
 
-def diagonalize(hamiltonian, energy_tol=None):
+def diagonalize(hamiltonian):
     """Exact diagonalization with a posteriori certificates.
 
     hamiltonian is a matrix or a SparseOperator.  It is solved block by
@@ -561,8 +560,7 @@ def diagonalize(hamiltonian, energy_tol=None):
     1/sqrt(2), so the blocks' largest deviation bounds the site-basis one,
     and the deviation of H from P H P, which the split drops, is added to
     the reconstruction deviation.  Failure raises
-    NumericError since it signals lost accuracy, not bad input.  energy_tol
-    seeds the decomposition's degeneracy threshold.
+    NumericError since it signals lost accuracy, not bad input.
     """
     h = _operand(hamiltonian, "hamiltonian")
     dim = h.shape[0]
@@ -608,7 +606,7 @@ def diagonalize(hamiltonian, energy_tol=None):
     starts = np.cumsum([0] + [e.size for e, _ in solved])
     blocks = [(rows, column[lo:hi]) for rows, lo, hi in zip(blocks, starts[:-1], starts[1:])]
     vectors = [v for _, v in solved]
-    return SpectralDecomposition._from_blocks(energies, energy_tol, blocks, vectors, bases)
+    return SpectralDecomposition._from_blocks(energies, blocks, vectors, bases)
 
 
 class ThermalEnsemble(Frozen):

@@ -467,6 +467,18 @@ def test_the_ground_state_qfi_matrix_bounds_from_above(n, kind):
         assert abs(bound[1, 1] - full[1, 1]) <= 1e-9 * full[1, 1]
 
 
+@given(n=st.integers(4, 6), beta=st.sampled_from((0.0, 1e-12, 1.0, 5.0, 20.0, 1e8, math.inf)))
+def test_the_qfi_matrix_diagonal_is_the_scalar_bound_bit_for_bit(n, beta):
+    # one engine makes both, so the 1 x 1 matrix is the bound itself; summed
+    # apart, the two differed in their last bits in 21 of these 63 cases
+    spectral, pairs, h, modes = solved_modes(n)
+    mode_blocks = verified_blocks(h, spectral, modes)
+    ens = gibbs_weights(spectral, beta)
+    for blocks in (pairs, mode_blocks, [pairs, *mode_blocks]):
+        bound = qfi_from_dynsym(blocks, ens, pairs).value
+        assert qfi_matrix_from_dynsym(blocks, ens, [pairs]).matrix[0, 0] == bound
+
+
 @pytest.mark.parametrize("n", range(6, 11))
 def test_the_bilinears_saturate_the_staggered_z_closed_form(n):
     # the n bilinears span the staggered-z generator, a free-fermion quadratic,

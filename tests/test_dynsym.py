@@ -253,7 +253,7 @@ def test_trivial_set_complete_for_random_spectra(dim, seed):
     assert np.count_nonzero(part.omegas == 0.0) == 1
     # every ordered pair lands in exactly one cluster, so the sizes add up
     ones = np.ones(part.rows.size)
-    assert part.bin(ones, ones).sum() == dim * dim
+    assert part.bin_chunks([(slice(0, ones.size), ones, ones)]).sum() == dim * dim
 
 
 def test_trivial_set_accepts_an_ensemble():
@@ -286,14 +286,15 @@ def test_partition_bin_drops_left_out_pairs():
     part = PairPartition(np.array([-1.0, 0.0, 1.0]), [0, 1], [1, 1], [2, 1], 2)
     assert not part.complete
     # (0, 1) -> cluster 2, its mirror (1, 0) -> cluster 0; (1, 1) has no mirror
-    assert part.bin([10.0, 1000.0], [100.0, 7.0]).tolist() == [100.0, 1000.0, 10.0]
-    with pytest.raises(DomainError):
-        part.bin(np.ones(3), np.ones(3))
-    # rows of terms are binned side by side, each as bin would, chunk by chunk
+    both = slice(0, 2)
+    binned = part.bin_chunks([(both, np.array([10.0, 1000.0]), np.array([100.0, 7.0]))])
+    assert binned.tolist() == [100.0, 1000.0, 10.0]
+    # rows of terms are binned side by side, each as it is alone, chunk by chunk
     forward, backward = np.array([[10.0, 1000.0], [1.0, 2.0]]), np.array([[100.0, 7.0], [3.0, 4.0]])
     chunks = [(slice(i, i + 1), forward[:, i], backward[:, i]) for i in range(2)]
     binned = part.bin_chunks(chunks, 2)
-    assert binned.tolist() == [part.bin(f, b).tolist() for f, b in zip(forward, backward)]
+    alone = [part.bin_chunks([(both, f, b)]).tolist() for f, b in zip(forward, backward)]
+    assert binned.tolist() == alone
     assert part.bin_chunks([], 2).shape == (2, 3)
 
 

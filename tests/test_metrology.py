@@ -41,7 +41,8 @@ from qfidyn import (
     trivial_complete_set,
     verified_blocks,
 )
-from qfidyn.models import preset, preset_operators, two_qubit_symmetry_operators
+from qfidyn import metrology
+from qfidyn.models import preset, preset_operators, solve_preset, two_qubit_symmetry_operators
 from oracles import (
     qfi_oracle,
     qv_oracle,
@@ -544,7 +545,7 @@ def test_qfi_matrix_from_dynsym_matches_bound_on_complex_gram(rng):
     assert np.abs(gram.imag).max() > 1e-2
     bound = qfi_from_dynsym([block], ens, o_eig).value
     matrix = qfi_matrix_from_dynsym([block], ens, [o_eig]).matrix
-    assert math.isclose(matrix[0, 0], bound, rel_tol=1e-12)
+    assert matrix[0, 0] == bound
 
 
 def test_qfi_matrix_from_dynsym_subset_is_psd_below(rng):
@@ -567,6 +568,20 @@ def test_qfi_matrix_from_dynsym_conserved_only(rng):
     conserved = OperatorBlock(0.0, (np.eye(4, dtype=complex),))
     m = qfi_matrix_from_dynsym([conserved], ens, [o_eig])
     assert np.abs(m.matrix).max() == 0.0
+
+
+def test_one_generator_is_never_made_dense(monkeypatch):
+    # only a pair of generators has a commutator to check
+    spectral, pairs, _ = solve_preset(preset("chain", sites=8))
+    ens = gibbs_weights(spectral, 1.0)
+
+    def refuse(*args):
+        raise AssertionError("a lone generator was made dense")
+
+    monkeypatch.setattr(metrology, "_dense", refuse)
+    assert qfi_matrix([pairs], ens).commuting
+    m = qfi_matrix_from_dynsym(pairs, ens, [pairs])
+    assert m.commuting and m.matrix[0, 0] == qfi_from_dynsym(pairs, ens, pairs).value
 
 
 def test_qfi_matrix_validation(rng):
