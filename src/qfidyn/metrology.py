@@ -19,8 +19,9 @@ per pair from the weights themselves, t = (p_n - p_m)/(p_n + p_m),
 s = 2 sqrt(p_n p_m)/(p_n + p_m) and x = (ln p_n - ln p_m)/2, a chunk of
 pairs at a time, and sums each cluster in pair order
 (PairPartition.bin_chunks); this keeps the bounds exactly saturated for a
-complete set even when frequency clustering merges nearby gaps, and it is
-well defined at beta = inf where beta * omega arithmetic is not.  Explicit
+complete set even when frequency clustering merges nearby gaps, the zero
+cluster included, and it is well defined at beta = inf where beta * omega
+arithmetic is not.  Explicit
 OperatorBlocks use their block frequency, which is the honest choice for a
 user-supplied symmetry set.
 """
@@ -160,6 +161,12 @@ _COEFFS = {
     "eth_lower": lambda r: np.full_like(r.t, 4.0),
     "eth_gap": lambda r: _four_squared(r.s),
 }
+# Kinds whose coefficient does not vanish at omega = 0 and which count the
+# nonzero frequencies only: the zero cluster of a PairPartition is dropped
+# for them.  For the others a pair of equal weights (t = 0, s = 1, x = 0)
+# has coefficient 0, and a nearby gap merged into the zero cluster keeps
+# its own term, which at large beta is not small.
+_NONZERO_FREQUENCIES_ONLY = {"eth_lower", "eth_gap"}
 
 
 def _block_coefficient(coeff, beta, omega):
@@ -253,8 +260,10 @@ def _bound_over_blocks(blocks, ensemble, generators, kind):
     bound reads every pair; a scalar bound is the 1 x 1 case, one generator
     and row 0.
 
-    The zero cluster or block contributes 0 for every kind (its coefficient
-    vanishes).  Blocks sharing a frequency add up in block order, and each
+    An explicit block at omega = 0 contributes 0 for every kind, and so
+    does a PairPartition's zero cluster for the kinds in
+    _NONZERO_FREQUENCIES_ONLY; for the others it holds the terms of the
+    gaps clustered to 0, each 0 at an exact degeneracy.  Blocks sharing a frequency add up in block order, and each
     total is the Python sum of its row, so every pair is summed alike.
     Returns (totals, the block frequencies ascending, the contributions at
     each, one row per pair, saturated flag).
@@ -271,7 +280,8 @@ def _bound_over_blocks(blocks, ensemble, generators, kind):
             covered = all(covers)
             chunks = _coefficient_chunks(coeff, ensemble, block)
             binned = block.bin_chunks(_cross_terms(chunks, vals, ab), len(ab))
-            binned[:, block.omegas == 0.0] = 0.0
+            if kind in _NONZERO_FREQUENCIES_ONLY:
+                binned[:, block.omegas == 0.0] = 0.0
             omegas.append(block.omegas)
         elif isinstance(block, OperatorBlock):
             c = _block_coefficient(coeff, ensemble.beta, block.omega)

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qfidyn import (
@@ -709,6 +709,9 @@ def test_every_pair_joins_the_parities_its_generator_allows(case, kind):
     case=chain_case.filter(lambda c: c["sites"] <= 7),
     beta=st.sampled_from([0.0, 1e-12, 1.0, math.inf]),
 )
+# at the two-site level crossing the ground gap 2e-8 clusters to omega = 0,
+# and at beta = inf its pair carries the whole QFI
+@example(case={"sites": 2, "field": 1.00000001, "boundary": "open", "seed": 0}, beta=math.inf)
 def test_parity_blocked_routes_match_the_density_matrix_oracle(case, beta):
     model = chain(case)
     spectral, pairs, h = solve_preset(model)
