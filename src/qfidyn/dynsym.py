@@ -89,15 +89,13 @@ def default_omega_tol(energies):
     return 1e-8 * max(1.0, width)
 
 
-def _checked_omega_tol(omega_tol, exact_ties=False):
-    """omega_tol as a float, or DomainError unless it is finite and > 0
-    (>= 0 with exact_ties, where 0 clusters equal values only).  A NaN or
-    infinite tolerance would merge every gap into one cluster, and a
+def _checked_omega_tol(omega_tol):
+    """omega_tol as a float, or DomainError unless it is finite and > 0.  A
+    NaN or infinite tolerance would merge every gap into one cluster, and a
     negative one would split equal gaps."""
     tol = float(omega_tol)
-    if not (math.isfinite(tol) and (tol > 0.0 or exact_ties and tol == 0.0)):
-        bound = ">= 0" if exact_ties else "> 0"
-        raise DomainError(f"omega_tol must be finite and {bound}, got {omega_tol!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"omega_tol must be finite and > 0, got {omega_tol!r}")
     return tol
 
 
@@ -171,17 +169,14 @@ def dynamical_symmetry(hamiltonian, op):
     return DynamicalSymmetry(op, omega, residual)
 
 
-def cluster_values(values, tol, symmetric=False):
-    """Greedy 1-d clustering: a gap above tol (finite, >= 0) in the sorted
+def cluster_values(values, tol):
+    """Greedy 1-d clustering: a gap above tol (finite, > 0) in the sorted
     values opens a new cluster.
 
     Returns (reps, labels): cluster representatives (member means, ascending)
-    and a label array mapping each input value to its cluster.  With
-    symmetric=True the input multiset must be symmetric under negation (as
-    energy differences E_m - E_n are); representatives are then canonicalized
-    to an exactly sign-symmetric set, and the middle one to exactly 0.0.
+    and a label array mapping each input value to its cluster.
     """
-    tol = _checked_omega_tol(tol, exact_ties=True)
+    tol = _checked_omega_tol(tol)
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise DomainError(f"values must be a nonempty 1-d array, got shape {values.shape}")
@@ -192,13 +187,6 @@ def cluster_values(values, tol, symmetric=False):
     starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_v) > tol) + 1))
     counts = np.diff(np.concatenate((starts, [sorted_v.size])))
     reps = np.add.reduceat(sorted_v, starts) / counts
-    if symmetric:
-        if not np.array_equal(counts, counts[::-1]):
-            raise NumericError(
-                "cluster structure is not symmetric under negation; "
-                "input was expected to be a sign-symmetric multiset"
-            )
-        reps = (reps - reps[::-1]) / 2.0
     labels = np.empty(values.size, dtype=np.intp)
     labels[order] = np.repeat(np.arange(reps.size), counts)
     return reps, labels
@@ -528,13 +516,14 @@ def _negative_abs(gaps, out):
 
 
 def _mirrored_clusters(half, tol):
-    """cluster_values(concat(half, [0.0], -half[::-1]), tol, symmetric=True)
-    for ascending half <= 0, bit for bit, without forming that multiset:
-    (reps, bounds), where half's clusters span bounds[k] <= j < bounds[k + 1]
-    and carry labels k, the last one being the zero cluster when its values
-    lie within tol of 0.0.  The multiset sums a cluster of -half in the
-    mirrored order, so that sum is np.add.reduceat over half's reversed
-    view."""
+    """The sign-symmetric clusters of the multiset concat(half, [0.0],
+    -half[::-1]) for ascending half <= 0, bit for bit those that
+    cluster_oracle in tests/oracles.py gives for a sign-symmetric multiset,
+    but without forming that multiset: (reps, bounds), where half's clusters
+    span bounds[k] <= j < bounds[k + 1] and carry labels k, the last one
+    being the zero cluster when its values lie within tol of 0.0.  The
+    multiset sums a cluster of -half in the mirrored order, so that sum is
+    np.add.reduceat over half's reversed view."""
     n = half.size
     cuts = [np.flatnonzero(np.diff(half[s.start : s.stop + 1]) > tol) + s.start + 1
             for s in _chunks(n - 1)]

@@ -51,7 +51,7 @@ from .dynsym import (
     block_gram,
 )
 from .errors import DomainError, NumericError
-from .operators import _chunks
+from .operators import _chunks, _whole
 from .spectral import PAIR_WEIGHT_FLOOR, default_energy_tol
 
 # Slack for internal inequality certificates (ETH gap assertion).
@@ -74,7 +74,7 @@ def _qfi_pair_weights(p, rows, cols, out=None):
 def _half_tanh(ensemble, rows, cols):
     """tanh(beta omega_mn / 2) over the pairs, computed from beta and the gaps.
 
-    At beta = inf every gap within the degeneracy tolerance is 0, the rule
+    At beta = inf every gap within default_energy_tol is 0, the rule
     gibbs_weights uses to spread the ground weight, so inf * 0 never occurs
     and a numerically split level counts as the one level it is.  At finite
     beta a tiny gap gives a tiny, exact tanh and is left alone.
@@ -84,9 +84,7 @@ def _half_tanh(ensemble, rows, cols):
     with np.errstate(invalid="ignore", over="ignore"):
         t = np.tanh(ensemble.beta * omega / 2.0)
     if math.isinf(ensemble.beta):
-        spectral = ensemble.spectral
-        tol = default_energy_tol(e) if spectral is None else spectral.energy_tol
-        t[np.abs(omega) <= tol] = 0.0
+        t[np.abs(omega) <= default_energy_tol(e)] = 0.0
     return t
 
 
@@ -508,7 +506,8 @@ def qfi_matrix_from_dynsym(blocks, ensemble, generators):
     (_bound_over_blocks), so each diagonal entry is that bound bit for bit.
     """
     generators = list(generators)
-    commuting = _generator_pairs(generators, ensemble.dim)[1]
+    # a lone generator has no pair to check, so only the engine reads it
+    commuting = len(generators) == 1 or _generator_pairs(generators, ensemble.dim)[1]
     totals = _bound_over_blocks(blocks, ensemble, generators, "qfi")[0]
     out = np.zeros((len(generators),) * 2)
     upper = np.triu_indices(len(generators))
@@ -567,7 +566,7 @@ def entanglement_depth(qfi_value, n_particles):
     depth = 1 + max{integer kappa >= 0 with f_Q > kappa + WITNESS_TOL},
     floored at 1: a density at or below 1 certifies nothing.
     """
-    n = int(n_particles)
+    n = _whole(n_particles, "number of particles")
     if n < 1:
         raise DomainError(f"need at least one particle, got {n}")
     f = float(qfi_value) / n

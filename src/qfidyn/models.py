@@ -141,7 +141,7 @@ def preset(name, sites=None, coupling=None, field=None, boundary=None, generator
         raise DomainError(f"unknown preset {name!r}; valid presets are {tuple(PRESETS)}")
     base = PRESETS[name]
     spec = SpinChainSpec(
-        base.spec.sites if sites is None else int(sites),
+        base.spec.sites if sites is None else sites,
         base.spec.coupling if coupling is None else float(coupling),
         base.spec.field if field is None else float(field),
         base.spec.boundary if boundary is None else str(boundary),
@@ -150,18 +150,12 @@ def preset(name, sites=None, coupling=None, field=None, boundary=None, generator
     return ModelPreset(base.name, spec, gen)
 
 
-def preset_operators(model, max_sites=None):
+def preset_operators(model):
     """Hamiltonian and generator of a ModelPreset as SparseOperators in the
     site basis, each certified Hermitian on its entries."""
     n = model.spec.sites
-    strings = (
-        xx_hamiltonian_strings(model.spec, max_sites),
-        local_generator_strings(model.generator, n, max_sites),
-    )
-    return tuple(
-        SparseOperator.from_strings(terms, n, hermitian=True, max_sites=max_sites)
-        for terms in strings
-    )
+    strings = (xx_hamiltonian_strings(model.spec), local_generator_strings(model.generator, n))
+    return tuple(SparseOperator.from_strings(terms, n, hermitian=True) for terms in strings)
 
 
 def solve_preset(model, omega_tol=None):

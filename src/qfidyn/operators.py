@@ -3,8 +3,8 @@
 Basis convention, fixed once for the whole package: site 0 is the most
 significant qubit (the leftmost Kronecker factor) and spin-up is basis
 index 0, so sigma^z = diag(+1, -1) on every site and sigma^+ raises toward
-index 0.  The chain length is capped (default 12 sites, overridable via the
-QFIDYN_MAX_SITES environment variable or an explicit max_sites argument).
+index 0.  The chain length is capped at 12 sites; the QFIDYN_MAX_SITES
+environment variable sets another cap.
 
 Every operator is built from bit operations on basis indices, never from
 Kronecker products.  Site s is bit n - 1 - s of the index and spin-up is
@@ -63,10 +63,8 @@ def _chunks(n):
     return [slice(lo, min(lo + _PAIR_CHUNK, n)) for lo in range(0, n, _PAIR_CHUNK)]
 
 
-def site_cap(max_sites=None):
-    """Effective chain-length cap: explicit argument, else env var, else 12."""
-    if max_sites is not None:
-        return int(max_sites)
+def site_cap():
+    """Chain-length cap: the QFIDYN_MAX_SITES environment variable, else 12."""
     env = os.environ.get(SITE_CAP_ENV)
     if env is not None:
         try:
@@ -76,15 +74,34 @@ def site_cap(max_sites=None):
     return DEFAULT_SITE_CAP
 
 
-def _check_sites(n_sites, max_sites=None):
-    n = int(n_sites)
+def _whole(value, what):
+    """value as an int; DomainError unless it is a whole number (4 and 4.0
+    are, 2.5 and "4" are not)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise DomainError(f"{what} must be a whole number, got {value!r}")
+    return n
+
+
+def _sites(n_sites):
+    """n_sites as an int; DomainError unless it is a whole number >= 1."""
+    n = _whole(n_sites, "number of sites")
     if n < 1:
         raise DomainError(f"need at least one site, got {n}")
-    cap = site_cap(max_sites)
+    return n
+
+
+def _check_sites(n_sites):
+    """_sites, and DomainError above site_cap."""
+    n = _sites(n_sites)
+    cap = site_cap()
     if n > cap:
         raise DomainError(
             f"{n} sites exceeds the cap of {cap} (dim {2**n}); raise it with "
-            f"max_sites= or the {SITE_CAP_ENV} environment variable"
+            f"the {SITE_CAP_ENV} environment variable"
         )
     return n
 
@@ -150,11 +167,8 @@ class PauliString(FrozenRecord):
         coefficient = complex(coefficient)
         if not np.isfinite(coefficient):
             raise DomainError(f"coefficient must be finite, got {coefficient!r}")
-        factors = tuple(factors)
-        facs = tuple((int(s), str(a)) for s, a in factors)
-        for (site, axis), (given, _) in zip(facs, factors):
-            if site != given:
-                raise DomainError(f"site index must be a whole number, got {given!r}")
+        facs = tuple((_whole(s, "site index"), str(a)) for s, a in factors)
+        for site, axis in facs:
             if axis not in AXES:
                 raise DomainError(f"unknown Pauli axis {axis!r}; valid axes are {AXES}")
             if site < 0:
@@ -164,11 +178,11 @@ class PauliString(FrozenRecord):
             raise DomainError(f"repeated site index in factors {facs}")
         self.__dict__.update(coefficient=coefficient, factors=tuple(sorted(facs)))
 
-    def entries(self, n_sites, max_sites=None):
+    def entries(self, n_sites):
         """Nonzero entries (rows, cols, values) of the matrix on n_sites,
         one per column the ladder factors do not annihilate (module
         docstring)."""
-        n = _check_sites(n_sites, max_sites)
+        n = _check_sites(n_sites)
         flip = sign = up = down = n_y = 0
         for site, axis in self.factors:
             if site >= n:
@@ -252,7 +266,7 @@ class SparseOperator(Frozen):
         return cls._trusted(rows, cols, mat[rows, cols], mat.shape[0])
 
     @classmethod
-    def from_strings(cls, strings, n_sites, hermitian=False, max_sites=None):
+    def from_strings(cls, strings, n_sites, hermitian=False):
         """Sum of PauliStrings.  Strings with one flip mask share their
         positions (c ^ flip, c), so each mask's strings are added column by
         column, in string order as a dense scatter would add them, and
@@ -260,9 +274,9 @@ class SparseOperator(Frozen):
         With hermitian=True the sum is certified Hermitian to
         HERMITICITY_RTOL (DomainError otherwise): the transpose of a mask's
         entry at column c sits at column c ^ flip of the same mask."""
-        n = _check_sites(n_sites, max_sites)
+        n = _check_sites(n_sites)
         dim = 2**n
-        entries = [ps.entries(n, max_sites) for ps in strings]
+        entries = [ps.entries(n) for ps in strings]
         flips = [int(rows[0] ^ cols[0]) for rows, cols, _ in entries]
         masks = sorted(set(flips))
         sums = np.zeros((len(masks), dim), dtype=complex)
@@ -344,23 +358,24 @@ class SpinChainSpec(FrozenRecord):
     _fields = ("sites", "coupling", "field", "boundary")
 
     def __init__(self, sites, coupling=1.0, field=0.0, boundary="open"):
-        if int(sites) < 2:
+        sites = _whole(sites, "number of sites")
+        if sites < 2:
             raise DomainError(f"chain needs at least 2 sites, got {sites}")
         if boundary not in BOUNDARIES:
             raise DomainError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
         coupling, field = float(coupling), float(field)
         if not (np.isfinite(coupling) and np.isfinite(field)):
             raise DomainError(f"coupling and field must be finite, got {coupling} and {field}")
-        self.__dict__.update(sites=int(sites), coupling=coupling, field=field, boundary=boundary)
+        self.__dict__.update(sites=sites, coupling=coupling, field=field, boundary=boundary)
 
 
-def xx_hamiltonian_strings(spec, max_sites=None):
+def xx_hamiltonian_strings(spec):
     """The terms of H = J sum_i (x_i x_{i+1} + y_i y_{i+1}) + h sum_i z_i.
 
     Periodic boundary adds the wrap bond (N-1, 0) for N > 2; at N = 2 the
     wrap bond would duplicate the single existing bond, so it is omitted.
     """
-    n = _check_sites(spec.sites, max_sites)
+    n = _check_sites(spec.sites)
     bonds = [(i, i + 1) for i in range(n - 1)]
     if spec.boundary == "periodic" and n > 2:
         bonds.append((n - 1, 0))
@@ -375,7 +390,7 @@ def xx_hamiltonian_strings(spec, max_sites=None):
 GENERATOR_KINDS = ("antisymmetric-x", "staggered-x", "uniform-x", "uniform-z")
 
 
-def local_generator_strings(kind, n_sites, max_sites=None):
+def local_generator_strings(kind, n_sites):
     """The terms of a sum of unit-width single-site terms (each term has
     eigenvalues +-1/2).
 
@@ -385,7 +400,7 @@ def local_generator_strings(kind, n_sites, max_sites=None):
     uniform-z       : sum_i z_i / 2
     Custom sums go through SparseOperator.from_strings (read_symmetry_file).
     """
-    n = _check_sites(n_sites, max_sites)
+    n = _check_sites(n_sites)
     if kind == "antisymmetric-x":
         if n != 2:
             raise DomainError(f"kind 'antisymmetric-x' is defined for 2 sites, got {n}")
@@ -411,7 +426,7 @@ def operator_support(op, n_sites):
     rebuilt operator by half of it.  The identity and the zero operator
     have empty support.
     """
-    n = _check_sites(n_sites, max_sites=n_sites)  # support check never caps
+    n = _sites(n_sites)  # the support check is never capped
     op = _operand(op)
     if op.dim != 2**n:
         raise DomainError(f"operator dim {op.dim} does not match {n} sites")

@@ -126,18 +126,6 @@ def _block_index(sets, dim):
     return block_of, local
 
 
-def _basis_sets(blocks):
-    """(sets, group): the distinct basis sets of (basis, eigen-column)
-    blocks in order of first use, and the set of each block."""
-    first, group = {}, []
-    for rows, _ in blocks:
-        group.append(first.setdefault(rows.tobytes(), len(first)))
-    sets = [None] * len(first)
-    for (rows, _), g in zip(blocks, group):
-        sets[g] = rows
-    return sets, group
-
-
 class _Lazy(Mapping):
     """A read-only mapping over fixed keys whose value at a key is
     make(key), made on every read and never stored; make raises KeyError
@@ -266,18 +254,6 @@ def _on_states(vectors, basis):
     on = index >= 0
     out[on] = vectors[index[on]] * (_SCALES[level[on]] * sign[on])[:, None]
     return out
-
-
-def _index_pair(pair):
-    """One block's (basis, eigen-column) index sets as sorted intp arrays."""
-    try:
-        rows, cols = (np.asarray(idx) for idx in pair)
-    except (TypeError, ValueError):
-        raise DomainError("a block must be a (basis indices, eigen-column indices) pair") from None
-    integer = rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
-    if rows.ndim != 1 or cols.ndim != 1 or not integer:
-        raise DomainError("a block needs two 1-d integer index arrays")
-    return np.sort(rows).astype(np.intp), np.sort(cols).astype(np.intp)
 
 
 class BlockOperator(Frozen):
@@ -425,15 +401,14 @@ class SpectralDecomposition(Frozen):
     eigenvectors over its own basis (half as many rows), so block_vectors
     makes its matrix on each read.
 
-    Built from dense vectors, with blocks defaulting to one block holding
-    everything, the vectors are copied and must vanish outside their
-    blocks; diagonalize hands over the blocks it solved instead.
-    Instances are immutable.
+    Built from energies and a dense eigenvector matrix, which is copied, it
+    holds one block over every level; diagonalize hands over the blocks it
+    solved instead.  Instances are immutable.
     """
 
     _fields = ("energies", "energy_tol", "blocks", "block_vectors")
 
-    def __init__(self, energies, vectors, blocks=None):
+    def __init__(self, energies, vectors):
         e = np.array(energies, dtype=float)
         u = _real_if_exact(np.array(vectors))
         if e.ndim != 1 or u.shape != (e.size, e.size):
@@ -441,37 +416,20 @@ class SpectralDecomposition(Frozen):
                 f"inconsistent decomposition shapes: energies {e.shape}, vectors {u.shape}"
             )
         whole = np.arange(e.size)
-        pairs = ((whole, whole),) if blocks is None else tuple(map(_index_pair, blocks))
-        sets, group = _basis_sets(pairs)
-        for kind, parts in (("basis", sets), ("eigen-column", [cols for _, cols in pairs])):
-            covered = np.sort(np.concatenate([whole[:0], *parts]))
-            if not np.array_equal(covered, whole):
-                raise DomainError(f"block {kind} indices must partition range({e.size})")
-        filled = np.zeros(len(sets), dtype=np.intp)
-        np.add.at(filled, group, [cols.size for _, cols in pairs])
-        if not np.array_equal(filled, [rows.size for rows in sets]):
-            raise DomainError(
-                "the blocks over a basis set must have as many eigen-columns as it has states"
-            )
-        if len(pairs) == 1:
-            parts = [u]
-        else:
-            parts = [u[rows[:, None], cols] for rows, cols in pairs]
-            if sum(np.count_nonzero(v) for v in parts) != np.count_nonzero(u):
-                raise DomainError("vectors must vanish outside their blocks")
-        self._freeze(e, pairs, parts, [(0, None)] * len(pairs))
+        self._freeze(e, [(whole, whole)], [u], [(0, None)], [0])
 
     @classmethod
-    def _from_blocks(cls, energies, blocks, vectors, bases):
+    def _from_blocks(cls, energies, blocks, vectors, bases, group):
         """A decomposition from solved blocks, trusted as given."""
         self = cls.__new__(cls)
-        self._freeze(energies, blocks, vectors, bases)
+        self._freeze(energies, blocks, vectors, bases, group)
         return self
 
-    def _freeze(self, energies, blocks, vectors, bases):
+    def _freeze(self, energies, blocks, vectors, bases, group):
         """Store the fields read-only; vectors[k] is block k's eigenvector
-        matrix over its own basis and bases[k] its (parity, basis) as
-        _parity_bases gives it."""
+        matrix over its own basis, bases[k] its (parity, basis) as
+        _parity_bases gives it, and group[k] the number of its basis set,
+        the sets numbered 0, 1, ... in order of first use."""
         if np.any(np.diff(energies) < 0):
             raise DomainError("energies must be sorted ascending")
         arrays = [idx for pair in blocks for idx in pair]
@@ -479,7 +437,8 @@ class SpectralDecomposition(Frozen):
         for arr in (energies, *vectors, *arrays):
             arr.setflags(write=False)
         self.__dict__.update(energies=energies, energy_tol=default_energy_tol(energies),
-                             blocks=tuple(blocks), _vectors=tuple(vectors), _bases=tuple(bases))
+                             blocks=tuple(blocks), _vectors=tuple(vectors), _bases=tuple(bases),
+                             _group=tuple(group))
 
     @property
     def dim(self):
@@ -493,10 +452,10 @@ class SpectralDecomposition(Frozen):
     def _basis_index(self):
         """(sets, set of each basis state, its position in the set, blocks
         of each set)."""
-        sets, group = _basis_sets(self.blocks)
-        members = [[] for _ in sets]
-        for k, g in enumerate(group):
+        members = [[] for _ in range(self._group[-1] + 1)]
+        for k, g in enumerate(self._group):
             members[g].append(k)
+        sets = [self.blocks[ks[0]][0] for ks in members]
         return (sets, *_block_index(sets, self.dim), members)
 
     def to_eigenblocks(self, op):
@@ -574,7 +533,7 @@ def diagonalize(hamiltonian):
     if sign != 1:
         mirror = None
     none = np.zeros(0, dtype=np.intp)
-    solved, blocks, bases = [], [], []
+    solved, blocks, bases, group = [], [], [], []
     unit_dev = rec_dev = 0.0
     for k, rows in enumerate(basis):
         for parity, own in _parity_bases(rows, mirror):
@@ -590,6 +549,7 @@ def diagonalize(hamiltonian):
             solved.append((e, v))
             blocks.append(rows)
             bases.append((parity, own))
+            group.append(k)
     merged = np.concatenate([e for e, _ in solved])
     order = np.argsort(merged, kind="stable")
     energies = merged[order]
@@ -606,7 +566,7 @@ def diagonalize(hamiltonian):
     starts = np.cumsum([0] + [e.size for e, _ in solved])
     blocks = [(rows, column[lo:hi]) for rows, lo, hi in zip(blocks, starts[:-1], starts[1:])]
     vectors = [v for _, v in solved]
-    return SpectralDecomposition._from_blocks(energies, blocks, vectors, bases)
+    return SpectralDecomposition._from_blocks(energies, blocks, vectors, bases, group)
 
 
 class ThermalEnsemble(Frozen):
@@ -656,22 +616,21 @@ def gibbs_weights(spectral, beta):
     """Gibbs ensemble p_n = exp(-beta(E_n - E_min)) / Z at inverse temperature beta.
 
     Accepts a SpectralDecomposition or a bare energy vector.  beta = math.inf
-    puts uniform weight on the ground degeneracy group (within the
-    decomposition's energy tolerance); a negative or NaN beta is rejected.
+    puts uniform weight on the ground degeneracy group (within
+    default_energy_tol of the energies); a negative or NaN beta is rejected.
     """
     if isinstance(spectral, SpectralDecomposition):
-        energies, tol, ref = spectral.energies, spectral.energy_tol, spectral
+        energies, ref = spectral.energies, spectral
     else:
         # a copy, since the ensemble freezes what it is given
-        energies = np.array(spectral, dtype=float)
-        tol, ref = default_energy_tol(energies), None
+        energies, ref = np.array(spectral, dtype=float), None
     if energies.ndim != 1 or energies.size == 0:
         raise DomainError(f"energies must be a nonempty 1-d array, got shape {energies.shape}")
     beta = float(beta)
     if not beta >= 0:
         raise DomainError(f"inverse temperature beta must be nonnegative, got {beta}")
     if math.isinf(beta):
-        ground = energies <= energies.min() + tol
+        ground = energies <= energies.min() + default_energy_tol(energies)
         g = int(np.count_nonzero(ground))
         weights = np.where(ground, 1.0 / g, 0.0)
         logw = np.where(ground, -math.log(g), -np.inf)

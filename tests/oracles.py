@@ -177,19 +177,43 @@ def correlation_oracle(h_mat, rho, o_mat, t):
     return complex(np.trace(np.asarray(rho, dtype=complex) @ u @ o @ u.conj().T @ o))
 
 
+def cluster_oracle(values, tol, symmetric=False):
+    """Greedy 1-d clustering with a stable sort: sort, open a cluster at
+    every step above tol, take member means.  Returns (reps, labels), the
+    means ascending and each value's cluster.
+
+    With symmetric=True the multiset must be symmetric under negation, as
+    the gaps E_m - E_n over every ordered pair are, and a cluster structure
+    that is not mirror symmetric is refused (ValueError); the means are
+    then made exactly sign-symmetric as (r - r[::-1]) / 2, the middle one
+    exactly 0.0.  This is the reference for the package's clustering of a
+    complete pair set.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered) > tol) + 1))
+    counts = np.diff(np.append(starts, ordered.size))
+    reps = np.add.reduceat(ordered, starts) / counts
+    if symmetric:
+        if not np.array_equal(counts, counts[::-1]):
+            raise ValueError("cluster structure is not symmetric under negation")
+        reps = (reps - reps[::-1]) / 2.0
+    labels = np.empty(values.size, dtype=np.intp)
+    labels[order] = np.repeat(np.arange(reps.size), counts)
+    return reps, labels
+
+
 def weighted_pair_set_oracle(energies, o_eig, omega_tol):
     """A weighted pair set the long way, from a dense eigenbasis matrix.
 
     The pairs are the upper triangle of the symmetrized pattern
     (O != 0) | (O != 0)^T, or every pair m <= n when o_eig is None, with the
     entries O_mn (real when no entry has an imaginary part).  Their
-    frequency clusters come from greedy clustering of the whole multiset of
-    gaps omega_mn, their mirrors -omega_mn and one 0.0: sort, open a
-    cluster at every step above omega_tol, take member means, then make
-    them sign-symmetric as (r - r[::-1]) / 2.  Returns (rows, cols, labels,
-    omegas, values), labels being the clusters of the gaps omega_mn
-    themselves, with rows, cols and labels int32; values is None without
-    an operator.
+    frequency clusters are cluster_oracle's sign-symmetric clusters of the
+    whole multiset of gaps omega_mn, their mirrors -omega_mn and one 0.0.
+    Returns (rows, cols, labels, omegas, values), labels being the clusters
+    of the gaps omega_mn themselves, with rows, cols and labels int32;
+    values is None without an operator.
     """
     energies = np.asarray(energies, dtype=float)
     dim = energies.size
@@ -204,17 +228,10 @@ def weighted_pair_set_oracle(energies, o_eig, omega_tol):
         if np.iscomplexobj(values) and not values.imag.any():
             values = np.ascontiguousarray(values.real)
     gaps = energies[rows] - energies[cols]
-    multiset = np.concatenate((gaps, -gaps, [0.0]))
-    order = np.argsort(multiset, kind="stable")
-    ordered = multiset[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(ordered) > omega_tol) + 1))
-    counts = np.diff(np.append(starts, ordered.size))
-    means = np.add.reduceat(ordered, starts) / counts
-    labels = np.empty(multiset.size, dtype=np.intp)
-    labels[order] = np.repeat(np.arange(means.size), counts)
+    reps, labels = cluster_oracle(np.concatenate((gaps, -gaps, [0.0])), omega_tol, symmetric=True)
     # the set stores its level indices and labels as int32
     index = (rows.astype(np.int32), cols.astype(np.int32), labels[: rows.size].astype(np.int32))
-    return (*index, (means - means[::-1]) / 2.0, values)
+    return (*index, reps, values)
 
 
 def fit_frequency_oracle(h_mat, a_mat):

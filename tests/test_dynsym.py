@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qfidyn import (
     DomainError,
-    NumericError,
     OperatorBlock,
     PairPartition,
     PauliString,
@@ -31,6 +30,7 @@ from qfidyn import (
 from qfidyn.dynsym import (
     DynamicalSymmetry,
     _local_cap,
+    _mirrored_clusters,
     cluster_values,
     default_omega_tol,
 )
@@ -38,6 +38,7 @@ from qfidyn.models import preset, preset_operators, solve_preset, two_qubit_symm
 from qfidyn.operators import AXES, SpinChainSpec, operator_support, xx_hamiltonian_strings
 from oracles import (
     block_gram_oracle,
+    cluster_oracle,
     fit_frequency_oracle,
     local_cap_oracle,
     operator_support_oracle,
@@ -162,36 +163,19 @@ def test_cluster_values_merges_within_tol():
     assert math.isclose(reps[0], 1.0, abs_tol=1e-12)
 
 
-def test_cluster_values_symmetric_canonicalization():
-    values = np.array([-1.0 - 1e-12, 1.0 - 1e-12, 0.0, -1.0 + 1e-12, 1.0 + 1e-12])
-    reps, _ = cluster_values(values, 1e-9, symmetric=True)
-    assert reps.size == 3
+def test_mirrored_clusters_are_sign_symmetric():
+    half = np.array([-1.0 - 1e-12, -1.0 + 1e-12])
+    reps, bounds = _mirrored_clusters(half, 1e-9)
+    assert reps.size == 3 and bounds.tolist() == [0, 2]
     assert reps[1] == 0.0
     assert reps[0] == -reps[2]
-
-
-def test_cluster_values_rejects_asymmetric_multiset():
-    with pytest.raises(NumericError):
-        cluster_values(np.array([0.0, 0.0, 1.0]), 1e-9, symmetric=True)
+    want, _ = cluster_oracle(np.concatenate((half, [0.0], -half[::-1])), 1e-9, symmetric=True)
+    assert np.array_equal(reps.view(np.int64), want.view(np.int64))
 
 
 def test_cluster_values_rejects_empty():
     with pytest.raises(DomainError):
         cluster_values(np.array([]), 1e-9)
-
-
-def _stable_cluster_reference(values, tol, symmetric):
-    """cluster_values with a stable sort, step for step."""
-    order = np.argsort(values, kind="stable")
-    sorted_v = values[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_v) > tol) + 1))
-    counts = np.diff(np.concatenate((starts, [values.size])))
-    reps = np.add.reduceat(sorted_v, starts) / counts
-    if symmetric:
-        reps = (reps - reps[::-1]) / 2.0
-    labels = np.empty(values.size, dtype=np.intp)
-    labels[order] = np.repeat(np.arange(reps.size), counts)
-    return reps, labels
 
 
 @given(
@@ -201,18 +185,15 @@ def _stable_cluster_reference(values, tol, symmetric):
         max_size=12,
     ),
     size=st.integers(1, 3000),
-    symmetric=st.booleans(),
-    tol=st.sampled_from([0.0, 1e-9, 0.6]),
+    tol=st.sampled_from([1e-9, 0.6]),
     seed=st.integers(0, 10_000),
 )
-def test_cluster_values_ignores_the_order_among_ties(pool, size, symmetric, tol, seed):
+def test_cluster_values_ignores_the_order_among_ties(pool, size, tol, seed):
     # many exact ties and both signed zeros, long enough for numpy's
     # unstable sort paths; reps and labels must match a stable sort bit for bit
     values = np.random.default_rng(seed).choice(np.array(pool), size)
-    if symmetric:
-        values = np.concatenate((values, -values))
-    reps, labels = cluster_values(values, tol, symmetric=symmetric)
-    want_reps, want_labels = _stable_cluster_reference(values, tol, symmetric)
+    reps, labels = cluster_values(values, tol)
+    want_reps, want_labels = cluster_oracle(values, tol)
     assert np.array_equal(reps.view(np.int64), want_reps.view(np.int64))
     assert np.array_equal(labels, want_labels)
 
@@ -430,16 +411,10 @@ def test_omega_tol_must_be_finite_and_positive(tol):
         lambda: trivial_complete_set(spectral, tol, o_eig),
         lambda: group_into_blocks(syms, tol),
         lambda: group_into_blocks([], tol),
+        lambda: cluster_values(np.array([-1.0, 0.0, 1.0, 1.0]), tol),
     ):
         with pytest.raises(DomainError, match="omega_tol must be finite and > 0"):
             call()
-    # a zero tolerance clusters exact ties only, which plain clustering allows
-    values = np.array([-1.0, 0.0, 1.0, 1.0])
-    if tol == 0.0:
-        assert cluster_values(values, tol)[1].tolist() == [0, 1, 2, 2]
-    else:
-        with pytest.raises(DomainError, match="omega_tol must be finite and >= 0"):
-            cluster_values(values, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfidyn import (
+    BlockOperator,
     DomainError,
     NumericError,
     OperatorBlock,
@@ -513,6 +514,25 @@ def test_qfi_matrix_from_dynsym_complete_set(rng):
         decomposed = qfi_matrix_from_dynsym(trivial_complete_set(spectral), ens, gens)
     scale = max(1.0, float(np.abs(direct.matrix).max()))
     assert np.abs(decomposed.matrix - direct.matrix).max() <= 1e-9 * scale
+
+
+def test_qfi_matrix_from_dynsym_reads_a_lone_generator_once(monkeypatch):
+    spectral, pairs, _ = solve_preset(preset("chain", sites=6))
+    o = spectral.to_eigenblocks(preset_operators(preset("chain", sites=6))[1])
+    ens = gibbs_weights(spectral, 1.0)
+    calls = []
+    read = BlockOperator.pairs
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return read(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockOperator, "pairs", counted)
+    m = qfi_matrix_from_dynsym(pairs, ens, [o])
+    assert len(calls) == 1
+    assert m.commuting and m.matrix[0, 0] == qfi_from_dynsym(pairs, ens, o).value
+    with pytest.raises(DomainError, match="need at least one generator"):
+        qfi_matrix_from_dynsym(pairs, ens, [])
 
 
 def test_qfi_matrix_from_dynsym_analytic_blocks():

@@ -28,7 +28,7 @@ from qfidyn.models import (
     two_qubit_frequencies,
     two_qubit_symmetry_operators,
 )
-from qfidyn.operators import local_generator_strings
+from qfidyn.operators import SITE_CAP_ENV, local_generator_strings
 from oracles import xx_hamiltonian_oracle
 
 LABELS = ("A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4")
@@ -141,10 +141,13 @@ def test_build_preset_matches_direct_builders():
     np.testing.assert_array_equal(gen.dense(), direct.dense())
 
 
-def test_build_preset_respects_site_cap():
+def test_build_preset_respects_site_cap(monkeypatch):
     with pytest.raises(DomainError):
         preset_operators(preset("chain", sites=13))
-    h_op, _ = preset_operators(preset("chain", sites=4), max_sites=4)
+    monkeypatch.setenv(SITE_CAP_ENV, "4")
+    with pytest.raises(DomainError):
+        preset_operators(preset("chain", sites=5))
+    h_op, _ = preset_operators(preset("chain", sites=4))
     assert h_op.dense().shape == (16, 16)
 
 

@@ -13,9 +13,11 @@ from qfidyn import (
     PauliString,
     SparseOperator,
     SpinChainSpec,
+    entanglement_depth,
     operator_support,
     read_symmetry_file,
 )
+from qfidyn.models import preset
 from qfidyn.operators import (
     AXES,
     BOUNDARIES,
@@ -448,26 +450,51 @@ def test_site_cap_env_override(monkeypatch):
     z0 = [PauliString(1.0, ((0, "z"),))]
     with pytest.raises(DomainError):
         SparseOperator.from_strings(z0, 4)
-    # the explicit argument wins over the environment
-    assert SparseOperator.from_strings(z0, 4, max_sites=4).dim == 16
+    monkeypatch.setenv(SITE_CAP_ENV, "4")
+    assert SparseOperator.from_strings(z0, 4).dim == 16
 
 
 def test_site_cap_applies_on_every_builder_path(monkeypatch):
-    monkeypatch.setenv(SITE_CAP_ENV, "3")
     ps = PauliString(1.0, ((0, "x"),))
     builds = (
-        lambda **kw: ps.entries(4, **kw),
-        lambda **kw: SparseOperator.from_strings([ps], 4, **kw),
-        lambda **kw: SparseOperator.from_strings([], 4, **kw),
-        lambda **kw: xx_hamiltonian_strings(SpinChainSpec(4), **kw),
-        lambda **kw: local_generator_strings("uniform-x", 4, **kw),
+        lambda: ps.entries(4),
+        lambda: SparseOperator.from_strings([ps], 4),
+        lambda: SparseOperator.from_strings([], 4),
+        lambda: xx_hamiltonian_strings(SpinChainSpec(4)),
+        lambda: local_generator_strings("uniform-x", 4),
     )
     for build in builds:
+        monkeypatch.setenv(SITE_CAP_ENV, "3")
         with pytest.raises(DomainError):
             build()
-        build(max_sites=4)  # the explicit argument wins over the environment
-    # a single 2x2 factor lies within any cap
+        monkeypatch.setenv(SITE_CAP_ENV, "4")
+        build()
+    # a single 2x2 factor lies within any cap, and the support check is
+    # never capped
+    monkeypatch.setenv(SITE_CAP_ENV, "1")
     assert np.array_equal(pauli_on("x", 0, 1), SX)
+    assert operator_support(np.eye(16), 4) == frozenset()
+
+
+# each entry point's count, read back as the count it built on
+WHOLE_COUNTS = {
+    "preset": lambda n: preset("chain", sites=n).spec.sites,
+    "SparseOperator.from_strings": lambda n: SparseOperator.from_strings([], n).dim.bit_length() - 1,
+    "SpinChainSpec": lambda n: SpinChainSpec(n).sites,
+    "entanglement_depth": lambda n: entanglement_depth(5.0, n).n_particles,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WHOLE_COUNTS))
+def test_fractional_counts_are_refused(entry):
+    # refused, not truncated: 7.9 sites is not a 7-site chain, and 2.5
+    # particles must not certify a depth of 3 on n_particles 2
+    build = WHOLE_COUNTS[entry]
+    for count in (2.5, 7.9):
+        with pytest.raises(DomainError, match="whole number"):
+            build(count)
+    got = build(4.0)
+    assert got == 4 and type(got) is int
 
 
 def test_site_cap_env_must_be_integer(monkeypatch):
@@ -480,7 +507,7 @@ def test_site_cap_error_names_the_overrides():
     with pytest.raises(DomainError) as err:
         xx_hamiltonian_strings(SpinChainSpec(13))
     msg = str(err.value)
-    assert SITE_CAP_ENV in msg and "max_sites" in msg
+    assert SITE_CAP_ENV in msg and "max_sites" not in msg
 
 
 # ---------------------------------------------------------------------------

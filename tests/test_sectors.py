@@ -50,11 +50,12 @@ from qfidyn import (
     susceptibility_comb,
     trivial_complete_set,
 )
-from qfidyn.dynsym import cluster_values, default_omega_tol
+from qfidyn.dynsym import default_omega_tol
 from qfidyn.models import preset, preset_operators, solve_preset
 from qfidyn.operators import GENERATOR_KINDS, SpinChainSpec, xx_hamiltonian_strings
 from qfidyn.spectral import _components
 from oracles import (
+    cluster_oracle,
     eigenvector_matrix,
     eigh_thermal_state,
     qfi_oracle,
@@ -453,7 +454,7 @@ def test_weighted_clusters_are_the_gaps_of_the_set():
     for levels, omega_tol in ((spectral, tol), (SimpleNamespace(energies=rounded), 0.15)):
         everything = trivial_complete_set(levels, omega_tol)
         all_gaps = (levels.energies[:, None] - levels.energies[None, :]).ravel()
-        reps, labels = cluster_values(all_gaps, omega_tol, symmetric=True)
+        reps, labels = cluster_oracle(all_gaps, omega_tol, symmetric=True)
         assert np.array_equal(everything.omegas, reps)
         assert np.array_equal(everything.labels, labels[everything.keys])
     assert trivial_complete_set(spectral, tol).omegas.size > k
@@ -566,62 +567,11 @@ def test_staggered_generator_links_only_adjacent_sectors():
 
 def test_decomposition_rejects_inconsistent_blocks():
     energies, vectors = np.array([0.0, 1.0, 2.0]), np.eye(3)
-    whole = np.arange(3)
-    good = ((np.array([0]), np.array([0])), (np.array([1, 2]), np.array([1, 2])))
-    assert len(SpectralDecomposition(energies, vectors, blocks=good).blocks) == 2
     assert len(SpectralDecomposition(energies, vectors).blocks) == 1
-    # two blocks sharing the basis set {1, 2} fill it between them
-    shared = ((np.array([0]), np.array([0])), (np.array([1, 2]), np.array([1])),
-              (np.array([1, 2]), np.array([2])))
-    assert len(SpectralDecomposition(energies, vectors, blocks=shared).blocks) == 3
-    bad = [
-        # basis indices overlap and miss state 2
-        ((np.array([0, 1]), np.array([0, 1])), (np.array([1]), np.array([2]))),
-        # eigen-columns miss column 2
-        ((whole, np.array([0, 1, 1])),),
-        # a block with more basis states than eigen-columns
-        ((np.array([0, 1]), np.array([0])), (np.array([2]), np.array([1, 2]))),
-        # blocks sharing {1, 2} with one eigen-column between them, and {0}
-        # with two
-        ((np.array([0]), np.array([0, 2])), (np.array([1, 2]), np.array([1])),
-         (np.array([1, 2]), np.zeros(0, dtype=int))),
-        # two basis sets that overlap without being one set
-        ((np.array([0, 1]), np.array([0])), (np.array([1, 2]), np.array([1, 2]))),
-        # an index out of range
-        ((np.array([0, 1, 3]), whole),),
-        # float indices
-        ((whole.astype(float), whole),),
-        # not a pair
-        ((whole,),),
-    ]
-    for blocks in bad:
-        with pytest.raises(DomainError):
-            SpectralDecomposition(energies, vectors, blocks=blocks)
-    with pytest.raises(DomainError, match="as many eigen-columns"):
-        SpectralDecomposition(energies, vectors, blocks=bad[3])
-    # vectors nonzero outside the blocks
-    mixed = np.eye(3)
-    mixed[0, 1] = mixed[1, 0] = 1e-3
-    with pytest.raises(DomainError, match="vanish"):
-        SpectralDecomposition(energies, mixed, blocks=good)
-
-
-def test_blocks_sharing_a_basis_set_give_the_dense_eigenbasis(rng):
-    # two sites, the states 01 and 10 shared by the P-even and P-odd blocks
-    h = np.diag([1.0, 0.5, 0.5, -1.0])
-    h[1, 2] = h[2, 1] = 2.0
-    energies, v = np.linalg.eigh(h)
-    blocks = [(np.array([0]), np.flatnonzero(np.abs(v[0]) > 0.5)),
-              (np.array([3]), np.flatnonzero(np.abs(v[3]) > 0.5))]
-    for column in np.flatnonzero(np.abs(v[1]) > 0.5):
-        blocks.append((np.array([1, 2]), np.array([column])))
-    spectral = SpectralDecomposition(energies, v, blocks=blocks)
-    assert len(spectral.blocks) == 4
-    o = random_hermitian(rng, 4)
-    assert np.abs(spectral.to_eigenbasis(o) - v.T @ o @ v).max() <= 1e-12
-    # the two shared blocks meet every block the operator links
-    assert len(spectral.to_eigenblocks(o).products) == 16
-    assert np.array_equal(eigenvector_matrix(spectral), v)
+    with pytest.raises(DomainError, match="shapes"):
+        SpectralDecomposition(energies, vectors[:, :2])
+    with pytest.raises(DomainError, match="ascending"):
+        SpectralDecomposition(energies[::-1], vectors)
 
 
 @pytest.mark.parametrize("row, col", [(0, 1), (1, 0)])
