@@ -36,9 +36,10 @@ m * dim + n and one value per pair.  The gaps are clustered from one array
 of -|omega_mn|, sorted in place; each pair is then labelled by searching
 its -|omega_mn| among the clusters' first values.  PairPartition keeps the
 arrays trivial_complete_set hands it instead of copying them.  Every pass
-over the pairs forms its terms, |O_mn|^2 included, a chunk of pairs at a
-time (PairPartition.bin_chunks): it gathers with np.take, as fast with
-int32 indices as a fancy index is with intp ones, and bins with intp.  An
+over the pairs forms its terms a chunk of pairs at a time, binned per
+cluster (PairPartition.bin_chunks) or summed in one term array
+(metrology._pair_sum: 8.4 to 9.3 B a pair at 12 sites); np.take gathers
+as fast with int32 indices as a fancy index with intp ones.  An
 explicit member holds only its shell: at 12 sites a Jordan-Wigner mode
 keeps 8,388 of the 2.5M entries its linked blocks have, the rest being
 rounding, and a block keeps O at those positions per pair set.
@@ -59,8 +60,8 @@ import numpy as np
 
 from ._frozen import Frozen
 from .errors import DomainError, NumericError
-from .operators import SparseOperator, _chunks, _keys, _operand, _real_if_exact
-from .operators import operator_support
+from .operators import _INDEX_LIMIT, SparseOperator, _chunks, _key_union, _keys, _operand
+from .operators import _real_if_exact, operator_support
 from .spectral import BlockOperator, _eigen_operand
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
@@ -76,8 +77,6 @@ LOCAL_CAP_SLACK = 1e-9
 # the open chain at the default omega_tol, the Jordan-Wigner modes reach
 # 3.5e-8 at 12 sites and 2.5e-7 at 14, their bilinears 2.1e-7 and 1.04e-6.
 SHELL_CUT_RTOL = 1e-5
-# PairPartition stores level indices as int32, so dim must lie below this.
-_INDEX_LIMIT = 2**31
 
 
 def default_omega_tol(energies):
@@ -227,10 +226,7 @@ class OperatorBlock(Frozen):
         """(rows, cols, values): the positions any member holds, ascending in
         row * dim + col, and each member's entries there, one row per
         member (0 where it has none)."""
-        if self.size == 1:
-            (m,) = self.members
-            return m.rows, m.cols, m.values[None, :]
-        keys = np.unique(np.concatenate([_keys(m.rows, m.cols, self.dim) for m in self.members]))
+        keys = _key_union([_keys(m.rows, m.cols, self.dim) for m in self.members])
         rows, cols = np.divmod(keys, self.dim)
         return rows, cols, np.stack([m.at(rows, cols) for m in self.members])
 

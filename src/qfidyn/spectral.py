@@ -53,6 +53,7 @@ from .operators import (
     SparseOperator,
     _chunks,
     _hermitian_deviation,
+    _keys,
     _operand,
     _real_if_exact,
     _require_hermitian,
@@ -269,11 +270,11 @@ class BlockOperator(Frozen):
         self.__dict__.update(columns=columns, products=products, dim=dim, dtype=dtype)
 
     def entries(self, shell=None):
-        """The nonzero entries as a SparseOperator with int32 indices, so dim
-        must be below 2**31: every one, or with shell = (energies, omega,
-        tol) only those with E_n within tol of E_m - omega.  Each product is
-        read once.  A block's energies ascend, so a shell's window in each
-        row is one searchsorted, and no mask of a whole product is made."""
+        """The nonzero entries as a SparseOperator: every one, or with
+        shell = (energies, omega, tol) only those with E_n within tol of
+        E_m - omega.  Each product is read once.  A block's energies ascend,
+        so a shell's window in each row is one searchsorted, and no mask of
+        a whole product is made."""
         keys, values = [np.zeros(0, np.int64)], [np.zeros(0, self.dtype)]
         for (a, b), product in self.products.items():
             rows_of, cols_of = self.columns[a], self.columns[b]
@@ -288,17 +289,10 @@ class BlockOperator(Frozen):
                 j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count), count)
                 nonzero = product[i, j] != 0
                 i, j = i[nonzero], j[nonzero]
-            keys.append(rows_of[i].astype(np.int64) * self.dim + cols_of[j])
+            keys.append(_keys(rows_of[i], cols_of[j], self.dim))
             values.append(product[i, j])
             del product, i, j
-        keys = np.concatenate(keys)
-        # each product adds one ascending run of keys, which a stable sort merges
-        order = np.argsort(keys, kind="stable")
-        rows, cols = np.empty(keys.size, np.int32), np.empty(keys.size, np.int32)
-        for s in _chunks(keys.size):
-            np.divmod(keys.take(order[s]), self.dim, out=(rows[s], cols[s]), casting="unsafe")
-        del keys
-        return SparseOperator._trusted(rows, cols, np.concatenate(values)[order], self.dim)
+        return SparseOperator._trusted(*_in_key_order(keys, values, self.dim), self.dim)
 
     def dense(self):
         out = np.zeros((self.dim, self.dim), dtype=self.dtype)
@@ -311,11 +305,9 @@ class BlockOperator(Frozen):
         nonzero, with the entries O_mn, ascending in m * dim + n; rows and
         cols are int32, so dim must be below 2**31.  Each block pair {a, b}
         reads its two blocks (a diagonal one once), adds only a key
-        m * dim + n and a value per pair (_linked_entries) and drops them;
-        one argsort of the keys orders the pairs, and np.divmod splits the
-        ordered keys into rows and cols a chunk at a time.  The operator is
-        certified Hermitian by the eigenbasis rule of _require_hermitian on
-        the way."""
+        m * dim + n and a value per pair (_linked_entries) and drops them,
+        and _in_key_order orders the pairs.  The operator is certified
+        Hermitian by the eigenbasis rule of _require_hermitian on the way."""
         dev = scale = 0.0
         keys, values = [np.zeros(0, np.int64)], [np.zeros(0, self.dtype)]
         for lo, hi in sorted({(min(a, b), max(a, b)) for a, b in self.products}):
@@ -334,21 +326,7 @@ class BlockOperator(Frozen):
             keys.append(key)
             values.append(value)
         _require_hermitian(dev, scale, name)
-        # each list is freed as its concatenation replaces it
-        keys = np.concatenate(keys)
-        values = np.concatenate(values)
-        # each block pair adds ascending runs of keys, which a stable sort
-        # merges; the keys are distinct, so the order is the same either way.
-        # An int32 order, and the keys dropped before the values are
-        # reordered, hold this stage to 28 B a pair.
-        order = np.argsort(keys, kind="stable").astype(np.int32)
-        rows, cols = np.empty(keys.size, np.int32), np.empty(keys.size, np.int32)
-        for s in _chunks(keys.size):
-            # written straight into the int32 arrays: no int64 quotient
-            # and remainder per chunk
-            np.divmod(keys.take(order[s]), self.dim, out=(rows[s], cols[s]), casting="unsafe")
-        del keys
-        return rows, cols, _real_if_exact(values[order])
+        return _in_key_order(keys, values, self.dim)
 
 
 def _eigen_operand(op, dim=None, name="operator"):
@@ -365,6 +343,25 @@ def _eigen_operand(op, dim=None, name="operator"):
     return op
 
 
+def _in_key_order(keys, values, dim):
+    """(rows, cols, values) in ascending key order, rows and cols int32 and
+    values as _real_if_exact gives them, of entries given as lists of
+    ascending runs of distinct keys m * dim + n, which a stable sort merges,
+    and of their values.  The lists are emptied as they are joined; an int32
+    order and quotients, and the keys dropped before the values are
+    reordered, hold this stage to 28 B an entry."""
+    joined = np.concatenate(keys)
+    keys.clear()
+    order = np.argsort(joined, kind="stable").astype(np.int32)
+    rows, cols = np.empty(joined.size, np.int32), np.empty(joined.size, np.int32)
+    for s in _chunks(joined.size):
+        np.divmod(joined.take(order[s]), dim, out=(rows[s], cols[s]), casting="unsafe")
+    del joined
+    joined = np.concatenate(values)
+    values.clear()
+    return rows, cols, _real_if_exact(joined[order])
+
+
 def _linked_entries(fwd, bwd, rows_of, cols_of, dim):
     """(keys m * dim + n, values O_mn) of the pairs m <= n that one block
     pair links: fwd holds O between the eigen-columns rows_of and cols_of,
@@ -375,15 +372,11 @@ def _linked_entries(fwd, bwd, rows_of, cols_of, dim):
     # eigen-columns ascend within a block, so i <= j is m <= n there
     i, j = np.nonzero(np.triu(linked) if rows_of is cols_of else linked)
     del linked
-    m = rows_of[i].astype(np.int64, copy=False)
-    n = cols_of[j].astype(np.int64, copy=False)
-    value = fwd[i, j]
+    m, n, value = rows_of[i], cols_of[j], fwd[i, j]
     below = np.flatnonzero(m > n)
     value[below] = bwd[j[below], i[below]]
     m[below], n[below] = n[below], m[below]
-    m *= dim
-    m += n
-    return m, value
+    return _keys(m, n, dim), value
 
 
 class SpectralDecomposition(Frozen):

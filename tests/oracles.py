@@ -5,7 +5,10 @@ deliberately different route: Kronecker products instead of bit operations,
 matrix exponentials instead of weight vectors, density-matrix eigenbases
 instead of Hamiltonian eigenbases, fractional matrix powers, and numerical
 quadrature instead of closed forms.  No code is
-shared with the package beyond numpy itself.
+shared with the package beyond numpy itself.  pair_sum_references and
+qfi_matrix_reference are the exception to the different route: they keep the
+package's whole-array pair-sum formulas, so that its chunked pass can be
+checked against them bit for bit.
 
 The oracles are slow and accuracy-limited by design; callers pick dimensions
 and temperatures inside each oracle's comfort zone (noted per function).
@@ -232,6 +235,89 @@ def weighted_pair_set_oracle(energies, o_eig, omega_tol):
     # the set stores its level indices and labels as int32
     index = (rows.astype(np.int32), cols.astype(np.int32), labels[: rows.size].astype(np.int32))
     return (*index, reps, values)
+
+
+def _ordered_pair_sum_reference(term, rows, cols, values, weights, log_weights):
+    """sum over ordered pairs (a, b) of term(p_a, p_b, ln p_a, ln p_b)
+    |O_ab|^2, each pair m <= n giving (m, n) and, off the diagonal, (n, m),
+    formed over every pair at once."""
+    p, lw = weights, log_weights
+    pm, pn, lm, ln = p[rows], p[cols], lw[rows], lw[cols]
+    both = term(pm, pn, lm, ln) + np.where(rows != cols, term(pn, pm, ln, lm), 0.0)
+    return float(np.sum(both * np.abs(values) ** 2))
+
+
+def _qv_term_reference(pm, pn, lm, ln):
+    mask = pn + pm >= PAIR_FLOOR
+    with np.errstate(invalid="ignore"):
+        r = ln - lm
+    small = np.abs(r) < 1e-6
+    safe = np.where(small, 1.0, r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        exact = pn - (pn - pm) / safe
+    rs = np.where(small & mask, r, 0.0)
+    series = pm * (rs / 2.0 + rs**2 / 3.0 + rs**3 / 8.0)
+    return np.where(mask, np.where(small, series, exact), 0.0)
+
+
+def pair_sum_references(rows, cols, values, energies, weights, log_weights, beta, alpha):
+    """The six scalar pair sums of an operator's pairs m <= n (rows, cols,
+    values O_mn) as whole-array formulas, one term array over every pair
+    summed by np.sum: the references that the package's chunked pass must
+    equal bit for bit.  Returns a dict keyed by route name; the skew
+    information is of order alpha."""
+    p = weights
+    tot = p[rows] + p[cols]
+    qfi_w = np.zeros_like(tot)
+    np.divide((p[cols] - p[rows]) ** 2, tot, out=qfi_w, where=tot >= PAIR_FLOOR)
+    # tanh(beta omega / 2), with the gaps within the degeneracy threshold
+    # 1e-9 max(1, |E|_max) set to 0 at beta = inf
+    omega = energies[rows] - energies[cols]
+    with np.errstate(invalid="ignore", over="ignore"):
+        t = np.tanh(beta * omega / 2.0)
+    if np.isinf(beta):
+        t[np.abs(omega) <= 1e-9 * max(1.0, float(np.abs(energies).max()))] = 0.0
+    abs2 = np.abs(values) ** 2
+    diag = rows == cols
+    mean = float(np.dot(p[rows[diag]], values[diag].real))
+    sums = (rows, cols, values, weights, log_weights)
+    second = _ordered_pair_sum_reference(lambda pm, pn, lm, ln: pn, *sums)
+    return {
+        "qfi_spectral": float(4.0 * np.sum(qfi_w * abs2)),
+        "qfi_via_susceptibility": float(4.0 * np.sum(t * (p[cols] - p[rows]) * abs2)),
+        "qfi_via_structure_factor": float(4.0 * np.sum(t**2 * (p[cols] + p[rows]) * abs2)),
+        "skew_information": _ordered_pair_sum_reference(
+            lambda pm, pn, lm, ln: pn - pn**alpha * pm ** (1.0 - alpha), *sums
+        ),
+        "quantum_variance": _ordered_pair_sum_reference(_qv_term_reference, *sums),
+        "eth_qfi": 4.0 * (second - mean**2),
+    }
+
+
+def qfi_matrix_reference(generators, weights, dim):
+    """The QFI matrix over generators given as pairs m <= n (rows, cols,
+    values O_mn), as whole-array formulas: the union of their pairs from
+    np.unique of the keys m * dim + n, each generator's values there (0
+    where it has none), and [F]_ab = sum over the union of
+    4 (p_n - p_m)^2 / (p_n + p_m) Re[(O_a)_mn (O_b)_mn^*]."""
+    keys = np.unique(np.concatenate([r.astype(np.int64) * dim + c for r, c, _ in generators]))
+    rows, cols = np.divmod(keys, dim)
+    vals = []
+    for r, c, v in generators:
+        full = np.zeros((dim, dim), dtype=v.dtype)
+        full[r, c] = v
+        vals.append(full[rows, cols])
+    p = weights
+    tot = p[rows] + p[cols]
+    w = np.zeros_like(tot)
+    np.divide((p[cols] - p[rows]) ** 2, tot, out=w, where=tot >= PAIR_FLOOR)
+    w = 4.0 * w
+    d = len(generators)
+    out = np.zeros((d, d))
+    for a in range(d):
+        for b in range(a, d):
+            out[a, b] = out[b, a] = float(np.sum(w * (vals[a] * vals[b].conj()).real))
+    return out
 
 
 def fit_frequency_oracle(h_mat, a_mat):

@@ -489,6 +489,16 @@ def test_qfi_matrix_matches_elementwise_reference():
     assert abs(m.matrix[0, 0]) < 1e-14
 
 
+def test_the_non_commuting_warning_points_at_the_caller():
+    _, _, spectral, ens, o_eig = two_qubit_case(field=0.5, beta=1.0)
+    z_total = spectral.to_eigenbasis(dense_preset("two-qubit", generator="uniform-z")[1])
+    gens, blocks = [z_total, o_eig], trivial_complete_set(spectral)
+    for route in (lambda: qfi_matrix(gens, ens), lambda: qfi_matrix_from_dynsym(blocks, ens, gens)):
+        with pytest.warns(RuntimeWarning, match="do not commute") as record:
+            route()
+        assert record[0].filename == __file__
+
+
 def test_qfi_matrix_commuting_pair_has_clean_flag():
     h_op, gen, spectral, ens, _ = two_qubit_case()
     z_total = spectral.to_eigenbasis(dense_preset("two-qubit", generator="uniform-z")[1])

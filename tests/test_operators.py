@@ -408,6 +408,21 @@ def test_at_on_an_operator_without_entries():
     assert got.tolist() == [0.0, 0.0]
 
 
+def test_entry_indices_are_int32_with_int64_keys():
+    dim = 2**31 - 1
+    op = SparseOperator(np.array([1, 2]), np.array([dim - 1, 0]), [1.0, 2.0], dim)
+    assert op.rows.dtype == op.cols.dtype == np.int32
+    assert op.at([2, 1, 0], [0, dim - 1, 0]).tolist() == [2.0, 1.0, 0.0]
+    # the order check is made on int64 keys: 2 * dim overflows int32
+    with pytest.raises(DomainError, match="ascending"):
+        SparseOperator([2, 1], [0, 0], [1.0, 1.0], dim)
+    for dim in (2**31, 2**40):
+        with pytest.raises(DomainError, match=r"below 2\*\*31"):
+            SparseOperator([0], [0], [1.0], dim)
+    assert SparseOperator.from_dense(np.eye(3)).rows.dtype == np.int32
+    assert SparseOperator.from_strings([PauliString(1.0, ((0, "x"),))], 2).cols.dtype == np.int32
+
+
 # ---------------------------------------------------------------------------
 # support detection
 

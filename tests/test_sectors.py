@@ -14,7 +14,9 @@ matrix, must give the pair set of the dense route.
 
 import math
 import tracemalloc
+import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from qfidyn import (
     eth_zero_frequency_correction,
     gibbs_weights,
     qfi_from_dynsym,
+    qfi_matrix,
     qfi_spectral,
     qfi_via_structure_factor,
     qfi_via_susceptibility,
@@ -50,6 +53,7 @@ from qfidyn import (
     susceptibility_comb,
     trivial_complete_set,
 )
+from qfidyn import operators
 from qfidyn.dynsym import default_omega_tol
 from qfidyn.models import preset, preset_operators, solve_preset
 from qfidyn.operators import GENERATOR_KINDS, SpinChainSpec, xx_hamiltonian_strings
@@ -58,6 +62,8 @@ from oracles import (
     cluster_oracle,
     eigenvector_matrix,
     eigh_thermal_state,
+    pair_sum_references,
+    qfi_matrix_reference,
     qfi_oracle,
     qv_oracle,
     random_hermitian,
@@ -299,6 +305,49 @@ def test_a_pair_set_certifies_only_operators_it_covers(params, beta):
         assert report.value <= direct + 1e-10 * max(1.0, direct)
         if report.saturated:
             assert close(report.value, direct, direct)
+
+
+def scalar_pair_sums(alpha):
+    """The six scalar routes that metrology forms in its one chunked pass,
+    each as a function of (op, ensemble); the skew information of order
+    alpha."""
+    return {
+        "qfi_spectral": qfi_spectral,
+        "qfi_via_susceptibility": qfi_via_susceptibility,
+        "qfi_via_structure_factor": qfi_via_structure_factor,
+        "skew_information": lambda op, ens: skew_information(op, ens, alpha),
+        "quantum_variance": quantum_variance,
+        "eth_qfi": eth_qfi,
+    }
+
+
+@given(params=case, beta=st.sampled_from(BETAS), alpha=st.sampled_from([0.25, 0.5, 0.9]))
+def test_chunked_pair_sums_are_the_whole_array_formulas_bit_for_bit(params, beta, alpha):
+    # every route sums one term array filled a chunk at a time, so at 7
+    # pairs a chunk and at the default (one chunk here) it returns the
+    # whole-array formula's value exactly
+    h, sets = block_case(**params)
+    spectral = diagonalize(h)
+    ens = gibbs_weights(spectral, beta)
+    rng = np.random.default_rng(params["seed"] + 4)
+    pair_sets = [
+        trivial_complete_set(spectral, op_eig=spectral.to_eigenbasis(
+            block_sparse_operator(rng, sets, params["is_complex"])))
+        for _ in range(2)
+    ]
+    gens = [(part.rows, part.cols, part.values) for part in pair_sets]
+    args = (ens.energies, ens.weights, ens.log_weights, beta, alpha)
+    want = pair_sum_references(*gens[0], *args)
+    want_matrix = qfi_matrix_reference(gens, ens.weights, spectral.dim)
+    routes = scalar_pair_sums(alpha)
+    for chunk in (7, operators._PAIR_CHUNK):
+        with mock.patch.object(operators, "_PAIR_CHUNK", chunk), warnings.catch_warnings():
+            # two random generators need not commute
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = {name: route(pair_sets[0], ens) for name, route in routes.items()}
+            assert got == want
+            matrix = qfi_matrix(pair_sets, ens).matrix
+        assert np.array_equal(matrix, want_matrix)
 
 
 def test_a_one_sided_entry_counts_for_coverage():
@@ -551,6 +600,28 @@ def test_the_pair_set_is_built_and_swept_within_its_memory_budget():
     keys = pairs.keys
     assert keys.dtype == np.int64
     assert np.array_equal(keys, pairs.rows.astype(np.int64) * pairs.dim + pairs.cols)
+
+
+def test_every_scalar_pair_sum_holds_one_term_array_beside_the_set(monkeypatch):
+    # each route fills one float64 term array, 8 B a pair, a chunk at a
+    # time: with 1,024-pair chunks its traced peak above the set stays within
+    # 8 B a pair + 256 KiB (whole-array gathers took up to 99 B a pair)
+    monkeypatch.setattr(operators, "_PAIR_CHUNK", 1024)
+    spectral, pairs, _ = solve_preset(preset("chain", sites=10))
+    ens = gibbs_weights(spectral, 1.0)
+    n = pairs.rows.size
+    assert n == 83_980
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, route in scalar_pair_sums(0.5).items():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            route(pairs, ens)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) <= 8 * n + 256 * 1024, peaks
 
 
 def test_staggered_generator_links_only_adjacent_sectors():
