@@ -25,7 +25,6 @@ from .metrology import (
     eth_qfi,
     eth_qfi_from_comb,
     eth_thermal_gap,
-    eth_zero_frequency_correction,
     qfi_from_dynsym,
     qfi_matrix,
     qfi_matrix_from_dynsym,
@@ -51,7 +50,6 @@ from .response import (
     comb_bound_check,
     response_comb,
     structure_factor_comb,
-    susceptibility_comb,
 )
 from .spectral import (
     BlockOperator,

@@ -13,7 +13,8 @@ mixing the two:
   |E_m - E_n - omega| <= omega_tol, where an exact eigenoperator has all
   of them, certifies the cut, and groups by frequency.  block_gram is a
   p_n-weighted sum over the positions the members hold, with the generator
-  joined there once per pair set.
+  joined there once per pair set; the Gram is made once per block, however
+  many generators are joined (_gram_and_correlators).
 * PairPartition stands for the eigenpair operators |E_m><E_n| at
   omega = E_m - E_n without materializing them.  It lists level pairs
   m <= n, each standing for (m, n) and its mirror (n, m), with the
@@ -214,10 +215,6 @@ class OperatorBlock(Frozen):
         self.__dict__.update(omega=float(omega), members=members, _joins={})
 
     @property
-    def size(self):
-        return len(self.members)
-
-    @property
     def dim(self):
         return self.members[0].dim
 
@@ -266,7 +263,7 @@ class PairPartition(Frozen):
     stands for both |E_m><E_n| and |E_n><E_m|.  labels[i] is the cluster of
     omega_mn = E_m - E_n, so the mirrored (n, m) lies in cluster
     K - 1 - labels[i].  rows, cols and labels are stored as int32, so dim
-    must be below 2**31; keys computes m * dim + n per pair.  values holds
+    must be below 2**31 (operators._keys gives m * dim + n).  values holds
     O_mn on the pairs when the set was built for an operator O
     (trivial_complete_set with op_eig), else None.
     """
@@ -336,16 +333,6 @@ class PairPartition(Frozen):
         self.__dict__.update(omegas=om, rows=rows, cols=cols, labels=labels, dim=dim,
                              values=values)
 
-    @property
-    def keys(self):
-        """m * dim + n over the pairs, as int64."""
-        return _keys(self.rows, self.cols, self.dim)
-
-    @property
-    def complete(self):
-        """True when the set holds every pair, so it spans operator space."""
-        return self.rows.size == self.dim * (self.dim + 1) // 2
-
     def _mirror(self, s, labels):
         """The cluster of each mirrored pair (n, m) of the pairs s, K for a
         diagonal pair, which has no mirror, written over labels, their own
@@ -380,17 +367,25 @@ class PairPartition(Frozen):
         out += back[:, :k]
         return out[0] if count is None else out
 
-    def aligned(self, op, name="operator"):
+    def aligned(self, op):
         """(values, covered): op's entries O_mn on this set's pairs, 0 where
         op has none, and whether every pair of op lies in the set, so that
-        op has no nonzero entry outside it.
+        op has no nonzero entry outside it.  Both pair lists ascend in
+        m * dim + n, so one searchsorted of op's keys places them all.
 
         op is a dense Hermitian eigenbasis matrix, certified here, or a
         PairPartition carrying values; for the set itself this is free.
         """
         if op is self and self.values is not None:
             return self.values, True
-        return _align(*_operator_pairs(op, self.dim, name), self.rows, self.cols, self.dim)
+        rows, cols, values = _operator_pairs(op, self.dim)
+        keys, onto = _keys(rows, cols, self.dim), _keys(self.rows, self.cols, self.dim)
+        pos = np.searchsorted(onto, keys)
+        found = pos < onto.size
+        found[found] = onto[pos[found]] == keys[found]
+        aligned = np.zeros(onto.size, dtype=values.dtype)
+        aligned[pos[found]] = values[found]
+        return aligned, bool(found.all())
 
     def cluster_weights(self, ensemble, values):
         """Mazur weight of every cluster for an operator with these values on
@@ -424,15 +419,6 @@ def _operator_pairs(op, dim, name="operator"):
     if op.values is None:
         raise DomainError(f"{name}: the pair set carries no operator values")
     return op.rows, op.cols, op.values
-
-
-def _align(rows, cols, values, onto_rows, onto_cols, dim):
-    """(aligned, covered): the values of the pairs (rows, cols) read at the
-    pairs (onto_rows, onto_cols), 0 where absent, and whether every pair
-    found its place; both pair lists ascend in m * dim + n."""
-    aligned = SparseOperator._trusted(rows, cols, values, dim).at(onto_rows, onto_cols)
-    onto = SparseOperator._trusted(onto_rows, onto_cols, np.ones(onto_rows.size), dim)
-    return aligned, bool(onto.at(rows, cols).all())
 
 
 def _dense(rows, cols, values, dim):
@@ -534,12 +520,12 @@ def _mirrored_clusters(half, tol):
     return (raw - raw[::-1]) / 2.0, bounds
 
 
-def _pair_set(op_eig, spectral, name="operator"):
+def _pair_set(op_eig, spectral):
     """op_eig as a weighted pair set: itself when it is one, else
     trivial_complete_set over its nonzero pairs at the default tolerance."""
     if not isinstance(op_eig, PairPartition):
         return trivial_complete_set(spectral, op_eig=op_eig)
-    _operator_pairs(op_eig, spectral.energies.size, name)
+    _operator_pairs(op_eig, spectral.energies.size)
     return op_eig
 
 
@@ -554,21 +540,19 @@ def _is_saturating(blocks, covered):
     return len(blocks) == 1 and isinstance(blocks[0], PairPartition) and covered
 
 
-def group_into_blocks(symmetries, omega_tol=None):
+def group_into_blocks(symmetries, omega_tol):
     """Cluster verified symmetries by frequency into OperatorBlocks.
 
     Representatives within omega_tol of zero are snapped to exactly 0.0 so
     conserved quantities land in a genuine zero block (fitted frequencies
-    carry rounding noise).  Default omega_tol is 1e-8 * max(1, |omega|_max).
+    carry rounding noise); verified_blocks passes the spectrum's
+    default_omega_tol.
     """
     symmetries = list(symmetries)
-    if omega_tol is not None:
-        omega_tol = _checked_omega_tol(omega_tol)
+    omega_tol = _checked_omega_tol(omega_tol)
     if not symmetries:
         return []
     omegas = np.array([s.omega for s in symmetries], dtype=float)
-    if omega_tol is None:
-        omega_tol = 1e-8 * max(1.0, float(np.abs(omegas).max()))
     reps, labels = cluster_values(omegas, omega_tol)
     blocks = []
     for k in range(reps.size):
@@ -628,16 +612,23 @@ def block_gram(block, ensemble, op_eig):
     A PairPartition's own Gram is diagonal, so its weights come from
     cluster_weights instead.
     """
+    gram, corr = _gram_and_correlators(block, ensemble, [op_eig])
+    return gram, corr[0]
+
+
+def _gram_and_correlators(block, ensemble, ops):
+    """block_gram against several operators: the Gram V once and one
+    correlator row per operator, stacked."""
     if not isinstance(block, OperatorBlock):
         raise DomainError(f"block_gram takes an OperatorBlock, got {type(block).__name__}")
     if block.dim != ensemble.dim:
         raise DomainError(f"block dim {block.dim} does not match ensemble dim {ensemble.dim}")
     _, cols, values = block._entries
     weighted = values.conj() * ensemble.weights[cols]
-    return weighted @ values.T, weighted @ block._joined(op_eig)
+    return weighted @ values.T, np.stack([weighted @ block._joined(op) for op in ops])
 
 
-def _pinv_quadratic(gram, rows, floor=0.0):
+def _pinv_quadratic(gram, rows, floor):
     """The matrix [c_a^dag V^+ c_b] over correlator rows c_a, with an
     eigendecomposition pseudo-inverse of the Gram V.
 
@@ -690,8 +681,8 @@ def mazur_weight(block, ensemble, op_eig):
     Gram directions at the rounding floor are dropped (_pinv_quadratic).
     A PairPartition's weights are its cluster_weights, one per cluster.
     """
-    gram, corr = block_gram(block, ensemble, op_eig)
-    return float(_pinv_quadratic(gram, corr[None, :], block._gram_floor)[0, 0].real)
+    gram, corr = _gram_and_correlators(block, ensemble, [op_eig])
+    return float(_pinv_quadratic(gram, corr, block._gram_floor)[0, 0].real)
 
 
 def projector_mazur_weight(ensemble, op_eig):

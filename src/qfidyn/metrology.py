@@ -46,12 +46,11 @@ from .dynsym import (
     _abs2,
     _block_list,
     _dense,
+    _gram_and_correlators,
     _is_saturating,
     _operator_pairs,
-    _pair_set,
     _pinv_quadratic,
     _thermal_mean,
-    block_gram,
 )
 from .errors import DomainError, NumericError
 from .operators import SparseOperator, _chunks, _key_union, _keys, _whole
@@ -291,9 +290,8 @@ def _bound_over_blocks(blocks, ensemble, generators, kind):
             c = _block_coefficient(coeff, ensemble.beta, block.omega)
             binned = np.zeros((len(ab), 1))
             if c != 0.0:
-                grams = [block_gram(block, ensemble, g) for g in generators]
-                corr = np.stack([row for _, row in grams])
-                quad = _pinv_quadratic(grams[0][0], corr, block._gram_floor).real
+                gram, corr = _gram_and_correlators(block, ensemble, generators)
+                quad = _pinv_quadratic(gram, corr, block._gram_floor).real
                 binned[:, 0] = [c * quad[a, b] for a, b in ab]
             omegas.append([block.omega])
         else:
@@ -449,10 +447,6 @@ class QfiMatrix(Frozen):
         m.setflags(write=False)
         self.__dict__.update(matrix=m, commuting=commuting)
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 def _check_commuting(gens):
     for (a, ga), (b, gb) in itertools.combinations(enumerate(gens), 2):
@@ -532,18 +526,6 @@ def eth_qfi_from_comb(comb):
     if comb.kind != "structure":
         raise DomainError(f"expected a structure comb, got kind {comb.kind!r}")
     return 2.0 * float(comb.total())
-
-
-def eth_zero_frequency_correction(op_eig, ensemble):
-    """The omega = 0 correction 4 (D_0^complete - <O>^2) separating eth_qfi
-    from the nonzero-frequency sum: eth_qfi = eth_lower_bound(trivial set)
-    + this value.  D_0^complete is the trivial set's zero-cluster weight,
-    degenerate pairs included."""
-    part = _pair_set(op_eig, ensemble)
-    weights = part.cluster_weights(ensemble, part.values)
-    d0 = float(weights[part.omegas == 0.0].sum())
-    mean = _thermal_mean(ensemble.weights, part.rows, part.cols, part.values)
-    return 4.0 * (d0 - mean**2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Delta-comb representations of thermal response functions.
 
 Finite systems have purely discrete spectra, so the dynamical response
-G(omega), the structure factor S(omega) and the dissipative susceptibility
-are sums of delta peaks.  A FrequencyComb stores the Kronecker-side weights
-(one finite number per frequency cluster); the Dirac-side densities follow
-from the documented conversion S(omega) = 2 pi sum_k s_k delta(omega - w_k),
-and likewise for the other kinds, so no 2 pi factors live in the data.
+G(omega) and the structure factor S(omega) are sums of delta peaks.  A
+FrequencyComb stores the Kronecker-side weights (one finite number per
+frequency cluster); the Dirac-side densities follow from the documented
+conversion S(omega) = 2 pi sum_k s_k delta(omega - w_k), and likewise for
+the response, so no 2 pi factors live in the data.  The dissipative
+susceptibility comb is the structure comb's weights times
+tanh(beta omega_k / 2), by the fluctuation-dissipation relation.
 
 Every comb bins its per-pair weights over a weighted pair set: the operator
 itself when it is one, else trivial_complete_set over its nonzero pairs with
 the same tolerance as the dynamical-symmetry machinery.  Comb frequencies
 therefore align bin-for-bin with the trivial complete set's cluster
 frequencies, and pairs where O_mn = 0, which carry no weight, are never
-visited.
+visited.  comb_bound_check matches every block frequency of a symmetry
+set to its nearest tooth in one search over the sorted teeth.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .dynsym import (
 )
 from .errors import DomainError, NumericError
 
-KINDS = ("response", "structure", "susceptibility")
+KINDS = ("response", "structure")
 
 # Rounding can push mathematically nonnegative weights slightly below zero;
 # values in [-NEG_WEIGHT_TOL, 0) are clamped to 0 and counted.
@@ -85,30 +88,27 @@ class FrequencyComb(Frozen):
         if dev > MIRROR_RTOL * max(1.0, scale):
             raise NumericError(f"structure comb weights asymmetric by {dev:.3e}")
 
-    @property
-    def size(self):
-        return self.omegas.size
-
     def total(self):
         """Sum of all weights."""
         return complex(self.weights.sum()).real
 
-    def weight_at(self, omega, tol=0.0):
-        """Weight at a frequency, 0 when absent; nearest match within tol."""
-        if self.size == 0:
-            return 0.0
-        i = int(np.argmin(np.abs(self.omegas - omega)))
-        if abs(self.omegas[i] - omega) <= tol:
-            return float(self.weights[i].real)
-        return 0.0
 
-
-def _comb_tanh(comb, beta):
-    """(nz, t): the comb's nonzero frequencies nz and tanh(beta omega_k / 2)
-    over them."""
-    nz = comb.omegas != 0.0
-    with np.errstate(over="ignore"):
-        return nz, np.tanh(beta * comb.omegas[nz] / 2.0)
+def _weights_at(comb, omegas, tol):
+    """The comb's weight at each frequency of the array omegas, 0 where no
+    tooth lies within tol: the tooth np.argmin of the distance over every
+    tooth picks, the first of any tie.  One searchsorted finds the tooth at
+    or above each frequency, which then steps down while the tooth below is
+    as near (rounded distances can tie over more than one step)."""
+    teeth = comb.omegas
+    if not teeth.size:
+        return np.zeros(omegas.size)
+    best = np.minimum(np.searchsorted(teeth, omegas), teeth.size - 1)
+    while True:
+        gap = np.abs(teeth[best] - omegas)
+        down = (best > 0) & (np.abs(teeth[best - 1] - omegas) <= gap)
+        if not down.any():
+            return np.where(gap <= tol, comb.weights.real[best], 0.0)
+        best[down] -= 1
 
 
 def response_comb(op_eig, ensemble):
@@ -154,20 +154,6 @@ def structure_factor_comb(op_eig, ensemble):
     return FrequencyComb(reps[keep], s[keep], "structure", clamped)
 
 
-def susceptibility_comb(op_eig, ensemble):
-    """Dissipative-susceptibility comb via the fluctuation-dissipation
-    relation: x(omega_k) = tanh(beta omega_k / 2) s(omega_k).
-
-    Entries mirror the structure comb's frequencies (so zeros are kept);
-    the omega = 0 entry is exactly 0.
-    """
-    s = structure_factor_comb(op_eig, ensemble)
-    nz, t = _comb_tanh(s, ensemble.beta)
-    factor = np.zeros_like(s.omegas)
-    factor[nz] = t
-    return FrequencyComb(s.omegas, factor * s.weights, "susceptibility", s.clamped)
-
-
 class BoundCheckReport(FrozenRecord):
     """Outcome of comparing a response comb against Mazur weights.
 
@@ -188,30 +174,31 @@ def comb_bound_check(comb, blocks, ensemble, op_eig):
 
     blocks is a PairPartition, or a list of OperatorBlocks and
     PairPartitions.  Block frequencies are matched to comb entries within
-    the shared clustering tolerance (an absent entry counts as g = 0).  A
-    violation beyond BOUND_CHECK_ATOL raises NumericError listing every offending
-    frequency; otherwise a BoundCheckReport is returned.
+    the shared clustering tolerance (an absent entry counts as g = 0), all
+    blocks at once (_weights_at).  A violation beyond BOUND_CHECK_ATOL
+    raises NumericError listing every offending frequency; otherwise a
+    BoundCheckReport is returned.
     """
     if comb.kind != "response":
         raise DomainError(f"bound check needs a response comb, got kind {comb.kind!r}")
     blocks = _block_list(blocks)
-    match_tol = default_omega_tol(ensemble.energies)
-    rows = []
+    omegas, mazur = [np.zeros(0)], [np.zeros(0)]
     covered = False
     for block in blocks:
         if isinstance(block, PairPartition):
             values, covered = block.aligned(op_eig)
-            weights = block.cluster_weights(ensemble, values)
-            items = zip(block.omegas.tolist(), weights.tolist())
+            omegas.append(block.omegas)
+            mazur.append(block.cluster_weights(ensemble, values))
         elif isinstance(block, OperatorBlock):
-            items = [(block.omega, mazur_weight(block, ensemble, op_eig))]
+            omegas.append([block.omega])
+            mazur.append([mazur_weight(block, ensemble, op_eig)])
         else:
             raise DomainError(f"unknown block type {type(block).__name__}")
-        for omega, d_k in items:
-            g = comb.weight_at(omega, tol=match_tol)
-            rows.append((float(omega), float(g), float(d_k), float(g - d_k)))
+    omegas, mazur = np.concatenate(omegas), np.concatenate(mazur)
+    g = _weights_at(comb, omegas, default_omega_tol(ensemble.energies))
+    rows = tuple(zip(omegas.tolist(), g.tolist(), mazur.tolist(), (g - mazur).tolist()))
     bad = [r for r in rows if r[3] < -BOUND_CHECK_ATOL]
     if bad:
         listing = "; ".join(f"omega={o:.6g}: g={g:.6e} < D={d:.6e}" for o, g, d, _ in bad)
         raise NumericError(f"response comb violates the Mazur bound at {listing}")
-    return BoundCheckReport(tuple(rows), _is_saturating(blocks, covered))
+    return BoundCheckReport(rows, _is_saturating(blocks, covered))

@@ -8,7 +8,9 @@ quadrature instead of closed forms.  No code is
 shared with the package beyond numpy itself.  pair_sum_references and
 qfi_matrix_reference are the exception to the different route: they keep the
 package's whole-array pair-sum formulas, so that its chunked pass can be
-checked against them bit for bit.
+checked against them bit for bit.  comb_weight_reference is another: the
+per-frequency nearest-tooth rule that comb_bound_check's one search must
+reproduce bit for bit.
 
 The oracles are slow and accuracy-limited by design; callers pick dimensions
 and temperatures inside each oracle's comfort zone (noted per function).
@@ -318,6 +320,18 @@ def qfi_matrix_reference(generators, weights, dim):
         for b in range(a, d):
             out[a, b] = out[b, a] = float(np.sum(w * (vals[a] * vals[b].conj()).real))
     return out
+
+
+def comb_weight_reference(omegas, weights, omega, tol):
+    """A comb's weight at one frequency, 0 when absent: the tooth np.argmin
+    of |omegas - omega| picks over every tooth (the first of any tie), when
+    it lies within tol."""
+    if omegas.size == 0:
+        return 0.0
+    i = int(np.argmin(np.abs(omegas - omega)))
+    if abs(omegas[i] - omega) <= tol:
+        return float(weights[i].real)
+    return 0.0
 
 
 def fit_frequency_oracle(h_mat, a_mat):

@@ -390,7 +390,7 @@ def test_the_cut_off_part_of_an_approximate_symmetry_is_certified():
         verified_blocks(h, spectral, [slight])
     # a wide enough shell certifies it
     (block,) = verified_blocks(h, spectral, [slight], omega_tol=1e-3)
-    assert block.size == 1
+    assert len(block.members) == 1
 
 
 @given(case=st.integers(4, 7).flatmap(

@@ -45,7 +45,15 @@ from oracles import (
     random_hermitian,
     thermal_state,
 )
-from test_sectors import BETAS, block_case, block_sparse_operator, case, chain, chain_case
+from test_sectors import (
+    BETAS,
+    block_case,
+    block_sparse_operator,
+    case,
+    chain,
+    chain_case,
+    pair_keys,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SMINUS = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -209,7 +217,7 @@ def test_default_omega_tol_scales_with_width():
 def test_trivial_set_partitions_all_pairs():
     _, _, spectral, _, _ = two_qubit_setup()
     part = trivial_complete_set(spectral)
-    assert part.complete and part.dim == 4
+    assert part.dim == 4
     assert part.labels.shape == (10,)  # the pairs m <= n of 4 levels
     omegas = part.omegas.tolist()
     assert omegas == sorted(omegas)
@@ -230,7 +238,7 @@ def test_trivial_set_complete_for_random_spectra(dim, seed):
     rng = np.random.default_rng(seed)
     spectral = diagonalize(random_hermitian(rng, dim))
     part = trivial_complete_set(spectral)
-    assert part.complete and part.dim == dim
+    assert part.dim == dim and part.rows.size == dim * (dim + 1) // 2
     assert np.count_nonzero(part.omegas == 0.0) == 1
     # every ordered pair lands in exactly one cluster, so the sizes add up
     ones = np.ones(part.rows.size)
@@ -250,12 +258,12 @@ def test_trivial_set_for_an_operator_holds_its_nonzero_pairs():
     full = trivial_complete_set(spectral)
     pairs = trivial_complete_set(spectral, op_eig=o_eig)
     upper = np.triu(o_eig != 0)
-    assert np.array_equal(pairs.keys, np.flatnonzero(upper))
+    assert np.array_equal(pair_keys(pairs), np.flatnonzero(upper))
     assert np.array_equal(pairs.values, o_eig[pairs.rows, pairs.cols])
-    assert not pairs.complete and pairs.rows.size < full.rows.size
+    assert pairs.rows.size < full.rows.size
     # the set clusters its own gaps: each pair's cluster frequency is the
     # full set's frequency of the same pair, and there are fewer clusters
-    at = np.searchsorted(full.keys, pairs.keys)
+    at = np.searchsorted(pair_keys(full), pair_keys(pairs))
     assert np.array_equal(pairs.omegas[pairs.labels], full.omegas[full.labels[at]])
     assert pairs.omegas.size < full.omegas.size
     with pytest.raises(DomainError):
@@ -265,7 +273,6 @@ def test_trivial_set_for_an_operator_holds_its_nonzero_pairs():
 def test_partition_bin_drops_left_out_pairs():
     # pairs (0, 1) and (1, 1) of dim 2; (0, 0) is left out
     part = PairPartition(np.array([-1.0, 0.0, 1.0]), [0, 1], [1, 1], [2, 1], 2)
-    assert not part.complete
     # (0, 1) -> cluster 2, its mirror (1, 0) -> cluster 0; (1, 1) has no mirror
     both = slice(0, 2)
     binned = part.bin_chunks([(both, np.array([10.0, 1000.0]), np.array([100.0, 7.0]))])
@@ -314,7 +321,7 @@ def test_partition_stores_int32_copies_of_its_indices():
             for name, arr in zip(("rows", "cols", "labels"), given):
                 got = getattr(part, name)
                 assert got.dtype == np.int32 and got is not arr and np.array_equal(got, arr)
-            assert part.keys.dtype == np.int64 and part.keys.tolist() == [0, 1]
+            assert pair_keys(part).tolist() == [0, 1]
     # an index is range-checked before it is narrowed: 2**32 + 1 would
     # wrap to the valid int32 index 1
     with pytest.raises(DomainError, match="0 <= m <= n < 3"):
@@ -325,7 +332,7 @@ def test_partition_stores_int32_copies_of_its_indices():
             PairPartition(OMEGAS, *GOOD_PAIRS[:3], dim)
     top = 2**31 - 2
     part = PairPartition(OMEGAS, [0, top], [top, top], [1, 1], top + 1)
-    assert part.keys.tolist() == [top, top * (top + 1) + top]
+    assert pair_keys(part).tolist() == [top, top * (top + 1) + top]
 
 
 def test_adopted_arrays_pass_the_same_checks():
@@ -342,7 +349,7 @@ def test_adopted_arrays_pass_the_same_checks():
     assert part.rows is rows and part.labels is labels
     assert not rows.flags.writeable and not part.values.flags.writeable
     copied = PairPartition(OMEGAS, *GOOD_PAIRS, values=[1.0, 2.0])
-    for name in ("omegas", "rows", "cols", "labels", "values", "keys"):
+    for name in ("omegas", "rows", "cols", "labels", "values", "dim"):
         assert np.array_equal(getattr(part, name), getattr(copied, name))
 
 
@@ -397,7 +404,7 @@ def test_a_partition_keeps_copies_of_the_caller_arrays():
     for name, want in zip(("omegas", "rows", "cols", "labels", "values"), kept):
         got = getattr(part, name)
         assert np.array_equal(got, want) and not got.flags.writeable
-    assert part.keys.tolist() == [0, 1]
+    assert pair_keys(part).tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -425,10 +432,14 @@ def test_group_into_blocks_snaps_near_zero_frequencies():
         DynamicalSymmetry(np.eye(2), 1e-12, 0.0),
         dynamical_symmetry(SZ, SMINUS),
     ]
-    blocks = group_into_blocks(syms)
+    blocks = group_into_blocks(syms, 1e-8)
     # the fitted 1e-12 is rounding noise and must land in a true zero block
     assert [b.omega for b in blocks] == [-2.0, 0.0]
-    assert group_into_blocks([]) == []
+    assert group_into_blocks([], 1e-8) == []
+    # the tolerance has no default of its own: verified_blocks passes the
+    # spectrum's default_omega_tol
+    with pytest.raises(TypeError):
+        group_into_blocks(syms)
 
 
 def test_verified_blocks_two_qubit_analytic_set():
@@ -436,7 +447,7 @@ def test_verified_blocks_two_qubit_analytic_set():
     ops = [op.dense() for op in two_qubit_symmetry_operators().values()]
     blocks = verified_blocks(h_op, spectral, ops)
     assert len(blocks) == 4
-    assert [b.size for b in blocks] == [2, 2, 2, 2]
+    assert [len(b.members) for b in blocks] == [2, 2, 2, 2]
     assert np.allclose(sorted(b.omega for b in blocks), [-3.0, -1.0, 1.0, 3.0])
 
 

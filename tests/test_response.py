@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qfidyn import (
     BoundCheckReport,
@@ -14,18 +16,24 @@ from qfidyn import (
     PairPartition,
     comb_bound_check,
     diagonalize,
-    eth_zero_frequency_correction,
     gibbs_weights,
     response_comb,
     structure_factor_comb,
-    susceptibility_comb,
     thermal_expectation,
     trivial_complete_set,
     verified_blocks,
 )
 from qfidyn.dynsym import default_omega_tol
 from qfidyn.models import preset, preset_operators, two_qubit_symmetry_operators
-from oracles import correlation_oracle, eigenvector_matrix, random_hermitian, thermal_state
+from qfidyn.operators import _keys
+from qfidyn.response import _weights_at
+from oracles import (
+    comb_weight_reference,
+    correlation_oracle,
+    eigenvector_matrix,
+    random_hermitian,
+    thermal_state,
+)
 
 
 def random_setup(rng, dim=8, beta=1.0):
@@ -63,7 +71,7 @@ def test_response_comb_keeps_a_zero_weight_omega_zero_tooth():
     zero = np.flatnonzero(comb.omegas == 0.0)
     assert zero.size == 1
     assert comb.weights[zero[0]] == 0.0
-    assert comb.size == 7  # every gap of the three levels, both signs, plus 0
+    assert comb.omegas.size == 7  # every gap of the three levels, both signs, plus 0
 
 
 def test_detailed_balance(rng):
@@ -73,7 +81,7 @@ def test_detailed_balance(rng):
     for omega, weight in zip(comb.omegas, comb.weights):
         if omega <= 0:
             continue
-        mirrored = comb.weight_at(-omega, tol=tol)
+        mirrored = comb_weight_reference(comb.omegas, comb.weights, -omega, tol)
         assert math.isclose(mirrored, math.exp(-0.9 * omega) * weight.real, rel_tol=1e-9)
 
 
@@ -91,7 +99,7 @@ def test_comb_fourier_transform_matches_time_oracle(rng):
 
 
 # ---------------------------------------------------------------------------
-# structure factor and susceptibility
+# structure factor
 
 def test_structure_factor_total_is_twice_connected_variance(rng):
     _, _, ens, o_eig = random_setup(rng)
@@ -106,29 +114,8 @@ def test_structure_factor_is_mirror_symmetric(rng):
     s = structure_factor_comb(o_eig, ens)
     assert np.array_equal(s.omegas, -s.omegas[::-1])
     assert np.allclose(s.weights, s.weights[::-1])
-    zero = s.weight_at(0.0)
+    zero = comb_weight_reference(s.omegas, s.weights, 0.0, 0.0)
     assert zero >= 0.0
-
-
-def test_susceptibility_is_odd_and_zero_at_origin(rng):
-    _, spectral, ens, o_eig = random_setup(rng, beta=1.7)
-    x = susceptibility_comb(o_eig, ens)
-    assert x.weight_at(0.0) == 0.0
-    tol = default_omega_tol(spectral.energies)
-    for omega, weight in zip(x.omegas, x.weights):
-        assert math.isclose(
-            x.weight_at(-omega, tol=tol), -weight.real, rel_tol=1e-9, abs_tol=1e-12
-        )
-    # omega > 0 entries carry the sign of tanh
-    positive = x.omegas > 0
-    assert np.all(x.weights[positive].real >= 0.0)
-
-
-def test_susceptibility_vanishes_at_beta_zero(rng):
-    spectral = diagonalize(random_hermitian(rng, 8))
-    ens = gibbs_weights(spectral, 0.0)
-    x = susceptibility_comb(spectral.to_eigenbasis(random_hermitian(rng, 8)), ens)
-    assert np.abs(x.weights).max() == 0.0
 
 
 def test_combs_cluster_a_dense_operator_as_its_pair_set(rng):
@@ -136,24 +123,21 @@ def test_combs_cluster_a_dense_operator_as_its_pair_set(rng):
     # default clusters, the ones its weighted pair set is built with
     _, spectral, ens, o_eig = random_setup(rng)
     pairs = trivial_complete_set(spectral, op_eig=o_eig)
-    for comb in (response_comb, structure_factor_comb, susceptibility_comb):
+    for comb in (response_comb, structure_factor_comb):
         dense, paired = comb(o_eig, ens), comb(pairs, ens)
         assert np.array_equal(dense.omegas, paired.omegas)
         assert np.array_equal(dense.weights, paired.weights)
-    calls = (
-        (response_comb, (o_eig, ens)),
-        (structure_factor_comb, (o_eig, ens)),
-        (susceptibility_comb, (o_eig, ens)),
-        (eth_zero_frequency_correction, (o_eig, ens)),
-    )
-    for fn, args in calls:
         with pytest.raises(TypeError):
-            fn(*args, omega_tol=1e-3)
+            comb(o_eig, ens, omega_tol=1e-3)
 
 
 def test_comb_rejects_unknown_kind():
     with pytest.raises(DomainError):
         FrequencyComb(np.array([0.0]), np.array([1.0]), "spectral")
+    # the susceptibility is tanh(beta omega / 2) times the structure weights,
+    # not a comb kind of its own
+    with pytest.raises(DomainError):
+        FrequencyComb(np.array([0.0]), np.array([0.0]), "susceptibility")
     # no comb has complex weights, so there is no cross kind
     with pytest.raises(DomainError):
         FrequencyComb(np.array([0.0]), np.array([1.0j]), "cross")
@@ -171,11 +155,39 @@ def test_comb_rejects_complex_or_negative_response_weights():
         FrequencyComb(np.array([1.0]), np.array([-1e-3]), "response")
 
 
-def test_comb_weight_at_and_prune():
-    comb = FrequencyComb(np.array([-1.0, 1.0]), np.array([0.5, 2.0]), "response")
-    assert comb.weight_at(1.0) == 2.0
-    assert comb.weight_at(0.9) == 0.0
-    assert comb.weight_at(0.9, tol=0.2) == 2.0
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True)
+
+
+@given(
+    teeth=st.lists(finite, max_size=12, unique=True),
+    queries=st.lists(finite, max_size=12),
+    tol=st.sampled_from([0.0, 1e-12, 0.1, 1.0, 1e4]),
+)
+def test_one_search_matches_every_frequency_as_argmin_does(teeth, queries, tol):
+    # the teeth, the midpoint of each neighbouring pair, frequencies below
+    # and above every tooth and arbitrary ones: one searchsorted must pick
+    # the tooth np.argmin over every tooth picks, ties to the lower one
+    omegas = np.sort(np.array(teeth, dtype=float))
+    comb = FrequencyComb(omegas, np.arange(1.0, omegas.size + 1.0), "response")
+    mids = (omegas[:-1] + omegas[1:]) / 2.0
+    ends = [omegas[0] - 1.0, omegas[-1] + 1.0] if omegas.size else [0.0]
+    at = np.concatenate([omegas, mids, ends, queries])
+    got = _weights_at(comb, at, tol)
+    want = [comb_weight_reference(comb.omegas, comb.weights, w, tol) for w in at.tolist()]
+    assert got.tolist() == want
+
+
+def test_one_search_follows_argmin_through_rounding_ties():
+    # 1 - 5 and (1 + 2**-52) - 5 both round to -4: argmin takes the first
+    # tooth, not the nearer neighbour, and so must the search
+    comb = FrequencyComb(np.array([1.0, 1.0 + 2.0**-52, 10.0]), np.array([1.0, 2.0, 3.0]), "response")
+    assert comb_weight_reference(comb.omegas, comb.weights, 5.0, 4.0) == 1.0
+    assert _weights_at(comb, np.array([5.0]), 4.0).tolist() == [1.0]
+    # an exact midpoint goes to the lower tooth; an empty comb gives 0
+    comb = FrequencyComb(np.array([0.0, 2.0]), np.array([1.0, 2.0]), "response")
+    assert _weights_at(comb, np.array([1.0]), 1.0).tolist() == [1.0]
+    empty = FrequencyComb(np.zeros(0), np.zeros(0), "response")
+    assert _weights_at(empty, np.array([0.0, 1.0]), 1.0).tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +233,8 @@ def test_bound_check_flags_inflated_block(rng):
     (m1, n1), (m2, n2) = np.argwhere(gaps > 0)[:2]
     # the cluster of (m, n) mirrors that of its pair (n, m) with n < m
     k = part.omegas.size
-    cluster = {(m, n): k - 1 - part.labels[np.searchsorted(part.keys, n * 4 + m)] for m, n in
+    keys = _keys(part.rows, part.cols, part.dim)
+    cluster = {(m, n): k - 1 - part.labels[np.searchsorted(keys, n * 4 + m)] for m, n in
                ((m1, n1), (m2, n2))}
     assert cluster[m1, n1] != cluster[m2, n2]
     members = []
@@ -255,3 +268,23 @@ def test_bound_check_equality_needs_one_complete_partition(rng):
     assert not comb_bound_check(comb, [exact], ens, o_eig).equality
     with pytest.raises(DomainError):
         comb_bound_check(comb, [42], ens, o_eig)
+
+
+def test_bound_check_on_a_generic_spectrum_gives_the_reference_rows(rng):
+    # generic H and O at dim 256: the set of all pairs has 65,261 clusters.
+    # O is zero on about half the pairs, so the comb lacks some of those
+    # frequencies and they read g = 0.  The rows are checked against the
+    # per-frequency argmin rule every 16th row: that rule scans every tooth
+    # for each row, which over all 65,261 rows takes seconds.
+    _, spectral, ens, o_eig = random_setup(rng, dim=256)
+    keep = np.triu(rng.random((256, 256)) < 0.5)
+    o_eig = np.where(keep | keep.T, o_eig, 0.0)
+    part = trivial_complete_set(spectral)
+    comb = response_comb(o_eig, ens)
+    report = comb_bound_check(comb, part, ens, o_eig)
+    assert [row[0] for row in report.rows] == part.omegas.tolist()
+    assert comb.omegas.size < part.omegas.size
+    tol = default_omega_tol(spectral.energies)
+    for omega, g, d_k, margin in report.rows[::16]:
+        assert g == comb_weight_reference(comb.omegas, comb.weights, omega, tol)
+        assert margin == g - d_k
