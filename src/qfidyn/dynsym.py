@@ -145,13 +145,16 @@ def _commutator(h, a):
 
 
 class DynamicalSymmetry(Frozen):
-    """A verified eigenoperator, held as given (a SparseOperator, a matrix or
-    an eigenbasis BlockOperator), with its fitted frequency and residual."""
+    """A verified eigenoperator, held as given (a SparseOperator or an
+    eigenbasis BlockOperator) or as a copy of a matrix, with its fitted
+    frequency and residual."""
 
     _fields = ("op", "omega", "residual")
 
     def __init__(self, op, omega, residual):
-        self.__dict__.update(op=op, omega=omega, residual=residual)
+        if not isinstance(op, (SparseOperator, BlockOperator)):
+            op = np.array(op)
+        self._set(op=op, omega=omega, residual=residual)
 
 
 def dynamical_symmetry(hamiltonian, op):
@@ -212,7 +215,7 @@ class OperatorBlock(Frozen):
             raise DomainError("a symmetry block needs at least one member")
         if len({m.dim for m in members}) != 1:
             raise DomainError("block members must share one dimension")
-        self.__dict__.update(omega=float(omega), members=members, _joins={})
+        self._set(omega=float(omega), members=members, _joins={})
 
     @property
     def dim(self):
@@ -234,7 +237,7 @@ class OperatorBlock(Frozen):
         cached = self._joins.get(id(op_eig))
         if cached is not None and cached[0] is op_eig:
             return cached[1]
-        pairs = SparseOperator._trusted(*_operator_pairs(op_eig, self.dim), self.dim)
+        pairs = SparseOperator._adopt(*_operator_pairs(op_eig, self.dim), self.dim)
         rows, cols, _ = self._entries
         joined = pairs.at(np.minimum(rows, cols), np.maximum(rows, cols))
         # a position below the diagonal reads the conjugate of its mirror
@@ -271,24 +274,13 @@ class PairPartition(Frozen):
     _fields = ("omegas", "rows", "cols", "labels", "dim", "values")
 
     def __init__(self, omegas, rows, cols, labels, dim, values=None):
-        self._freeze(omegas, rows, cols, labels, dim, values, copy=True)
+        self._freeze(*map(np.array, (omegas, rows, cols, labels)), dim,
+                     None if values is None else np.array(values))
 
-    @classmethod
-    def _adopt(cls, omegas, rows, cols, labels, dim, values=None):
-        """A partition over arrays that no caller can still write (made for
-        it, or another partition's): checked like any other, then frozen in
-        place instead of copied (index arrays only when they are int32)."""
-        self = cls.__new__(cls)
-        self._freeze(omegas, rows, cols, labels, dim, values, copy=False)
-        return self
-
-    def _freeze(self, omegas, rows, cols, labels, dim, values, copy):
-        """Validate the fields, then store them read-only: copies of the
-        caller's arrays when copy is set, else the arrays themselves."""
-        # np.asarray copies only to change a dtype; np.array(copy=None)
-        # would say the same, but NumPy before 2.0 rejects copy=None
-        conv = np.array if copy else np.asarray
-        om = conv(omegas, dtype=float)
+    def _freeze(self, omegas, rows, cols, labels, dim, values=None):
+        """Validate the fields, then store them; the index arrays as int32,
+        copied only when they are of another type."""
+        om = np.asarray(omegas, dtype=float)
         if (
             om.ndim != 1
             or om.size % 2 == 0
@@ -314,7 +306,7 @@ class PairPartition(Frozen):
         if labels.size and (labels.min() < 0 or labels.max() >= om.size):
             raise DomainError(f"labels must lie in [0, {om.size}), one cluster per pair")
         # in range, every index fits in int32
-        rows, cols, labels = (conv(f, dtype=np.int32) for f in fields)
+        rows, cols, labels = (np.asarray(f, dtype=np.int32) for f in fields)
         del fields
         for s in _chunks(rows.size):
             lo = max(s.start - 1, 0)
@@ -324,14 +316,10 @@ class PairPartition(Frozen):
             if np.any(keys[1:] <= keys[:-1]):
                 raise DomainError("pairs must be distinct and ascending in m * dim + n")
         if values is not None:
-            values = _real_if_exact(conv(values))
+            values = _real_if_exact(np.asarray(values))
             if values.shape != rows.shape:
                 raise DomainError("values must hold one entry per pair")
-        for arr in (om, rows, cols, labels, values):
-            if arr is not None:
-                arr.setflags(write=False)
-        self.__dict__.update(omegas=om, rows=rows, cols=cols, labels=labels, dim=dim,
-                             values=values)
+        self._set(omegas=om, rows=rows, cols=cols, labels=labels, dim=dim, values=values)
 
     def _mirror(self, s, labels):
         """The cluster of each mirrored pair (n, m) of the pairs s, K for a

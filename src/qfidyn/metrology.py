@@ -308,20 +308,19 @@ class QfiReport(Frozen):
     """A dynamical-symmetry QFI lower bound with its frequency breakdown.
 
     value is the bound; omegas holds the block frequencies, ascending, and
-    contributions the term 4 tanh^2(beta omega_k / 2) D_k at each;
-    per_frequency maps one to the other, built on first read.  saturated
-    marks a single PairPartition covering the generator, for which the
-    bound equals the QFI.
+    contributions the term 4 tanh^2(beta omega_k / 2) D_k at each, both
+    copied; per_frequency maps one to the other, a new dict on each read.
+    saturated marks a single PairPartition covering the generator, for
+    which the bound equals the QFI.
     """
 
     _fields = ("value", "omegas", "contributions", "saturated")
 
     def __init__(self, value, omegas, contributions, saturated):
-        self.__dict__.update(
-            value=value, omegas=omegas, contributions=contributions, saturated=saturated
-        )
+        self._set(value=value, omegas=np.array(omegas, dtype=float),
+                  contributions=np.array(contributions, dtype=float), saturated=saturated)
 
-    @cached_property
+    @property
     def per_frequency(self):
         return dict(zip(self.omegas.tolist(), self.contributions.tolist()))
 
@@ -432,7 +431,7 @@ class QfiMatrix(Frozen):
 
     _fields = ("matrix", "commuting")
 
-    def __init__(self, matrix, commuting=True):
+    def __init__(self, matrix, commuting):
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"QFI matrix must be square, got shape {m.shape}")
@@ -444,8 +443,7 @@ class QfiMatrix(Frozen):
             raise NumericError(
                 f"QFI matrix indefinite: eigenvalue {evals.min():.3e} against {scale:.3e}"
             )
-        m.setflags(write=False)
-        self.__dict__.update(matrix=m, commuting=commuting)
+        self._set(matrix=m, commuting=commuting)
 
 
 def _check_commuting(gens):
@@ -480,7 +478,7 @@ def qfi_matrix(generators, ensemble):
     dim = ensemble.dim
     gens, commuting = _generator_pairs(generators, dim)
     rows, cols = np.divmod(_key_union([_keys(r, c, dim) for r, c, _ in gens]), dim)
-    vals = [SparseOperator._trusted(*g, dim).at(rows, cols) for g in gens]
+    vals = [SparseOperator._adopt(*g, dim).at(rows, cols) for g in gens]
     out = np.zeros((len(gens),) * 2)
     for a, b in zip(*np.triu_indices(len(gens))):
         out[a, b] = out[b, a] = _pair_sum(lambda e, r, c: 4.0 * _qfi_pair_weights(e, r, c),
@@ -537,7 +535,7 @@ class WitnessReport(FrozenRecord):
     _fields = ("n_particles", "f_q", "depth")
 
     def __init__(self, n_particles, f_q, depth):
-        self.__dict__.update(n_particles=n_particles, f_q=f_q, depth=depth)
+        self._set(n_particles=n_particles, f_q=f_q, depth=depth)
 
 
 def entanglement_depth(qfi_value, n_particles):

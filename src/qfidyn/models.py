@@ -123,7 +123,7 @@ class ModelPreset(FrozenRecord):
     _fields = ("name", "spec", "generator")
 
     def __init__(self, name, spec, generator):
-        self.__dict__.update(name=name, spec=spec, generator=generator)
+        self._set(name=name, spec=spec, generator=generator)
 
 
 # The chain field 0.3 lifts all degeneracies between levels the staggered

@@ -185,7 +185,7 @@ class PauliString(FrozenRecord):
         sites = [s for s, _ in facs]
         if len(sites) != len(set(sites)):
             raise DomainError(f"repeated site index in factors {facs}")
-        self.__dict__.update(coefficient=coefficient, factors=tuple(sorted(facs)))
+        self._set(coefficient=coefficient, factors=tuple(sorted(facs)))
 
     def entries(self, n_sites):
         """Nonzero entries (rows, cols, values) of the matrix on n_sites,
@@ -245,38 +245,30 @@ class SparseOperator(Frozen):
     _fields = ("rows", "cols", "values", "dim")
 
     def __init__(self, rows, cols, values, dim):
-        rows, cols = (np.asarray(idx, dtype=np.intp) for idx in (rows, cols))
-        values, dim = np.asarray(values), int(dim)
+        rows, cols = (np.array(idx, dtype=np.intp) for idx in (rows, cols))
+        values, dim = np.array(values), int(dim)
         if not rows.ndim == 1 or not rows.shape == cols.shape == values.shape:
             raise DomainError("rows, cols and values must be 1-d arrays of one size")
         if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
             raise DomainError(f"entry index out of range for dim {dim}")
         if np.any(np.diff(_keys(rows, cols, dim)) <= 0):
             raise DomainError("entries must be distinct and ascending in row * dim + col")
-        self._set(rows, cols, values, dim)
+        self._freeze(rows, cols, values, dim)
 
-    def _set(self, rows, cols, values, dim):
+    def _freeze(self, rows, cols, values, dim):
+        """Store entries that meet the invariants (checked by __init__, by
+        construction in an _adopt call)."""
         if dim >= _INDEX_LIMIT:
             raise DomainError(f"dim must be below 2**31 for int32 entry indices, got {dim}")
         rows, cols = (np.asarray(idx, dtype=np.int32) for idx in (rows, cols))
-        values = _real_if_exact(values)
-        for arr in (rows, cols, values):
-            arr.setflags(write=False)
-        self.__dict__.update(rows=rows, cols=cols, values=values, dim=dim)
-
-    @classmethod
-    def _trusted(cls, rows, cols, values, dim):
-        """An instance from entries that meet the invariants by construction."""
-        op = object.__new__(cls)
-        op._set(rows, cols, values, dim)
-        return op
+        self._set(rows=rows, cols=cols, values=_real_if_exact(values), dim=dim)
 
     @classmethod
     def from_dense(cls, mat, what="operator"):
         """The nonzero entries of a square matrix (what, in errors), in its own type."""
         mat = _square(mat, what)
         rows, cols = np.nonzero(mat)
-        return cls._trusted(rows, cols, mat[rows, cols], mat.shape[0])
+        return cls._adopt(rows, cols, mat[rows, cols], mat.shape[0])
 
     @classmethod
     def from_strings(cls, strings, n_sites, hermitian=False):
@@ -304,7 +296,7 @@ class SparseOperator(Frozen):
         which, cols = np.nonzero(sums)
         rows = cols ^ masks[which, 0]
         order = np.argsort(_keys(rows, cols, dim))
-        return cls._trusted(rows[order], cols[order], sums[which, cols][order], dim)
+        return cls._adopt(rows[order], cols[order], sums[which, cols][order], dim)
 
     @property
     def shape(self):
@@ -379,7 +371,7 @@ class SpinChainSpec(FrozenRecord):
         coupling, field = float(coupling), float(field)
         if not (np.isfinite(coupling) and np.isfinite(field)):
             raise DomainError(f"coupling and field must be finite, got {coupling} and {field}")
-        self.__dict__.update(sites=sites, coupling=coupling, field=field, boundary=boundary)
+        self._set(sites=sites, coupling=coupling, field=field, boundary=boundary)
 
 
 def xx_hamiltonian_strings(spec):

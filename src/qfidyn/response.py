@@ -76,9 +76,7 @@ class FrequencyComb(Frozen):
                 )
         if kind == "structure":
             self._check_mirror(om, w, scale)
-        om.setflags(write=False)
-        w.setflags(write=False)
-        self.__dict__.update(omegas=om, weights=w, kind=kind, clamped=clamped)
+        self._set(omegas=om, weights=w, kind=kind, clamped=clamped)
 
     @staticmethod
     def _check_mirror(om, w, scale):
@@ -166,7 +164,7 @@ class BoundCheckReport(FrozenRecord):
     _fields = ("rows", "equality")
 
     def __init__(self, rows, equality):
-        self.__dict__.update(rows=rows, equality=equality)
+        self._set(rows=rows, equality=equality)
 
 
 def comb_bound_check(comb, blocks, ensemble, op_eig):

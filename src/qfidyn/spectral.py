@@ -267,7 +267,7 @@ class BlockOperator(Frozen):
     _fields = ("columns", "products", "dim", "dtype")
 
     def __init__(self, columns, products, dim, dtype):
-        self.__dict__.update(columns=columns, products=products, dim=dim, dtype=dtype)
+        self._set(columns=columns, products=products, dim=dim, dtype=dtype)
 
     def entries(self, shell=None):
         """The nonzero entries as a SparseOperator: every one, or with
@@ -292,7 +292,7 @@ class BlockOperator(Frozen):
             keys.append(_keys(rows_of[i], cols_of[j], self.dim))
             values.append(product[i, j])
             del product, i, j
-        return SparseOperator._trusted(*_in_key_order(keys, values, self.dim), self.dim)
+        return SparseOperator._adopt(*_in_key_order(keys, values, self.dim), self.dim)
 
     def dense(self):
         out = np.zeros((self.dim, self.dim), dtype=self.dtype)
@@ -411,27 +411,21 @@ class SpectralDecomposition(Frozen):
         whole = np.arange(e.size)
         self._freeze(e, [(whole, whole)], [u], [(0, None)], [0])
 
-    @classmethod
-    def _from_blocks(cls, energies, blocks, vectors, bases, group):
-        """A decomposition from solved blocks, trusted as given."""
-        self = cls.__new__(cls)
-        self._freeze(energies, blocks, vectors, bases, group)
-        return self
-
     def _freeze(self, energies, blocks, vectors, bases, group):
-        """Store the fields read-only; vectors[k] is block k's eigenvector
-        matrix over its own basis, bases[k] its (parity, basis) as
-        _parity_bases gives it, and group[k] the number of its basis set,
-        the sets numbered 0, 1, ... in order of first use."""
+        """Store the fields, and the arrays nested in them, read-only;
+        vectors[k] is block k's eigenvector matrix over its own basis,
+        bases[k] its (parity, basis) as _parity_bases gives it, and group[k]
+        the number of its basis set, the sets numbered 0, 1, ... in order of
+        first use."""
         if np.any(np.diff(energies) < 0):
             raise DomainError("energies must be sorted ascending")
         arrays = [idx for pair in blocks for idx in pair]
         arrays += [arr for _, basis in bases if basis is not None for arr in basis]
-        for arr in (energies, *vectors, *arrays):
+        for arr in (*vectors, *arrays):
             arr.setflags(write=False)
-        self.__dict__.update(energies=energies, energy_tol=default_energy_tol(energies),
-                             blocks=tuple(blocks), _vectors=tuple(vectors), _bases=tuple(bases),
-                             _group=tuple(group))
+        self._set(energies=energies, energy_tol=default_energy_tol(energies),
+                  blocks=tuple(blocks), _vectors=tuple(vectors), _bases=tuple(bases),
+                  _group=tuple(group))
 
     @property
     def dim(self):
@@ -559,7 +553,7 @@ def diagonalize(hamiltonian):
     starts = np.cumsum([0] + [e.size for e, _ in solved])
     blocks = [(rows, column[lo:hi]) for rows, lo, hi in zip(blocks, starts[:-1], starts[1:])]
     vectors = [v for _, v in solved]
-    return SpectralDecomposition._from_blocks(energies, blocks, vectors, bases, group)
+    return SpectralDecomposition._adopt(energies, blocks, vectors, bases, group)
 
 
 class ThermalEnsemble(Frozen):
@@ -578,13 +572,6 @@ class ThermalEnsemble(Frozen):
         self._freeze(beta, np.array(energies, dtype=float), np.array(weights, dtype=float),
                      np.array(log_weights, dtype=float), spectral)
 
-    @classmethod
-    def _from_arrays(cls, beta, energies, weights, log_weights, spectral):
-        """An ensemble over float64 arrays no one else writes, not copied."""
-        self = cls.__new__(cls)
-        self._freeze(beta, energies, weights, log_weights, spectral)
-        return self
-
     def _freeze(self, beta, e, w, lw, spectral):
         if not (e.shape == w.shape == lw.shape) or e.ndim != 1 or e.size == 0:
             raise DomainError("energies, weights and log_weights must share one 1-d shape")
@@ -595,10 +582,7 @@ class ThermalEnsemble(Frozen):
         # or infinite, fails it too
         if not (abs(total - 1.0) <= 1e-12 * e.size and w.min() >= 0):
             raise NumericError(f"thermal weights invalid: sum {total!r}, min {w.min()!r}")
-        for arr in (e, w, lw):
-            arr.setflags(write=False)
-        self.__dict__.update(beta=float(beta), energies=e, weights=w, log_weights=lw,
-                             spectral=spectral)
+        self._set(beta=float(beta), energies=e, weights=w, log_weights=lw, spectral=spectral)
 
     @property
     def dim(self):
@@ -631,7 +615,7 @@ def gibbs_weights(spectral, beta):
         shifted = -beta * (energies - energies.min())
         logw = shifted - float(np.logaddexp.reduce(shifted))
         weights = np.exp(logw)
-    return ThermalEnsemble._from_arrays(beta, energies, weights, logw, ref)
+    return ThermalEnsemble._adopt(beta, energies, weights, logw, ref)
 
 
 def thermal_expectation(op_eig, ensemble):

@@ -617,11 +617,11 @@ def test_qfi_matrix_validation(rng):
     with pytest.raises(DomainError):
         qfi_matrix([np.eye(5)], ens)
     with pytest.raises(NumericError):
-        QfiMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        QfiMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), True)
     with pytest.raises(NumericError):
-        QfiMatrix(np.diag([1.0, -1.0]))
+        QfiMatrix(np.diag([1.0, -1.0]), True)
     with pytest.raises(DomainError):
-        QfiMatrix(np.zeros((2, 3)))
+        QfiMatrix(np.zeros((2, 3)), True)
 
 
 # ---------------------------------------------------------------------------
