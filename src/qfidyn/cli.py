@@ -333,7 +333,7 @@ def cmd_verify(args):
             except NumericError as exc:
                 raise NumericError(f"operator {i}: {exc}") from None
         else:
-            member = spectral.to_eigenblocks(op)
+            member = spectral.to_eigenblocks(op).entries()
         try:
             cap, holds = _local_cap(support, member, pairs, ens)
             cap_text, holds_text = _format_cell(cap), _format_cell(holds)

@@ -199,18 +199,17 @@ class OperatorBlock(Frozen):
     """Explicit dynamical symmetries sharing one frequency.
 
     Each member is held as its eigenbasis entries, a SparseOperator: a
-    SparseOperator is taken as such, a matrix as its nonzero entries and a
-    BlockOperator as every nonzero entry of its products (verified_blocks
-    hands over entries already cut to their omega-shell).  block_gram reads
-    every member at the positions any member holds (_entries) and the
-    generator there (_joined).
+    SparseOperator is taken as such and a matrix as its nonzero entries; a
+    BlockOperator gives its own with entries(), and verified_blocks hands
+    over entries already cut to their omega-shell.  block_gram reads every
+    member at the positions any member holds (_entries) and the generator
+    there (_joined).
     """
 
     _fields = ("omega", "members")
 
     def __init__(self, omega, members):
-        members = tuple(m.entries() if isinstance(m, BlockOperator) else _operand(m, f"member {i}")
-                        for i, m in enumerate(members))
+        members = tuple(_operand(m, f"member {i}") for i, m in enumerate(members))
         if not members:
             raise DomainError("a symmetry block needs at least one member")
         if len({m.dim for m in members}) != 1:
@@ -709,7 +708,7 @@ def local_cap(a_loc, op, ensemble):
     # a dim that is not a power of 2 matches no chain: operator_support refuses it
     support = operator_support(a_op, dim.bit_length() - 1)
     to_eigenblocks = ensemble.spectral.to_eigenblocks
-    return _local_cap(support, to_eigenblocks(a_op), to_eigenblocks(o_op), ensemble)
+    return _local_cap(support, to_eigenblocks(a_op).entries(), to_eigenblocks(o_op), ensemble)
 
 
 def _local_cap(support, a_eig, o_eig, ensemble):

@@ -548,6 +548,8 @@ def entanglement_depth(qfi_value, n_particles):
     if n < 1:
         raise DomainError(f"need at least one particle, got {n}")
     f = float(qfi_value) / n
+    if not math.isfinite(f):
+        raise DomainError(f"QFI must be finite, got {qfi_value}")
     if f < -1e-12:
         raise DomainError(f"QFI must be nonnegative, got {qfi_value}")
     f = max(f, 0.0)

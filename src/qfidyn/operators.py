@@ -104,8 +104,11 @@ def _sites(n_sites):
 
 
 def _check_sites(n_sites):
-    """_sites, and DomainError above site_cap."""
+    """_sites, and DomainError above site_cap or, whatever the cap, at a dim
+    2^n that int32 indices cannot hold."""
     n = _sites(n_sites)
+    if n >= _INDEX_LIMIT.bit_length() - 1:
+        raise DomainError(f"{n} sites: dim 2**{n} is not below the int32 index limit 2**31")
     cap = site_cap()
     if n > cap:
         raise DomainError(

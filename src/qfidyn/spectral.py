@@ -26,8 +26,8 @@ An operator goes to the eigenbasis one linked block pair at a time,
 W_a^dag (B_a^T O B_b) W_b, over the ordered pairs (a, b) between whose
 components it has an entry (to_eigenblocks): B_a is block a's basis, so the
 middle factor is again summed from O's entries, and each product is made
-when it is read and never stored; to_eigenbasis scatters them into a dense
-matrix.  An operator with P O P = sigma O (sigma = +-1, to within
+on each call of BlockOperator.block and never stored; to_eigenbasis
+scatters them into a dense matrix.  An operator with P O P = sigma O (sigma = +-1, to within
 REFLECTION_RTOL) has no entry between parities whose product is -sigma, so
 those block pairs are never linked.  Selection-rule zeros, of S^z and of
 the reflection, are therefore exact: an eigenbasis entry between blocks the
@@ -42,7 +42,6 @@ weight ratios exact even when the weights themselves underflow.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from functools import cached_property
 
 import numpy as np
@@ -125,28 +124,6 @@ def _block_index(sets, dim):
     block_of[order] = np.repeat(np.arange(len(sets)), sizes)
     local[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return block_of, local
-
-
-class _Lazy(Mapping):
-    """A read-only mapping over fixed keys whose value at a key is
-    make(key), made on every read and never stored; make raises KeyError
-    off the keys."""
-
-    def __init__(self, keys, make):
-        # a dict keeps the keys' order and finds one in constant time
-        self._keys, self._make = dict.fromkeys(keys), make
-
-    def __getitem__(self, key):
-        return self._make(key)
-
-    def __contains__(self, key):
-        return key in self._keys
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self):
-        return len(self._keys)
 
 
 def _links(op, set_of, count):
@@ -258,25 +235,36 @@ def _on_states(vectors, basis):
 
 
 class BlockOperator(Frozen):
-    """An eigenbasis operator as dense blocks: products[(a, b)] is its
-    sub-matrix between the eigen-columns of blocks a and b (columns[a] and
-    columns[b], each ascending, together covering range(dim)), and every
-    entry outside these blocks is exactly 0.  products is any mapping;
-    to_eigenblocks gives one that makes each block when it is read."""
+    """An eigenbasis operator as dense blocks: for each linked pair (a, b)
+    of links, block(a, b) is its sub-matrix between the eigen-columns of
+    blocks a and b (columns[a] and columns[b], each ascending, together
+    covering range(dim)), and every entry outside these blocks is exactly
+    0.  SpectralDecomposition.to_eigenblocks makes one; it has no public
+    constructor."""
 
-    _fields = ("columns", "products", "dim", "dtype")
+    _fields = ("columns", "links", "dim", "dtype")
 
-    def __init__(self, columns, products, dim, dtype):
-        self._set(columns=columns, products=products, dim=dim, dtype=dtype)
+    def _freeze(self, columns, links, make, dim, dtype):
+        """Store the fields, with the columns arrays read-only; make(a, b)
+        makes the block of a linked pair."""
+        for cols in columns:
+            cols.setflags(write=False)
+        self._set(columns=tuple(columns), links=tuple(links), _make=make, dim=dim, dtype=dtype)
+
+    def block(self, a, b):
+        """The block of the linked pair (a, b); an operator of
+        to_eigenblocks makes it on each call and never stores it."""
+        return self._make(a, b)
 
     def entries(self, shell=None):
         """The nonzero entries as a SparseOperator: every one, or with
         shell = (energies, omega, tol) only those with E_n within tol of
-        E_m - omega.  Each product is read once.  A block's energies ascend,
+        E_m - omega.  Each block is made once.  A block's energies ascend,
         so a shell's window in each row is one searchsorted, and no mask of
         a whole product is made."""
         keys, values = [np.zeros(0, np.int64)], [np.zeros(0, self.dtype)]
-        for (a, b), product in self.products.items():
+        for a, b in self.links:
+            product = self.block(a, b)
             rows_of, cols_of = self.columns[a], self.columns[b]
             if shell is None:
                 i, j = np.nonzero(product)
@@ -296,23 +284,24 @@ class BlockOperator(Frozen):
 
     def dense(self):
         out = np.zeros((self.dim, self.dim), dtype=self.dtype)
-        for (a, b), block in self.products.items():
-            out[self.columns[a][:, None], self.columns[b]] = block
+        for a, b in self.links:
+            out[self.columns[a][:, None], self.columns[b]] = self.block(a, b)
         return out
 
     def pairs(self, name="operator"):
         """(rows, cols, values) over the pairs m <= n where O_mn or O_nm is
         nonzero, with the entries O_mn, ascending in m * dim + n; rows and
         cols are int32, so dim must be below 2**31.  Each block pair {a, b}
-        reads its two blocks (a diagonal one once), adds only a key
+        makes its linked blocks (a diagonal one once), adds only a key
         m * dim + n and a value per pair (_linked_entries) and drops them,
         and _in_key_order orders the pairs.  The operator is certified
         Hermitian by the eigenbasis rule of _require_hermitian on the way."""
         dev = scale = 0.0
         keys, values = [np.zeros(0, np.int64)], [np.zeros(0, self.dtype)]
-        for lo, hi in sorted({(min(a, b), max(a, b)) for a, b in self.products}):
-            fwd = self.products.get((lo, hi))
-            bwd = fwd if lo == hi else self.products.get((hi, lo))
+        linked = set(self.links)
+        for lo, hi in sorted({(min(a, b), max(a, b)) for a, b in linked}):
+            fwd = self.block(lo, hi) if (lo, hi) in linked else None
+            bwd = fwd if lo == hi else self.block(hi, lo) if (hi, lo) in linked else None
             if fwd is None:
                 fwd = np.zeros_like(bwd.T)
             if bwd is None:
@@ -337,7 +326,8 @@ def _eigen_operand(op, dim=None, name="operator"):
         mat = op.dense() if isinstance(op, SparseOperator) else op
         mat = _real_if_exact(np.array(_square(mat, name)))
         mat.setflags(write=False)
-        op = BlockOperator((np.arange(len(mat)),), {(0, 0): mat}, len(mat), mat.dtype)
+        op = BlockOperator._adopt((np.arange(len(mat)),), [(0, 0)], lambda a, b: mat,
+                                  len(mat), mat.dtype)
     if dim is not None and op.dim != dim:
         raise DomainError(f"{name} dim {op.dim} does not match dim {dim}")
     return op
@@ -449,11 +439,11 @@ class SpectralDecomposition(Frozen):
         """op (a matrix or a SparseOperator) in the eigenbasis as a
         BlockOperator: W_a^dag (B_a^T O B_b) W_b for every ordered block
         pair (a, b) between whose basis sets op has an entry, made on each
-        read and never stored.  When P O P = sigma O (_reflection_sign),
-        parity blocks a and b of parities with product -sigma are not
-        linked: their block is exactly 0.  Real vectors and an operator with
-        no imaginary part multiply in real arithmetic and give float64
-        blocks; otherwise they are complex."""
+        call of block and never stored.  When P O P = sigma O
+        (_reflection_sign), parity blocks a and b of parities with product
+        -sigma are not linked: their block is exactly 0.  Real vectors and
+        an operator with no imaginary part multiply in real arithmetic and
+        give float64 blocks; otherwise they are complex."""
         op = _operand(op)
         if op.shape[0] != self.dim:
             raise DomainError(f"operator dim {op.shape[0]} does not match dim {self.dim}")
@@ -469,15 +459,14 @@ class SpectralDecomposition(Frozen):
         ws = self._vectors
         bases = [basis for _, basis in self._bases]
 
-        def product(pair):
-            a, b = pair
+        def product(a, b):
             shape = (ws[a].shape[0], ws[b].shape[0])
-            block = _block_matrix(op, links[pair], local, (bases[a], bases[b]), shape)
+            block = _block_matrix(op, links[a, b], local, (bases[a], bases[b]), shape)
             return (ws[a].conj().T @ block) @ ws[b]
 
-        columns = tuple(cols for _, cols in self.blocks)
+        columns = [cols for _, cols in self.blocks]
         dtype = np.result_type(ws[0], op.dtype)
-        return BlockOperator(columns, _Lazy(links, product), self.dim, dtype)
+        return BlockOperator._adopt(columns, links, product, self.dim, dtype)
 
     def to_eigenbasis(self, op):
         """Conjugate an operator into the eigenbasis, V^dag O V, as a dense
@@ -627,9 +616,9 @@ def thermal_expectation(op_eig, ensemble):
     """
     op = _eigen_operand(op_eig, ensemble.dim)
     diagonal = np.zeros(ensemble.dim, dtype=op.dtype)
-    for a, cols in enumerate(op.columns):
-        if (a, a) in op.products:
-            diagonal[cols] = np.diagonal(op.products[a, a])
+    for a, b in op.links:
+        if a == b:
+            diagonal[op.columns[a]] = np.diagonal(op.block(a, a))
     val = complex(np.dot(ensemble.weights, diagonal))
     if abs(val.imag) <= 1e-12 * max(1.0, abs(val)):
         return val.real

@@ -552,22 +552,26 @@ def test_eigenbasis_block_operators_read_as_their_dense_matrices():
     flip = SparseOperator.from_strings([PauliString(1.0 - 0.5j, ((1, "+"), (2, "-")))], 6)
     ops = [preset_operators(model)[1], flip, h]
     blocks = [spectral.to_eigenblocks(op) for op in ops]
+    entries = [block.entries() for block in blocks]
     dense = [spectral.to_eigenbasis(op) for op in ops]
-    got, want = (mazur_weight(OperatorBlock(0.0, tuple(m)), ens, pairs) for m in (blocks, dense))
+    got, want = (mazur_weight(OperatorBlock(0.0, tuple(m)), ens, pairs) for m in (entries, dense))
     assert math.isclose(got, want, rel_tol=1e-12)
     total_z = spectral.to_eigenblocks(preset_operators(preset("chain", sites=6,
                                                               generator="uniform-z"))[1])
     got, want = (mazur_weight(OperatorBlock(0.0, (z, hh)), ens, pairs)
-                 for z, hh in ((total_z, blocks[2]), (total_z.dense(), dense[2])))
+                 for z, hh in ((total_z.entries(), entries[2]), (total_z.dense(), dense[2])))
     assert math.isclose(got, want, rel_tol=1e-12)
     for block, mat in zip(blocks, dense):
         assert abs(thermal_expectation(block, ens) - thermal_expectation(mat, ens)) <= 1e-12
-    # block and dense members mix; members of two dimensions do not
-    mixed = mazur_weight(OperatorBlock(0.0, (blocks[0], dense[1])), ens, pairs)
+    # entry and dense members mix; members of two dimensions do not, and a
+    # BlockOperator is a member only as its entries
+    mixed = mazur_weight(OperatorBlock(0.0, (entries[0], dense[1])), ens, pairs)
     assert math.isclose(mixed, mazur_weight(OperatorBlock(0.0, dense[:2]), ens, pairs),
                         rel_tol=1e-12)
     with pytest.raises(DomainError, match="one dimension"):
-        OperatorBlock(0.0, (blocks[0], np.eye(4)))
+        OperatorBlock(0.0, (entries[0], np.eye(4)))
+    with pytest.raises(DomainError, match="member 0 must be a matrix"):
+        OperatorBlock(0.0, (blocks[0],))
 
 
 @pytest.mark.parametrize("bad", ["x", None, object(), np.zeros(3)])
@@ -586,7 +590,7 @@ def assert_block_gram_is_the_oracle(spectral, site_members, o_site, beta):
     p = ens.weights
     o_dense = spectral.to_eigenbasis(o_site)
     pairs = trivial_complete_set(spectral, op_eig=spectral.to_eigenblocks(o_site))
-    block = OperatorBlock(1.0, tuple(spectral.to_eigenblocks(m) for m in site_members))
+    block = OperatorBlock(1.0, tuple(spectral.to_eigenblocks(m).entries() for m in site_members))
     dense = [spectral.to_eigenbasis(m) for m in site_members]
     gram, corr = block_gram(block, ens, pairs)
     want_gram, want_corr, want_floor = block_gram_oracle(dense, p, o_dense)

@@ -712,6 +712,9 @@ def test_entanglement_depth_boundaries():
     assert entanglement_depth(2.0, 2).depth == 1  # f = 1.0 certifies nothing
     assert entanglement_depth(7.0, 2).depth == 4  # f = 3.5
     assert entanglement_depth(0.0, 5).depth == 1
+    for value in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            entanglement_depth(value, 2)
 
 
 def test_entanglement_depth_tolerance_band():

@@ -23,6 +23,7 @@ from qfidyn.operators import (
     BOUNDARIES,
     GENERATOR_KINDS,
     SITE_CAP_ENV,
+    _check_sites,
     local_generator_strings,
     pauli_strings_to_records,
     site_cap,
@@ -510,6 +511,14 @@ def test_fractional_counts_are_refused(entry):
             build(count)
     got = build(4.0)
     assert got == 4 and type(got) is int
+
+
+def test_site_cap_stops_below_the_int32_index_limit(monkeypatch):
+    # only the count is checked: nothing of dim 2**31 is built
+    monkeypatch.setenv(SITE_CAP_ENV, "64")
+    assert _check_sites(30) == 30
+    with pytest.raises(DomainError, match=r"int32 index limit 2\*\*31"):
+        _check_sites(31)
 
 
 def test_site_cap_env_must_be_integer(monkeypatch):

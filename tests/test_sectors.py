@@ -25,7 +25,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qfidyn import (
-    BlockOperator,
     DomainError,
     NumericError,
     PauliString,
@@ -55,7 +54,7 @@ from qfidyn import operators
 from qfidyn.dynsym import default_omega_tol
 from qfidyn.models import preset, preset_operators, solve_preset
 from qfidyn.operators import GENERATOR_KINDS, SpinChainSpec, _keys, xx_hamiltonian_strings
-from qfidyn.spectral import _components
+from qfidyn.spectral import _components, _eigen_operand
 from oracles import (
     cluster_oracle,
     eigenvector_matrix,
@@ -171,8 +170,9 @@ def test_entry_block_finder_recovers_the_planted_blocks(params, layout):
     assert np.array_equal(eigenvector_matrix(dense), eigenvector_matrix(sparse))
     rng = np.random.default_rng(params["seed"] + 1)
     o = block_sparse_operator(rng, sets, params["is_complex"])
-    got = dense.to_eigenblocks(LAYOUTS[layout](o)).products
-    want = sparse.to_eigenblocks(SparseOperator.from_dense(o)).products
+    got, want = ({p: op.block(*p) for p in op.links}
+                 for op in (dense.to_eigenblocks(LAYOUTS[layout](o)),
+                            sparse.to_eigenblocks(SparseOperator.from_dense(o))))
     assert list(got) == list(want)
     for pair, block in want.items():
         assert got[pair].dtype == block.dtype and np.array_equal(got[pair], block)
@@ -475,9 +475,7 @@ def test_sector_native_routes_match_the_oracle(sites, field, boundary, kind):
 
 def test_a_one_sided_eigenbasis_entry_enters_the_set():
     # O_01 is exactly 0 while O_10 is 1e-14: the pair (0, 1) is O's, with value 0.0
-    within = BlockOperator(
-        (np.array([0, 1]),), {(0, 0): np.array([[1.0, 0.0], [1e-14, 2.0]])}, 2, np.float64
-    )
+    within = _eigen_operand(np.array([[1.0, 0.0], [1e-14, 2.0]]))
     # across blocks: the site-basis entry (1, 0) has no partner (0, 1)
     spectral = diagonalize(np.diag([0.0, 1.0, 3.0]))
     one_sided = SparseOperator([1, 1, 2, 2], [0, 2, 1, 2], [1e-14, 0.5, 0.5, 3.0], 3)
@@ -554,15 +552,12 @@ def test_preset_pair_sets_are_the_reference_bit_for_bit(sites, field, boundary, 
 
 def test_edge_pair_sets_are_the_reference_bit_for_bit():
     spectral = diagonalize(np.diag([0.0, 1.0, 3.0]))
-    columns = tuple(cols for _, cols in spectral.blocks)
-    empty = BlockOperator(columns, {}, 3, np.dtype(float))
+    empty = spectral.to_eigenblocks(SparseOperator([], [], [], 3))
     # O_01 is exactly 0 while O_10 is 1e-14, across blocks and within one
     across = spectral.to_eigenblocks(
         SparseOperator([1, 1, 2, 2], [0, 2, 1, 2], [1e-14, 0.5, 0.5, 3.0], 3)
     )
-    within = BlockOperator(
-        (np.array([0, 1]),), {(0, 0): np.array([[1.0, 0.0], [1e-14, 2.0]])}, 2, np.dtype(float)
-    )
+    within = _eigen_operand(np.array([[1.0, 0.0], [1e-14, 2.0]]))
     two = SimpleNamespace(energies=np.array([0.0, 1.0]))
     for levels, op in ((spectral, empty), (spectral, across), (two, within)):
         for given_op in (op, op.dense()):
