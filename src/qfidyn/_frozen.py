@@ -6,7 +6,8 @@ in _fields, in constructor order, and stores every field through _set,
 which makes each ndarray among them read-only; assigning or deleting an
 attribute afterwards raises AttributeError.  A public constructor copies
 the arrays it is given, so no caller keeps a writable handle on what an
-instance holds.  A package builder whose arrays no one else can write
+instance holds; a type that defines none has none, and calling it raises
+TypeError.  A package builder whose arrays no one else can write
 hands them over with _adopt instead: the type's _freeze runs the same
 checks on them and stores them through _set, frozen in place.  Arrays
 nested in a tuple field are frozen by the type that nests them.
@@ -21,6 +22,10 @@ import numpy as np
 
 class Frozen:
     _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        """A type with no public constructor of its own has none at all."""
+        raise TypeError(f"{type(self).__name__} has no public constructor")
 
     @classmethod
     def _adopt(cls, *fields):

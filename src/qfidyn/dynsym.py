@@ -4,8 +4,9 @@ The sign convention [H, A] = omega A is fixed package-wide: a raising
 eigenoperator (one that adds energy omega when applied to a state) carries
 positive omega.  Conserved quantities are the omega = 0 case.
 
-A symmetry set is a PairPartition, a list of OperatorBlocks, or a list
-mixing the two:
+A symmetry set is a PairPartition on its own or a list of OperatorBlocks
+at distinct frequencies (_symmetry_set): the symmetries at one frequency
+form one block, since two would count their shared span twice.
 
 * OperatorBlock holds explicit members sharing one frequency, each as a
   SparseOperator of its eigenbasis entries.  verified_blocks verifies each
@@ -20,8 +21,8 @@ mixing the two:
   m <= n, each standing for (m, n) and its mirror (n, m), with the
   frequency-cluster label of (m, n); the mirror lies in the sign-mirrored
   cluster.  Their Gram is diagonal, so every per-cluster sum is one pass
-  over the pairs (PairPartition.bin_chunks).  A pair is listed once, so no
-  pair can be counted twice.
+  over the pairs (PairPartition._cluster_sums).  A pair is listed once, so
+  no pair can be counted twice.
 
 The weighted pair set is the PairPartition that trivial_complete_set builds
 for a generator O: only the pairs with O_mn != 0, each with its entry O_mn,
@@ -61,9 +62,9 @@ import numpy as np
 
 from ._frozen import Frozen
 from .errors import DomainError, NumericError
-from .operators import _INDEX_LIMIT, SparseOperator, _chunks, _key_union, _keys, _operand
-from .operators import _real_if_exact, operator_support
-from .spectral import BlockOperator, _eigen_operand
+from .operators import _INDEX_LIMIT, SparseOperator, _chunks, _finite, _key_union, _keys
+from .operators import _operand, _real_if_exact, _whole, operator_support
+from .spectral import PAIR_WEIGHT_FLOOR, BlockOperator, _eigen_operand
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
 TAU_DYN = 1e-9
@@ -214,7 +215,10 @@ class OperatorBlock(Frozen):
             raise DomainError("a symmetry block needs at least one member")
         if len({m.dim for m in members}) != 1:
             raise DomainError("block members must share one dimension")
-        self._set(omega=float(omega), members=members, _joins={})
+        omega = float(omega)
+        if not math.isfinite(omega):
+            raise DomainError(f"block frequency must be finite, got {omega}")
+        self._set(omega=omega, members=members, _joins={})
 
     @property
     def dim(self):
@@ -274,7 +278,7 @@ class PairPartition(Frozen):
 
     def __init__(self, omegas, rows, cols, labels, dim, values=None):
         self._freeze(*map(np.array, (omegas, rows, cols, labels)), dim,
-                     None if values is None else np.array(values))
+                     None if values is None else _finite(np.array(values), "values"))
 
     def _freeze(self, omegas, rows, cols, labels, dim, values=None):
         """Validate the fields, then store them; the index arrays as int32,
@@ -289,11 +293,9 @@ class PairPartition(Frozen):
             raise DomainError(
                 "omegas must be strictly ascending and sign-symmetric about an exact 0.0"
             )
-        if int(dim) < 1:
-            raise DomainError(f"dim must be positive, got {dim}")
-        dim = int(dim)
-        if dim >= _INDEX_LIMIT:
-            raise DomainError(f"dim must be below 2**31 for int32 pair indices, got {dim}")
+        dim = _whole(dim, "dim")
+        if not 1 <= dim < _INDEX_LIMIT:
+            raise DomainError(f"dim must be positive and below 2**31 (int32 indices), got {dim}")
         fields = [np.asarray(f) for f in (rows, cols, labels)]
         if any(f.ndim != 1 or f.shape != fields[0].shape for f in fields):
             raise DomainError("rows, cols and labels must be 1-d arrays of one size")
@@ -329,30 +331,62 @@ class PairPartition(Frozen):
         labels[self.rows[s] == self.cols[s]] = k
         return labels
 
-    def bin_chunks(self, terms, count=None):
+    def bin_chunks(self, terms, count):
         """Per-cluster sums of real per-pair terms that come a chunk of pairs
-        at a time, as (s, forward[s], backward[s]) for consecutive slices s
+        at a time, as (s, forward[:, s], backward[:, s]) for consecutive slices s
         covering the pairs, so that no per-pair array outlives its chunk.
-        forward[i] is the term of (m, n) and goes to labels[i], backward[i]
-        is that of (n, m) and goes to the mirrored cluster; a diagonal
-        pair's backward term is dropped.  Returns an array of length K
-        aligned with omegas; with count set, forward and backward hold
-        count rows of terms, binned side by side into a (count, K) result.
+        forward and backward hold count rows of terms: forward[r, i] is a
+        term of (m, n) and goes to labels[i], backward[r, i] one of (n, m)
+        and goes to the mirrored cluster; a diagonal pair's backward terms
+        are dropped.  Returns the (count, K) sums, aligned with omegas.
         Each cluster adds its terms in pair order from 0.0, as np.bincount
         does, so the sums do not depend on the chunks."""
         k = self.omegas.size
-        n = 1 if count is None else count
-        out, back = np.zeros((n, k)), np.zeros((n, k + 1))
+        out, back = np.zeros((count, k)), np.zeros((count, k + 1))
         for s, forward, backward in terms:
             # the labels, then their mirrors, in one intp array
             index = self.labels[s].astype(np.intp)
-            for o, f in zip(out, forward.reshape(n, -1)):
+            for o, f in zip(out, forward.reshape(count, -1)):
                 np.add.at(o, index, f)
             self._mirror(s, index)
-            for bk, b in zip(back, backward.reshape(n, -1)):
+            for bk, b in zip(back, backward.reshape(count, -1)):
                 np.add.at(bk, index, b)
         out += back[:, :k]
-        return out[0] if count is None else out
+        return out
+
+    def _cluster_sums(self, ensemble, vals, ab, coeff=None):
+        """bin_chunks of c p_n Re[(O_a)_mn (O_b)_mn^*] for each pair (m, n)
+        and c p_m times the same for its mirror, one row per (a, b) in ab,
+        O_a having the values vals[a] (a = b takes _abs2, bit for bit the
+        |O_mn|^2 terms).  Without coeff c = 1; with it c is coeff of the
+        pair's _PairRatios, or 0 below PAIR_WEIGHT_FLOOR.  Each coefficient
+        is even in (t, x) and s is symmetric, so a mirror shares it."""
+        p, lw = ensemble.weights, ensemble.log_weights
+
+        # one call per chunk, so that its temporaries are freed before the
+        # terms are binned
+        def terms(s):
+            rows, cols = self.rows[s], self.cols[s]
+            pm, pn = p.take(rows), p.take(cols)
+            if coeff is not None:
+                tot = pn + pm
+                light = tot < PAIR_WEIGHT_FLOOR
+                np.copyto(tot, 1.0, where=light)
+                with np.errstate(invalid="ignore"):
+                    c = coeff(_PairRatios(lw, rows, cols, pm, pn, tot))
+                np.copyto(c, 0.0, where=light)  # c is a fresh array
+                pn *= c
+                pm *= c
+                del tot, light, c
+            cross = np.empty((len(ab), pn.size))
+            for row, (a, b) in zip(cross, ab):
+                if a == b:
+                    _abs2(vals[a][s], out=row)
+                else:
+                    row[:] = (vals[a][s] * vals[b][s].conj()).real
+            return s, cross * pn, np.multiply(cross, pm, out=cross)
+
+        return self.bin_chunks((terms(s) for s in _chunks(self.rows.size)), len(ab))
 
     def aligned(self, op):
         """(values, covered): op's entries O_mn on this set's pairs, 0 where
@@ -378,19 +412,46 @@ class PairPartition(Frozen):
         """Mazur weight of every cluster for an operator with these values on
         the set's pairs: the sum of p_n |O_mn|^2 over the cluster's ordered
         pairs, the Gram of eigenpair operators being diagonal."""
-        p = ensemble.weights
-
-        def terms(s):
-            abs2 = _abs2(values[s])
-            return s, p.take(self.cols[s]) * abs2, p.take(self.rows[s]) * abs2
-
-        return self.bin_chunks(terms(s) for s in _chunks(self.rows.size))
+        return self._cluster_sums(ensemble, (values,), [(0, 0)])[0]
 
 
-def _abs2(values):
-    """|values|^2, as np.abs(values) ** 2 gives it; for real values that is
-    their square, bit for bit, without the pass through np.abs."""
-    return np.square(values) if values.dtype.kind == "f" else np.abs(values) ** 2
+class _PairRatios:
+    """tanh x, sech x and x at x = beta omega_mn / 2 over a chunk of pairs,
+    from the weights: t = (p_n - p_m)/(p_n + p_m), s = 2 sqrt(p_n p_m)/(p_n
+    + p_m), x = (ln p_n - ln p_m)/2.  Each is formed on first use, in as few
+    arrays as it takes: most bound kinds read only one of them."""
+
+    def __init__(self, log_weights, rows, cols, pm, pn, tot):
+        self._lw, self._rows, self._cols = log_weights, rows, cols
+        self._pm, self._pn, self._tot = pm, pn, tot
+
+    @cached_property
+    def t(self):
+        t = self._pn - self._pm
+        t /= self._tot
+        return t
+
+    @cached_property
+    def s(self):
+        s = self._pn * self._pm
+        np.sqrt(s, out=s)
+        s *= 2.0
+        s /= self._tot
+        return s
+
+    @cached_property
+    def x(self):
+        x = self._lw.take(self._cols)
+        x -= self._lw.take(self._rows)
+        x /= 2.0
+        return x
+
+
+def _abs2(values, out=None):
+    """|values|^2, as np.abs(values) ** 2 gives it, into out if given; for
+    real values that is their square, bit for bit, without np.abs."""
+    mag = values if values.dtype.kind == "f" else np.abs(values, out=out)
+    return np.square(mag, out=out)
 
 
 def _operator_pairs(op, dim, name="operator"):
@@ -516,15 +577,22 @@ def _pair_set(op_eig, spectral):
     return op_eig
 
 
-def _block_list(blocks):
-    """A symmetry set as a list: a lone PairPartition becomes [partition]."""
-    return [blocks] if isinstance(blocks, PairPartition) else list(blocks)
-
-
-def _is_saturating(blocks, covered):
-    """True only for exactly one PairPartition that covers every nonzero
-    entry of the operator: the set for which every bound is an equality."""
-    return len(blocks) == 1 and isinstance(blocks[0], PairPartition) and covered
+def _symmetry_set(blocks):
+    """A symmetry set in one of its two forms: a PairPartition, returned as
+    it is, or OperatorBlocks with distinct frequencies, returned as a list
+    in the caller's order.  DomainError for anything else: a PairPartition
+    inside a list, an item that is no OperatorBlock, or two blocks at one
+    frequency, whose weights would count their shared span twice."""
+    if isinstance(blocks, PairPartition):
+        return blocks
+    blocks = list(blocks)
+    for i, block in enumerate(blocks):
+        if not isinstance(block, OperatorBlock):
+            raise DomainError(f"block {i}: a list holds OperatorBlocks only, got "
+                              f"{type(block).__name__}; a PairPartition is passed alone")
+    if len({block.omega for block in blocks}) != len(blocks):
+        raise DomainError("two blocks share a frequency; group_into_blocks makes them one")
+    return blocks
 
 
 def group_into_blocks(symmetries, omega_tol):
@@ -532,8 +600,8 @@ def group_into_blocks(symmetries, omega_tol):
 
     Representatives within omega_tol of zero are snapped to exactly 0.0 so
     conserved quantities land in a genuine zero block (fitted frequencies
-    carry rounding noise); verified_blocks passes the spectrum's
-    default_omega_tol.
+    carry rounding noise), all in one block; verified_blocks passes the
+    spectrum's default_omega_tol.  Each block keeps its members in order.
     """
     symmetries = list(symmetries)
     omega_tol = _checked_omega_tol(omega_tol)
@@ -541,12 +609,10 @@ def group_into_blocks(symmetries, omega_tol):
         return []
     omegas = np.array([s.omega for s in symmetries], dtype=float)
     reps, labels = cluster_values(omegas, omega_tol)
-    blocks = []
-    for k in range(reps.size):
-        members = [symmetries[i].op for i in np.flatnonzero(labels == k)]
-        omega = 0.0 if abs(reps[k]) <= omega_tol else float(reps[k])
-        blocks.append(OperatorBlock(omega, tuple(members)))
-    return blocks
+    reps[np.abs(reps) <= omega_tol] = 0.0
+    snapped = reps[labels]
+    return [OperatorBlock(omega, [symmetries[i].op for i in np.flatnonzero(snapped == omega)])
+            for omega in np.unique(reps).tolist()]
 
 
 def verified_blocks(hamiltonian, spectral, ops, omega_tol=None):

@@ -13,20 +13,19 @@ whose combined weight falls below PAIR_WEIGHT_FLOOR are skipped.
 Every total over the pairs that is not binned per cluster is one pass,
 _pair_sum: 8.4 to 9.3 B a pair above the set at 12 sites (tracemalloc).
 
-Lower bounds decompose over frequency blocks, each kind with one coefficient
-function of (t, s, x) = (tanh x, sech x, x) at x = beta omega / 2.  One
-engine forms them for a list of generators (_bound_over_blocks); the
-scalar bounds are its 1 x 1 case, so each is bit for bit the diagonal
-entry of the QFI-matrix bound.  A PairPartition evaluates the coefficient
-per pair from the weights themselves, t = (p_n - p_m)/(p_n + p_m),
-s = 2 sqrt(p_n p_m)/(p_n + p_m) and x = (ln p_n - ln p_m)/2, a chunk of
-pairs at a time, and sums each cluster in pair order
-(PairPartition.bin_chunks); this keeps the bounds exactly saturated for a
+Lower bounds decompose over the frequencies of a symmetry set (a
+PairPartition alone, or OperatorBlocks at distinct frequencies), each kind
+with one coefficient function of (t, s, x) = (tanh x, sech x, x) at
+x = beta omega / 2.  One engine forms them for a list of generators
+(_bound_over_blocks), one path per form of the set; the scalar bounds are
+its 1 x 1 case, so each is bit for bit the diagonal entry of the QFI-matrix
+bound.  A PairPartition evaluates the coefficient per pair from the
+weights themselves (dynsym._PairRatios) in the one binned pass that also
+gives its Mazur weights; this keeps the bounds exactly saturated for a
 complete set even when frequency clustering merges nearby gaps, the zero
 cluster included, and it is well defined at beta = inf where beta * omega
-arithmetic is not.  Explicit
-OperatorBlocks use their block frequency, which is the honest choice for a
-user-supplied symmetry set.
+arithmetic is not.  Explicit OperatorBlocks use their block frequency,
+which is the honest choice for a user-supplied symmetry set.
 """
 
 from __future__ import annotations
@@ -34,22 +33,19 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
 from ._frozen import Frozen, FrozenRecord
 from .dynsym import (
-    OperatorBlock,
     PairPartition,
     _abs2,
-    _block_list,
     _dense,
     _gram_and_correlators,
-    _is_saturating,
     _operator_pairs,
     _pinv_quadratic,
+    _symmetry_set,
     _thermal_mean,
 )
 from .errors import DomainError, NumericError
@@ -154,9 +150,9 @@ def _four_squared(a):
 
 
 # Coefficient of each bound kind as a function of r.t, r.s, r.x =
-# tanh x, sech x, x, as an array.  r forms each of them for one coefficient
-# alone, so a coefficient may overwrite the one it reads, and a temperature's
-# pass makes fewer temporaries.
+# tanh x, sech x, x, as arrays (dynsym._PairRatios).  r forms each of them
+# for one coefficient alone, so a coefficient may overwrite the one it
+# reads, and a temperature's pass makes fewer temporaries.
 _COEFFS = {
     "qfi": lambda r: _four_squared(r.t),
     "skew": lambda r: np.subtract(1.0, r.s, out=r.s),
@@ -182,126 +178,43 @@ def _block_coefficient(coeff, beta, omega):
         return float(coeff(SimpleNamespace(t=t, s=s, x=x)))
 
 
-class _PairRatios:
-    """t, s and x of the module docstring over a chunk of pairs (m, n),
-    each formed on first use, in as few arrays as it takes: most bound
-    kinds read only one of them."""
-
-    def __init__(self, log_weights, rows, cols, pm, pn, tot):
-        self._lw, self._rows, self._cols = log_weights, rows, cols
-        self._pm, self._pn, self._tot = pm, pn, tot
-
-    @cached_property
-    def t(self):
-        t = self._pn - self._pm
-        t /= self._tot
-        return t
-
-    @cached_property
-    def s(self):
-        s = self._pn * self._pm
-        np.sqrt(s, out=s)
-        s *= 2.0
-        s /= self._tot
-        return s
-
-    @cached_property
-    def x(self):
-        x = self._lw.take(self._cols)
-        x -= self._lw.take(self._rows)
-        x /= 2.0
-        return x
-
-
-def _coefficient_chunks(coeff, ensemble, part):
-    """(s, forward, backward) for each chunk s of part's pairs: coeff p_n
-    for each pair (m, n) and coeff p_m for its mirror, 0 below
-    PAIR_WEIGHT_FLOOR, with coeff of (t, s, x) taken from the weights
-    (module docstring).  Every coefficient is even in (t, x), and s is
-    symmetric, so the mirror shares the coefficient of its pair."""
-    p, lw = ensemble.weights, ensemble.log_weights
-
-    # one call per chunk, so that its temporaries are freed before the
-    # terms are used
-    def terms(s):
-        rows, cols = part.rows[s], part.cols[s]
-        pm, pn = p.take(rows), p.take(cols)
-        tot = pn + pm
-        light = tot < PAIR_WEIGHT_FLOOR
-        np.copyto(tot, 1.0, where=light)
-        with np.errstate(invalid="ignore"):
-            c = coeff(_PairRatios(lw, rows, cols, pm, pn, tot))
-        # every coefficient is a fresh array, zeroed in place where light
-        np.copyto(c, 0.0, where=light)
-        pn *= c
-        pm *= c
-        return s, pn, pm
-
-    return (terms(s) for s in _chunks(part.rows.size))
-
-
-def _cross_terms(chunks, vals, ab):
-    """(s, forward, backward) of each coefficient chunk times
-    Re[(O_a)_mn (O_b)_mn^*], one row per generator pair (a, b) in ab, the
-    backward terms written over the cross terms; a = b takes _abs2, so that
-    one generator's terms are its |O_mn|^2 terms bit for bit."""
-    for s, forward, backward in chunks:
-        cross = np.empty((len(ab), forward.size))
-        for row, (a, b) in zip(cross, ab):
-            va = vals[a][s]
-            row[:] = _abs2(va) if a == b else (va * vals[b][s].conj()).real
-        # rebound, so that the chunk's own terms are freed before binning
-        forward, backward = cross * forward, np.multiply(cross, backward, out=cross)
-        yield s, forward, backward
-
-
 def _bound_over_blocks(blocks, ensemble, generators, kind):
     """The frequency-block engine: sum_k coefficient(omega_k) [D_k]_ab over
-    blocks for each generator pair (a, b), a <= b, row by row as
-    np.triu_indices lists them; [D_k]_ab is the block's Gram-orthogonalized
-    cross correlator, the Mazur weight D_k when a = b.  The QFI-matrix
-    bound reads every pair; a scalar bound is the 1 x 1 case, one generator
-    and row 0.
+    the frequencies of a symmetry set for each generator pair (a, b),
+    a <= b, row by row as np.triu_indices lists them; [D_k]_ab is the
+    Gram-orthogonalized cross correlator, the Mazur weight D_k when a = b.
+    The QFI-matrix bound reads every pair; a scalar bound is the 1 x 1 case.
 
-    An explicit block at omega = 0 contributes 0 for every kind, and so
-    does a PairPartition's zero cluster for the kinds in
-    _NONZERO_FREQUENCIES_ONLY; for the others it holds the terms of the
-    gaps clustered to 0, each 0 at an exact degeneracy.  Blocks sharing a frequency add up in block order, and each
-    total is the Python sum of its row, so every pair is summed alike.
-    Returns (totals, the block frequencies ascending, the contributions at
-    each, one row per pair, saturated flag).
+    A PairPartition gives one column per cluster; its zero cluster
+    contributes 0 for the kinds in _NONZERO_FREQUENCIES_ONLY, and for the
+    others holds the terms of the gaps clustered to 0, each 0 at an exact
+    degeneracy.  Explicit blocks give one column each, ascending in
+    frequency; one at omega = 0 contributes 0.  Each total is the Python
+    sum of its row.  Returns (totals, frequencies, contributions, one row
+    per pair, saturated: a PairPartition covering every generator).
     """
     coeff = _COEFFS[kind]
-    blocks = _block_list(blocks)
+    blocks = _symmetry_set(blocks)
     d = len(generators)
     ab = [(a, b) for a in range(d) for b in range(a, d)]
-    omegas, terms = [np.zeros(0)], [np.zeros((len(ab), 0))]
-    covered = False
-    for block in blocks:
-        if isinstance(block, PairPartition):
-            vals, covers = zip(*(block.aligned(g) for g in generators))
-            covered = all(covers)
-            chunks = _coefficient_chunks(coeff, ensemble, block)
-            binned = block.bin_chunks(_cross_terms(chunks, vals, ab), len(ab))
-            if kind in _NONZERO_FREQUENCIES_ONLY:
-                binned[:, block.omegas == 0.0] = 0.0
-            omegas.append(block.omegas)
-        elif isinstance(block, OperatorBlock):
+    if isinstance(blocks, PairPartition):
+        vals, covers = zip(*(blocks.aligned(g) for g in generators))
+        omegas, saturated = blocks.omegas, all(covers)
+        summed = blocks._cluster_sums(ensemble, vals, ab, coeff)
+        if kind in _NONZERO_FREQUENCIES_ONLY:
+            summed[:, omegas == 0.0] = 0.0
+    else:
+        blocks = sorted(blocks, key=lambda block: block.omega)
+        omegas, saturated = np.array([block.omega for block in blocks], dtype=float), False
+        summed = np.zeros((len(ab), len(blocks)))
+        for k, block in enumerate(blocks):
             c = _block_coefficient(coeff, ensemble.beta, block.omega)
-            binned = np.zeros((len(ab), 1))
             if c != 0.0:
                 gram, corr = _gram_and_correlators(block, ensemble, generators)
                 quad = _pinv_quadratic(gram, corr, block._gram_floor).real
-                binned[:, 0] = [c * quad[a, b] for a, b in ab]
-            omegas.append([block.omega])
-        else:
-            raise DomainError(f"unknown block type {type(block).__name__}")
-        terms.append(binned)
-    keys, inverse = np.unique(np.concatenate(omegas), return_inverse=True)
-    summed = np.array([np.bincount(inverse, t, minlength=keys.size)
-                       for t in np.concatenate(terms, axis=1)])
+                summed[:, k] = [c * quad[a, b] for a, b in ab]
     totals = [float(sum(row.tolist())) for row in summed]
-    return totals, keys, summed, _is_saturating(blocks, covered)
+    return totals, omegas, summed, saturated
 
 
 class QfiReport(Frozen):
@@ -328,10 +241,12 @@ class QfiReport(Frozen):
 def qfi_from_dynsym(blocks, ensemble, op_eig):
     """QFI lower bound sum_k 4 tanh^2(beta omega_k / 2) D_k(O).
 
-    blocks is a PairPartition, or a list of OperatorBlocks and
-    PairPartitions.  Equality holds for the trivial complete set alone
-    (saturated flag); any verified subset yields a certified lower bound.
-    Conserved quantities (omega = 0) contribute nothing.
+    blocks is a PairPartition alone, or a list of OperatorBlocks at
+    distinct frequencies (as group_into_blocks makes); anything else raises
+    DomainError.  Equality holds for a PairPartition covering O, such as the
+    trivial complete set (saturated flag); any verified subset yields a
+    certified lower bound.  Conserved quantities (omega = 0) contribute
+    nothing.
     """
     totals, omegas, summed, saturated = _bound_over_blocks(blocks, ensemble, [op_eig], "qfi")
     return QfiReport(totals[0], omegas, summed[0], saturated)
@@ -491,10 +406,11 @@ def qfi_matrix_from_dynsym(blocks, ensemble, generators):
     sum_k 4 tanh^2(beta omega_k / 2) Re[D_k] with
     [D_k]_ab the block's Gram-orthogonalized cross correlators.
 
-    Equals qfi_matrix for the trivial complete set; any verified set gives a
-    matrix M with qfi_matrix - M positive semidefinite.  A PairPartition
-    block sums over its own pairs, so a generator entry outside it is left
-    out.  qfi_from_dynsym is the 1 x 1 case of the same engine
+    blocks takes the two forms of qfi_from_dynsym.  Equals qfi_matrix for
+    the trivial complete set; any verified set gives a matrix M with
+    qfi_matrix - M positive semidefinite.  A PairPartition sums over its
+    own pairs, so a generator entry outside it is left out.
+    qfi_from_dynsym is the 1 x 1 case of the same engine
     (_bound_over_blocks), so each diagonal entry is that bound bit for bit.
     """
     generators = list(generators)
@@ -547,7 +463,10 @@ def entanglement_depth(qfi_value, n_particles):
     n = _whole(n_particles, "number of particles")
     if n < 1:
         raise DomainError(f"need at least one particle, got {n}")
-    f = float(qfi_value) / n
+    try:
+        f = float(qfi_value) / n
+    except OverflowError:
+        f = math.inf
     if not math.isfinite(f):
         raise DomainError(f"QFI must be finite, got {qfi_value}")
     if f < -1e-12:

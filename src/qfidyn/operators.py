@@ -119,15 +119,23 @@ def _check_sites(n_sites):
 
 
 def _square(op, what="operator"):
-    """A bare square array as float64, or as complex128 when it is complex;
-    DomainError for anything else."""
+    """A bare square array of finite entries as float64, or as complex128
+    when it is complex; DomainError for anything else."""
     try:
         arr = np.asarray(op, dtype=complex if np.iscomplexobj(op) else float)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be a matrix, got {type(op).__name__}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DomainError(f"{what} must be a square matrix, got shape {arr.shape}")
-    return arr
+    return _finite(arr, what)
+
+
+def _finite(values, what):
+    """The array values, or DomainError unless its entries are numbers and
+    none is NaN or infinite."""
+    if values.dtype.kind not in "biufc" or not np.isfinite(values).all():
+        raise DomainError(f"{what} must be finite numbers, got a NaN, inf or non-number")
+    return values
 
 
 def _operand(op, what="operator"):
@@ -151,16 +159,17 @@ def _hermitian_deviation(mat, partner):
     dev = scale = 0.0
     for lo in range(0, mat.shape[0], step):
         rows = mat[lo : lo + step]
-        scale = max(scale, float(np.abs(rows).max()))
-        dev = max(dev, float(np.abs(rows - partner[:, lo : lo + step].conj().T).max()))
-    return dev, scale
+        scale = np.maximum(scale, np.abs(rows).max())  # keeps a NaN
+        dev = np.maximum(dev, np.abs(rows - partner[:, lo : lo + step].conj().T).max())
+    return float(dev), float(scale)
 
 
 def _require_hermitian(dev, scale, name, rtol=1e-10):
     """DomainError unless max |M - M^dag| = dev lies within rtol of
-    max(1, scale), scale = max |M|.  The default rtol is the eigenbasis
-    rule: rounding costs an eigenbasis operator a little Hermiticity."""
-    if dev > rtol * max(1.0, scale):
+    max(1, scale), scale = max |M|; a NaN dev never does.  The default rtol
+    is the eigenbasis rule: rounding costs an eigenbasis operator a little
+    Hermiticity."""
+    if not dev <= rtol * max(1.0, scale):
         raise DomainError(
             f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} against scale {scale:.3e}"
         )
@@ -248,10 +257,14 @@ class SparseOperator(Frozen):
     _fields = ("rows", "cols", "values", "dim")
 
     def __init__(self, rows, cols, values, dim):
-        rows, cols = (np.array(idx, dtype=np.intp) for idx in (rows, cols))
-        values, dim = np.array(values), int(dim)
+        rows, cols, values = (np.array(a) for a in (rows, cols, values))
+        dim = _whole(dim, "dim")
         if not rows.ndim == 1 or not rows.shape == cols.shape == values.shape:
             raise DomainError("rows, cols and values must be 1-d arrays of one size")
+        if rows.size and not all(np.issubdtype(idx.dtype, np.integer) for idx in (rows, cols)):
+            raise DomainError("rows and cols must be integers")
+        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+        _finite(values, "values")
         if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= dim):
             raise DomainError(f"entry index out of range for dim {dim}")
         if np.any(np.diff(_keys(rows, cols, dim)) <= 0):

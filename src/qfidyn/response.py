@@ -24,11 +24,9 @@ import numpy as np
 
 from ._frozen import Frozen, FrozenRecord
 from .dynsym import (
-    OperatorBlock,
     PairPartition,
-    _block_list,
-    _is_saturating,
     _pair_set,
+    _symmetry_set,
     _thermal_mean,
     default_omega_tol,
     mazur_weight,
@@ -156,8 +154,8 @@ class BoundCheckReport(FrozenRecord):
     """Outcome of comparing a response comb against Mazur weights.
 
     rows holds (omega_k, g, D_k, margin) with margin = g - D_k, one row per
-    OperatorBlock and per partition cluster; equality is set when the
-    blocks are one pair partition alone that covers every nonzero entry of
+    partition cluster or per OperatorBlock, in the order given; equality is
+    set when the set is a pair partition that covers every nonzero entry of
     the operator, in which case every margin is zero up to rounding.
     """
 
@@ -170,33 +168,28 @@ class BoundCheckReport(FrozenRecord):
 def comb_bound_check(comb, blocks, ensemble, op_eig):
     """Certify g(omega_k) >= D_k(O) for every block against a response comb.
 
-    blocks is a PairPartition, or a list of OperatorBlocks and
-    PairPartitions.  Block frequencies are matched to comb entries within
-    the shared clustering tolerance (an absent entry counts as g = 0), all
-    blocks at once (_weights_at).  A violation beyond BOUND_CHECK_ATOL
-    raises NumericError listing every offending frequency; otherwise a
+    blocks is a PairPartition on its own, or a list of OperatorBlocks at
+    distinct frequencies, as for qfi_from_dynsym (DomainError otherwise).
+    Block frequencies are matched to comb entries within the shared
+    clustering tolerance (an absent entry counts as g = 0), all blocks at
+    once (_weights_at).  A violation beyond BOUND_CHECK_ATOL raises
+    NumericError listing every offending frequency; otherwise a
     BoundCheckReport is returned.
     """
     if comb.kind != "response":
         raise DomainError(f"bound check needs a response comb, got kind {comb.kind!r}")
-    blocks = _block_list(blocks)
-    omegas, mazur = [np.zeros(0)], [np.zeros(0)]
-    covered = False
-    for block in blocks:
-        if isinstance(block, PairPartition):
-            values, covered = block.aligned(op_eig)
-            omegas.append(block.omegas)
-            mazur.append(block.cluster_weights(ensemble, values))
-        elif isinstance(block, OperatorBlock):
-            omegas.append([block.omega])
-            mazur.append([mazur_weight(block, ensemble, op_eig)])
-        else:
-            raise DomainError(f"unknown block type {type(block).__name__}")
-    omegas, mazur = np.concatenate(omegas), np.concatenate(mazur)
+    blocks = _symmetry_set(blocks)
+    if isinstance(blocks, PairPartition):
+        values, equality = blocks.aligned(op_eig)
+        omegas, mazur = blocks.omegas, blocks.cluster_weights(ensemble, values)
+    else:
+        omegas = np.array([block.omega for block in blocks], dtype=float)
+        mazur = np.array([mazur_weight(block, ensemble, op_eig) for block in blocks], dtype=float)
+        equality = False
     g = _weights_at(comb, omegas, default_omega_tol(ensemble.energies))
     rows = tuple(zip(omegas.tolist(), g.tolist(), mazur.tolist(), (g - mazur).tolist()))
     bad = [r for r in rows if r[3] < -BOUND_CHECK_ATOL]
     if bad:
         listing = "; ".join(f"omega={o:.6g}: g={g:.6e} < D={d:.6e}" for o, g, d, _ in bad)
         raise NumericError(f"response comb violates the Mazur bound at {listing}")
-    return BoundCheckReport(rows, _is_saturating(blocks, covered))
+    return BoundCheckReport(rows, equality)

@@ -308,8 +308,9 @@ class BlockOperator(Frozen):
                 bwd = np.zeros_like(fwd.T)
             dev_pair, scale_pair = _hermitian_deviation(fwd, bwd)
             if lo != hi:
-                scale_pair = max(scale_pair, float(np.abs(bwd).max()))
-            dev, scale = max(dev, dev_pair), max(scale, scale_pair)
+                scale_pair = np.maximum(scale_pair, np.abs(bwd).max())
+            # np.maximum keeps a NaN, and a NaN fails _require_hermitian
+            dev, scale = np.maximum(dev, dev_pair), np.maximum(scale, scale_pair)
             key, value = _linked_entries(fwd, bwd, self.columns[lo], self.columns[hi], self.dim)
             del fwd, bwd
             keys.append(key)
@@ -518,9 +519,9 @@ def diagonalize(hamiltonian):
             e, v = np.linalg.eigh(sub)
             gram = v.conj().T @ v
             gram.flat[:: e.size + 1] -= 1.0
-            unit_dev = max(unit_dev, float(np.abs(gram).max()))
+            unit_dev = np.maximum(unit_dev, np.abs(gram).max())  # keeps a NaN
             rec = float(np.abs(v @ (e[:, None] * v.conj().T) - sub).max())
-            rec_dev = max(rec_dev, rec if own is None else rec + asymmetry)
+            rec_dev = np.maximum(rec_dev, rec if own is None else rec + asymmetry)
             del sub, gram
             solved.append((e, v))
             blocks.append(rows)
@@ -532,9 +533,10 @@ def diagonalize(hamiltonian):
     column = np.empty(dim, dtype=np.intp)
     column[order] = np.arange(dim)
     scale = max(1.0, float(np.abs(energies).max()))
-    if unit_dev > DECOMP_RTOL:
+    if not unit_dev <= DECOMP_RTOL:
         raise NumericError(f"eigenvector matrix not unitary: max deviation {unit_dev:.3e}")
-    if rec_dev > DECOMP_RTOL * scale:
+    # an overflowed energy leaves no scale to measure against
+    if not rec_dev <= DECOMP_RTOL * scale < math.inf:
         raise NumericError(
             f"eigendecomposition does not reconstruct the input: "
             f"max deviation {rec_dev:.3e} against scale {scale:.3e}"

@@ -90,10 +90,13 @@ def test_fit_frequency_non_eigenoperator():
 def test_fit_frequency_rejects_zero_operator():
     with pytest.raises(DomainError):
         fit_frequency(SZ, np.zeros((2, 2)))
-    # <A, A> overflowed, subnormal or NaN leaves no meaningful residual
-    for scale in (1e160, 1e-160, np.nan):
+    # <A, A> overflowed or subnormal leaves no meaningful residual
+    for scale in (1e160, 1e-160):
         with pytest.raises(DomainError, match="out of range"):
             fit_frequency(SZ, scale * SMINUS)
+    # a NaN entry is refused on the way in
+    with pytest.raises(DomainError, match="must be finite"):
+        fit_frequency(SZ, np.nan * SMINUS)
 
 
 @st.composite
@@ -156,8 +159,8 @@ def test_dynamical_symmetry_verifies_and_rejects():
     with pytest.raises(DomainError) as err:
         dynamical_symmetry(SZ, np.array([[0, 1], [1, 0]], dtype=complex))
     assert "not a dynamical symmetry" in str(err.value)
-    # a NaN residual is no pass
-    with pytest.raises(DomainError, match="not a dynamical symmetry"):
+    # a NaN Hamiltonian is refused before any fit
+    with pytest.raises(DomainError, match="hamiltonian must be finite"):
         dynamical_symmetry(np.diag([1.0, np.nan]), SMINUS)
 
 
@@ -242,7 +245,7 @@ def test_trivial_set_complete_for_random_spectra(dim, seed):
     assert np.count_nonzero(part.omegas == 0.0) == 1
     # every ordered pair lands in exactly one cluster, so the sizes add up
     ones = np.ones(part.rows.size)
-    assert part.bin_chunks([(slice(0, ones.size), ones, ones)]).sum() == dim * dim
+    assert part.bin_chunks([(slice(0, ones.size), ones, ones)], 1)[0].sum() == dim * dim
 
 
 def test_trivial_set_accepts_an_ensemble():
@@ -275,13 +278,13 @@ def test_partition_bin_drops_left_out_pairs():
     part = PairPartition(np.array([-1.0, 0.0, 1.0]), [0, 1], [1, 1], [2, 1], 2)
     # (0, 1) -> cluster 2, its mirror (1, 0) -> cluster 0; (1, 1) has no mirror
     both = slice(0, 2)
-    binned = part.bin_chunks([(both, np.array([10.0, 1000.0]), np.array([100.0, 7.0]))])
+    binned = part.bin_chunks([(both, np.array([10.0, 1000.0]), np.array([100.0, 7.0]))], 1)[0]
     assert binned.tolist() == [100.0, 1000.0, 10.0]
     # rows of terms are binned side by side, each as it is alone, chunk by chunk
     forward, backward = np.array([[10.0, 1000.0], [1.0, 2.0]]), np.array([[100.0, 7.0], [3.0, 4.0]])
     chunks = [(slice(i, i + 1), forward[:, i], backward[:, i]) for i in range(2)]
     binned = part.bin_chunks(chunks, 2)
-    alone = [part.bin_chunks([(both, f, b)]).tolist() for f, b in zip(forward, backward)]
+    alone = [part.bin_chunks([(both, f, b)], 1)[0].tolist() for f, b in zip(forward, backward)]
     assert binned.tolist() == alone
     assert part.bin_chunks([], 2).shape == (2, 3)
 
@@ -300,6 +303,7 @@ BAD_PARTITIONS = [
     (OMEGAS, [0, 0], [1, 1], [0, 0], 2),  # a pair twice
     (OMEGAS, [0, 0], [0, 2], [1, 0], 2),  # n out of range
     (OMEGAS, [0, 0], [0, 1], [1, 0], 0),  # no levels
+    (OMEGAS, [0, 0], [0, 1], [1, 0], 2.5),  # a fractional dim
 ]
 
 
@@ -310,6 +314,9 @@ def test_partition_validates_its_fields():
             PairPartition(*args)
     with pytest.raises(DomainError):
         PairPartition(OMEGAS, *GOOD_PAIRS, values=np.ones(3))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(DomainError, match="values must be finite"):
+            PairPartition(OMEGAS, *GOOD_PAIRS, values=[1.0, bad])
 
 
 def test_partition_stores_int32_copies_of_its_indices():
@@ -436,6 +443,13 @@ def test_group_into_blocks_snaps_near_zero_frequencies():
     # the fitted 1e-12 is rounding noise and must land in a true zero block
     assert [b.omega for b in blocks] == [-2.0, 0.0]
     assert group_into_blocks([], 1e-8) == []
+    # two clusters both within tol of zero form the one zero block
+    eye, sz = np.eye(2), np.diag([1.0, -1.0])
+    syms = [DynamicalSymmetry(eye, -6e-9, 0.0), DynamicalSymmetry(sz, 6e-9, 0.0),
+            dynamical_symmetry(SZ, SMINUS)]
+    blocks = group_into_blocks(syms, 1e-8)
+    assert [b.omega for b in blocks] == [-2.0, 0.0]
+    assert [m.dense().tolist() for m in blocks[1].members] == [eye.tolist(), sz.tolist()]
     # the tolerance has no default of its own: verified_blocks passes the
     # spectrum's default_omega_tol
     with pytest.raises(TypeError):
@@ -572,6 +586,10 @@ def test_eigenbasis_block_operators_read_as_their_dense_matrices():
         OperatorBlock(0.0, (entries[0], np.eye(4)))
     with pytest.raises(DomainError, match="member 0 must be a matrix"):
         OperatorBlock(0.0, (blocks[0],))
+    # a block's frequency orders the set and is matched to comb teeth
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="frequency must be finite"):
+            OperatorBlock(bad, dense[:1])
 
 
 @pytest.mark.parametrize("bad", ["x", None, object(), np.zeros(3)])

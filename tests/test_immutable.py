@@ -182,6 +182,9 @@ def test_block_operators_have_no_public_constructor():
     columns, block = np.arange(2), np.eye(2)
     with pytest.raises(TypeError):
         qfidyn.BlockOperator((columns,), {(0, 0): block}, 2, block.dtype)
+    # nor with no arguments, which once built an instance with no fields
+    with pytest.raises(TypeError, match="no public constructor"):
+        qfidyn.BlockOperator()
 
 
 def test_an_eigenbasis_matrix_operand_keeps_a_copy():

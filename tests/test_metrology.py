@@ -32,6 +32,7 @@ from qfidyn import (
     qfi_via_structure_factor,
     qfi_via_susceptibility,
     quantum_variance,
+    comb_bound_check,
     qv_lower_bound,
     response_comb,
     skew_information,
@@ -372,18 +373,21 @@ def test_saturation_certificate_is_honest(dim, beta, seed):
     keep = rng.random(part.omegas.size) < 0.5
     keep[rng.choice(part.labels)] = False  # a cluster that holds a pair
     dropped = keep_clusters(part, keep)
-    for blocks, should_saturate in ((part, True), (dropped, False), ([part, part], False)):
+    for blocks, should_saturate in ((part, True), (dropped, False)):
         report = qfi_from_dynsym(blocks, ens, o_eig)
         assert report.saturated == should_saturate
         if report.saturated:
             assert abs(report.value - direct) <= 1e-9 * max(1.0, direct)
+    # two partitions would count every shared pair twice: no symmetry set
+    with pytest.raises(DomainError, match="got PairPartition"):
+        qfi_from_dynsym([part, part], ens, o_eig)
 
 
 def test_duplicated_pair_is_not_certified():
     # dim 3, beta = 1: the pair (1, 2) swapped for a second copy of (0, 1).
-    # A lone partition cannot hold a pair twice, so the copy has to come as
-    # explicit blocks, one per direction, and the set then claims no
-    # saturation even though its value exceeds the QFI.
+    # A lone partition cannot hold a pair twice, and a set cannot mix it
+    # with explicit blocks, nor hold two blocks at one frequency, so no form
+    # of a symmetry set can hold the copy.
     rng = np.random.default_rng(3)
     _, spectral, ens, _, o_eig = random_case(rng, 3, 1.0)
     part = trivial_complete_set(spectral)
@@ -397,12 +401,53 @@ def test_duplicated_pair_is_not_certified():
         copy = np.zeros((3, 3), dtype=complex)
         copy[m, n] = 1.0
         copies.append(OperatorBlock(e[m] - e[n], (copy,)))
-    blocks = [swapped, *copies]
+    with pytest.raises(DomainError, match="got PairPartition"):
+        qfi_from_dynsym([swapped, *copies], ens, o_eig)
+    with pytest.raises(DomainError, match="group_into_blocks"):
+        qfi_from_dynsym([*copies, copies[0]], ens, o_eig)
+
+
+def test_a_symmetry_set_takes_one_of_two_forms(rng):
+    # a PairPartition alone, or OperatorBlocks at distinct frequencies:
+    # every bound, the QFI-matrix bound and the comb check refuse the rest
+    _, spectral, ens, _, o_eig = random_case(rng, 4, 1.0)
+    part = trivial_complete_set(spectral)
+    e = spectral.energies
+    eigenpair = np.zeros((4, 4))
+    eigenpair[0, 1] = 1.0
+    block = OperatorBlock(e[0] - e[1], (eigenpair,))
+    twin = OperatorBlock(e[0] - e[1], (eigenpair.T.copy(),))
+    calls = [
+        *(lambda blocks, f=f: f(blocks, ens, o_eig) for f in (
+            qfi_from_dynsym, skew_lower_bound, qv_lower_bound, eth_lower_bound, eth_thermal_gap)),
+        lambda blocks: qfi_matrix_from_dynsym(blocks, ens, [o_eig]),
+        lambda blocks: comb_bound_check(response_comb(o_eig, ens), blocks, ens, o_eig),
+    ]
+    for call in calls:
+        for blocks, match in (([part], "got PairPartition"), ([block, part], "got PairPartition"),
+                              ([block, twin], "group_into_blocks"), ([block, 42], "got int")):
+            with pytest.raises(DomainError, match=match):
+                call(blocks)
+        call(part)
+        call([block])
+
+
+def test_explicit_blocks_give_one_column_each_in_frequency_order(rng):
+    # the bound's columns ascend in frequency whatever the list order; the
+    # comb check's rows keep the caller's order
+    _, spectral, ens, _, o_eig = random_case(rng, 4, 1.0)
+    e = spectral.energies
+    blocks = []
+    for m, n in ((0, 1), (3, 2), (1, 1)):
+        op = np.zeros((4, 4))
+        op[m, n] = 1.0
+        blocks.append(OperatorBlock(e[m] - e[n], (op,)))
     report = qfi_from_dynsym(blocks, ens, o_eig)
-    direct = qfi_spectral(o_eig, ens)
-    assert math.isclose(direct, 2.0049, abs_tol=1e-4)
-    assert math.isclose(report.value, 2.2837, abs_tol=1e-4)
-    assert not report.saturated
+    want = sorted(b.omega for b in blocks)
+    assert report.omegas.tolist() == want
+    assert report.value == qfi_from_dynsym(blocks[::-1], ens, o_eig).value
+    rows = comb_bound_check(response_comb(o_eig, ens), blocks, ens, o_eig).rows
+    assert [r[0] for r in rows] == [b.omega for b in blocks]
 
 
 def test_conserved_blocks_contribute_nothing(rng):
@@ -684,8 +729,12 @@ def test_eth_gap_certificate_rejects_inflated_blocks(rng):
     o_eig = o_eig - np.diag(np.diagonal(o_eig))
     part = trivial_complete_set(spectral)
     nonzero = keep_clusters(part, part.omegas != 0.0)
-    with pytest.raises(NumericError):
+    with pytest.raises(DomainError):
         eth_thermal_gap([nonzero, nonzero], ens, o_eig)
+    # O itself at a tiny frequency is no symmetry: its weight 4 <O^2>
+    # exceeds the gap, which the certificate catches
+    with pytest.raises(NumericError):
+        eth_thermal_gap([OperatorBlock(1e-6, (o_eig,))], ens, o_eig)
 
 
 def test_eth_gap_limits(rng):
@@ -732,6 +781,9 @@ def test_entanglement_depth_report_fields():
 def test_entanglement_depth_rejects_bad_input():
     with pytest.raises(DomainError):
         entanglement_depth(-1.0, 2)
+    # an int too large for a float is no finite QFI (it raised OverflowError)
+    with pytest.raises(DomainError, match="finite"):
+        entanglement_depth(10**400, 2)
     with pytest.raises(DomainError):
         entanglement_depth(1.0, 0)
     # tiny negative rounding is forgiven

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qfidyn import (
     DomainError,
+    OperatorBlock,
     PauliString,
     SparseOperator,
     SpinChainSpec,
@@ -24,6 +25,8 @@ from qfidyn.operators import (
     GENERATOR_KINDS,
     SITE_CAP_ENV,
     _check_sites,
+    _hermitian_deviation,
+    _require_hermitian,
     local_generator_strings,
     pauli_strings_to_records,
     site_cap,
@@ -422,6 +425,45 @@ def test_entry_indices_are_int32_with_int64_keys():
             SparseOperator([0], [0], [1.0], dim)
     assert SparseOperator.from_dense(np.eye(3)).rows.dtype == np.int32
     assert SparseOperator.from_strings([PauliString(1.0, ((0, "x"),))], 2).cols.dtype == np.int32
+
+
+def test_entry_indices_and_dims_are_whole_numbers():
+    # int() once truncated them: 0.7 and 1.9 stored the position (0, 1)
+    with pytest.raises(DomainError, match="integers"):
+        SparseOperator([0.7], [1.9], [1.0], 2)
+    with pytest.raises(DomainError, match="integers"):
+        SparseOperator(np.array([0.0]), np.array([1.0]), [1.0], 2)
+    with pytest.raises(DomainError, match="whole number"):
+        SparseOperator([0], [1], [1.0], 2.9)
+    op = SparseOperator([0], [1], [1.0], 2.0)
+    assert op.dim == 2 and op.rows.dtype == np.int32
+    # an operator with no entries may give them as empty lists
+    empty = SparseOperator([], [], [], 2)
+    assert empty.rows.size == 0 and empty.dense().tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_non_finite_entries_are_refused(bad):
+    with pytest.raises(DomainError, match="values must be finite"):
+        SparseOperator([0, 1], [1, 0], [1.0, bad], 2)
+    with pytest.raises(DomainError, match="operator must be finite"):
+        SparseOperator.from_dense(np.array([[0.0, 1.0], [bad, 0.0]]))
+    with pytest.raises(DomainError, match="member 0 must be finite"):
+        OperatorBlock(0.0, (np.array([[bad, 0.0], [0.0, 0.0]]),))
+
+
+def test_non_number_entries_are_refused():
+    with pytest.raises(DomainError, match="values must be finite numbers"):
+        SparseOperator([0], [0], ["a"], 1)
+
+
+def test_a_nan_fails_the_hermiticity_certificate():
+    # max(0.0, nan) is 0.0, so a NaN once dropped out of the deviation
+    mat = np.array([[0.0, 1.0], [np.nan, 0.0]])
+    dev, scale = _hermitian_deviation(mat, mat)
+    assert math.isnan(dev)
+    with pytest.raises(DomainError, match="not Hermitian"):
+        _require_hermitian(dev, scale, "operator")
 
 
 # ---------------------------------------------------------------------------

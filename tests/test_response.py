@@ -254,7 +254,8 @@ def test_bound_check_equality_needs_one_complete_partition(rng):
     part = trivial_complete_set(spectral)
     comb = response_comb(o_eig, ens)
     assert comb_bound_check(comb, part, ens, o_eig).equality
-    assert comb_bound_check(comb, [part], ens, o_eig).equality
+    with pytest.raises(DomainError, match="got PairPartition"):
+        comb_bound_check(comb, [part], ens, o_eig)
     kept = part.labels != part.labels.min()
     partial = PairPartition(
         part.omegas, part.rows[kept], part.cols[kept], part.labels[kept], part.dim

@@ -19,6 +19,7 @@ from qfidyn import (
     thermal_expectation,
 )
 from qfidyn.models import preset, preset_operators
+from qfidyn.metrology import qfi_spectral
 from oracles import (
     degeneracy_groups,
     eigenvector_matrix,
@@ -289,3 +290,16 @@ def test_thermal_expectation_dimension_check():
     ens = gibbs_weights(np.array([0.0, 1.0]), 1.0)
     with pytest.raises(DomainError):
         thermal_expectation(np.eye(3), ens)
+
+
+def test_non_finite_input_fails_the_certificates():
+    # a NaN entry once passed both: diagonalize gave +-sqrt(2) for this
+    # Hamiltonian, and qfi_spectral 0.854 for this generator
+    with pytest.raises(DomainError, match="hamiltonian must be finite"):
+        diagonalize(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+    ens = gibbs_weights(diagonalize(np.diag([0.0, 1.0])), 1.0)
+    with pytest.raises(DomainError, match="operator must be finite"):
+        qfi_spectral(np.array([[0.0, 1.0], [np.nan, 0.0]]), ens)
+    # finite entries whose energies overflow leave no scale to certify against
+    with pytest.raises(NumericError, match="does not reconstruct"):
+        diagonalize(np.full((2, 2), 1.7e308))
