@@ -5,8 +5,10 @@ eigenoperator (one that adds energy omega when applied to a state) carries
 positive omega.  Conserved quantities are the omega = 0 case.
 
 A symmetry set is a PairPartition on its own or a list of OperatorBlocks
-at distinct frequencies (_symmetry_set): the symmetries at one frequency
-form one block, since two would count their shared span twice.
+at distinct frequencies: the symmetries at one frequency form one block,
+since two would count their shared span twice.  _frequency_sums is the one
+place that tells the two forms apart: it checks a set and gives every
+bound, Mazur weight and comb check its per-frequency weights.
 
 * OperatorBlock holds explicit members sharing one frequency, each as a
   SparseOperator of its eigenbasis entries.  verified_blocks verifies each
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -577,24 +580,6 @@ def _pair_set(op_eig, spectral):
     return op_eig
 
 
-def _symmetry_set(blocks):
-    """A symmetry set in one of its two forms: a PairPartition, returned as
-    it is, or OperatorBlocks with distinct frequencies, returned as a list
-    in the caller's order.  DomainError for anything else: a PairPartition
-    inside a list, an item that is no OperatorBlock, or two blocks at one
-    frequency, whose weights would count their shared span twice."""
-    if isinstance(blocks, PairPartition):
-        return blocks
-    blocks = list(blocks)
-    for i, block in enumerate(blocks):
-        if not isinstance(block, OperatorBlock):
-            raise DomainError(f"block {i}: a list holds OperatorBlocks only, got "
-                              f"{type(block).__name__}; a PairPartition is passed alone")
-    if len({block.omega for block in blocks}) != len(blocks):
-        raise DomainError("two blocks share a frequency; group_into_blocks makes them one")
-    return blocks
-
-
 def group_into_blocks(symmetries, omega_tol):
     """Cluster verified symmetries by frequency into OperatorBlocks.
 
@@ -725,17 +710,65 @@ def _pinv_quadratic(gram, rows, floor):
     return (proj.conj() / evals[keep]) @ proj.T
 
 
+def _block_coefficient(coeff, beta, omega):
+    """coeff at x = beta omega / 2; zero frequency contributes 0 for every kind."""
+    if omega == 0.0:
+        return 0.0
+    x = beta * omega / 2.0
+    with np.errstate(over="ignore"):
+        t, s = np.array(np.tanh(x)), np.array(1.0 / np.cosh(x))
+        return float(coeff(SimpleNamespace(t=t, s=s, x=x)))
+
+
+def _frequency_sums(blocks, ensemble, generators, coeff=None):
+    """(omegas, summed, covered) of a symmetry set against a list of
+    generators: one column of summed per cluster or block, in the set's own
+    order, and one row per generator pair (a, b), a <= b, as np.triu_indices
+    lists them, holding c_k [D_k]_ab.  [D_k]_ab is the Gram-orthogonalized
+    cross correlator, the Mazur weight D_k when a = b; c_k = 1 without coeff.
+    covered marks a PairPartition covering every generator.
+
+    A PairPartition's clusters come from one binned pass with coeff per pair
+    (_cluster_sums); each explicit block is a pseudo-inverse quadratic form
+    with coeff at its frequency (_block_coefficient), a zero column where
+    that is 0.  DomainError for anything else: a PairPartition inside a
+    list, an item that is no OperatorBlock, or two blocks at one frequency,
+    whose weights would count their shared span twice.
+    """
+    d = len(generators)
+    ab = [(a, b) for a in range(d) for b in range(a, d)]
+    if isinstance(blocks, PairPartition):
+        vals, covers = zip(*(blocks.aligned(g) for g in generators))
+        return blocks.omegas, blocks._cluster_sums(ensemble, vals, ab, coeff), all(covers)
+    blocks = list(blocks)
+    for i, block in enumerate(blocks):
+        if not isinstance(block, OperatorBlock):
+            raise DomainError(f"block {i}: a list holds OperatorBlocks only, got "
+                              f"{type(block).__name__}; a PairPartition is passed alone")
+    if len({block.omega for block in blocks}) != len(blocks):
+        raise DomainError("two blocks share a frequency; group_into_blocks makes them one")
+    summed = np.zeros((len(ab), len(blocks)))
+    for k, block in enumerate(blocks):
+        c = 1.0 if coeff is None else _block_coefficient(coeff, ensemble.beta, block.omega)
+        if c != 0.0:
+            gram, corr = _gram_and_correlators(block, ensemble, generators)
+            quad = _pinv_quadratic(gram, corr, block._gram_floor).real
+            summed[:, k] = [c * quad[a, b] for a, b in ab]
+    return np.array([block.omega for block in blocks], dtype=float), summed, False
+
+
 def mazur_weight(block, ensemble, op_eig):
     """Mazur weight D(O) of an OperatorBlock: the thermal projection of O
-    onto the span of its members.
+    onto the span of its members, the one-block case of _frequency_sums.
 
     The pseudo-inverse quadratic form makes the weight invariant under
     invertible recombination of members and tolerant of dependent members;
     Gram directions at the rounding floor are dropped (_pinv_quadratic).
     A PairPartition's weights are its cluster_weights, one per cluster.
     """
-    gram, corr = _gram_and_correlators(block, ensemble, [op_eig])
-    return float(_pinv_quadratic(gram, corr, block._gram_floor)[0, 0].real)
+    if not isinstance(block, OperatorBlock):
+        raise DomainError(f"mazur_weight takes an OperatorBlock, got {type(block).__name__}")
+    return float(_frequency_sums([block], ensemble, [op_eig])[1][0, 0])
 
 
 def projector_mazur_weight(ensemble, op_eig):

@@ -17,15 +17,17 @@ Lower bounds decompose over the frequencies of a symmetry set (a
 PairPartition alone, or OperatorBlocks at distinct frequencies), each kind
 with one coefficient function of (t, s, x) = (tanh x, sech x, x) at
 x = beta omega / 2.  One engine forms them for a list of generators
-(_bound_over_blocks), one path per form of the set; the scalar bounds are
-its 1 x 1 case, so each is bit for bit the diagonal entry of the QFI-matrix
-bound.  A PairPartition evaluates the coefficient per pair from the
-weights themselves (dynsym._PairRatios) in the one binned pass that also
-gives its Mazur weights; this keeps the bounds exactly saturated for a
-complete set even when frequency clustering merges nearby gaps, the zero
-cluster included, and it is well defined at beta = inf where beta * omega
-arithmetic is not.  Explicit OperatorBlocks use their block frequency,
-which is the honest choice for a user-supplied symmetry set.
+(_bound_over_blocks); the scalar bounds are its 1 x 1 case, so each is bit
+for bit the diagonal entry of the QFI-matrix bound.  The engine never looks
+at the form of the set: dynsym._frequency_sums, the one place that does,
+hands it one coefficient-weighted column per frequency.  A PairPartition
+evaluates the coefficient per pair from the weights themselves
+(dynsym._PairRatios) in the one binned pass that also gives its Mazur
+weights; this keeps the bounds exactly saturated for a complete set even
+when frequency clustering merges nearby gaps, the zero cluster included,
+and it is well defined at beta = inf where beta * omega arithmetic is not.
+Explicit OperatorBlocks use their block frequency, which is the honest
+choice for a user-supplied symmetry set.
 """
 
 from __future__ import annotations
@@ -33,21 +35,11 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 
 from ._frozen import Frozen, FrozenRecord
-from .dynsym import (
-    PairPartition,
-    _abs2,
-    _dense,
-    _gram_and_correlators,
-    _operator_pairs,
-    _pinv_quadratic,
-    _symmetry_set,
-    _thermal_mean,
-)
+from .dynsym import _abs2, _dense, _frequency_sums, _operator_pairs, _thermal_mean
 from .errors import DomainError, NumericError
 from .operators import SparseOperator, _chunks, _key_union, _keys, _whole
 from .spectral import PAIR_WEIGHT_FLOOR, default_energy_tol
@@ -168,16 +160,6 @@ _COEFFS = {
 _NONZERO_FREQUENCIES_ONLY = {"eth_lower", "eth_gap"}
 
 
-def _block_coefficient(coeff, beta, omega):
-    """coeff at x = beta omega / 2; zero frequency contributes 0 for every kind."""
-    if omega == 0.0:
-        return 0.0
-    x = beta * omega / 2.0
-    with np.errstate(over="ignore"):
-        t, s = np.array(np.tanh(x)), np.array(1.0 / np.cosh(x))
-        return float(coeff(SimpleNamespace(t=t, s=s, x=x)))
-
-
 def _bound_over_blocks(blocks, ensemble, generators, kind):
     """The frequency-block engine: sum_k coefficient(omega_k) [D_k]_ab over
     the frequencies of a symmetry set for each generator pair (a, b),
@@ -185,34 +167,20 @@ def _bound_over_blocks(blocks, ensemble, generators, kind):
     Gram-orthogonalized cross correlator, the Mazur weight D_k when a = b.
     The QFI-matrix bound reads every pair; a scalar bound is the 1 x 1 case.
 
-    A PairPartition gives one column per cluster; its zero cluster
-    contributes 0 for the kinds in _NONZERO_FREQUENCIES_ONLY, and for the
-    others holds the terms of the gaps clustered to 0, each 0 at an exact
-    degeneracy.  Explicit blocks give one column each, ascending in
-    frequency; one at omega = 0 contributes 0.  Each total is the Python
-    sum of its row.  Returns (totals, frequencies, contributions, one row
-    per pair, saturated: a PairPartition covering every generator).
+    dynsym._frequency_sums gives one column per cluster or block, each
+    already times its coefficient; a zero-frequency column contributes 0
+    for the kinds in _NONZERO_FREQUENCIES_ONLY, and for the others holds
+    the terms of the gaps clustered to 0, each 0 at an exact degeneracy
+    (an explicit block at omega = 0 contributes 0 for every kind).  The
+    columns are put in ascending frequency and each total is the Python sum
+    of its row.  Returns (totals, frequencies, contributions, one row per
+    pair, saturated: a PairPartition covering every generator).
     """
-    coeff = _COEFFS[kind]
-    blocks = _symmetry_set(blocks)
-    d = len(generators)
-    ab = [(a, b) for a in range(d) for b in range(a, d)]
-    if isinstance(blocks, PairPartition):
-        vals, covers = zip(*(blocks.aligned(g) for g in generators))
-        omegas, saturated = blocks.omegas, all(covers)
-        summed = blocks._cluster_sums(ensemble, vals, ab, coeff)
-        if kind in _NONZERO_FREQUENCIES_ONLY:
-            summed[:, omegas == 0.0] = 0.0
-    else:
-        blocks = sorted(blocks, key=lambda block: block.omega)
-        omegas, saturated = np.array([block.omega for block in blocks], dtype=float), False
-        summed = np.zeros((len(ab), len(blocks)))
-        for k, block in enumerate(blocks):
-            c = _block_coefficient(coeff, ensemble.beta, block.omega)
-            if c != 0.0:
-                gram, corr = _gram_and_correlators(block, ensemble, generators)
-                quad = _pinv_quadratic(gram, corr, block._gram_floor).real
-                summed[:, k] = [c * quad[a, b] for a, b in ab]
+    omegas, summed, saturated = _frequency_sums(blocks, ensemble, generators, _COEFFS[kind])
+    if kind in _NONZERO_FREQUENCIES_ONLY:
+        summed[:, omegas == 0.0] = 0.0
+    order = np.argsort(omegas, kind="stable")
+    omegas, summed = omegas[order], summed[:, order]
     totals = [float(sum(row.tolist())) for row in summed]
     return totals, omegas, summed, saturated
 

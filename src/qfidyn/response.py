@@ -14,8 +14,10 @@ itself when it is one, else trivial_complete_set over its nonzero pairs with
 the same tolerance as the dynamical-symmetry machinery.  Comb frequencies
 therefore align bin-for-bin with the trivial complete set's cluster
 frequencies, and pairs where O_mn = 0, which carry no weight, are never
-visited.  comb_bound_check matches every block frequency of a symmetry
-set to its nearest tooth in one search over the sorted teeth.
+visited.  comb_bound_check takes the Mazur weights of a symmetry set, in
+either form, from dynsym._frequency_sums, the one place that tells the
+forms apart, and matches every block frequency to its nearest tooth in one
+search over the sorted teeth.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._frozen import Frozen, FrozenRecord
-from .dynsym import (
-    PairPartition,
-    _pair_set,
-    _symmetry_set,
-    _thermal_mean,
-    default_omega_tol,
-    mazur_weight,
-)
+from .dynsym import _frequency_sums, _pair_set, _thermal_mean, default_omega_tol
 from .errors import DomainError, NumericError
 
 KINDS = ("response", "structure")
@@ -62,7 +57,7 @@ class FrequencyComb(Frozen):
         w = np.array(weights, dtype=complex)
         if om.ndim != 1 or om.shape != w.shape:
             raise DomainError("omegas and weights must be matching 1-d arrays")
-        if om.size > 1 and np.any(np.diff(om) <= 0):
+        if np.any(om[1:] <= om[:-1]):
             raise DomainError("omegas must be strictly increasing")
         scale = float(np.abs(w).max()) if w.size else 0.0
         if w.size and np.abs(w.imag).max() > 1e-12 * max(1.0, scale):
@@ -178,14 +173,8 @@ def comb_bound_check(comb, blocks, ensemble, op_eig):
     """
     if comb.kind != "response":
         raise DomainError(f"bound check needs a response comb, got kind {comb.kind!r}")
-    blocks = _symmetry_set(blocks)
-    if isinstance(blocks, PairPartition):
-        values, equality = blocks.aligned(op_eig)
-        omegas, mazur = blocks.omegas, blocks.cluster_weights(ensemble, values)
-    else:
-        omegas = np.array([block.omega for block in blocks], dtype=float)
-        mazur = np.array([mazur_weight(block, ensemble, op_eig) for block in blocks], dtype=float)
-        equality = False
+    omegas, mazur, equality = _frequency_sums(blocks, ensemble, [op_eig])
+    mazur = mazur[0]
     g = _weights_at(comb, omegas, default_omega_tol(ensemble.energies))
     rows = tuple(zip(omegas.tolist(), g.tolist(), mazur.tolist(), (g - mazur).tolist()))
     bad = [r for r in rows if r[3] < -BOUND_CHECK_ATOL]

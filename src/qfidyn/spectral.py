@@ -408,7 +408,7 @@ class SpectralDecomposition(Frozen):
         bases[k] its (parity, basis) as _parity_bases gives it, and group[k]
         the number of its basis set, the sets numbered 0, 1, ... in order of
         first use."""
-        if np.any(np.diff(energies) < 0):
+        if np.any(energies[1:] < energies[:-1]):
             raise DomainError("energies must be sorted ascending")
         arrays = [idx for pair in blocks for idx in pair]
         arrays += [arr for _, basis in bases if basis is not None for arr in basis]

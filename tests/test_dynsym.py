@@ -504,6 +504,10 @@ def test_mazur_weight_matches_dense_trace_oracle():
     overlap = np.trace(rho @ a1.conj().T @ gen)
     norm = np.trace(rho @ a1.conj().T @ a1).real
     assert math.isclose(got, abs(overlap) ** 2 / norm, rel_tol=1e-12)
+    # one block, not a symmetry set: a pair set or a list is refused
+    for wrong in (trivial_complete_set(spectral), [block]):
+        with pytest.raises(DomainError, match="mazur_weight takes an OperatorBlock"):
+            mazur_weight(wrong, ens, o_eig)
 
 
 def test_mazur_weight_invariant_under_recombination():

@@ -2,6 +2,8 @@
 ETH quantities, and the entanglement witness."""
 
 import math
+import pathlib
+import tokenize
 import warnings
 
 import numpy as np
@@ -25,6 +27,7 @@ from qfidyn import (
     eth_qfi_from_comb,
     eth_thermal_gap,
     gibbs_weights,
+    mazur_weight,
     qfi_from_dynsym,
     qfi_matrix,
     qfi_matrix_from_dynsym,
@@ -432,22 +435,46 @@ def test_a_symmetry_set_takes_one_of_two_forms(rng):
         call([block])
 
 
+def test_only_dynsym_tells_the_forms_of_a_symmetry_set_apart():
+    # metrology and response take every per-frequency weight from
+    # dynsym._frequency_sums: they name neither form nor its internals
+    package = pathlib.Path(metrology.__file__).parent
+    hidden = {"PairPartition", "OperatorBlock", "_symmetry_set", "_gram_and_correlators",
+              "_pinv_quadratic", "_cluster_sums", "_gram_floor"}
+    for name in ("metrology.py", "response.py"):
+        with tokenize.open(package / name) as f:
+            names = {tok.string for tok in tokenize.generate_tokens(f.readline)
+                     if tok.type == tokenize.NAME}
+        assert not names & hidden, name
+
+
 def test_explicit_blocks_give_one_column_each_in_frequency_order(rng):
-    # the bound's columns ascend in frequency whatever the list order; the
-    # comb check's rows keep the caller's order
+    # the bounds' columns ascend in frequency whatever the list order, so
+    # every bound kind and the QFI-matrix bound agree bit for bit across
+    # orders; the comb check's rows keep the caller's order, each with its
+    # block's mazur_weight
     _, spectral, ens, _, o_eig = random_case(rng, 4, 1.0)
     e = spectral.energies
     blocks = []
-    for m, n in ((0, 1), (3, 2), (1, 1)):
+    for m, n in ((0, 1), (3, 2), (2, 0), (1, 3), (3, 0), (1, 1)):
         op = np.zeros((4, 4))
         op[m, n] = 1.0
         blocks.append(OperatorBlock(e[m] - e[n], (op,)))
     report = qfi_from_dynsym(blocks, ens, o_eig)
-    want = sorted(b.omega for b in blocks)
-    assert report.omegas.tolist() == want
-    assert report.value == qfi_from_dynsym(blocks[::-1], ens, o_eig).value
-    rows = comb_bound_check(response_comb(o_eig, ens), blocks, ens, o_eig).rows
-    assert [r[0] for r in rows] == [b.omega for b in blocks]
+    assert report.omegas.tolist() == sorted(b.omega for b in blocks)
+    generators = [o_eig, o_eig @ o_eig]
+    bounds = (skew_lower_bound, qv_lower_bound, eth_lower_bound, eth_thermal_gap)
+    comb = response_comb(o_eig, ens)
+    for order in (blocks, blocks[::-1], [blocks[i] for i in (4, 1, 5, 0, 3, 2)]):
+        again = qfi_from_dynsym(order, ens, o_eig)
+        assert again.value == report.value
+        assert again.contributions.tolist() == report.contributions.tolist()
+        assert [f(order, ens, o_eig) for f in bounds] == [f(blocks, ens, o_eig) for f in bounds]
+        assert np.array_equal(qfi_matrix_from_dynsym(order, ens, generators).matrix,
+                              qfi_matrix_from_dynsym(blocks, ens, generators).matrix)
+        rows = comb_bound_check(comb, order, ens, o_eig).rows
+        assert [r[0] for r in rows] == [b.omega for b in order]
+        assert [r[2] for r in rows] == [mazur_weight(b, ens, o_eig) for b in order]
 
 
 def test_conserved_blocks_contribute_nothing(rng):

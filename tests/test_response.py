@@ -148,6 +148,14 @@ def test_comb_rejects_unsorted_frequencies():
         FrequencyComb(np.array([1.0, 1.0]), np.array([1.0, 1.0]), "response")
 
 
+def test_comb_frequencies_near_the_float_limit_are_ordered_without_overflow():
+    # -1e308 and 1e308 are finite, their difference is not
+    comb = FrequencyComb([-1e308, 1e308], [1.0, 1.0], "response")
+    assert comb.omegas.tolist() == [-1e308, 1e308]
+    with pytest.raises(DomainError, match="strictly increasing"):
+        FrequencyComb([1e308, -1e308], [1.0, 1.0], "response")
+
+
 def test_comb_rejects_complex_or_negative_response_weights():
     with pytest.raises(NumericError):
         FrequencyComb(np.array([1.0]), np.array([1.0 + 1e-3j]), "response")

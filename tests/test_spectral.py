@@ -60,6 +60,15 @@ def test_decomposition_validates_inputs():
         SpectralDecomposition(np.array([1.0, 2.0]), np.eye(3))
 
 
+def test_energies_near_the_float_limit_are_ordered_without_overflow():
+    # E = -+1.414e308 are finite, but their difference is not: the order
+    # check compares neighbours instead of subtracting them
+    spectral = diagonalize(np.array([[1e308, 1e308], [1e308, -1e308]]))
+    assert spectral.energies[0] < 0.0 < spectral.energies[1] < math.inf
+    with pytest.raises(DomainError, match="ascending"):
+        SpectralDecomposition(spectral.energies[::-1], np.eye(2))
+
+
 def _chain_with_dm_term(n):
     """The n-site XX chain plus a Dzyaloshinskii-Moriya bond x0 y1 - y0 x1,
     which is Hermitian and purely imaginary."""
