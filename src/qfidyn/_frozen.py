@@ -4,13 +4,15 @@ Frozen is the base of the package's immutable types, and this module holds
 the one rule by which they take their arrays.  A subclass names its fields
 in _fields, in constructor order, and stores every field through _set,
 which makes each ndarray among them read-only; assigning or deleting an
-attribute afterwards raises AttributeError.  A public constructor copies
-the arrays it is given, so no caller keeps a writable handle on what an
-instance holds; a type that defines none has none, and calling it raises
-TypeError.  A package builder whose arrays no one else can write
-hands them over with _adopt instead: the type's _freeze runs the same
-checks on them and stores them through _set, frozen in place.  Arrays
-nested in a tuple field are frozen by the type that nests them.
+attribute afterwards raises AttributeError.  Every _freeze runs the check
+of its type's format before it stores a field, and no other path stores
+one.  A public constructor copies the arrays it is given, so no caller
+keeps a writable handle on what an instance holds, and calls _freeze; a
+type that defines none has none, and calling it raises TypeError.  A
+package builder whose arrays no one else can write hands them over with
+_adopt instead, which calls the same _freeze: they pass the same checks
+and are frozen in place.  Arrays nested in a tuple field are frozen by
+the type that nests them.
 
 Instances compare and hash by identity, which suits types that hold arrays.
 FrozenRecord compares and hashes by value over the fields, for records of

@@ -33,6 +33,11 @@ straight from the generator's eigenbasis blocks (to_eigenblocks) with no
 dim x dim array, and every pair sum over O (QFI routes, bounds, combs) is
 then an elementwise pass over it at each temperature.
 
+Every entry list here, a pair set's pairs and each member's entries, is
+in the one format that operators owns (int32 positions ascending in
+m * dim + n): operators checks, searches and merges such lists, and this
+module only calls it.
+
 Memory rule: the finished set holds rows, cols and labels as int32 and
 values, 20 B a pair for real values.  BlockOperator.pairs makes the
 eigenbasis blocks one block pair at a time and hands over one key
@@ -65,8 +70,8 @@ import numpy as np
 
 from ._frozen import Frozen
 from .errors import DomainError, NumericError
-from .operators import _INDEX_LIMIT, SparseOperator, _chunks, _finite, _key_union, _keys
-from .operators import _operand, _real_if_exact, _whole, operator_support
+from .operators import SparseOperator, _checked_entries, _chunks, _find, _finite, _key_union
+from .operators import _keys, _operand, _ordered, _real_if_exact, _values_at, operator_support
 from .spectral import PAIR_WEIGHT_FLOOR, BlockOperator, _eigen_operand
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
@@ -134,15 +139,19 @@ def _commutator(h, a):
     (r, c ^ f); the terms at one position are summed."""
     flips = h.rows ^ h.cols
     keys, terms = [_keys(a.rows, a.cols, a.dim)], [np.zeros(a.values.size, a.dtype)]
-    for f in np.unique(flips).tolist():
-        h_f = np.zeros(a.dim, h.dtype)
+    # h_f spans every index a flip can reach from below dim, up to the power
+    # of 2 at or above it; its entries past dim are 0, so their terms drop out
+    span = 1 << (a.dim - 1).bit_length()
+    for f in _key_union([flips]).tolist():
+        h_f = np.zeros(span, h.dtype)
         on = flips == f
         h_f[h.cols[on]] = h.values[on]
         for rows, cols, value in ((a.rows ^ f, a.cols, h_f[a.rows] * a.values),
                                   (a.rows, a.cols ^ f, -a.values * h_f[a.cols ^ f])):
             keys.append(_keys(rows, cols, a.dim)[value != 0])
             terms.append(value[value != 0])
-    positions, index = np.unique(np.concatenate(keys), return_inverse=True)
+    positions = _key_union(keys)
+    index = _find(positions, np.concatenate(keys))[0]
     comm = np.zeros(positions.size, np.result_type(h.dtype, a.dtype))
     np.add.at(comm, index, np.concatenate(terms))
     return comm, index[: a.values.size]
@@ -158,6 +167,8 @@ class DynamicalSymmetry(Frozen):
     def __init__(self, op, omega, residual):
         if not isinstance(op, (SparseOperator, BlockOperator)):
             op = np.array(op)
+        if not math.isfinite(omega):
+            raise DomainError(f"symmetry frequency must be finite, got {omega}")
         self._set(op=op, omega=omega, residual=residual)
 
 
@@ -243,9 +254,9 @@ class OperatorBlock(Frozen):
         cached = self._joins.get(id(op_eig))
         if cached is not None and cached[0] is op_eig:
             return cached[1]
-        pairs = SparseOperator._adopt(*_operator_pairs(op_eig, self.dim), self.dim)
         rows, cols, _ = self._entries
-        joined = pairs.at(np.minimum(rows, cols), np.maximum(rows, cols))
+        joined = _values_at(_operator_pairs(op_eig, self.dim), np.minimum(rows, cols),
+                            np.maximum(rows, cols), self.dim)
         # a position below the diagonal reads the conjugate of its mirror
         below = rows > cols
         joined[below] = joined[below].conj()
@@ -267,60 +278,35 @@ class PairPartition(Frozen):
     into frequency clusters, optionally weighted by one operator.
 
     omegas holds the K cluster representatives, strictly ascending and
-    sign-symmetric, so the middle one is exactly 0.0.  rows and cols list
-    the pairs m <= n, each once, in ascending order of m * dim + n; a pair
-    stands for both |E_m><E_n| and |E_n><E_m|.  labels[i] is the cluster of
-    omega_mn = E_m - E_n, so the mirrored (n, m) lies in cluster
-    K - 1 - labels[i].  rows, cols and labels are stored as int32, so dim
-    must be below 2**31 (operators._keys gives m * dim + n).  values holds
-    O_mn on the pairs when the set was built for an operator O
-    (trivial_complete_set with op_eig), else None.
+    sign-symmetric, so the middle one is exactly 0.0.  rows and cols are
+    an entry list (operators.SparseOperator) of pairs m <= n; a pair stands
+    for both |E_m><E_n| and |E_n><E_m|.  labels[i], int32, is the cluster
+    of omega_mn = E_m - E_n, so the mirrored (n, m) lies in cluster
+    K - 1 - labels[i].  values holds O_mn on the pairs when the set was
+    built for an operator O (trivial_complete_set with op_eig), else None.
     """
 
     _fields = ("omegas", "rows", "cols", "labels", "dim", "values")
 
     def __init__(self, omegas, rows, cols, labels, dim, values=None):
         self._freeze(*map(np.array, (omegas, rows, cols, labels)), dim,
-                     None if values is None else _finite(np.array(values), "values"))
+                     None if values is None else np.array(values))
 
     def _freeze(self, omegas, rows, cols, labels, dim, values=None):
-        """Validate the fields, then store them; the index arrays as int32,
-        copied only when they are of another type."""
+        """Validate the fields, the pairs by operators._checked_entries, then
+        store them; the index arrays as int32, copied only when they are not."""
         om = np.asarray(omegas, dtype=float)
-        if (
-            om.ndim != 1
-            or om.size % 2 == 0
-            or np.any(np.diff(om) <= 0)
-            or not np.array_equal(om, -om[::-1])
-        ):
-            raise DomainError(
-                "omegas must be strictly ascending and sign-symmetric about an exact 0.0"
-            )
-        dim = _whole(dim, "dim")
-        if not 1 <= dim < _INDEX_LIMIT:
-            raise DomainError(f"dim must be positive and below 2**31 (int32 indices), got {dim}")
-        fields = [np.asarray(f) for f in (rows, cols, labels)]
-        if any(f.ndim != 1 or f.shape != fields[0].shape for f in fields):
-            raise DomainError("rows, cols and labels must be 1-d arrays of one size")
-        if not all(np.issubdtype(f.dtype, np.integer) for f in fields):
-            raise DomainError("rows, cols and labels must be integers")
-        rows, cols, labels = fields
-        if rows.size and (rows.min() < 0 or cols.max() >= dim):
-            raise DomainError(f"pairs must satisfy 0 <= m <= n < {dim}")
-        if labels.size and (labels.min() < 0 or labels.max() >= om.size):
-            raise DomainError(f"labels must lie in [0, {om.size}), one cluster per pair")
-        # in range, every index fits in int32
-        rows, cols, labels = (np.asarray(f, dtype=np.int32) for f in fields)
-        del fields
-        for s in _chunks(rows.size):
-            lo = max(s.start - 1, 0)
-            if np.any(rows[s] > cols[s]):
-                raise DomainError(f"pairs must satisfy 0 <= m <= n < {dim}")
-            keys = _keys(rows[lo : s.stop], cols[lo : s.stop], dim)
-            if np.any(keys[1:] <= keys[:-1]):
-                raise DomainError("pairs must be distinct and ascending in m * dim + n")
+        if om.ndim != 1 or om.size % 2 == 0 or not np.array_equal(om, -om[::-1]):
+            raise DomainError("omegas must be a 1-d array sign-symmetric about an exact 0.0")
+        _ordered(om, "omegas", strict=True)
+        rows, cols, dim = _checked_entries(rows, cols, dim, pairs=True)
+        labels = np.asarray(labels)
+        if labels.shape != rows.shape or not np.issubdtype(labels.dtype, np.integer) or (
+                labels.size and (labels.min() < 0 or labels.max() >= om.size)):
+            raise DomainError(f"labels must be integers in [0, {om.size}), one cluster per pair")
+        labels = labels.astype(np.int32, copy=False)  # in range, so exact
         if values is not None:
-            values = _real_if_exact(np.asarray(values))
+            values = _real_if_exact(_finite(np.asarray(values), "values"))
             if values.shape != rows.shape:
                 raise DomainError("values must hold one entry per pair")
         self._set(omegas=om, rows=rows, cols=cols, labels=labels, dim=dim, values=values)
@@ -403,11 +389,8 @@ class PairPartition(Frozen):
         if op is self and self.values is not None:
             return self.values, True
         rows, cols, values = _operator_pairs(op, self.dim)
-        keys, onto = _keys(rows, cols, self.dim), _keys(self.rows, self.cols, self.dim)
-        pos = np.searchsorted(onto, keys)
-        found = pos < onto.size
-        found[found] = onto[pos[found]] == keys[found]
-        aligned = np.zeros(onto.size, dtype=values.dtype)
+        pos, found = _find(_keys(self.rows, self.cols, self.dim), _keys(rows, cols, self.dim))
+        aligned = np.zeros(self.rows.size, dtype=values.dtype)
         aligned[pos[found]] = values[found]
         return aligned, bool(found.all())
 
@@ -597,7 +580,7 @@ def group_into_blocks(symmetries, omega_tol):
     reps[np.abs(reps) <= omega_tol] = 0.0
     snapped = reps[labels]
     return [OperatorBlock(omega, [symmetries[i].op for i in np.flatnonzero(snapped == omega)])
-            for omega in np.unique(reps).tolist()]
+            for omega in sorted(set(reps.tolist()))]
 
 
 def verified_blocks(hamiltonian, spectral, ops, omega_tol=None):

@@ -41,7 +41,7 @@ import numpy as np
 from ._frozen import Frozen, FrozenRecord
 from .dynsym import _abs2, _dense, _frequency_sums, _operator_pairs, _thermal_mean
 from .errors import DomainError, NumericError
-from .operators import SparseOperator, _chunks, _key_union, _keys, _whole
+from .operators import _chunks, _key_union, _keys, _values_at, _whole
 from .spectral import PAIR_WEIGHT_FLOOR, default_energy_tol
 
 # Slack for internal inequality certificates (ETH gap assertion).
@@ -361,7 +361,7 @@ def qfi_matrix(generators, ensemble):
     dim = ensemble.dim
     gens, commuting = _generator_pairs(generators, dim)
     rows, cols = np.divmod(_key_union([_keys(r, c, dim) for r, c, _ in gens]), dim)
-    vals = [SparseOperator._adopt(*g, dim).at(rows, cols) for g in gens]
+    vals = [_values_at(g, rows, cols, dim) for g in gens]
     out = np.zeros((len(gens),) * 2)
     for a, b in zip(*np.triu_indices(len(gens))):
         out[a, b] = out[b, a] = _pair_sum(lambda e, r, c: 4.0 * _qfi_pair_weights(e, r, c),

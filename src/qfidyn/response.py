@@ -27,6 +27,7 @@ import numpy as np
 from ._frozen import Frozen, FrozenRecord
 from .dynsym import _frequency_sums, _pair_set, _thermal_mean, default_omega_tol
 from .errors import DomainError, NumericError
+from .operators import _ordered
 
 KINDS = ("response", "structure")
 
@@ -57,8 +58,7 @@ class FrequencyComb(Frozen):
         w = np.array(weights, dtype=complex)
         if om.ndim != 1 or om.shape != w.shape:
             raise DomainError("omegas and weights must be matching 1-d arrays")
-        if np.any(om[1:] <= om[:-1]):
-            raise DomainError("omegas must be strictly increasing")
+        _ordered(om, "omegas", strict=True)
         scale = float(np.abs(w).max()) if w.size else 0.0
         if w.size and np.abs(w.imag).max() > 1e-12 * max(1.0, scale):
             raise NumericError(f"{kind} comb has complex weights")

@@ -50,10 +50,12 @@ from ._frozen import Frozen
 from .errors import DomainError, NumericError
 from .operators import (
     SparseOperator,
-    _chunks,
+    _finite,
     _hermitian_deviation,
+    _in_key_order,
     _keys,
     _operand,
+    _ordered,
     _real_if_exact,
     _require_hermitian,
     _square,
@@ -290,12 +292,11 @@ class BlockOperator(Frozen):
 
     def pairs(self, name="operator"):
         """(rows, cols, values) over the pairs m <= n where O_mn or O_nm is
-        nonzero, with the entries O_mn, ascending in m * dim + n; rows and
-        cols are int32, so dim must be below 2**31.  Each block pair {a, b}
-        makes its linked blocks (a diagonal one once), adds only a key
-        m * dim + n and a value per pair (_linked_entries) and drops them,
-        and _in_key_order orders the pairs.  The operator is certified
-        Hermitian by the eigenbasis rule of _require_hermitian on the way."""
+        nonzero, with the entries O_mn, as an entry list (SparseOperator).
+        Each block pair {a, b} makes its linked blocks (a diagonal one once),
+        adds only a key m * dim + n and a value per pair (_linked_entries)
+        and drops them, and _in_key_order orders the pairs.  The operator is
+        certified Hermitian on the way, by the eigenbasis rule of _require_hermitian."""
         dev = scale = 0.0
         keys, values = [np.zeros(0, np.int64)], [np.zeros(0, self.dtype)]
         linked = set(self.links)
@@ -332,25 +333,6 @@ def _eigen_operand(op, dim=None, name="operator"):
     if dim is not None and op.dim != dim:
         raise DomainError(f"{name} dim {op.dim} does not match dim {dim}")
     return op
-
-
-def _in_key_order(keys, values, dim):
-    """(rows, cols, values) in ascending key order, rows and cols int32 and
-    values as _real_if_exact gives them, of entries given as lists of
-    ascending runs of distinct keys m * dim + n, which a stable sort merges,
-    and of their values.  The lists are emptied as they are joined; an int32
-    order and quotients, and the keys dropped before the values are
-    reordered, hold this stage to 28 B an entry."""
-    joined = np.concatenate(keys)
-    keys.clear()
-    order = np.argsort(joined, kind="stable").astype(np.int32)
-    rows, cols = np.empty(joined.size, np.int32), np.empty(joined.size, np.int32)
-    for s in _chunks(joined.size):
-        np.divmod(joined.take(order[s]), dim, out=(rows[s], cols[s]), casting="unsafe")
-    del joined
-    joined = np.concatenate(values)
-    values.clear()
-    return rows, cols, _real_if_exact(joined[order])
 
 
 def _linked_entries(fwd, bwd, rows_of, cols_of, dim):
@@ -408,8 +390,7 @@ class SpectralDecomposition(Frozen):
         bases[k] its (parity, basis) as _parity_bases gives it, and group[k]
         the number of its basis set, the sets numbered 0, 1, ... in order of
         first use."""
-        if np.any(energies[1:] < energies[:-1]):
-            raise DomainError("energies must be sorted ascending")
+        _ordered(energies, "energies")
         arrays = [idx for pair in blocks for idx in pair]
         arrays += [arr for _, basis in bases if basis is not None for arr in basis]
         for arr in (*vectors, *arrays):
@@ -566,8 +547,7 @@ class ThermalEnsemble(Frozen):
     def _freeze(self, beta, e, w, lw, spectral):
         if not (e.shape == w.shape == lw.shape) or e.ndim != 1 or e.size == 0:
             raise DomainError("energies, weights and log_weights must share one 1-d shape")
-        if not np.isfinite(e).all():
-            raise DomainError("energies must be finite")
+        _finite(e, "energies")
         total = float(w.sum())
         # negated, so that a NaN or infinite weight, which makes the sum NaN
         # or infinite, fails it too
@@ -594,6 +574,7 @@ def gibbs_weights(spectral, beta):
         energies, ref = np.array(spectral, dtype=float), None
     if energies.ndim != 1 or energies.size == 0:
         raise DomainError(f"energies must be a nonempty 1-d array, got shape {energies.shape}")
+    _finite(energies, "energies")
     beta = float(beta)
     if not beta >= 0:
         raise DomainError(f"inverse temperature beta must be nonnegative, got {beta}")

@@ -10,11 +10,15 @@ qfi_matrix_reference are the exception to the different route: they keep the
 package's whole-array pair-sum formulas, so that its chunked pass can be
 checked against them bit for bit.  comb_weight_reference is another: the
 per-frequency nearest-tooth rule that comb_bound_check's one search must
-reproduce bit for bit.
+reproduce bit for bit.  fit_frequency_reference is a third: the sparse
+commutator fit with its terms merged by np.unique, as the package once did,
+which fit_frequency's sort-and-search merge must reproduce bit for bit.
 
 The oracles are slow and accuracy-limited by design; callers pick dimensions
 and temperatures inside each oracle's comfort zone (noted per function).
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -344,6 +348,33 @@ def fit_frequency_oracle(h_mat, a_mat):
     comm = h @ a - a @ h
     omega = float(np.vdot(a, comm).real) / norm_sq
     return omega, float(np.linalg.norm(comm - omega * a)) / np.sqrt(norm_sq)
+
+
+def fit_frequency_reference(h, a):
+    """fit_frequency's (omega, residual) for SparseOperators h and a of a
+    dim 2^n, its terms of [H, A] formed per flip mask f = row ^ col as the
+    package forms them and merged by np.unique's inverse index, in whose
+    order np.add.at adds the terms at one position."""
+    flips = h.rows ^ h.cols
+    keys = [a.rows.astype(np.int64) * a.dim + a.cols]
+    terms = [np.zeros(a.values.size, a.values.dtype)]
+    for f in np.unique(flips).tolist():
+        h_f = np.zeros(a.dim, h.values.dtype)
+        on = flips == f
+        h_f[h.cols[on]] = h.values[on]
+        for rows, cols, value in ((a.rows ^ f, a.cols, h_f[a.rows] * a.values),
+                                  (a.rows, a.cols ^ f, -a.values * h_f[a.cols ^ f])):
+            keep = value != 0
+            keys.append(rows[keep].astype(np.int64) * a.dim + cols[keep])
+            terms.append(value[keep])
+    index = np.unique(np.concatenate(keys), return_inverse=True)[1].ravel()
+    comm = np.zeros(index.max() + 1, np.result_type(h.values, a.values))
+    np.add.at(comm, index, np.concatenate(terms))
+    at_a = index[: a.values.size]
+    norm_sq = float(np.vdot(a.values, a.values).real)
+    omega = float(np.vdot(a.values, comm[at_a]).real) / norm_sq
+    comm[at_a] -= omega * a.values
+    return omega, float(np.linalg.norm(comm)) / math.sqrt(norm_sq)
 
 
 def operator_support_oracle(o_mat, n_sites, rtol=1e-10):

@@ -40,11 +40,13 @@ from oracles import (
     block_gram_oracle,
     cluster_oracle,
     fit_frequency_oracle,
+    fit_frequency_reference,
     local_cap_oracle,
     operator_support_oracle,
     random_hermitian,
     thermal_state,
 )
+from test_cli import fermion_modes
 from test_sectors import (
     BETAS,
     block_case,
@@ -151,6 +153,50 @@ def test_fit_counts_omega_a_where_the_commutator_vanishes():
     want = fit_frequency_oracle(h.dense(), a.dense())
     assert math.isclose(omega, want[0], rel_tol=1e-15)
     assert math.isclose(residual, want[1], rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 6, 7])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_fit_frequency_at_a_dim_that_is_no_power_of_two(dim, is_complex):
+    # a flip mask row ^ col can reach past dim when dim is not 2^n, where
+    # H has no entry: the fit once raised IndexError there
+    rng = np.random.default_rng(dim)
+    h = random_hermitian(rng, dim)
+    h = h if is_complex else h.real
+    corner = np.zeros((dim, dim))
+    corner[0, dim - 1] = 1.0
+    dense = random_hermitian(rng, dim) * (rng.random((dim, dim)) < 0.5)
+    for a in (corner, dense if is_complex else dense.real):
+        omega, residual = fit_frequency(h, a)
+        want_omega, want_residual = fit_frequency_oracle(h, a)
+        scale = max(1.0, float(np.linalg.norm(h, 2)))
+        assert abs(omega - want_omega) <= 1e-12 * scale
+        assert abs(residual - want_residual) <= 1e-12 * scale
+
+
+def test_fit_frequency_is_the_unique_merge_bit_for_bit():
+    # merging the commutator's terms by sort and search places them where
+    # np.unique did, so np.add.at adds them in the same order
+    h2 = preset_operators(preset("two-qubit"))[0]
+    cases = [(h2, list(two_qubit_symmetry_operators().values()))]
+    for sites in range(2, 9):
+        for boundary in ("open", "periodic"):
+            for field in (0.0, 0.3):
+                h, gen = preset_operators(preset("chain", sites=sites, field=field,
+                                                 boundary=boundary))
+                modes = [SparseOperator.from_strings(m, sites) for m in fermion_modes(sites)]
+                cases.append((h, [gen, *modes]))
+    for h, ops in cases:
+        for op in ops:
+            got, want = fit_frequency(h, op), fit_frequency_reference(h, op)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_symmetry_frequency_must_be_finite(bad):
+    # a NaN once passed, and group_into_blocks then found no member for it
+    with pytest.raises(DomainError, match="frequency must be finite"):
+        DynamicalSymmetry(np.eye(2), bad, 0.0)
 
 
 def test_dynamical_symmetry_verifies_and_rejects():

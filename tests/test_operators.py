@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import tokenize
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from qfidyn import (
     operator_support,
     read_symmetry_file,
 )
+from qfidyn import operators
 from qfidyn.models import preset
 from qfidyn.operators import (
     AXES,
@@ -440,6 +443,47 @@ def test_entry_indices_and_dims_are_whole_numbers():
     # an operator with no entries may give them as empty lists
     empty = SparseOperator([], [], [], 2)
     assert empty.rows.size == 0 and empty.dense().tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+BAD_ENTRIES = [
+    ([1, 0], [0, 0], "ascending"),  # unsorted
+    ([0, 0], [1, 1], "ascending"),  # a position twice
+    ([0, 2], [0, 0], "0 <= m, n < 2"),  # a row out of range
+    ([0, 0], [-1, 1], "0 <= m, n < 2"),  # a negative column
+    ([0, 0], [0, 2**32 + 1], "0 <= m, n < 2"),  # would wrap to 1 as int32
+]
+
+
+def test_adopted_entries_pass_the_same_checks():
+    # a builder's arrays are checked as a caller's are, so a faulty builder
+    # raises instead of leaving at to read wrong values
+    for rows, cols, match in BAD_ENTRIES:
+        for make in (SparseOperator, SparseOperator._adopt):
+            with pytest.raises(DomainError, match=match):
+                make(np.array(rows), np.array(cols), np.ones(2), 2)
+    for values, match in (([1.0, math.nan], "values must be finite"), ([1.0], "one entry")):
+        with pytest.raises(DomainError, match=match):
+            SparseOperator._adopt(np.array([0, 1]), np.array([1, 0]), np.array(values), 2)
+    with pytest.raises(DomainError, match=r"below 2\*\*31"):
+        SparseOperator._adopt(np.array([0]), np.array([0]), np.ones(1), 2**31)
+    rows, cols = np.array([0, 1], np.int32), np.array([1, 0], np.int32)
+    op = SparseOperator._adopt(rows, cols, np.array([1.0, 2.0]), 2)
+    assert op.rows is rows and not rows.flags.writeable
+    assert op.at([1, 0, 0], [0, 1, 0]).tolist() == [2.0, 1.0, 0.0]
+
+
+def test_only_operators_checks_searches_and_merges_entry_lists():
+    # dynsym and metrology leave every entry list to operators: no
+    # SparseOperator made of a pair list to reach its at, no np.unique
+    # merge and no int32 limit of their own
+    package = pathlib.Path(operators.__file__).parent
+    for name in ("dynsym.py", "metrology.py"):
+        with tokenize.open(package / name) as f:
+            tokens = [tok.string for tok in tokenize.generate_tokens(f.readline)
+                      if tok.type in (tokenize.NAME, tokenize.OP)]
+        triples = {"".join(tokens[i : i + 3]) for i in range(len(tokens) - 2)}
+        assert "SparseOperator._adopt" not in triples, name
+        assert not {"unique", "_INDEX_LIMIT"} & set(tokens), name
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])

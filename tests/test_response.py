@@ -148,6 +148,14 @@ def test_comb_rejects_unsorted_frequencies():
         FrequencyComb(np.array([1.0, 1.0]), np.array([1.0, 1.0]), "response")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_comb_refuses_nonfinite_frequencies(bad):
+    # a NaN once passed the order check, which compares neighbours
+    for kind in ("response", "structure"):
+        with pytest.raises(DomainError, match="omegas must be finite"):
+            FrequencyComb([0.0, bad], [1.0, 1.0], kind)
+
+
 def test_comb_frequencies_near_the_float_limit_are_ordered_without_overflow():
     # -1e308 and 1e308 are finite, their difference is not
     comb = FrequencyComb([-1e308, 1e308], [1.0, 1.0], "response")

@@ -1,6 +1,7 @@
 """Diagonalization certificates and Gibbs weight construction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,26 @@ def test_thermal_ensemble_rejects_nonfinite_weights(weights):
 def test_thermal_ensemble_rejects_nonfinite_energies(bad):
     with pytest.raises(DomainError, match="finite"):
         ThermalEnsemble(1.0, np.array([0.0, bad]), np.array([1.0, 0.0]), np.array([0.0, -math.inf]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_decomposition_refuses_nonfinite_energies(bad):
+    # NaN and inf once passed the order check, and trivial_complete_set
+    # then returned a set with the one frequency 0
+    for energies in ([0.0, bad], [bad, 0.0]):
+        with pytest.raises(DomainError, match="energies must be finite"):
+            SpectralDecomposition(np.array(energies), np.eye(2))
+
+
+@pytest.mark.parametrize("energies", [[0.0, math.nan], [-math.inf, 0.0], [math.inf, 0.0]])
+@pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
+def test_gibbs_weights_refuses_nonfinite_energies_before_any_arithmetic(energies, beta):
+    # at beta = inf no level was ground and 1 / 0 raised ZeroDivisionError;
+    # at beta = 1 a NaN raised a RuntimeWarning before the DomainError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="energies must be finite"):
+            gibbs_weights(np.array(energies), beta)
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
