@@ -2,13 +2,10 @@
 diagonalization, decomposed and bounded through dynamical symmetries."""
 
 from .dynsym import (
-    DynamicalSymmetry,
     OperatorBlock,
     PairPartition,
     block_gram,
-    dynamical_symmetry,
     fit_frequency,
-    group_into_blocks,
     local_cap,
     mazur_weight,
     projector_mazur_weight,

@@ -70,9 +70,9 @@ import numpy as np
 
 from ._frozen import Frozen
 from .errors import DomainError, NumericError
-from .operators import SparseOperator, _checked_entries, _chunks, _find, _finite, _key_union
-from .operators import _keys, _operand, _ordered, _real_if_exact, _values_at, operator_support
-from .spectral import PAIR_WEIGHT_FLOOR, BlockOperator, _eigen_operand
+from .operators import _checked_entries, _chunks, _find, _finite, _key_union, _keys, _on_union
+from .operators import _operand, _ordered, _real_if_exact, _values_at, operator_support
+from .spectral import PAIR_WEIGHT_FLOOR, _eigen_operand
 
 # Residual tolerance below which an operator counts as a dynamical symmetry.
 TAU_DYN = 1e-9
@@ -92,7 +92,7 @@ SHELL_CUT_RTOL = 1e-5
 def default_omega_tol(energies):
     """Frequency clustering tolerance: 1e-8 * max(1, spectral width).  Also
     models.at_level_crossing's default, on the two-qubit spectrum +-2J, +-2h,
-    so that its window is the one where group_into_blocks snaps to 0."""
+    so that its window is the one where verified_blocks snaps to 0."""
     energies = np.asarray(energies, dtype=float)
     width = float(energies.max() - energies.min()) if energies.size else 0.0
     return 1e-8 * max(1.0, width)
@@ -142,7 +142,7 @@ def _commutator(h, a):
     # h_f spans every index a flip can reach from below dim, up to the power
     # of 2 at or above it; its entries past dim are 0, so their terms drop out
     span = 1 << (a.dim - 1).bit_length()
-    for f in _key_union([flips]).tolist():
+    for f in _key_union([flips])[0].tolist():
         h_f = np.zeros(span, h.dtype)
         on = flips == f
         h_f[h.cols[on]] = h.values[on]
@@ -150,41 +150,10 @@ def _commutator(h, a):
                                   (a.rows, a.cols ^ f, -a.values * h_f[a.cols ^ f])):
             keys.append(_keys(rows, cols, a.dim)[value != 0])
             terms.append(value[value != 0])
-    positions = _key_union(keys)
-    index = _find(positions, np.concatenate(keys))[0]
+    positions, index = _key_union(keys)
     comm = np.zeros(positions.size, np.result_type(h.dtype, a.dtype))
     np.add.at(comm, index, np.concatenate(terms))
     return comm, index[: a.values.size]
-
-
-class DynamicalSymmetry(Frozen):
-    """A verified eigenoperator, held as given (a SparseOperator or an
-    eigenbasis BlockOperator) or as a copy of a matrix, with its fitted
-    frequency and residual."""
-
-    _fields = ("op", "omega", "residual")
-
-    def __init__(self, op, omega, residual):
-        if not isinstance(op, (SparseOperator, BlockOperator)):
-            op = np.array(op)
-        if not math.isfinite(omega):
-            raise DomainError(f"symmetry frequency must be finite, got {omega}")
-        self._set(op=op, omega=omega, residual=residual)
-
-
-def dynamical_symmetry(hamiltonian, op):
-    """Verify [H, op] = omega op within TAU_DYN and package the result.
-
-    Raises DomainError unless the best-fit residual is at most TAU_DYN (NaN
-    is not): the operator is not an eigenoperator of this Hamiltonian.
-    """
-    omega, residual = fit_frequency(hamiltonian, op)
-    if not residual <= TAU_DYN:
-        raise DomainError(
-            f"operator is not a dynamical symmetry: residual {residual:.3e} "
-            f"exceeds tolerance {TAU_DYN:.1e} (best-fit omega {omega:.6g})"
-        )
-    return DynamicalSymmetry(op, omega, residual)
 
 
 def cluster_values(values, tol):
@@ -243,9 +212,9 @@ class OperatorBlock(Frozen):
         """(rows, cols, values): the positions any member holds, ascending in
         row * dim + col, and each member's entries there, one row per
         member (0 where it has none)."""
-        keys = _key_union([_keys(m.rows, m.cols, self.dim) for m in self.members])
-        rows, cols = np.divmod(keys, self.dim)
-        return rows, cols, np.stack([m.at(rows, cols) for m in self.members])
+        rows, cols, values = _on_union([(m.rows, m.cols, m.values) for m in self.members],
+                                       self.dim)
+        return rows, cols, np.stack(values)
 
     def _joined(self, op_eig):
         """O_mn at the positions of _entries, for O as _operator_pairs reads
@@ -563,46 +532,43 @@ def _pair_set(op_eig, spectral):
     return op_eig
 
 
-def group_into_blocks(symmetries, omega_tol):
-    """Cluster verified symmetries by frequency into OperatorBlocks.
-
-    Representatives within omega_tol of zero are snapped to exactly 0.0 so
-    conserved quantities land in a genuine zero block (fitted frequencies
-    carry rounding noise), all in one block; verified_blocks passes the
-    spectrum's default_omega_tol.  Each block keeps its members in order.
-    """
-    symmetries = list(symmetries)
-    omega_tol = _checked_omega_tol(omega_tol)
-    if not symmetries:
-        return []
-    omegas = np.array([s.omega for s in symmetries], dtype=float)
-    reps, labels = cluster_values(omegas, omega_tol)
-    reps[np.abs(reps) <= omega_tol] = 0.0
-    snapped = reps[labels]
-    return [OperatorBlock(omega, [symmetries[i].op for i in np.flatnonzero(snapped == omega)])
-            for omega in sorted(set(reps.tolist()))]
-
-
 def verified_blocks(hamiltonian, spectral, ops, omega_tol=None):
-    """Verify candidate operators against H, take them to the energy
-    eigenbasis on their omega-shell (_on_shell) and group them into
-    frequency blocks.
+    """The one way from operators to OperatorBlocks: verify candidate
+    operators against H, take them to the energy eigenbasis on their
+    omega-shell (_on_shell) and group them into frequency blocks.
 
-    hamiltonian and ops are given in the site basis; a DomainError from
-    verification, or a NumericError from the shell cut, names the failing
-    operator by position.
+    hamiltonian and ops are given in the site basis.  An operator is a
+    dynamical symmetry when its fit_frequency residual is at most TAU_DYN
+    (NaN is not); a DomainError from verification, or a NumericError from
+    the shell cut, names the failing operator by position.  The fitted
+    frequencies are clustered within omega_tol (default_omega_tol of the
+    spectrum when None), and representatives within omega_tol of zero are
+    snapped to exactly 0.0, all in one block, so that conserved quantities
+    land in a genuine zero block (fitted frequencies carry rounding noise).
+    Blocks ascend in frequency, each keeping its members in the given order.
     """
     omega_tol = default_omega_tol(spectral.energies) if omega_tol is None else omega_tol
     omega_tol = _checked_omega_tol(omega_tol)
-    symmetries = []
+    omegas, members = [], []
     for i, op in enumerate(ops):
         try:
-            sym = dynamical_symmetry(hamiltonian, op)
-            member = _on_shell(spectral, op, sym.omega, sym.residual, omega_tol)
+            omega, residual = fit_frequency(hamiltonian, op)
+            if not residual <= TAU_DYN:
+                raise DomainError(
+                    f"operator is not a dynamical symmetry: residual {residual:.3e} "
+                    f"exceeds tolerance {TAU_DYN:.1e} (best-fit omega {omega:.6g})"
+                )
+            members.append(_on_shell(spectral, op, omega, residual, omega_tol))
         except (DomainError, NumericError) as exc:
             raise type(exc)(f"operator {i}: {exc}") from None
-        symmetries.append(DynamicalSymmetry(member, sym.omega, sym.residual))
-    return group_into_blocks(symmetries, omega_tol)
+        omegas.append(omega)
+    if not members:
+        return []
+    reps, labels = cluster_values(omegas, omega_tol)
+    reps[np.abs(reps) <= omega_tol] = 0.0
+    snapped = reps[labels]
+    return [OperatorBlock(omega, [members[i] for i in np.flatnonzero(snapped == omega)])
+            for omega in sorted(set(reps.tolist()))]
 
 
 def _on_shell(spectral, op, omega, residual, omega_tol):
@@ -729,7 +695,7 @@ def _frequency_sums(blocks, ensemble, generators, coeff=None):
             raise DomainError(f"block {i}: a list holds OperatorBlocks only, got "
                               f"{type(block).__name__}; a PairPartition is passed alone")
     if len({block.omega for block in blocks}) != len(blocks):
-        raise DomainError("two blocks share a frequency; group_into_blocks makes them one")
+        raise DomainError("two blocks share a frequency; verified_blocks makes them one")
     summed = np.zeros((len(ab), len(blocks)))
     for k, block in enumerate(blocks):
         c = 1.0 if coeff is None else _block_coefficient(coeff, ensemble.beta, block.omega)

@@ -41,7 +41,7 @@ import numpy as np
 from ._frozen import Frozen, FrozenRecord
 from .dynsym import _abs2, _dense, _frequency_sums, _operator_pairs, _thermal_mean
 from .errors import DomainError, NumericError
-from .operators import _chunks, _key_union, _keys, _values_at, _whole
+from .operators import _chunks, _on_union, _whole
 from .spectral import PAIR_WEIGHT_FLOOR, default_energy_tol
 
 # Slack for internal inequality certificates (ETH gap assertion).
@@ -210,7 +210,7 @@ def qfi_from_dynsym(blocks, ensemble, op_eig):
     """QFI lower bound sum_k 4 tanh^2(beta omega_k / 2) D_k(O).
 
     blocks is a PairPartition alone, or a list of OperatorBlocks at
-    distinct frequencies (as group_into_blocks makes); anything else raises
+    distinct frequencies (as verified_blocks makes); anything else raises
     DomainError.  Equality holds for a PairPartition covering O, such as the
     trivial complete set (saturated flag); any verified subset yields a
     certified lower bound.  Conserved quantities (omega = 0) contribute
@@ -360,8 +360,7 @@ def qfi_matrix(generators, ensemble):
     summed over the union of the generators' pairs."""
     dim = ensemble.dim
     gens, commuting = _generator_pairs(generators, dim)
-    rows, cols = np.divmod(_key_union([_keys(r, c, dim) for r, c, _ in gens]), dim)
-    vals = [_values_at(g, rows, cols, dim) for g in gens]
+    rows, cols, vals = _on_union(gens, dim)
     out = np.zeros((len(gens),) * 2)
     for a, b in zip(*np.triu_indices(len(gens))):
         out[a, b] = out[b, a] = _pair_sum(lambda e, r, c: 4.0 * _qfi_pair_weights(e, r, c),

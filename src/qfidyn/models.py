@@ -95,7 +95,7 @@ HIGH_FIELD_SUBSET = ("A4",)
 def at_level_crossing(field, coupling=1.0, omega_tol=None):
     """Whether the subset frequency +-2(|J| - |h|) lies within omega_tol
     (default: verified_blocks' default for the spectrum +-2J, +-2h) of 0,
-    where group_into_blocks snaps it to 0.0 and the subset bound vanishes."""
+    where verified_blocks snaps it to 0.0 and the subset bound vanishes."""
     if omega_tol is None:
         omega_tol = default_omega_tol([2.0 * coupling, -2.0 * coupling, 2.0 * field, -2.0 * field])
     return abs(2.0 * (abs(coupling) - abs(field))) <= omega_tol

@@ -61,10 +61,33 @@ def _keys(rows, cols, dim):
 
 
 def _key_union(keys):
-    """The distinct integers >= 0 of a list of arrays (keys, say), ascending, by
-    a sort: np.unique hashes integers on NumPy 2.4 (1.1 s against 18 ms at 1.25M keys)."""
-    keys = np.sort(np.concatenate(keys))
-    return keys[np.diff(keys, prepend=-1) != 0]
+    """(union, where): the distinct integers >= 0 of a list of arrays (keys,
+    say), ascending, and where each entry of the arrays, concatenated, lies
+    in union, both from one argsort: np.unique hashes integers on NumPy 2.4
+    (1.1 s against 18 ms at 1.25M keys), and a search of the union for the
+    entries would sort them a second time."""
+    joined = np.concatenate(keys)
+    order = np.argsort(joined)
+    joined = joined[order]
+    first = np.diff(joined, prepend=-1) != 0
+    where = np.empty(joined.size, np.intp)
+    where[order] = np.cumsum(first) - 1
+    return joined[first], where
+
+
+def _on_union(entries, dim):
+    """(rows, cols, values) over several entry lists (rows, cols, values):
+    the positions any of them holds, ascending in row * dim + col, and each
+    list's values there, in its own dtype, 0 where it has none."""
+    union, where = _key_union([_keys(r, c, dim) for r, c, _ in entries])
+    rows, cols = np.divmod(union, dim)
+    values, start = [], 0
+    for _, _, held in entries:
+        out = np.zeros(union.size, held.dtype)
+        out[where[start : start + held.size]] = held
+        start += held.size
+        values.append(out)
+    return rows, cols, values
 
 
 def _chunks(n):

@@ -584,7 +584,9 @@ def gibbs_weights(spectral, beta):
         weights = np.where(ground, 1.0 / g, 0.0)
         logw = np.where(ground, -math.log(g), -np.inf)
     else:
-        shifted = -beta * (energies - energies.min())
+        # a huge finite beta overflows to -inf, the exact limit of the weight
+        with np.errstate(over="ignore"):
+            shifted = -beta * (energies - energies.min())
         logw = shifted - float(np.logaddexp.reduce(shifted))
         weights = np.exp(logw)
     return ThermalEnsemble._adopt(beta, energies, weights, logw, ref)

@@ -205,7 +205,7 @@ def test_bad_temperature_grids(grid):
     assert stderr.startswith("qfidyn:")
 
 
-@pytest.mark.parametrize("grid", ["1:inf:3", "1:nan:3", "nan:1:3", "0:inf:3:lin"])
+@pytest.mark.parametrize("grid", ["1:inf:3", "0.1:inf:3", "1:nan:3", "nan:1:3", "0:inf:3:lin"])
 def test_infinite_grid_ends_are_a_clean_usage_error(grid):
     # a child process, so that a numpy RuntimeWarning would reach stderr
     proc = subprocess.run(
@@ -217,6 +217,8 @@ def test_infinite_grid_ends_are_a_clean_usage_error(grid):
     assert proc.stderr.splitlines() == [
         f"qfidyn: temperature grid needs finite min and max, got {grid!r}"
     ]
+    # and in process, where a line trace sees the check
+    assert run("qfi", "--temp-grid", grid) == (2, "", proc.stderr)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
@@ -406,7 +408,7 @@ def test_the_shell_gram_is_the_dense_oracle_on_shell_masked_members(case, beta):
     tol = default_omega_tol(e)
     o_dense = spectral.to_eigenbasis(preset_operators(preset("chain", sites=n))[1])
     ops = [modes[k] for k in sorted(subset)]
-    # group_into_blocks keeps the members of a block in the order given
+    # verified_blocks keeps the members of a block in the order given
     omegas = [fit_frequency(h, op)[0] for op in ops]
     for block in verified_blocks(h, spectral, ops):
         members = [i for i, w in enumerate(omegas) if abs(w - block.omega) <= tol]
@@ -871,6 +873,29 @@ def test_verify_flags_a_non_symmetry(tmp_path):
     # correlated thermal state; the cap column records that honestly
     assert row[5] == "false"
     assert row[6] == "false"
+
+
+def test_verify_leaves_the_cap_blank_where_it_is_undefined(tmp_path):
+    # z0 z2 has a support with a gap and the identity acts as a scalar, so
+    # neither has a locality cap; z0 z2 is no symmetry of the chain
+    path = write_symmetry_file(tmp_path / "uncapped.json", [
+        [PauliString(1.0, ((0, "z"), (2, "z")))], [PauliString(1.0, ())]])
+    code, stdout, stderr = run("verify", "--preset", "chain", "--sites", "4",
+                               "--symmetries", path)
+    assert code == 1 and stderr == ""
+    _, rows = read_table(stdout)
+    assert [row[3:] for row in rows] == [["0 2", "-", "-", "false"], ["-", "-", "-", "true"]]
+
+
+def test_verify_refuses_a_symmetry_whose_shell_cut_is_uncertified(tmp_path):
+    # a mode plus 1e-11 x2 passes TAU_DYN, but residual / omega_tol is
+    # above SHELL_CUT_RTOL, as verified_blocks finds for the bound
+    slight = [*fermion_modes(6)[1], PauliString(1e-11, ((2, "x"),))]
+    path = write_symmetry_file(tmp_path / "slight.json", [slight])
+    code, stdout, stderr = run("verify", "--preset", "chain", "--sites", "6",
+                               "--symmetries", path)
+    assert code == 3 and stdout == ""
+    assert stderr.startswith("qfidyn: numeric failure: operator 0: the part off its omega-shell")
 
 
 def test_verify_malformed_json(tmp_path):

@@ -16,10 +16,8 @@ from qfidyn import (
     SparseOperator,
     block_gram,
     diagonalize,
-    dynamical_symmetry,
     fit_frequency,
     gibbs_weights,
-    group_into_blocks,
     local_cap,
     mazur_weight,
     projector_mazur_weight,
@@ -28,7 +26,6 @@ from qfidyn import (
     verified_blocks,
 )
 from qfidyn.dynsym import (
-    DynamicalSymmetry,
     _local_cap,
     _mirrored_clusters,
     cluster_values,
@@ -192,22 +189,16 @@ def test_fit_frequency_is_the_unique_merge_bit_for_bit():
             assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_a_symmetry_frequency_must_be_finite(bad):
-    # a NaN once passed, and group_into_blocks then found no member for it
-    with pytest.raises(DomainError, match="frequency must be finite"):
-        DynamicalSymmetry(np.eye(2), bad, 0.0)
-
-
-def test_dynamical_symmetry_verifies_and_rejects():
-    sym = dynamical_symmetry(SZ, SMINUS)
-    assert sym.omega == -2.0 and sym.residual < 1e-15
-    with pytest.raises(DomainError) as err:
-        dynamical_symmetry(SZ, np.array([[0, 1], [1, 0]], dtype=complex))
-    assert "not a dynamical symmetry" in str(err.value)
+def test_verified_blocks_verifies_and_rejects():
+    spectral = diagonalize(SZ)
+    (block,) = verified_blocks(SZ, spectral, [SMINUS])
+    # in the eigenbasis, levels ascending, SMINUS lowers level 1 to level 0
+    assert block.omega == -2.0 and block.members[0].dense().tolist() == [[0, 1], [0, 0]]
+    with pytest.raises(DomainError, match="operator 0: operator is not a dynamical symmetry"):
+        verified_blocks(SZ, spectral, [np.array([[0, 1], [1, 0]], dtype=complex)])
     # a NaN Hamiltonian is refused before any fit
-    with pytest.raises(DomainError, match="hamiltonian must be finite"):
-        dynamical_symmetry(np.diag([1.0, np.nan]), SMINUS)
+    with pytest.raises(DomainError, match="operator 0: hamiltonian must be finite"):
+        verified_blocks(np.diag([1.0, np.nan]), spectral, [SMINUS])
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +456,12 @@ def test_omega_tol_must_be_finite_and_positive(tol):
     # a NaN or infinite tolerance once put every gap into the zero cluster,
     # whose coefficient is 0, and certified a bound of 0 as saturated
     _, _, spectral, _, o_eig = two_qubit_setup()
-    syms = [dynamical_symmetry(SZ, SMINUS)]
+    sz_spectral = diagonalize(SZ)
     for call in (
         lambda: trivial_complete_set(spectral, tol),
         lambda: trivial_complete_set(spectral, tol, o_eig),
-        lambda: group_into_blocks(syms, tol),
-        lambda: group_into_blocks([], tol),
+        lambda: verified_blocks(SZ, sz_spectral, [SMINUS], tol),
+        lambda: verified_blocks(SZ, sz_spectral, [], tol),
         lambda: cluster_values(np.array([-1.0, 0.0, 1.0, 1.0]), tol),
     ):
         with pytest.raises(DomainError, match="omega_tol must be finite and > 0"):
@@ -480,26 +471,28 @@ def test_omega_tol_must_be_finite_and_positive(tol):
 # ---------------------------------------------------------------------------
 # grouping and verification
 
-def test_group_into_blocks_snaps_near_zero_frequencies():
-    syms = [
-        DynamicalSymmetry(np.eye(2), 1e-12, 0.0),
-        dynamical_symmetry(SZ, SMINUS),
-    ]
-    blocks = group_into_blocks(syms, 1e-8)
-    # the fitted 1e-12 is rounding noise and must land in a true zero block
-    assert [b.omega for b in blocks] == [-2.0, 0.0]
-    assert group_into_blocks([], 1e-8) == []
-    # two clusters both within tol of zero form the one zero block
-    eye, sz = np.eye(2), np.diag([1.0, -1.0])
-    syms = [DynamicalSymmetry(eye, -6e-9, 0.0), DynamicalSymmetry(sz, 6e-9, 0.0),
-            dynamical_symmetry(SZ, SMINUS)]
-    blocks = group_into_blocks(syms, 1e-8)
-    assert [b.omega for b in blocks] == [-2.0, 0.0]
-    assert [m.dense().tolist() for m in blocks[1].members] == [eye.tolist(), sz.tolist()]
-    # the tolerance has no default of its own: verified_blocks passes the
-    # spectrum's default_omega_tol
-    with pytest.raises(TypeError):
-        group_into_blocks(syms)
+def test_verified_blocks_snaps_near_zero_frequencies():
+    # just below the level crossing A3 and A4 sit at +-2(|J| - |h|) = +-1e-4:
+    # with omega_tol 1.5e-4 they are two clusters, both within omega_tol of
+    # zero, and form the one zero block, in the order given
+    h_op, _, spectral, _, _ = two_qubit_setup(field=1.0 - 5e-5)
+    ops = two_qubit_symmetry_operators(("A3", "A4", "A1"))
+    a3, a4, a1 = (ops[k] for k in ("A3", "A4", "A1"))
+    assert [round(fit_frequency(h_op, op)[0], 9) for op in (a3, a4)] == [1e-4, -1e-4]
+    blocks = verified_blocks(h_op, spectral, [a3, a4, a1], 1.5e-4)
+    assert [round(b.omega, 9) for b in blocks] == [-3.9999, 0.0]
+    assert blocks[1].omega == 0.0
+    assert [len(b.members) for b in blocks] == [1, 2]
+    for got, op in zip(blocks[1].members, (a3, a4)):
+        (alone,) = verified_blocks(h_op, spectral, [op], 1.5e-4)
+        want = alone.members[0]
+        assert alone.omega == 0.0
+        assert all(np.array_equal(getattr(got, f), getattr(want, f))
+                   for f in ("rows", "cols", "values"))
+    # at the spectrum's default_omega_tol, 4e-8 here, they stay apart
+    blocks = verified_blocks(h_op, spectral, [a3, a4, a1])
+    assert [round(b.omega, 9) for b in blocks] == [-3.9999, -1e-4, 1e-4]
+    assert verified_blocks(h_op, spectral, [], 1.5e-4) == []
 
 
 def test_verified_blocks_two_qubit_analytic_set():

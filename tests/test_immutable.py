@@ -18,7 +18,6 @@ from qfidyn.models import (
     preset,
     preset_operators,
     solve_preset,
-    two_qubit_symmetry_operators,
 )
 from qfidyn.spectral import _eigen_operand
 
@@ -42,9 +41,6 @@ ARRAY_HOLDERS = {
     "ThermalEnsemble": lambda: qfidyn.gibbs_weights(SPECTRAL, 1.0),
     "BlockOperator": lambda: SPECTRAL.to_eigenblocks(GENERATOR),
     "PairPartition": lambda: qfidyn.trivial_complete_set(SPECTRAL),
-    "DynamicalSymmetry": lambda: qfidyn.dynamical_symmetry(
-        H.dense(), two_qubit_symmetry_operators(["A1"])["A1"]
-    ),
     "OperatorBlock": lambda: qfidyn.OperatorBlock(0.0, (np.eye(2),)),
     "QfiReport": lambda: qfidyn.qfi_from_dynsym(PAIRS, ENSEMBLE, PAIRS),
     "QfiMatrix": lambda: qfidyn.QfiMatrix(np.eye(2), True),
@@ -97,7 +93,6 @@ ARRAY_TAKERS = {
     "QfiMatrix": lambda: _built(qfidyn.QfiMatrix, np.eye(2), True),
     "QfiReport": lambda: _built(qfidyn.QfiReport, 1.0, np.array([-1.0, 1.0]),
                                 np.array([0.5, 0.5]), False),
-    "DynamicalSymmetry": lambda: _built(qfidyn.DynamicalSymmetry, np.eye(2), 0.0, 0.0),
     "OperatorBlock": lambda: _built(qfidyn.OperatorBlock, 0.0, (np.eye(2),)),
 }
 

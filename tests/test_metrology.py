@@ -1,6 +1,7 @@
 """QFI routes, frequency-block bounds, generalized variances, QFI matrix,
 ETH quantities, and the entanglement witness."""
 
+import ast
 import math
 import pathlib
 import tokenize
@@ -45,7 +46,8 @@ from qfidyn import (
     trivial_complete_set,
     verified_blocks,
 )
-from qfidyn import metrology
+import qfidyn
+from qfidyn import dynsym, metrology
 from qfidyn.models import preset, preset_operators, solve_preset, two_qubit_symmetry_operators
 from oracles import (
     qfi_oracle,
@@ -195,6 +197,20 @@ def test_three_routes_agree_at_beta_inf_on_split_ground_doublet():
         spectral_route = qfi_spectral(o_eig, e)
         assert abs(qfi_via_susceptibility(o_eig, e) - spectral_route) <= 1e-9
         assert abs(qfi_via_structure_factor(o_eig, e) - spectral_route) <= 1e-9
+
+
+def test_a_huge_finite_beta_is_its_large_beta_limit():
+    # -beta (E_n - E_min) overflows to -inf near beta = 1e308, the exact
+    # limit of the log weight; it once raised a RuntimeWarning, which the
+    # suite and CI make an error, and `qfi --beta 1e308` exited 1
+    spectral, pairs, _ = solve_preset(preset("chain", sites=4))
+    routes = (qfi_spectral, qfi_via_susceptibility, qfi_via_structure_factor,
+              quantum_variance, lambda op, ens: skew_information(op, ens, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge, large = (gibbs_weights(spectral, beta) for beta in (1e308, 1e200))
+        for i, route in enumerate(routes):
+            assert route(pairs, huge) == route(pairs, large), i
 
 
 def test_comb_routes_agree_with_pair_routes(rng):
@@ -406,7 +422,7 @@ def test_duplicated_pair_is_not_certified():
         copies.append(OperatorBlock(e[m] - e[n], (copy,)))
     with pytest.raises(DomainError, match="got PairPartition"):
         qfi_from_dynsym([swapped, *copies], ens, o_eig)
-    with pytest.raises(DomainError, match="group_into_blocks"):
+    with pytest.raises(DomainError, match="verified_blocks"):
         qfi_from_dynsym([*copies, copies[0]], ens, o_eig)
 
 
@@ -428,7 +444,7 @@ def test_a_symmetry_set_takes_one_of_two_forms(rng):
     ]
     for call in calls:
         for blocks, match in (([part], "got PairPartition"), ([block, part], "got PairPartition"),
-                              ([block, twin], "group_into_blocks"), ([block, 42], "got int")):
+                              ([block, twin], "verified_blocks"), ([block, 42], "got int")):
             with pytest.raises(DomainError, match=match):
                 call(blocks)
         call(part)
@@ -446,6 +462,28 @@ def test_only_dynsym_tells_the_forms_of_a_symmetry_set_apart():
             names = {tok.string for tok in tokenize.generate_tokens(f.readline)
                      if tok.type == tokenize.NAME}
         assert not names & hidden, name
+
+
+def test_only_verified_blocks_makes_blocks_of_operators():
+    # verified_blocks is the one way from operators to OperatorBlocks, and
+    # _local_cap wraps its one eigenbasis member; the site-basis record
+    # path, which let a site-basis member into a bound, is gone
+    def makers(node, owner):
+        """The innermost def or class around each OperatorBlock call."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "OperatorBlock" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                yield owner
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            yield from makers(child, child.name if named else owner)
+
+    package = pathlib.Path(metrology.__file__).parent
+    found = {(path.name, owner) for path in sorted(package.glob("*.py"))
+             for owner in makers(ast.parse(path.read_text(encoding="utf-8")), None)}
+    assert found == {("dynsym.py", "verified_blocks"), ("dynsym.py", "_local_cap")}
+    removed = {"DynamicalSymmetry", "dynamical_symmetry", "group_into_blocks"}
+    assert not removed & set(qfidyn.__all__)
+    assert not any(hasattr(module, name) for module in (qfidyn, dynsym) for name in removed)
 
 
 def test_explicit_blocks_give_one_column_each_in_frequency_order(rng):

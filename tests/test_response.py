@@ -118,6 +118,15 @@ def test_structure_factor_is_mirror_symmetric(rng):
     assert zero >= 0.0
 
 
+def test_a_rounding_negative_zero_peak_is_clamped_and_counted():
+    # a multiple of the identity has no connected zero peak: 2 g(0) - 2 <O>^2
+    # rounds slightly below 0 here, and is clamped to 0 and counted
+    ens = gibbs_weights(diagonalize(np.diag([0.0, 1.0, 2.0])), 0.0)
+    s = structure_factor_comb(0.01 * np.eye(3), ens)
+    assert s.clamped == 1
+    assert s.omegas.tolist() == [0.0] and s.weights.tolist() == [0.0]
+
+
 def test_combs_cluster_a_dense_operator_as_its_pair_set(rng):
     # no comb takes a tolerance of its own: a dense operator gets the
     # default clusters, the ones its weighted pair set is built with
